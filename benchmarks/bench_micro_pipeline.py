@@ -1,37 +1,18 @@
 """Micro-benchmarks of the query pipeline's vectorized kernels:
 sketching throughput, segmented sort, candidate generation and
-constant-time LCA batches -- plus the packed-vs-legacy stage
-breakdown gating the packed-batch refactor.
+constant-time LCA batches.
 
-The breakdown runs the full classify path twice over the same reads
--- ``kernels="packed"`` (contiguous-buffer hot path) vs
-``kernels="legacy"`` (the retained per-read reference) -- records
-reads-per-second per stage (sketch / query / compact / segmented_sort
-/ window_count_top) and end-to-end, and merges the result into
-``BENCH_parallel.json`` (run ``bench_parallel_scaling.py`` first so
-the document exists; a fresh skeleton is created otherwise).
-
-Run standalone (updates the JSON, exits non-zero below the 1.5x gate):
-
-    PYTHONPATH=src python benchmarks/bench_micro_pipeline.py
-
-or through the bench harness:
+Run through the bench harness:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_micro_pipeline.py -q
-"""
 
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
+End-to-end classify throughput is guarded on an absolute basis by
+``reads_per_s`` in ``BENCHMARK.json`` (``benchmarks/e2e/``).
+"""
 
 import numpy as np
 
-from repro.bench.tables import render_table
 from repro.core.candidates import generate_top_candidates
-from repro.core.classify import classify_reads
-from repro.core.query import query_database
 from repro.hashing.sketch import SketchParams, sketch_reads, sketch_sequence
 from repro.pipeline.packed import PackedReads
 from repro.sort.segmented import segmented_sort
@@ -42,14 +23,6 @@ from repro.util.bitops import pack_pairs
 from repro.util.scan import exclusive_prefix_sum
 
 PARAMS = SketchParams()  # paper parameters
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_OUT_DIR = Path(__file__).resolve().parent / "out"
-_JSON_NAME = "BENCH_parallel.json"
-
-#: the refactor's single-core gate: packed end-to-end classify
-#: throughput must beat the retained per-read reference by this factor
-PACKED_SPEEDUP_GATE = 1.5
 
 
 def test_sketch_reference_throughput(benchmark):
@@ -134,163 +107,3 @@ def test_lca_batch_throughput(benchmark):
     out = benchmark(lca.lca_batch, a, b)
     assert out.size == 100_000
     benchmark.extra_info["lcas_per_second"] = out.size / benchmark.stats["mean"]
-
-
-# ------------------------------------------- packed-vs-legacy breakdown
-
-
-def _classify_sweep(db, seqs, chunk_size: int, kernels: str) -> dict:
-    """One full classify pass; returns stage seconds + throughput."""
-    stage_seconds: dict[str, float] = {}
-    taxa = []
-    t0 = time.perf_counter()
-    for i in range(0, len(seqs), chunk_size):
-        result = query_database(db, seqs[i : i + chunk_size], kernels=kernels)
-        cls = classify_reads(db, result.candidates)
-        taxa.append(cls.taxon)
-        for name, secs in result.stages.stages.items():
-            stage_seconds[name] = stage_seconds.get(name, 0.0) + secs
-    wall = time.perf_counter() - t0
-    return {
-        "kernels": kernels,
-        "wall_seconds": wall,
-        "reads_per_second": len(seqs) / wall,
-        "stage_seconds": stage_seconds,
-        "taxa": np.concatenate(taxa) if taxa else np.zeros(0, dtype=np.int64),
-    }
-
-
-def run_packed_vs_legacy(n_reads: int = 4000, chunk_size: int = 500) -> dict:
-    """Measure the packed hot path against the per-read reference.
-
-    Single-core, same reads, same database; the legacy pass uses the
-    pre-refactor chunk size (100) it was tuned for, so the headline
-    ratio compares each path at its own best configuration.
-    """
-    from repro.bench.workloads import hiseq_mini
-    from repro.core.database import Database
-
-    dataset = hiseq_mini(n_reads)
-    db = Database.build(dataset.refset.references, dataset.refset.taxonomy)
-    db.condense()
-    seqs = list(dataset.reads.sequences)
-
-    legacy = _classify_sweep(db, seqs, 100, "legacy")
-    packed = _classify_sweep(db, seqs, chunk_size, "packed")
-    identical = bool(np.array_equal(legacy.pop("taxa"), packed.pop("taxa")))
-
-    # per-stage reads/s (sketch is where the per-read loop lived)
-    stages = {}
-    for name in sorted(set(legacy["stage_seconds"]) | set(packed["stage_seconds"])):
-        ls = legacy["stage_seconds"].get(name, 0.0)
-        ps = packed["stage_seconds"].get(name, 0.0)
-        stages[name] = {
-            "legacy_seconds": ls,
-            "packed_seconds": ps,
-            "legacy_reads_per_second": n_reads / ls if ls else None,
-            "packed_reads_per_second": n_reads / ps if ps else None,
-            "speedup": (ls / ps) if (ls and ps) else None,
-        }
-
-    return {
-        "n_reads": n_reads,
-        "chunk_size_packed": chunk_size,
-        "chunk_size_legacy": 100,
-        "legacy": {k: v for k, v in legacy.items() if k != "stage_seconds"},
-        "packed": {k: v for k, v in packed.items() if k != "stage_seconds"},
-        "stages": stages,
-        "byte_identical": identical,
-        "speedup": legacy["wall_seconds"] / packed["wall_seconds"],
-        "gate": PACKED_SPEEDUP_GATE,
-    }
-
-
-def render_packed_report(section: dict) -> str:
-    """Human-readable packed-vs-legacy stage table."""
-    rows = []
-    for name, s in section["stages"].items():
-        rows.append(
-            [
-                name,
-                f"{s['legacy_seconds']:.4f}",
-                f"{s['packed_seconds']:.4f}",
-                f"{s['speedup']:.2f}x" if s["speedup"] else "-",
-            ]
-        )
-    rows.append(
-        [
-            "end-to-end",
-            f"{section['legacy']['wall_seconds']:.4f}",
-            f"{section['packed']['wall_seconds']:.4f}",
-            f"{section['speedup']:.2f}x",
-        ]
-    )
-    table = render_table(
-        f"Packed vs legacy kernels ({section['n_reads']} reads, "
-        f"single core)",
-        ["Stage", "Legacy (s)", "Packed (s)", "Speedup"],
-        rows,
-    )
-    return table + (
-        f"\nlegacy: {section['legacy']['reads_per_second']:,.0f} reads/s "
-        f"(chunk {section['chunk_size_legacy']})   "
-        f"packed: {section['packed']['reads_per_second']:,.0f} reads/s "
-        f"(chunk {section['chunk_size_packed']})   "
-        f"identical: {'yes' if section['byte_identical'] else 'NO'}\n"
-    )
-
-
-def merge_into_bench_json(section: dict) -> list[Path]:
-    """Attach the breakdown to BENCH_parallel.json (root + out copies).
-
-    ``bench_parallel_scaling.py`` writes the document wholesale; this
-    runs after it in the bench job and only adds/replaces the
-    ``packed_vs_legacy`` key, so ordering in CI matters but nothing is
-    lost if the scaling sweep was skipped (a skeleton is created).
-    """
-    written = []
-    _OUT_DIR.mkdir(exist_ok=True)
-    for path in (_REPO_ROOT / _JSON_NAME, _OUT_DIR / _JSON_NAME):
-        doc = (
-            json.loads(path.read_text())
-            if path.exists()
-            else {"benchmark": "parallel_scaling", "schema_version": 1}
-        )
-        doc["packed_vs_legacy"] = section
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-        written.append(path)
-    table_path = _OUT_DIR / "bench_micro_pipeline_packed.txt"
-    table_path.write_text(render_packed_report(section))
-    written.append(table_path)
-    return written
-
-
-def test_packed_vs_legacy_breakdown(benchmark, report):
-    """Bench-harness entry: breakdown, merge JSON, gate the speedup."""
-    section = benchmark.pedantic(run_packed_vs_legacy, rounds=1, iterations=1)
-    merge_into_bench_json(section)
-    report(render_packed_report(section))
-    assert section["byte_identical"]
-    assert section["speedup"] >= PACKED_SPEEDUP_GATE
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="packed-vs-legacy classify breakdown"
-    )
-    parser.add_argument("--reads", type=int, default=4000)
-    parser.add_argument("--chunk-size", type=int, default=500)
-    args = parser.parse_args(argv)
-    section = run_packed_vs_legacy(
-        n_reads=args.reads, chunk_size=args.chunk_size
-    )
-    for path in merge_into_bench_json(section):
-        print(f"wrote {path}", file=sys.stderr)
-    print(render_packed_report(section))
-    if not section["byte_identical"]:
-        return 2
-    return 0 if section["speedup"] >= PACKED_SPEEDUP_GATE else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,12 +2,14 @@
 """Multi-GPU database distribution and on-the-fly operation.
 
 Demonstrates the paper's operational story end to end, through the
-:mod:`repro.api` facade plus the simulated GPU substrate:
+:mod:`repro.api` facade plus the simulated GPU substrate, which wraps
+the production code from outside (:mod:`repro.gpu`):
 
 1. a reference set too big for one (artificially small) device forces
-   partitioning -- the same reason AFS31+RefSeq202 needs 8 V100s;
-2. ``MetaCache.ephemeral`` distributes targets across devices and a
-   session's query merges per-device top hits along the ring (Fig. 2),
+   partitioning -- the same reason AFS31+RefSeq202 needs 8 V100s
+   (``charge_partitions`` charges a built database to devices);
+2. ``MetaCache.ephemeral`` distributes targets across partitions and
+   ``ring_query`` merges per-device top hits along the ring (Fig. 2),
    with results *identical* to a single-partition database;
 3. on-the-fly mode makes the freshly built database queryable in one
    step, and the cost model projects what that buys on a real DGX-1.
@@ -18,11 +20,13 @@ Run:  python examples/multi_gpu_scaling.py
 import numpy as np
 
 from repro.api import MetaCache
+from repro.core.classify import classify_reads
 from repro.genomics import GenomeSimulator, ReadSimulator
 from repro.genomics.reads import HISEQ
-from repro.gpu import Device, DeviceSpec, OutOfDeviceMemory
+from repro.gpu import DeviceSpec, MultiGpuNode, OutOfDeviceMemory, charge_partitions
 from repro.gpu.costmodel import DGX1_COST_MODEL
-from repro.gpu.topology import MultiGpuNode
+from repro.gpu.multi_gpu import ring_query
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy import build_taxonomy_for_genomes
 
 # a deliberately tiny "GPU" so the mini reference set exceeds one device
@@ -47,41 +51,33 @@ def main() -> None:
         (g.name, g.scaffolds[0], taxa.target_taxon[i]) for i, g in enumerate(genomes)
     ]
 
-    print("attempting the build on a single (tiny) device ...")
-    try:
-        MetaCache.ephemeral(
-            references, taxonomy, n_partitions=1, devices=[Device(0, TINY_GPU)]
-        )
-        print("  unexpectedly fit!")
-    except OutOfDeviceMemory as exc:
-        print(f"  failed as expected: {exc}")
-
-    for n_gpus in (2, 4):
-        devices = [Device(i, TINY_GPU) for i in range(n_gpus)]
-        try:
-            mc = MetaCache.ephemeral(
-                references, taxonomy, n_partitions=n_gpus, devices=devices
-            )
-        except OutOfDeviceMemory as exc:
-            print(f"{n_gpus} devices: still does not fit ({exc})")
-            continue
-        per_dev = [d.memory.allocated_bytes / 1e6 for d in devices]
-        print(
-            f"{n_gpus} devices: built in {mc.time_to_query:.2f} s, "
-            f"per-device MB: {[f'{x:.1f}' for x in per_dev]}"
-        )
-        reads = ReadSimulator(genomes, seed=5).simulate(HISEQ, 500)
+    for n_gpus in (1, 2, 4):
         node = MultiGpuNode.dgx1(n_gpus, spec=TINY_GPU)
-        run = mc.session(node=node).classify(reads.sequences)
-        print(
-            f"  ring query classified {run.n_classified}/500 reads "
-            f"(stages: "
-            + ", ".join(
-                f"{k} {v * 1e3:.0f}ms" for k, v in run.report.stages.items()
+        with MetaCache.ephemeral(references, taxonomy, n_partitions=n_gpus) as mc:
+            try:
+                charge_partitions(mc.database, node.devices)
+            except OutOfDeviceMemory as exc:
+                print(f"{n_gpus} device(s): does not fit ({exc})")
+                continue
+            per_dev = [d.memory.allocated_bytes / 1e6 for d in node.devices]
+            print(
+                f"{n_gpus} devices: built in {mc.time_to_query:.2f} s, "
+                f"per-device MB: {[f'{x:.1f}' for x in per_dev]}"
             )
-            + ")"
-        )
-        mc.close()
+            reads = ReadSimulator(genomes, seed=5).simulate(HISEQ, 500)
+            result, trace = ring_query(
+                node, mc.database, PackedReads.from_reads(reads.sequences)
+            )
+            cls = classify_reads(mc.database, result.candidates)
+            print(
+                f"  ring query classified {cls.n_classified}/500 reads "
+                f"(stages: "
+                + ", ".join(
+                    f"{k} {v * 1e3:.0f}ms" for k, v in result.stages.stages.items()
+                )
+                + f"; simulated ring transfer "
+                f"{trace.total_transfer_seconds * 1e6:.0f} us)"
+            )
 
     # cross-check: partitioned result == single-partition result
     mc1 = MetaCache.ephemeral(references, taxonomy, n_partitions=1)

@@ -1,7 +1,7 @@
 """``repro.api`` -- the stable public surface of the reproduction.
 
 The rest of the package (:mod:`repro.core`, :mod:`repro.warpcore`,
-:mod:`repro.gpu`, ...) is internal machinery that may be refactored
+:mod:`repro.hashing`, ...) is internal machinery that may be refactored
 freely between releases; code outside ``src/repro`` should talk to
 this facade only.  The full tour lives in README.md; the short one:
 

@@ -40,8 +40,6 @@ from repro.core.database import Database
 from repro.core.io import convert_database, load_database, save_database
 from repro.errors import DatabaseFormatError, InvalidMappingError, ReloadError
 from repro.genomics.alphabet import encode_sequence
-from repro.gpu.device import Device
-from repro.gpu.topology import MultiGpuNode
 from repro.shard.plan import ShardPlan
 from repro.shard.router import ShardRouter
 from repro.taxonomy.ncbi import load_ncbi_dump
@@ -114,7 +112,7 @@ class MetaCache:
     (wrapping an existing :class:`~repro.core.database.Database` with
     the plain constructor also works).  Query via :meth:`session` /
     :meth:`classify`; persist via :meth:`save`.  Usable as a context
-    manager -- ``close()`` releases any simulated device allocations.
+    manager -- ``close()`` shuts down worker pools and unmaps the index.
     """
 
     def __init__(
@@ -147,7 +145,6 @@ class MetaCache:
         cls,
         path: str | os.PathLike,
         *,
-        devices: Sequence[Device] | None = None,
         workers: int = 1,
         mmap: bool = False,
         shards: int | None = None,
@@ -204,7 +201,7 @@ class MetaCache:
             raise ValueError("replicas requires shards")
         with _translate_db_errors(path):
             with Timer() as t:
-                db = load_database(path, devices=devices, mmap=mmap)
+                db = load_database(path, mmap=mmap)
                 if shards is not None:
                     plan = ShardPlan.from_directory(path, shards)
                     router = ShardRouter(plan, replicas=replicas)
@@ -246,7 +243,6 @@ class MetaCache:
         params: MetaCacheParams | None = None,
         *,
         n_partitions: int = 1,
-        devices: Sequence[Device] | None = None,
         batch_size: int = 32,
         workers: int = 1,
         build_workers: int = 1,
@@ -275,7 +271,6 @@ class MetaCache:
                 tax,
                 params,
                 n_partitions=n_partitions,
-                devices=devices,
                 sketch_workers=build_workers,
                 on_progress=progress,
             ) as builder:  # `with`: sketch workers die even on failure
@@ -291,7 +286,6 @@ class MetaCache:
         params: MetaCacheParams | None = None,
         *,
         n_partitions: int = 1,
-        devices: Sequence[Device] | None = None,
         workers: int = 1,
         build_workers: int = 1,
         progress: Callable[[BuildStats], None] | None = None,
@@ -316,7 +310,6 @@ class MetaCache:
                 tax,
                 params,
                 n_partitions=n_partitions,
-                devices=devices,
                 sketch_workers=build_workers,
                 on_progress=progress,
             ) as builder:  # `with`: sketch workers die even on failure
@@ -424,7 +417,6 @@ class MetaCache:
         for session in list(self._sessions):
             session.close()
         self._default_session = None
-        self.database.release_devices()
         db.format_version = source_format
         self.database = db
         self._build_seconds += t.elapsed
@@ -486,7 +478,6 @@ class MetaCache:
         self,
         params: ClassificationParams | None = None,
         *,
-        node: MultiGpuNode | None = None,
         workers: int | None = None,
     ) -> QuerySession:
         """Open a warm query session (cheap; make as many as you like).
@@ -501,7 +492,6 @@ class MetaCache:
         session = QuerySession(
             self.database,
             params=params,
-            node=node,
             workers=self.workers if workers is None else workers,
             router=self._router,
         )
@@ -636,7 +626,7 @@ class MetaCache:
 
     @property
     def n_partitions(self) -> int:
-        """Number of database partitions (one per simulated device)."""
+        """Number of database partitions (one per GPU in the paper)."""
         return self.database.n_partitions
 
     @property
@@ -673,7 +663,7 @@ class MetaCache:
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Release worker pools, device allocations, and the index itself.
+        """Release worker pools and the index itself.
 
         Safe to call twice; sessions created by :meth:`session` have
         their multi-process engines shut down here, so ``with

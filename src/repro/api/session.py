@@ -3,9 +3,9 @@
 "querying can be executed ... in an interactive session, which holds
 the database in memory and allows for performing an arbitrary number
 of queries in succession" (Section 4).  :class:`QuerySession` is that
-mode for the public API: it owns the database reference, the default
-decision-rule parameters and the (optional) simulated multi-GPU node,
-and exposes three classification shapes:
+mode for the public API: it owns the database reference and the
+default decision-rule parameters, and exposes three classification
+shapes:
 
 - :meth:`classify` -- one in-memory batch, typed records back;
 - :meth:`classify_iter` -- a lazy generator over an iterable of
@@ -17,11 +17,15 @@ and exposes three classification shapes:
   feeds the multi-process shared-memory engine
   (:mod:`repro.parallel`) instead of a single in-thread consumer.
 
-Per-read results are identical across the three shapes and across
-worker counts (candidate generation and the top-hit/LCA rule are
-per-read, and the parallel engine reassembles chunks in submission
-order), which the test suite asserts down to byte-identical TSV
-output.
+Every shape only coerces its input to ``(headers, PackedReads)`` and
+hands it to one private seam, :meth:`QuerySession._run_batch` (the
+paper's single per-batch query pipeline, Section 5.2), or streams the
+same items through the worker pool, whose results re-enter the seam's
+record/report tail.  Per-read results are therefore identical across
+the three shapes and across worker counts (candidate generation and
+the top-hit/LCA rule are per-read, and the parallel engine
+reassembles chunks in submission order), which the test suite asserts
+down to byte-identical TSV output.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import itertools
 import os
 import threading
 import warnings
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from repro.core.classify import Classification, classify_reads
 from repro.core.config import ClassificationParams
 from repro.core.database import Database
 from repro.core.mapping import ReadMapping, map_reads
-from repro.core.query import query_database
+from repro.core.query import QueryResult, query_database
 from repro.errors import (
     InvalidReadError,
     MetaCacheError,
@@ -54,9 +58,6 @@ from repro.errors import (
     SharedMemoryUnavailableError,
 )
 from repro.genomics.alphabet import encode_sequence
-from repro.genomics.io import iter_sequence_records
-from repro.gpu.topology import MultiGpuNode
-from repro.parallel.chunks import ChunkResult
 from repro.parallel.engine import ParallelClassifier, shared_memory_available
 from repro.pipeline.batch import SequenceBatch
 from repro.pipeline.packed import PackedReads
@@ -129,6 +130,24 @@ def _coerce_batch(
     return headers, seqs
 
 
+def _pack_batch(
+    reads: Any, mates: Any, id_offset: int
+) -> tuple[list[str], PackedReads]:
+    """Coerce one batch (+ optional mates) to the seam's input shape."""
+    if isinstance(reads, SequenceBatch) and mates is None:
+        # the batch's cached packed form, no list round-trip
+        return list(reads.headers), reads.packed()
+    headers, seqs = _coerce_batch(reads, id_offset)
+    mate_seqs = None
+    if mates is not None:
+        _, mate_seqs = _coerce_batch(mates, id_offset)
+        if len(mate_seqs) != len(seqs):
+            raise InvalidReadError(
+                f"mate batch has {len(mate_seqs)} reads, expected {len(seqs)}"
+            )
+    return headers, PackedReads.from_reads(seqs, mate_seqs)
+
+
 def _empty_classification() -> Classification:
     z = np.zeros(0, dtype=np.int64)
     return Classification(z, z.copy(), z.copy(), z.copy(), z.copy())
@@ -165,7 +184,6 @@ class QuerySession:
         self,
         database: Database,
         params: ClassificationParams | None = None,
-        node: MultiGpuNode | None = None,
         workers: int = 1,
         router: ShardRouter | None = None,
     ) -> None:
@@ -173,12 +191,95 @@ class QuerySession:
             raise ValueError("workers must be >= 1")
         self.database = database
         self.params = params or database.params.classification
-        self.node = node
         self.workers = workers
         self.router = router
         self.report = RunReport()
         self.n_queries = 0
         self._engine: ParallelClassifier | None = None
+
+    # ------------------------------------------------------------- the seam
+
+    def _run_batch(
+        self, headers: list[str], packed: PackedReads, cp: ClassificationParams
+    ) -> ClassificationRun:
+        """Classify one packed batch: the single in-process execution path."""
+        if not packed.n_reads:
+            return self._finish(self.database, headers, _empty_classification())
+        # pin the database for this batch: a concurrent hot-swap
+        # (swap_database + close on the old index) defers its unmap
+        # until the release below, so the arrays stay mapped here
+        db = self.database.retain()
+        try:
+            if self.router is not None:
+                result = self.router.query(packed, params=cp)
+            else:
+                result = query_database(
+                    db, packed, params=db.params.replace(classification=cp)
+                )
+            cls = classify_reads(db, result.candidates, cp)
+            return self._finish(
+                db, headers, cls, result.read_lengths, result.stages.stages, result
+            )
+        finally:
+            db.release()
+
+    def _finish(
+        self,
+        db: Database,
+        headers: list[str],
+        cls: Classification,
+        read_lengths: np.ndarray | None = None,
+        stages: Mapping[str, float] | None = None,
+        query: QueryResult | None = None,
+    ) -> ClassificationRun:
+        """Format one classified batch: typed records + accounted report.
+
+        The tail every batch goes through, whether it was classified
+        by :meth:`_run_batch` or by a pool worker.
+        """
+        records = records_from_classification(db, headers, cls, read_lengths)
+        report = RunReport(
+            n_reads=len(headers),
+            n_classified=cls.n_classified,
+            n_batches=1,
+            max_batch_reads=len(headers),
+            total_seconds=sum((stages or {}).values()),
+            stages=dict(stages or {}),
+        )
+        for t in cls.taxon[cls.classified_mask].tolist():
+            report.taxon_counts[int(t)] = report.taxon_counts.get(int(t), 0) + 1
+        self.n_queries += 1
+        self.report.merge(report)
+        return ClassificationRun(records, report, cls, query)
+
+    def _runs(
+        self,
+        items: Iterable[tuple[list[str], PackedReads]],
+        cp: ClassificationParams,
+        engine: ParallelClassifier | None,
+    ) -> Iterator[ClassificationRun]:
+        """Classify a stream of packed batches, in order.
+
+        The one consumer loop: in-process through :meth:`_run_batch`,
+        or -- given a worker pool -- the same items through
+        :meth:`ParallelClassifier.classify_chunks`, whose ordered
+        results are formatted with the session's own database.
+        """
+        if engine is None:
+            for headers, packed in items:
+                yield self._run_batch(headers, packed, cp)
+            return
+        # no retain: the workers hold their own attachment, and record
+        # formatting reads only metadata, which outlives Database.close
+        db = self.database
+        for chunk in engine.classify_chunks(items, params=cp):
+            yield self._finish(
+                db,
+                chunk.headers,
+                chunk.classification,
+                chunk.read_lengths,
+                chunk.stage_seconds,
+            )
 
     # ------------------------------------------------------------ one batch
 
@@ -188,7 +289,6 @@ class QuerySession:
         mates: Any = None,
         *,
         params: ClassificationParams | None = None,
-        node: MultiGpuNode | None = None,
         _id_offset: int = 0,
     ) -> ClassificationRun:
         """Classify one in-memory batch of reads.
@@ -197,73 +297,8 @@ class QuerySession:
         only; sketching parameters always come from the database (they
         are baked into the index).
         """
-        cp = params or self.params
-        if isinstance(reads, SequenceBatch) and mates is None:
-            # fast path: hand the batch's cached packed form straight
-            # to the query kernels, skipping the list round-trip
-            headers = list(reads.headers)
-            payload: "PackedReads | list[np.ndarray]" = reads.packed()
-            mate_seqs = None
-            n = len(reads)
-        else:
-            headers, seqs = _coerce_batch(reads, _id_offset)
-            payload = seqs
-            n = len(seqs)
-            mate_seqs = None
-            if mates is not None:
-                _, mate_seqs = _coerce_batch(mates, _id_offset)
-                if len(mate_seqs) != len(seqs):
-                    raise InvalidReadError(
-                        f"mate batch has {len(mate_seqs)} reads, expected {len(seqs)}"
-                    )
-
-        report = RunReport(n_batches=1, max_batch_reads=n)
-        if not n:
-            run = ClassificationRun([], report, _empty_classification(), None)
-            self._account(report)
-            return run
-
-        # pin the database for this batch: a concurrent hot-swap
-        # (swap_database + close on the old index) defers its unmap
-        # until the release below, so the arrays stay mapped here
-        db = self.database.retain()
-        try:
-            if self.router is not None:
-                if node is not None or self.node is not None:
-                    warnings.warn(
-                        "simulated multi-GPU node ignored: this session routes "
-                        "candidate generation through the shard router",
-                        stacklevel=2,
-                    )
-                packed = (
-                    payload
-                    if isinstance(payload, PackedReads)
-                    else PackedReads.from_reads(payload, mate_seqs)
-                )
-                result = self.router.query(packed, params=cp)
-            else:
-                query_params = db.params.replace(classification=cp)
-                result = query_database(
-                    db,
-                    payload,
-                    mates=mate_seqs,
-                    params=query_params,
-                    node=node if node is not None else self.node,
-                )
-            cls = classify_reads(db, result.candidates, cp)
-            records = records_from_classification(
-                db, headers, cls, result.read_lengths
-            )
-        finally:
-            db.release()
-        report.n_reads = result.n_reads
-        report.n_classified = cls.n_classified
-        report.total_seconds = result.stages.total
-        report.stages = dict(result.stages.stages)
-        for t in cls.taxon[cls.classified_mask].tolist():
-            report.taxon_counts[int(t)] = report.taxon_counts.get(int(t), 0) + 1
-        self._account(report)
-        return ClassificationRun(records, report, cls, result)
+        headers, packed = _pack_batch(reads, mates, _id_offset)
+        return self._run_batch(headers, packed, params or self.params)
 
     def classify_batch(
         self,
@@ -289,39 +324,27 @@ class QuerySession:
         sequences already encoded (uint8 code arrays); mismatched
         lengths raise :class:`repro.errors.InvalidReadError`.
         """
-        if len(headers) != len(sequences):
-            raise InvalidReadError(
-                f"classify_batch: {len(headers)} headers for "
-                f"{len(sequences)} sequences"
-            )
         n = len(sequences)
+        if len(headers) != n:
+            raise InvalidReadError(
+                f"classify_batch: {len(headers)} headers for {n} sequences"
+            )
+        packed = PackedReads.from_reads(sequences)
+        items: Iterable[tuple[list[str], PackedReads]] = [(headers, packed)]
         engine = None
         # a routed session already fans every batch out across the
         # shard replicas -- the in-process worker pool would only
         # re-split what the router distributes
         if n and self.workers > 1 and self.router is None:
             engine = self._ensure_engine(self.workers)
-        if engine is None:
-            run = self.classify(
-                list(zip(headers, sequences)), params=params
+        if engine is not None:
+            per_chunk = -(-n // engine.workers)  # ceil division
+            items = (
+                (headers[i : i + per_chunk], packed.slice_reads(i, i + per_chunk))
+                for i in range(0, n, per_chunk)
             )
-            return run.records
         cp = params or self.params
-        per_chunk = -(-n // engine.workers)  # ceil division
-        chunks = (
-            (headers[i : i + per_chunk], sequences[i : i + per_chunk])
-            for i in range(0, n, per_chunk)
-        )
-        records: list[ReadClassification] = []
-        db = self.database.retain()
-        try:
-            for chunk in engine.classify_chunks(chunks, params=cp):
-                recs, report = self._chunk_records(chunk, db)
-                records.extend(recs)
-                self._account(report)
-        finally:
-            db.release()
-        return records
+        return [rec for run in self._runs(items, cp, engine) for rec in run.records]
 
     # ------------------------------------------------------------ streaming
 
@@ -330,16 +353,19 @@ class QuerySession:
         batches: Iterable[Any],
         *,
         params: ClassificationParams | None = None,
-        node: MultiGpuNode | None = None,
     ) -> Iterator[ClassificationRun]:
         """Lazily classify an iterable of batches, yielding per-batch runs.
 
-        Each batch may be a list of reads (any shape :meth:`classify`
-        accepts), a :class:`~repro.pipeline.batch.SequenceBatch`, or a
-        ``(reads, mates)`` pair for paired-end data.  Batches are
-        pulled one at a time, so peak resident reads equal the largest
-        single batch -- feed it :func:`iter_batches` over a generator
-        and millions of reads stream through constant memory.
+        Each batch may be a collection of reads (any shape
+        :meth:`classify` accepts), a
+        :class:`~repro.pipeline.batch.SequenceBatch`, or a
+        ``(reads, mates)`` pair for paired-end data -- a 2-tuple whose
+        members are both batches themselves (lists or
+        ``SequenceBatch``); any other tuple is a batch of reads.
+        Batches are pulled one at a time, so peak resident reads equal
+        the largest single batch -- feed it :func:`iter_batches` over
+        a generator and millions of reads stream through constant
+        memory.
         """
         offset = 0
         for batch in batches:
@@ -347,30 +373,12 @@ class QuerySession:
             if (
                 isinstance(batch, tuple)
                 and len(batch) == 2
-                and not isinstance(batch[0], str)
+                and all(isinstance(part, (list, SequenceBatch)) for part in batch)
             ):
                 reads, mates = batch
-            run = self.classify(
-                reads, mates, params=params, node=node, _id_offset=offset
-            )
+            run = self.classify(reads, mates, params=params, _id_offset=offset)
             offset += len(run.records)
             yield run
-
-    def classify_to(
-        self,
-        batches: Iterable[Any],
-        sink: Sink,
-        *,
-        params: ClassificationParams | None = None,
-        node: MultiGpuNode | None = None,
-    ) -> RunReport:
-        """Stream batches into a sink; returns the merged run report."""
-        total = RunReport()
-        for run in self.classify_iter(batches, params=params, node=node):
-            for rec in run.records:
-                sink.write(rec)
-            total.merge(run.report)
-        return total
 
     def classify_files(
         self,
@@ -380,19 +388,17 @@ class QuerySession:
         sink: Sink | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         params: ClassificationParams | None = None,
-        node: MultiGpuNode | None = None,
         queue_depth: int = 4,
         workers: int | None = None,
     ) -> RunReport:
         """Classify FASTA/FASTQ file(s) (plain or gzip'd) into a sink.
 
-        Single-end input runs through the paper's producer/consumer
-        scheme (:mod:`repro.pipeline`): a producer thread parses and
-        encodes the file into bounded :class:`SequenceBatch` chunks
-        while the consumer end classifies and writes, overlapping I/O
-        with compute exactly like the original's query pipeline.
-        Paired input zips both files lazily instead (pairing is
-        positional).
+        Runs the paper's producer/consumer scheme
+        (:mod:`repro.pipeline`): a producer thread parses, encodes and
+        packs the file -- or both files of a pair, read in lock step
+        (pairing is positional) -- into bounded batches while the
+        consumer end classifies and writes, overlapping I/O with
+        compute exactly like the original's query pipeline.
 
         ``workers`` (default: the session's ``workers``) selects the
         consumer end: ``1`` classifies on this thread; ``N > 1`` feeds
@@ -400,8 +406,8 @@ class QuerySession:
         database zero-copy (:mod:`repro.parallel`), with results
         reassembled in submission order — output is byte-identical to
         ``workers=1``.  When shared memory is unavailable on the
-        platform, or a simulated multi-GPU ``node`` is in play, the
-        call warns and degrades to single-process classification.
+        platform the call warns and degrades to single-process
+        classification.
 
         Raises
         ------
@@ -413,26 +419,42 @@ class QuerySession:
             subclass, likewise naming the file.
         """
         try:
-            n_workers = self._effective_workers(workers, node)
-            if n_workers > 1:
-                return self._classify_files_parallel(
-                    reads_path,
-                    mates_path,
-                    sink=sink,
-                    batch_size=batch_size,
-                    params=params,
-                    queue_depth=queue_depth,
-                    workers=n_workers,
+            n_workers = self._effective_workers(workers)
+            engine = self._ensure_engine(n_workers) if n_workers > 1 else None
+            cp = params or self.params
+            # When the consumer dies mid-stream (BrokenPipeError on a
+            # closed stdout, disk-full in the sink, a worker crash ...)
+            # the producer must not stay blocked on a full queue
+            # forever: the consumer sets `cancelled` and drains the
+            # queue so the producer's pending put() returns, sees the
+            # flag, and closes -- letting the scheduler join both
+            # threads and re-raise the consumer's error.
+            cancelled = threading.Event()
+
+            def produce(q: ClosableQueue) -> None:
+                read_file_producer(
+                    reads_path, q, batch_size, mates_path, cancelled=cancelled
                 )
-            return self._classify_files_serial(
-                reads_path,
-                mates_path,
-                sink=sink,
-                batch_size=batch_size,
-                params=params,
-                node=node,
-                queue_depth=queue_depth,
+
+            def consume(q: ClosableQueue) -> RunReport:
+                total = RunReport()
+                try:
+                    for run in self._runs(q, cp, engine):
+                        if sink is not None:
+                            for rec in run.records:
+                                sink.write(rec)
+                        total.merge(run.report)
+                except BaseException:
+                    cancelled.set()
+                    for _ in q:  # unblock the producer, eat to end-of-stream
+                        pass
+                    raise
+                return total
+
+            results = run_producer_consumer(
+                producers=[produce], consumers=[consume], queue_size=queue_depth
             )
+            return results[0]
         except BrokenPipeError:
             raise  # the CLI's SIGPIPE contract: die quietly, exit 141
         except PipelineError as exc:
@@ -445,175 +467,7 @@ class QuerySession:
                 f"{type(exc).__name__}: {exc}"
             ) from exc
 
-    def _classify_files_serial(
-        self,
-        reads_path: str | os.PathLike[str],
-        mates_path: str | os.PathLike[str] | None,
-        *,
-        sink: Sink | None,
-        batch_size: int,
-        params: ClassificationParams | None,
-        node: MultiGpuNode | None,
-        queue_depth: int,
-    ) -> RunReport:
-        """The single-process consumer end of :meth:`classify_files`."""
-        if mates_path is not None:
-            batches = self._paired_batches(reads_path, mates_path, batch_size)
-            total = RunReport()
-            for run in self.classify_iter(batches, params=params, node=node):
-                if sink is not None:
-                    for rec in run.records:
-                        sink.write(rec)
-                total.merge(run.report)
-            return total
-
-        # When the consumer dies mid-stream (BrokenPipeError on a closed
-        # stdout, disk-full in the sink, ...) the producer must not stay
-        # blocked on a full queue forever: the consumer sets `cancelled`
-        # and drains the queue so the producer's pending put() returns,
-        # sees the flag, and closes -- letting the scheduler join both
-        # threads and re-raise the consumer's error.
-        cancelled = threading.Event()
-
-        def produce(q: ClosableQueue) -> None:
-            read_file_producer(reads_path, q, batch_size, cancelled=cancelled)
-
-        def consume(q: ClosableQueue) -> RunReport:
-            total = RunReport()
-            try:
-                for run in self.classify_iter(iter(q), params=params, node=node):
-                    if sink is not None:
-                        for rec in run.records:
-                            sink.write(rec)
-                    total.merge(run.report)
-            except BaseException:
-                cancelled.set()
-                for _ in q:  # unblock the producer, eat to end-of-stream
-                    pass
-                raise
-            return total
-
-        results = run_producer_consumer(
-            producers=[produce], consumers=[consume], queue_size=queue_depth
-        )
-        return results[0]
-
-    def _classify_files_parallel(
-        self,
-        reads_path: str | os.PathLike[str],
-        mates_path: str | os.PathLike[str] | None,
-        *,
-        sink: Sink | None,
-        batch_size: int,
-        params: ClassificationParams | None,
-        queue_depth: int,
-        workers: int,
-    ) -> RunReport:
-        """The multi-process consumer end: producer feeds the pool.
-
-        The *same* producer as the serial path parses the file into
-        :class:`SequenceBatch` chunks; this thread forwards them to
-        the worker pool and turns each ordered
-        :class:`~repro.parallel.chunks.ChunkResult` back into typed
-        records with the session's own database — so formatting,
-        accounting, and order all share the serial code path, which is
-        what makes the output byte-identical.
-        """
-        engine = self._ensure_engine(workers)
-        if engine is None:  # shared memory unavailable: degrade gracefully
-            return self._classify_files_serial(
-                reads_path,
-                mates_path,
-                sink=sink,
-                batch_size=batch_size,
-                params=params,
-                node=None,
-                queue_depth=queue_depth,
-            )
-        cp = params or self.params
-        cancelled = threading.Event()
-
-        def produce(q: ClosableQueue) -> None:
-            if mates_path is not None:
-                try:
-                    for pair in self._paired_batches(
-                        reads_path, mates_path, batch_size
-                    ):
-                        if cancelled.is_set():
-                            return
-                        q.put(pair)
-                finally:
-                    q.close_producer()
-            else:
-                read_file_producer(reads_path, q, batch_size, cancelled=cancelled)
-
-        def consume(q: ClosableQueue) -> RunReport:
-            total = RunReport()
-            try:
-                chunks = (self._queue_item_to_chunk(item) for item in q)
-                for chunk in engine.classify_chunks(chunks, params=cp):
-                    report = self._chunk_to_report(chunk, cp, sink)
-                    total.merge(report)
-                    self._account(report)
-            except BaseException:
-                cancelled.set()
-                for _ in q:  # unblock the producer, eat to end-of-stream
-                    pass
-                raise
-            return total
-
-        results = run_producer_consumer(
-            producers=[produce], consumers=[consume], queue_size=queue_depth
-        )
-        return results[0]
-
-    def _queue_item_to_chunk(
-        self, item: SequenceBatch | tuple[Any, Any]
-    ) -> SequenceBatch | tuple[list[str], list[np.ndarray], list[np.ndarray]]:
-        """Map producer output to an engine chunk (encodes paired reads)."""
-        if isinstance(item, SequenceBatch):
-            return item
-        reads, mates = item
-        headers, seqs = _coerce_batch(reads, 0)
-        _, mate_seqs = _coerce_batch(mates, 0)
-        return (headers, seqs, mate_seqs)
-
-    def _chunk_records(
-        self, chunk: ChunkResult, db: Database | None = None
-    ) -> tuple[list[ReadClassification], RunReport]:
-        """Resolve one engine chunk into typed records + its batch report."""
-        records = records_from_classification(
-            db if db is not None else self.database,
-            chunk.headers,
-            chunk.classification,
-            chunk.read_lengths,
-        )
-        report = RunReport(
-            n_batches=1,
-            max_batch_reads=chunk.n_reads,
-            n_reads=chunk.n_reads,
-            n_classified=chunk.classification.n_classified,
-            total_seconds=chunk.total_seconds,
-            stages=dict(chunk.stage_seconds),
-        )
-        cls = chunk.classification
-        for t in cls.taxon[cls.classified_mask].tolist():
-            report.taxon_counts[int(t)] = report.taxon_counts.get(int(t), 0) + 1
-        return records, report
-
-    def _chunk_to_report(
-        self, chunk: ChunkResult, cp: ClassificationParams, sink: Sink | None
-    ) -> RunReport:
-        """Emit one chunk's records and build its per-batch report."""
-        records, report = self._chunk_records(chunk)
-        if sink is not None:
-            for rec in records:
-                sink.write(rec)
-        return report
-
-    def _effective_workers(
-        self, workers: int | None, node: MultiGpuNode | None
-    ) -> int:
+    def _effective_workers(self, workers: int | None) -> int:
         """Resolve the worker count for one classify_files call."""
         n = self.workers if workers is None else workers
         if n < 1:
@@ -622,13 +476,6 @@ class QuerySession:
             warnings.warn(
                 "worker pool ignored: this session routes batches through "
                 "the shard router, which is already multi-process",
-                stacklevel=3,
-            )
-            return 1
-        if n > 1 and node is not None:
-            warnings.warn(
-                "simulated multi-GPU node given: classifying single-process "
-                "(the worker pool does not model device rings)",
                 stacklevel=3,
             )
             return 1
@@ -655,7 +502,7 @@ class QuerySession:
             warnings.warn(
                 "shared memory unavailable on this platform: "
                 "classifying single-process",
-                stacklevel=4,
+                stacklevel=3,
             )
             return None
         try:
@@ -666,7 +513,7 @@ class QuerySession:
             warnings.warn(
                 f"shared-memory export failed ({exc}): "
                 "classifying single-process",
-                stacklevel=4,
+                stacklevel=3,
             )
             return None
         return self._engine
@@ -724,28 +571,6 @@ class QuerySession:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    def _paired_batches(
-        self,
-        reads_path: str | os.PathLike[str],
-        mates_path: str | os.PathLike[str],
-        batch_size: int,
-    ) -> Iterator[tuple[list[Any], list[Any]]]:
-        pairs = itertools.zip_longest(
-            iter_sequence_records(reads_path),
-            iter_sequence_records(mates_path),
-            fillvalue=None,
-        )
-        for chunk in iter_batches(pairs, batch_size):
-            reads, mates = [], []
-            for r, m in chunk:
-                if r is None or m is None:
-                    raise InvalidReadError(
-                        f"paired files differ in length: {reads_path} vs {mates_path}"
-                    )
-                reads.append(r)
-                mates.append(m)
-            yield reads, mates
-
     # ------------------------------------------------------------- mapping
 
     def map(
@@ -765,12 +590,6 @@ class QuerySession:
         )
         self.n_queries += 1
         return mapping
-
-    # ------------------------------------------------------------- plumbing
-
-    def _account(self, report: RunReport) -> None:
-        self.n_queries += 1
-        self.report.merge(report)
 
     def summary(self) -> str:
         """One-line session summary across every call so far."""

@@ -15,7 +15,6 @@ substrates:
 - :mod:`repro.core.stats` -- precision/sensitivity evaluation (Table 6).
 - :mod:`repro.core.abundance` -- abundance estimation (KAL_D study).
 - :mod:`repro.core.io` -- save/load in the condensed query layout.
-- :mod:`repro.core.onthefly` -- on-the-fly build+query mode (Table 5).
 """
 
 from repro.core.config import MetaCacheParams, ClassificationParams
@@ -26,10 +25,8 @@ from repro.core.classify import classify_reads, Classification
 from repro.core.stats import evaluate_accuracy, AccuracyReport
 from repro.core.abundance import estimate_abundances, abundance_deviation
 from repro.core.io import save_database, load_database
-from repro.core.onthefly import build_and_query
 from repro.core.mapping import ReadMapping, map_reads
 from repro.core.merge import merge_partition_runs, save_candidates, load_candidates
-from repro.core.session import QuerySession
 
 __all__ = [
     "MetaCacheParams",
@@ -49,11 +46,9 @@ __all__ = [
     "abundance_deviation",
     "save_database",
     "load_database",
-    "build_and_query",
     "ReadMapping",
     "map_reads",
     "merge_partition_runs",
     "save_candidates",
     "load_candidates",
-    "QuerySession",
 ]

@@ -1,29 +1,14 @@
-"""File-based database construction (legacy entry point).
+"""Header -> accession resolution for file-based builds.
 
-Historically this module owned the threaded one-shot build; the
-pipeline now lives in :class:`repro.core.builder.DatabaseBuilder`,
-which streams FASTA files in bounded memory, supports parallel sketch
-workers, and can extend an existing database.  What remains here:
-
-- :func:`accession_of` -- header -> accession resolution (the role
-  NCBI's ``accession2taxid`` files play for real MetaCache);
-- :func:`build_from_fasta` -- a deprecated thin wrapper kept so
-  pre-builder callers continue to work unchanged.
+The build pipeline itself lives in
+:class:`repro.core.builder.DatabaseBuilder`; this module holds
+:func:`accession_of`, the role NCBI's ``accession2taxid`` files play
+for real MetaCache.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Sequence
-
-from repro.core.builder import DatabaseBuilder
-from repro.core.config import MetaCacheParams
-from repro.core.database import Database
-from repro.gpu.device import Device
-from repro.taxonomy.tree import Taxonomy
-
-__all__ = ["build_from_fasta", "accession_of"]
+__all__ = ["accession_of"]
 
 
 def accession_of(header: str) -> str:
@@ -44,41 +29,3 @@ def accession_of(header: str) -> str:
         if suffix.isdigit():
             return base
     return token
-
-
-def build_from_fasta(
-    paths: Sequence[str | os.PathLike],
-    taxonomy: Taxonomy,
-    accession_to_taxon: dict[str, int],
-    params: MetaCacheParams | None = None,
-    n_partitions: int = 1,
-    devices: Sequence[Device] | None = None,
-    batch_size: int = 32,
-) -> Database:
-    """Build a database from reference FASTA files.
-
-    .. deprecated::
-        use :class:`repro.core.builder.DatabaseBuilder` (or
-        :meth:`repro.api.MetaCache.build`) instead -- this wrapper
-        merely drives the builder's :meth:`~DatabaseBuilder.add_fasta`
-        and produces byte-identical results.
-
-    Headers whose accession is missing from ``accession_to_taxon``
-    raise :class:`repro.errors.BuildError` (a ``KeyError``) naming
-    the file and header -- silently dropping references would corrupt
-    every downstream accuracy number.
-    """
-    warnings.warn(
-        "build_from_fasta is deprecated; use repro.core.builder."
-        "DatabaseBuilder (or MetaCache.build) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    with DatabaseBuilder(
-        taxonomy,
-        params,
-        n_partitions=n_partitions,
-        devices=devices,
-    ) as builder:
-        builder.add_fasta(paths, accession_to_taxon, batch_size=batch_size)
-        return builder.finalize(condense=False)

@@ -45,10 +45,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.build import accession_of
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database, DatabasePartition, TargetRecord
 from repro.errors import BuildError
-from repro.gpu.device import Device
 from repro.hashing.minhash import SKETCH_PAD
 from repro.hashing.sketch import sketch_sequence
 from repro.taxonomy.tree import Taxonomy
@@ -174,11 +174,6 @@ class DatabaseBuilder:
         online to the currently lightest partition (by accumulated
         bases), never splitting a target -- the same greedy rule the
         one-shot build applied, made streaming.
-    devices:
-        optional simulated devices (one per partition); each
-        partition's final table allocation is charged against its
-        device at :meth:`finalize`, and
-        :class:`~repro.gpu.memory.OutOfDeviceMemory` propagates.
     insert_batch_windows:
         windows buffered per partition before a batched insert is
         flushed into the hash table; bounds the builder's transient
@@ -204,7 +199,6 @@ class DatabaseBuilder:
         params: MetaCacheParams | None = None,
         *,
         n_partitions: int = 1,
-        devices: Sequence[Device] | None = None,
         insert_batch_windows: int = 100_000,
         sketch_workers: int = 1,
         on_progress: Callable[[BuildStats], None] | None = None,
@@ -213,12 +207,9 @@ class DatabaseBuilder:
             raise ValueError("n_partitions must be >= 1")
         if sketch_workers < 1:
             raise ValueError("sketch_workers must be >= 1")
-        if devices is not None and len(devices) < n_partitions:
-            raise ValueError("need at least one device per partition")
         self.taxonomy = taxonomy
         self.params = params or MetaCacheParams()
         self.n_partitions = n_partitions
-        self.devices = devices
         self.insert_batch_windows = insert_batch_windows
         self.sketch_workers = sketch_workers
         self.on_progress = on_progress
@@ -377,7 +368,6 @@ class DatabaseBuilder:
         RuntimeError
             when the builder was already finalized.
         """
-        from repro.core.build import accession_of
         from repro.pipeline.producer import fasta_producer
         from repro.pipeline.queues import ClosableQueue
         from repro.pipeline.scheduler import run_producer_consumer
@@ -570,23 +560,16 @@ class DatabaseBuilder:
         """Drain, flush, and assemble the :class:`Database`.
 
         Outstanding parallel sketch jobs are drained (in order), every
-        partition's pending buffer is flushed, the sketch pool (if
-        any) is shut down, and the partitions are bound to their
-        devices.  ``condense=True`` (default) converts the result to
-        the condensed query layout -- what saved/loaded databases use;
+        partition's pending buffer is flushed and the sketch pool (if
+        any) is shut down.  ``condense=True`` (default) converts the
+        result to the condensed query layout -- what saved/loaded
+        databases use;
         pass ``condense=False`` to keep the build layout (on-the-fly
         mode, insertable by a future ``from_database``).
 
         Returns the finished database.  The builder is closed
         afterwards: further ``add_*``/``finalize`` calls raise
         ``RuntimeError``.
-
-        Raises
-        ------
-        repro.gpu.memory.OutOfDeviceMemory
-            when a partition's table does not fit its device; callers
-            retry with more partitions, exactly like the real
-            workflow.
         """
         self._check_open()
         self._submit_pack_job()  # flush the partially-filled packed job
@@ -606,19 +589,7 @@ class DatabaseBuilder:
             if grown is None:  # partition never received a feature
                 grown = _GrowingTable(self.params, initial_capacity=256)
                 self._tables[p] = grown
-            table = grown.table
-            device = self.devices[p] if self.devices is not None else None
-            alloc_name = f"partition{p}/table"
-            if device is not None:
-                device.memory.alloc(alloc_name, table.stats().bytes_total)
-            partitions.append(
-                DatabasePartition(
-                    partition_id=p,
-                    table=table,
-                    device=device,
-                    allocation_name=alloc_name,
-                )
-            )
+            partitions.append(DatabasePartition(partition_id=p, table=grown.table))
         db = Database(
             params=self.params,
             taxonomy=self.taxonomy,

@@ -25,13 +25,12 @@ from __future__ import annotations
 import secrets
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.config import MetaCacheParams
 from repro.errors import SharedMemoryUnavailableError
-from repro.gpu.device import Device
 from repro.taxonomy.lca import LcaIndex
 from repro.taxonomy.lineage import RankedLineages
 from repro.taxonomy.tree import Taxonomy
@@ -126,13 +125,11 @@ def _ramp(lengths: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DatabasePartition:
-    """One partition: a hash table bound to (at most) one device."""
+    """One partition: a hash table in the build or condensed layout."""
 
     partition_id: int
     table: MultiBucketHashTable | None
     condensed: CondensedIndex | None = None
-    device: Device | None = None
-    allocation_name: str = ""
 
     def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.condensed is not None:
@@ -195,7 +192,6 @@ class Database:
         taxonomy: Taxonomy,
         params: MetaCacheParams | None = None,
         n_partitions: int = 1,
-        devices: Sequence[Device] | None = None,
         insert_batch_windows: int = 100_000,
     ) -> "Database":
         """Build a database from (name, encoded_sequence, taxon_id) triples.
@@ -205,12 +201,9 @@ class Database:
         lazily -- a generator streams through in bounded memory --
         targets are assigned to partitions online-greedily by
         accumulated length (lightest partition first, per arrival),
-        never splitting a target.  When ``devices`` are given, each
-        partition's table allocation is charged against its device's
-        memory pool and ``OutOfDeviceMemory`` propagates -- callers
-        then retry with more partitions, exactly like the real
-        workflow.  Raises :class:`repro.errors.BuildError` (a
-        ``KeyError``) for a taxon id absent from the taxonomy.
+        never splitting a target.  Raises
+        :class:`repro.errors.BuildError` (a ``KeyError``) for a taxon
+        id absent from the taxonomy.
         """
         from repro.core.builder import DatabaseBuilder
 
@@ -218,7 +211,6 @@ class Database:
             taxonomy,
             params,
             n_partitions=n_partitions,
-            devices=devices,
             insert_batch_windows=insert_batch_windows,
         )
         for name, codes, taxon_id in references:
@@ -260,16 +252,6 @@ class Database:
         """Convert all partitions to the condensed query layout."""
         for p in self.partitions:
             p.condense()
-
-    def release_devices(self) -> None:
-        """Free device memory allocations (end of GPU session)."""
-        for p in self.partitions:
-            if p.device is not None and p.allocation_name:
-                try:
-                    p.device.memory.free(p.allocation_name)
-                except KeyError:
-                    pass
-            p.device = None
 
     # -------------------------------------------------------------- lifetime
 
@@ -333,7 +315,6 @@ class Database:
 
     def _close_now(self) -> None:
         """Drop index content and unmap mmap-backed arrays."""
-        self.release_devices()
 
         def strip(p: DatabasePartition) -> "list[object]":
             # collect the backing mmap objects while dropping every

@@ -62,7 +62,6 @@ from repro.core.database import (
     DatabasePartition,
     TargetRecord,
 )
-from repro.gpu.device import Device
 from repro.hashing.sketch import SketchParams
 from repro.taxonomy.ncbi import load_ncbi_dump, write_ncbi_dump
 from repro.warpcore.probing import ProbingScheme
@@ -450,7 +449,6 @@ def _check_format_version(meta, meta_path: Path) -> int:
 
 def load_database(
     directory: str | os.PathLike,
-    devices: list[Device] | None = None,
     *,
     mmap: bool = False,
     verify: bool = False,
@@ -461,8 +459,6 @@ def load_database(
     ----------
     directory:
         the database directory (format v1 or v2; auto-detected).
-    devices:
-        optional simulated devices to charge partition memory against.
     mmap:
         memory-map the index arrays instead of reading them (format v2
         only): cold open touches no index bytes, and concurrent
@@ -534,23 +530,10 @@ def load_database(
             for pid in range(n_partitions)
         ]
 
-    partitions: list[DatabasePartition] = []
-    for pid, condensed in enumerate(condensed_parts):
-        device = None
-        alloc_name = ""
-        if devices is not None and devices:
-            device = devices[pid % len(devices)]
-            alloc_name = f"loaded-partition{pid}"
-            device.memory.alloc(alloc_name, condensed.nbytes)
-        partitions.append(
-            DatabasePartition(
-                partition_id=pid,
-                table=None,
-                condensed=condensed,
-                device=device,
-                allocation_name=alloc_name,
-            )
-        )
+    partitions = [
+        DatabasePartition(partition_id=pid, table=None, condensed=condensed)
+        for pid, condensed in enumerate(condensed_parts)
+    ]
     db = Database(
         params=params, taxonomy=taxonomy, partitions=partitions, targets=targets
     )

@@ -15,15 +15,16 @@ Per batch of reads:
 Reads enter as a :class:`~repro.pipeline.packed.PackedReads` batch
 (one contiguous uint8 buffer + int64 offset/read-id arrays, the host
 analogue of MetaCache-GPU staging whole read batches in device
-buffers); the legacy list-of-arrays shape is still accepted and packed
-on entry.  ``kernels="legacy"`` runs the pre-packing per-read
-reference path instead -- kept verbatim so the equivalence harness
-and the packed-vs-legacy benchmark can hold the old behavior fixed.
+buffers); the list-of-arrays shape is still accepted and packed on
+entry.  Steps 4-8 are :func:`partition_candidates`, shared with the
+simulated device ring (``ring_query`` in the ``gpu`` package) and the
+per-read oracle under ``tests/reference/``, which differ only in how
+they sketch and how they merge.
 
 With several partitions, sketches are generated once and each
-partition produces local top hits which merge along the (simulated)
-device ring -- contents identical to a single-table query because
-targets are never split across partitions.
+partition produces local top hits which are merged -- contents
+identical to a single-table query because targets are never split
+across partitions.
 
 Paired-end mates are interleaved (m1[0], m2[0], m1[1], ...) so each
 pair's windows are adjacent and feed one combined candidate list, as
@@ -40,16 +41,14 @@ import numpy as np
 from repro.core.candidates import Candidates, generate_top_candidates
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database
-from repro.gpu.multi_gpu import ring_merge_candidates
-from repro.gpu.topology import MultiGpuNode
 from repro.hashing.minhash import SKETCH_PAD
-from repro.hashing.sketch import sketch_reads_loop, sketch_reads_packed
+from repro.hashing.sketch import sketch_reads_packed
 from repro.pipeline.packed import PackedReads
 from repro.sort.compaction import read_segment_offsets
 from repro.sort.segmented import segmented_sort_lexsort
 from repro.util.timer import StageTimer
 
-__all__ = ["QueryResult", "query_database"]
+__all__ = ["QueryResult", "partition_candidates", "query_database"]
 
 
 @dataclass
@@ -63,122 +62,29 @@ class QueryResult:
     total_locations: int = 0
 
 
-def _interleave_pairs_loop(
-    sequences: list[np.ndarray], mates: list[np.ndarray] | None
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Flatten reads (+mates) into one sequence list with read ids.
-
-    The pre-packing reference: builds ``ids``/``lengths`` with
-    per-element Python loops.  Superseded in production by
-    :meth:`PackedReads.from_reads`, which computes the same
-    interleaving with array ops; kept only for ``kernels="legacy"``
-    so the equivalence harness can pin the old behavior.
-    """
-    n = len(sequences)
-    if mates is None:
-        ids = np.arange(n, dtype=np.int64)
-        lengths = np.array([s.size for s in sequences], dtype=np.int64)
-        return list(sequences), ids, lengths
-    if len(mates) != n:
-        raise ValueError("mates list must match sequences list")
-    seqs: list[np.ndarray] = []
-    ids = np.empty(2 * n, dtype=np.int64)
-    for i, (m1, m2) in enumerate(zip(sequences, mates)):
-        seqs.append(m1)
-        seqs.append(m2)
-        ids[2 * i] = i
-        ids[2 * i + 1] = i
-    lengths = np.array(
-        [a.size + b.size for a, b in zip(sequences, mates)], dtype=np.int64
-    )
-    return seqs, ids, lengths
-
-
-def query_database(
+def partition_candidates(
     db: Database,
-    sequences: "PackedReads | list[np.ndarray]",
-    mates: list[np.ndarray] | None = None,
-    params: MetaCacheParams | None = None,
-    node: MultiGpuNode | None = None,
-    kernels: str = "packed",
+    sketches: np.ndarray,
+    window_read_ids: np.ndarray,
+    n_reads: int,
+    sliding_window_sizes: np.ndarray,
+    max_candidates: int,
+    timer: StageTimer,
     partition_ids: Sequence[int] | None = None,
-) -> QueryResult:
-    """Query reads against every database partition and merge.
+) -> tuple[list[Candidates], int]:
+    """Steps 4-8 for one sketched batch: top candidates per partition.
 
-    Parameters
-    ----------
-    db:
-        the database (build or condensed layout).
-    sequences / mates:
-        the reads -- either one :class:`PackedReads` batch (``mates``
-        must then be ``None``: pairs are already interleaved inside
-        it), or the legacy list-of-arrays shape, packed on entry.
-    params:
-        defaults to the database's own parameters.
-    node:
-        optional multi-GPU node; when given and matching the
-        partition count, candidate merging runs through the simulated
-        device ring (identical results, adds transfer timing).
-    kernels:
-        ``"packed"`` (default) runs the contiguous-buffer hot path;
-        ``"legacy"`` runs the retained per-read reference
-        implementation (list input only).  Results are byte-identical
-        -- asserted by ``tests/test_packed_equivalence.py``.
-    partition_ids:
-        restrict the run to this strictly ascending subset of the
-        database's partitions (default: all of them).  The shard
-        workers of :mod:`repro.shard` use this to query only their
-        assigned partition set; merging the per-shard results with
-        :func:`repro.core.merge.merge_partition_runs` reproduces the
-        full-database result exactly, because candidate targets are
-        unique across partitions.  Incompatible with a simulated
-        multi-GPU ``node`` (the ring spans every partition).
+    ``sketches`` is the ``(n_windows, s)`` feature matrix of the batch
+    and ``window_read_ids`` maps each row to its read; every selected
+    partition is probed, compacted, segment-sorted and reduced to its
+    local top-``max_candidates`` list, with the stage seconds added to
+    ``timer``.  Returns the per-partition candidates (in partition
+    order) and the total number of locations retrieved.
+
+    ``partition_ids`` restricts the run to a strictly ascending subset
+    of the database's partitions (default: all of them); see
+    :func:`query_database`.
     """
-    params = params or db.params
-    timer = StageTimer()
-    if kernels not in ("packed", "legacy"):
-        raise ValueError(f"unknown kernels mode {kernels!r}")
-    if isinstance(sequences, PackedReads):
-        if mates is not None:
-            raise ValueError(
-                "mates must be None for packed input (pairs are "
-                "interleaved inside the PackedReads batch)"
-            )
-        if kernels == "legacy":
-            raise ValueError("kernels='legacy' requires list input")
-        packed = sequences
-    elif kernels == "packed":
-        packed = PackedReads.from_reads(sequences, mates)
-    else:
-        packed = None
-
-    m = params.classification.max_candidates
-    if packed is not None:
-        n_reads = packed.n_reads
-        read_lengths = packed.read_lengths
-        with timer.stage("sketch"):
-            sketches, window_read_ids = sketch_reads_packed(
-                packed.buffer, packed.offsets, params.sketch, packed.read_ids
-            )
-        sws = params.sliding_window_sizes(read_lengths)
-    else:
-        seqs, read_ids, read_lengths = _interleave_pairs_loop(sequences, mates)
-        n_reads = len(sequences)
-        with timer.stage("sketch"):
-            sketches, window_read_ids = sketch_reads_loop(
-                seqs, params.sketch, read_ids
-            )
-        sws = np.array(
-            [params.sliding_window_size(int(l)) for l in read_lengths],
-            dtype=np.int64,
-        )
-
-    n_windows, s = sketches.shape
-    flat_features = sketches.reshape(-1)
-    valid = flat_features != SKETCH_PAD
-    feat_window = np.repeat(np.arange(n_windows, dtype=np.int64), s)[valid]
-    features = flat_features[valid]
-
     if partition_ids is None:
         pids: Sequence[int] = range(db.n_partitions)
     else:
@@ -194,11 +100,12 @@ def query_database(
             # ascending order pins the local merge order, so a shard's
             # partial result is deterministic regardless of plan shape
             raise ValueError(f"partition_ids must be strictly ascending: {pids}")
-        if node is not None:
-            raise ValueError(
-                "partition_ids cannot be combined with a simulated "
-                "multi-GPU node (the device ring spans all partitions)"
-            )
+
+    n_windows, s = sketches.shape
+    flat_features = sketches.reshape(-1)
+    valid = flat_features != SKETCH_PAD
+    feat_window = np.repeat(np.arange(n_windows, dtype=np.int64), s)[valid]
+    features = flat_features[valid]
 
     per_partition: list[Candidates] = []
     total_locations = 0
@@ -219,23 +126,76 @@ def query_database(
         with timer.stage("segmented_sort"):
             sorted_locations = segmented_sort_lexsort(locations, read_offsets)
         with timer.stage("window_count_top"):
-            cands = generate_top_candidates(sorted_locations, read_offsets, sws, m)
-        per_partition.append(cands)
-
-    with timer.stage("merge"):
-        if node is not None and node.n_gpus == db.n_partitions and node.n_gpus > 1:
-            merged, _ = ring_merge_candidates(
-                node, per_partition, sketch_bytes=int(features.nbytes)
+            cands = generate_top_candidates(
+                sorted_locations, read_offsets, sliding_window_sizes, max_candidates
             )
-        else:
-            merged = per_partition[0]
-            for cands in per_partition[1:]:
-                merged = merged.merged_with(cands)
+        per_partition.append(cands)
+    return per_partition, total_locations
+
+
+def query_database(
+    db: Database,
+    sequences: "PackedReads | list[np.ndarray]",
+    mates: list[np.ndarray] | None = None,
+    params: MetaCacheParams | None = None,
+    partition_ids: Sequence[int] | None = None,
+) -> QueryResult:
+    """Query reads against every database partition and merge.
+
+    Parameters
+    ----------
+    db:
+        the database (build or condensed layout).
+    sequences / mates:
+        the reads -- either one :class:`PackedReads` batch (``mates``
+        must then be ``None``: pairs are already interleaved inside
+        it), or the list-of-arrays shape, packed on entry.
+    params:
+        defaults to the database's own parameters.
+    partition_ids:
+        restrict the run to this strictly ascending subset of the
+        database's partitions (default: all of them).  The shard
+        workers of :mod:`repro.shard` use this to query only their
+        assigned partition set; merging the per-shard results with
+        :func:`repro.core.merge.merge_partition_runs` reproduces the
+        full-database result exactly, because candidate targets are
+        unique across partitions.
+    """
+    params = params or db.params
+    if isinstance(sequences, PackedReads):
+        if mates is not None:
+            raise ValueError(
+                "mates must be None for packed input (pairs are "
+                "interleaved inside the PackedReads batch)"
+            )
+        packed = sequences
+    else:
+        packed = PackedReads.from_reads(sequences, mates)
+
+    timer = StageTimer()
+    with timer.stage("sketch"):
+        sketches, window_read_ids = sketch_reads_packed(
+            packed.buffer, packed.offsets, params.sketch, packed.read_ids
+        )
+    per_partition, total_locations = partition_candidates(
+        db,
+        sketches,
+        window_read_ids,
+        packed.n_reads,
+        params.sliding_window_sizes(packed.read_lengths),
+        params.classification.max_candidates,
+        timer,
+        partition_ids,
+    )
+    with timer.stage("merge"):
+        merged = per_partition[0]
+        for cands in per_partition[1:]:
+            merged = merged.merged_with(cands)
 
     return QueryResult(
         candidates=merged,
-        n_reads=n_reads,
-        read_lengths=read_lengths,
+        n_reads=packed.n_reads,
+        read_lengths=packed.read_lengths,
         stages=timer,
         total_locations=total_locations,
     )

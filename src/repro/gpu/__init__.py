@@ -21,9 +21,21 @@ machinery is reproduced as a *simulation substrate* with three layers:
 
 :mod:`repro.gpu.topology` + :mod:`repro.gpu.multi_gpu` model the
 multi-GPU node and the ring-style sketch forwarding of Figure 2.
+
+The substrate wraps :mod:`repro.core`, never the reverse (repro-lint
+RL007): :func:`charge_partitions` charges a finished database's
+partitions to simulated devices, and
+:func:`repro.gpu.multi_gpu.ring_query` runs the production query
+pipeline with a ring merge.
 """
 
-from repro.gpu.device import DeviceSpec, Device, V100_32GB, DGX1_SPECS
+from repro.gpu.device import (
+    DeviceSpec,
+    Device,
+    V100_32GB,
+    DGX1_SPECS,
+    charge_partitions,
+)
 from repro.gpu.memory import MemoryPool, OutOfDeviceMemory
 from repro.gpu.stream import Stream, Event
 from repro.gpu.topology import MultiGpuNode
@@ -35,6 +47,7 @@ __all__ = [
     "Device",
     "V100_32GB",
     "DGX1_SPECS",
+    "charge_partitions",
     "MemoryPool",
     "OutOfDeviceMemory",
     "Stream",

@@ -12,11 +12,13 @@ only with the multi-bucket layout, and AFS31+RefSeq202 needs all 8
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
+from repro.core.database import Database
 from repro.gpu.memory import MemoryPool
 from repro.gpu.stream import Stream
 
-__all__ = ["DeviceSpec", "Device", "V100_32GB", "DGX1_SPECS"]
+__all__ = ["DeviceSpec", "Device", "V100_32GB", "DGX1_SPECS", "charge_partitions"]
 
 
 @dataclass(frozen=True)
@@ -73,3 +75,21 @@ class Device:
         used = self.memory.allocated_bytes / 1024**3
         total = self.spec.memory_bytes / 1024**3
         return f"<Device {self.device_id} {self.spec.name} {used:.1f}/{total:.0f} GiB>"
+
+
+def charge_partitions(db: Database, devices: Sequence[Device]) -> None:
+    """Charge each partition's index bytes to its simulated device.
+
+    Partition ``p`` lands on ``devices[p]`` as the allocation
+    ``partition{p}/index``.  Raises
+    :class:`~repro.gpu.memory.OutOfDeviceMemory` at the first
+    partition that does not fit -- earlier allocations stay visible
+    for diagnosis -- which is the signal to rebuild with more
+    partitions, exactly like the real workflow (footnote 2 of
+    Table 4).  Free with ``device.memory.free(name)`` or
+    ``device.memory.reset()``.
+    """
+    if len(devices) < db.n_partitions:
+        raise ValueError("need at least one device per partition")
+    for part, device in zip(db.partitions, devices):
+        device.memory.alloc(f"partition{part.partition_id}/index", part.nbytes)

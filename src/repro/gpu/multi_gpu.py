@@ -9,17 +9,31 @@ device holds the global top list, which returns to the host.
 The data movement is simulated (streams + link model provide the
 timing for the cost accounting); the candidate *contents* are real --
 merging is :meth:`repro.core.candidates.Candidates.merged_with`.
+
+The simulation wraps the production pipeline, never the reverse:
+:func:`ring_query` runs the core sketch kernel and
+:func:`repro.core.query.partition_candidates`, then merges along the
+ring instead of sequentially.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.candidates import Candidates
+from repro.core.config import MetaCacheParams
+from repro.core.database import Database
+from repro.core.query import QueryResult, partition_candidates
 from repro.gpu.stream import Event, Stream
 from repro.gpu.topology import MultiGpuNode
+from repro.hashing.minhash import SKETCH_PAD
+from repro.hashing.sketch import sketch_reads_packed
+from repro.pipeline.packed import PackedReads
+from repro.util.timer import StageTimer
 
-__all__ = ["RingQueryTrace", "ring_merge_candidates"]
+__all__ = ["RingQueryTrace", "ring_merge_candidates", "ring_query"]
 
 
 @dataclass
@@ -87,3 +101,53 @@ def ring_merge_candidates(
         total_transfer_seconds=total_transfer,
     )
     return merged, trace
+
+
+def ring_query(
+    node: MultiGpuNode,
+    db: Database,
+    reads: PackedReads,
+    params: MetaCacheParams | None = None,
+) -> tuple[QueryResult, RingQueryTrace]:
+    """Query ``reads`` with one database partition per simulated device.
+
+    The multi-GPU shape of :func:`repro.core.query.query_database`:
+    sketches are generated once (on the first device), every device
+    produces its partition's local top hits, and the lists merge along
+    the ring.  The :class:`QueryResult` is identical to the sequential
+    merge's; the :class:`RingQueryTrace` carries the simulated
+    transfer timing.  ``node`` must have exactly one device per
+    partition.
+    """
+    if node.n_gpus != db.n_partitions:
+        raise ValueError(
+            f"node has {node.n_gpus} device(s) for {db.n_partitions} partition(s)"
+        )
+    params = params or db.params
+    timer = StageTimer()
+    with timer.stage("sketch"):
+        sketches, window_read_ids = sketch_reads_packed(
+            reads.buffer, reads.offsets, params.sketch, reads.read_ids
+        )
+    per_device, total_locations = partition_candidates(
+        db,
+        sketches,
+        window_read_ids,
+        reads.n_reads,
+        params.sliding_window_sizes(reads.read_lengths),
+        params.classification.max_candidates,
+        timer,
+    )
+    sketch_bytes = int(np.count_nonzero(sketches != SKETCH_PAD)) * sketches.itemsize
+    with timer.stage("merge"):
+        merged, trace = ring_merge_candidates(
+            node, per_device, sketch_bytes=sketch_bytes
+        )
+    result = QueryResult(
+        candidates=merged,
+        n_reads=reads.n_reads,
+        read_lengths=reads.read_lengths,
+        stages=timer,
+        total_locations=total_locations,
+    )
+    return result, trace

@@ -17,10 +17,9 @@ pipeline needs:
   job, per-segment window counts returned alongside.
 - :func:`sketch_reads` -- thin list-of-arrays adapter over the packed
   kernel (packs, then calls :func:`sketch_reads_packed`).
-- :func:`sketch_reads_loop` -- the pre-packing per-read reference
-  implementation, kept verbatim to anchor the packed-equivalence
-  property harness (``tests/test_packed_equivalence.py``) and the
-  packed-vs-legacy benchmark.
+
+The pre-packing per-read implementation these kernels replaced lives
+on as the test oracle ``tests/reference/legacy.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "sketch_sequence",
     "sketch_reads",
     "sketch_reads_packed",
-    "sketch_reads_loop",
     "sketch_packed_segments",
     "position_hashes",
 ]
@@ -139,11 +137,12 @@ def sketch_reads_packed(
         each window row to its read id.  Segments shorter than ``k``
         contribute no windows.
 
-    Bit-identical to :func:`sketch_reads_loop` over the same reads:
-    position hashes are computed once over the whole buffer, and every
-    window gather stays inside its segment (a window's last k-mer
-    starts at ``offsets[i+1] - k`` at the latest), so the k-mers that
-    straddle segment boundaries are computed but never referenced.
+    Bit-identical to sketching each read on its own (the
+    ``tests/reference`` oracle): position hashes are computed once
+    over the whole buffer, and every window gather stays inside its
+    segment (a window's last k-mer starts at ``offsets[i+1] - k`` at
+    the latest), so the k-mers that straddle segment boundaries are
+    computed but never referenced.
     """
     buffer = np.asarray(buffer, dtype=np.uint8)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -218,51 +217,3 @@ def sketch_reads(
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     return sketch_reads_packed(buffer, offsets, params, read_ids)
-
-
-def sketch_reads_loop(
-    sequences: list[np.ndarray],
-    params: SketchParams,
-    read_ids: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pre-packing per-read reference implementation.
-
-    Kept verbatim (one Python iteration per read) as the behavioral
-    anchor: ``tests/test_packed_equivalence.py`` asserts
-    :func:`sketch_reads_packed` is byte-identical to this at every
-    boundary, and the micro-pipeline benchmark measures the packed
-    kernel's speedup against it.  Not a production path.
-    """
-    if read_ids is None:
-        read_ids = np.arange(len(sequences), dtype=np.int64)
-    else:
-        read_ids = np.asarray(read_ids, dtype=np.int64)
-        if read_ids.size != len(sequences):
-            raise ValueError("read_ids length must match sequences")
-    layout = params.layout
-    all_hashes: list[np.ndarray] = []
-    starts_list: list[np.ndarray] = []
-    lengths_list: list[np.ndarray] = []
-    win_read: list[np.ndarray] = []
-    offset = 0
-    for seq, rid in zip(sequences, read_ids):
-        h = position_hashes(seq, params)
-        if h.size == 0:
-            continue
-        starts, ends = layout.window_slices(seq.size)
-        all_hashes.append(h)
-        starts_list.append(starts + offset)
-        lengths_list.append(ends - starts - params.k + 1)
-        win_read.append(np.full(starts.size, rid, dtype=np.int64))
-        offset += h.size
-    if not all_hashes:
-        return (
-            np.full((0, params.sketch_size), SKETCH_PAD, dtype=np.uint64),
-            np.zeros(0, dtype=np.int64),
-        )
-    hashes = np.concatenate(all_hashes)
-    starts = np.concatenate(starts_list)
-    lengths = np.concatenate(lengths_list)
-    matrix = window_hash_matrix(hashes, starts, lengths, params.kmers_per_window)
-    sketches = sketch_windows_batch(matrix, params.sketch_size)
-    return sketches, np.concatenate(win_read)

@@ -11,14 +11,13 @@ file-based build/query paths the same shape as the paper's.
 
 from repro.pipeline.batch import SequenceBatch
 from repro.pipeline.queues import ClosableQueue
-from repro.pipeline.producer import fasta_producer, fastq_producer, sequence_producer
+from repro.pipeline.producer import fasta_producer, read_file_producer
 from repro.pipeline.scheduler import run_producer_consumer
 
 __all__ = [
     "SequenceBatch",
     "ClosableQueue",
     "fasta_producer",
-    "fastq_producer",
-    "sequence_producer",
+    "read_file_producer",
     "run_producer_consumer",
 ]

@@ -4,54 +4,26 @@ Section 4.1: "Multiple producer threads parse the genome files to
 split the data into header and sequence strings which are then pushed
 into the queue."  The producers here do exactly that (plus encoding,
 which in the GPU version happens device-side but costs the same
-either way in the simulation).
+either way in the simulation).  :func:`fasta_producer` feeds the
+build side, :func:`read_file_producer` the query side.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from repro.errors import InvalidReadError
 from repro.genomics.alphabet import encode_sequence
 from repro.genomics.fasta import read_fasta
-from repro.genomics.fastq import read_fastq
+from repro.genomics.io import iter_sequence_records
 from repro.pipeline.batch import SequenceBatch
+from repro.pipeline.packed import PackedReads
 from repro.pipeline.queues import ClosableQueue
 
-__all__ = [
-    "fasta_producer",
-    "fastq_producer",
-    "sequence_producer",
-    "read_file_producer",
-]
-
-
-def _emit_batches(
-    records: Iterable[tuple[str, str]],
-    out: ClosableQueue,
-    batch_size: int,
-    start_id: int,
-    cancelled: threading.Event | None = None,
-    pack: bool = False,
-) -> int:
-    batch = SequenceBatch()
-    seq_id = start_id
-    for header, seq in records:
-        if cancelled is not None and cancelled.is_set():
-            return seq_id - start_id
-        batch.append(header, encode_sequence(seq), seq_id)
-        seq_id += 1
-        if len(batch) >= batch_size:
-            if pack:
-                batch.packed()
-            out.put(batch)
-            batch = SequenceBatch()
-    if len(batch):
-        if pack:
-            batch.packed()
-        out.put(batch)
-    return seq_id - start_id
+__all__ = ["fasta_producer", "read_file_producer"]
 
 
 def fasta_producer(
@@ -71,83 +43,73 @@ def fasta_producer(
     produced = 0
     try:
         for path in paths:
-            produced += _emit_batches(
-                ((r.header, r.sequence) for r in read_fasta(path)),
-                out,
-                batch_size,
-                id_offset + produced,
-            )
+            batch = SequenceBatch()
+            for record in read_fasta(path):
+                batch.append(
+                    record.header,
+                    encode_sequence(record.sequence),
+                    id_offset + produced,
+                )
+                produced += 1
+                if len(batch) >= batch_size:
+                    out.put(batch)
+                    batch = SequenceBatch()
+            if len(batch):
+                out.put(batch)
     finally:
         out.close_producer()
     return produced
-
-
-def fastq_producer(
-    paths: Sequence[str | os.PathLike],
-    out: ClosableQueue,
-    batch_size: int = 256,
-) -> int:
-    """Parse FASTQ files into the queue; returns reads produced."""
-    produced = 0
-    try:
-        for path in paths:
-            produced += _emit_batches(
-                ((r.header, r.sequence) for r in read_fastq(path)),
-                out,
-                batch_size,
-                produced,
-            )
-    finally:
-        out.close_producer()
-    return produced
-
-
-def sequence_producer(
-    records: Iterable[tuple[str, str]],
-    out: ClosableQueue,
-    batch_size: int = 64,
-) -> int:
-    """In-memory producer for already-parsed (header, sequence) pairs."""
-    try:
-        return _emit_batches(records, out, batch_size, 0)
-    finally:
-        out.close_producer()
 
 
 def read_file_producer(
     path: str | os.PathLike,
     out: ClosableQueue,
     batch_size: int,
+    mates_path: str | os.PathLike | None = None,
     cancelled: threading.Event | None = None,
 ) -> int:
-    """Parse one read file (format-sniffed) into the queue; returns reads.
+    """Parse read file(s) into packed batches on the queue; returns reads.
 
-    The producer behind the query side of the pipeline: FASTA or
+    The one producer behind the query side of the pipeline: FASTA or
     FASTQ, plain or gzip'd, sniffed by
-    :func:`repro.genomics.io.iter_sequence_records`.  Feeds either the
-    single-process consumer or the multi-process worker pool — the
-    consumer end decides; the producer is identical, which is what
-    keeps both paths' inputs (and therefore outputs) byte-identical.
+    :func:`repro.genomics.io.iter_sequence_records`.  Each queue item
+    is ``(headers, PackedReads)`` for up to ``batch_size`` reads --
+    parsed, encoded *and* packed here, so the consumer (the serial
+    query loop or the worker pool's chunk pickling) receives the
+    contiguous form without paying for it.  With ``mates_path`` the
+    two files are read in lock step (pairing is positional, headers
+    come from ``path``) and packed mate-interleaved; files of
+    different lengths raise :class:`~repro.errors.InvalidReadError`.
 
     ``cancelled`` lets the consumer abort the stream early (sink
-    failure, worker crash): the producer checks it per record and
+    failure, worker crash): the producer checks it per batch and
     closes its queue registration instead of filling the queue
     forever.  Must be called with the queue already registered for
     this producer; closes that registration even on error.
     """
-    from repro.genomics.io import iter_sequence_records
-
+    produced = 0
     try:
-        # pre-pack each read batch on the producer thread: consumers
-        # (serial query loop or engine chunk pickling) get the
-        # contiguous form without paying for the concatenate themselves
-        return _emit_batches(
-            iter_sequence_records(path),
-            out,
-            batch_size,
-            0,
-            cancelled=cancelled,
-            pack=True,
-        )
+        reads = iter_sequence_records(path)
+        mates = None if mates_path is None else iter_sequence_records(mates_path)
+        while cancelled is None or not cancelled.is_set():
+            batch = list(itertools.islice(reads, batch_size))
+            mate_codes = None
+            if mates is not None:
+                # past the last read, one more mate is asked for, so a
+                # longer mates file is caught too
+                mate_batch = list(itertools.islice(mates, len(batch) or 1))
+                if len(mate_batch) != len(batch):
+                    raise InvalidReadError(
+                        f"paired files differ in length: {path} vs {mates_path}"
+                    )
+                mate_codes = [encode_sequence(seq) for _, seq in mate_batch]
+            if not batch:
+                break
+            packed = PackedReads.from_reads(
+                [encode_sequence(seq) for _, seq in batch], mate_codes
+            )
+            out.put(([header for header, _ in batch], packed))
+            produced += len(batch)
     finally:
         out.close_producer()
+    return produced

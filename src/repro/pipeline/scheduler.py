@@ -28,6 +28,13 @@ def run_producer_consumer(
     ``close_producer()`` when done (the helpers in
     :mod:`repro.pipeline.producer` do).  Registration happens here so
     the end-of-stream fires only after *all* producers finish.
+
+    The first consumer runs on the calling thread; producers and any
+    further consumers get threads of their own.  Consumers allocate
+    the large per-batch temporaries, and the allocator keeps a
+    separate arena per thread: a consumer on a fresh thread per call
+    grew the process's peak RSS with every call (130 -> 190 MiB over
+    four paired classify passes), on the calling thread it stays flat.
     """
     if not producers or not consumers:
         raise ValueError("need at least one producer and one consumer")
@@ -61,10 +68,12 @@ def run_producer_consumer(
 
     threads = [threading.Thread(target=wrap_producer(p)) for p in producers]
     threads += [
-        threading.Thread(target=wrap_consumer(i, c)) for i, c in enumerate(consumers)
+        threading.Thread(target=wrap_consumer(i, c))
+        for i, c in enumerate(consumers[1:], start=1)
     ]
     for t in threads:
         t.start()
+    wrap_consumer(0, consumers[0])()
     for t in threads:
         t.join()
     if errors:

@@ -2,7 +2,7 @@
 
 MetaCache-GPU's headline scaling result distributes one logical index
 across multiple GPUs as partitions queried in parallel and merged
-(Section 4.3; simulated by :mod:`repro.gpu.multi_gpu`).  This package
+(Section 4.3; simulated by the ``gpu.multi_gpu`` ring).  This package
 is the CPU/production analogue: a saved format-v2 database directory
 is *planned* into N shards -- disjoint subsets of its partitions
 (:class:`ShardPlan`) -- and each shard is served by R replica worker

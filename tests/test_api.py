@@ -231,6 +231,13 @@ class TestStreaming:
             for part in session.classify_iter(iter_batches(iter(named), batch_size)):
                 streamed.extend(part.records)
             assert _tsv_of(streamed) == one_shot_tsv, f"batch_size={batch_size}"
+        # a batch that is itself a 2-tuple of reads is a batch of two
+        # reads, not a (reads, mates) pair
+        as_tuples = (tuple(batch) for batch in iter_batches(iter(named), 2))
+        streamed = [r for part in session.classify_iter(as_tuples) for r in part]
+        assert _tsv_of(streamed) == one_shot_tsv
+        (run_ab,) = session.classify_iter([(named[0][1], named[1][1])])
+        assert [r.taxon_id for r in run_ab] == [r.taxon_id for r in run.records[:2]]
 
     def test_peak_resident_reads_bounded_by_batch_size(self, world):
         _, _, _, mc, named = world
@@ -359,10 +366,17 @@ class TestStreaming:
                     raise RuntimeError("sink exploded")
                 super().write(record)
 
-        with pytest.raises(RuntimeError, match="sink exploded"):
-            mc.session().classify_files(
-                path, sink=FailingSink(), batch_size=8, queue_depth=2
-            )
+        # single-end and paired: both travel through the producer
+        # thread and its cancel path
+        for mates_path in (None, path):
+            with pytest.raises(RuntimeError, match="sink exploded"):
+                mc.session().classify_files(
+                    path,
+                    mates_path,
+                    sink=FailingSink(),
+                    batch_size=8,
+                    queue_depth=2,
+                )
 
     def test_paired_length_mismatch(self, world, tmp_path):
         _, _, _, mc, named = world

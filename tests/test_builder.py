@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import MetaCache, TsvSink
-from repro.core.build import accession_of, build_from_fasta
+from repro.core.build import accession_of
 from repro.core.builder import BuildStats, DatabaseBuilder, _GrowingTable
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database
@@ -174,19 +174,6 @@ class TestBuilderEquivalence:
         assert classify(streamed, tmp_path / "fasta.tsv") == reference
         assert classify(extended, tmp_path / "ext.tsv") == reference
 
-    def test_deprecated_shim_matches_builder(self, world, tmp_path):
-        _, _, taxonomy, _, paths, acc2tax, _, _ = world
-        with pytest.warns(DeprecationWarning, match="build_from_fasta"):
-            shim = build_from_fasta(paths, taxonomy, acc2tax, params=PARAMS)
-        builder = DatabaseBuilder(taxonomy, PARAMS)
-        builder.add_fasta(paths, acc2tax)
-        fresh = builder.finalize(condense=False)
-        _assert_identical(
-            _v2_bytes(shim, tmp_path / "shim"),
-            _v2_bytes(fresh, tmp_path / "fresh"),
-            "shim",
-        )
-
 
 class TestBoundedMemory:
     def test_streaming_build_does_not_retain_sequences(self, world):
@@ -315,8 +302,6 @@ class TestBuilderLifecycle:
             DatabaseBuilder(taxonomy, PARAMS, n_partitions=0)
         with pytest.raises(ValueError):
             DatabaseBuilder(taxonomy, PARAMS, sketch_workers=0)
-        with pytest.raises(ValueError):
-            DatabaseBuilder(taxonomy, PARAMS, n_partitions=2, devices=[])
 
 
 class TestBuildErrors:

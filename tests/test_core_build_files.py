@@ -1,15 +1,11 @@
-"""Tests for the file-based (pipelined) build path.
-
-``build_from_fasta`` is a deprecated shim over
-:class:`repro.core.builder.DatabaseBuilder`; these tests keep gating
-it (results must stay identical to the pre-builder behavior), so the
-expected ``DeprecationWarning`` is filtered at the class level.
-"""
+"""Tests for the file-based (pipelined) build path:
+:meth:`repro.core.builder.DatabaseBuilder.add_fasta`."""
 
 import numpy as np
 import pytest
 
-from repro.core.build import accession_of, build_from_fasta
+from repro.core.build import accession_of
+from repro.core.builder import DatabaseBuilder
 from repro.errors import BuildError
 from repro.core.classify import classify_reads
 from repro.core.config import MetaCacheParams
@@ -37,7 +33,12 @@ class TestAccessionOf:
         assert accession_of("") == ""
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def build_from_fasta(paths, taxonomy, acc2tax, params):
+    with DatabaseBuilder(taxonomy, params) as builder:
+        builder.add_fasta(paths, acc2tax)
+        return builder.finalize(condense=False)
+
+
 class TestBuildFromFasta:
     @pytest.fixture()
     def world(self, tmp_path):
@@ -99,8 +100,3 @@ class TestBuildFromFasta:
             build_from_fasta(paths, taxonomy, bad, params=PARAMS)
         assert isinstance(exc_info.value, BuildError)
         assert exc_info.value.file is not None
-
-    def test_deprecation_warning_emitted(self, world):
-        _, taxonomy, _, paths, acc2tax = world
-        with pytest.warns(DeprecationWarning, match="DatabaseBuilder"):
-            build_from_fasta(paths, taxonomy, acc2tax, params=PARAMS)

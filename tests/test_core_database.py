@@ -7,7 +7,7 @@ from repro.core.config import MetaCacheParams
 from repro.core.database import CondensedIndex, Database
 from repro.core.io import load_database, save_database
 from repro.genomics.simulate import GenomeSimulator
-from repro.gpu.device import Device, DeviceSpec
+from repro.gpu.device import Device, DeviceSpec, charge_partitions
 from repro.gpu.memory import OutOfDeviceMemory
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.warpcore.multi_bucket import MultiBucketHashTable
@@ -67,11 +67,13 @@ class TestBuild:
     def test_device_memory_accounting(self, small_world):
         _, taxonomy, _, refs = small_world
         devices = [Device(device_id=i) for i in range(2)]
-        db = Database.build(
-            refs, taxonomy, params=PARAMS, n_partitions=2, devices=devices
-        )
-        assert all(d.memory.allocated_bytes > 0 for d in devices)
-        db.release_devices()
+        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
+        charge_partitions(db, devices)
+        assert [d.memory.allocated_bytes for d in devices] == [
+            p.nbytes for p in db.partitions
+        ]
+        for d in devices:
+            d.memory.reset()
         assert all(d.memory.allocated_bytes == 0 for d in devices)
 
     def test_too_small_device_raises(self, small_world):
@@ -86,20 +88,15 @@ class TestBuild:
             nvlink_bw=1e9,
             pcie_bw=1e9,
         )
-        devices = [Device(device_id=0, spec=tiny_spec)]
+        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=1)
         with pytest.raises(OutOfDeviceMemory):
-            Database.build(refs, taxonomy, params=PARAMS, n_partitions=1, devices=devices)
+            charge_partitions(db, [Device(device_id=0, spec=tiny_spec)])
 
     def test_fewer_devices_than_partitions_rejected(self, small_world):
         _, taxonomy, _, refs = small_world
+        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
         with pytest.raises(ValueError):
-            Database.build(
-                refs,
-                taxonomy,
-                params=PARAMS,
-                n_partitions=2,
-                devices=[Device(device_id=0)],
-            )
+            charge_partitions(db, [Device(device_id=0)])
 
 
 class TestCondensedIndex:
@@ -163,9 +160,8 @@ class TestPersistence:
         db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
         save_database(db, tmp_path)
         devices = [Device(device_id=i) for i in range(2)]
-        db2 = load_database(tmp_path, devices=devices)
+        charge_partitions(load_database(tmp_path), devices)
         assert all(d.memory.allocated_bytes > 0 for d in devices)
-        db2.release_devices()
 
     def test_save_condensed_database(self, small_world, tmp_path):
         """Saving after condense() must produce identical files content-wise."""

@@ -1,14 +1,12 @@
-"""Tests for the extension features: read mapping, partition-run
-merging and interactive query sessions."""
+"""Tests for the extension features: read mapping and partition-run
+merging."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    ClassificationParams,
     Database,
     MetaCacheParams,
-    QuerySession,
     classify_reads,
     load_candidates,
     map_reads,
@@ -156,40 +154,3 @@ class TestMergePartitionRuns:
         res = query_database(db, reads.sequences)
         merged = merge_partition_runs([res.candidates, res.candidates], m=2)
         assert merged.m == 2
-
-
-class TestQuerySession:
-    def test_accumulates_stats(self, world):
-        genomes, _, _, db = world
-        session = QuerySession(db)
-        for seed in (1, 2, 3):
-            reads = ReadSimulator(genomes, seed=seed).simulate(HISEQ, 20)
-            session.classify(reads.sequences)
-        assert session.stats.n_queries == 3
-        assert session.stats.n_reads == 60
-        assert session.stats.n_classified > 0
-        assert "3 queries" in session.summary()
-
-    def test_override_classification_params(self, world):
-        genomes, _, _, db = world
-        session = QuerySession(db)
-        reads = ReadSimulator(genomes, seed=6).simulate(HISEQ, 30)
-        strict, _ = session.classify(
-            reads.sequences,
-            classification=ClassificationParams(min_hits=10**6),
-        )
-        lax, _ = session.classify(
-            reads.sequences, classification=ClassificationParams(min_hits=1)
-        )
-        assert strict.n_classified == 0
-        assert lax.n_classified > 0
-        # overrides must not mutate the database's own parameters
-        assert db.params.classification.min_hits == PARAMS.classification.min_hits
-
-    def test_session_mapping(self, world):
-        genomes, _, _, db = world
-        session = QuerySession(db)
-        reads = ReadSimulator(genomes, seed=7).simulate(HISEQ, 15)
-        mapping = session.map(reads.sequences)
-        assert mapping.target.size == 15
-        assert session.stats.n_queries == 1

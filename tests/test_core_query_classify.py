@@ -7,13 +7,14 @@ from repro.core.abundance import abundance_deviation, estimate_abundances
 from repro.core.classify import UNCLASSIFIED, classify_reads
 from repro.core.config import ClassificationParams, MetaCacheParams
 from repro.core.database import Database
-from repro.core.onthefly import build_and_query
 from repro.core.query import query_database
 from repro.core.stats import evaluate_accuracy
 from repro.genomics.community import CommunityMember, MockCommunity
 from repro.genomics.reads import HISEQ, KAL_D, ReadProfile, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
+from repro.gpu.multi_gpu import ring_query
 from repro.gpu.topology import MultiGpuNode
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ranks import Rank
 
@@ -67,10 +68,15 @@ class TestQueryPipeline:
         genomes, _, _, db = world
         reads = ReadSimulator(genomes, seed=3).simulate(HISEQ, 60)
         node = MultiGpuNode.dgx1(db.n_partitions)
-        r_ring = query_database(db, reads.sequences, node=node)
+        r_ring, trace = ring_query(node, db, PackedReads.from_reads(reads.sequences))
         r_seq = query_database(db, reads.sequences)
         assert np.array_equal(r_ring.candidates.score, r_seq.candidates.score)
         assert np.array_equal(r_ring.candidates.target, r_seq.candidates.target)
+        assert r_ring.total_locations == r_seq.total_locations
+        assert trace.merge_order == list(range(db.n_partitions))
+        assert trace.total_transfer_seconds > 0
+        with pytest.raises(ValueError, match="partition"):
+            ring_query(MultiGpuNode.dgx1(db.n_partitions + 1), db, PackedReads.empty())
 
     def test_paired_end_classification(self, world):
         genomes, _, taxa, db = world
@@ -266,21 +272,3 @@ class TestAbundance:
         dev, fp = abundance_deviation(est, truth)
         assert abs(dev - 0.2) < 1e-9
         assert abs(fp - 0.2) < 1e-9
-
-
-class TestOnTheFly:
-    def test_equals_separate_phases(self, world):
-        genomes, taxonomy, taxa, db = world
-        refs = [
-            (g.name, g.scaffolds[0], taxa.target_taxon[i])
-            for i, g in enumerate(genomes)
-        ]
-        reads = ReadSimulator(genomes, seed=12).simulate(HISEQ, 40)
-        run = build_and_query(
-            refs, taxonomy, reads.sequences, params=PARAMS, n_partitions=2
-        )
-        res = query_database(db, reads.sequences)
-        cls = classify_reads(db, res.candidates)
-        assert np.array_equal(run.classification.taxon, cls.taxon)
-        assert run.time_to_query > 0
-        assert "build" in run.phases.stages and "query" in run.phases.stages

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import Database, MetaCacheParams, load_database, save_database
 from repro.genomics.simulate import GenomeSimulator
-from repro.gpu.device import Device, DeviceSpec
+from repro.gpu.device import Device, DeviceSpec, charge_partitions
 from repro.gpu.memory import OutOfDeviceMemory
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ncbi import load_ncbi_dump
@@ -135,10 +135,12 @@ class TestResourceExhaustion:
             cores_per_sm=1, clock_hz=1e9, nvlink_bw=1e9, pcie_bw=1e9,
         )
         with pytest.raises(OutOfDeviceMemory):
-            load_database(path, devices=[Device(0, tiny)])
+            charge_partitions(
+                load_database(path), [Device(0, tiny), Device(1, tiny)]
+            )
 
     def test_partial_device_allocations_released(self, saved_db):
-        """After a failed multi-device load, the error is raised and
+        """After a failed multi-device placement, the error is raised and
         earlier allocations stay visible for diagnosis, then release."""
         path, _ = saved_db
         big = Device(0)
@@ -150,7 +152,7 @@ class TestResourceExhaustion:
             ),
         )
         with pytest.raises(OutOfDeviceMemory):
-            load_database(path, devices=[big, tiny])
+            charge_partitions(load_database(path), [big, tiny])
         # the first partition landed on the big device before failure
         assert big.memory.allocated_bytes > 0
         big.memory.reset()

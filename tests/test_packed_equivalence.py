@@ -3,7 +3,8 @@
 The packed-batch refactor replaces every per-read Python loop on the
 query hot path with contiguous-array kernels.  Its correctness claim
 is strong: *byte-identical* results to the retained per-read reference
-implementations at every stage boundary --
+implementations (``tests/reference/legacy.py``) at every stage
+boundary --
 
 - sketches + window->read ids (`sketch_reads_packed` vs
   `sketch_reads_loop`),
@@ -12,8 +13,8 @@ implementations at every stage boundary --
 - sliding-window sizes (batch vs scalar),
 - hash-table locations (identical features => identical location
   arrays),
-- top candidates and classifications (`query_database`
-  kernels="packed" vs kernels="legacy"),
+- top candidates and classifications (`query_database` vs
+  `query_database_legacy`),
 - final TSV output across workers in {1, 2} x {in-memory, mmap}.
 
 Randomized read sets are generated two ways: hypothesis drives the
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.api import MetaCache, MetaCacheParams, TsvSink
 from repro.core.classify import classify_reads
-from repro.core.query import _interleave_pairs_loop, query_database
+from repro.core.query import query_database
 from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fastq import FastqRecord, write_fastq
 from repro.genomics.reads import HISEQ, ReadSimulator
@@ -41,13 +42,18 @@ from repro.hashing.minhash import SKETCH_PAD
 from repro.hashing.sketch import (
     SketchParams,
     sketch_reads,
-    sketch_reads_loop,
     sketch_reads_packed,
     sketch_sequence,
 )
 from repro.parallel.engine import shared_memory_available
 from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
+
+from reference.legacy import (
+    _interleave_pairs_loop,
+    query_database_legacy,
+    sketch_reads_loop,
+)
 
 PARAMS = MetaCacheParams.small()  # k=8, s=4, w=24
 SK = PARAMS.sketch
@@ -326,7 +332,7 @@ class TestQueryEquivalence:
     def test_single_end_packed_equals_legacy(self, world, seed):
         mc, genomes = world
         reads = _mixed_reads(genomes, seed, 60)
-        legacy = query_database(mc.database, reads, kernels="legacy")
+        legacy = query_database_legacy(mc.database, reads)
         packed = query_database(mc.database, reads)
         prebuilt = query_database(mc.database, PackedReads.from_reads(reads))
         _assert_query_results_equal(legacy, packed)
@@ -341,7 +347,7 @@ class TestQueryEquivalence:
         mc, genomes = world
         reads = _mixed_reads(genomes, seed, 40)
         mates = _mixed_reads(genomes, seed + 100, 40)[: len(reads)]
-        legacy = query_database(mc.database, reads, mates=mates, kernels="legacy")
+        legacy = query_database_legacy(mc.database, reads, mates=mates)
         packed = query_database(mc.database, reads, mates=mates)
         prebuilt = query_database(
             mc.database, PackedReads.from_reads(reads, mates)
@@ -351,7 +357,7 @@ class TestQueryEquivalence:
 
     def test_empty_batch(self, world):
         mc, _ = world
-        legacy = query_database(mc.database, [], kernels="legacy")
+        legacy = query_database_legacy(mc.database, [])
         packed = query_database(mc.database, [])
         _assert_query_results_equal(legacy, packed)
         assert packed.n_reads == 0
@@ -377,12 +383,9 @@ class TestQueryEquivalence:
 
     def test_kernels_argument_validated(self, world):
         mc, _ = world
-        with pytest.raises(ValueError, match="unknown kernels"):
-            query_database(mc.database, [], kernels="turbo")
-        with pytest.raises(ValueError, match="requires list input"):
-            query_database(
-                mc.database, PackedReads.empty(), kernels="legacy"
-            )
+        # no kernel fork is left to select: the oracle lives in tests/
+        with pytest.raises(TypeError, match="kernels"):
+            query_database(mc.database, [], kernels="legacy")
         with pytest.raises(ValueError, match="mates must be None"):
             query_database(
                 mc.database, PackedReads.empty(), mates=[]
@@ -394,36 +397,44 @@ class TestQueryEquivalence:
 
 @pytest.mark.slow
 class TestWorkerStorageMatrix:
-    """Final-TSV byte identity across workers {1,2} x {memory, mmap}."""
+    """Final-TSV byte identity across workers {1,2} x {memory, mmap},
+    single-end and paired (both travel through the one file producer)."""
 
     @pytest.fixture(scope="class")
     def tsv_world(self, world, tmp_path_factory):
         mc, genomes = world
         tmp = tmp_path_factory.mktemp("packed_eq")
         reads = _mixed_reads(genomes, 41, 50)
+        mates = _mixed_reads(genomes, 141, 50)[: len(reads)]
         headers = [f"r{i}" for i in range(len(reads))]
-        records = [
-            FastqRecord(h, decode_sequence(s), "I" * s.size)
-            for h, s in zip(headers, reads)
-        ]
-        read_file = tmp / "reads.fastq"
-        write_fastq(records, read_file)
-        # the reference TSV comes from the retained legacy kernels,
-        # fed through the same record formatting code
+        read_file, mate_file = tmp / "reads.fastq", tmp / "mates.fastq"
+        for path, seqs in ((read_file, reads), (mate_file, mates)):
+            write_fastq(
+                [
+                    FastqRecord(h, decode_sequence(s), "I" * s.size)
+                    for h, s in zip(headers, seqs)
+                ],
+                path,
+            )
+        # the reference TSVs come from the per-read oracle, fed
+        # through the same record formatting code
         from repro.api.records import records_from_classification
 
-        ref_path = tmp / "legacy.tsv"
-        res = query_database(mc.database, reads, kernels="legacy")
-        cls = classify_reads(mc.database, res.candidates)
-        recs = records_from_classification(
-            mc.database, headers, cls, res.read_lengths
-        )
-        with TsvSink(ref_path) as sink:
-            for rec in recs:
-                sink.write(rec)
+        ref_bytes = {}
+        for mate_path, mate_seqs in ((None, None), (mate_file, mates)):
+            ref_path = tmp / "legacy.tsv"
+            res = query_database_legacy(mc.database, reads, mates=mate_seqs)
+            cls = classify_reads(mc.database, res.candidates)
+            recs = records_from_classification(
+                mc.database, headers, cls, res.read_lengths
+            )
+            with TsvSink(ref_path) as sink:
+                for rec in recs:
+                    sink.write(rec)
+            ref_bytes[mate_path] = ref_path.read_bytes()
         db_dir = tmp / "db_v2"
         mc.save(db_dir, format=2)
-        return mc, read_file, ref_path.read_bytes(), db_dir
+        return mc, read_file, ref_bytes, db_dir
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("storage", ["memory", "mmap"])
@@ -438,9 +449,12 @@ class TestWorkerStorageMatrix:
         try:
             out = tmp_path / f"out_{workers}_{storage}.tsv"
             with handle.session(workers=workers) as session:
-                with TsvSink(out) as sink:
-                    session.classify_files(read_file, sink=sink, batch_size=16)
-            assert out.read_bytes() == ref_bytes
+                for mate_file, expected in ref_bytes.items():
+                    with TsvSink(out) as sink:
+                        session.classify_files(
+                            read_file, mate_file, sink=sink, batch_size=16
+                        )
+                    assert out.read_bytes() == expected, f"mates={mate_file}"
         finally:
             if handle is not mc:
                 handle.close()

@@ -5,10 +5,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.errors import InvalidReadError
 from repro.genomics.fasta import write_fasta
 from repro.genomics.fastq import FastqRecord, write_fastq
 from repro.pipeline.batch import SequenceBatch
-from repro.pipeline.producer import fasta_producer, fastq_producer, sequence_producer
+from repro.pipeline.producer import fasta_producer, read_file_producer
 from repro.pipeline.queues import ClosableQueue
 from repro.pipeline.scheduler import run_producer_consumer
 
@@ -90,19 +91,45 @@ class TestProducers:
         assert batches[0].sequences[0].size == 40
 
     def test_fastq_producer(self, tmp_path):
+        # the query-side producer: FASTQ reads, optionally with mates
         path = tmp_path / "reads.fastq"
         write_fastq(
             [FastqRecord(f"r{i}", "ACGT", "IIII") for i in range(5)], path
         )
+        mates = tmp_path / "mates.fasta"
+        write_fasta([(f"m{i}", "GG") for i in range(5)], mates)
+        for mates_path, bases_per_read in ((None, 4), (mates, 6)):
+            q = ClosableQueue()
+            q.register_producer()
+            n = read_file_producer(path, q, 2, mates_path)
+            assert n == 5
+            items = list(q)
+            assert [len(packed) for _, packed in items] == [2, 2, 1]
+            assert [h for headers, _ in items for h in headers] == [
+                f"r{i}" for i in range(5)
+            ]
+            assert all(
+                packed.paired == (mates_path is not None)
+                and packed.total_bases == bases_per_read * len(headers)
+                for headers, packed in items
+            )
+
+    @pytest.mark.parametrize("n_mates", [3, 4, 5])
+    def test_read_file_producer_rejects_unequal_pairs(self, tmp_path, n_mates):
+        # 4 reads at batch size 2: the mates file ends inside a batch,
+        # or runs past the reads file's last (full) batch
+        path = tmp_path / "reads.fasta"
+        write_fasta([(f"r{i}", "ACGT") for i in range(4)], path)
+        mates = tmp_path / "mates.fasta"
+        write_fasta([(f"m{i}", "ACGT") for i in range(n_mates)], mates)
         q = ClosableQueue()
         q.register_producer()
-        n = fastq_producer([path], q, batch_size=2)
-        assert n == 5
-        batches = list(q)
-        assert sum(len(b) for b in batches) == 5
-        # global ids sequential across batches
-        ids = [i for b in batches for i in b.ids]
-        assert ids == list(range(5))
+        if n_mates == 4:
+            assert read_file_producer(path, q, 2, mates) == 4
+        else:
+            with pytest.raises(InvalidReadError, match="differ in length"):
+                read_file_producer(path, q, 2, mates)
+        list(q)  # closed either way: iteration terminates
 
     def test_producer_closes_on_error(self, tmp_path):
         q = ClosableQueue()
@@ -111,14 +138,6 @@ class TestProducers:
             fasta_producer([tmp_path / "missing.fasta"], q)
         # queue must be closed: iteration terminates
         assert list(q) == []
-
-    def test_sequence_producer(self):
-        q = ClosableQueue()
-        q.register_producer()
-        n = sequence_producer([("a", "ACGT"), ("b", "GGGG")], q, batch_size=10)
-        assert n == 2
-        batches = list(q)
-        assert len(batches) == 1 and len(batches[0]) == 2
 
 
 class TestScheduler:
@@ -148,7 +167,7 @@ class TestScheduler:
 
         with pytest.raises(RuntimeError, match="boom"):
             run_producer_consumer(
-                producers=[lambda q: sequence_producer([("a", "ACGT")], q)],
+                producers=[lambda q: (q.put("item"), q.close_producer())],
                 consumers=[bad_consumer],
             )
 

@@ -13,4 +13,5 @@ from tools.repro_lint.rules import (  # noqa: F401
     rl004_spawn_safety,
     rl005_async_hygiene,
     rl006_resource_lifetime,
+    rl007_import_direction,
 )

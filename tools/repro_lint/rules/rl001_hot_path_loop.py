@@ -4,9 +4,9 @@ The packed hot path (PR 7) exists because iterating reads one at a
 time in Python is 10-100x slower than the batched NumPy kernels the
 paper's GPU design maps onto.  This rule flags ``for``/``while``
 statements that iterate read-shaped data inside the designated kernel
-modules.  Pinned legacy references -- functions named ``*_loop`` such
-as ``sketch_reads_loop`` -- are exempt: they are the per-read oracles
-the equivalence harness compares kernels against.
+modules.  The per-read oracles the equivalence harness compares
+kernels against live in ``tests/reference/``, outside this rule's
+scope.
 
 Comprehensions are deliberately *not* flagged: thin adapters such as
 ``PackedReads.from_reads`` legitimately use one comprehension at the
@@ -65,20 +65,15 @@ class HotPathLoop:
         return module.relpath.startswith(KERNEL_SCOPES)
 
     def check(self, module: Module) -> Iterator[Finding]:
-        """Walk each scope, tracking the ``*_loop`` exemption down the tree."""
+        """Walk each scope, tracking the enclosing symbol down the tree."""
         for node in module.tree.body:
-            yield from self._visit(module, node, exempt=False, symbol="<module>")
+            yield from self._visit(module, node, symbol="<module>")
 
-    def _visit(
-        self, module: Module, node: ast.AST, exempt: bool, symbol: str
-    ) -> Iterator[Finding]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            exempt = exempt or node.name.endswith("_loop")
-            symbol = node.name
-        elif isinstance(node, ast.ClassDef):
+    def _visit(self, module: Module, node: ast.AST, symbol: str) -> Iterator[Finding]:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             symbol = node.name
         elif isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            if not exempt and _iterates_reads(node):
+            if _iterates_reads(node):
                 yield Finding(
                     rule=self.rule_id,
                     path=module.relpath,
@@ -86,11 +81,10 @@ class HotPathLoop:
                     col=node.col_offset,
                     message=(
                         "per-read loop statement in a kernel module; use the "
-                        "batched array kernels (or name the function *_loop "
-                        "if it is a pinned legacy reference)"
+                        "batched array kernels"
                     ),
                     symbol=symbol,
                 )
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.stmt, ast.ExceptHandler)):
-                yield from self._visit(module, child, exempt, symbol)
+                yield from self._visit(module, child, symbol)
