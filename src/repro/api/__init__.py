@@ -47,7 +47,6 @@ from repro.api.errors import (
     PipelineError,
     ReloadError,
     ServerError,
-    SharedMemoryUnavailableError,
     UnknownFormatError,
     WorkerCrashError,
 )
@@ -93,8 +92,6 @@ from repro.parallel import (
     ParallelClassifier,
     ParallelSketcher,
     ReadChunk,
-    SharedDatabaseHandle,
-    shared_memory_available,
 )
 
 # curated analysis helpers riding on the classification results
@@ -146,7 +143,6 @@ __all__ = [
     "UnknownFormatError",
     "PipelineError",
     "WorkerCrashError",
-    "SharedMemoryUnavailableError",
     "ServerError",
     "OverloadedError",
     "ReloadError",
@@ -155,9 +151,7 @@ __all__ = [
     "ParallelSketcher",
     "ReadChunk",
     "ChunkResult",
-    "SharedDatabaseHandle",
     "FileBackedDatabaseHandle",
-    "shared_memory_available",
     # parameters
     "MetaCacheParams",
     "ClassificationParams",

@@ -15,7 +15,6 @@ from repro.errors import (
     PipelineError,
     ReloadError,
     ServerError,
-    SharedMemoryUnavailableError,
     UnknownFormatError,
     WorkerCrashError,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "UnknownFormatError",
     "PipelineError",
     "WorkerCrashError",
-    "SharedMemoryUnavailableError",
     "ServerError",
     "OverloadedError",
     "ReloadError",

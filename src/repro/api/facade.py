@@ -163,7 +163,7 @@ class MetaCache:
         reading it: cold open is near-instant (the saved pointer
         tables are used verbatim, no rebuild), index pages fault in on
         first query, and worker processes attach the same files
-        through the page cache instead of a shared-memory export.
+        through the page cache instead of a private spilled copy.
         Classification output is byte-identical either way.  Format-v1
         directories warn and load through the rebuild path; upgrade
         them with :meth:`convert` or ``metacache-repro convert``.
@@ -300,8 +300,8 @@ class MetaCache:
         but there is no write+load cycle at all -- ``time_to_query``
         is just the build.  ``workers`` is the default query fan-out
         (see :meth:`open`); ``build_workers`` / ``progress`` behave as
-        in :meth:`build`.  Note the shared-memory export condenses the
-        database on first parallel use.  Raises
+        in :meth:`build`.  Note the first parallel use spills the
+        database to a private v2 directory, which condenses it.  Raises
         :class:`repro.errors.BuildError` for unknown taxa.
         """
         tax = _resolve_taxonomy(taxonomy)
@@ -668,7 +668,7 @@ class MetaCache:
         Safe to call twice; sessions created by :meth:`session` have
         their multi-process engines shut down here, so ``with
         MetaCache.open(path, workers=4) as mc: ...`` never leaks
-        processes or shared-memory blocks.  A shard router opened
+        processes or spill directories.  A shard router opened
         with ``shards=N`` is shut down here too (after the sessions
         that share it).  Finally the database is closed
         (:meth:`Database.close`): for ``mmap=True`` handles that

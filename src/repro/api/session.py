@@ -14,8 +14,8 @@ shapes:
 - :meth:`classify_files` -- FASTA/FASTQ file(s) pushed through the
   :mod:`repro.pipeline` producer/consumer machinery into a
   :class:`~repro.api.sinks.Sink`; with ``workers > 1`` the producer
-  feeds the multi-process shared-memory engine
-  (:mod:`repro.parallel`) instead of a single in-thread consumer.
+  feeds the multi-process engine (:mod:`repro.parallel`) instead of
+  a single in-thread consumer.
 
 Every shape only coerces its input to ``(headers, PackedReads)`` and
 hands it to one private seam, :meth:`QuerySession._run_batch` (the
@@ -55,10 +55,9 @@ from repro.errors import (
     MetaCacheError,
     PipelineError,
     ReloadError,
-    SharedMemoryUnavailableError,
 )
 from repro.genomics.alphabet import encode_sequence
-from repro.parallel.engine import ParallelClassifier, shared_memory_available
+from repro.parallel.engine import ParallelClassifier
 from repro.pipeline.batch import SequenceBatch
 from repro.pipeline.packed import PackedReads
 from repro.pipeline.producer import read_file_producer
@@ -163,8 +162,8 @@ class QuerySession:
 
     ``workers`` sets the default fan-out of :meth:`classify_files`:
     with ``workers > 1`` the session lazily starts (and reuses across
-    calls) a :class:`~repro.parallel.ParallelClassifier` over a
-    zero-copy shared-memory export of the database.  Call
+    calls) a :class:`~repro.parallel.ParallelClassifier` whose
+    workers memory-map the database.  Call
     :meth:`close` (or use the session as a context manager) to shut
     the worker pool down; sessions that never fan out hold no
     resources and need no close.
@@ -313,12 +312,11 @@ class QuerySession:
         micro-batcher hands coalesced request batches here.  With the
         session's ``workers > 1`` the batch is split into up to
         ``workers`` contiguous sub-chunks and streamed through the
-        shared-memory worker pool (:mod:`repro.parallel`), then
-        reassembled in order -- records are identical to the
-        single-process path, which the differential server test
-        asserts byte-for-byte.  With ``workers == 1`` (or when the
-        pool is unavailable and the session degrades) it is exactly
-        :meth:`classify` minus the run wrapper.
+        worker pool (:mod:`repro.parallel`), then reassembled in
+        order -- records are identical to the single-process path,
+        which the differential server test asserts byte-for-byte.
+        With ``workers == 1`` it is exactly :meth:`classify` minus
+        the run wrapper.
 
         ``headers`` and ``sequences`` must be parallel lists with the
         sequences already encoded (uint8 code arrays); mismatched
@@ -405,9 +403,7 @@ class QuerySession:
         the same producer stream to N worker processes sharing the
         database zero-copy (:mod:`repro.parallel`), with results
         reassembled in submission order — output is byte-identical to
-        ``workers=1``.  When shared memory is unavailable on the
-        platform the call warns and degrades to single-process
-        classification.
+        ``workers=1``.
 
         Raises
         ------
@@ -481,41 +477,24 @@ class QuerySession:
             return 1
         return n
 
-    def _ensure_engine(self, workers: int) -> ParallelClassifier | None:
-        """Start (or reuse) the worker pool; ``None`` means degrade.
+    def _ensure_engine(self, workers: int) -> ParallelClassifier:
+        """Start (or reuse) the worker pool.
 
         The engine persists across calls so repeated
-        :meth:`classify_files` runs amortize process spawn and the
-        one-time shared-memory export.  A crashed/closed engine or a
-        different worker count tears the old pool down first.
+        :meth:`classify_files` runs amortize process spawn and, for a
+        database that is not mmap-backed, the one-time spill to a
+        private v2 directory.  A crashed/closed engine or a different
+        worker count tears the old pool down first.
         """
         if (
-            self._engine is not None
-            and not self._engine.closed
-            and self._engine.workers == workers
+            self._engine is None
+            or self._engine.closed
+            or self._engine.workers != workers
         ):
-            return self._engine
-        self._close_engine()
-        # mmap-backed databases are shared through the page cache, so
-        # the pool works even where POSIX shared memory does not.
-        if self.database.mmap_path is None and not shared_memory_available():
-            warnings.warn(
-                "shared memory unavailable on this platform: "
-                "classifying single-process",
-                stacklevel=3,
-            )
-            return None
-        try:
+            self._close_engine()
             self._engine = ParallelClassifier(
                 self.database, workers, params=self.params
             )
-        except SharedMemoryUnavailableError as exc:
-            warnings.warn(
-                f"shared-memory export failed ({exc}): "
-                "classifying single-process",
-                stacklevel=3,
-            )
-            return None
         return self._engine
 
     def _close_engine(self) -> None:
@@ -529,7 +508,7 @@ class QuerySession:
         """Atomically repoint this session at ``new_db``; returns the old.
 
         The hot-swap primitive: the session's worker pool (bound to
-        the old index's shared arrays/files) is shut down first, the
+        the old index's files) is shut down first, the
         database reference is then replaced in one assignment, and the
         *old* database is handed back to the caller -- who owns its
         remaining lifetime and typically calls ``old.close()``, which

@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
                    help="reads per streamed batch (bounds peak memory)")
     q.add_argument("--workers", type=int, default=1,
-                   help="classification worker processes sharing the database "
-                        "zero-copy via shared memory (default 1 = in-process)")
+                   help="classification worker processes memory-mapping one "
+                        "copy of the database (default 1 = in-process)")
     q.add_argument("--mmap", action="store_true",
                    help="memory-map a format-v2 database instead of loading "
                         "it: near-instant open, index shared across workers "

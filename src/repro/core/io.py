@@ -64,6 +64,7 @@ from repro.core.database import (
 )
 from repro.hashing.sketch import SketchParams
 from repro.taxonomy.ncbi import load_ncbi_dump, write_ncbi_dump
+from repro.util.segmented import segment_ramp
 from repro.warpcore.probing import ProbingScheme
 from repro.warpcore.single_value import SingleValueHashTable
 
@@ -105,10 +106,10 @@ def save_database(
     mmap-ready layout described in the module docs; loading it (with
     or without ``mmap=True``) performs **no** hash-table inserts.
     Saving in v2 condenses the database in place (the condensed layout
-    is the only one made of flat arrays), exactly like the
-    shared-memory export does.  Raises :class:`DatabaseFormatError`
-    when ``directory`` is the one backing a database opened with
-    ``mmap=True`` -- the save would rewrite files under live maps.
+    is the only one made of flat arrays).  Raises
+    :class:`DatabaseFormatError` when ``directory`` is the one backing
+    a database opened with ``mmap=True`` -- the save would rewrite
+    files under live maps.
 
     Every file is first written into a hidden temp sibling directory
     (``.<name>.saving-<pid>-<token>``), which is renamed into place in
@@ -271,10 +272,10 @@ def _condensed_content(
         order = np.argsort(features, kind="stable")
         features = features[order]
         lengths = lengths[order]
-        chunks = [cond.locations[s : s + l] for s, l in zip(starts[order], lengths)]
-        locations = (
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
-        )
+        # gather every bucket's slice at once (repeat + ramp)
+        locations = cond.locations[
+            np.repeat(starts[order], lengths) + segment_ramp(lengths)
+        ]
     else:
         table = part.table
         features = table.occupied_keys()

@@ -24,7 +24,6 @@ __all__ = [
     "PipelineError",
     "WorkerCrashError",
     "ShardFailedError",
-    "SharedMemoryUnavailableError",
     "ReloadError",
     "ServerError",
     "OverloadedError",
@@ -106,9 +105,10 @@ class PipelineError(MetaCacheError, RuntimeError):
 class WorkerCrashError(PipelineError):
     """A classification worker process died without reporting a result.
 
-    Carries the worker id and exit code in the message.  The parent
-    engine shuts the remaining pool down before raising, so no orphan
-    processes or shared-memory blocks are left behind.
+    Also raised when a worker fails to start (the child traceback is
+    in the message).  Carries the process name and exit code; the
+    pool is shut down before raising, so no orphan processes or
+    spill directories are left behind.
     """
 
 
@@ -120,16 +120,6 @@ class ShardFailedError(WorkerCrashError):
     exhausted, so the batch cannot fail over anywhere.  Single-replica
     crashes never surface as this error -- they are retried on a
     sibling replica and only degrade the shard's health report.
-    """
-
-
-class SharedMemoryUnavailableError(MetaCacheError, RuntimeError):
-    """POSIX shared memory cannot be used on this platform/configuration.
-
-    Raised by :meth:`repro.core.database.SharedDatabaseHandle.export`
-    when creating a block fails (e.g. no ``/dev/shm`` mount or no
-    permission).  Callers that can degrade — the query engine — catch
-    it and fall back to single-process classification instead.
     """
 
 

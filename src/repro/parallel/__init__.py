@@ -1,27 +1,26 @@
-"""``repro.parallel`` -- the multi-process, shared-memory query engine.
+"""``repro.parallel`` -- the worker substrate and the pools built on it.
 
 The paper scales classification by keeping one database resident per
 GPU and streaming batches through all devices at once; this package
-is the host-side counterpart.  A loaded
-:class:`~repro.core.database.Database` is shared zero-copy with N
-worker processes -- a database opened with ``mmap=True`` from a
-format-v2 directory is memory-mapped by every worker straight from
-its files (:class:`~repro.core.database.FileBackedDatabaseHandle`,
-re-exported here, shares through the page cache); any other database
-is exported once into ``multiprocessing.shared_memory`` blocks
-(:class:`~repro.core.database.SharedDatabaseHandle`).  Either way the
-index exists exactly once in physical memory no matter the worker
-count.  Chunks of reads
-fan out over a task queue, are classified by the unmodified
-single-process hot path, and are reassembled in submission order --
-output is byte-identical to a single-process run.
+is the host-side counterpart.  :class:`WorkerPool`
+(:mod:`repro.parallel.pool`) is the one process primitive -- spawned
+slots with per-generation queues, a ready handshake, crash detection,
+respawn and an idempotent close -- and everything multi-process in
+the repo is a plan over it.  A :class:`~repro.core.database.Database`
+is shared with workers one way: every worker memory-maps the same
+format-v2 files (:class:`~repro.core.database.FileBackedDatabaseHandle`,
+re-exported here) -- the directory the database was opened from with
+``mmap=True``, or a private spill ``Database.sharing_handle`` writes
+once and removes as soon as every worker has attached -- so the index
+exists exactly once in physical memory no matter the worker count.
 
-Most callers never touch this package directly: pass ``workers=N`` to
-:meth:`repro.api.MetaCache.open` (or to
-:meth:`~repro.api.QuerySession.classify_files`) and the facade drives
-a :class:`ParallelClassifier` internally, falling back to one process
-where :func:`shared_memory_available` says shared memory cannot be
-used.  Direct use looks like::
+:class:`ParallelClassifier` fans chunks of reads out to the
+least-loaded worker, each running the unmodified single-process hot
+path, and reassembles results in submission order -- output is
+byte-identical to a single-process run.  Most callers never touch it
+directly: pass ``workers=N`` to :meth:`repro.api.MetaCache.open` (or
+to :meth:`~repro.api.QuerySession.classify_files`) and the facade
+drives it internally.  Direct use looks like::
 
     from repro.parallel import ParallelClassifier
 
@@ -29,39 +28,30 @@ used.  Direct use looks like::
         for result in engine.classify_chunks(batches):
             ...  # ChunkResults, in submission order
 
-The *build* side has a sibling pool: :class:`ParallelSketcher` fans
-encoded reference sequences out over sketch worker processes for the
+The *build* side has a sibling plan: :class:`ParallelSketcher` fans
+encoded reference sequences out over sketch workers for the
 streaming :class:`repro.core.builder.DatabaseBuilder` (the paper's
 two-phase construction pipeline); most callers reach it through
-``build_workers=N`` on the facade's build entry points.
+``build_workers=N`` on the facade's build entry points.  The shard
+router (:mod:`repro.shard`) is the third plan.
 
 Layering note: this package sits *below* ``repro.api`` (it depends
 only on ``repro.core`` and ``repro.pipeline``); the facade converts
 :class:`~repro.parallel.chunks.ChunkResult` arrays into typed records.
 """
 
-from repro.core.database import (
-    FileBackedDatabaseHandle,
-    SharedArraySpec,
-    SharedDatabaseHandle,
-    SharedPartitionSpec,
-)
+from repro.core.database import FileBackedDatabaseHandle
 from repro.parallel.chunks import ChunkResult, OrderedReassembler, ReadChunk
-from repro.parallel.engine import ParallelClassifier, shared_memory_available
-from repro.parallel.sketch import ParallelSketcher, sketch_worker_main
-from repro.parallel.worker import worker_main
+from repro.parallel.engine import ParallelClassifier
+from repro.parallel.pool import WorkerPool
+from repro.parallel.sketch import ParallelSketcher
 
 __all__ = [
+    "WorkerPool",
     "ParallelClassifier",
     "ParallelSketcher",
-    "sketch_worker_main",
     "ReadChunk",
     "ChunkResult",
     "OrderedReassembler",
-    "SharedDatabaseHandle",
     "FileBackedDatabaseHandle",
-    "SharedArraySpec",
-    "SharedPartitionSpec",
-    "shared_memory_available",
-    "worker_main",
 ]

@@ -119,7 +119,8 @@ class ChunkResult:
     accounting identical to the single-process path: the vectorized
     :class:`~repro.core.classify.Classification`, per-read total
     lengths, and the query pipeline's per-stage seconds.
-    ``worker_id``, ``compute_seconds`` (wall inside the worker) and
+    ``worker_id`` (the pool slot that answered, stamped by the parent),
+    ``compute_seconds`` (wall inside the worker) and
     ``compute_cpu_seconds`` (CPU time, immune to core timesharing)
     feed the scaling benchmark's load-balance model.
     """

@@ -1,161 +1,67 @@
-"""The multi-process classification engine (worker pool + scheduler).
+"""The multi-process classification engine: a plan over :class:`WorkerPool`.
 
 MetaCache-GPU keeps one resident database per device and streams read
 batches through all of them; :class:`ParallelClassifier` is the host
-analogue.  The database is shared zero-copy with N spawned worker
-processes, each running the unmodified single-process hot path on the
-chunks it pulls from a shared task queue.  How it is shared depends on
-how it was opened (``Database.sharing_handle``): a database loaded
-from a format-v2 directory with ``mmap=True`` is attached by workers
-memory-mapping the same index files
-(:class:`~repro.core.database.FileBackedDatabaseHandle`, one physical
-copy in the page cache); any other database is exported **once** into
-shared memory
-(:class:`~repro.core.database.SharedDatabaseHandle`).  Dynamic pulling load-balances skewed chunks automatically; an
-:class:`~repro.parallel.chunks.OrderedReassembler` restores submission
-order, so results are byte-identical to a ``workers=1`` run.
+analogue.  N worker processes memory-map one format-v2 copy of the
+database (``Database.sharing_handle``: the directory it was opened
+from with ``mmap=True``, or a private spill written once and deleted
+as soon as every worker has attached), each running the unmodified
+single-process hot path on the chunks dispatched to it.  What lives
+here is only the plan: least-loaded dispatch bounded by
+:attr:`ParallelClassifier.max_inflight`, and an
+:class:`~repro.parallel.chunks.OrderedReassembler` restoring
+submission order, so results are byte-identical to a ``workers=1``
+run.  Processes, queues, handshake, crash detection and teardown are
+:class:`~repro.parallel.pool.WorkerPool`'s.
 
-Failure model:
-
-- a chunk that raises inside a worker is reported with its traceback
-  and surfaces here as :class:`~repro.errors.PipelineError`;
-- a worker that dies (OOM kill, segfault, ...) is detected by exit
-  code and surfaces as :class:`~repro.errors.WorkerCrashError`;
-- both paths shut the whole pool down (sentinels, then terminate)
-  and release the shared blocks before raising, so no orphan
-  processes or leaked ``/dev/shm`` segments outlive the engine.
-
-Use :func:`shared_memory_available` to probe whether this machine can
-run the engine at all; the API session does, and silently degrades to
-single-process classification when it cannot.
+Failure model: a chunk that raises inside a worker surfaces as
+:class:`~repro.errors.PipelineError` with the worker traceback; a
+worker that dies (OOM kill, segfault, ...) surfaces as
+:class:`~repro.errors.WorkerCrashError`.  Both close the whole pool
+before raising, so no worker process or spill directory outlives the
+engine.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import queue as queue_mod
-import time
-import weakref
 from typing import Iterable, Iterator
 
 from repro.core.config import ClassificationParams
 from repro.core.database import Database
-from repro.errors import PipelineError, WorkerCrashError
+from repro.errors import PipelineError
 from repro.parallel.chunks import ChunkResult, OrderedReassembler, ReadChunk
-from repro.parallel.worker import worker_main
+from repro.parallel.pool import WorkerPool
+from repro.parallel.worker import attach_classifier
 from repro.pipeline.batch import SequenceBatch
 from repro.pipeline.packed import PackedReads
 
-__all__ = ["ParallelClassifier", "shared_memory_available", "reap_processes"]
-
-_POLL_SECONDS = 0.1
-
-
-def reap_processes(procs: list, grace: float = 5.0) -> None:
-    """Join worker processes, escalating to terminate then kill.
-
-    The shared tail of every pool teardown in this repo (the engine
-    below, the shard router's replica sets): each process gets up to
-    ``grace`` seconds *collectively* to exit after its shutdown
-    sentinel, stragglers are terminated, and anything still alive
-    after a short post-terminate join is killed.  Never raises --
-    teardown must succeed even mid-crash (a process whose ``start()``
-    itself failed is skipped: it cannot be joined).
-    """
-    procs = [p for p in procs if p.is_alive() or p.exitcode is not None]
-    deadline = time.monotonic() + grace
-    for p in procs:
-        p.join(timeout=max(0.0, deadline - time.monotonic()))
-    for p in procs:
-        if p.is_alive():
-            p.terminate()
-    for p in procs:
-        if p.is_alive():
-            p.join(timeout=2.0)
-        if p.is_alive():  # pragma: no cover - terminate() nearly always lands
-            p.kill()
-            p.join(timeout=1.0)
-
-
-def shared_memory_available() -> bool:
-    """True when POSIX shared memory can be created on this platform.
-
-    Probes by creating (and immediately destroying) a one-byte block;
-    permission errors, a missing ``/dev/shm`` mount, or seccomp
-    filters all report ``False``.  The query engine calls this before
-    fanning out and falls back to single-process classification when
-    it returns ``False``.
-    """
-    try:
-        from multiprocessing import shared_memory
-
-        block = shared_memory.SharedMemory(create=True, size=1)
-        block.close()
-        block.unlink()
-        return True
-    except Exception:  # noqa: BLE001 - any failure means "not available"
-        return False
-
-
-def _shutdown_pool(state: dict, procs: list, tasks, results, handle) -> None:
-    """Idempotent pool teardown shared by close() and the GC finalizer.
-
-    Politely sentinels every worker, escalates to terminate/kill on
-    stragglers, then releases queues and the shared-memory blocks.
-    Never raises: teardown must succeed even mid-crash.
-    """
-    if state["closed"]:
-        return
-    state["closed"] = True
-    for _ in procs:
-        try:
-            tasks.put(None)
-        except (OSError, ValueError):  # queue already broken
-            break
-    reap_processes(procs)
-    for q in (tasks, results):
-        try:
-            q.cancel_join_thread()
-            q.close()
-        except (OSError, ValueError):  # pragma: no cover
-            pass
-    handle.close()
-    handle.unlink()
+__all__ = ["ParallelClassifier"]
 
 
 class ParallelClassifier:
-    """A pool of worker processes sharing one zero-copy database.
+    """A pool of worker processes sharing one memory-mapped database.
 
     Parameters
     ----------
     database:
-        the database to serve; mmap-opened databases are attached
-        file-backed by workers, anything else is condensed (and
-        therefore frozen) by the shared-memory export.
+        the database to serve; mmap-opened databases are attached from
+        their own directory, anything else is condensed (and therefore
+        frozen) by the one-time spill to a private v2 directory.
     workers:
-        number of worker processes (>= 1).  The pool uses the
-        ``spawn`` start method so workers genuinely attach the shared
-        blocks rather than inheriting a copy-on-write heap.
+        number of worker processes (>= 1).
     params:
         default decision rule for :meth:`classify_chunks` calls that
         do not pass their own.
-    max_inflight:
-        chunks outstanding before the feeder blocks on results;
-        bounds parent-side memory.  Default ``2 * workers + 2``.
-    start_timeout:
-        seconds to wait for every worker's attach handshake.
 
     The engine is a context manager; :meth:`close` (idempotent, also
-    invoked by a GC finalizer as a safety net) tears the pool down and
-    frees the shared blocks.  After any failed run the engine closes
-    itself — check :attr:`closed` before reuse.
+    run by the pool's GC finalizer) tears the pool down.  After any
+    failed run the engine closes itself -- check :attr:`closed`
+    before reuse.
 
     Raises
     ------
-    SharedMemoryUnavailableError
-        when the database cannot be exported to shared memory.
     WorkerCrashError
-        when a worker dies during startup or mid-run.
+        when a worker fails to attach the database or dies.
     """
 
     def __init__(
@@ -164,71 +70,25 @@ class ParallelClassifier:
         workers: int,
         *,
         params: ClassificationParams | None = None,
-        max_inflight: int | None = None,
-        start_timeout: float = 120.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self.params = params or database.params.classification
-        self.max_inflight = max_inflight or (2 * workers + 2)
-        self._handle = database.sharing_handle()
-        self._state = {"closed": False}
         self._running = False
-        ctx = mp.get_context("spawn")
-        self._tasks = ctx.Queue()
-        self._results = ctx.Queue()
-        self._procs = [
-            ctx.Process(
-                target=worker_main,
-                args=(wid, self._handle, self._tasks, self._results),
-                daemon=True,
-                name=f"metacache-worker-{wid}",
+        # leaving the block unlinks a private spill: by then every worker
+        # holds its own mapping of the files (or the start has failed)
+        with database.sharing_handle() as handle:
+            self._pool = WorkerPool(
+                attach_classifier,
+                [(handle,)] * workers,
+                [f"metacache-worker-{wid}" for wid in range(workers)],
             )
-            for wid in range(workers)
-        ]
-        self._finalizer = weakref.finalize(
-            self,
-            _shutdown_pool,
-            self._state,
-            self._procs,
-            self._tasks,
-            self._results,
-            self._handle,
-        )
-        try:
-            for p in self._procs:
-                p.start()
-            self._await_ready(start_timeout)
-        except BaseException:
-            self.close()
-            raise
 
-    # ------------------------------------------------------------- startup
-
-    def _await_ready(self, timeout: float) -> None:
-        """Wait for every worker's attach handshake (or fail fast)."""
-        ready: set[int] = set()
-        deadline = time.monotonic() + timeout
-        while len(ready) < self.workers:
-            self._check_workers()
-            try:
-                msg = self._results.get(timeout=_POLL_SECONDS)
-            except queue_mod.Empty:
-                if time.monotonic() > deadline:
-                    raise WorkerCrashError(
-                        f"only {len(ready)}/{self.workers} workers ready "
-                        f"after {timeout:.0f}s"
-                    )
-                continue
-            if msg[0] == "ready":
-                ready.add(msg[1])
-            elif msg[0] == "init_error":
-                _, wid, message, tb = msg
-                raise WorkerCrashError(
-                    f"worker {wid} failed to attach the shared database: "
-                    f"{message}\n{tb}"
-                )
+    @property
+    def max_inflight(self) -> int:
+        """Chunks outstanding before the feeder blocks on results."""
+        return 2 * self.workers + 2
 
     # ------------------------------------------------------------ main loop
 
@@ -263,26 +123,28 @@ class ParallelClassifier:
         WorkerCrashError
             a worker process died without reporting a result.
         """
-        if self._state["closed"]:
+        if self.closed:
             raise PipelineError("engine is closed")
         if self._running:
             raise PipelineError("engine is already streaming a chunk run")
         self._running = True
-        cparams = params or self.params
         ok = False
         try:
-            self._check_workers()  # fail fast on a pool damaged earlier
-            yield from self._run(iter(chunks), cparams)
+            self._pool.check_alive()  # fail fast on a pool damaged earlier
+            yield from self._run(iter(chunks), params or self.params)
             ok = True
         finally:
             self._running = False
             if not ok:
                 # failed or abandoned mid-stream: in-flight chunks can
                 # no longer be matched to a caller -- tear down rather
-                # than hand the next run a poisoned result queue
+                # than hand the next run stale answers
                 self.close()
 
-    def _run(self, source: Iterator, cparams) -> Iterator[ChunkResult]:
+    def _run(
+        self, source: Iterator, cparams: ClassificationParams
+    ) -> Iterator[ChunkResult]:
+        pool = self._pool
         assembler = OrderedReassembler()
         inflight = 0
         fed = 0
@@ -294,70 +156,29 @@ class ParallelClassifier:
                 except StopIteration:
                     exhausted = True
                     break
-                self._tasks.put((_coerce_chunk(raw, fed), cparams))
+                slot = min(pool.slots, key=lambda s: s.inflight)
+                pool.put(slot.index, fed, (_coerce_chunk(raw, fed), cparams))
                 fed += 1
                 inflight += 1
             if exhausted and inflight == 0:
                 # every submitted chunk was returned: complete, in order
                 return
-            result = self._next_result()
+            worker_id, _, result = pool.next_result()
+            result.worker_id = worker_id
             inflight -= 1
             assembler.push(result)
             yield from assembler.drain()
-
-    def _next_result(self) -> ChunkResult:
-        """Block for one worker result, watching for crashes meanwhile."""
-        while True:
-            try:
-                msg = self._results.get(timeout=_POLL_SECONDS)
-            except queue_mod.Empty:
-                self._check_workers()
-                continue
-            kind = msg[0]
-            if kind == "ok":
-                return msg[1]
-            if kind == "error":
-                _, chunk_id, type_name, message, tb = msg
-                raise PipelineError(
-                    f"worker failed on chunk {chunk_id}: "
-                    f"{type_name}: {message}\n--- worker traceback ---\n{tb}"
-                )
-            # late "ready" duplicates are harmless; anything else is a bug
-            if kind not in ("ready",):  # pragma: no cover
-                raise PipelineError(f"unexpected worker message {kind!r}")
-
-    def _check_workers(self) -> None:
-        """Raise WorkerCrashError if any worker died unexpectedly.
-
-        A worker exits with code 0 only after receiving the shutdown
-        sentinel, so any other exit code means the process died with
-        work potentially lost.  Note the converse guarantee does not
-        rely on polling at all: a run only completes when every
-        submitted chunk's result arrived, so a death this check misses
-        (e.g. between the last result and the final drain) can never
-        truncate output.
-        """
-        dead = [
-            (p.name, p.exitcode)
-            for p in self._procs
-            if p.exitcode not in (None, 0)
-        ]
-        if dead:
-            names = ", ".join(f"{n} (exit code {c})" for n, c in dead)
-            raise WorkerCrashError(f"worker process died: {names}")
 
     # ------------------------------------------------------------ lifecycle
 
     @property
     def closed(self) -> bool:
         """True once the pool is torn down (engine no longer usable)."""
-        return self._state["closed"]
+        return self._pool.closed
 
     def close(self) -> None:
-        """Tear the pool down and free shared memory (idempotent)."""
-        _shutdown_pool(
-            self._state, self._procs, self._tasks, self._results, self._handle
-        )
+        """Tear the pool down (idempotent)."""
+        self._pool.close()
 
     def __enter__(self) -> "ParallelClassifier":
         return self

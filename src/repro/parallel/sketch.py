@@ -1,30 +1,25 @@
-"""The parallel sketch phase of the build pipeline (worker pool).
+"""The parallel sketch phase of the build pipeline: a plan over :class:`WorkerPool`.
 
 MetaCache-GPU's database construction is a two-phase producer/consumer
 pipeline (Fig. 2): producers parse and *sketch* reference sequences in
 parallel while a consumer performs ordered batched inserts into the
 hash table.  :class:`ParallelSketcher` is the host-side sketch phase:
-``N`` spawned worker processes each run
+``N`` worker processes each run
 :func:`repro.hashing.sketch.sketch_packed_segments` on the *packed*
-jobs they pull from a shared task queue -- one contiguous uint8 code
-buffer holding one or more reference sequences plus its int64 offset
-array, so a job pickles as two large arrays however many sequences it
-coalesces -- and the caller (the consumer —
+jobs dispatched to them -- one contiguous uint8 code buffer holding
+one or more reference sequences plus its int64 offset array, so a job
+pickles as two large arrays however many sequences it coalesces -- and
+the caller (the consumer --
 :class:`repro.core.builder.DatabaseBuilder`) drains the per-window
 sketch matrices back **in submission order**, so the insert stream is
 bit-identical to a serial build no matter how workers interleave.
 
-The pool mirrors :class:`repro.parallel.engine.ParallelClassifier`'s
-lifecycle and failure model on a smaller surface:
-
-- workers send an attach/ready handshake before the first job is
-  considered schedulable, so a broken spawn environment fails fast;
-- a job that raises inside a worker surfaces as
-  :class:`~repro.errors.PipelineError` carrying the worker traceback;
-- a worker that dies (OOM kill, segfault, ...) surfaces as
-  :class:`~repro.errors.WorkerCrashError`;
-- both paths shut the whole pool down, so no orphan processes survive
-  a failed build.
+What lives here is only the ``submit``/``drain`` ordering; processes,
+queues, handshake, crash detection and teardown are
+:class:`~repro.parallel.pool.WorkerPool`'s.  A job that raises inside
+a worker surfaces as :class:`~repro.errors.PipelineError` carrying the
+worker traceback, a worker that dies as
+:class:`~repro.errors.WorkerCrashError`; both close the pool first.
 
 Jobs are submitted with dense ids (0, 1, 2, ...); ``max_inflight``
 bounds how many sequences are pickled into the queues at once, which
@@ -34,100 +29,25 @@ corpus size even with many workers.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import queue as queue_mod
-import time
-import traceback
-import weakref
-from typing import Iterator
+import functools
+from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.errors import PipelineError, WorkerCrashError
+from repro.errors import PipelineError
 from repro.hashing.sketch import SketchParams, sketch_packed_segments
+from repro.parallel.pool import WorkerPool
 
-__all__ = ["ParallelSketcher", "sketch_worker_main"]
-
-_POLL_SECONDS = 0.1
+__all__ = ["ParallelSketcher"]
 
 
-def sketch_worker_main(worker_id: int, params: SketchParams, tasks, results) -> None:
-    """Run one sketch worker until the shutdown sentinel arrives.
+def _start_sketcher(params: SketchParams) -> Callable[..., tuple]:
+    """Pool ``init``: k, s, w are database-wide, so they travel once.
 
-    Parameters
-    ----------
-    worker_id:
-        dense index of this worker in the pool (for diagnostics).
-    params:
-        the sketching configuration every job uses (k, s, w are
-        database-wide constants, so they travel once at spawn).
-    tasks / results:
-        ``multiprocessing`` queues.  Tasks are ``(job_id, buffer,
-        offsets)`` packed batches (one contiguous uint8 code buffer,
-        segment ``i`` at ``buffer[offsets[i]:offsets[i+1]]``) and
-        ``None`` as the shutdown sentinel; results are
-        ``("ready", worker_id)``, ``("ok", job_id, sketches, counts)``
-        with the concatenated ``(n_windows, s)`` uint64 sketch matrix
-        and the per-segment window counts to split it by, or
-        ``("error", job_id, type_name, message, traceback_text)``.
-
-    Never raises: every failure is reported on ``results`` and the
-    worker either continues (per-job errors) or exits (sentinel).
+    The task is :func:`sketch_packed_segments` itself: a job's
+    ``(buffer, offsets)`` in, ``(sketches, counts)`` out.
     """
-    results.put(("ready", worker_id))
-    while True:
-        task = tasks.get()
-        if task is None:
-            return
-        job_id, buffer, offsets = task
-        try:
-            sketches, counts = sketch_packed_segments(buffer, offsets, params)
-            results.put(("ok", job_id, sketches, counts))
-        except BaseException as exc:  # noqa: BLE001 - reported to the parent
-            results.put(
-                (
-                    "error",
-                    job_id,
-                    type(exc).__name__,
-                    str(exc),
-                    traceback.format_exc(),
-                )
-            )
-
-
-def _shutdown_sketch_pool(state: dict, procs: list, tasks, results) -> None:
-    """Idempotent pool teardown shared by close() and the GC finalizer.
-
-    Sentinels every worker, escalates to terminate/kill on stragglers,
-    then releases the queues.  Never raises: teardown must succeed
-    even mid-crash.
-    """
-    if state["closed"]:
-        return
-    state["closed"] = True
-    for _ in procs:
-        try:
-            tasks.put(None)
-        except (OSError, ValueError):  # queue already broken
-            break
-    deadline = time.monotonic() + 5.0
-    for p in procs:
-        p.join(timeout=max(0.0, deadline - time.monotonic()))
-    for p in procs:
-        if p.is_alive():
-            p.terminate()
-    for p in procs:
-        if p.is_alive():
-            p.join(timeout=2.0)
-        if p.is_alive():  # pragma: no cover - terminate() nearly always lands
-            p.kill()
-            p.join(timeout=1.0)
-    for q in (tasks, results):
-        try:
-            q.cancel_join_thread()
-            q.close()
-        except (OSError, ValueError):  # pragma: no cover
-            pass
+    return functools.partial(sketch_packed_segments, params=params)
 
 
 class ParallelSketcher:
@@ -145,17 +65,10 @@ class ParallelSketcher:
     params:
         sketching configuration shared by every job.
     workers:
-        number of worker processes (>= 1); the pool uses the
-        ``spawn`` start method, like the query engine.
-    max_inflight:
-        jobs outstanding before :meth:`submit` refuses more work
-        (callers interleave :meth:`drain`); bounds the sequences
-        pickled into the queues.  Default ``2 * workers + 2``.
-    start_timeout:
-        seconds to wait for every worker's ready handshake.
+        number of worker processes (>= 1).
 
     The pool is a context manager; :meth:`close` (idempotent, also
-    invoked by a GC finalizer as a safety net) tears it down.
+    run by the worker pool's GC finalizer) tears it down.
 
     Raises
     ------
@@ -165,71 +78,25 @@ class ParallelSketcher:
         when a job raises inside a worker.
     """
 
-    def __init__(
-        self,
-        params: SketchParams,
-        workers: int,
-        *,
-        max_inflight: int | None = None,
-        start_timeout: float = 120.0,
-    ) -> None:
+    def __init__(self, params: SketchParams, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self.params = params
-        self.max_inflight = max_inflight or (2 * workers + 2)
-        self._state = {"closed": False}
         self._inflight = 0
         self._next_submit = 0
         self._next_drain = 0
         self._buffer: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        ctx = mp.get_context("spawn")
-        self._tasks = ctx.Queue()
-        self._results = ctx.Queue()
-        self._procs = [
-            ctx.Process(
-                target=sketch_worker_main,
-                args=(wid, params, self._tasks, self._results),
-                daemon=True,
-                name=f"metacache-sketcher-{wid}",
-            )
-            for wid in range(workers)
-        ]
-        self._finalizer = weakref.finalize(
-            self,
-            _shutdown_sketch_pool,
-            self._state,
-            self._procs,
-            self._tasks,
-            self._results,
+        self._pool = WorkerPool(
+            _start_sketcher,
+            [(params,)] * workers,
+            [f"metacache-sketcher-{wid}" for wid in range(workers)],
         )
-        try:
-            for p in self._procs:
-                p.start()
-            self._await_ready(start_timeout)
-        except BaseException:
-            self.close()
-            raise
 
-    # ------------------------------------------------------------- startup
-
-    def _await_ready(self, timeout: float) -> None:
-        """Wait for every worker's ready handshake (or fail fast)."""
-        ready: set[int] = set()
-        deadline = time.monotonic() + timeout
-        while len(ready) < self.workers:
-            self._check_workers()
-            try:
-                msg = self._results.get(timeout=_POLL_SECONDS)
-            except queue_mod.Empty:
-                if time.monotonic() > deadline:
-                    raise WorkerCrashError(
-                        f"only {len(ready)}/{self.workers} sketch workers "
-                        f"ready after {timeout:.0f}s"
-                    )
-                continue
-            if msg[0] == "ready":
-                ready.add(msg[1])
+    @property
+    def max_inflight(self) -> int:
+        """Jobs outstanding before :meth:`submit` refuses more work."""
+        return 2 * self.workers + 2
 
     # ---------------------------------------------------------- submission
 
@@ -258,7 +125,7 @@ class ParallelSketcher:
         Raises ``ValueError`` on an out-of-sequence id or a full
         pool, ``PipelineError`` when the pool is closed.
         """
-        if self._state["closed"]:
+        if self.closed:
             raise PipelineError("sketch pool is closed")
         if job_id != self._next_submit:
             raise ValueError(
@@ -268,7 +135,8 @@ class ParallelSketcher:
             raise ValueError("sketch pool is full; drain results first")
         if offsets is None:
             offsets = np.array([0, buffer.size], dtype=np.int64)
-        self._tasks.put((job_id, buffer, offsets))
+        slot = min(self._pool.slots, key=lambda s: s.inflight)
+        self._pool.put(slot.index, job_id, (buffer, offsets))
         self._next_submit += 1
         self._inflight += 1
 
@@ -296,7 +164,8 @@ class ParallelSketcher:
         try:
             while self._inflight >= max(1, below):
                 while self._next_drain not in self._buffer:
-                    self._pump()
+                    _, job_id, result = self._pool.next_result()
+                    self._buffer[job_id] = result
                 sketches, counts = self._buffer.pop(self._next_drain)
                 job = self._next_drain
                 self._next_drain += 1
@@ -314,49 +183,16 @@ class ParallelSketcher:
         """
         yield from self.drain(1)
 
-    def _pump(self) -> None:
-        """Move one message from the result queue into the buffer."""
-        try:
-            msg = self._results.get(timeout=_POLL_SECONDS)
-        except queue_mod.Empty:
-            self._check_workers()
-            return
-        kind = msg[0]
-        if kind == "ok":
-            _, job_id, sketches, counts = msg
-            self._buffer[job_id] = (sketches, counts)
-        elif kind == "error":
-            _, job_id, type_name, message, tb = msg
-            raise PipelineError(
-                f"sketch worker failed on job {job_id}: "
-                f"{type_name}: {message}\n--- worker traceback ---\n{tb}"
-            )
-        elif kind not in ("ready",):  # pragma: no cover - protocol bug
-            raise PipelineError(f"unexpected sketch worker message {kind!r}")
-
-    def _check_workers(self) -> None:
-        """Raise WorkerCrashError if any worker died unexpectedly."""
-        dead = [
-            (p.name, p.exitcode)
-            for p in self._procs
-            if p.exitcode not in (None, 0)
-        ]
-        if dead:
-            names = ", ".join(f"{n} (exit code {c})" for n, c in dead)
-            raise WorkerCrashError(f"sketch worker process died: {names}")
-
     # ------------------------------------------------------------ lifecycle
 
     @property
     def closed(self) -> bool:
         """True once the pool is torn down (no longer usable)."""
-        return self._state["closed"]
+        return self._pool.closed
 
     def close(self) -> None:
         """Tear the pool down (idempotent)."""
-        _shutdown_sketch_pool(
-            self._state, self._procs, self._tasks, self._results
-        )
+        self._pool.close()
 
     def __enter__(self) -> "ParallelSketcher":
         """Enter a ``with`` block; returns the pool itself."""

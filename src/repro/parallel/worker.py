@@ -1,97 +1,40 @@
-"""Worker-process entry point of the multi-process query engine.
+"""The classify pool's task: attach once, then one chunk per call.
 
-Each worker attaches the database handle it was spawned with -- a
-:class:`~repro.core.database.SharedDatabaseHandle` (shared-memory
-blocks) or a :class:`~repro.core.database.FileBackedDatabaseHandle`
-(the saved format-v2 directory, memory-mapped).  Both are zero-copy:
-the index arrays are mapped, not deserialized.  It then loops
-on the task queue running the exact single-process hot path —
+Each worker attaches the
+:class:`~repro.core.database.FileBackedDatabaseHandle` it was spawned
+with -- the format-v2 directory is memory-mapped, not deserialized --
+and then runs the exact single-process hot path,
 :func:`repro.core.query.query_database` followed by
-:func:`repro.core.classify.classify_reads` — on each
-:class:`~repro.parallel.chunks.ReadChunk` it receives.  Results and
-failures are reported through the result queue; the parent never
-infers worker state from silence except to detect a crash.
-
-Wire protocol (parent <- worker), all tuples:
-
-- ``("ready", worker_id)``            -- attach succeeded, ready for work;
-- ``("ok", ChunkResult)``             -- one chunk classified;
-- ``("error", chunk_id, type_name, message, traceback_text)``
-                                      -- one chunk failed (worker keeps going);
-- ``("init_error", worker_id, message, traceback_text)``
-                                      -- attach failed, worker is exiting.
-
-The parent -> worker task queue carries ``(ReadChunk,
-ClassificationParams)`` pairs and ``None`` as the shutdown sentinel.
+:func:`repro.core.classify.classify_reads`, on every
+``(ReadChunk, ClassificationParams)`` task the pool's child loop
+(:mod:`repro.parallel.pool`) hands it.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-import traceback
+from typing import Callable
 
 from repro.core.classify import classify_reads
-from repro.core.database import FileBackedDatabaseHandle, SharedDatabaseHandle
+from repro.core.config import ClassificationParams
+from repro.core.database import Database, FileBackedDatabaseHandle
 from repro.core.query import query_database
 from repro.parallel.chunks import ChunkResult, ReadChunk
 
-__all__ = ["worker_main"]
+__all__ = ["attach_classifier"]
 
 
-def worker_main(
-    worker_id: int,
-    handle: "SharedDatabaseHandle | FileBackedDatabaseHandle",
-    tasks,
-    results,
-) -> None:
-    """Run one worker process until the shutdown sentinel arrives.
-
-    Parameters
-    ----------
-    worker_id:
-        dense index of this worker in the pool (for diagnostics and
-        the benchmark's per-worker busy accounting).
-    handle:
-        cheaply pickled database handle (shared-memory specs, or just
-        a directory path for mmap-backed databases); attached here, so
-        the worker maps the owner's memory instead of copying it.
-    tasks / results:
-        ``multiprocessing`` queues as described in the module docs.
-
-    Never raises: every failure is reported on ``results`` and the
-    worker either continues (per-chunk errors) or exits (attach
-    failure, sentinel).
-    """
-    try:
-        db = handle.attach()
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        results.put(("init_error", worker_id, repr(exc), traceback.format_exc()))
-        return
-    results.put(("ready", worker_id))
-    try:
-        while True:
-            task = tasks.get()
-            if task is None:
-                return
-            chunk, cparams = task
-            try:
-                results.put(("ok", _classify_chunk(db, chunk, cparams, worker_id)))
-            except BaseException as exc:  # noqa: BLE001 - reported to the parent
-                results.put(
-                    (
-                        "error",
-                        chunk.chunk_id,
-                        type(exc).__name__,
-                        str(exc),
-                        traceback.format_exc(),
-                    )
-                )
-    finally:
-        db = None
-        handle.close()
+def attach_classifier(
+    handle: FileBackedDatabaseHandle,
+) -> Callable[[ReadChunk, ClassificationParams], ChunkResult]:
+    """Pool ``init``: map the database, return the per-chunk task."""
+    return functools.partial(_classify_chunk, handle.attach())
 
 
-def _classify_chunk(db, chunk: ReadChunk, cparams, worker_id: int) -> ChunkResult:
+def _classify_chunk(
+    db: Database, chunk: ReadChunk, cparams: ClassificationParams
+) -> ChunkResult:
     """The single-process hot path, applied to one chunk."""
     t0 = time.perf_counter()
     c0 = time.process_time()
@@ -107,7 +50,6 @@ def _classify_chunk(db, chunk: ReadChunk, cparams, worker_id: int) -> ChunkResul
         read_lengths=result.read_lengths,
         stage_seconds=dict(result.stages.stages),
         total_seconds=result.stages.total,
-        worker_id=worker_id,
         compute_seconds=time.perf_counter() - t0,
         compute_cpu_seconds=time.process_time() - c0,
     )

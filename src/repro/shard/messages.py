@@ -5,27 +5,14 @@ dataclass of contiguous arrays and scalars (the ``spawn`` start
 method re-imports a fresh interpreter, so payloads must carry no
 process-local state -- repro-lint RL004 checks this package).
 
-Router -> replica task queues carry :class:`ShardTask` (or ``None``
-as the shutdown sentinel); each replica's own replica -> router
-result queue carries tagged tuples (queues are per-slot and
-per-generation -- never shared, never reused -- so a SIGKILLed
-replica cannot poison a queue lock any surviving process needs):
-
-- ``("ready", shard_id, replica_id)``
-  -- mmap attach succeeded, replica is serving;
-- ``("init_error", shard_id, replica_id, message, traceback_text)``
-  -- attach failed, the replica process is exiting;
-- ``("ok", shard_id, replica_id, ShardResult)``
-  -- one batch's per-shard candidates;
-- ``("error", shard_id, replica_id, batch_id, type_name, message,
-  traceback_text)``
-  -- the batch raised inside the replica (which keeps serving).
-
-Results are tagged with the originating ``batch_id`` so the router
-can discard stale duplicates: a ``batch_timeout`` failover kills the
-slow replica and re-dispatches, but its completed answer may already
-sit in its queue; the tag keeps such leftovers from being mistaken
-for the sibling's answer.
+The process protocol itself is :mod:`repro.parallel.pool`'s: the
+router puts each :class:`ShardTask` on one replica slot per shard,
+tagged with its ``batch_id``, and the slot answers with a
+:class:`ShardResult` under the same tag.  The tag is what lets the
+router discard stale answers: after a death failover the dead
+replica's completed answer may already sit in its queue, and after a
+batch error the other shards' answers arrive during the next batch;
+neither may be mistaken for a current answer.
 """
 
 from __future__ import annotations
@@ -70,7 +57,6 @@ class ShardResult:
     batch, not the index) -- the router uses the first arrival.
     """
 
-    batch_id: int
     target: np.ndarray
     window_first: np.ndarray
     window_last: np.ndarray

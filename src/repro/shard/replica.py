@@ -1,22 +1,15 @@
-"""Replica management for one shard: dispatch, health, respawn.
+"""Replica policy for one shard: dispatch, health, respawn.
 
-A :class:`ReplicaSet` owns R :class:`ReplicaSlot` entries for one
-shard.  Each slot binds a dedicated task queue *and* a dedicated
-result queue to the current generation of a worker process running
-:func:`repro.shard.worker.replica_main`.  Both queues are created
-fresh on every :meth:`ReplicaSlot.spawn`: a process killed with
-SIGKILL can die while holding a queue's internal pipe lock, and any
-peer sharing that queue would then block forever -- so no queue is
-ever shared between replicas or reused across generations, and a
-dead replica's queues are simply abandoned (undelivered tasks are
-re-dispatched by the router's failover path; undelivered results are
-superseded by the sibling's batch-id-tagged answer).
+A :class:`ReplicaSet` is the policy over R slots of the router's
+:class:`~repro.parallel.pool.WorkerPool` that serve one shard; the
+pool owns their processes, generations and queues (fresh per
+generation, so a SIGKILLed replica can never wedge a sibling).
 
 Dispatch is least-loaded: a batch goes to the live slot with the
 fewest in-flight batches (ties to the lowest replica id, so routing
 is deterministic under test).  Death handling is split between the
-router and this class: the router *detects* (exit codes, timeouts)
-and re-dispatches in-flight work; the set *accounts* --
+router and this class: the router *detects* (exit codes) and
+re-dispatches in-flight work; the set *accounts* --
 :meth:`ReplicaSet.note_death` records the death and schedules the
 respawn with bounded exponential backoff, :meth:`ReplicaSet.maintain`
 performs respawns that have come due, and a successful attach
@@ -31,118 +24,51 @@ from __future__ import annotations
 import time
 from typing import Any, Sequence
 
-from repro.core.database import FileBackedDatabaseHandle
 from repro.errors import ShardFailedError
+from repro.parallel.pool import WorkerPool, WorkerSlot
 from repro.shard.messages import ShardTask
-from repro.shard.worker import replica_main
 
 __all__ = ["ReplicaSlot", "ReplicaSet"]
 
 
 class ReplicaSlot:
-    """One replica position: the current process and *its* queues.
+    """One replica position: a pool slot plus its respawn accounting.
 
-    The slot survives its process: respawning starts a fresh
-    ``spawn`` process (a new *generation*) on freshly created queues
-    -- the old generation's queues may hold locks a SIGKILLed process
-    died with, so they are abandoned, never reused.
     ``noted_generation`` tracks which generation's death has already
     been accounted, so exit-code polling is idempotent.
     """
 
-    def __init__(
-        self,
-        shard_id: int,
-        replica_id: int,
-        ctx: Any,
-        handle: FileBackedDatabaseHandle,
-        partition_ids: Sequence[int],
-    ) -> None:
-        self.shard_id = shard_id
+    def __init__(self, pool: WorkerPool, worker: WorkerSlot, replica_id: int) -> None:
+        self._pool = pool
+        self.worker = worker
         self.replica_id = replica_id
-        self._ctx = ctx
-        self._handle = handle
-        self._partition_ids = tuple(partition_ids)
-        self.tasks: Any = None
-        self.results: Any = None
-        self.process: Any = None
-        self.ready = False
-        self.inflight = 0
-        self.generation = 0
         self.noted_generation = 0
         self.respawn_attempts = 0
         self.next_respawn_at = 0.0
 
     def spawn(self) -> None:
-        """Start a new process generation on brand-new queues."""
-        self._release_queues()
-        self.tasks = self._ctx.Queue()
-        self.results = self._ctx.Queue()
-        self.generation += 1
-        self.ready = False
-        self.inflight = 0
-        self.process = self._ctx.Process(
-            target=replica_main,
-            args=(
-                self.shard_id,
-                self.replica_id,
-                self._handle,
-                self._partition_ids,
-                self.tasks,
-                self.results,
-            ),
-            daemon=True,
-            name=(
-                f"metacache-shard-{self.shard_id}-replica-{self.replica_id}"
-                f"-gen{self.generation}"
-            ),
-        )
-        self.process.start()
+        """Start a new process generation (on brand-new queues)."""
+        self._pool.respawn(self.worker.index)
 
-    def _release_queues(self) -> None:
-        """Drop the previous generation's queues without draining them."""
-        for q in (self.tasks, self.results):
-            if q is None:
-                continue
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except (OSError, ValueError):  # pragma: no cover
-                pass
+    @property
+    def process(self) -> Any:
+        """The current generation's process object."""
+        return self.worker.process
+
+    @property
+    def generation(self) -> int:
+        """How many processes this slot has started so far."""
+        return self.worker.generation
 
     @property
     def alive(self) -> bool:
-        """True while the current process generation is running.
-
-        A replica exits only on the shutdown sentinel, so *any* exit
-        code here -- including 0 (e.g. after an attach failure) --
-        means the slot is out of service.
-        """
-        return self.process is not None and self.process.exitcode is None
-
-    @property
-    def readable(self) -> bool:
-        """True when it is safe to read this slot's result queue.
-
-        Safe means the writer is alive, or exited *cleanly*
-        (``exitcode >= 0``: the feeder thread flushed before exit, so
-        any queued message -- e.g. an ``init_error`` report -- is
-        complete).  A signal death (negative exit code) may have left
-        a truncated message in the pipe; reading it would block
-        forever, so the queue is abandoned instead.
-        """
-        return self.process is not None and (
-            self.process.exitcode is None or self.process.exitcode >= 0
-        )
+        """True while the current process generation is running."""
+        return self.worker.alive
 
     @property
     def death_unnoted(self) -> bool:
         """True when the current generation died and is not yet accounted."""
-        return (
-            self.process is not None
-            and self.process.exitcode is not None
-            and self.noted_generation < self.generation
-        )
+        return not self.alive and self.noted_generation < self.generation
 
 
 class ReplicaSet:
@@ -152,14 +78,8 @@ class ReplicaSet:
     ----------
     shard_id / partition_ids:
         the shard's coordinates in the plan.
-    handle:
-        mmap database handle every replica attaches (one page-cache
-        copy of the index across all of them).
-    ctx:
-        the router's ``spawn`` multiprocessing context; each slot
-        creates its own task/result queues from it per generation.
-    replicas:
-        slot count (>= 1).
+    pool / workers:
+        the router's worker pool and this shard's R slots of it.
     respawn_backoff / respawn_backoff_cap:
         first-respawn delay in seconds, doubling per consecutive
         death up to the cap; a successful ready handshake resets the
@@ -173,24 +93,21 @@ class ReplicaSet:
         self,
         shard_id: int,
         partition_ids: Sequence[int],
-        handle: FileBackedDatabaseHandle,
-        ctx: Any,
+        pool: WorkerPool,
+        workers: Sequence[WorkerSlot],
         *,
-        replicas: int,
         respawn_backoff: float = 0.5,
         respawn_backoff_cap: float = 5.0,
         max_respawns: int = 3,
     ) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.shard_id = shard_id
         self.partition_ids = tuple(partition_ids)
         self.respawn_backoff = respawn_backoff
         self.respawn_backoff_cap = respawn_backoff_cap
         self.max_respawns = max_respawns
+        self._pool = pool
         self.slots = [
-            ReplicaSlot(shard_id, rid, ctx, handle, partition_ids)
-            for rid in range(replicas)
+            ReplicaSlot(pool, worker, rid) for rid, worker in enumerate(workers)
         ]
         self.deaths = 0
         self.respawns = 0
@@ -198,11 +115,6 @@ class ReplicaSet:
         self.last_error: str | None = None
 
     # ------------------------------------------------------------- dispatch
-
-    def start(self) -> None:
-        """Spawn every replica slot's first generation."""
-        for slot in self.slots:
-            slot.spawn()
 
     def dispatch(self, task: ShardTask) -> ReplicaSlot:
         """Queue one batch on the least-loaded live replica.
@@ -223,9 +135,8 @@ class ReplicaSet:
                     f"exhausted{detail}"
                 )
             live = [slot]
-        slot = min(live, key=lambda s: (s.inflight, s.replica_id))
-        slot.tasks.put(task)
-        slot.inflight += 1
+        slot = min(live, key=lambda s: s.worker.inflight)
+        self._pool.put(slot.worker.index, task.batch_id, (task,))
         return slot
 
     def _emergency_respawn(self) -> ReplicaSlot | None:
@@ -248,15 +159,13 @@ class ReplicaSet:
     def note_death(self, slot: ReplicaSlot, now: float) -> bool:
         """Account one process death; returns False if already noted.
 
-        Zeroes the slot's in-flight count (its queued work is lost or
-        stale) and schedules the respawn: ``backoff * 2**(deaths-1)``
-        seconds from ``now``, capped.
+        Schedules the respawn ``backoff * 2**(deaths-1)`` seconds from
+        ``now``, capped (the slot's queued work is lost or stale; the
+        router re-dispatches what it still waits for).
         """
         if not slot.death_unnoted:
             return False
         slot.noted_generation = slot.generation
-        slot.ready = False
-        slot.inflight = 0
         slot.respawn_attempts += 1
         delay = min(
             self.respawn_backoff_cap,
@@ -282,17 +191,10 @@ class ReplicaSet:
                 spawned += 1
         return spawned
 
-    def on_ready(self, replica_id: int) -> None:
+    def on_ready(self, slot: ReplicaSlot) -> None:
         """A replica finished its attach handshake: reset its backoff."""
-        slot = self.slots[replica_id]
-        slot.ready = True
         slot.respawn_attempts = 0
         slot.next_respawn_at = 0.0
-
-    def on_result(self, replica_id: int) -> None:
-        """A replica answered one batch: drop its in-flight count."""
-        slot = self.slots[replica_id]
-        slot.inflight = max(0, slot.inflight - 1)
 
     # ---------------------------------------------------------------- health
 
@@ -313,7 +215,7 @@ class ReplicaSet:
             "partitions": list(self.partition_ids),
             "replicas": len(self.slots),
             "live": self.live,
-            "ready": sum(1 for s in self.slots if s.alive and s.ready),
+            "ready": sum(1 for s in self.slots if s.alive and s.worker.ready),
             "degraded": self.degraded,
             "deaths": self.deaths,
             "respawns": self.respawns,

@@ -1,12 +1,12 @@
 """The shard router: one logical classification service over N x R processes.
 
-:class:`ShardRouter` owns one :class:`~repro.shard.replica.ReplicaSet`
-per shard of a :class:`~repro.shard.plan.ShardPlan`.  A query fans one
-:class:`~repro.shard.messages.ShardTask` out to the least-loaded live
-replica of every shard, collects the N per-shard candidate runs from
-the replicas' per-slot result queues (multiplexed with
-:func:`multiprocessing.connection.wait`, so the wait is event-driven,
-not a sleep poll), and merges them (ascending shard id) with
+:class:`ShardRouter` owns one :class:`~repro.parallel.pool.WorkerPool`
+of N x R slots and one :class:`~repro.shard.replica.ReplicaSet` of
+policy per shard of a :class:`~repro.shard.plan.ShardPlan`.  A query
+fans one :class:`~repro.shard.messages.ShardTask` out to the
+least-loaded live replica of every shard, collects the N per-shard
+candidate runs (the pool's wait is event-driven over result pipes and
+process sentinels), and merges them (ascending shard id) with
 :func:`~repro.core.merge.merge_partition_runs` -- candidate targets
 are unique across partitions, so the merged top-``m`` is byte-identical
 to a single-process query over the whole database regardless of shard
@@ -14,98 +14,50 @@ count or arrival order.
 
 Failure handling during the wait loop:
 
-- a replica *process death* (any exit code) is detected by exit-code
-  polling; if the dead replica held this batch's dispatch for a shard
-  that has not answered yet, the task is re-dispatched to a sibling
-  replica (*failover*) and the death is accounted for respawn with
-  bounded exponential backoff.  The request never fails for a
-  single-replica crash; the shard merely reports *degraded* until the
-  respawn handshake completes.
+- a replica *process death* (any exit code) is detected by exit code;
+  if the dead replica held this batch's dispatch for a shard that has
+  not answered yet, the task is re-dispatched to a sibling replica
+  (*failover*) and the death is accounted for respawn with bounded
+  exponential backoff.  The request never fails for a single-replica
+  crash; the shard merely reports *degraded* until the respawn
+  handshake completes.
 - a replica answering with an *exception* (``"error"`` message) for
   the current batch re-raises as
   :class:`~repro.errors.PipelineError` with the replica traceback and
   is **not** failed over: the pipeline is deterministic, so a sibling
   would fail identically.  The router itself stays serviceable --
-  results are batch-id-tagged, so any late duplicates are discarded.
-- ``batch_timeout`` (optional) kills a replica that sits on a batch
-  too long, which then follows the death path above.
+  answers are batch-id-tagged, so any late duplicates are discarded.
 - only when a shard's last replica is dead *and* its respawn budget
   is exhausted does the query raise
   :class:`~repro.errors.ShardFailedError`.
 
-Queues are never shared between replicas and never reused across
-process generations: SIGKILL can take a process down while it holds a
-queue's internal pipe lock, and a shared queue would then wedge every
-sibling's ``put`` forever.  Each slot owns its queues, a respawn gets
-fresh ones, and the router refuses to read the result queue of a
-signal-killed writer (it may hold a truncated message) -- see
-:class:`~repro.shard.replica.ReplicaSlot`.
-
-Teardown mirrors :class:`~repro.parallel.engine.ParallelClassifier`:
-an idempotent module-level shutdown shared by :meth:`ShardRouter.close`
-and a ``weakref.finalize`` safety net, escalating join -> terminate ->
-kill via :func:`~repro.parallel.engine.reap_processes`.
+Processes, per-generation queues, the start handshake and teardown
+(idempotent ``close()`` shared with a GC finalizer, sentinel ->
+terminate -> kill) are the pool's; see :mod:`repro.parallel.pool`.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import queue as queue_mod
 import threading
 import time
-import weakref
-from multiprocessing import connection as mp_connection
-from typing import Any
 
 from repro.core.config import ClassificationParams
 from repro.core.database import FileBackedDatabaseHandle
 from repro.core.merge import merge_partition_runs
 from repro.core.query import QueryResult
-from repro.errors import PipelineError, ReloadError, WorkerCrashError
-from repro.parallel.engine import reap_processes
+from repro.errors import ReloadError
+from repro.parallel.pool import WorkerPool
 from repro.pipeline.packed import PackedReads
 from repro.shard.messages import ShardResult, ShardTask
 from repro.shard.plan import ShardPlan
 from repro.shard.replica import ReplicaSet, ReplicaSlot
+from repro.shard.worker import attach_shard
 
 __all__ = ["ShardRouter"]
 
-_POLL_SECONDS = 0.1
-
-
-def _shutdown_router(state: dict, sets: list) -> None:
-    """Idempotent router teardown shared by close() and the GC finalizer.
-
-    Politely sentinels every replica's task queue, escalates to
-    terminate/kill on stragglers, then releases each slot's current
-    queues (previous generations' queues were already dropped at
-    respawn).  Never raises: teardown must succeed even mid-crash.
-    """
-    if state["closed"]:
-        return
-    state["closed"] = True
-    procs = []
-    queues = []
-    for rset in sets:
-        for slot in rset.slots:
-            if slot.tasks is not None:
-                try:
-                    slot.tasks.put(None)
-                except (OSError, ValueError):  # queue already broken
-                    pass
-                queues.append(slot.tasks)
-            if slot.results is not None:
-                queues.append(slot.results)
-            if slot.process is not None:
-                procs.append(slot.process)
-    reap_processes(procs)
-    for q in queues:
-        try:
-            q.cancel_join_thread()
-            q.close()
-        except (OSError, ValueError):  # pragma: no cover
-            pass
+#: cap on one wait for answers; also the granularity of due respawns
+_WAIT_SECONDS = 0.1
 
 
 class ShardRouter:
@@ -118,12 +70,6 @@ class ShardRouter:
         directory (see :meth:`ShardPlan.from_directory`).
     replicas:
         replica processes per shard (>= 1).
-    start_timeout:
-        seconds to wait for every replica's mmap-attach handshake.
-    batch_timeout:
-        optional per-batch ceiling in seconds; a replica exceeding it
-        is killed and its batch failed over to a sibling.  ``None``
-        (the default) trusts replicas to answer eventually.
     respawn_backoff / respawn_backoff_cap / max_respawns:
         crash-loop damping, per replica slot (see
         :class:`~repro.shard.replica.ReplicaSet`).
@@ -139,8 +85,6 @@ class ShardRouter:
         plan: ShardPlan,
         *,
         replicas: int = 1,
-        start_timeout: float = 120.0,
-        batch_timeout: float | None = None,
         respawn_backoff: float = 0.5,
         respawn_backoff_cap: float = 5.0,
         max_respawns: int = 3,
@@ -149,118 +93,39 @@ class ShardRouter:
             raise ValueError("replicas must be >= 1")
         self.plan = plan
         self.replicas = replicas
-        self.batch_timeout = batch_timeout
-        self._handle = FileBackedDatabaseHandle(plan.directory)
-        self._state = {"closed": False}
         self._lock = threading.Lock()
         self._batch_counter = 0
         self.batches = 0
-        ctx = mp.get_context("spawn")
+        handle = FileBackedDatabaseHandle(plan.directory)
+        self._pool = WorkerPool(
+            attach_shard,
+            [
+                (handle, a.partition_ids)
+                for a in plan.assignments
+                for _ in range(replicas)
+            ],
+            [
+                f"metacache-shard-{a.shard_id}-replica-{rid}"
+                for a in plan.assignments
+                for rid in range(replicas)
+            ],
+        )
         self._sets = [
             ReplicaSet(
                 a.shard_id,
                 a.partition_ids,
-                self._handle,
-                ctx,
-                replicas=replicas,
+                self._pool,
+                self._pool.slots[i * replicas : (i + 1) * replicas],
                 respawn_backoff=respawn_backoff,
                 respawn_backoff_cap=respawn_backoff_cap,
                 max_respawns=max_respawns,
             )
-            for a in plan.assignments
+            for i, a in enumerate(plan.assignments)
         ]
-        self._finalizer = weakref.finalize(
-            self, _shutdown_router, self._state, self._sets
-        )
-        try:
-            for rset in self._sets:
-                rset.start()
-            self._await_ready(start_timeout)
-        except BaseException:
-            self.close()
-            raise
-
-    # ------------------------------------------------------------- startup
-
-    def _await_ready(self, timeout: float) -> None:
-        """Wait for every replica's mmap-attach handshake (or fail fast)."""
-        expected = {(s.shard_id, slot.replica_id) for s in self._sets for slot in s.slots}
-        ready: set[tuple[int, int]] = set()
-        deadline = time.monotonic() + timeout
-        while len(ready) < len(expected):
-            got = False
-            for msg in self._take_messages():
-                got = True
-                if msg[0] == "ready":
-                    _, sid, rid = msg
-                    ready.add((sid, rid))
-                    self._sets[sid].on_ready(rid)
-                elif msg[0] == "init_error":
-                    _, sid, rid, message, tb = msg
-                    self._sets[sid].last_error = message
-                    raise WorkerCrashError(
-                        f"shard {sid} replica {rid} failed to map the "
-                        f"database: {message}\n{tb}"
-                    )
-            for rset in self._sets:
-                for slot in rset.slots:
-                    if slot.death_unnoted:
-                        rset.note_death(slot, time.monotonic())
-                        raise WorkerCrashError(
-                            f"shard {rset.shard_id} replica {slot.replica_id} "
-                            f"died during startup "
-                            f"(exit code {slot.process.exitcode})"
-                            + (
-                                f": {rset.last_error}"
-                                if rset.last_error
-                                else ""
-                            )
-                        )
-            if not got:
-                if time.monotonic() > deadline:
-                    raise WorkerCrashError(
-                        f"only {len(ready)}/{len(expected)} shard replicas "
-                        f"ready after {timeout:.0f}s"
-                    )
-                self._wait_for_messages(_POLL_SECONDS)
-
-    # ----------------------------------------------------- result collection
-
-    def _take_messages(self) -> list[tuple]:
-        """Drain every safely-readable slot result queue (non-blocking).
-
-        A queue is skipped while its writer's death is unaccounted for
-        a signal (see :attr:`ReplicaSlot.readable`): a SIGKILLed
-        replica may have left a truncated message in the pipe, and a
-        blocking ``recv`` on it would never return.
-        """
-        msgs: list[tuple] = []
-        for rset in self._sets:
-            for slot in rset.slots:
-                if slot.results is None or not slot.readable:
-                    continue
-                while True:
-                    try:
-                        msgs.append(slot.results.get_nowait())
-                    except (queue_mod.Empty, OSError, ValueError):
-                        break
-        return msgs
-
-    def _wait_for_messages(self, timeout: float) -> None:
-        """Block until some slot's result pipe is readable (or timeout)."""
-        conns = [
-            slot.results._reader
-            for rset in self._sets
-            for slot in rset.slots
-            if slot.results is not None and slot.readable
+        # pool slot index -> (its shard's policy, its replica slot)
+        self._by_index: list[tuple[ReplicaSet, ReplicaSlot]] = [
+            (rset, slot) for rset in self._sets for slot in rset.slots
         ]
-        if not conns:
-            time.sleep(timeout)
-            return
-        try:
-            mp_connection.wait(conns, timeout=timeout)
-        except OSError:  # a queue was torn down mid-wait
-            time.sleep(timeout)
 
     # ------------------------------------------------------------ main loop
 
@@ -285,26 +150,20 @@ class ShardRouter:
             is exhausted.
         """
         with self._lock:
-            if self._state["closed"]:
+            if self.closed:
                 raise RuntimeError("ShardRouter is closed")
             self._batch_counter += 1
             bid = self._batch_counter
-            task = ShardTask(
-                batch_id=bid, packed=packed, params=params
-            )
-            pending: dict[int, ReplicaSlot] = {}
-            started: dict[int, float] = {}
-            for rset in self._sets:
-                pending[rset.shard_id] = rset.dispatch(task)
-                started[rset.shard_id] = time.monotonic()
+            task = ShardTask(batch_id=bid, packed=packed, params=params)
+            pending = {rset.shard_id: rset.dispatch(task) for rset in self._sets}
             outputs: dict[int, ShardResult] = {}
             while len(outputs) < len(self._sets):
-                self._sweep(task, pending, started, outputs)
-                msgs = self._take_messages()
+                self._sweep(task, pending, outputs)
+                msgs = self._pool.take_messages()
                 for msg in msgs:
                     self._handle_message(msg, bid, outputs)
                 if not msgs:
-                    self._wait_for_messages(_POLL_SECONDS)
+                    self._pool.wait(_WAIT_SECONDS)
             self.batches += 1
             return self._merge(outputs, packed)
 
@@ -312,57 +171,34 @@ class ShardRouter:
         self,
         task: ShardTask,
         pending: dict[int, ReplicaSlot],
-        started: dict[int, float],
         outputs: dict[int, ShardResult],
     ) -> None:
-        """Detect dead/stuck replicas; fail the batch over; run respawns."""
+        """Detect dead replicas; fail the batch over; run due respawns."""
         now = time.monotonic()
         for rset in self._sets:
             sid = rset.shard_id
-            slot = pending[sid]
-            waiting = sid not in outputs
-            if (
-                waiting
-                and self.batch_timeout is not None
-                and slot.alive
-                and now - started[sid] > self.batch_timeout
-            ):
-                # a stuck replica is indistinguishable from a wedged mmap
-                # read -- reclaim the batch by making the death real
-                slot.process.kill()
-                slot.process.join(timeout=5.0)
-            for s in rset.slots:
-                rset.note_death(s, now)
-            if waiting and not slot.alive:
+            # fail over before maintain(): a due respawn would make the
+            # dead slot look alive again, with the batch lost
+            if sid not in outputs and not pending[sid].alive:
                 rset.failovers += 1
                 pending[sid] = rset.dispatch(task)
-                started[sid] = now
             rset.maintain(now)
 
     def _handle_message(
         self, msg: tuple, bid: int, outputs: dict[int, ShardResult]
     ) -> None:
-        """Route one result-queue message; stale batch ids are dropped."""
-        tag = msg[0]
-        if tag == "ready":
-            _, sid, rid = msg
-            self._sets[sid].on_ready(rid)
-        elif tag == "init_error":
-            _, sid, rid, message, _tb = msg
-            self._sets[sid].last_error = message
-        elif tag == "ok":
-            _, sid, rid, result = msg
-            self._sets[sid].on_result(rid)
-            if result.batch_id == bid and sid not in outputs:
-                outputs[sid] = result
-        elif tag == "error":
-            _, sid, rid, ebid, type_name, message, tb = msg
-            self._sets[sid].on_result(rid)
-            if ebid == bid:
-                raise PipelineError(
-                    f"shard {sid} replica {rid} raised {type_name}: "
-                    f"{message}\n--- replica traceback ---\n{tb}"
-                )
+        """Route one pool message; answers to other batches are dropped."""
+        kind = msg[0]
+        rset, slot = self._by_index[msg[1]]
+        if kind == "ready":
+            rset.on_ready(slot)
+        elif kind == "init_error":
+            rset.last_error = msg[2]
+        elif kind == "ok":
+            if msg[2] == bid and rset.shard_id not in outputs:
+                outputs[rset.shard_id] = msg[3]
+        elif kind == "error" and msg[2] == bid:
+            raise self._pool.task_error(msg)
 
     def _merge(
         self, outputs: dict[int, ShardResult], packed: PackedReads
@@ -396,14 +232,12 @@ class ShardRouter:
         if not self._lock.acquire(blocking=False):
             return
         try:
-            if self._state["closed"]:
+            if self.closed:
                 return
             now = time.monotonic()
             for rset in self._sets:
-                for slot in rset.slots:
-                    rset.note_death(slot, now)
                 rset.maintain(now)
-            for msg in self._take_messages():
+            for msg in self._pool.take_messages():
                 # bid 0 never issued: only ready/init_error are acted on
                 self._handle_message(msg, 0, {})
         finally:
@@ -461,11 +295,11 @@ class ShardRouter:
     @property
     def closed(self) -> bool:
         """True once the router's processes have been torn down."""
-        return bool(self._state["closed"])
+        return self._pool.closed
 
     def close(self) -> None:
         """Shut every replica down (idempotent, never raises)."""
-        _shutdown_router(self._state, self._sets)
+        self._pool.close()
 
     def __enter__(self) -> "ShardRouter":
         return self

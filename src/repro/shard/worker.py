@@ -1,9 +1,11 @@
-"""Replica-process entry point of the shard router.
+"""The shard pool's task: attach once, then one batch per call.
 
 Each replica attaches its shard's database by memory-mapping the
 saved format-v2 directory
 (:class:`~repro.core.database.FileBackedDatabaseHandle` pickles as
-just the path), then loops on its task queue running the unmodified
+just the path), then answers every
+:class:`~repro.shard.messages.ShardTask` the pool's child loop
+(:mod:`repro.parallel.pool`) hands it with the unmodified
 single-process candidate pipeline restricted to the shard's assigned
 partitions -- ``query_database(..., partition_ids=...)`` -- so the
 per-partition candidate runs are bit-identical to what a
@@ -15,96 +17,34 @@ Classification itself (the top-hit/LCA rule) stays on the router
 side: it needs only target/taxonomy metadata, never the index, so
 shipping candidates instead of classifications keeps the replica's
 resident set to its own partitions' pages.
-
-Wire protocol: see :mod:`repro.shard.messages`.  The task queue
-carries :class:`~repro.shard.messages.ShardTask` and ``None`` as the
-shutdown sentinel; like the parallel engine's workers, a replica
-never raises -- failures are reported on the result queue and the
-replica either keeps serving (batch errors) or exits (attach
-failure, sentinel).
 """
 
 from __future__ import annotations
 
-import contextlib
-import signal
+import functools
 import time
-import traceback
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.database import FileBackedDatabaseHandle
 from repro.core.query import query_database
 from repro.shard.messages import ShardResult, ShardTask
 
-__all__ = ["replica_main"]
+__all__ = ["attach_shard"]
 
 
-def replica_main(
-    shard_id: int,
-    replica_id: int,
-    handle: FileBackedDatabaseHandle,
-    partition_ids: Sequence[int],
-    tasks: Any,
-    results: Any,
-) -> None:
-    """Serve one replica process until the shutdown sentinel arrives.
+def attach_shard(
+    handle: FileBackedDatabaseHandle, partition_ids: Sequence[int]
+) -> Callable[[ShardTask], ShardResult]:
+    """Pool ``init``: map the directory, return this shard's task.
 
-    Parameters
-    ----------
-    shard_id / replica_id:
-        this process's coordinates in the shard topology; stamped on
-        every result message so the router can route health and load
-        accounting.
-    handle:
-        the mmap database handle (pickles as a directory path);
-        attached here, so every replica shares one physical index
-        copy through the page cache.
-    partition_ids:
-        the strictly ascending partition subset this shard serves.
-    tasks / results:
-        ``multiprocessing`` queues (see :mod:`repro.shard.messages`).
+    ``partition_ids`` is the strictly ascending partition subset the
+    shard serves; every replica shares one physical index copy
+    through the page cache.
     """
-    # a terminal Ctrl-C signals the whole foreground process group;
-    # shutdown is the router's job (sentinel, then terminate/kill),
-    # so replicas must not die noisily on the user's SIGINT
-    with contextlib.suppress(OSError, ValueError):
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        db = handle.attach()
-        pids = list(partition_ids)
-    except BaseException as exc:  # noqa: BLE001 - reported to the router
-        results.put(
-            ("init_error", shard_id, replica_id, repr(exc), traceback.format_exc())
-        )
-        return
-    results.put(("ready", shard_id, replica_id))
-    try:
-        while True:
-            task = tasks.get()
-            if task is None:
-                return
-            try:
-                results.put(
-                    ("ok", shard_id, replica_id, _query_shard(db, task, pids))
-                )
-            except BaseException as exc:  # noqa: BLE001 - reported to the router
-                results.put(
-                    (
-                        "error",
-                        shard_id,
-                        replica_id,
-                        task.batch_id,
-                        type(exc).__name__,
-                        str(exc),
-                        traceback.format_exc(),
-                    )
-                )
-    finally:
-        del db
-        handle.close()
+    return functools.partial(_query_shard, handle.attach(), list(partition_ids))
 
 
-def _query_shard(db: Any, task: ShardTask, partition_ids: list[int]) -> ShardResult:
+def _query_shard(db: Any, partition_ids: list[int], task: ShardTask) -> ShardResult:
     """Candidate generation over this shard's partitions, for one batch."""
     t0 = time.perf_counter()
     query_params = db.params.replace(classification=task.params)
@@ -113,7 +53,6 @@ def _query_shard(db: Any, task: ShardTask, partition_ids: list[int]) -> ShardRes
     )
     cands = result.candidates
     return ShardResult(
-        batch_id=task.batch_id,
         target=cands.target,
         window_first=cands.window_first,
         window_last=cands.window_last,

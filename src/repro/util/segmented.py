@@ -16,6 +16,7 @@ __all__ = [
     "segment_boundaries",
     "segmented_cumcount",
     "segment_ids_from_offsets",
+    "segment_ramp",
     "offsets_from_segment_ids",
     "segmented_top_k_mask",
     "first_occurrence_mask",
@@ -87,6 +88,22 @@ def segment_ids_from_offsets(offsets: np.ndarray) -> np.ndarray:
     increments = np.diff(seg_indices, prepend=np.int64(-1))
     ids[starts_ne] = increments
     return np.cumsum(ids) - 1
+
+
+def segment_ramp(lengths: np.ndarray) -> np.ndarray:
+    """``[0..l0-1, 0..l1-1, ...]``: each element's rank in its segment.
+
+    The offset half of the repeat-based gather: with per-segment
+    ``starts``, ``values[np.repeat(starts, lengths) + segment_ramp(lengths)]``
+    concatenates the slices ``values[s : s + l]`` without a Python
+    loop.  Zero-length segments contribute nothing.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total = int(lengths.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    seg_starts = np.cumsum(lengths) - lengths
+    return np.arange(total, dtype=np.int64) - np.repeat(seg_starts, lengths)
 
 
 def offsets_from_segment_ids(segment_ids: np.ndarray, n_segments: int) -> np.ndarray:

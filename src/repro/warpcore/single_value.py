@@ -58,9 +58,9 @@ class SingleValueHashTable:
         """Wrap existing slot arrays without copying them.
 
         Used to map a table over externally owned memory — the
-        shared-memory database attach path hands in read-only views of
-        the exporter's slot arrays so worker processes probe the same
-        physical memory (zero-copy).  ``keys``/``values`` must be the
+        format-v2 loader hands in (read-only, memory-mapped) views of
+        the saved slot arrays, so every process probing the same files
+        probes the same physical memory (zero-copy).  ``keys``/``values`` must be the
         full slot arrays of a table built with the given ``probing``
         scheme; ``size`` is its occupied-slot count.
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.config import MetaCacheParams
-from repro.core.database import CondensedIndex, Database
-from repro.core.io import load_database, save_database
+from repro.core.database import CondensedIndex, Database, DatabasePartition
+from repro.core.io import _condensed_content, load_database, save_database
 from repro.genomics.simulate import GenomeSimulator
 from repro.gpu.device import Device, DeviceSpec, charge_partitions
 from repro.gpu.memory import OutOfDeviceMemory
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.warpcore.multi_bucket import MultiBucketHashTable
+from repro.warpcore.single_value import SingleValueHashTable
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +182,55 @@ class TestPersistence:
                 assert sorted(a["locations"][off[i]:off[i+1]].tolist()) == sorted(
                     b["locations"][off[i]:off[i+1]].tolist()
                 )
+
+    @pytest.mark.parametrize("case", ["built", "zero_length_bucket", "empty_partition"])
+    def test_condensed_content_matches_slice_loop(self, small_world, tmp_path, case):
+        """The vectorized bucket gather equals the per-feature slice loop,
+        and what it serializes survives a v1 and a v2 save/load."""
+        _, taxonomy, _, refs = small_world
+        if case == "empty_partition":
+            # one target, two partitions: partition 1 holds no feature
+            db = Database.build(refs[:1], taxonomy, params=PARAMS, n_partitions=2)
+        else:
+            db = Database.build(refs, taxonomy, params=PARAMS)
+        db.condense()
+        if case == "zero_length_bucket":
+            # a hand-built index whose middle feature points at no locations
+            pointers = SingleValueHashTable(capacity_keys=16)
+            pointers.insert(
+                np.array([5, 9, 7], dtype=np.uint64),
+                np.array([(2 << 24) | 2, (0 << 24) | 2, (2 << 24) | 0], dtype=np.uint64),
+            )
+            index = CondensedIndex(
+                locations=np.array([10, 11, 12, 13], dtype=np.uint64),
+                pointers=pointers,
+            )
+            parts = [DatabasePartition(partition_id=0, table=None, condensed=index)]
+        else:
+            parts = db.partitions
+        for part in parts:
+            features, lengths, locations = _condensed_content(part)
+            cond = part.condensed
+            packed, found = cond.pointers.retrieve(features)
+            assert found.all()
+            chunks = []  # the reference: one Python slice per feature
+            for p, n in zip(packed.tolist(), lengths.tolist()):
+                assert p & 0xFFFFFF == n
+                chunks.append(cond.locations[p >> 24 : (p >> 24) + n])
+            expected = (
+                np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
+            )
+            assert np.array_equal(locations, expected)
+            assert np.all(np.diff(features.astype(np.int64)) > 0)
+        if case == "zero_length_bucket":
+            assert lengths.tolist() == [2, 0, 2]
+            assert locations.tolist() == [12, 13, 10, 11]
+            return
+        if case == "empty_partition":
+            assert _condensed_content(db.partitions[1])[0].size == 0
+        for fmt in (1, 2):
+            save_database(db, tmp_path / f"v{fmt}", format=fmt)
+            loaded = load_database(tmp_path / f"v{fmt}")
+            for a, b in zip(db.partitions, loaded.partitions):
+                for x, y in zip(_condensed_content(a), _condensed_content(b)):
+                    assert np.array_equal(x, y)

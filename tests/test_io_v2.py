@@ -177,14 +177,21 @@ class TestEquivalence:
 
 class TestFileBackedHandle:
     def test_sharing_handle_kind_depends_on_open_mode(self, world):
-        _, v2, _, _ = world
-        assert isinstance(
-            load_database(v2, mmap=True).sharing_handle(),
-            FileBackedDatabaseHandle,
-        )
-        with load_database(v2).sharing_handle() as shared:
-            # non-mmap databases fall back to the shared-memory export
-            assert not isinstance(shared, FileBackedDatabaseHandle)
+        _, v2, seqs, _ = world
+        mapped = load_database(v2, mmap=True).sharing_handle()
+        assert isinstance(mapped, FileBackedDatabaseHandle)
+        assert mapped.directory == str(v2)
+        with load_database(v2).sharing_handle() as spilled:
+            # non-mmap databases are spilled to a private v2 directory
+            # the handle owns -- and removes, leaving the source alone
+            assert isinstance(spilled, FileBackedDatabaseHandle)
+            spill = Path(spilled.directory)
+            assert spill != v2 and (spill / "database.meta").is_file()
+            assert np.array_equal(
+                _taxa(spilled.attach(), seqs), _taxa(load_database(v2), seqs)
+            )
+        assert not spill.exists()
+        assert (v2 / "database.meta").is_file()
 
     def test_pickle_roundtrip_attach(self, world):
         _, v2, seqs, _ = world

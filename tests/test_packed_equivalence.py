@@ -45,7 +45,6 @@ from repro.hashing.sketch import (
     sketch_reads_packed,
     sketch_sequence,
 )
-from repro.parallel.engine import shared_memory_available
 from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 
@@ -440,8 +439,6 @@ class TestWorkerStorageMatrix:
     @pytest.mark.parametrize("storage", ["memory", "mmap"])
     def test_tsv_byte_identical(self, tsv_world, tmp_path, workers, storage):
         mc, read_file, ref_bytes, db_dir = tsv_world
-        if workers > 1 and not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
         if storage == "mmap":
             handle = MetaCache.open(db_dir, mmap=True)
         else:

@@ -1,19 +1,19 @@
-"""Tests of the shared-memory database export and multi-process engine.
+"""Tests of the multi-process classify engine and its database sharing.
 
-Covers the zero-copy :class:`SharedDatabaseHandle` lifetime protocol
-(attach/detach/unlink, double-close, post-unlink attach), the ordered
-chunk reassembly, the :class:`ParallelClassifier` pool (byte-identical
-output vs single-process, worker-crash detection, per-chunk worker
-errors, shared-memory cleanup), and the ``repro.api`` integration:
-``classify_files(workers=N)`` equivalence, engine reuse, the
-single-process fallback when shared memory is unavailable, and the
-filename-bearing :class:`PipelineError` wrapping.
+Covers the ordered chunk reassembly, the :class:`ParallelClassifier`
+plan (byte-identical output vs single-process, per-chunk worker
+errors, worker-crash detection), the lifetime of the private
+format-v2 spill a non-mmap database is shared through (no spill
+directory may outlive the moment every worker has attached), and the
+``repro.api`` integration: ``classify_files(workers=N)`` equivalence,
+engine reuse, and the filename-bearing :class:`PipelineError`
+wrapping.  The process-level contract every pool shares (failed
+start, SIGKILL, SIGINT, close/finalizer) lives in ``test_pool.py``.
 """
 
 import os
-import pickle
 import signal
-from pathlib import Path
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,41 +23,45 @@ from repro.api import (
     MetaCache,
     MetaCacheParams,
     PipelineError,
-    SharedMemoryUnavailableError,
     TsvSink,
     WorkerCrashError,
 )
 from repro.core.classify import classify_reads
-from repro.core.database import Database, SharedDatabaseHandle
+from repro.core.database import FileBackedDatabaseHandle
 from repro.core.query import query_database
 from repro.genomics.alphabet import decode_sequence
+from repro.genomics.fasta import write_fasta
 from repro.genomics.fastq import FastqRecord, write_fastq
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
-from repro.parallel import (
-    OrderedReassembler,
-    ParallelClassifier,
-    ReadChunk,
-    shared_memory_available,
-)
+from repro.parallel import OrderedReassembler, ParallelClassifier, ReadChunk
 from repro.parallel.chunks import ChunkResult
 from repro.taxonomy.builder import build_taxonomy_for_genomes
+from repro.taxonomy.ncbi import write_ncbi_dump
 
 PARAMS = MetaCacheParams.small()
 WORKERS = 2  # the CI box has few cores; 2 exercises every code path
 
 
-def _leaked_blocks() -> list[str]:
-    try:
-        return [b for b in os.listdir("/dev/shm") if b.startswith("mcdb-")]
-    except FileNotFoundError:  # non-Linux: trust the resource tracker
-        return []
+@pytest.fixture(autouse=True)
+def spill_dir(tmp_path, monkeypatch):
+    """Point TMPDIR at a per-test directory; nothing may be left in it."""
+    spills = tmp_path / "tmpdir"
+    spills.mkdir()
+    monkeypatch.setenv("TMPDIR", str(spills))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    yield spills
+    assert not list(spills.iterdir()), "a spill directory outlived its pool"
+
+
+def _genomes():
+    genomes = GenomeSimulator(seed=17).simulate_collection(3, 2, 5000)
+    return genomes, *build_taxonomy_for_genomes(genomes)
 
 
 @pytest.fixture(scope="module")
 def world():
-    genomes = GenomeSimulator(seed=17).simulate_collection(3, 2, 5000)
-    taxonomy, taxa = build_taxonomy_for_genomes(genomes)
+    genomes, taxonomy, taxa = _genomes()
     references = [
         (g.name, g.scaffolds[0], taxa.target_taxon[i])
         for i, g in enumerate(genomes)
@@ -94,70 +98,6 @@ def _chunks(headers, seqs, size):
         (headers[i : i + size], seqs[i : i + size])
         for i in range(0, len(seqs), size)
     ]
-
-
-# ------------------------------------------------------------ shared handle
-
-
-class TestSharedDatabaseHandle:
-    def test_attach_round_trip_identical(self, world, serial_taxa):
-        mc, _, seqs = world
-        with mc.database.to_shared() as handle:
-            blob = pickle.dumps(handle)
-            assert len(blob) < 64_000  # specs + taxonomy only, no arrays
-            attached = pickle.loads(blob)
-            db2 = attached.attach()
-            result = query_database(db2, seqs)
-            taxa2 = classify_reads(db2, result.candidates).taxon
-            assert np.array_equal(taxa2, serial_taxa)
-            assert [t.name for t in db2.targets] == [
-                t.name for t in mc.database.targets
-            ]
-            del db2, result
-            attached.close()
-
-    def test_attached_views_are_read_only(self, world):
-        mc, _, _ = world
-        with mc.database.to_shared() as handle:
-            attached = pickle.loads(pickle.dumps(handle))
-            db2 = attached.attach()
-            cond = db2.partitions[0].condensed
-            with pytest.raises((ValueError, RuntimeError)):
-                cond.locations[0] = 0
-            del db2, cond
-            attached.close()
-
-    def test_attach_is_idempotent(self, world):
-        mc, _, _ = world
-        with mc.database.to_shared() as handle:
-            assert handle.attach() is handle.attach()
-            assert handle.database is handle.attach()
-
-    def test_double_close_and_double_unlink(self, world):
-        mc, _, _ = world
-        handle = mc.database.to_shared()
-        handle.attach()
-        handle.close()
-        handle.close()
-        handle.unlink()
-        handle.unlink()
-        assert not _leaked_blocks()
-
-    def test_attach_after_unlink_raises(self, world):
-        mc, _, _ = world
-        handle = mc.database.to_shared()
-        spec_copy = pickle.loads(pickle.dumps(handle))
-        handle.close()
-        handle.unlink()
-        with pytest.raises(SharedMemoryUnavailableError):
-            spec_copy.attach()
-
-    def test_exit_cleans_up_blocks(self, world):
-        mc, _, _ = world
-        with mc.database.to_shared() as handle:
-            names = handle.block_names
-            assert names and handle.nbytes > 0
-        assert not _leaked_blocks()
 
 
 # ------------------------------------------------------------- reassembly
@@ -210,7 +150,6 @@ class TestParallelClassifier:
         assert np.array_equal(taxa2, serial_taxa)
         assert sum(r.n_reads for r in results) == len(seqs)
         assert all(r.worker_id >= 0 and r.compute_seconds >= 0 for r in results)
-        assert not _leaked_blocks()
 
     def test_worker_crash_raises_and_cleans_up(self, world):
         mc, headers, seqs = world
@@ -221,14 +160,13 @@ class TestParallelClassifier:
                 if i == 3:
                     # kill the whole pool: remaining chunks can never
                     # complete, so detection is deterministic
-                    for p in engine._procs:
-                        os.kill(p.pid, signal.SIGKILL)
+                    for slot in engine._pool.slots:
+                        os.kill(slot.process.pid, signal.SIGKILL)
                 yield c
 
         with pytest.raises(WorkerCrashError):
             list(engine.classify_chunks(chunks()))
         assert engine.closed
-        assert not _leaked_blocks()
 
     def test_worker_task_error_surfaces_traceback(self, world):
         mc, headers, seqs = world
@@ -244,7 +182,6 @@ class TestParallelClassifier:
         with pytest.raises(PipelineError, match="worker traceback"):
             list(engine.classify_chunks([chunk]))
         assert engine.closed
-        assert not _leaked_blocks()
 
     def test_abandoned_run_closes_engine(self, world):
         mc, headers, seqs = world
@@ -254,7 +191,6 @@ class TestParallelClassifier:
         assert engine.closed
         with pytest.raises(PipelineError, match="closed"):
             list(engine.classify_chunks(_chunks(headers, seqs, 10)))
-        assert not _leaked_blocks()
 
     def test_rejects_bad_worker_count(self, world):
         mc, _, _ = world
@@ -271,6 +207,75 @@ class TestParallelClassifier:
                 sequences=[np.zeros(4, dtype=np.uint8)],
                 mates=[],
             )
+
+
+# ---------------------------------------------------------- spill lifetime
+
+
+class TestSpillLifetime:
+    """A non-mmap database reaches workers through a private v2 spill
+    under TMPDIR that must be gone once every worker has attached."""
+
+    @pytest.fixture()
+    def handles(self, tmp_path):
+        """A handle built from files and the same index reopened as v1."""
+        genomes, taxonomy, taxa = _genomes()
+        refs = tmp_path / "refs.fasta"
+        write_fasta([rec for g in genomes for rec in g.to_fasta_records()], refs)
+        write_ncbi_dump(taxonomy, tmp_path / "nodes.dmp", tmp_path / "names.dmp")
+        mapping = {g.accession: taxa.target_taxon[i] for i, g in enumerate(genomes)}
+        built = MetaCache.build(
+            [refs], taxonomy=tmp_path, mapping=mapping, params=PARAMS
+        )
+        built.save(tmp_path / "v1", format=1)
+        with built, MetaCache.open(tmp_path / "v1") as v1:
+            yield built, v1
+
+    @staticmethod
+    def _tsv(session, read_file, out):
+        with TsvSink(out) as sink:
+            session.classify_files(read_file, sink=sink, batch_size=16)
+        return out.read_bytes()
+
+    def test_spilled_handles_match_serial_and_leave_nothing(
+        self, handles, read_file, tmp_path, spill_dir
+    ):
+        for i, mc in enumerate(handles):
+            assert mc.database.mmap_path is None
+            serial = self._tsv(mc.session(), read_file, tmp_path / f"s{i}.tsv")
+            assert serial
+            with mc.session(workers=WORKERS) as session:
+                got = self._tsv(session, read_file, tmp_path / f"p{i}.tsv")
+                # the first batch is back and the pool is still serving:
+                # every worker holds its own mapping, the files are gone
+                assert not session._engine.closed
+                assert not list(spill_dir.iterdir())
+            assert got == serial
+            assert not list(spill_dir.iterdir())
+
+    def test_failed_start_removes_spill(self, handles, spill_dir, monkeypatch):
+        built, _ = handles
+        seen = []
+
+        def lost_directory(handle):
+            seen.append(handle.directory)
+            return {"directory": handle.directory + "-lost"}
+
+        monkeypatch.setattr(FileBackedDatabaseHandle, "__getstate__", lost_directory)
+        with pytest.raises(WorkerCrashError, match="worker traceback"):
+            ParallelClassifier(built.database, workers=WORKERS)
+        assert seen and all(d.startswith(str(spill_dir)) for d in seen)
+        assert not list(spill_dir.iterdir())
+
+    def test_worker_sigkill_leaves_no_spill(self, handles, read_file, spill_dir):
+        _, v1 = handles
+        with v1.session(workers=WORKERS) as session:
+            victim = session._ensure_engine(WORKERS)._pool.slots[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            with pytest.raises(WorkerCrashError):
+                session.classify_files(read_file, sink=CollectSink(), batch_size=8)
+            assert not list(spill_dir.iterdir())
 
 
 # ------------------------------------------------------------ api session
@@ -296,7 +301,6 @@ class TestClassifyFilesParallel:
         assert rn.n_classified == r1.n_classified
         assert rn.n_batches == r1.n_batches
         assert rn.taxon_counts == r1.taxon_counts
-        assert not _leaked_blocks()
 
     def test_paired_end_parallel_matches_serial(self, world, read_file, tmp_path):
         mc, _, _ = world
@@ -306,36 +310,6 @@ class TestClassifyFilesParallel:
             session.classify_files(read_file, read_file, sink=b, batch_size=16)
         assert a.records == b.records
 
-    def test_fallback_without_shared_memory(
-        self, world, read_file, tmp_path, monkeypatch
-    ):
-        import repro.api.session as session_mod
-
-        monkeypatch.setattr(session_mod, "shared_memory_available", lambda: False)
-        mc, _, _ = world
-        out = tmp_path / "fallback.tsv"
-        with mc.session(workers=WORKERS) as session:
-            with pytest.warns(UserWarning, match="single-process"):
-                with TsvSink(out) as sink:
-                    session.classify_files(read_file, sink=sink, batch_size=16)
-            assert session._engine is None  # pool never started
-        ref = tmp_path / "ref.tsv"
-        with TsvSink(ref) as sink:
-            mc.session().classify_files(read_file, sink=sink, batch_size=16)
-        assert out.read_bytes() == ref.read_bytes()
-
-    def test_export_failure_falls_back(self, world, read_file, monkeypatch):
-        def boom(db):
-            raise SharedMemoryUnavailableError("no /dev/shm")
-
-        monkeypatch.setattr(SharedDatabaseHandle, "export", staticmethod(boom))
-        mc, _, _ = world
-        sink = CollectSink()
-        with mc.session(workers=WORKERS) as session:
-            with pytest.warns(UserWarning, match="single-process"):
-                session.classify_files(read_file, sink=sink, batch_size=16)
-        assert len(sink.records) == 120
-
     def test_missing_file_raises_pipeline_error_with_filename(self, world):
         mc, _, _ = world
         with pytest.raises(PipelineError, match="no_such_file.fastq"):
@@ -344,14 +318,11 @@ class TestClassifyFilesParallel:
     def test_worker_crash_error_names_file(self, world, read_file, monkeypatch):
         mc, _, _ = world
         with mc.session(workers=WORKERS) as session:
-            engine = session._ensure_engine(WORKERS)
-            if engine is None:
-                pytest.skip("shared memory unavailable on this platform")
-            os.kill(engine._procs[0].pid, signal.SIGKILL)
-            engine._procs[0].join(timeout=10)
+            victim = session._ensure_engine(WORKERS)._pool.slots[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
             with pytest.raises(WorkerCrashError, match="reads.fastq"):
                 session.classify_files(read_file, sink=CollectSink(), batch_size=8)
-        assert not _leaked_blocks()
 
     def test_metacache_close_shuts_down_pools(self, world, read_file):
         mc, _, _ = world
@@ -360,7 +331,3 @@ class TestClassifyFilesParallel:
         assert session._engine is not None and not session._engine.closed
         mc.close()
         assert session._engine is None or session._engine.closed
-        assert not _leaked_blocks()
-
-    def test_shared_memory_probe_is_safe(self):
-        assert shared_memory_available() in (True, False)

@@ -275,10 +275,15 @@ def test_rl004_fires_on_fork_and_lambda_payload(tmp_path):
             ctx = mp.get_context("fork")
             queue.put((chunk, lambda x: x + 1))
             queue.put(SHARED)
+
+        def start(WorkerPool, handle):
+            """A pool's init is the child entry: same rule."""
+            return WorkerPool(lambda h: h.attach, [(handle,)], ["w"])
         ''',
     )
     kinds = [f.message for f in findings]
-    assert len(findings) == 3
+    assert len(findings) == 4
+    assert sum("lambda" in m for m in kinds) == 2
     assert any("fork" in m for m in kinds)
     assert any("lambda" in m for m in kinds)
     assert any("SHARED" in m for m in kinds)

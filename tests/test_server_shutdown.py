@@ -48,7 +48,7 @@ def _warm_pool(session, headers, sequences):
     session.classify_batch(headers, sequences)
     engine = session._engine
     assert engine is not None and not engine.closed
-    procs = list(engine._procs)
+    procs = [slot.process for slot in engine._pool.slots]
     assert procs and all(p.is_alive() for p in procs)
     return engine, procs
 

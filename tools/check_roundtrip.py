@@ -3,9 +3,11 @@
 
 Builds a small database, saves it in format v1, upgrades it to format
 v2 with :func:`repro.core.io.convert_database`, then classifies one
-simulated read file through the public API under eight configurations:
+simulated read file through the public API under nine configurations:
 
 - v1 directory (the rebuild load path);
+- v1 directory + ``workers=2`` (the database is not mmap-backed, so
+  worker processes attach a private format-v2 spill of it);
 - v2 directory, eager load;
 - v2 directory, ``mmap=True`` (zero-rebuild, page-cache-backed);
 - v2 directory, ``mmap=True`` + ``workers=2`` (worker processes
@@ -69,7 +71,7 @@ def _classify_through_reload(
 
 
 def main() -> int:
-    """Run the six-way comparison; 0 = identical, 1 = divergence."""
+    """Run the comparison; 0 = identical, 1 = divergence."""
     dataset = hiseq_mini(600)
     refset = dataset.refset
     db = Database.build(refset.references, refset.taxonomy, n_partitions=2)
@@ -122,6 +124,7 @@ def main() -> int:
 
         configs = {
             "v1": (v1_dir, {}),
+            "v1+workers=2": (v1_dir, {"workers": 2}),
             "v2": (v2_dir, {}),
             "v2+mmap": (v2_dir, {"mmap": True}),
             "v2+mmap+workers=2": (v2_dir, {"mmap": True, "workers": 2}),

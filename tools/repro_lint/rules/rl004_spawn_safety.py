@@ -8,8 +8,10 @@ state.  This rule is an AST approximation of that contract:
 * ``get_context("fork")`` / ``set_start_method("fork")`` anywhere in
   ``src/`` -- fork silently inherits locks and mmap handles and is how
   spawn-safety bugs hide on Linux;
-* payload expressions handed to ``Process(...)``, ``.put(...)``,
-  ``.submit(...)``, or ``.apply_async(...)`` in the parallel modules
+* payload expressions handed to ``Process(...)``, ``WorkerPool(...)``
+  (whose ``init`` and slot arguments become the child entry's
+  arguments), ``.put(...)``, ``.submit(...)``, or
+  ``.apply_async(...)`` in the parallel modules
   must not contain lambdas, freshly-created locks/files
   (``Lock()``/``open()``), or names bound at module level to mutable
   literals (a shared dict smuggled into a worker is a different dict
@@ -60,7 +62,7 @@ def _is_payload_call(call: ast.Call) -> bool:
     if isinstance(func, ast.Attribute) and func.attr in _PAYLOAD_CALLS:
         return True
     dotted = dotted_name(func)
-    if dotted is not None and dotted.rsplit(".", 1)[-1] == "Process":
+    if dotted is not None and dotted.rsplit(".", 1)[-1] in ("Process", "WorkerPool"):
         return True
     return False
 

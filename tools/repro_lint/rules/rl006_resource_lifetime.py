@@ -1,21 +1,23 @@
 """RL006: shared-memory and mmap handles need an explicit lifetime.
 
 A leaked ``SharedMemory`` segment outlives the process (PR 4's
-resource-tracker fights came from exactly this); a leaked mmap keeps
-the database file pinned.  This rule checks every function that
-*acquires* such a handle -- ``SharedMemory(...)``, ``mmap.mmap(...)``,
-``np.memmap(...)``, ``np.load(..., mmap_mode=...)``, and
-``load_database(..., mmap=...)`` (a mmap-backed ``Database`` owns one
-mapping per partition array and exposes the paired ``close()``) --
-and requires one of:
+resource-tracker fights came from exactly this -- no production code
+creates one any more, and the rule keeps it that way for whatever
+transport comes next); a leaked mmap keeps the database file pinned.
+This rule checks every function that *acquires* such a handle --
+``SharedMemory(...)``, ``mmap.mmap(...)``, ``np.memmap(...)``,
+``np.load(..., mmap_mode=...)``, and ``load_database(..., mmap=...)``
+(a mmap-backed ``Database`` owns one mapping per partition array and
+exposes the paired ``close()``) -- and requires one of:
 
 * the acquisition is the context expression of a ``with`` statement;
 * the handle *escapes* the function (returned/yielded, stored on
   ``self``/a container, passed to another call) -- lifetime is then
-  the owner's problem, e.g. ``SharedDatabaseHandle`` wraps and closes;
+  the owner's problem, e.g. ``FileBackedDatabaseHandle`` stores the
+  database it maps and closes it in ``close()``;
 * ``.close()``/``.unlink()`` is called on the bound name inside a
   ``finally`` block, or ``.unlink()`` anywhere in the function
-  (destroy-by-name probes like ``shared_memory_available``).
+  (create-then-destroy-by-name probes).
 
 Anything else is a lexical leak.
 """
