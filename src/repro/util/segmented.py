@@ -59,14 +59,8 @@ def segmented_cumcount(segment_ids: np.ndarray) -> np.ndarray:
     ``segment_ids`` must be grouped (all equal ids adjacent); the ids
     themselves need not be sorted.
     """
-    s = np.asarray(segment_ids)
-    if s.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    idx = np.arange(s.size, dtype=np.int64)
-    starts = segment_boundaries(s)
-    # Broadcast each segment's start index to all of its elements.
-    seg_of = np.cumsum(np.isin(idx, starts, assume_unique=True)) - 1
-    return idx - starts[seg_of]
+    _, run_lengths = run_length_encode(segment_ids)
+    return segment_ramp(run_lengths)
 
 
 def segment_ids_from_offsets(offsets: np.ndarray) -> np.ndarray:

@@ -16,7 +16,11 @@ interfaces.  Insertion and retrieval are expressed as data-parallel
 probe rounds over whole batches -- the vectorized analogue of the
 warp-aggregated cooperative-group operations in CUDA -- so the
 semantics (probe order, claim resolution, capacity limits) mirror the
-device algorithm step for step.
+device algorithm step for step.  A walk hashes its key once
+(:meth:`ProbingScheme.probe_bases`) and every round is one scalar step
+of all live walks (:meth:`ProbingScheme.slots_at`); empty slots are
+claimed through one primitive, :func:`repro.warpcore.base.claim_empty_slots`,
+the batch stand-in for ``atomicCAS``.
 
 - :class:`MultiBucketHashTable` -- the paper's contribution.
 - :class:`MultiValueHashTable` -- WarpCore baseline, 1 value/slot.
@@ -25,7 +29,7 @@ device algorithm step for step.
   condensed (load-from-disk) query layout, Section 5.1.
 """
 
-from repro.warpcore.base import EMPTY_KEY, HashTableFullError, TableStats
+from repro.warpcore.base import EMPTY_KEY, TableStats
 from repro.warpcore.probing import ProbingScheme
 from repro.warpcore.single_value import SingleValueHashTable
 from repro.warpcore.multi_value import MultiValueHashTable
@@ -34,7 +38,6 @@ from repro.warpcore.multi_bucket import MultiBucketHashTable
 
 __all__ = [
     "EMPTY_KEY",
-    "HashTableFullError",
     "TableStats",
     "ProbingScheme",
     "SingleValueHashTable",

@@ -11,16 +11,22 @@ query apply identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-__all__ = ["EMPTY_KEY", "TableStats", "HashTableFullError", "sanitize_keys"]
+if TYPE_CHECKING:
+    from repro.warpcore.probing import ProbingScheme
+
+__all__ = [
+    "EMPTY_KEY",
+    "TableStats",
+    "claim_empty_slots",
+    "owned_slots",
+    "sanitize_keys",
+]
 
 EMPTY_KEY = np.uint32(0xFFFFFFFF)
-
-
-class HashTableFullError(RuntimeError):
-    """Raised when a batch insert cannot place keys within the probe limit."""
 
 
 def sanitize_keys(keys: np.ndarray) -> np.ndarray:
@@ -35,6 +41,69 @@ def sanitize_keys(keys: np.ndarray) -> np.ndarray:
     """
     k = np.asarray(keys, dtype=np.uint64) & np.uint64(0xFFFFFFFF)
     return np.where(k == np.uint64(EMPTY_KEY), k - np.uint64(1), k)
+
+
+def claim_empty_slots(
+    table_keys: np.ndarray, bids: np.ndarray, slots: np.ndarray, keys32: np.ndarray
+) -> np.ndarray:
+    """One claim round: walkers probing an EMPTY slot race for it.
+
+    Walker ``i`` probes ``slots[i]`` for ``keys32[i]``.  Where that slot
+    is empty the walker bids its submission index with a scatter-min
+    and reads the slot's bid back: the lowest index reads its own bid,
+    wins, and writes its key -- the batch form of the device's
+    ``atomicCAS(slot, EMPTY, key)``, with "first thread to arrive"
+    fixed as "lowest submission index" so the build is deterministic.
+    ``bids`` is the caller's scratch, one int64 per table slot with
+    arbitrary contents.  Returns the winners' indices, ascending.
+    """
+    cand = np.flatnonzero(table_keys[slots] == EMPTY_KEY)
+    if cand.size == 0:
+        return cand
+    cslots = slots[cand]
+    bids[cslots] = cand[-1]
+    np.minimum.at(bids, cslots, cand)
+    winners = cand[bids[cslots] == cand]
+    table_keys[slots[winners]] = keys32[winners]
+    return winners
+
+
+def owned_slots(
+    table_keys: np.ndarray, probing: "ProbingScheme", keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every slot each query key owns: ``(query index, slot)`` arrays.
+
+    The lookup walk of the multi-value layouts, ordered by (query,
+    probe round).  A key fills its slots strictly in probe order and
+    only ever passes non-empty slots, so a walk ends at the first empty
+    slot (or at the probe limit).
+    """
+    qkeys = sanitize_keys(keys)
+    key32 = qkeys.astype(np.uint32)
+    g1, g2 = probing.probe_bases(qkeys)
+    active = np.arange(qkeys.size, dtype=np.int64)
+    hit_q: list[np.ndarray] = []
+    hit_slots: list[np.ndarray] = []
+    rnd = 0
+    while active.size:
+        slots = probing.slots_at(g1, g2, rnd)
+        found = table_keys[slots]
+        match = found == key32
+        if match.any():
+            hit_q.append(active[match])
+            hit_slots.append(slots[match])
+        rnd += 1
+        if rnd >= probing.max_probe_rounds:
+            break
+        cont = found != EMPTY_KEY
+        active, key32, g1, g2 = active[cont], key32[cont], g1[cont], g2[cont]
+    if not hit_q:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none
+    q = np.concatenate(hit_q)
+    # stable sort by query restores (query, round) order
+    order = np.argsort(q, kind="stable")
+    return q[order], np.concatenate(hit_slots)[order]
 
 
 @dataclass(frozen=True)

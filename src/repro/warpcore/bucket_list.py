@@ -124,12 +124,9 @@ class BucketListHashTable:
 
     def _locate(self, key: np.uint64, for_insert: bool) -> int | None:
         """Walk the probe sequence for a single (sanitized) key."""
+        g1, g2 = self.probing.probe_bases(np.array([key], dtype=_U64))
         for r in range(self.probing.max_probe_rounds):
-            slot = int(
-                self.probing.slots_for_round(
-                    np.array([key], dtype=_U64), np.array([r])
-                )[0]
-            )
+            slot = int(self.probing.slots_at(g1, g2, r)[0])
             tk = int(self._keys[slot])
             if tk == int(key):
                 return slot

@@ -7,15 +7,25 @@ number of values, yet -- unlike the Bucket List table -- there are no
 pointers to chase and -- unlike the Multi-Value table -- the key is
 stored once per ``B`` values instead of once per value.
 
-Insertion follows the warp-aggregated scheme of Section 5.3 expressed
-batch-wise: each pending (key, value) pair walks the probe sequence;
-at each round it either appends into a slot already owned by its key
-(if space remains), claims an empty slot (one winner per slot per
-round, like the warp electing a leader thread), or moves on.  The
-walk also accumulates how many values of the key it has passed, which
-implements the per-key location cap (254 by default in MetaCache --
-the mechanism whose per-partition application explains the GPU
-accuracy gain in Table 6).
+Insertion is the batch form of Section 5.3's warp aggregation.  On the
+device one cooperative group handles one key and all of its values;
+here a stable sort groups the batch by key and run-length encoding
+turns it into one *walker* per distinct key -- ``(key, cursor into the
+sorted values, values remaining, values of the key passed)`` -- whose
+two probe hashes are computed once.  All walkers advance in lock-step,
+so the probe round is a scalar.  In a round a walker whose slot is
+empty bids for it (:func:`repro.warpcore.base.claim_empty_slots`: a
+scatter-min of submission indices read back, the stand-in for the
+device's ``atomicCAS`` on the key cell -- lowest index wins); a walker
+that owns its slot then appends as many values as fit, which is plain
+arithmetic per slot: ``n_fit = min(remaining, B - count, cap - seen -
+count)``, the values past the cap are dropped, the rest move on.  The
+``seen`` tally implements the per-key location cap (254 by default in
+MetaCache -- the mechanism whose per-partition application explains
+the GPU accuracy gain in Table 6).  No step sorts, ranks or dedupes
+(key, value) pairs inside the round loop, and the final slot arrays
+are the ones a pair-at-a-time walk leaves (the oracle under
+``tests/reference/``), whatever the batch boundaries.
 
 Termination invariant: a key claims slots strictly in probe order and
 only passes *non-empty* slots, and slots are never deleted, so at
@@ -27,14 +37,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.segmented import segmented_cumcount
-from repro.warpcore.base import EMPTY_KEY, TableStats, sanitize_keys
+from repro.util.segmented import first_occurrence_mask, run_length_encode
+from repro.warpcore.base import (
+    EMPTY_KEY,
+    TableStats,
+    claim_empty_slots,
+    owned_slots,
+    sanitize_keys,
+)
 from repro.warpcore.probing import ProbingScheme
 
 __all__ = ["MultiBucketHashTable"]
 
 _U64 = np.uint64
-_EMPTY64 = np.uint64(EMPTY_KEY)
 
 
 class MultiBucketHashTable:
@@ -150,86 +165,83 @@ class MultiBucketHashTable:
         # Keep original submission order within each key: stable sort
         # groups duplicates while preserving value order.
         order = np.argsort(pkeys, kind="stable")
-        pkeys = pkeys[order]
         pvals = pvals[order]
-        rounds = np.zeros(pkeys.size, dtype=np.int64)
-        seen = np.zeros(pkeys.size, dtype=np.int64)  # values of this key passed
+        # One walker per distinct key, ascending: its values are
+        # pvals[cursor : cursor + remaining].
+        wkeys, remaining = run_length_encode(pkeys[order])
+        cursor = np.cumsum(remaining) - remaining
+        key32 = wkeys.astype(np.uint32)
+        g1, g2 = self.probing.probe_bases(wkeys)
+        seen = np.zeros(wkeys.size, dtype=np.int64)  # values of this key passed
         stored_before = self._stored
         cap = self.max_locations_per_key
         B = self.bucket_size
         max_rounds = self.probing.max_probe_rounds
+        bids = np.empty(self.n_slots, dtype=np.int64)
+        cells = self._values.reshape(-1)  # cell (slot, j) is cells[slot * B + j]
+        rnd = 0
 
-        while pkeys.size:
-            # Pairs whose key already stores >= cap values can never be
-            # placed; drop them before they claim zombie slots.
+        while key32.size:
+            # Keys that already store >= cap values can never place
+            # another; drop them before they claim zombie slots.
             if cap is not None:
                 over = seen >= cap
                 if over.any():
-                    self._dropped += int(over.sum())
+                    self._dropped += int(remaining[over].sum())
                     keep = ~over
-                    pkeys, pvals = pkeys[keep], pvals[keep]
-                    rounds, seen = rounds[keep], seen[keep]
-                    if pkeys.size == 0:
+                    key32, g1, g2 = key32[keep], g1[keep], g2[keep]
+                    cursor, remaining, seen = cursor[keep], remaining[keep], seen[keep]
+                    if key32.size == 0:
                         break
 
-            slots = self.probing.slots_for_round(pkeys, rounds)
-            table_keys = self._keys[slots].astype(_U64)
-
-            # -- claim: one winner key per empty slot (warp leader election)
-            empty = table_keys == _EMPTY64
-            if empty.any():
-                cand = np.flatnonzero(empty)
-                _, first_idx = np.unique(slots[cand], return_index=True)
-                winners = cand[first_idx]
-                self._keys[slots[winners]] = pkeys[winners].astype(np.uint32)
-                table_keys = self._keys[slots].astype(_U64)
-
-            match = table_keys == pkeys
-            done = np.zeros(pkeys.size, dtype=bool)
-            if match.any():
-                midx = np.flatnonzero(match)
-                # group by slot; rank within slot decides who fits
-                grp = np.argsort(slots[midx], kind="stable")
-                midx = midx[grp]
-                mslots = slots[midx]
-                rank = segmented_cumcount(mslots)
-                cur = self._counts[mslots].astype(np.int64)
-                fits = rank < (B - cur)
-                dropped = np.zeros(midx.size, dtype=bool)
+            slots = self.probing.slots_at(g1, g2, rnd)
+            claim_empty_slots(self._keys, bids, slots, key32)
+            # walkers are key-unique, so a slot holds at most one
+            own = np.flatnonzero(self._keys[slots] == key32)
+            if own.size:
+                oslots = slots[own]
+                count = self._counts[oslots].astype(np.int64)
+                left = remaining[own]
                 if cap is not None:
-                    # exact future position of this value within its key:
-                    # values in passed slots + in this slot + queued ahead
-                    over_cap = (seen[midx] + cur + rank) >= cap
-                    dropped = over_cap
-                    fits &= ~over_cap
-                    if dropped.any():
-                        self._dropped += int(dropped.sum())
-                        done[midx[dropped]] = True
-                if fits.any():
-                    aslots = mslots[fits]
-                    apos = cur[fits] + rank[fits]
-                    self._values[aslots, apos] = pvals[midx[fits]]
-                    uniq, cnts = np.unique(aslots, return_counts=True)
-                    self._counts[uniq] += cnts.astype(np.uint8)
-                    self._stored += int(fits.sum())
-                    done[midx[fits]] = True
-                # matched but neither stored nor dropped: the slot is
-                # (now) full -- record the B values of our key we pass
-                rejected = ~fits & ~dropped
-                if rejected.any():
-                    seen[midx[rejected]] += B
+                    # values at key positions >= cap are dropped
+                    kept = np.minimum(left, np.maximum(cap - seen[own] - count, 0))
+                    self._dropped += int((left - kept).sum())
+                else:
+                    kept = left
+                n_fit = np.minimum(kept, B - count)
+                src, dst = cursor[own], oslots * B + count
+                # bounded by B, not by the batch: one scatter per value column
+                for j in range(int(n_fit.max())):
+                    col = n_fit > j
+                    cells[dst[col] + j] = pvals[src[col] + j]
+                self._counts[oslots] += n_fit.astype(np.uint8)
+                self._stored += int(n_fit.sum())
+                cursor[own] = src + n_fit
+                remaining[own] = kept - n_fit
+                # whoever still has values left found the slot full:
+                # record the B values of our key we pass
+                seen[own] += B
 
-            rounds += 1
-            alive = ~done
-            exhausted = alive & (rounds >= max_rounds)
-            if exhausted.any():
-                self._dropped += int(exhausted.sum())
-                alive &= ~exhausted
-            pkeys, pvals = pkeys[alive], pvals[alive]
-            rounds, seen = rounds[alive], seen[alive]
+            rnd += 1
+            alive = remaining > 0
+            if rnd >= max_rounds:
+                self._dropped += int(remaining[alive].sum())
+                break
+            key32, g1, g2 = key32[alive], g1[alive], g2[alive]
+            cursor, remaining, seen = cursor[alive], remaining[alive], seen[alive]
         return self._stored - stored_before
 
     # -- retrieval -----------------------------------------------------------
+
+    def _owned(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(slots, value count of each slot, value count of each query)``."""
+        q, slots = owned_slots(self._keys, self.probing, keys)
+        counts = self._counts[slots].astype(np.int64)
+        # integer scatter-add (bincount's weights= path sums in float64,
+        # losing exactness past 2^53)
+        per_query = np.zeros(np.size(keys), dtype=np.int64)
+        np.add.at(per_query, q, counts)
+        return slots, counts, per_query
 
     def retrieve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batch lookup: all values for each query key.
@@ -238,75 +250,35 @@ class MultiBucketHashTable:
         ``values[offsets[i]:offsets[i+1]]``, ordered by probe round
         (i.e., insertion-slot order).
         """
-        qkeys = sanitize_keys(keys)
-        n = qkeys.size
-        hit_q: list[np.ndarray] = []
-        hit_slots: list[np.ndarray] = []
-        if n:
-            active = np.arange(n, dtype=np.int64)
-            akeys = qkeys.copy()
-            rounds = np.zeros(n, dtype=np.int64)
-            max_rounds = self.probing.max_probe_rounds
-            while active.size:
-                slots = self.probing.slots_for_round(akeys, rounds)
-                table_keys = self._keys[slots].astype(_U64)
-                match = table_keys == akeys
-                if match.any():
-                    hit_q.append(active[match])
-                    hit_slots.append(slots[match])
-                # continue while not empty (key may own later slots)
-                cont = table_keys != _EMPTY64
-                rounds += 1
-                cont &= rounds < max_rounds
-                active = active[cont]
-                akeys = akeys[cont]
-                rounds = rounds[cont]
-        if hit_q:
-            q = np.concatenate(hit_q)
-            s = np.concatenate(hit_slots)
-        else:
-            q = np.zeros(0, dtype=np.int64)
-            s = np.zeros(0, dtype=np.int64)
-        # stable sort by query restores (query, round) order
-        order = np.argsort(q, kind="stable")
-        q = q[order]
-        s = s[order]
-        counts = self._counts[s].astype(np.int64)
-        # integer scatter-add (bincount's weights= path sums in float64,
-        # losing exactness past 2^53)
-        per_query = np.zeros(n, dtype=np.int64)
-        np.add.at(per_query, q, counts)
-        offsets = np.zeros(n + 1, dtype=np.int64)
+        slots, counts, per_query = self._owned(keys)
+        offsets = np.zeros(per_query.size + 1, dtype=np.int64)
         np.cumsum(per_query, out=offsets[1:])
         total = int(offsets[-1])
         out = np.empty(total, dtype=_U64)
         if total:
             # gather slot value cells row-wise, masked by count
-            B = self.bucket_size
-            cell = np.arange(B, dtype=np.int64)
+            cell = np.arange(self.bucket_size, dtype=np.int64)
             take = cell[None, :] < counts[:, None]
-            out[:] = self._values[s][take]
+            out[:] = self._values[slots][take]
         return out, offsets
 
     def retrieve_counts(self, keys: np.ndarray) -> np.ndarray:
         """Number of stored values per query key (no value gather)."""
-        _, offsets = self.retrieve(keys)
-        return np.diff(offsets)
+        return self._owned(keys)[2]
 
-    # -- introspection helpers (tests / benches) ------------------------------
+    # -- introspection helpers (save / grow / tests / benches) ----------------
+
+    def _occupied_sorted(self) -> np.ndarray:
+        return np.sort(self._keys[self._keys != EMPTY_KEY])
 
     def occupied_keys(self) -> np.ndarray:
         """Sorted distinct keys present in the table (uint64)."""
-        occ = self._keys[self._keys != EMPTY_KEY]
-        return np.unique(occ).astype(_U64)
+        occ = self._occupied_sorted()
+        return occ[first_occurrence_mask(occ)].astype(_U64)
 
     def key_slot_histogram(self) -> dict[int, int]:
         """#slots-per-key distribution: how often keys spill over."""
-        occ = self._keys[self._keys != EMPTY_KEY]
-        if occ.size == 0:
-            return {}
-        _, counts = np.unique(occ, return_counts=True)
-        hist: dict[int, int] = {}
-        for c in counts:
-            hist[int(c)] = hist.get(int(c), 0) + 1
-        return hist
+        _, slots_per_key = run_length_encode(self._occupied_sorted())
+        hist = np.bincount(slots_per_key)
+        present = np.flatnonzero(hist)
+        return dict(zip(present.tolist(), hist[present].tolist()))

@@ -16,13 +16,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.warpcore.base import EMPTY_KEY, TableStats, sanitize_keys
+from repro.warpcore.base import (
+    EMPTY_KEY,
+    TableStats,
+    claim_empty_slots,
+    owned_slots,
+    sanitize_keys,
+)
 from repro.warpcore.probing import ProbingScheme
 
 __all__ = ["MultiValueHashTable"]
 
 _U64 = np.uint64
-_EMPTY64 = np.uint64(EMPTY_KEY)
 
 
 class MultiValueHashTable:
@@ -84,81 +89,50 @@ class MultiValueHashTable:
             raise ValueError("keys and values must have the same shape")
         if pkeys.size == 0:
             return 0
+        # The walkers here are *pairs*: every pair needs a slot of its
+        # own, so same-key pairs race for one slot like any others.
         order = np.argsort(pkeys, kind="stable")
         pkeys, pvals = pkeys[order], pvals[order]
-        rounds = np.zeros(pkeys.size, dtype=np.int64)
+        key32 = pkeys.astype(np.uint32)
+        g1, g2 = self.probing.probe_bases(pkeys)
         seen = np.zeros(pkeys.size, dtype=np.int64)
         stored_before = self._stored
         cap = self.max_locations_per_key
         max_rounds = self.probing.max_probe_rounds
-        while pkeys.size:
+        bids = np.empty(self.n_slots, dtype=np.int64)
+        rnd = 0
+        while key32.size:
             if cap is not None:
                 over = seen >= cap
                 if over.any():
                     self._dropped += int(over.sum())
                     keep = ~over
-                    pkeys, pvals = pkeys[keep], pvals[keep]
-                    rounds, seen = rounds[keep], seen[keep]
-                    if pkeys.size == 0:
+                    key32, pvals = key32[keep], pvals[keep]
+                    g1, g2, seen = g1[keep], g2[keep], seen[keep]
+                    if key32.size == 0:
                         break
-            slots = self.probing.slots_for_round(pkeys, rounds)
-            table_keys = self._keys[slots].astype(_U64)
-            empty = table_keys == _EMPTY64
-            done = np.zeros(pkeys.size, dtype=bool)
-            if empty.any():
-                cand = np.flatnonzero(empty)
-                _, first_idx = np.unique(slots[cand], return_index=True)
-                winners = cand[first_idx]
-                self._keys[slots[winners]] = pkeys[winners].astype(np.uint32)
-                self._values[slots[winners]] = pvals[winners]
-                self._stored += winners.size
-                done[winners] = True
+            slots = self.probing.slots_at(g1, g2, rnd)
+            winners = claim_empty_slots(self._keys, bids, slots, key32)
+            self._values[slots[winners]] = pvals[winners]
+            self._stored += winners.size
+            alive = np.ones(key32.size, dtype=bool)
+            alive[winners] = False
             # every pair passing a slot owned by its key counts it
             # toward the per-key cap (same-key pairs serialize: they
             # share the probe sequence, so one claims per round)
-            match_pass = (~done) & (self._keys[slots].astype(_U64) == pkeys)
-            if match_pass.any():
-                seen[match_pass] += 1
-            rounds += 1
-            alive = ~done
-            exhausted = alive & (rounds >= max_rounds)
-            if exhausted.any():
-                self._dropped += int(exhausted.sum())
-                alive &= ~exhausted
-            pkeys, pvals = pkeys[alive], pvals[alive]
-            rounds, seen = rounds[alive], seen[alive]
+            seen[alive & (self._keys[slots] == key32)] += 1
+            rnd += 1
+            if rnd >= max_rounds:
+                self._dropped += int(alive.sum())
+                break
+            key32, pvals = key32[alive], pvals[alive]
+            g1, g2, seen = g1[alive], g2[alive], seen[alive]
         return self._stored - stored_before
 
     def retrieve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batch lookup of all values per key: ``(values, offsets)``."""
-        qkeys = sanitize_keys(keys)
-        n = qkeys.size
-        hit_q: list[np.ndarray] = []
-        hit_slots: list[np.ndarray] = []
-        if n:
-            active = np.arange(n, dtype=np.int64)
-            akeys = qkeys.copy()
-            rounds = np.zeros(n, dtype=np.int64)
-            max_rounds = self.probing.max_probe_rounds
-            while active.size:
-                slots = self.probing.slots_for_round(akeys, rounds)
-                table_keys = self._keys[slots].astype(_U64)
-                match = table_keys == akeys
-                if match.any():
-                    hit_q.append(active[match])
-                    hit_slots.append(slots[match])
-                cont = table_keys != _EMPTY64
-                rounds += 1
-                cont &= rounds < max_rounds
-                active, akeys, rounds = active[cont], akeys[cont], rounds[cont]
-        if hit_q:
-            q = np.concatenate(hit_q)
-            s = np.concatenate(hit_slots)
-        else:
-            q = np.zeros(0, dtype=np.int64)
-            s = np.zeros(0, dtype=np.int64)
-        order = np.argsort(q, kind="stable")
-        q, s = q[order], s[order]
+        n = np.size(keys)
+        q, s = owned_slots(self._keys, self.probing, keys)
         per_query = np.bincount(q, minlength=n).astype(np.int64)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(per_query, out=offsets[1:])

@@ -87,18 +87,33 @@ class ProbingScheme:
     def n_slots(self) -> int:
         return self.n_groups * self.group_size
 
-    def slots_for_round(self, keys: np.ndarray, rounds: np.ndarray) -> np.ndarray:
-        """Slot index of probe round ``rounds[i]`` for ``keys[i]`` (vectorized)."""
+    def probe_bases(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Start group ``g1`` and step ``g2`` of each key's outer walk.
+
+        The two ``fmix64`` calls of a walk, made once: every table
+        carries the pair along its probe rounds and asks
+        :meth:`slots_at` for the slot of each round.
+        """
         keys = np.asarray(keys, dtype=_U64)
-        rounds = np.asarray(rounds, dtype=np.int64)
-        g = rounds // self.group_size
-        i = rounds % self.group_size
         n = _U64(self.n_groups)
-        g1 = fmix64(keys) % n
+        g1 = (fmix64(keys) % n).astype(np.int64)
         if self.n_groups > 1:
             # step in [1, n_groups): coprime with a prime modulus
-            g2 = fmix64(keys ^ _U64(0xA5A5A5A5A5A5A5A5)) % (n - _U64(1)) + _U64(1)
+            g2 = (
+                fmix64(keys ^ _U64(0xA5A5A5A5A5A5A5A5)) % (n - _U64(1)) + _U64(1)
+            ).astype(np.int64)
         else:
-            g2 = _U64(0)
-        group = (g1 + g.astype(_U64) * g2) % n
-        return (group.astype(np.int64) * self.group_size) + i
+            g2 = np.zeros_like(g1)
+        return g1, g2
+
+    def slots_at(
+        self, g1: np.ndarray, g2: np.ndarray, rounds: int | np.ndarray
+    ) -> np.ndarray:
+        """Slot index of probe round ``rounds`` for walks ``(g1, g2)``.
+
+        ``rounds`` is a scalar when the whole batch walks in lock-step
+        (every table's insert and retrieve) or one round per walk.
+        """
+        rounds = np.asarray(rounds, dtype=np.int64)
+        group = (g1 + (rounds // self.group_size) * g2) % self.n_groups
+        return group * self.group_size + rounds % self.group_size

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.warpcore.base import EMPTY_KEY, TableStats, sanitize_keys
+from repro.util.segmented import segment_boundaries
+from repro.warpcore.base import (
+    EMPTY_KEY,
+    TableStats,
+    claim_empty_slots,
+    sanitize_keys,
+)
 from repro.warpcore.probing import ProbingScheme
 
 __all__ = ["SingleValueHashTable"]
@@ -110,7 +116,8 @@ class SingleValueHashTable:
         """Batch upsert; returns the number of pairs placed.
 
         Duplicate keys within one batch resolve to the *last* value in
-        submission order (matching sequential insertion semantics).
+        submission order (matching sequential insertion semantics);
+        every pair of a placed key counts as placed.
 
         The key ``0xFFFFFFFF`` is **reserved** as the empty-slot
         sentinel and rejected with ``ValueError``: silently remapping
@@ -132,42 +139,40 @@ class SingleValueHashTable:
         pvals = np.asarray(values, dtype=_U64)
         if pkeys.shape != pvals.shape:
             raise ValueError("keys and values must have the same shape")
+        # One walker per distinct key.  Strictly increasing keys (all the
+        # condensed loader ever submits) are distinct as they stand;
+        # otherwise fold duplicates: a key walks once, in the submission
+        # position of its first pair, carrying its last value and its
+        # pair count.
+        pairs = np.ones(pkeys.size, dtype=np.int64)
+        if not bool((pkeys[1:] > pkeys[:-1]).all()):
+            order = np.argsort(pkeys, kind="stable")
+            starts = segment_boundaries(pkeys[order])
+            ends = np.append(starts[1:], pkeys.size) - 1
+            by_first = np.argsort(order[starts])
+            pairs = (ends - starts + 1)[by_first]
+            pvals = pvals[order[ends][by_first]]
+            pkeys = pkeys[order[starts][by_first]]
+        key32 = pkeys.astype(np.uint32)
+        g1, g2 = self.probing.probe_bases(pkeys)
         placed = 0
-        rounds = np.zeros(pkeys.size, dtype=np.int64)
         max_rounds = self.probing.max_probe_rounds
-        while pkeys.size:
-            slots = self.probing.slots_for_round(pkeys, rounds)
-            table_keys = self._keys[slots].astype(_U64)
-            empty = table_keys == _EMPTY64
-            if empty.any():
-                cand = np.flatnonzero(empty)
-                _, first_idx = np.unique(slots[cand], return_index=True)
-                winners = cand[first_idx]
-                self._keys[slots[winners]] = pkeys[winners].astype(np.uint32)
-                self._size += winners.size
-                table_keys = self._keys[slots].astype(_U64)
-            match = table_keys == pkeys
+        bids = np.empty(self.n_slots, dtype=np.int64)
+        rnd = 0
+        while key32.size:
+            slots = self.probing.slots_at(g1, g2, rnd)
+            self._size += claim_empty_slots(self._keys, bids, slots, key32).size
+            match = self._keys[slots] == key32
             if match.any():
-                midx = np.flatnonzero(match)
-                # last writer wins within the batch: reversed unique
-                mslots = slots[midx]
-                order = np.argsort(mslots, kind="stable")
-                ms = mslots[order]
-                mi = midx[order]
-                # last element of each slot run
-                is_last = np.ones(ms.size, dtype=bool)
-                is_last[:-1] = ms[1:] != ms[:-1]
-                self._values[ms[is_last]] = pvals[mi[is_last]]
-                placed += int(match.sum())
-            rounds += 1
+                self._values[slots[match]] = pvals[match]
+                placed += int(pairs[match].sum())
+            rnd += 1
             alive = ~match
-            exhausted = alive & (rounds >= max_rounds)
-            if exhausted.any():
-                self._dropped += int(exhausted.sum())
-                alive &= ~exhausted
-            pkeys = pkeys[alive]
-            pvals = pvals[alive]
-            rounds = rounds[alive]
+            if rnd >= max_rounds:
+                self._dropped += int(pairs[alive].sum())
+                break
+            key32, g1, g2 = key32[alive], g1[alive], g2[alive]
+            pvals, pairs = pvals[alive], pairs[alive]
         return placed
 
     def retrieve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,20 +182,20 @@ class SingleValueHashTable:
         out = np.zeros(n, dtype=_U64)
         found = np.zeros(n, dtype=bool)
         active = np.arange(n, dtype=np.int64)
-        akeys = qkeys.copy()
-        rounds = np.zeros(n, dtype=np.int64)
+        key32 = qkeys.astype(np.uint32)
+        g1, g2 = self.probing.probe_bases(qkeys)
         max_rounds = self.probing.max_probe_rounds
+        rnd = 0
         while active.size:
-            slots = self.probing.slots_for_round(akeys, rounds)
-            table_keys = self._keys[slots].astype(_U64)
-            match = table_keys == akeys
+            slots = self.probing.slots_at(g1, g2, rnd)
+            table_keys = self._keys[slots]
+            match = table_keys == key32
             if match.any():
                 out[active[match]] = self._values[slots[match]]
                 found[active[match]] = True
-            cont = ~match & (table_keys != _EMPTY64)
-            rounds += 1
-            cont &= rounds < max_rounds
-            active = active[cont]
-            akeys = akeys[cont]
-            rounds = rounds[cont]
+            rnd += 1
+            if rnd >= max_rounds:
+                break
+            cont = ~match & (table_keys != EMPTY_KEY)
+            active, key32, g1, g2 = active[cont], key32[cont], g1[cont], g2[cont]
         return out, found

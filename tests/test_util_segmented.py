@@ -1,6 +1,7 @@
 """Tests for segmented array primitives."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +52,15 @@ class TestSegmentOps:
     def test_cumcount(self):
         s = np.array([0, 0, 0, 4, 4, 7])
         assert list(segmented_cumcount(s)) == [0, 1, 2, 0, 1, 0]
+
+    @pytest.mark.parametrize(
+        "ids, ranks",
+        [([], []), ([5, 5, 5, 5], [0, 1, 2, 3]), ([4, 2, 9, 2], [0, 0, 0, 0])],
+        ids=["empty", "single-run", "all-singletons"],
+    )
+    def test_cumcount_degenerate_runs(self, ids, ranks):
+        got = segmented_cumcount(np.array(ids, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == ranks
 
     def test_offsets_roundtrip(self):
         offsets = np.array([0, 3, 3, 5, 9])

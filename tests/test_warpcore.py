@@ -65,15 +65,17 @@ class TestProbingScheme:
     def test_slots_in_range(self):
         p = ProbingScheme.for_capacity(256, group_size=4)
         keys = np.arange(1000, dtype=np.uint64)
+        bases = p.probe_bases(keys)
         for r in range(10):
-            slots = p.slots_for_round(keys, np.full(1000, r))
+            slots = p.slots_at(*bases, r)
             assert (slots >= 0).all() and (slots < p.n_slots).all()
 
     def test_inner_probe_is_group_linear(self):
         """Consecutive rounds within a group hit consecutive slots."""
         p = ProbingScheme.for_capacity(256, group_size=4)
         key = np.array([1234], dtype=np.uint64)
-        slots = [int(p.slots_for_round(key, np.array([r]))[0]) for r in range(4)]
+        bases = p.probe_bases(key)
+        slots = [int(p.slots_at(*bases, r)[0]) for r in range(4)]
         base = slots[0] - slots[0] % 4
         assert slots == [base, base + 1, base + 2, base + 3]
 
@@ -82,16 +84,17 @@ class TestProbingScheme:
         p = ProbingScheme(n_groups=17, group_size=2, max_probe_rounds=1000)
         for key_val in (77, 1234, 999983):
             key = np.array([key_val], dtype=np.uint64)
+            bases = p.probe_bases(key)
             groups = set()
             for j in range(17):
-                slot = int(p.slots_for_round(key, np.array([j * 2]))[0])
+                slot = int(p.slots_at(*bases, j * 2)[0])
                 groups.add(slot // 2)
             assert groups == set(range(17))
 
     def test_different_keys_different_walks(self):
         p = ProbingScheme.for_capacity(1024, group_size=4)
         k = np.array([1, 2], dtype=np.uint64)
-        s0 = p.slots_for_round(k, np.zeros(2))
+        s0 = p.slots_at(*p.probe_bases(k), 0)
         assert s0[0] != s0[1]  # overwhelmingly likely with these keys
 
 
