@@ -13,9 +13,9 @@ End-to-end classify throughput is guarded on an absolute basis by
 import numpy as np
 
 from repro.core.candidates import generate_top_candidates
+from repro.gpu.kernels.segmented_sort_kernel import segmented_sort
 from repro.hashing.sketch import SketchParams, sketch_reads, sketch_sequence
 from repro.pipeline.packed import PackedReads
-from repro.sort.segmented import segmented_sort
 from repro.taxonomy.lca import LcaIndex
 from repro.taxonomy.ranks import Rank
 from repro.taxonomy.tree import Taxonomy

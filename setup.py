@@ -40,7 +40,10 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.22"],
+    # 1.25: first release with fast ufunc.at (table construction's
+    # np.minimum.at claims); the query tail's single-key np.sort is
+    # SIMD from 2.0 and merely slower before it
+    install_requires=["numpy>=1.25"],
     entry_points={
         "console_scripts": [
             "metacache-repro = repro.cli:main",

@@ -16,7 +16,7 @@ Package map (details in README.md / DESIGN.md):
 - :mod:`repro.hashing`   -- h1/h2 hashes and minhash sketching
 - :mod:`repro.genomics`  -- sequences, k-mers, IO, simulators
 - :mod:`repro.taxonomy`  -- tree, lineages, O(1) LCA, NCBI dumps
-- :mod:`repro.sort`      -- bitonic / segmented sorting, compaction
+- :mod:`repro.sort`      -- single-key segmented sort, compaction
 - :mod:`repro.gpu`       -- simulated CUDA substrate + DGX-1 cost model
 - :mod:`repro.pipeline`  -- producer/consumer host threading
 - :mod:`repro.baselines` -- Kraken2-style and MetaCache-CPU baselines

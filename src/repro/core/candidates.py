@@ -8,14 +8,61 @@ reference windows aggregates counts into contiguous-region scores,
 and the best region per target competes for the read's top-``m``
 candidate list.
 
-Everything here is batch-vectorized over *all* reads at once:
+Everything here is batch-vectorized over *all* reads at once, on the
+key the segmented sort already ordered the batch by
+(:class:`repro.sort.segmented.LocationKeyLayout`):
 
-- run-length encoding collapses identical (read, location) pairs;
-- the per-(read, target) runs are made globally monotonic by offsetting
-  window ids with run_id * OFFSET, so one ``np.searchsorted`` finds
-  every sliding-window span end simultaneously;
-- per-run maxima and per-read top-m selection use the segmented
-  primitives from :mod:`repro.util.segmented`.
+    key = read << (T + W) | target << W | window
+
+with ``T`` / ``W`` the bit lengths of the batch's largest target and
+window id.  The sorted input re-packs into strictly non-decreasing
+keys, and every step is a linear pass or one single-key operation on
+them.  Why each is exact:
+
+- **Field widths.**  ``T`` and ``W`` hold every id of the batch and
+  the read field takes the rest of the word, so keys compare exactly
+  as (read, target, window) triples.  When ``T + W`` -- or the room the
+  two selection keys below need -- leaves too few read bits for the
+  batch, the same code runs over contiguous groups of reads numbered
+  from zero (``LocationKeyLayout.groups``), down to one read per group
+  where the key is the compressed location alone; rows of different
+  groups never interact.
+- **Window count.**  Equal (read, location) pairs are equal adjacent
+  keys, so run-length encoding is one neighbour compare, and an
+  entry's count is the distance to the next entry's start -- the
+  start positions *are* the prefix sum of the counts.
+- **Span ends cannot cross a run.**  Entry ``i``'s span is every entry
+  of its (read, target) run with ``window < window_i + sws``: all keys
+  ``<= key_i + (sws - 1)`` if that sum stays inside the run.  The
+  addend is clipped to ``2^W - 1 - window_i``, the room left in the
+  window field, so the sum never carries into the target field (nor
+  wraps the word when the fields fill all 64 bits): clipped, the limit
+  is the largest key the run can hold, and all its remaining entries
+  are inside the true span anyway because no window id exceeds
+  ``2^W - 1 < window_i + sws``.  One ``searchsorted(side="right")``
+  therefore returns every span end, already inside its run.
+- **Reversed-index maximum = first-occurrence argmax.**  Per run the
+  winner is the highest score, the *first* such entry on ties.  With
+  ``b`` the bit length of the last entry index,
+  ``score << b | (last - index)`` orders by score and then by
+  descending index, so ``np.maximum.reduceat`` over the runs returns
+  score and first index in one word.  Scores and indices are both at
+  most the location count ``n``; the group planner reserves
+  ``2 * bit_length(n)`` bits, which needs ``n < 2^32`` per call.
+- **One sort for both tie-breaks.**  A read keeps its ``m`` best runs
+  by (score descending, run index ascending), and its columns are
+  ranked by (score descending, entry index ascending).  Best entries
+  increase with their runs, so the two orders are one:
+  ``read << .. | (max_score - score) << r | run`` sorted ascending.
+  Runs of one read are a contiguous block before the sort and the
+  same block after it, so a position's rank inside its block is its
+  column, and the first ``m`` of each block are the top list.  Within
+  a read runs ascend by target: equal scores keep ascending-target
+  order, the tie-break ``Candidates.merged_with`` continues.
+
+The lexsort formulation this replaced is the oracle
+(``tests/reference/query_tail.py``); ``tests/test_query_tail_equivalence.py``
+holds all five output arrays byte-identical to it.
 """
 
 from __future__ import annotations
@@ -24,13 +71,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.bitops import unpack_pairs
-from repro.util.scan import exclusive_prefix_sum
-from repro.util.segmented import (
-    first_occurrence_mask,
-    segment_ids_from_offsets,
-    segmented_top_k_mask,
-)
+from repro.sort.segmented import LocationKeyLayout
+from repro.util.segmented import first_occurrence_mask, segmented_cumcount
 
 __all__ = ["Candidates", "generate_top_candidates"]
 
@@ -109,8 +151,9 @@ def generate_top_candidates(
     read_offsets:
         length ``n_reads + 1`` offsets into ``locations``.
     sws:
-        sliding-window size per read (or one int for all): the number
-        of consecutive reference windows a candidate region may span.
+        sliding-window size per read (or one int for all), >= 1: the
+        number of consecutive reference windows a candidate region may
+        span.
     m:
         top-list length.
     """
@@ -128,75 +171,99 @@ def generate_top_candidates(
     locations = np.asarray(locations, dtype=np.uint64)
     if locations.size == 0 or n_reads == 0:
         return out
-    read_ids = segment_ids_from_offsets(read_offsets)
     sws_arr = np.broadcast_to(np.asarray(sws, dtype=np.int64), (n_reads,))
+    if sws_arr.min() < 1:
+        raise ValueError("sliding-window sizes must be >= 1")
+    reach = (sws_arr - 1).astype(np.uint64)
 
-    # -- window count statistic: collapse runs of equal (read, location).
-    # Within a read the list is sorted and reads are contiguous, so
-    # adjacent-equality on both arrays is exactly per-read RLE.
-    same = np.zeros(locations.size, dtype=bool)
-    same[1:] = (locations[1:] == locations[:-1]) & (read_ids[1:] == read_ids[:-1])
-    starts = np.flatnonzero(~same)
-    u_loc = locations[starts]
-    u_read = read_ids[starts]
-    u_count = np.diff(np.append(starts, locations.size)).astype(np.int64)
-
-    u_target, u_window = unpack_pairs(u_loc)
-    u_target = u_target.astype(np.int64)
-    u_window = u_window.astype(np.int64)
-
-    # -- runs of equal (read, target)
-    run_head = np.zeros(u_loc.size, dtype=bool)
-    run_head[0] = True
-    run_head[1:] = (u_read[1:] != u_read[:-1]) | (u_target[1:] != u_target[:-1])
-    run_id = np.cumsum(run_head) - 1
-
-    # -- monotonic window axis across runs -> one global searchsorted
-    # OFFSET must exceed any window id + sws so run blocks never overlap.
-    max_win = int(u_window.max()) if u_window.size else 0
-    max_sws = int(sws_arr.max()) if sws_arr.size else 1
-    offset = np.int64(max_win + max_sws + 2)
-    w_mono = u_window + run_id * offset
-    span_limit = w_mono + sws_arr[u_read]
-    # end index (exclusive) of each sliding-window span
-    span_end = np.searchsorted(w_mono, span_limit, side="left")
-
-    csum = exclusive_prefix_sum(u_count)
-    idx = np.arange(u_loc.size, dtype=np.int64)
-    scores = csum[span_end] - csum[idx]
-
-    # -- best candidate per (read, target) run
-    # order within runs by (-score, index): first occurrence per run wins
-    order = np.lexsort((idx, -scores, run_id))
-    run_sorted = run_id[order]
-    best_mask = first_occurrence_mask(run_sorted)
-    best_idx = order[best_mask]  # one entry per run, its argmax
-    b_read = u_read[best_idx]
-    b_score = scores[best_idx]
-
-    # -- top-m runs per read
-    top_mask = segmented_top_k_mask(b_read, b_score, m)
-    sel = best_idx[top_mask]
-    sel_read = b_read[top_mask]
-    sel_score = b_score[top_mask]
-    # rank within read by (-score, index) for deterministic column order
-    rank_order = np.lexsort((sel, -sel_score, sel_read))
-    sel = sel[rank_order]
-    sel_read = sel_read[rank_order]
-    sel_score = sel_score[rank_order]
-    col = np.zeros(sel.size, dtype=np.int64)
-    if sel.size:
-        head = np.zeros(sel.size, dtype=bool)
-        head[0] = True
-        head[1:] = sel_read[1:] != sel_read[:-1]
-        first_pos = np.flatnonzero(head)
-        seg = np.cumsum(head) - 1
-        col = np.arange(sel.size) - first_pos[seg]
-
-    out.target[sel_read, col] = u_target[sel].astype(np.uint32)
-    out.window_first[sel_read, col] = u_window[sel].astype(np.uint32)
-    last_idx = span_end[sel] - 1
-    out.window_last[sel_read, col] = u_window[last_idx].astype(np.uint32)
-    out.score[sel_read, col] = sel_score
-    out.valid[sel_read, col] = True
+    layout = LocationKeyLayout.of(locations)
+    # the (score | index) and (read | score | run) keys of _group_top
+    # hold two counts of at most locations.size each
+    groups = layout.groups(n_reads, 2 * int(locations.size).bit_length())
+    for first, last in groups:
+        a, b = read_offsets[first], read_offsets[last]
+        if a < b:
+            _group_top(
+                out,
+                first,
+                layout,
+                locations[a:b],
+                np.diff(read_offsets[first : last + 1]),
+                reach[first:last],
+                m,
+            )
     return out
+
+
+def _group_top(
+    out: Candidates,
+    first_row: int,
+    layout: LocationKeyLayout,
+    locations: np.ndarray,
+    lengths: np.ndarray,
+    reach: np.ndarray,
+    m: int,
+) -> None:
+    """Fill ``out`` rows ``first_row ..`` from one bit-budget group.
+
+    ``lengths[i]`` sorted locations belong to the group's read ``i``,
+    whose spans may extend ``reach[i] = sws - 1`` windows past their
+    first; the group is not empty.  See the module docstring for why
+    each step is exact.
+    """
+    u64 = np.uint64
+    keys = layout.pack(locations, lengths)
+
+    # -- window count statistic: collapse equal (read, location) keys;
+    # an entry's count is the distance to the next entry's start
+    starts = np.flatnonzero(first_occurrence_mask(keys))
+    u_key = keys[starts]
+    bounds = np.append(starts, keys.size)
+    n_unique = starts.size
+
+    # -- sliding-window span of every entry: up to and including the
+    # last key <= key + reach, with reach clipped to the room left in
+    # the window field so the limit stays inside the (read, target) run
+    u_window = layout.windows(u_key)
+    limit = layout.window_top - u_window
+    np.minimum(limit, reach[layout.reads(u_key)], out=limit)
+    limit += u_key
+    span_end = np.searchsorted(u_key, limit, side="right")
+    scores = (bounds[span_end] - starts).astype(u64)
+
+    # -- best entry per (read, target) run: the maximum of
+    # (score | reversed index) is the highest score at its first index
+    run_starts = np.flatnonzero(first_occurrence_mask(layout.runs(u_key)))
+    last_index = u64(n_unique - 1)
+    index_bits = u64(int(last_index).bit_length())
+    ranked = scores << index_bits
+    ranked |= np.arange(n_unique - 1, -1, -1, dtype=u64)
+    best = np.maximum.reduceat(ranked, run_starts)
+    best_score = best >> index_bits
+    best_entry = last_index - (best & ((u64(1) << index_bits) - u64(1)))
+
+    # -- top-m runs per read and their column order, one sort over
+    # (read | max_score - score | run): descending score, ties by
+    # ascending run = ascending target
+    n_runs = run_starts.size
+    run_read = layout.reads(u_key[run_starts])
+    run_bits = u64((n_runs - 1).bit_length())
+    deficit = best_score.max() - best_score
+    deficit_bits = u64(int(deficit.max()).bit_length())
+    order = run_read << (deficit_bits + run_bits)
+    order |= deficit << run_bits
+    order |= np.arange(n_runs, dtype=u64)
+    order.sort()
+    # a read's runs are one contiguous block before and after the sort
+    col = segmented_cumcount(run_read)
+    keep = col < m
+    run = order[keep] & ((u64(1) << run_bits) - u64(1))
+    row = run_read[keep] + u64(first_row)
+    col = col[keep]
+
+    entry = best_entry[run]
+    out.target[row, col] = layout.targets(u_key[entry])
+    out.window_first[row, col] = u_window[entry]
+    out.window_last[row, col] = u_window[span_end[entry] - 1]
+    out.score[row, col] = best_score[run]
+    out.valid[row, col] = True

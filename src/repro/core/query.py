@@ -9,8 +9,10 @@ Per batch of reads:
      (the feature-order output of the batched retrieve is already
      window-grouped, so compaction reduces to offset arithmetic --
      the simulated kernel time is what the cost model charges);
-6.   segmented sort of each read's locations;
-7-8. window-count statistic + sliding-window top-m candidates.
+6.   segmented sort of each read's locations (one ``np.sort`` over a
+     packed ``(read | target | window)`` key);
+7-8. window-count statistic + sliding-window top-m candidates, on
+     the same key.
 
 Reads enter as a :class:`~repro.pipeline.packed.PackedReads` batch
 (one contiguous uint8 buffer + int64 offset/read-id arrays, the host

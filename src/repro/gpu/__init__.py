@@ -10,10 +10,12 @@ machinery is reproduced as a *simulation substrate* with three layers:
    simulated timelines so pipeline overlap is modeled like CUDA's.
 2. **Warp-level kernel emulation** (:mod:`repro.gpu.warp`,
    :mod:`repro.gpu.kernels`): the cooperative algorithms of Section 5
-   (shuffle-based encoding, register bitonic sort, segmented
-   reduction, per-thread top lists) executed thread-by-thread on
-   32-lane NumPy vectors.  Slow, but step-for-step faithful -- the
-   tests cross-check them against the fast batch implementations.
+   (shuffle-based encoding, register bitonic sort, size-binned
+   segmented sort, segmented reduction, per-thread top lists)
+   executed thread-by-thread on 32-lane NumPy vectors (the sort
+   networks: across whole batch matrices).  Slow, but step-for-step
+   faithful -- the tests cross-check them against the fast batch
+   implementations.
 3. **Cost model** (:mod:`repro.gpu.costmodel`): an analytical
    throughput model with constants calibrated against the paper's
    DGX-1 measurements, used by the bench harness to project mini-scale

@@ -24,10 +24,10 @@ import numpy as np
 
 from repro.genomics.alphabet import AMBIG
 from repro.genomics.kmers import canonical_kmers
+from repro.gpu.kernels.bitonic import bitonic_sort_rows
 from repro.gpu.warp import WARP_SIZE, shfl_down, shfl_xor
 from repro.hashing.hashes import hash_kmers_h1
 from repro.hashing.minhash import SKETCH_PAD
-from repro.sort.bitonic import bitonic_sort_rows
 
 __all__ = ["warp_encode_window", "warp_sketch_window"]
 

@@ -1,136 +1,145 @@
-"""Size-binned segmented sort (key-only), after Hou et al. [12].
+"""Segmented sort of per-read location lists on one machine-word key.
 
-The location lists produced by database queries vary wildly in length
-(most reads hit few locations, some hit thousands -- the skew of
-Section 5.5).  Sorting every segment with one generic routine wastes
-work; instead segments are binned by size class and each bin is
-sorted by a kernel specialized for that class:
+Step 6 of the query pipeline (Section 5.5) sorts every read's location
+list -- a *key-only* sort over short segments.  The host analogue
+keeps the key-only property: each ``uint64`` location
+``target << 32 | window`` is rank-compressed to the bits the batch
+actually uses and prefixed with its read number,
 
-- small bins (width <= ``bitonic_threshold``): all segments of the
-  bin are packed into one padded matrix and sorted by a *single*
-  batched bitonic network -- the vectorized analogue of the
-  register/warp-shuffle kernels of the original;
-- large segments: per-segment ``np.sort`` (the original dispatches
-  these to a global-memory merge sort).
+    key = read << (target_bits + window_bits) | target << window_bits | window
 
-``segmented_sort_reference`` is the obviously-correct comparison
-implementation used by property tests and as the ablation baseline.
+so one in-place ``np.sort`` of a ``uint64`` array (a SIMD quicksort
+from NumPy 2.0) orders the whole batch by (read, target, window), and
+dropping the read field and re-expanding the two halves returns the
+locations themselves.  No index array, no second key.
+
+:class:`LocationKeyLayout` owns that format; top-candidate generation
+(:mod:`repro.core.candidates`) re-packs the sorted lists into the same
+key.  When the three fields of a batch do not fit 64 bits the same code
+runs over contiguous groups of reads with a narrower read field
+(:meth:`LocationKeyLayout.groups`) -- down to one read per group, where
+the key is the compressed location alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sort.bitonic import bitonic_sort_rows
+__all__ = ["LocationKeyLayout", "segmented_sort_lexsort"]
 
-__all__ = ["SegmentedSortPlan", "segmented_sort", "segmented_sort_reference"]
+_KEY_BITS = 64
+_HALF = np.uint64(32)
 
 
-@dataclass
-class SegmentedSortPlan:
-    """Execution plan: which segments land in which size bin.
+@dataclass(frozen=True)
+class LocationKeyLayout:
+    """Field widths of the ``(read | target | window)`` key of one batch."""
 
-    Exposed so the Fig. 5 instrumentation and the ablation bench can
-    report per-bin work; ``bins`` maps bin width -> segment indices.
-    """
+    target_bits: int
+    window_bits: int
 
-    bins: dict[int, np.ndarray] = field(default_factory=dict)
-    large: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    @classmethod
+    def of(cls, locations: np.ndarray) -> "LocationKeyLayout":
+        """Narrowest layout holding every location of a non-empty batch.
+
+        The OR of all values has its highest set bit where the largest
+        value has it, in each half independently, so one reduction
+        gives both widths.
+        """
+        used = int(np.bitwise_or.reduce(locations))
+        return cls((used >> 32).bit_length(), (used & 0xFFFFFFFF).bit_length())
 
     @property
-    def n_binned_segments(self) -> int:
-        return int(sum(v.size for v in self.bins.values()))
+    def payload_bits(self) -> int:
+        """Bits below the read field: ``target_bits + window_bits``."""
+        return self.target_bits + self.window_bits
 
+    @property
+    def _squeeze(self) -> np.uint64:
+        # moving the target field from bit 32 down to bit window_bits
+        # subtracts target * (2^32 - 2^window_bits); < 2^64 for any
+        # 32-bit target, so the product cannot wrap
+        return np.uint64((1 << 32) - (1 << self.window_bits))
 
-def plan_bins(
-    lengths: np.ndarray, bitonic_threshold: int, min_bin_width: int = 32
-) -> SegmentedSortPlan:
-    """Assign each segment to the smallest power-of-two bin that fits."""
-    plan = SegmentedSortPlan()
-    if lengths.size == 0:
-        return plan
-    width = min_bin_width
-    assigned = lengths <= 0  # empty segments need no work
-    while width <= bitonic_threshold:
-        in_bin = (~assigned) & (lengths <= width)
-        if in_bin.any():
-            plan.bins[width] = np.flatnonzero(in_bin)
-            assigned |= in_bin
-        width *= 2
-    plan.large = np.flatnonzero(~assigned)
-    return plan
+    def groups(self, n_segments: int, reserve_bits: int = 0) -> list[tuple[int, int]]:
+        """Contiguous ``[first, last)`` segment ranges whose keys fit 64 bits.
 
+        Each range holds at most ``2 ** read_bits`` segments, where
+        ``read_bits`` is what ``max(payload_bits, reserve_bits)`` leaves
+        of the word -- normally every segment of the batch at once.
+        """
+        span = 1 << max(0, _KEY_BITS - max(self.payload_bits, reserve_bits))
+        return [
+            (first, min(first + span, n_segments))
+            for first in range(0, n_segments, span)
+        ]
 
-def segmented_sort(
-    values: np.ndarray,
-    offsets: np.ndarray,
-    bitonic_threshold: int = 1024,
-) -> np.ndarray:
-    """Sort each segment of ``values`` ascending; returns a new array.
+    def pack(self, locations: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Keys of one group: ``lengths[i]`` locations belong to read ``i``.
 
-    ``offsets`` has length ``n_segments + 1``; segment ``i`` spans
-    ``values[offsets[i]:offsets[i+1]]``.  Stable *within equal keys*
-    is not guaranteed (neither is the GPU network sort); the pipeline
-    only needs value order.
-    """
-    v = np.asarray(values)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    out = v.copy()
-    n_seg = offsets.size - 1
-    if n_seg <= 0 or v.size == 0:
-        return out
-    starts = offsets[:-1]
-    lengths = np.diff(offsets)
-    plan = plan_bins(lengths, bitonic_threshold)
-    if np.issubdtype(v.dtype, np.integer):
-        pad = np.iinfo(v.dtype).max
-    else:
-        pad = np.inf
-    for width, seg_idx in plan.bins.items():
-        s = starts[seg_idx]
-        l = lengths[seg_idx]
-        cols = np.arange(width, dtype=np.int64)
-        gidx = s[:, None] + cols[None, :]
-        valid = cols[None, :] < l[:, None]
-        gidx_safe = np.where(valid, gidx, 0)
-        matrix = np.where(valid, v[gidx_safe], pad)
-        sorted_matrix = bitonic_sort_rows(matrix, pad_value=pad)
-        out[gidx_safe[valid]] = sorted_matrix[valid]
-    for i in plan.large:
-        a, b = int(offsets[i]), int(offsets[i + 1])
-        out[a:b] = np.sort(v[a:b])
-    return out
+        Returns a fresh array; fields never overlap, so the read prefix
+        and the compressed location are combined by addition.
+        """
+        numbers = np.arange(lengths.size, dtype=np.uint64)
+        keys = np.repeat(numbers << np.uint64(self.payload_bits), lengths)
+        shifted = locations >> _HALF
+        shifted *= self._squeeze
+        keys += locations
+        keys -= shifted
+        return keys
 
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """Turn ``keys`` back into packed locations, in place."""
+        keys &= np.uint64((1 << self.payload_bits) - 1)
+        shifted = keys >> np.uint64(self.window_bits)
+        shifted *= self._squeeze
+        keys += shifted
+        return keys
 
-def segmented_sort_reference(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Reference implementation: independent np.sort per segment."""
-    v = np.asarray(values)
-    out = v.copy()
-    offsets = np.asarray(offsets, dtype=np.int64)
-    for i in range(offsets.size - 1):
-        a, b = int(offsets[i]), int(offsets[i + 1])
-        out[a:b] = np.sort(v[a:b])
-    return out
+    @property
+    def window_top(self) -> np.uint64:
+        """Largest value the window field can hold, ``2^W - 1``."""
+        return np.uint64((1 << self.window_bits) - 1)
+
+    def reads(self, keys: np.ndarray) -> np.ndarray:
+        """Read number (within the group) of each key."""
+        return keys >> np.uint64(self.payload_bits)
+
+    def runs(self, keys: np.ndarray) -> np.ndarray:
+        """The ``(read | target)`` prefix: equal exactly within a run."""
+        return keys >> np.uint64(self.window_bits)
+
+    def targets(self, keys: np.ndarray) -> np.ndarray:
+        """Target id of each key."""
+        return self.runs(keys) & np.uint64((1 << self.target_bits) - 1)
+
+    def windows(self, keys: np.ndarray) -> np.ndarray:
+        """Window id of each key."""
+        return keys & self.window_top
 
 
 def segmented_sort_lexsort(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Global segmented sort via one ``np.lexsort`` over (segment, value).
+    """Sort each segment of ``values`` ascending; returns a new array.
 
-    The production CPU-side choice: a single O(n log n) vectorized
-    sort, independent of segment-count/size skew.  The bitonic-binned
-    :func:`segmented_sort` reproduces the *GPU kernel structure* of
-    Hou et al. but pays interpreter overhead per network step, so the
-    query pipeline uses this one (the ablation bench quantifies the
-    difference; on a real GPU the binned network wins, Section 5.5).
+    ``offsets`` has length ``n_segments + 1``; segment ``i`` spans
+    ``values[offsets[i]:offsets[i+1]]``.  The production segmented sort:
+    pack ``(segment | value)`` into one ``uint64`` key, one in-place
+    ``np.sort``, unpack (module docstring) -- the same bytes the former
+    two-key ``np.lexsort((value, segment))`` returned, which is where
+    the name comes from.
     """
-    from repro.util.segmented import segment_ids_from_offsets
-
-    v = np.asarray(values)
+    v = np.asarray(values, dtype=np.uint64)
     offsets = np.asarray(offsets, dtype=np.int64)
+    out = np.empty_like(v)
     if v.size == 0:
-        return v.copy()
-    seg = segment_ids_from_offsets(offsets)
-    order = np.lexsort((v, seg))
-    return v[order]
+        return out
+    layout = LocationKeyLayout.of(v)
+    # one pass per bit-budget group, normally a single one
+    for first, last in layout.groups(offsets.size - 1):
+        a, b = offsets[first], offsets[last]
+        keys = layout.pack(v[a:b], np.diff(offsets[first : last + 1]))
+        keys.sort()
+        out[a:b] = layout.unpack(keys)
+    return out

@@ -21,7 +21,6 @@ from repro.util.segmented import (
     segmented_cumcount,
     segment_ids_from_offsets,
     offsets_from_segment_ids,
-    segmented_top_k_mask,
     first_occurrence_mask,
 )
 from repro.util.scan import exclusive_prefix_sum, inclusive_prefix_sum
@@ -39,7 +38,6 @@ __all__ = [
     "segmented_cumcount",
     "segment_ids_from_offsets",
     "offsets_from_segment_ids",
-    "segmented_top_k_mask",
     "first_occurrence_mask",
     "exclusive_prefix_sum",
     "inclusive_prefix_sum",

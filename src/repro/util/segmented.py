@@ -18,7 +18,6 @@ __all__ = [
     "segment_ids_from_offsets",
     "segment_ramp",
     "offsets_from_segment_ids",
-    "segmented_top_k_mask",
     "first_occurrence_mask",
 ]
 
@@ -117,26 +116,4 @@ def first_occurrence_mask(sorted_values: np.ndarray) -> np.ndarray:
     mask = np.empty(v.size, dtype=bool)
     mask[0] = True
     np.not_equal(v[1:], v[:-1], out=mask[1:])
-    return mask
-
-
-def segmented_top_k_mask(
-    segment_ids: np.ndarray, scores: np.ndarray, k: int
-) -> np.ndarray:
-    """Select up to ``k`` highest-scoring elements per segment.
-
-    Returns a boolean mask over the input.  Ties broken by original
-    index (earlier element wins), mirroring the deterministic register
-    top-list maintained per CUDA thread in the paper's kernel.
-    """
-    s = np.asarray(segment_ids, dtype=np.int64)
-    if s.size == 0:
-        return np.zeros(0, dtype=bool)
-    sc = np.asarray(scores)
-    # Sort by (segment, -score, index); then the first k per segment win.
-    order = np.lexsort((np.arange(s.size), -sc, s))
-    rank = segmented_cumcount(s[order])
-    winners = order[rank < k]
-    mask = np.zeros(s.size, dtype=bool)
-    mask[winners] = True
     return mask

@@ -154,3 +154,13 @@ class TestWorkloadShape:
             avg_locations_per_read=50, cpu_avg_locations_per_read=5,
         )
         assert s.cpu_locations == 5
+
+
+def test_installed_numpy_meets_install_requires():
+    """setup.py's floor is the one the code relies on (fast ``ufunc.at``)."""
+    import re
+    from pathlib import Path
+
+    setup_py = (Path(__file__).parent.parent / "setup.py").read_text()
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)"', setup_py).groups()
+    assert tuple(map(int, np.__version__.split(".")[:2])) >= tuple(map(int, floor)) >= (1, 25)

@@ -142,6 +142,14 @@ def test_rl001_silent_on_kernels_and_comprehensions(tmp_path):
     assert findings == []
 
 
+@pytest.mark.parametrize(
+    "relpath", ["src/repro/sort/segmented.py", "src/repro/core/candidates.py"]
+)
+def test_rl001_covers_the_query_tail(tmp_path, relpath):
+    findings = run_rule("RL001", tmp_path, relpath, RL001_BAD)
+    assert len(findings) == 2
+
+
 def test_rl001_out_of_scope_module_not_checked(tmp_path):
     path = tmp_path / "src/repro/util/misc.py"
     path.parent.mkdir(parents=True)

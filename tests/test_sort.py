@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sort.bitonic import bitonic_compare_exchange_steps, bitonic_sort_rows
-from repro.sort.compaction import compact_rows, read_segment_offsets
-from repro.sort.segmented import (
+from repro.gpu.kernels.bitonic import bitonic_compare_exchange_steps, bitonic_sort_rows
+from repro.gpu.kernels.segmented_sort_kernel import (
     plan_bins,
     segmented_sort,
-    segmented_sort_lexsort,
     segmented_sort_reference,
 )
+from repro.sort.compaction import compact_rows, read_segment_offsets
+from repro.sort.segmented import segmented_sort_lexsort
 from repro.util.scan import exclusive_prefix_sum
 
 

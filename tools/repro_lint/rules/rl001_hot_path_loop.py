@@ -26,6 +26,10 @@ KERNEL_SCOPES = (
     "src/repro/hashing/",
     "src/repro/pipeline/packed.py",
     "src/repro/core/query.py",
+    # the query tail: its only loops walk bit-budget groups of reads
+    # (normally one group per batch), never the reads themselves
+    "src/repro/sort/",
+    "src/repro/core/candidates.py",
 )
 
 _READ_NAME = re.compile(r"(read|seq|window|mate|record|sketch)", re.IGNORECASE)
