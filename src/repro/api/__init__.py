@@ -39,6 +39,7 @@ any other client.
 
 from repro.api.errors import (
     BuildError,
+    ConfigError,
     DatabaseFormatError,
     InvalidMappingError,
     InvalidReadError,
@@ -136,6 +137,7 @@ __all__ = [
     "read_kraken",
     # errors
     "MetaCacheError",
+    "ConfigError",
     "BuildError",
     "DatabaseFormatError",
     "InvalidReadError",

@@ -7,6 +7,7 @@ documented import location.
 
 from repro.errors import (
     BuildError,
+    ConfigError,
     DatabaseFormatError,
     InvalidMappingError,
     InvalidReadError,
@@ -21,6 +22,7 @@ from repro.errors import (
 
 __all__ = [
     "MetaCacheError",
+    "ConfigError",
     "BuildError",
     "DatabaseFormatError",
     "InvalidReadError",

@@ -38,7 +38,7 @@ from repro.core.builder import DatabaseBuilder
 from repro.core.config import ClassificationParams, MetaCacheParams
 from repro.core.database import Database
 from repro.core.io import convert_database, load_database, save_database
-from repro.errors import DatabaseFormatError, InvalidMappingError, ReloadError
+from repro.errors import ConfigError, DatabaseFormatError, InvalidMappingError, ReloadError
 from repro.genomics.alphabet import encode_sequence
 from repro.shard.plan import ShardPlan
 from repro.shard.router import ShardRouter
@@ -124,7 +124,7 @@ class MetaCache:
         router: "ShardRouter | None" = None,
     ) -> None:
         if workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1")
         self.database = database
         self.workers = workers
         self._router = router
@@ -188,17 +188,17 @@ class MetaCache:
         router = None
         if shards is not None:
             if shards < 1:
-                raise ValueError("shards must be >= 1")
+                raise ConfigError("shards must be >= 1")
             if workers > 1:
-                raise ValueError(
+                raise ConfigError(
                     "shards and workers>1 are mutually exclusive: the shard "
                     "router already runs one process per shard replica"
                 )
             mmap = True  # replicas mmap-attach; the handle must match
         if replicas < 1:
-            raise ValueError("replicas must be >= 1")
+            raise ConfigError("replicas must be >= 1")
         if replicas > 1 and shards is None:
-            raise ValueError("replicas requires shards")
+            raise ConfigError("replicas requires shards")
         with _translate_db_errors(path):
             with Timer() as t:
                 db = load_database(path, mmap=mmap)
@@ -379,15 +379,15 @@ class MetaCache:
             ``refs`` is given without ``mapping``.
         """
         if self._router is not None:
-            raise ValueError(
+            raise ConfigError(
                 "cannot extend a sharded handle: the shard replicas serve "
                 "the saved directory, which extend does not rewrite -- "
                 "extend an unsharded handle, save, and reopen with shards"
             )
         if refs is None and references is None:
-            raise ValueError("extend needs refs (files) and/or references")
+            raise ConfigError("extend needs refs (files) and/or references")
         if refs is not None and mapping is None:
-            raise ValueError("extend with refs requires a mapping")
+            raise ConfigError("extend with refs requires a mapping")
         was_condensed = all(
             p.table is None for p in self.database.partitions
         )

@@ -51,6 +51,7 @@ from repro.core.database import Database
 from repro.core.mapping import ReadMapping, map_reads
 from repro.core.query import QueryResult, query_database
 from repro.errors import (
+    ConfigError,
     InvalidReadError,
     MetaCacheError,
     PipelineError,
@@ -78,7 +79,7 @@ def iter_batches(reads: Iterable[Any], batch_size: int) -> Iterator[list[Any]]:
     memory streaming pipeline.
     """
     if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+        raise ConfigError("batch_size must be >= 1")
     it = iter(reads)
     while True:
         batch = list(itertools.islice(it, batch_size))
@@ -187,7 +188,7 @@ class QuerySession:
         router: ShardRouter | None = None,
     ) -> None:
         if workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1")
         self.database = database
         self.params = params or database.params.classification
         self.workers = workers
@@ -467,7 +468,7 @@ class QuerySession:
         """Resolve the worker count for one classify_files call."""
         n = self.workers if workers is None else workers
         if n < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1")
         if n > 1 and self.router is not None:
             warnings.warn(
                 "worker pool ignored: this session routes batches through "

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 __all__ = [
     "MetaCacheError",
+    "ConfigError",
     "BuildError",
     "DatabaseFormatError",
     "InvalidReadError",
@@ -32,6 +33,16 @@ __all__ = [
 
 class MetaCacheError(Exception):
     """Base class for every error raised by the public API."""
+
+
+class ConfigError(MetaCacheError, ValueError):
+    """An argument or parameter value violates its documented precondition.
+
+    Raised before any I/O or work happens: a worker/shard/replica count
+    below 1, an argument combination that makes no sense, sketch
+    parameters outside their range.  Derives from ``ValueError``
+    because that is the documented contract for invalid arguments.
+    """
 
 
 class BuildError(MetaCacheError, KeyError):

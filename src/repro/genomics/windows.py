@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 __all__ = [
     "WindowLayout",
     "num_windows",
@@ -38,7 +40,7 @@ class WindowLayout:
 
     def __post_init__(self) -> None:
         if self.window_size < self.k:
-            raise ValueError(
+            raise ConfigError(
                 f"window_size ({self.window_size}) must be >= k ({self.k})"
             )
 

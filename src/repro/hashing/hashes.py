@@ -29,9 +29,7 @@ def fmix32(values: np.ndarray | int) -> np.ndarray:
     return h
 
 
-def fmix64(values: np.ndarray | int) -> np.ndarray:
-    """MurmurHash3 64-bit finalizer (vectorized)."""
-    h = np.asarray(values, dtype=_U64).copy()
+def _fmix64_inplace(h: np.ndarray) -> np.ndarray:
     h ^= h >> _U64(33)
     h *= _U64(0xFF51AFD7ED558CCD)
     h ^= h >> _U64(33)
@@ -40,15 +38,30 @@ def fmix64(values: np.ndarray | int) -> np.ndarray:
     return h
 
 
-def hash_kmers_h1(kmers: np.ndarray) -> np.ndarray:
+def fmix64(values: np.ndarray | int) -> np.ndarray:
+    """MurmurHash3 64-bit finalizer (vectorized)."""
+    return _fmix64_inplace(np.array(values, dtype=_U64))
+
+
+def hash_kmers_h1(kmers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Feature hash h1: canonical k-mer -> 32-bit feature value.
 
     Returned as uint64 (values < 2**32) so downstream code can reserve
     the full uint64 range above 2**32 for sentinels.  Matching the
     paper's layout, features are 32-bit which keeps the hash-table key
     arrays half the size of naive 64-bit keys.
+
+    ``out`` (uint64, same shape) receives the result when given: the
+    k-mers -- of any unsigned width -- are widened into it once and
+    mixed in place.
     """
-    return fmix64(np.asarray(kmers, dtype=_U64)) & _U64(0xFFFFFFFF)
+    if out is None:
+        out = np.array(kmers, dtype=_U64)
+    else:
+        out[...] = kmers
+    _fmix64_inplace(out)
+    out &= _U64(0xFFFFFFFF)
+    return out
 
 
 def hash_features_h2(features: np.ndarray) -> np.ndarray:

@@ -18,8 +18,14 @@ pipeline needs:
 - :func:`sketch_reads` -- thin list-of-arrays adapter over the packed
   kernel (packs, then calls :func:`sketch_reads_packed`).
 
-The pre-packing per-read implementation these kernels replaced lives
-on as the test oracle ``tests/reference/legacy.py``.
+All of them are one kernel, :func:`_sketch_segments`: canonical k-mers
+of both strands packed by doubling (:mod:`repro.genomics.kmers`),
+hashed in place, gathered into a window matrix as contiguous rows,
+row-sorted, and read off the sorted prefix
+(:mod:`repro.hashing.minhash`).  The ``k``-pass, element-gather,
+full-width-dedup implementation it replaced lives on as the test
+oracle ``tests/reference/sketch_windowed.py`` (run per read by
+``tests/reference/legacy.py``).
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.genomics.kmers import canonical_kmers, kmer_validity, pack_kmers
+from repro.errors import ConfigError
+from repro.genomics.kmers import pack_canonical_kmers
 from repro.genomics.windows import WindowLayout
 from repro.hashing.hashes import hash_kmers_h1
-from repro.hashing.minhash import SKETCH_PAD, sketch_windows_batch, window_hash_matrix
+from repro.hashing.minhash import SKETCH_PAD, gather_window_rows, select_sorted_rows
 
 __all__ = [
     "SketchParams",
@@ -56,11 +63,11 @@ class SketchParams:
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= 32:
-            raise ValueError(f"k must be in [1,32], got {self.k}")
+            raise ConfigError(f"k must be in [1,32], got {self.k}")
         if self.sketch_size < 1:
-            raise ValueError("sketch_size must be >= 1")
+            raise ConfigError("sketch_size must be >= 1")
         if self.window_size < self.k:
-            raise ValueError("window_size must be >= k")
+            raise ConfigError("window_size must be >= k")
 
     @property
     def layout(self) -> WindowLayout:
@@ -71,6 +78,17 @@ class SketchParams:
         return self.window_size - self.k + 1
 
 
+def _padded_position_hashes(codes: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """Position hashes followed by ``pad`` entries of ``SKETCH_PAD``."""
+    kmers, invalid = pack_canonical_kmers(codes, k)
+    hashes = np.empty(kmers.size + pad, dtype=np.uint64)
+    hash_kmers_h1(kmers, out=hashes[: kmers.size])
+    hashes[kmers.size :] = SKETCH_PAD
+    if invalid is not None:
+        hashes[: kmers.size][invalid] = SKETCH_PAD
+    return hashes
+
+
 def position_hashes(codes: np.ndarray, params: SketchParams) -> np.ndarray:
     """h1 of the canonical k-mer at every sequence position.
 
@@ -78,12 +96,37 @@ def position_hashes(codes: np.ndarray, params: SketchParams) -> np.ndarray:
     so they are transparently ignored by the sketch selection.
     Length is ``len(codes) - k + 1`` (empty for short sequences).
     """
-    kmers = pack_kmers(codes, params.k)
-    if kmers.size == 0:
-        return kmers  # empty uint64
-    hashes = hash_kmers_h1(canonical_kmers(kmers, params.k))
-    valid = kmer_validity(codes, params.k)
-    return np.where(valid, hashes, SKETCH_PAD)
+    return _padded_position_hashes(codes, params.k, 0)
+
+
+def _sketch_segments(
+    buffer: np.ndarray, offsets: np.ndarray, params: SketchParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one kernel: every window of every segment of a packed buffer.
+
+    Returns ``(sketches, window_counts, window_segment_ids)``.  Position
+    hashes are computed once over the whole buffer; every window stays
+    inside its segment (its last k-mer starts at ``offsets[i+1] - k`` at
+    the latest), so the k-mers that straddle segment boundaries are
+    computed but never selected.
+    """
+    buffer = np.asarray(buffer, dtype=np.uint8)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    counts, segment_ids, starts_local, ends_local = (
+        params.layout.packed_window_slices(np.diff(offsets))
+    )
+    if segment_ids.size == 0:
+        empty = np.full((0, params.sketch_size), SKETCH_PAD, dtype=np.uint64)
+        return empty, counts, segment_ids
+    starts = offsets[:-1][segment_ids] + starts_local
+    lengths = ends_local - starts_local - params.k + 1
+    # the longest window present (at most kmers_per_window): for reads
+    # shorter than the window size the matrix is that much narrower
+    width = int(lengths.max())
+    hashes = _padded_position_hashes(buffer, params.k, width - 1)
+    matrix = gather_window_rows(hashes, starts, lengths, width)
+    matrix.sort(axis=1)
+    return select_sorted_rows(matrix, params.sketch_size), counts, segment_ids
 
 
 def sketch_sequence(codes: np.ndarray, params: SketchParams) -> np.ndarray:
@@ -92,22 +135,8 @@ def sketch_sequence(codes: np.ndarray, params: SketchParams) -> np.ndarray:
     Returns an ``(n_windows, s)`` uint64 matrix, padded with
     ``SKETCH_PAD``.  Row ``i`` is the sketch of window ``i``.
     """
-    hashes = position_hashes(codes, params)
-    layout = params.layout
-    starts, ends = layout.window_slices(codes.size)
-    if starts.size == 0:
-        return np.full((0, params.sketch_size), SKETCH_PAD, dtype=np.uint64)
-    lengths = ends - starts - params.k + 1
-    matrix = window_hash_matrix(hashes, starts, lengths, params.kmers_per_window)
-    return sketch_windows_batch(matrix, params.sketch_size)
-
-
-def _empty_sketch_result(params: SketchParams) -> tuple[np.ndarray, np.ndarray]:
-    """The zero-window result shared by every batch sketcher."""
-    return (
-        np.full((0, params.sketch_size), SKETCH_PAD, dtype=np.uint64),
-        np.zeros(0, dtype=np.int64),
-    )
+    codes = np.asarray(codes, dtype=np.uint8)
+    return _sketch_segments(codes, np.array([0, codes.size]), params)[0]
 
 
 def sketch_reads_packed(
@@ -138,32 +167,14 @@ def sketch_reads_packed(
         contribute no windows.
 
     Bit-identical to sketching each read on its own (the
-    ``tests/reference`` oracle): position hashes are computed once
-    over the whole buffer, and every window gather stays inside its
-    segment (a window's last k-mer starts at ``offsets[i+1] - k`` at
-    the latest), so the k-mers that straddle segment boundaries are
-    computed but never referenced.
+    ``tests/reference`` oracle).
     """
-    buffer = np.asarray(buffer, dtype=np.uint8)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    n_segments = offsets.size - 1
-    if read_ids is None:
-        read_ids = np.arange(n_segments, dtype=np.int64)
-    else:
+    if read_ids is not None:
         read_ids = np.asarray(read_ids, dtype=np.int64)
-        if read_ids.size != n_segments:
+        if read_ids.size != len(offsets) - 1:
             raise ValueError("read_ids length must match segment count")
-    _, segment_ids, starts_local, ends_local = (
-        params.layout.packed_window_slices(np.diff(offsets))
-    )
-    if segment_ids.size == 0:
-        return _empty_sketch_result(params)
-    hashes = position_hashes(buffer, params)
-    starts = offsets[:-1][segment_ids] + starts_local
-    lengths = ends_local - starts_local - params.k + 1
-    matrix = window_hash_matrix(hashes, starts, lengths, params.kmers_per_window)
-    sketches = sketch_windows_batch(matrix, params.sketch_size)
-    return sketches, read_ids[segment_ids]
+    sketches, _, segment_ids = _sketch_segments(buffer, offsets, params)
+    return sketches, segment_ids if read_ids is None else read_ids[segment_ids]
 
 
 def sketch_packed_segments(
@@ -179,21 +190,8 @@ def sketch_packed_segments(
     separately, which is what keeps parallel packed builds
     byte-identical to serial ones.
     """
-    buffer = np.asarray(buffer, dtype=np.uint8)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    counts, segment_ids, starts_local, ends_local = (
-        params.layout.packed_window_slices(np.diff(offsets))
-    )
-    if segment_ids.size == 0:
-        return (
-            np.full((0, params.sketch_size), SKETCH_PAD, dtype=np.uint64),
-            counts,
-        )
-    hashes = position_hashes(buffer, params)
-    starts = offsets[:-1][segment_ids] + starts_local
-    lengths = ends_local - starts_local - params.k + 1
-    matrix = window_hash_matrix(hashes, starts, lengths, params.kmers_per_window)
-    return sketch_windows_batch(matrix, params.sketch_size), counts
+    sketches, counts, _ = _sketch_segments(buffer, offsets, params)
+    return sketches, counts
 
 
 def sketch_reads(
@@ -210,9 +208,10 @@ def sketch_reads(
     directly and skip the concatenation.
     """
     n = len(sequences)
-    if n == 0:
-        return _empty_sketch_result(params)
-    buffer = np.concatenate([np.asarray(s, dtype=np.uint8) for s in sequences])
+    # np.concatenate rejects an empty list; the empty buffer stands in
+    buffer = np.concatenate(
+        [np.zeros(0, dtype=np.uint8), *(np.asarray(s, dtype=np.uint8) for s in sequences)]
+    )
     sizes = np.fromiter((s.size for s in sequences), count=n, dtype=np.int64)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.api.records import ReadClassification
 from repro.api.session import QuerySession
-from repro.errors import OverloadedError, ServerError
+from repro.errors import ConfigError, OverloadedError, ServerError
 from repro.server.stats import ServerStats
 
 __all__ = ["MicroBatcher"]
@@ -113,11 +113,11 @@ class MicroBatcher:
         stats: ServerStats | None = None,
     ) -> None:
         if max_batch_reads < 1:
-            raise ValueError("max_batch_reads must be >= 1")
+            raise ConfigError("max_batch_reads must be >= 1")
         if max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
+            raise ConfigError("max_delay_ms must be >= 0")
         if max_queued_reads < 1:
-            raise ValueError("max_queued_reads must be >= 1")
+            raise ConfigError("max_queued_reads must be >= 1")
         self.session = session
         self.max_batch_reads = max_batch_reads
         self.max_delay = max_delay_ms / 1000.0

@@ -14,6 +14,8 @@ so no locking is needed.
 
 from __future__ import annotations
 
+from repro.errors import ConfigError
+
 __all__ = ["LatencyWindow", "BatchSizeHistogram", "ServerStats"]
 
 
@@ -28,7 +30,7 @@ class LatencyWindow:
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+            raise ConfigError("capacity must be >= 1")
         self.capacity = capacity
         self._ring: list[float] = []
         self._next = 0

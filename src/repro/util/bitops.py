@@ -1,11 +1,13 @@
 """Vectorized bit-field manipulation on packed integer arrays.
 
 MetaCache packs k-mers into 2-bit-per-base integers (A=0, C=1, G=2,
-T=3).  Computing the canonical form of a k-mer requires reversing the
-order of the 2-bit fields and complementing each base, which for the
+T=3).  The reverse complement of an *already packed* k-mer reverses
+the order of the 2-bit fields and complements each base, which for the
 2-bit code is a plain bitwise NOT.  These routines implement the
-classic bit-reversal networks on whole NumPy arrays so that millions
-of k-mers are canonicalized without a Python-level loop.
+classic bit-reversal networks on whole NumPy arrays, without a
+Python-level loop.  The sketch kernel does not come through here: it
+packs both strands straight from the code sequence
+(:func:`repro.genomics.kmers.pack_canonical_kmers`).
 """
 
 from __future__ import annotations

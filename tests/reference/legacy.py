@@ -6,7 +6,9 @@ at a time in Python.  These functions are that code, moved out of
 packed kernels are byte-identical to them at every stage boundary.
 Only the sketch leg differs from production -- probing, compaction,
 sorting and top-m selection are the shared
-:func:`repro.core.query.partition_candidates`.
+:func:`repro.core.query.partition_candidates` -- and its stages are the
+pre-doubling kernel in ``tests/reference/sketch_windowed.py``, so the
+oracle shares no sketch code with ``src/``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import numpy as np
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database
 from repro.core.query import QueryResult, partition_candidates
-from repro.hashing.minhash import SKETCH_PAD, sketch_windows_batch, window_hash_matrix
-from repro.hashing.sketch import SketchParams, position_hashes
+from repro.hashing.minhash import SKETCH_PAD
+from repro.hashing.sketch import SketchParams
 from repro.util.timer import StageTimer
+
+from .sketch_windowed import position_hashes, sketch_windows_batch, window_hash_matrix
 
 __all__ = ["sketch_reads_loop", "_interleave_pairs_loop", "query_database_legacy"]
 

@@ -150,6 +150,26 @@ def test_rl001_covers_the_query_tail(tmp_path, relpath):
     assert len(findings) == 2
 
 
+RL001_BIT_LOOP = '''
+"""Packer module."""
+
+def pack(bases, k):
+    """The loop walks the binary digits of k, not positions: allowed."""
+    kmers = bases
+    for digit in bin(k)[3:]:
+        kmers = kmers << 2
+    return kmers
+'''
+
+
+@pytest.mark.parametrize(
+    "relpath", ["src/repro/genomics/kmers.py", "src/repro/genomics/windows.py"]
+)
+def test_rl001_covers_the_kmer_packer_and_window_layout(tmp_path, relpath):
+    assert len(run_rule("RL001", tmp_path, relpath, RL001_BAD)) == 2
+    assert run_rule("RL001", tmp_path, relpath, RL001_BIT_LOOP) == []
+
+
 def test_rl001_out_of_scope_module_not_checked(tmp_path):
     path = tmp_path / "src/repro/util/misc.py"
     path.parent.mkdir(parents=True)
@@ -674,22 +694,13 @@ def test_committed_baseline_matches_current_tree():
     assert result.ok, f"src/ no longer matches the committed baseline:\n{diff}"
 
 
-def test_committed_baseline_is_all_rl003_preconditions():
-    """The current baseline is precisely the documented precondition
-    ValueErrors plus the serve() cleanup re-raise; growing it is a
+def test_committed_baseline_is_only_the_serve_reraise():
+    """Argument preconditions raise ``ConfigError`` now, so the baseline
+    holds nothing but the serve() cleanup re-raise; growing it is a
     deliberate act that must show up in review."""
     baseline = load_baseline(REPO_ROOT / "tools" / "repro_lint" / "baseline.json")
     keys = {(e.rule, e.path, e.symbol) for e in baseline}
-    assert keys == {
-        ("RL003", "src/repro/api/facade.py", "MetaCache.__init__"),
-        ("RL003", "src/repro/api/facade.py", "MetaCache.extend"),
-        ("RL003", "src/repro/api/facade.py", "MetaCache.open"),
-        ("RL003", "src/repro/api/facade.py", "MetaCache.serve"),
-        ("RL003", "src/repro/api/session.py", "iter_batches"),
-        ("RL003", "src/repro/api/session.py", "QuerySession.__init__"),
-        ("RL003", "src/repro/server/batcher.py", "MicroBatcher.__init__"),
-        ("RL003", "src/repro/server/stats.py", "LatencyWindow.__init__"),
-    }
+    assert keys == {("RL003", "src/repro/api/facade.py", "MetaCache.serve")}
 
 
 # ---------------------------------------------------------------------- CLI

@@ -30,6 +30,10 @@ KERNEL_SCOPES = (
     # (normally one group per batch), never the reads themselves
     "src/repro/sort/",
     "src/repro/core/candidates.py",
+    # the sketch kernel's substrate: the k-mer packer's only loop walks
+    # the binary digits of k, never positions or reads
+    "src/repro/genomics/kmers.py",
+    "src/repro/genomics/windows.py",
 )
 
 _READ_NAME = re.compile(r"(read|seq|window|mate|record|sketch)", re.IGNORECASE)
