@@ -22,11 +22,13 @@ Exports fall into four groups:
   :func:`iter_batches`, plus the streaming build pipeline behind
   ``MetaCache.build`` / ``MetaCache.extend``: :class:`DatabaseBuilder`
   with its :class:`BuildStats` accounting;
-- **typed results**: :class:`ReadClassification`, :class:`RunReport`,
+- **typed results**: :class:`ReadClassification`, the lazy batch of
+  them :class:`ClassificationColumns`, :class:`RunReport`,
   :class:`ClassificationRun`, :class:`DatabaseInfo` (plus the raw
   :class:`Classification` / :class:`QueryResult` for array workflows);
 - **sinks**: the :class:`Sink` protocol, TSV/JSONL/Kraken
-  implementations, :func:`open_sink` / :func:`register_sink`;
+  implementations, :func:`open_sink` / :func:`register_sink` /
+  :func:`write_records`;
 - **errors & parameters**: the :class:`MetaCacheError` hierarchy,
   :class:`MetaCacheParams` / :class:`ClassificationParams` /
   :class:`SketchParams`, and curated analysis helpers (accuracy,
@@ -54,6 +56,7 @@ from repro.api.errors import (
 from repro.api.facade import MetaCache, load_accession_mapping
 from repro.api.records import (
     BuildStats,
+    ClassificationColumns,
     ClassificationRun,
     DatabaseInfo,
     ReadClassification,
@@ -77,6 +80,7 @@ from repro.api.sinks import (
     read_tsv,
     register_sink,
     sink_formats,
+    write_records,
 )
 
 # parameter / result types callers hold (stable re-exports)
@@ -117,6 +121,7 @@ __all__ = [
     # typed results
     "ReadClassification",
     "RunReport",
+    "ClassificationColumns",
     "ClassificationRun",
     "DatabaseInfo",
     "BuildStats",
@@ -132,6 +137,7 @@ __all__ = [
     "open_sink",
     "register_sink",
     "sink_formats",
+    "write_records",
     "read_tsv",
     "read_jsonl",
     "read_kraken",

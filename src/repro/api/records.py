@@ -2,15 +2,19 @@
 
 Everything a caller sees coming out of a classification run is one of
 these dataclasses -- no poking into parallel numpy arrays by index.
-The raw vectorized objects (:class:`repro.core.classify.Classification`
-and :class:`repro.core.query.QueryResult`) remain reachable through
+A batch's records travel as :class:`ClassificationColumns`, a lazy
+``Sequence[ReadClassification]`` that sinks render in bulk; a record
+exists only once a caller indexes or iterates.  The raw vectorized objects
+(:class:`repro.core.classify.Classification` and
+:class:`repro.core.query.QueryResult`) remain reachable through
 :class:`ClassificationRun` for numeric workflows that want arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+import operator
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Iterator, Sequence, overload
 
 import numpy as np
 
@@ -26,6 +30,8 @@ if TYPE_CHECKING:  # imported for typing only; records stay layer-free
 
 __all__ = [
     "ReadClassification",
+    "ClassificationColumns",
+    "record_fields",
     "RunReport",
     "ClassificationRun",
     "DatabaseInfo",
@@ -74,6 +80,83 @@ class ReadClassification:
             window_last=0,
             read_length=read_length,
         )
+
+
+#: ``record_fields(record)`` -> the tuple of its field values, in field order
+record_fields = operator.attrgetter(*(f.name for f in fields(ReadClassification)))
+
+
+class ClassificationColumns(Sequence[ReadClassification]):
+    """One batch of records as parallel columns, materialised lazily.
+
+    ``columns`` is one list per :class:`ReadClassification` field, in
+    field order.  ``len``, slices and ``+`` stay columnar; indexing and
+    iterating build records on demand; :meth:`rows` yields the field
+    tuples sinks render from.
+    """
+
+    def __init__(self, *columns: list[Any]) -> None:
+        self.columns = columns
+
+    @classmethod
+    def resolve(
+        cls,
+        db: "Database",
+        headers: Sequence[str],
+        classification: "Classification",
+        read_lengths: np.ndarray | None = None,
+    ) -> "ClassificationColumns":
+        """Columns of a vectorized Classification: name and rank are
+        looked up once per *distinct* taxon, unclassified reads get
+        :meth:`ReadClassification.unclassified`'s values."""
+        n, top = len(headers), classification
+        taxa = np.asarray(top.taxon[:n])
+        distinct, inverse = np.unique(taxa, return_inverse=True)
+        ids = distinct.tolist()
+        names = [db.taxonomy.name_of(t) if t else UNCLASSIFIED_NAME for t in ids]
+        ranks = [db.lineages.rank_resolved(t).name.lower() if t else "-" for t in ids]
+        hits = np.where(
+            taxa != 0,
+            [top.top_score[:n], top.best_target[:n],
+             top.best_window_first[:n], top.best_window_last[:n]],
+            [[0], [-1], [0], [0]],
+        )
+        return cls(
+            list(headers),
+            taxa.tolist(),
+            np.array(names, dtype=object)[inverse].tolist(),
+            np.array(ranks, dtype=object)[inverse].tolist(),
+            *hits.tolist(),
+            [0] * n if read_lengths is None else np.asarray(read_lengths[:n]).tolist(),
+        )
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    @overload
+    def __getitem__(self, i: int) -> ReadClassification: ...
+    @overload
+    def __getitem__(self, i: slice) -> "ClassificationColumns": ...
+    def __getitem__(self, i: int | slice) -> "ReadClassification | ClassificationColumns":
+        picked = (column[i] for column in self.columns)
+        if isinstance(i, slice):
+            return ClassificationColumns(*picked)
+        return ReadClassification(*picked)
+
+    def __iter__(self) -> Iterator[ReadClassification]:
+        return map(ReadClassification, *self.columns)
+
+    def __add__(self, other: "ClassificationColumns") -> "ClassificationColumns":
+        return ClassificationColumns(*map(operator.add, self.columns, other.columns))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ClassificationColumns):
+            return self.columns == other.columns
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def rows(self) -> Iterator[tuple[Any, ...]]:
+        """Each record's field values as one tuple, in field order."""
+        return zip(*self.columns)
 
 
 @dataclass
@@ -141,10 +224,11 @@ class ClassificationRun:
     """One classify call's full output: typed records + report + raw arrays.
 
     Iterating the run iterates its per-read records, so
-    ``for rec in session.classify(reads): ...`` just works.
+    ``for rec in session.classify(reads): ...`` just works; records
+    are built as they are consumed, never the whole batch up front.
     """
 
-    records: list[ReadClassification]
+    records: ClassificationColumns
     report: RunReport
     classification: "Classification"
     query: "QueryResult | None" = None
@@ -186,26 +270,6 @@ def records_from_classification(
     classification: "Classification",
     read_lengths: np.ndarray | None = None,
 ) -> list[ReadClassification]:
-    """Resolve a vectorized Classification into per-read records."""
-    records: list[ReadClassification] = []
-    taxa = classification.taxon
-    for i, header in enumerate(headers):
-        length = int(read_lengths[i]) if read_lengths is not None else 0
-        taxon = int(taxa[i])
-        if taxon == 0:
-            records.append(ReadClassification.unclassified(header, length))
-            continue
-        records.append(
-            ReadClassification(
-                header=header,
-                taxon_id=taxon,
-                taxon_name=db.taxonomy.name_of(taxon),
-                rank=db.lineages.rank_resolved(taxon).name.lower(),
-                score=int(classification.top_score[i]),
-                target=int(classification.best_target[i]),
-                window_first=int(classification.best_window_first[i]),
-                window_last=int(classification.best_window_last[i]),
-                read_length=length,
-            )
-        )
-    return records
+    """Resolve a vectorized Classification into per-read records (the
+    eager view of :meth:`ClassificationColumns.resolve`)."""
+    return list(ClassificationColumns.resolve(db, headers, classification, read_lengths))

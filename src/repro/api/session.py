@@ -30,7 +30,10 @@ down to byte-identical TSV output.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
+import operator
 import os
 import threading
 import warnings
@@ -38,13 +41,8 @@ from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.api.records import (
-    ClassificationRun,
-    ReadClassification,
-    RunReport,
-    records_from_classification,
-)
-from repro.api.sinks import Sink
+from repro.api.records import ClassificationColumns, ClassificationRun, RunReport
+from repro.api.sinks import Sink, write_records
 from repro.core.classify import Classification, classify_reads
 from repro.core.config import ClassificationParams
 from repro.core.database import Database
@@ -232,12 +230,12 @@ class QuerySession:
         stages: Mapping[str, float] | None = None,
         query: QueryResult | None = None,
     ) -> ClassificationRun:
-        """Format one classified batch: typed records + accounted report.
+        """Format one classified batch: record columns + accounted report.
 
         The tail every batch goes through, whether it was classified
         by :meth:`_run_batch` or by a pool worker.
         """
-        records = records_from_classification(db, headers, cls, read_lengths)
+        records = ClassificationColumns.resolve(db, headers, cls, read_lengths)
         report = RunReport(
             n_reads=len(headers),
             n_classified=cls.n_classified,
@@ -246,8 +244,12 @@ class QuerySession:
             total_seconds=sum((stages or {}).values()),
             stages=dict(stages or {}),
         )
-        for t in cls.taxon[cls.classified_mask].tolist():
-            report.taxon_counts[int(t)] = report.taxon_counts.get(int(t), 0) + 1
+        # one C-level pass over the taxon column, keyed in order of
+        # first appearance (a sort-based np.unique costs more on the
+        # 8-read batches of the serving path and loses that order)
+        counts = collections.Counter(records.columns[1])
+        counts.pop(0, None)  # unclassified
+        report.taxon_counts = dict(counts)
         self.n_queries += 1
         self.report.merge(report)
         return ClassificationRun(records, report, cls, query)
@@ -306,8 +308,8 @@ class QuerySession:
         sequences: list[np.ndarray],
         *,
         params: ClassificationParams | None = None,
-    ) -> list[ReadClassification]:
-        """Classify one pre-encoded batch into typed records.
+    ) -> ClassificationColumns:
+        """Classify one pre-encoded batch into (lazy) typed records.
 
         The serving hot path: the classification server's
         micro-batcher hands coalesced request batches here.  With the
@@ -317,7 +319,9 @@ class QuerySession:
         order -- records are identical to the single-process path,
         which the differential server test asserts byte-for-byte.
         With ``workers == 1`` it is exactly :meth:`classify` minus
-        the run wrapper.
+        the run wrapper.  The result is the batch's
+        :class:`~repro.api.records.ClassificationColumns`: slice it,
+        hand it to a sink's ``write_all``, or iterate it for records.
 
         ``headers`` and ``sequences`` must be parallel lists with the
         sequences already encoded (uint8 code arrays); mismatched
@@ -343,7 +347,8 @@ class QuerySession:
                 for i in range(0, n, per_chunk)
             )
         cp = params or self.params
-        return [rec for run in self._runs(items, cp, engine) for rec in run.records]
+        parts = [run.records for run in self._runs(items, cp, engine)]
+        return functools.reduce(operator.add, parts)
 
     # ------------------------------------------------------------ streaming
 
@@ -438,8 +443,7 @@ class QuerySession:
                 try:
                     for run in self._runs(q, cp, engine):
                         if sink is not None:
-                            for rec in run.records:
-                                sink.write(rec)
+                            write_records(sink, run.records)
                         total.merge(run.report)
                 except BaseException:
                     cancelled.set()

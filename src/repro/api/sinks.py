@@ -1,8 +1,10 @@
 """Pluggable result sinks: where classification records go.
 
 A :class:`Sink` consumes :class:`~repro.api.records.ReadClassification`
-records one at a time, so the streaming query path never has to hold a
-whole run's output in memory.  Three wire formats ship built in:
+records one at a time, or -- the built-in sinks -- a batch at a time
+straight from its :class:`~repro.api.records.ClassificationColumns`;
+either way the streaming query path never has to hold a whole run's
+output in memory.  Three wire formats ship built in:
 
 - ``tsv``    -- the classic MetaCache per-read table (byte-identical
   to what the CLI always printed);
@@ -16,12 +18,13 @@ formats register with :func:`register_sink` and become available to
 
 from __future__ import annotations
 
+import collections
 import io
 import json
 import os
-from typing import Callable, Iterable, Iterator, Protocol, Self, runtime_checkable
+from typing import Any, Callable, Iterable, Iterator, Protocol, Self, runtime_checkable
 
-from repro.api.records import ReadClassification
+from repro.api.records import ClassificationColumns, ReadClassification, record_fields
 from repro.errors import UnknownFormatError
 
 __all__ = [
@@ -32,6 +35,7 @@ __all__ = [
     "KrakenSink",
     "CollectSink",
     "open_sink",
+    "write_records",
     "register_sink",
     "sink_formats",
     "read_tsv",
@@ -46,7 +50,8 @@ class Sink(Protocol):
 
     Lifecycle: ``start()`` once, ``write()`` per record, ``finish()``
     once (context-manager use does this automatically, closing only
-    handles the sink itself opened).
+    handles the sink itself opened).  ``write_all(records)`` is
+    optional: see :func:`write_records`.
     """
 
     def start(self) -> None: ...
@@ -56,8 +61,18 @@ class Sink(Protocol):
     def finish(self) -> None: ...
 
 
+def write_records(sink: Sink, records: Iterable[ReadClassification]) -> None:
+    """Hand one batch to ``sink``: through its ``write_all`` when it
+    has one, else record by record through the protocol's ``write``."""
+    write_all = getattr(sink, "write_all", None)
+    if write_all is not None:
+        write_all(records)
+    else:
+        collections.deque(map(sink.write, records), maxlen=0)
+
+
 class _SinkBase:
-    """Shared lifecycle plumbing (context manager, write_all)."""
+    """Shared lifecycle plumbing (context manager)."""
 
     def start(self) -> None:  # pragma: no cover - trivial default
         pass
@@ -69,11 +84,8 @@ class _SinkBase:
         raise NotImplementedError
 
     def write_all(self, records: Iterable[ReadClassification]) -> int:
-        n = 0
-        for rec in records:
-            self.write(rec)
-            n += 1
-        return n
+        """Write every record through :meth:`write`; returns how many."""
+        return sum(1 for _ in map(self.write, records))
 
     def __enter__(self) -> Self:
         self.start()
@@ -99,7 +111,8 @@ class TextSink(_SinkBase):
 
     A path (str/PathLike) is opened at ``start()`` and closed at
     ``finish()``; an already-open handle (e.g. ``sys.stdout``) is
-    written to but never closed.
+    written to but never closed.  A format is one method,
+    :meth:`format_row`, behind both :meth:`write` and :meth:`write_all`.
     """
 
     def __init__(self, dest: str | os.PathLike | io.TextIOBase) -> None:
@@ -132,16 +145,35 @@ class TextSink(_SinkBase):
         """Format and write one record (auto-starts on first write)."""
         if self._handle is None:
             self.start()
-        self._handle.write(self.format_record(record) + "\n")
+        self._handle.write(self.format_row(record_fields(record)) + "\n")
         self.n_written += 1
+
+    def write_all(self, records: Iterable[ReadClassification]) -> int:
+        """Format a batch and write it with one call; returns rows written.
+
+        :class:`ClassificationColumns` render from their columns, no
+        record built; any other iterable through each record's fields.
+        """
+        if self._handle is None:
+            self.start()
+        if isinstance(records, ClassificationColumns):
+            rows = records.rows()
+        else:
+            rows = map(record_fields, records)
+        lines = [self.format_row(row) for row in rows]
+        if lines:
+            self._handle.write("\n".join(lines) + "\n")
+        self.n_written += len(lines)
+        return len(lines)
 
     # -- format hooks ---------------------------------------------------
     def header_line(self) -> str | None:
         """Optional first line of the output (``None`` = no header)."""
         return None
 
-    def format_record(self, record: ReadClassification) -> str:
-        """Render one record as a single output line (subclass hook)."""
+    def format_row(self, row: tuple[Any, ...]) -> str:
+        """Render one record, given as the tuple of its fields in
+        :class:`ReadClassification` order, as one line (subclass hook)."""
         raise NotImplementedError
 
 
@@ -155,45 +187,37 @@ class TsvSink(TextSink):
         """The tab-joined column header row."""
         return "\t".join(self.COLUMNS)
 
-    def format_record(self, r: ReadClassification) -> str:
+    def format_row(self, row: tuple[Any, ...]) -> str:
         """One TSV row; unclassified reads get the sentinel columns."""
-        if not r.classified:
-            return f"{r.header}\t0\tunclassified\t-\t0\t-\t-"
+        header, taxon_id, taxon_name, rank, score, target, first, last, _ = row
+        if not taxon_id:
+            return f"{header}\t0\tunclassified\t-\t0\t-\t-"
         return (
-            f"{r.header}\t{r.taxon_id}\t{r.taxon_name}\t{r.rank}\t{r.score}\t"
-            f"{r.target}\t[{r.window_first},{r.window_last}]"
+            f"{header}\t{taxon_id}\t{taxon_name}\t{rank}\t{score}\t"
+            f"{target}\t[{first},{last}]"
         )
 
 
 class JsonlSink(TextSink):
     """One JSON object per read; the only fully lossless text format."""
 
-    def format_record(self, r: ReadClassification) -> str:
+    KEYS = ("read", "taxon_id", "taxon_name", "rank", "score", "target",
+            "window_first", "window_last", "read_length")
+
+    def format_row(self, row: tuple[Any, ...]) -> str:
         """One compact JSON object per line, every field preserved."""
-        return json.dumps(
-            {
-                "read": r.header,
-                "taxon_id": r.taxon_id,
-                "taxon_name": r.taxon_name,
-                "rank": r.rank,
-                "score": r.score,
-                "target": r.target,
-                "window_first": r.window_first,
-                "window_last": r.window_last,
-                "read_length": r.read_length,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(dict(zip(self.KEYS, row)), separators=(",", ":"))
 
 
 class KrakenSink(TextSink):
     """Kraken-style output: ``C/U  read  taxid  length  taxid:score``."""
 
-    def format_record(self, r: ReadClassification) -> str:
+    def format_row(self, row: tuple[Any, ...]) -> str:
         """One Kraken-style row (``C/U  read  taxid  length  hits``)."""
-        status = "C" if r.classified else "U"
-        hits = f"{r.taxon_id}:{r.score}" if r.classified else "0:0"
-        return f"{status}\t{r.header}\t{r.taxon_id}\t{r.read_length}\t{hits}"
+        header, taxon_id, _, _, score, _, _, _, length = row
+        if not taxon_id:
+            return f"U\t{header}\t0\t{length}\t0:0"
+        return f"C\t{header}\t{taxon_id}\t{length}\t{taxon_id}:{score}"
 
 
 _REGISTRY: dict[str, Callable[..., TextSink]] = {}
@@ -275,19 +299,8 @@ def read_jsonl(
         if not line:
             continue
         obj = json.loads(line)
-        records.append(
-            ReadClassification(
-                header=obj["read"],
-                taxon_id=obj["taxon_id"],
-                taxon_name=obj["taxon_name"],
-                rank=obj["rank"],
-                score=obj["score"],
-                target=obj["target"],
-                window_first=obj["window_first"],
-                window_last=obj["window_last"],
-                read_length=obj.get("read_length", 0),
-            )
-        )
+        obj.setdefault("read_length", 0)
+        records.append(ReadClassification(*(obj[key] for key in JsonlSink.KEYS)))
     return records
 
 

@@ -11,19 +11,23 @@ truncated final FASTQ record -- raises
 ``UnicodeDecodeError`` / ``zlib.error``.  Servers and pipelines can
 therefore wrap ingest in a single ``except MetaCacheError``.
 
-Two entry points share the machinery:
+Three entry points share the machinery, all over one *binary* handle
+(plain file, gzip stream or in-memory body alike):
 
-- :func:`iter_sequence_records` streams from a file path (the query
-  pipeline's producer uses this; multi-gigabyte files never need to
-  fit in memory);
-- :func:`iter_sequence_records_bytes` parses an in-memory buffer
-  (the server's ``POST /classify`` request bodies).
+- :func:`iter_sequence_blocks` streams a file ``batch_size`` reads at
+  a time as header and sequence-line lists (the query pipeline's
+  producer packs these without touching a read in Python;
+  multi-gigabyte files never need to fit in memory);
+- :func:`iter_sequence_records` is the per-record view of a file;
+- :func:`iter_sequence_records_bytes` the per-record view of an
+  in-memory buffer (the server's ``POST /classify`` request bodies).
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import itertools
 import os
 import zlib
 from contextlib import contextmanager
@@ -33,11 +37,12 @@ import numpy as np
 
 from repro.errors import InvalidReadError
 from repro.genomics.alphabet import encode_sequence
-from repro.genomics.fasta import read_fasta
-from repro.genomics.fastq import read_fastq
+from repro.genomics.fasta import FastaRecord, read_fasta
+from repro.genomics.fastq import read_fastq_blocks, split_lines
 
 __all__ = [
     "open_sequence_file",
+    "iter_sequence_blocks",
     "iter_sequence_records",
     "iter_sequence_records_bytes",
     "read_sequences",
@@ -75,48 +80,91 @@ def _translate_parse_errors(name: str):
         raise InvalidReadError(f"{name}: {exc}") from exc
 
 
-def open_sequence_file(path: str | os.PathLike) -> io.TextIOBase:
-    """Open a (possibly gzip'd) text file for reading.
+@contextmanager
+def open_sequence_file(path: str | os.PathLike) -> Iterator[io.BufferedReader]:
+    """Open a (possibly gzip'd) sequence file as one binary stream.
 
     Compression is detected from the magic bytes, not the file name,
-    so ``reads.fastq`` and ``reads.fastq.gz`` both just work.
+    so ``reads.fastq`` and ``reads.fastq.gz`` both just work -- by
+    ``peek`` on the one handle, never a second ``open`` or a ``seek``,
+    so ``/dev/stdin``, a FIFO or ``<(zcat reads.fq.gz)`` work too.
     """
-    with open(path, "rb") as probe:
-        magic = probe.read(2)
-    if magic == _GZIP_MAGIC:
-        return gzip.open(path, "rt", encoding="ascii")
-    return open(path, "r", encoding="ascii")
+    with open(path, "rb") as raw:
+        if raw.peek(2)[:2] != _GZIP_MAGIC:
+            yield raw
+        else:
+            with gzip.GzipFile(fileobj=raw) as inflated:
+                # buffered: C-level line iteration, and peek for the sniff
+                yield io.BufferedReader(inflated)  # type: ignore[arg-type]
+
+
+def _sniff(handle: io.BufferedReader, name: str) -> str:
+    """The record sigil (``>``, ``@``; ``""`` for empty input), unconsumed.
+
+    The format is sniffed from the first non-blank character.  Blank
+    lines only are skipped: the record parsers tolerate those too, so
+    sniff and parse agree.  Any other leading whitespace (a line of
+    spaces) would be rejected downstream with a confusing message, so
+    it is called out as not-a-sequence-file right here.
+    """
+    first = handle.peek(1)[:1]
+    while first in (b"\n", b"\r"):
+        handle.read(1)
+        first = handle.peek(1)[:1]
+    sigil = first.decode("ascii")
+    if sigil not in ("", ">", "@"):
+        raise InvalidReadError(
+            f"{name}: neither FASTA nor FASTQ (starts with {sigil!r})"
+        )
+    return sigil
+
+
+def _fasta_records(handle: io.BufferedReader) -> Iterator[FastaRecord]:
+    return read_fasta(io.TextIOWrapper(handle, encoding="ascii"))
 
 
 def _sniffed_records(
-    handle: io.TextIOBase, name: str
+    handle: io.BufferedReader, name: str
 ) -> Iterator[tuple[str, str]]:
-    """Dispatch an open text handle to the FASTA or FASTQ parser.
+    """Per-record view of an open stream, FASTA or FASTQ.
 
-    The format is sniffed from the first non-blank character; empty
-    input yields nothing.  Shared by the file and in-memory entry
-    points so their accepted grammar cannot diverge.
+    Shared by the file and in-memory entry points so their accepted
+    grammar cannot diverge; empty input yields nothing.
     """
-    # Skip blank lines only: the record parsers tolerate those too,
-    # so sniff and parse agree.  Any other leading whitespace (a
-    # line of spaces) would be rejected downstream with a confusing
-    # message, so call it out as not-a-sequence-file right here.
-    first = handle.read(1)
-    while first in ("\n", "\r"):
-        first = handle.read(1)
-    handle.seek(0)
-    if first == "":
-        return
-    if first == ">":
-        for fa in read_fasta(handle):
-            yield fa.header, fa.sequence
-    elif first == "@":
-        for fq in read_fastq(handle):
-            yield fq.header, fq.sequence
-    else:
-        raise InvalidReadError(
-            f"{name}: neither FASTA nor FASTQ (starts with {first!r})"
-        )
+    sigil = _sniff(handle, name)
+    if sigil == ">":
+        yield from ((fa.header, fa.sequence) for fa in _fasta_records(handle))
+    elif sigil == "@":
+        blocks = read_fastq_blocks(handle)
+        for block in blocks:
+            yield from zip(block.headers, split_lines(block.sequences))
+
+
+def iter_sequence_blocks(
+    path: str | os.PathLike, batch_size: int
+) -> Iterator[tuple[list[str], list[bytes]]]:
+    """Yield ``(headers, sequence lines)`` for ``batch_size`` reads at a time.
+
+    The bulk counterpart of :func:`iter_sequence_records` (same
+    sniffing, same errors) for the query pipeline's producer: each
+    sequence is one ASCII line still ending in ``\\n``, ready to be
+    joined and encoded once per batch.  FASTQ blocks come straight
+    from :func:`repro.genomics.fastq.read_fastq_blocks`; FASTA is
+    still parsed per record underneath.
+    """
+    with _translate_parse_errors(str(path)), open_sequence_file(path) as handle:
+        sigil = _sniff(handle, str(path))
+        if sigil == ">":
+            entries = _fasta_records(handle)
+            while chunk := list(itertools.islice(entries, batch_size)):
+                yield (
+                    [fa.header for fa in chunk],
+                    [fa.sequence.encode("ascii") + b"\n" for fa in chunk],
+                )
+        elif sigil == "@":
+            blocks = read_fastq_blocks(handle, batch_size)
+            for block in blocks:
+                yield block.headers, block.sequences
 
 
 def iter_sequence_records(path: str | os.PathLike) -> Iterator[tuple[str, str]]:
@@ -130,12 +178,8 @@ def iter_sequence_records(path: str | os.PathLike) -> Iterator[tuple[str, str]]:
     :class:`repro.errors.InvalidReadError` naming the path; a missing
     file still raises ``FileNotFoundError``.
     """
-    with _translate_parse_errors(str(path)):
-        handle = open_sequence_file(path)
-        try:
-            yield from _sniffed_records(handle, str(path))
-        finally:
-            handle.close()
+    with _translate_parse_errors(str(path)), open_sequence_file(path) as handle:
+        yield from _sniffed_records(handle, str(path))
 
 
 def _bounded_gunzip(data: bytes, limit: int | None, name: str) -> bytes:
@@ -231,7 +275,7 @@ def iter_sequence_records_bytes(
     with _translate_parse_errors(name):
         if data[:2] == _GZIP_MAGIC:
             data = _bounded_gunzip(data, max_decompressed_bytes, name)
-        handle = io.StringIO(data.decode("ascii"))
+        handle = io.BufferedReader(io.BytesIO(data))  # type: ignore[arg-type]
         yield from _sniffed_records(handle, name)
 
 

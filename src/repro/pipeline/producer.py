@@ -10,7 +10,6 @@ build side, :func:`read_file_producer` the query side.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 from typing import Sequence
@@ -18,7 +17,7 @@ from typing import Sequence
 from repro.errors import InvalidReadError
 from repro.genomics.alphabet import encode_sequence
 from repro.genomics.fasta import read_fasta
-from repro.genomics.io import iter_sequence_records
+from repro.genomics.io import iter_sequence_blocks
 from repro.pipeline.batch import SequenceBatch
 from repro.pipeline.packed import PackedReads
 from repro.pipeline.queues import ClosableQueue
@@ -44,10 +43,11 @@ def fasta_producer(
     try:
         for path in paths:
             batch = SequenceBatch()
-            for record in read_fasta(path):
+            references = read_fasta(path)
+            for reference in references:
                 batch.append(
-                    record.header,
-                    encode_sequence(record.sequence),
+                    reference.header,
+                    encode_sequence(reference.sequence),
                     id_offset + produced,
                 )
                 produced += 1
@@ -72,14 +72,15 @@ def read_file_producer(
 
     The one producer behind the query side of the pipeline: FASTA or
     FASTQ, plain or gzip'd, sniffed by
-    :func:`repro.genomics.io.iter_sequence_records`.  Each queue item
+    :func:`repro.genomics.io.iter_sequence_blocks`.  Each queue item
     is ``(headers, PackedReads)`` for up to ``batch_size`` reads --
-    parsed, encoded *and* packed here, so the consumer (the serial
-    query loop or the worker pool's chunk pickling) receives the
-    contiguous form without paying for it.  With ``mates_path`` the
-    two files are read in lock step (pairing is positional, headers
-    come from ``path``) and packed mate-interleaved; files of
-    different lengths raise :class:`~repro.errors.InvalidReadError`.
+    the file's sequence lines joined, encoded *and* packed here a
+    batch at a time, so the consumer (the serial query loop or the
+    worker pool's chunk pickling) receives the contiguous form without
+    paying for it.  With ``mates_path`` the two files are read in lock
+    step (pairing is positional, headers come from ``path``) and
+    packed mate-interleaved; files of different lengths raise
+    :class:`~repro.errors.InvalidReadError`.
 
     ``cancelled`` lets the consumer abort the stream early (sink
     failure, worker crash): the producer checks it per batch and
@@ -89,27 +90,25 @@ def read_file_producer(
     """
     produced = 0
     try:
-        reads = iter_sequence_records(path)
-        mates = None if mates_path is None else iter_sequence_records(mates_path)
+        blocks = iter_sequence_blocks(path, batch_size)
+        mate_blocks = (
+            None if mates_path is None else iter_sequence_blocks(mates_path, batch_size)
+        )
         while cancelled is None or not cancelled.is_set():
-            batch = list(itertools.islice(reads, batch_size))
-            mate_codes = None
-            if mates is not None:
-                # past the last read, one more mate is asked for, so a
-                # longer mates file is caught too
-                mate_batch = list(itertools.islice(mates, len(batch) or 1))
-                if len(mate_batch) != len(batch):
+            headers, lines = next(blocks, ([], []))
+            mate_lines = None
+            if mate_blocks is not None:
+                # past the last read, one more block of mates is asked
+                # for, so a longer mates file is caught too
+                _, mate_lines = next(mate_blocks, ([], []))
+                if len(mate_lines) != len(lines):
                     raise InvalidReadError(
                         f"paired files differ in length: {path} vs {mates_path}"
                     )
-                mate_codes = [encode_sequence(seq) for _, seq in mate_batch]
-            if not batch:
+            if not headers:
                 break
-            packed = PackedReads.from_reads(
-                [encode_sequence(seq) for _, seq in batch], mate_codes
-            )
-            out.put(([header for header, _ in batch], packed))
-            produced += len(batch)
+            out.put((headers, PackedReads.from_lines(lines, mate_lines)))
+            produced += len(headers)
     finally:
         out.close_producer()
     return produced

@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.api.sinks import open_sink, sink_formats
+from repro.api.sinks import open_sink, sink_formats, write_records
 from repro.errors import (
     DatabaseFormatError,
     InvalidReadError,
@@ -725,8 +725,7 @@ class ClassificationServer:
         def render() -> str:
             buffer = io.StringIO()
             with open_sink(fmt, buffer) as sink:
-                for record in records:
-                    sink.write(record)
+                write_records(sink, records)
             return buffer.getvalue()
 
         if len(records) > _OFFLOAD_RENDER_RECORDS:

@@ -34,10 +34,12 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Deque
+from typing import Deque, Sequence
 
 import collections
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -57,14 +59,12 @@ class _PendingRequest:
     sequences: list[np.ndarray]
     future: asyncio.Future
     arrived_at: float
-    results: list[ReadClassification | None] = field(default_factory=list)
+    # one slice of a batch's result sequence per batch that served it
+    parts: list[Sequence[ReadClassification]] = field(default_factory=list)
     taken: int = 0  # reads already placed into a dispatched batch
     done: int = 0  # reads whose results have come back
     failed: bool = False
     served: bool = False  # counted into requests_served already
-
-    def __post_init__(self) -> None:
-        self.results = [None] * len(self.sequences)
 
     @property
     def remaining(self) -> int:
@@ -181,11 +181,14 @@ class MicroBatcher:
 
     async def submit(
         self, headers: list[str], sequences: list[np.ndarray]
-    ) -> list[ReadClassification]:
+    ) -> Sequence[ReadClassification]:
         """Submit one request's reads; resolves with its typed records.
 
         Results come back in the request's own read order regardless
-        of how its reads were sliced across batches.  Raises
+        of how its reads were sliced across batches -- as the slice
+        of the session's result sequence that served the request
+        (no record is built here), concatenated only when the request
+        was split across batches.  Raises
         :class:`~repro.errors.OverloadedError` when the admission
         queue is full and :class:`~repro.errors.ServerError` when the
         batcher is shutting down (or was never started).
@@ -278,7 +281,7 @@ class MicroBatcher:
         # the slices of the batch currently being processed: their
         # entries are already popped from _pending, so the crash
         # handler must fail them explicitly
-        inflight: list[tuple[_PendingRequest, int, int]] = []
+        inflight: list[tuple[_PendingRequest, int]] = []
         try:
             while True:
                 while not self._pending and not self._closing:
@@ -314,7 +317,7 @@ class MicroBatcher:
                         seqs,
                     )
                 except Exception as exc:  # noqa: BLE001 - to the callers
-                    for entry, _start, _count in inflight:
+                    for entry, _count in inflight:
                         self._fail_entry(entry, exc)
                     inflight = []
                     continue
@@ -326,7 +329,7 @@ class MicroBatcher:
                         f"classifier returned {len(records)} records "
                         f"for a batch of {len(seqs)} reads"
                     )
-                    for entry, _start, _count in inflight:
+                    for entry, _count in inflight:
                         self._fail_entry(entry, mismatch)
                     inflight = []
                     continue
@@ -339,18 +342,18 @@ class MicroBatcher:
                 f"batch dispatcher failed: {type(exc).__name__}: {exc}"
             )
             failure.__cause__ = exc
-            for entry, _start, _count in inflight:
+            for entry, _count in inflight:
                 self._fail_entry(entry, failure)
             while self._pending:
                 self._fail_entry(self._pending.popleft(), failure)
             self._queued_reads = 0
 
     def _take_batch(
-        self, slices: list[tuple[_PendingRequest, int, int]]
+        self, slices: list[tuple[_PendingRequest, int]]
     ) -> tuple[list[str], list[np.ndarray]] | None:
         """Pop up to ``max_batch_reads`` reads FIFO, splitting the tail.
 
-        Appends ``(entry, batch_start, count)`` to the caller-owned
+        Appends ``(entry, count)`` to the caller-owned
         ``slices`` list *as each entry is taken* -- before any
         allocation that could raise -- so the dispatcher's crash
         handler always has a record of every entry this call popped
@@ -370,7 +373,7 @@ class MicroBatcher:
                 continue
             take = min(entry.remaining, budget)
             start = entry.taken
-            slices.append((entry, start, take))
+            slices.append((entry, take))
             headers.extend(entry.headers[start : start + take])
             seqs.extend(entry.sequences[start : start + take])
             entry.taken += take
@@ -385,20 +388,24 @@ class MicroBatcher:
     def _demux(
         self,
         loop: asyncio.AbstractEventLoop,
-        records: list[ReadClassification],
-        slices: list[tuple[_PendingRequest, int, int]],
+        records: Sequence[ReadClassification],
+        slices: list[tuple[_PendingRequest, int]],
     ) -> None:
-        """Scatter one batch's records back onto the requests they serve."""
+        """Slice one batch's records back onto the requests they serve.
+
+        Batches are dispatched in order and each takes a request's
+        reads in order, so a request's parts arrive in read order.
+        """
         offset = 0
-        for entry, start, count in slices:
-            entry.results[start : start + count] = records[
-                offset : offset + count
-            ]
+        for entry, count in slices:
+            entry.parts.append(records[offset : offset + count])
             entry.done += count
             offset += count
             if entry.done == len(entry.sequences) and not entry.failed:
                 if not entry.future.done():  # caller may have disconnected
-                    entry.future.set_result(entry.results)
+                    entry.future.set_result(
+                        functools.reduce(operator.add, entry.parts)
+                    )
                 entry.served = True
                 self.stats.requests_served += 1
                 self.stats.reads_served += len(entry.sequences)

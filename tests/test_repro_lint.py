@@ -170,6 +170,35 @@ def test_rl001_covers_the_kmer_packer_and_window_layout(tmp_path, relpath):
     assert run_rule("RL001", tmp_path, relpath, RL001_BIT_LOOP) == []
 
 
+RL001_BLOCK_LOOP = '''
+"""Host-side module."""
+
+def parse(handle, batch_size):
+    """The loop walks blocks of lines, not reads: allowed."""
+    blocks = iter(handle)
+    for block in blocks:
+        yield [line[1:] for line in block]
+
+def render(columns):
+    """One comprehension and one join per batch: allowed."""
+    return "\\n".join([str(row) for row in zip(*columns)])
+'''
+
+
+@pytest.mark.parametrize(
+    "relpath",
+    [
+        "src/repro/genomics/fastq.py",
+        "src/repro/pipeline/producer.py",
+        "src/repro/api/records.py",
+        "src/repro/api/sinks.py",
+    ],
+)
+def test_rl001_covers_the_host_side_from_file_to_sink(tmp_path, relpath):
+    assert len(run_rule("RL001", tmp_path, relpath, RL001_BAD)) == 2
+    assert run_rule("RL001", tmp_path, relpath, RL001_BLOCK_LOOP) == []
+
+
 def test_rl001_out_of_scope_module_not_checked(tmp_path):
     path = tmp_path / "src/repro/util/misc.py"
     path.parent.mkdir(parents=True)

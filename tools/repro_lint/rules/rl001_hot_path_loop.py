@@ -34,6 +34,13 @@ KERNEL_SCOPES = (
     # the binary digits of k, never positions or reads
     "src/repro/genomics/kmers.py",
     "src/repro/genomics/windows.py",
+    # the host side, file to sink: the FASTQ parser and the producer
+    # walk blocks of reads (and the parser's repair path the runs of
+    # blank lines between them), records and sinks whole batches
+    "src/repro/genomics/fastq.py",
+    "src/repro/pipeline/producer.py",
+    "src/repro/api/records.py",
+    "src/repro/api/sinks.py",
 )
 
 _READ_NAME = re.compile(r"(read|seq|window|mate|record|sketch)", re.IGNORECASE)
