@@ -125,7 +125,7 @@ def run_reload_bench(n_reads: int = 512, n_swaps: int = N_SWAPS) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-reload-") as tmp:
         dir_a, dir_b, body = _build_generations(Path(tmp), n_reads)
         mc = MetaCache.open(dir_a, mmap=True)
-        thread = mc.serve(port=0, block=False, max_delay_ms=1.0)
+        thread = mc.serve(port=0, block=False)
         host, port = thread.server.host, thread.server.port
         rss_start = _rss_kib()
         try:

@@ -9,13 +9,13 @@ paper's batching insight applied to request traffic instead of file
 streams.
 
 Both modes run the identical HTTP server in-process over the same
-warm database; the only difference is the batching knobs:
+warm database; the only difference is the batch bound:
 
-- **coalesced** -- ``max_batch_reads=4096, max_delay_ms=2`` (the
-  defaults): concurrent requests merge into big batches;
-- **batch1**    -- ``max_batch_reads=1, max_delay_ms=0``: every read
-  is dispatched as its own classification call, i.e. no coalescing
-  at all (the per-call overhead the batcher exists to amortize).
+- **coalesced** -- ``max_batch_reads=4096`` (the default): requests
+  that arrive while a batch is in flight merge into the next one;
+- **batch1**    -- ``max_batch_reads=1``: every read is dispatched
+  as its own classification call, i.e. no coalescing at all (the
+  per-call overhead the batcher exists to amortize).
 
 Each concurrency level (1, 8, 32 clients) fires a fixed number of
 keep-alive JSON requests per client and records requests/s, reads/s
@@ -56,8 +56,8 @@ _JSON_NAME = "BENCH_serve.json"
 
 CLIENT_COUNTS = (1, 8, 32)
 MODES = {
-    "coalesced": dict(max_batch_reads=4096, max_delay_ms=2.0),
-    "batch1": dict(max_batch_reads=1, max_delay_ms=0.0),
+    "coalesced": dict(max_batch_reads=4096),
+    "batch1": dict(max_batch_reads=1),
 }
 
 

@@ -516,7 +516,6 @@ class MetaCache:
         workers: int | None = None,
         params: ClassificationParams | None = None,
         max_batch_reads: int = 4096,
-        max_delay_ms: float = 2.0,
         max_queued_reads: int = 65536,
         watch: "str | os.PathLike | None" = None,
         watch_interval: float = 2.0,
@@ -528,9 +527,10 @@ class MetaCache:
         Starts the micro-batching server of :mod:`repro.server` on a
         dedicated session: concurrent ``POST /classify`` requests are
         coalesced into batches of up to ``max_batch_reads`` reads
-        (waiting at most ``max_delay_ms`` for traffic), classified on
-        the warm index -- across ``workers`` processes when > 1 --
-        and demultiplexed back to the callers; ``GET /healthz`` and
+        (whatever is queued when the dispatcher comes free; a lone
+        request never waits), classified on the warm index -- across
+        ``workers`` processes when > 1 -- and demultiplexed back to
+        the callers; ``GET /healthz`` and
         ``GET /stats`` expose liveness and the latency/batch-shape
         counters.  The admission queue is bounded by
         ``max_queued_reads``; beyond it requests are answered 503
@@ -574,7 +574,6 @@ class MetaCache:
             host=host,
             port=port,
             max_batch_reads=max_batch_reads,
-            max_delay_ms=max_delay_ms,
             max_queued_reads=max_queued_reads,
             source_dir=self.source_path,
             watch_dir=watch,

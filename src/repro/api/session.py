@@ -305,34 +305,40 @@ class QuerySession:
     def classify_batch(
         self,
         headers: list[str],
-        sequences: list[np.ndarray],
+        sequences: "list[np.ndarray] | PackedReads",
         *,
         params: ClassificationParams | None = None,
     ) -> ClassificationColumns:
         """Classify one pre-encoded batch into (lazy) typed records.
 
         The serving hot path: the classification server's
-        micro-batcher hands coalesced request batches here.  With the
-        session's ``workers > 1`` the batch is split into up to
-        ``workers`` contiguous sub-chunks and streamed through the
-        worker pool (:mod:`repro.parallel`), then reassembled in
-        order -- records are identical to the single-process path,
-        which the differential server test asserts byte-for-byte.
-        With ``workers == 1`` it is exactly :meth:`classify` minus
-        the run wrapper.  The result is the batch's
-        :class:`~repro.api.records.ClassificationColumns`: slice it,
-        hand it to a sink's ``write_all``, or iterate it for records.
+        micro-batcher hands coalesced request batches here, already
+        packed.  With the session's ``workers > 1`` the batch is split
+        into up to ``workers`` contiguous sub-chunks and streamed
+        through the worker pool (:mod:`repro.parallel`), then
+        reassembled in order -- records are identical to the
+        single-process path, which the differential server test
+        asserts byte-for-byte.  With ``workers == 1`` it is exactly
+        :meth:`classify` minus the run wrapper.  The result is the
+        batch's :class:`~repro.api.records.ClassificationColumns`:
+        slice it, hand it to a sink's ``write_all``, or iterate it for
+        records.
 
-        ``headers`` and ``sequences`` must be parallel lists with the
-        sequences already encoded (uint8 code arrays); mismatched
-        lengths raise :class:`repro.errors.InvalidReadError`.
+        ``sequences`` is a :class:`~repro.pipeline.packed.PackedReads`
+        or, for callers that hold per-read arrays, a list of encoded
+        reads (uint8 code arrays) that is packed here; either way one
+        header per read, else :class:`repro.errors.InvalidReadError`.
         """
-        n = len(sequences)
+        packed = (
+            sequences
+            if isinstance(sequences, PackedReads)
+            else PackedReads.from_reads(sequences)
+        )
+        n = packed.n_reads
         if len(headers) != n:
             raise InvalidReadError(
                 f"classify_batch: {len(headers)} headers for {n} sequences"
             )
-        packed = PackedReads.from_reads(sequences)
         items: Iterable[tuple[list[str], PackedReads]] = [(headers, packed)]
         engine = None
         # a routed session already fans every batch out across the

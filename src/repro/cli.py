@@ -195,8 +195,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"serving {mc.n_targets} targets on "
             f"http://{server.host}:{server.port} "
             f"({topology}, "
-            f"max_batch_reads={args.max_batch_reads}, "
-            f"max_delay_ms={args.max_delay_ms:g}{watching}); "
+            f"max_batch_reads={args.max_batch_reads}{watching}); "
             "Ctrl-C to drain and stop",
             file=sys.stderr,
             flush=True,
@@ -207,7 +206,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.host,
             args.port,
             max_batch_reads=args.max_batch_reads,
-            max_delay_ms=args.max_delay_ms,
             max_queued_reads=args.max_queued_reads,
             watch=args.watch,
             watch_interval=args.watch_interval,
@@ -380,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "backoff instead of failing requests")
     s.add_argument("--max-batch-reads", type=int, default=4096,
                    help="reads per coalesced classification batch")
-    s.add_argument("--max-delay-ms", type=float, default=2.0,
-                   help="max milliseconds a request waits to be coalesced")
     s.add_argument("--max-queued-reads", type=int, default=65536,
                    help="admission bound; beyond it requests get 503 + "
                         "Retry-After")

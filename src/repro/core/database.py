@@ -311,12 +311,14 @@ class Database:
                 cond = p.condensed
                 for array in (
                     cond.locations,
-                    getattr(cond.pointers, "_keys", None),
-                    getattr(cond.pointers, "_values", None),
+                    cond.pointers._keys,
+                    cond.pointers._values,
                 ):
                     mm = getattr(array, "_mmap", None)
                     if mm is not None:
                         found.append(mm)
+                # the table's lookup views are exports of those maps
+                cond.pointers.drop_arrays()
             p.condensed = None
             p.table = None
             return found

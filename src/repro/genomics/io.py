@@ -11,16 +11,18 @@ truncated final FASTQ record -- raises
 ``UnicodeDecodeError`` / ``zlib.error``.  Servers and pipelines can
 therefore wrap ingest in a single ``except MetaCacheError``.
 
-Three entry points share the machinery, all over one *binary* handle
+Four entry points share the machinery, all over one *binary* handle
 (plain file, gzip stream or in-memory body alike):
 
 - :func:`iter_sequence_blocks` streams a file ``batch_size`` reads at
   a time as header and sequence-line lists (the query pipeline's
   producer packs these without touching a read in Python;
   multi-gigabyte files never need to fit in memory);
+- :func:`read_sequence_lines_bytes` is the same for an in-memory
+  buffer, whole (the server's ``POST /classify`` request bodies);
 - :func:`iter_sequence_records` is the per-record view of a file;
 - :func:`iter_sequence_records_bytes` the per-record view of an
-  in-memory buffer (the server's ``POST /classify`` request bodies).
+  in-memory buffer.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "iter_sequence_blocks",
     "iter_sequence_records",
     "iter_sequence_records_bytes",
+    "read_sequence_lines_bytes",
     "read_sequences",
 ]
 
@@ -140,31 +143,43 @@ def _sniffed_records(
             yield from zip(block.headers, split_lines(block.sequences))
 
 
+def _sniffed_blocks(
+    handle: io.BufferedReader, name: str, batch_size: int = 4096
+) -> Iterator[tuple[list[str], list[bytes]]]:
+    """Block view of an open stream: ``(headers, sequence lines)``.
+
+    The bulk counterpart of :func:`_sniffed_records` (same sniffing,
+    same errors): each sequence is one ASCII line still ending in
+    ``\\n``, ready to be joined and encoded once per batch.  FASTQ
+    blocks come straight from
+    :func:`repro.genomics.fastq.read_fastq_blocks`; FASTA is still
+    parsed per record underneath.
+    """
+    sigil = _sniff(handle, name)
+    if sigil == ">":
+        entries = _fasta_records(handle)
+        while chunk := list(itertools.islice(entries, batch_size)):
+            yield (
+                [fa.header for fa in chunk],
+                [fa.sequence.encode("ascii") + b"\n" for fa in chunk],
+            )
+    elif sigil == "@":
+        blocks = read_fastq_blocks(handle, batch_size)
+        for block in blocks:
+            yield block.headers, block.sequences
+
+
 def iter_sequence_blocks(
     path: str | os.PathLike, batch_size: int
 ) -> Iterator[tuple[list[str], list[bytes]]]:
     """Yield ``(headers, sequence lines)`` for ``batch_size`` reads at a time.
 
-    The bulk counterpart of :func:`iter_sequence_records` (same
-    sniffing, same errors) for the query pipeline's producer: each
-    sequence is one ASCII line still ending in ``\\n``, ready to be
-    joined and encoded once per batch.  FASTQ blocks come straight
-    from :func:`repro.genomics.fastq.read_fastq_blocks`; FASTA is
-    still parsed per record underneath.
+    The query pipeline's producer feeds these to
+    :meth:`repro.pipeline.packed.PackedReads.from_lines`; sniffing and
+    errors are those of :func:`iter_sequence_records`.
     """
     with _translate_parse_errors(str(path)), open_sequence_file(path) as handle:
-        sigil = _sniff(handle, str(path))
-        if sigil == ">":
-            entries = _fasta_records(handle)
-            while chunk := list(itertools.islice(entries, batch_size)):
-                yield (
-                    [fa.header for fa in chunk],
-                    [fa.sequence.encode("ascii") + b"\n" for fa in chunk],
-                )
-        elif sigil == "@":
-            blocks = read_fastq_blocks(handle, batch_size)
-            for block in blocks:
-                yield block.headers, block.sequences
+        yield from _sniffed_blocks(handle, str(path), batch_size)
 
 
 def iter_sequence_records(path: str | os.PathLike) -> Iterator[tuple[str, str]]:
@@ -253,6 +268,15 @@ def _bounded_gunzip(data: bytes, limit: int | None, name: str) -> bytes:
     return b"".join(chunks)
 
 
+def _bytes_handle(
+    data: bytes, name: str, max_decompressed_bytes: int | None
+) -> io.BufferedReader:
+    """An in-memory buffer (plain or gzip, sniffed by magic) as a stream."""
+    if data[:2] == _GZIP_MAGIC:
+        data = _bounded_gunzip(data, max_decompressed_bytes, name)
+    return io.BufferedReader(io.BytesIO(data))  # type: ignore[arg-type]
+
+
 def iter_sequence_records_bytes(
     data: bytes,
     *,
@@ -261,11 +285,10 @@ def iter_sequence_records_bytes(
 ) -> Iterator[tuple[str, str]]:
     """Lazily yield ``(header, sequence)`` pairs from an in-memory buffer.
 
-    The server's ingest path: a ``POST /classify`` body arrives as
-    bytes -- FASTA or FASTQ, plain or a gzip'd payload (sniffed by
-    magic bytes, exactly like the file path).  Empty input yields
-    nothing; malformed input raises
-    :class:`repro.errors.InvalidReadError` carrying ``name``.
+    FASTA or FASTQ, plain or a gzip'd payload (sniffed by magic
+    bytes, exactly like the file path).  Empty input yields nothing;
+    malformed input raises :class:`repro.errors.InvalidReadError`
+    carrying ``name``.
 
     ``max_decompressed_bytes`` bounds how far a gzip payload may
     inflate (untrusted input: a request-size limit alone does not
@@ -273,10 +296,32 @@ def iter_sequence_records_bytes(
     :class:`repro.errors.InvalidReadError`.
     """
     with _translate_parse_errors(name):
-        if data[:2] == _GZIP_MAGIC:
-            data = _bounded_gunzip(data, max_decompressed_bytes, name)
-        handle = io.BufferedReader(io.BytesIO(data))  # type: ignore[arg-type]
+        handle = _bytes_handle(data, name, max_decompressed_bytes)
         yield from _sniffed_records(handle, name)
+
+
+def read_sequence_lines_bytes(
+    data: bytes,
+    *,
+    name: str = "<request body>",
+    max_decompressed_bytes: int | None = None,
+) -> tuple[list[str], list[bytes]]:
+    """An in-memory buffer's reads as ``(headers, sequence lines)``.
+
+    The server's ingest path: a ``POST /classify`` body arrives as
+    bytes and leaves as the block :func:`iter_sequence_blocks` would
+    yield for a file holding it, all reads at once.  Grammar, errors
+    and ``max_decompressed_bytes`` are those of
+    :func:`iter_sequence_records_bytes`.
+    """
+    headers: list[str] = []
+    lines: list[bytes] = []
+    with _translate_parse_errors(name):
+        handle = _bytes_handle(data, name, max_decompressed_bytes)
+        for block_headers, block_lines in _sniffed_blocks(handle, name):
+            headers += block_headers
+            lines += block_lines
+    return headers, lines
 
 
 def read_sequences(path: str | os.PathLike) -> tuple[list[str], list[np.ndarray]]:

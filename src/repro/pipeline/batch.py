@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -58,24 +57,3 @@ class SequenceBatch:
         if self._packed is None or self._packed.n_reads != len(self.sequences):
             self._packed = PackedReads.from_reads(self.sequences)
         return self._packed
-
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[tuple[str, str]],
-        *,
-        start_id: int = 0,
-    ) -> "SequenceBatch":
-        """Build a batch from parsed ``(header, sequence)`` string pairs.
-
-        Encodes each sequence and assigns sequential ids from
-        ``start_id`` -- the in-memory mirror of what the file
-        producers emit, used by the classification server to turn a
-        parsed request body into the pipeline's batch currency.
-        """
-        from repro.genomics.alphabet import encode_sequence
-
-        batch = cls()
-        for offset, (header, seq) in enumerate(pairs):
-            batch.append(header, encode_sequence(seq), start_id + offset)
-        return batch

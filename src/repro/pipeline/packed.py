@@ -182,6 +182,24 @@ class PackedReads:
         )
 
     @classmethod
+    def from_ascii(cls, sequences: Sequence[bytes]) -> "PackedReads":
+        """Pack single-end reads given as ASCII byte strings.
+
+        The request-body adapter (a JSON payload's sequences): one
+        join and one encode per batch.  Unlike :meth:`from_lines`
+        every byte is a base -- nothing is stripped.
+        """
+        n = len(sequences)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, sequences), np.int64, n), out=offsets[1:])
+        return cls(
+            buffer=encode_sequence(b"".join(sequences)),
+            offsets=offsets,
+            read_ids=np.arange(n, dtype=np.int64),
+            n_reads=n,
+        )
+
+    @classmethod
     def from_arrays(
         cls,
         buffer: np.ndarray,
@@ -210,6 +228,35 @@ class PackedReads:
             offsets=offsets,
             read_ids=read_ids,
             n_reads=n_reads,
+            paired=paired,
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["PackedReads"]) -> "PackedReads":
+        """The batches of ``parts`` (at least one) as one batch, in order.
+
+        The inverse of :meth:`slice_reads`, used to coalesce requests:
+        one copy of the buffers, segment tables shifted by array ops.
+        A single part is returned as it is.  Parts must agree on
+        ``paired``.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        paired = parts[0].paired
+        if any(part.paired != paired for part in parts):
+            raise ValueError("cannot concatenate paired with single-end batches")
+        bases = np.cumsum([0] + [part.buffer.size for part in parts])
+        reads = np.cumsum([0] + [part.n_reads for part in parts])
+        return cls(
+            buffer=np.concatenate([part.buffer for part in parts]),
+            offsets=np.concatenate(
+                [parts[0].offsets[:1]]
+                + [part.offsets[1:] + base for part, base in zip(parts, bases)]
+            ),
+            read_ids=np.concatenate(
+                [part.read_ids + first for part, first in zip(parts, reads)]
+            ),
+            n_reads=int(reads[-1]),
             paired=paired,
         )
 
@@ -286,12 +333,15 @@ class PackedReads:
         Array-only: segment membership comes from a ``searchsorted``
         over the (non-decreasing) read ids; the buffer slice is a
         view.  Used to split one packed batch into engine chunks
-        without round-tripping through per-read lists.
+        without round-tripping through per-read lists.  A range that
+        covers every read returns the batch itself.
         """
         start = max(0, start)
         stop = min(self.n_reads, stop)
         if start >= stop:
             return PackedReads.empty(paired=self.paired)
+        if stop - start == self.n_reads:
+            return self
         lo = int(np.searchsorted(self.read_ids, start, side="left"))
         hi = int(np.searchsorted(self.read_ids, stop - 1, side="right"))
         base = self.offsets[lo]

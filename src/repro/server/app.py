@@ -55,8 +55,6 @@ import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.api.sinks import open_sink, sink_formats, write_records
 from repro.errors import (
     DatabaseFormatError,
@@ -67,9 +65,8 @@ from repro.errors import (
     ReloadError,
     ServerError,
 )
-from repro.genomics.alphabet import encode_sequence
-from repro.genomics.io import iter_sequence_records_bytes
-from repro.pipeline.batch import SequenceBatch
+from repro.genomics.io import read_sequence_lines_bytes
+from repro.pipeline.packed import PackedReads
 from repro.server.batcher import MicroBatcher
 from repro.server.http import (
     HttpError,
@@ -131,8 +128,8 @@ class ClassificationServer:
     host / port:
         bind address; port 0 picks a free port (read :attr:`port`
         after :meth:`start`).
-    max_batch_reads / max_delay_ms / max_queued_reads:
-        micro-batching knobs, passed to
+    max_batch_reads / max_queued_reads:
+        micro-batching bounds, passed to
         :class:`~repro.server.batcher.MicroBatcher`.
     max_body_bytes:
         request-body bound; larger uploads answer 413.
@@ -157,7 +154,6 @@ class ClassificationServer:
         host: str = "127.0.0.1",
         port: int = 8765,
         max_batch_reads: int = 4096,
-        max_delay_ms: float = 2.0,
         max_queued_reads: int = 65536,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         source_dir: "str | os.PathLike | None" = None,
@@ -176,7 +172,6 @@ class ClassificationServer:
         self.batcher = MicroBatcher(
             session,
             max_batch_reads=max_batch_reads,
-            max_delay_ms=max_delay_ms,
             max_queued_reads=max_queued_reads,
             stats=self.stats,
         )
@@ -469,7 +464,6 @@ class ClassificationServer:
             "workers": self.session.workers,
             "batching": {
                 "max_batch_reads": self.batcher.max_batch_reads,
-                "max_delay_ms": self.batcher.max_delay * 1000.0,
                 "max_queued_reads": self.batcher.max_queued_reads,
                 "queued_reads": self.batcher.queued_reads,
                 "crashed": self.batcher.crashed,
@@ -715,12 +709,12 @@ class ClassificationServer:
             or request.body[:2] == _GZIP_MAGIC
         ) and self._parse_gate is not None:
             async with self._parse_gate:
-                headers, sequences = await loop.run_in_executor(
+                headers, reads = await loop.run_in_executor(
                     None, self._parse_reads, request
                 )
         else:
-            headers, sequences = self._parse_reads(request)
-        records = await self.batcher.submit(headers, sequences)
+            headers, reads = self._parse_reads(request)
+        records = await self.batcher.submit(headers, reads)
 
         def render() -> str:
             buffer = io.StringIO()
@@ -737,10 +731,12 @@ class ClassificationServer:
             content_type=_CONTENT_TYPES.get(fmt.lower(), "text/plain"),
         )
 
-    def _parse_reads(
-        self, request: HttpRequest
-    ) -> tuple[list[str], list[np.ndarray]]:
-        """Accept JSON ``{"reads": [...]}`` or raw FASTA/FASTQ bytes."""
+    def _parse_reads(self, request: HttpRequest) -> tuple[list[str], PackedReads]:
+        """Accept JSON ``{"reads": [...]}`` or raw FASTA/FASTQ bytes.
+
+        Either way the reads leave packed: the sequences of a request
+        are joined and encoded once, never one array per read.
+        """
         content_type = (
             request.headers.get("content-type", "")
             .split(";")[0]
@@ -756,7 +752,7 @@ class ClassificationServer:
                     400, 'JSON body must be {"reads": [...]} with a list'
                 )
             headers: list[str] = []
-            sequences: list[np.ndarray] = []
+            sequences: list[bytes] = []
             for i, item in enumerate(payload["reads"]):
                 if isinstance(item, str):
                     header, seq = f"read_{i}", item
@@ -773,23 +769,21 @@ class ClassificationServer:
                         "[header, sequence] pair",
                     )
                 try:
-                    sequences.append(encode_sequence(seq))
-                except (UnicodeEncodeError, ValueError) as exc:
+                    sequences.append(seq.encode("ascii"))
+                except UnicodeEncodeError as exc:
                     raise InvalidReadError(
                         f"reads[{i}]: not a nucleotide sequence ({exc})"
                     ) from exc
                 headers.append(header)
-            return headers, sequences
-        batch = SequenceBatch.from_pairs(
-            iter_sequence_records_bytes(
-                request.body,
-                name="request body",
-                # a size-limited *compressed* body could still inflate
-                # into gigabytes; cap the plaintext at the same bound
-                max_decompressed_bytes=self.max_body_bytes,
-            )
+            return headers, PackedReads.from_ascii(sequences)
+        headers, lines = read_sequence_lines_bytes(
+            request.body,
+            name="request body",
+            # a size-limited *compressed* body could still inflate
+            # into gigabytes; cap the plaintext at the same bound
+            max_decompressed_bytes=self.max_body_bytes,
         )
-        return batch.headers, batch.sequences
+        return headers, PackedReads.from_lines(lines)
 
 
 class ServerThread:

@@ -7,8 +7,7 @@ the batch.  A serving workload naturally arrives as many *small*
 requests.  :class:`MicroBatcher` is the adapter between the two
 shapes: concurrent requests are admitted into a bounded queue,
 coalesced into classification batches of up to ``max_batch_reads``
-reads (waiting at most ``max_delay_ms`` for traffic to accumulate),
-dispatched to one warm :class:`~repro.api.session.QuerySession` --
+reads, dispatched to one warm :class:`~repro.api.session.QuerySession` --
 which fans out to worker processes when the session has
 ``workers > 1`` -- and the per-read results are demultiplexed back to
 each caller in arrival order.
@@ -21,12 +20,19 @@ stays bounded no matter the traffic.
 Concurrency model: everything except the classification itself runs
 on the event loop (no locks); classification runs on a single
 dedicated executor thread, so the session is only ever driven by one
-thread and batches are dispatched strictly in order.  While a batch
-is classifying, newly admitted requests accumulate into the next
-batch -- under load the delay timer becomes irrelevant and the
-batcher self-paces at the classifier's throughput, which is exactly
-the producer/consumer pipelining of the paper applied to request
-traffic.
+thread and batches are dispatched strictly in order.
+
+Scheduling is work-conserving: an idle dispatcher takes whatever is
+queued *now* -- a lone request is classified at once, alone -- and
+while a batch is classifying, newly admitted requests accumulate into
+the next one.  Nothing ever waits for company, so coalescing costs no
+latency when the server is idle, and under load the batcher self-paces
+at the classifier's throughput, which is exactly the producer/consumer
+pipelining of the paper applied to request traffic.
+
+Requests arrive and travel packed (``(headers, PackedReads)``): a
+batch made of one whole request is that request's own arrays, anything
+else is sliced and concatenated once, as arrays.
 """
 
 from __future__ import annotations
@@ -38,14 +44,12 @@ from typing import Deque, Sequence
 
 import collections
 import functools
-import math
 import operator
-
-import numpy as np
 
 from repro.api.records import ReadClassification
 from repro.api.session import QuerySession
 from repro.errors import ConfigError, OverloadedError, ServerError
+from repro.pipeline.packed import PackedReads
 from repro.server.stats import ServerStats
 
 __all__ = ["MicroBatcher"]
@@ -56,7 +60,7 @@ class _PendingRequest:
     """One submitted request while it waits for (all of) its results."""
 
     headers: list[str]
-    sequences: list[np.ndarray]
+    reads: PackedReads
     future: asyncio.Future
     arrived_at: float
     # one slice of a batch's result sequence per batch that served it
@@ -69,7 +73,7 @@ class _PendingRequest:
     @property
     def remaining(self) -> int:
         """Reads not yet placed into any batch."""
-        return len(self.sequences) - self.taken
+        return self.reads.n_reads - self.taken
 
 
 class MicroBatcher:
@@ -83,11 +87,6 @@ class MicroBatcher:
         batch additionally fans out across processes).
     max_batch_reads:
         upper bound on reads per dispatched classification batch.
-    max_delay_ms:
-        how long a lone request waits for company before its batch is
-        dispatched anyway -- the latency cost ceiling of coalescing.
-        Under saturation the previous batch's classification time
-        hides this entirely.
     max_queued_reads:
         admission bound: reads allowed to sit undispatched before new
         requests are rejected with
@@ -108,25 +107,20 @@ class MicroBatcher:
         session: QuerySession,
         *,
         max_batch_reads: int = 4096,
-        max_delay_ms: float = 2.0,
         max_queued_reads: int = 65536,
         stats: ServerStats | None = None,
     ) -> None:
         if max_batch_reads < 1:
             raise ConfigError("max_batch_reads must be >= 1")
-        if max_delay_ms < 0:
-            raise ConfigError("max_delay_ms must be >= 0")
         if max_queued_reads < 1:
             raise ConfigError("max_queued_reads must be >= 1")
         self.session = session
         self.max_batch_reads = max_batch_reads
-        self.max_delay = max_delay_ms / 1000.0
         self.max_queued_reads = max_queued_reads
         self.stats = stats if stats is not None else ServerStats()
         self._pending: Deque[_PendingRequest] = collections.deque()
         self._queued_reads = 0
         self._arrival = asyncio.Event()
-        self._full = asyncio.Event()
         self._closing = False
         self._crash: Exception | None = None
         self._runner: asyncio.Task | None = None
@@ -149,8 +143,7 @@ class MicroBatcher:
         """Stop the dispatcher; with ``drain`` finish queued work first.
 
         ``drain=True`` (graceful shutdown) classifies every admitted
-        request before returning, skipping the coalescing delay so the
-        tail flushes promptly.  ``drain=False`` fails queued requests
+        request before returning.  ``drain=False`` fails queued requests
         with :class:`~repro.errors.ServerError` immediately.  Either
         way, new :meth:`submit` calls are rejected from the moment
         close begins.  Idempotent.
@@ -161,11 +154,7 @@ class MicroBatcher:
                 entry = self._pending.popleft()
                 self._fail_entry(entry, ServerError("server is shutting down"))
             self._queued_reads = 0
-        # wake the dispatcher wherever it sleeps: the arrival wait
-        # (idle) or the coalescing-delay wait (half-full batch) --
-        # draining must not sit out a multi-second max_delay.
-        self._arrival.set()
-        self._full.set()
+        self._arrival.set()  # wake an idle dispatcher
         if self._runner is not None:
             await self._runner
             self._runner = None
@@ -180,9 +169,12 @@ class MicroBatcher:
     # ---------------------------------------------------------------- submit
 
     async def submit(
-        self, headers: list[str], sequences: list[np.ndarray]
+        self, headers: list[str], reads: PackedReads
     ) -> Sequence[ReadClassification]:
         """Submit one request's reads; resolves with its typed records.
+
+        ``headers`` and ``reads`` are the request's own (one header
+        per read) and must not be mutated afterwards.
 
         Results come back in the request's own read order regardless
         of how its reads were sliced across batches -- as the slice
@@ -204,7 +196,7 @@ class MicroBatcher:
                     f"{type(self._crash).__name__}: {self._crash}"
                 ) from self._crash
             raise ServerError("server is shutting down")
-        n = len(sequences)
+        n = reads.n_reads
         if n == 0:
             self.stats.requests_served += 1
             return []
@@ -216,20 +208,18 @@ class MicroBatcher:
             raise OverloadedError(
                 f"admission queue full ({self._queued_reads} reads queued, "
                 f"bound {self.max_queued_reads})",
-                retry_after_seconds=math.ceil(max(self.max_delay * 4, 1.0)),
+                retry_after_seconds=1,
             )
         loop = asyncio.get_running_loop()
         entry = _PendingRequest(
-            headers=list(headers),
-            sequences=list(sequences),
+            headers=headers,
+            reads=reads,
             future=loop.create_future(),
             arrived_at=loop.time(),
         )
         self._pending.append(entry)
         self._queued_reads += n
         self._arrival.set()
-        if self._queued_reads >= self.max_batch_reads:
-            self._full.set()
         return await entry.future
 
     @property
@@ -268,7 +258,7 @@ class MicroBatcher:
     # ------------------------------------------------------------ dispatcher
 
     async def _run(self) -> None:
-        """The dispatcher loop: wait, coalesce, classify, demultiplex.
+        """The dispatcher loop: take what is queued, classify, demultiplex.
 
         The loop body as a whole is guarded: a bug anywhere in batch
         assembly, stats recording, or demultiplexing must not kill
@@ -289,45 +279,31 @@ class MicroBatcher:
                     await self._arrival.wait()
                 if not self._pending:
                     return  # closing and drained
-                if (
-                    not self._closing
-                    and self.max_delay > 0
-                    and self._queued_reads < self.max_batch_reads
-                ):
-                    try:
-                        await asyncio.wait_for(
-                            self._full.wait(), self.max_delay
-                        )
-                    except (TimeoutError, asyncio.TimeoutError):
-                        # asyncio.TimeoutError only aliases the builtin
-                        # from 3.11; on 3.10 (the package's floor) it
-                        # is distinct
-                        pass
                 inflight = []
                 batch = self._take_batch(inflight)
                 if batch is None:
                     continue
-                headers, seqs = batch
-                self.stats.batches.record(len(seqs))
+                headers, reads = batch
+                self.stats.batches.record(reads.n_reads)
                 try:
                     records = await loop.run_in_executor(
                         self._executor,
                         self.session.classify_batch,
                         headers,
-                        seqs,
+                        reads,
                     )
                 except Exception as exc:  # noqa: BLE001 - to the callers
                     for entry, _count in inflight:
                         self._fail_entry(entry, exc)
                     inflight = []
                     continue
-                if len(records) != len(seqs):
+                if len(records) != reads.n_reads:
                     # a short/long result would silently corrupt the
                     # demux offsets and strand callers forever: fail
                     # the whole batch loudly instead
                     mismatch = ServerError(
                         f"classifier returned {len(records)} records "
-                        f"for a batch of {len(seqs)} reads"
+                        f"for a batch of {reads.n_reads} reads"
                     )
                     for entry, _count in inflight:
                         self._fail_entry(entry, mismatch)
@@ -350,7 +326,7 @@ class MicroBatcher:
 
     def _take_batch(
         self, slices: list[tuple[_PendingRequest, int]]
-    ) -> tuple[list[str], list[np.ndarray]] | None:
+    ) -> tuple[list[str], PackedReads] | None:
         """Pop up to ``max_batch_reads`` reads FIFO, splitting the tail.
 
         Appends ``(entry, count)`` to the caller-owned
@@ -358,32 +334,34 @@ class MicroBatcher:
         allocation that could raise -- so the dispatcher's crash
         handler always has a record of every entry this call popped
         off the queue (an orphaned entry would hang its caller
-        forever).  Returns ``(headers, sequences)``, or ``None`` when
-        every queued entry had already failed.
+        forever).  Returns ``(headers, reads)`` -- the reads one whole
+        request's own, untouched, when that is all the batch holds --
+        or ``None`` when every queued entry had already failed.
         """
-        headers: list[str] = []
-        seqs: list[np.ndarray] = []
         budget = self.max_batch_reads
         while self._pending and budget > 0:
             entry = self._pending[0]
             if entry.failed:  # failed mid-split in an earlier batch
                 self._queued_reads -= entry.remaining
-                entry.taken = len(entry.sequences)
+                entry.taken = entry.reads.n_reads
                 self._pending.popleft()
                 continue
             take = min(entry.remaining, budget)
-            start = entry.taken
             slices.append((entry, take))
-            headers.extend(entry.headers[start : start + take])
-            seqs.extend(entry.sequences[start : start + take])
             entry.taken += take
             self._queued_reads -= take
             budget -= take
             if entry.remaining == 0:
                 self._pending.popleft()
-        if self._queued_reads < self.max_batch_reads:
-            self._full.clear()
-        return (headers, seqs) if seqs else None
+        if not slices:
+            return None
+        headers: list[str] = []
+        parts: list[PackedReads] = []
+        for entry, take in slices:
+            start = entry.taken - take  # an entry is taken from once per batch
+            headers.extend(entry.headers[start : entry.taken])
+            parts.append(entry.reads.slice_reads(start, entry.taken))
+        return headers, PackedReads.concatenate(parts)
 
     def _demux(
         self,
@@ -401,14 +379,14 @@ class MicroBatcher:
             entry.parts.append(records[offset : offset + count])
             entry.done += count
             offset += count
-            if entry.done == len(entry.sequences) and not entry.failed:
+            if entry.done == entry.reads.n_reads and not entry.failed:
                 if not entry.future.done():  # caller may have disconnected
                     entry.future.set_result(
                         functools.reduce(operator.add, entry.parts)
                     )
                 entry.served = True
                 self.stats.requests_served += 1
-                self.stats.reads_served += len(entry.sequences)
+                self.stats.reads_served += entry.reads.n_reads
                 self.stats.latency.record(loop.time() - entry.arrived_at)
 
     def _fail_entry(self, entry: _PendingRequest, exc: Exception) -> None:

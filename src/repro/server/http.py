@@ -219,6 +219,6 @@ async def write_response(
         f"Connection: {'keep-alive' if keep_alive else 'close'}",
     ]
     head += [f"{name}: {value}" for name, value in response.headers.items()]
-    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-    writer.write(response.body)
+    # head and body in one write: one send, one segment for a small reply
+    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + response.body)
     await writer.drain()

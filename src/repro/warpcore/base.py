@@ -23,6 +23,7 @@ __all__ = [
     "TableStats",
     "claim_empty_slots",
     "owned_slots",
+    "probe_walk",
     "sanitize_keys",
 ]
 
@@ -68,42 +69,91 @@ def claim_empty_slots(
     return winners
 
 
-def owned_slots(
-    table_keys: np.ndarray, probing: "ProbingScheme", keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every slot each query key owns: ``(query index, slot)`` arrays.
+# cells (live walks x probe rounds) one lookup step may gather
+_TILE_CELLS = 4096
 
-    The lookup walk of the multi-value layouts, ordered by (query,
-    probe round).  A key fills its slots strictly in probe order and
-    only ever passes non-empty slots, so a walk ends at the first empty
-    slot (or at the probe limit).
+
+def probe_walk(
+    table_keys: np.ndarray,
+    probing: "ProbingScheme",
+    keys: np.ndarray,
+    *,
+    first_only: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lookup walk of every table: ``(query index, slot)`` of each hit.
+
+    The cooperative probing of the device (a group inspects a *group*
+    of slots per step), batch form: each step gathers a
+    ``(live walks, w)`` tile of the next ``w`` probe rounds and ends
+    every walk at its first *stop* column -- an empty slot, or with
+    ``first_only`` (single-value lookups) a match as well; matches up
+    to that column are the walk's hits, so a key lying beyond an empty
+    slot of its own walk stays unfound and no round at or past
+    ``max_probe_rounds`` is ever inspected.  ``w`` follows from the
+    live count alone: a batch wider than the tile budget walks in
+    lock-step (``w == 1``), and as walks retire the stragglers get
+    wider tiles and finish in a few steps instead of one per slot.
+    Hits come grouped by step, ordered by (query, round) within one.
     """
     qkeys = sanitize_keys(keys)
     key32 = qkeys.astype(np.uint32)
     g1, g2 = probing.probe_bases(qkeys)
     active = np.arange(qkeys.size, dtype=np.int64)
+    limit = max(probing.max_probe_rounds, 1)  # round 0 is always probed
     hit_q: list[np.ndarray] = []
     hit_slots: list[np.ndarray] = []
     rnd = 0
-    while active.size:
-        slots = probing.slots_at(g1, g2, rnd)
-        found = table_keys[slots]
-        match = found == key32
-        if match.any():
-            hit_q.append(active[match])
-            hit_slots.append(slots[match])
-        rnd += 1
-        if rnd >= probing.max_probe_rounds:
-            break
-        cont = found != EMPTY_KEY
-        active, key32, g1, g2 = active[cont], key32[cont], g1[cont], g2[cont]
+    while active.size and rnd < limit:
+        live = active.size
+        w = min(max(_TILE_CELLS // live, 1), limit - rnd)
+        slots = probing.slots_at(
+            g1[:, None], g2[:, None], np.arange(rnd, rnd + w)
+        )
+        found = table_keys.take(slots)
+        match = found == key32[:, None]
+        stop = found == EMPTY_KEY
+        if first_only:
+            stop |= match
+        # cells are numbered row-major: the first stop of each row
+        stops = np.flatnonzero(stop)
+        row = stops // w
+        first = np.ones(stops.size, dtype=bool)
+        first[1:] = row[1:] != row[:-1]
+        ended = row.compress(first)
+        end = np.full(live, live * w)
+        end[ended] = stops.compress(first)
+        hits = np.flatnonzero(match)
+        if hits.size:
+            hit_row = hits // w
+            walked = hits <= end.take(hit_row)
+            hit_q.append(active.take(hit_row.compress(walked)))
+            hit_slots.append(slots.ravel().take(hits.compress(walked)))
+        rnd += w
+        keep = np.ones(live, dtype=bool)
+        keep[ended] = False
+        keep = np.flatnonzero(keep)
+        active, key32 = active.take(keep), key32.take(keep)
+        g1, g2 = g1.take(keep), g2.take(keep)
     if not hit_q:
         none = np.zeros(0, dtype=np.int64)
         return none, none
-    q = np.concatenate(hit_q)
-    # stable sort by query restores (query, round) order
+    return np.concatenate(hit_q), np.concatenate(hit_slots)
+
+
+def owned_slots(
+    table_keys: np.ndarray, probing: "ProbingScheme", keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every slot each query key owns: ``(query index, slot)`` arrays.
+
+    The lookup of the multi-value layouts, ordered by (query, probe
+    round).  A key fills its slots strictly in probe order and only
+    ever passes non-empty slots, so a walk ends at the first empty
+    slot (or at the probe limit).
+    """
+    q, slots = probe_walk(table_keys, probing, keys, first_only=False)
+    # stable sort by query restores (query, round) order across steps
     order = np.argsort(q, kind="stable")
-    return q[order], np.concatenate(hit_slots)[order]
+    return q[order], slots[order]
 
 
 @dataclass(frozen=True)

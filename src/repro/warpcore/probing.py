@@ -112,7 +112,10 @@ class ProbingScheme:
         """Slot index of probe round ``rounds`` for walks ``(g1, g2)``.
 
         ``rounds`` is a scalar when the whole batch walks in lock-step
-        (every table's insert and retrieve) or one round per walk.
+        (every table's insert), one round per walk, or -- against
+        column vectors ``g1``/``g2`` -- the rounds of a lookup tile,
+        one row of slots per walk
+        (:func:`repro.warpcore.base.probe_walk`).
         """
         rounds = np.asarray(rounds, dtype=np.int64)
         group = (g1 + (rounds // self.group_size) * g2) % self.n_groups

@@ -15,7 +15,7 @@ from repro.warpcore.base import (
     EMPTY_KEY,
     TableStats,
     claim_empty_slots,
-    sanitize_keys,
+    probe_walk,
 )
 from repro.warpcore.probing import ProbingScheme
 
@@ -47,8 +47,7 @@ class SingleValueHashTable:
             min_slots, group_size=group_size, max_probe_rounds=max_probe_rounds
         )
         n = self.probing.n_slots
-        self._keys = np.full(n, EMPTY_KEY, dtype=np.uint32)
-        self._values = np.zeros(n, dtype=_U64)
+        self._adopt(np.full(n, EMPTY_KEY, dtype=np.uint32), np.zeros(n, dtype=_U64))
         self._size = 0
         self._dropped = 0
 
@@ -84,11 +83,35 @@ class SingleValueHashTable:
             raise ValueError("slot arrays must be uint32 keys / uint64 values")
         table = cls.__new__(cls)
         table.probing = probing
-        table._keys = keys
-        table._values = values
+        table._adopt(keys, values)
         table._size = int(size)
         table._dropped = int(dropped)
         return table
+
+    def _adopt(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Own the slot arrays and take the views lookups read through.
+
+        ``_keys`` / ``_values`` stay whatever was handed in (for a
+        memory-mapped index the ``np.memmap`` objects that
+        ``Database.close`` unmaps); lookups gather through base-class
+        views of them, taken once, because every index into an
+        ``np.memmap`` pays a Python-level ``__getitem__`` and
+        ``__array_finalize__``.
+        """
+        self._keys, self._values = keys, values
+        self._probe_keys = keys.view(np.ndarray)
+        self._probe_values = values.view(np.ndarray)
+
+    def drop_arrays(self) -> None:
+        """Let go of the slot arrays, views first (the table is dead after).
+
+        A view is a buffer export of its memory map, and ``mmap.close``
+        refuses while one is alive: ``Database.close`` calls this on
+        every mapped table before unmapping, whoever else still holds
+        the table object.
+        """
+        self._probe_keys = self._probe_values = None
+        self._keys = self._values = None
 
     @property
     def n_slots(self) -> int:
@@ -177,25 +200,10 @@ class SingleValueHashTable:
 
     def retrieve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batch lookup: ``(values, found_mask)``; missing keys yield 0."""
-        qkeys = sanitize_keys(keys)
-        n = qkeys.size
+        q, slots = probe_walk(self._probe_keys, self.probing, keys, first_only=True)
+        n = np.size(keys)
         out = np.zeros(n, dtype=_U64)
         found = np.zeros(n, dtype=bool)
-        active = np.arange(n, dtype=np.int64)
-        key32 = qkeys.astype(np.uint32)
-        g1, g2 = self.probing.probe_bases(qkeys)
-        max_rounds = self.probing.max_probe_rounds
-        rnd = 0
-        while active.size:
-            slots = self.probing.slots_at(g1, g2, rnd)
-            table_keys = self._keys[slots]
-            match = table_keys == key32
-            if match.any():
-                out[active[match]] = self._values[slots[match]]
-                found[active[match]] = True
-            rnd += 1
-            if rnd >= max_rounds:
-                break
-            cont = ~match & (table_keys != EMPTY_KEY)
-            active, key32, g1, g2 = active[cont], key32[cont], g1[cont], g2[cont]
+        out[q] = self._probe_values.take(slots)
+        found[q] = True
         return out, found

@@ -472,13 +472,13 @@ def test_served_slices_render_the_bytes_classify_files_writes(world, tmp_path):
     sequences = [s for _, s in named]
 
     async def scenario():
-        batcher = MicroBatcher(mc.session(), max_batch_reads=16, max_delay_ms=50)
+        batcher = MicroBatcher(mc.session(), max_batch_reads=16)
         await batcher.start()
         try:
             # 10 + 12 reads: the second request straddles the 16-read bound
             return await asyncio.gather(
-                batcher.submit(headers[:10], sequences[:10]),
-                batcher.submit(headers[10:22], sequences[10:22]),
+                batcher.submit(headers[:10], PackedReads.from_reads(sequences[:10])),
+                batcher.submit(headers[10:22], PackedReads.from_reads(sequences[10:22])),
             )
         finally:
             await batcher.close()

@@ -266,7 +266,7 @@ def live_server():
     ]
     mc = MetaCache.ephemeral(references, taxonomy, params=MetaCacheParams.small())
     session = mc.session()
-    server = ClassificationServer(session, port=0, max_delay_ms=0)
+    server = ClassificationServer(session, port=0)
     with ServerThread(server):
         yield server
     session.close()

@@ -122,7 +122,7 @@ def test_cli_output_matches_golden(tmp_path):
 
 def test_server_output_matches_golden(golden_db):
     session = golden_db.session()
-    server = ClassificationServer(session, port=0, max_delay_ms=0)
+    server = ClassificationServer(session, port=0)
     try:
         with ServerThread(server):
             conn = http.client.HTTPConnection(

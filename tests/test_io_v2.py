@@ -9,6 +9,7 @@ CLI), and the reserved-sentinel regression on the pointer table.
 """
 
 import json
+import os
 import pickle
 import struct
 import zlib
@@ -147,6 +148,46 @@ class TestZeroRebuildOpen:
             db = load_database(v1, mmap=True)
         assert db.mmap_path is None
         assert db.format_version == 1
+
+
+class TestProbeViewLifetime:
+    """Lookups read base-``ndarray`` views of the mapped slot arrays;
+    every view is an export of its map and must be gone before
+    ``mmap.close``, or the close fails silently and the fd leaks."""
+
+    @staticmethod
+    def _fd_count() -> int:
+        return len(os.listdir("/proc/self/fd"))
+
+    def test_fifty_open_classify_close_cycles_keep_fds_flat(self, world):
+        _, v2, seqs, _ = world
+        with MetaCache.open(v2, mmap=True) as mc:
+            mc.classify(seqs[:4])  # warm lazy imports first
+        before = self._fd_count()
+        for _ in range(50):
+            with MetaCache.open(v2, mmap=True) as mc:
+                assert len(mc.classify(seqs[:4])) == 4
+        assert self._fd_count() == before
+
+    def test_close_while_retained_unmaps_at_release(self, world):
+        _, v2, seqs, _ = world
+        before = self._fd_count()
+        db = load_database(v2, mmap=True)
+        mapped = self._fd_count()
+        assert mapped > before
+        # what a batch in flight holds on to while the swap closes the index
+        tables = [p.condensed.pointers for p in db.partitions]
+        assert all(type(t._probe_keys) is np.ndarray for t in tables)
+        expected = _taxa(db, seqs[:8])
+        db.retain()
+        db.close()
+        assert not db.closed and self._fd_count() == mapped
+        assert np.array_equal(_taxa(db, seqs[:8]), expected)  # still mapped
+        db.release()
+        assert db.closed
+        # unmapped although the tables themselves are still referenced
+        assert self._fd_count() == before
+        assert all(t._probe_keys is None and t._keys is None for t in tables)
 
 
 class TestEquivalence:

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from repro.api import MetaCache, MetaCacheParams, TsvSink
 from repro.core.classify import classify_reads
 from repro.core.query import query_database
-from repro.genomics.alphabet import decode_sequence
+from repro.genomics.alphabet import decode_sequence, encode_sequence
 from repro.genomics.fastq import FastqRecord, write_fastq
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
@@ -207,6 +207,44 @@ class TestPackedReads:
         assert all(np.array_equal(a, b) for a, b in zip(s, reads[start:stop]))
         assert all(np.array_equal(a, b) for a, b in zip(m, mates[start:stop]))
         assert len(s) == len(reads[start:stop])
+
+    @given(
+        lengths=_LENGTHS,
+        seed=_SEEDS,
+        cuts=st.lists(st.integers(0, 12), max_size=4),
+        paired=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_concatenate_inverts_slice_reads(self, lengths, seed, cuts, paired):
+        reads = _random_reads(lengths, seed)
+        mates = _random_reads(lengths, seed + 1) if paired else None
+        whole = PackedReads.from_reads(reads, mates)
+        bounds = [0, *sorted(min(c, len(reads)) for c in cuts), len(reads)]
+        parts = [whole.slice_reads(a, b) for a, b in zip(bounds, bounds[1:])]
+        joined = PackedReads.concatenate(parts)
+        assert joined.n_reads == whole.n_reads and joined.paired == whole.paired
+        assert np.array_equal(joined.buffer, whole.buffer)
+        assert np.array_equal(joined.offsets, whole.offsets)
+        assert np.array_equal(joined.read_ids, whole.read_ids)
+        assert PackedReads.concatenate([whole]) is whole
+        if reads:
+            assert whole.slice_reads(0, len(reads)) is whole
+
+    def test_concatenate_refuses_mixed_layouts(self):
+        single = PackedReads.from_reads(_random_reads([5], 1))
+        pair = PackedReads.from_reads(_random_reads([5], 1), _random_reads([5], 2))
+        with pytest.raises(ValueError, match="paired"):
+            PackedReads.concatenate([single, pair])
+
+    def test_from_ascii_matches_from_reads(self):
+        texts = [b"ACGTN", b"", b"acgu\nT", b"GG"]  # every byte is a base
+        packed = PackedReads.from_ascii(texts)
+        ref = PackedReads.from_reads([encode_sequence(t) for t in texts])
+        assert np.array_equal(packed.buffer, ref.buffer)
+        assert np.array_equal(packed.offsets, ref.offsets)
+        assert np.array_equal(packed.read_ids, ref.read_ids)
+        assert packed.n_reads == 4 and not packed.paired
+        assert PackedReads.from_ascii([]).n_reads == 0
 
     def test_validation_rejects_malformed(self):
         with pytest.raises(ValueError):

@@ -156,7 +156,7 @@ def worlds(tmp_path_factory):
 def served(worlds):
     """A server hot over database A, opened mmap-backed via the facade."""
     mc = MetaCache.open(worlds.dir_a, mmap=True)
-    thread = mc.serve(port=0, block=False, max_delay_ms=1.0)
+    thread = mc.serve(port=0, block=False)
     try:
         yield mc, thread.server.host, thread.server.port
     finally:
@@ -462,7 +462,7 @@ class TestAdminReload:
             def classify_batch(self, headers, sequences):
                 return [f"cls:{h}" for h in headers]
 
-        srv = ClassificationServer(RoutedStub(), port=0, max_delay_ms=0)
+        srv = ClassificationServer(RoutedStub(), port=0)
         thread = ServerThread(srv)
         host, port = thread.start()
         try:
@@ -481,7 +481,7 @@ class TestWatchMode:
         watch_root = tmp_path / "versions"
         mc = MetaCache.open(worlds.dir_a, mmap=True)
         thread = mc.serve(
-            port=0, block=False, max_delay_ms=1.0,
+            port=0, block=False,
             watch=watch_root, watch_interval=0.05,
         )
         host, port = thread.server.host, thread.server.port

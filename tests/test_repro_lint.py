@@ -199,6 +199,37 @@ def test_rl001_covers_the_host_side_from_file_to_sink(tmp_path, relpath):
     assert run_rule("RL001", tmp_path, relpath, RL001_BLOCK_LOOP) == []
 
 
+RL001_STEP_LOOP = '''
+"""Table / batcher module."""
+
+def walk(table_keys, probing, live):
+    """The loop walks probe steps, each a whole tile of walks: allowed."""
+    rnd = 0
+    while live.size and rnd < probing.max_probe_rounds:
+        rnd += 1
+
+def take(pending, slices):
+    """The loops walk queued requests and a batch's slices: allowed."""
+    while pending:
+        slices.append(pending.popleft())
+    for entry, count in slices:
+        entry.taken += count
+'''
+
+
+@pytest.mark.parametrize(
+    "relpath",
+    [
+        "src/repro/warpcore/base.py",
+        "src/repro/warpcore/single_value.py",
+        "src/repro/server/batcher.py",
+    ],
+)
+def test_rl001_covers_the_tables_and_the_micro_batcher(tmp_path, relpath):
+    assert len(run_rule("RL001", tmp_path, relpath, RL001_BAD)) == 2
+    assert run_rule("RL001", tmp_path, relpath, RL001_STEP_LOOP) == []
+
+
 def test_rl001_out_of_scope_module_not_checked(tmp_path):
     path = tmp_path / "src/repro/util/misc.py"
     path.parent.mkdir(parents=True)

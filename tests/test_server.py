@@ -25,9 +25,10 @@ from repro.api import (
     OverloadedError,
     ServerError,
 )
-from repro.genomics.alphabet import decode_sequence
+from repro.genomics.alphabet import decode_sequence, encode_sequence
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
+from repro.pipeline.packed import PackedReads
 from repro.server import ClassificationServer, MicroBatcher, ServerThread
 from repro.server.stats import BatchSizeHistogram, LatencyWindow
 from repro.taxonomy.builder import build_taxonomy_for_genomes
@@ -38,17 +39,26 @@ PARAMS = MetaCacheParams.small()
 # ------------------------------------------------------------------ helpers
 
 
+def packed(*sequences: str) -> PackedReads:
+    """The packed form a request's reads enter the batcher in."""
+    return PackedReads.from_reads([encode_sequence(s) for s in sequences])
+
+
 class StubSession:
-    """Duck-typed QuerySession: records batch sizes, optional blocking."""
+    """Duck-typed QuerySession: records its batches, optional blocking."""
 
     def __init__(self, gate: threading.Event | None = None, fail_on=()):
         self.batch_sizes: list[int] = []
+        self.batches: list[PackedReads] = []
         self.gate = gate
+        self.entered = threading.Event()  # set once a batch is in flight
         self.fail_on = set(fail_on)  # batch indices that raise
 
     def classify_batch(self, headers, sequences):
         index = len(self.batch_sizes)
         self.batch_sizes.append(len(sequences))
+        self.batches.append(sequences)
+        self.entered.set()
         if self.gate is not None:
             self.gate.wait(timeout=30)
         if index in self.fail_on:
@@ -100,7 +110,7 @@ def world():
 def server(world):
     mc, _ = world
     session = mc.session()
-    srv = ClassificationServer(session, port=0, max_delay_ms=1.0)
+    srv = ClassificationServer(session, port=0)
     thread = ServerThread(srv)
     host, port = thread.start()
     yield srv, host, port
@@ -116,11 +126,11 @@ class TestMicroBatcher:
         stub = StubSession()
 
         async def main():
-            batcher = MicroBatcher(stub, max_delay_ms=50)
+            batcher = MicroBatcher(stub)
             await batcher.start()
             results = await asyncio.gather(
                 *(
-                    batcher.submit([f"h{i}"], [f"s{i}"])
+                    batcher.submit([f"h{i}"], packed("ACGT"))
                     for i in range(4)
                 )
             )
@@ -135,10 +145,10 @@ class TestMicroBatcher:
         stub = StubSession()
 
         async def main():
-            batcher = MicroBatcher(stub, max_batch_reads=3, max_delay_ms=0)
+            batcher = MicroBatcher(stub, max_batch_reads=3)
             await batcher.start()
             records = await batcher.submit(
-                [f"h{i}" for i in range(8)], [f"s{i}" for i in range(8)]
+                [f"h{i}" for i in range(8)], packed(*["ACGT"] * 8)
             )
             await batcher.close()
             return records
@@ -152,14 +162,14 @@ class TestMicroBatcher:
         stub = StubSession()
 
         async def main():
-            batcher = MicroBatcher(stub, max_batch_reads=4, max_delay_ms=20)
+            batcher = MicroBatcher(stub, max_batch_reads=4)
             await batcher.start()
             sizes = [1, 5, 2, 3]
             results = await asyncio.gather(
                 *(
                     batcher.submit(
                         [f"r{k}_{i}" for i in range(n)],
-                        [f"s{k}_{i}" for i in range(n)],
+                        packed(*["ACGT"] * n),
                     )
                     for k, n in enumerate(sizes)
                 )
@@ -177,7 +187,7 @@ class TestMicroBatcher:
         async def main():
             batcher = MicroBatcher(stub)
             await batcher.start()
-            records = await batcher.submit([], [])
+            records = await batcher.submit([], packed())
             await batcher.close()
             return records
 
@@ -190,17 +200,17 @@ class TestMicroBatcher:
 
         async def main():
             batcher = MicroBatcher(
-                stub, max_delay_ms=0, max_queued_reads=2
+                stub, max_queued_reads=2
             )
             await batcher.start()
-            first = asyncio.ensure_future(batcher.submit(["a"], ["x"]))
+            first = asyncio.ensure_future(batcher.submit(["a"], packed("ACGT")))
             await asyncio.sleep(0.05)  # dispatched; executor blocked on gate
             second = asyncio.ensure_future(
-                batcher.submit(["b", "c"], ["y", "z"])
+                batcher.submit(["b", "c"], packed("ACGT", "ACGT"))
             )
             await asyncio.sleep(0.05)  # queued (2 reads = the bound)
             with pytest.raises(OverloadedError) as excinfo:
-                await batcher.submit(["d"], ["w"])
+                await batcher.submit(["d"], packed("ACGT"))
             assert excinfo.value.retry_after_seconds >= 1
             gate.set()
             results = await asyncio.gather(first, second)
@@ -216,51 +226,114 @@ class TestMicroBatcher:
 
         async def main():
             batcher = MicroBatcher(
-                stub, max_batch_reads=2, max_delay_ms=0, max_queued_reads=3
+                stub, max_batch_reads=2, max_queued_reads=3
             )
             await batcher.start()
             records = await batcher.submit(
-                [f"h{i}" for i in range(10)], [f"s{i}" for i in range(10)]
+                [f"h{i}" for i in range(10)], packed(*["ACGT"] * 10)
             )
             await batcher.close()
             return records
 
         assert len(run_async(main())) == 10
 
+    def test_lone_request_dispatched_at_once_and_arrivals_form_the_next_batch(self):
+        # work-conserving: an idle dispatcher takes what is queued now
+        # (one request, passed through as it came), and what arrives
+        # while that batch is in flight goes out together afterwards
+        gate = threading.Event()
+        stub = StubSession(gate=gate)
+
+        async def main():
+            batcher = MicroBatcher(stub)
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            reads = packed("ACGT", "GGCC")
+            lone = asyncio.ensure_future(batcher.submit(["a", "b"], reads))
+            assert await loop.run_in_executor(None, stub.entered.wait, 30)
+            assert stub.batch_sizes == [2] and stub.batches[0] is reads
+            later = [
+                asyncio.ensure_future(batcher.submit([f"h{i}"], packed(seq)))
+                for i, seq in enumerate(["AAAA", "CC", "GTGTGT"])
+            ]
+            while batcher.queued_reads < 3:
+                await asyncio.sleep(0)
+            assert stub.batch_sizes == [2]  # still only the lone batch
+            gate.set()
+            results = await asyncio.gather(lone, *later)
+            await batcher.close()
+            return results
+
+        results = run_async(main())
+        assert results == [["cls:a", "cls:b"], ["cls:h0"], ["cls:h1"], ["cls:h2"]]
+        assert stub.batch_sizes == [2, 3]
+        coalesced = stub.batches[1]
+        assert [decode_sequence(seg) for seg in coalesced.segments()] == [
+            "AAAA", "CC", "GTGTGT"
+        ]
+        assert coalesced.read_ids.tolist() == [0, 1, 2]
+
+    def test_split_request_reassembles_packed_slices_in_order(self):
+        stub = StubSession()
+        sequences = ["A" * (i + 1) for i in range(8)]
+
+        async def main():
+            batcher = MicroBatcher(stub, max_batch_reads=3)
+            await batcher.start()
+            records = await batcher.submit(
+                [f"h{i}" for i in range(8)], packed(*sequences)
+            )
+            await batcher.close()
+            return records
+
+        assert run_async(main()) == [f"cls:h{i}" for i in range(8)]
+        assert stub.batch_sizes == [3, 3, 2]
+        seen = [
+            decode_sequence(seg) for batch in stub.batches for seg in batch.segments()
+        ]
+        assert seen == sequences
+
     def test_drain_close_finishes_queued_work(self):
         gate = threading.Event()
         stub = StubSession(gate=gate)
 
         async def main():
-            # huge delay: only a draining close can flush the queue fast
-            batcher = MicroBatcher(stub, max_delay_ms=30000)
+            batcher = MicroBatcher(stub)
             await batcher.start()
             pending = [
-                asyncio.ensure_future(batcher.submit([f"h{i}"], [f"s{i}"]))
-                for i in range(3)
+                asyncio.ensure_future(batcher.submit(["h0"], packed("ACGT")))
             ]
-            await asyncio.sleep(0.05)
-            gate.set()
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, stub.entered.wait, 30)
+            pending += [
+                asyncio.ensure_future(batcher.submit([f"h{i}"], packed("ACGT")))
+                for i in (1, 2)
+            ]
+            while batcher.queued_reads < 2:  # admitted, behind the gated batch
+                await asyncio.sleep(0)
             closer = asyncio.ensure_future(batcher.close(drain=True))
+            await asyncio.sleep(0)  # close has begun: new work is refused
+            with pytest.raises(ServerError):
+                await batcher.submit(["x"], packed("ACGT"))
+            gate.set()
             results = await asyncio.gather(*pending)
             await closer
-            with pytest.raises(ServerError):
-                await batcher.submit(["x"], ["y"])
             return results
 
         results = run_async(main())
         assert [r[0] for r in results] == ["cls:h0", "cls:h1", "cls:h2"]
+        assert stub.batch_sizes == [1, 2]
 
     def test_abort_close_fails_queued_work(self):
         gate = threading.Event()
         stub = StubSession(gate=gate)
 
         async def main():
-            batcher = MicroBatcher(stub, max_delay_ms=0)
+            batcher = MicroBatcher(stub)
             await batcher.start()
-            blocked = asyncio.ensure_future(batcher.submit(["a"], ["x"]))
+            blocked = asyncio.ensure_future(batcher.submit(["a"], packed("ACGT")))
             await asyncio.sleep(0.05)  # now in the executor, gated
-            queued = asyncio.ensure_future(batcher.submit(["b"], ["y"]))
+            queued = asyncio.ensure_future(batcher.submit(["b"], packed("ACGT")))
             await asyncio.sleep(0.05)
             gate.set()
             await batcher.close(drain=False)
@@ -276,11 +349,11 @@ class TestMicroBatcher:
         stub = StubSession(fail_on={0})
 
         async def main():
-            batcher = MicroBatcher(stub, max_delay_ms=0)
+            batcher = MicroBatcher(stub)
             await batcher.start()
             with pytest.raises(ValueError, match="injected failure"):
-                await batcher.submit(["a"], ["x"])
-            ok = await batcher.submit(["b"], ["y"])  # batcher still alive
+                await batcher.submit(["a"], packed("ACGT"))
+            ok = await batcher.submit(["b"], packed("ACGT"))  # batcher still alive
             await batcher.close()
             return ok, batcher.stats
 
@@ -300,11 +373,11 @@ class TestMicroBatcher:
         stub = ShortStub()
 
         async def main():
-            batcher = MicroBatcher(stub, max_delay_ms=0)
+            batcher = MicroBatcher(stub)
             await batcher.start()
             with pytest.raises(ServerError, match="returned 0 records"):
-                await batcher.submit(["a"], ["x"])
-            ok = await batcher.submit(["b"], ["y"])  # dispatcher survives
+                await batcher.submit(["a"], packed("ACGT"))
+            ok = await batcher.submit(["b"], packed("ACGT"))  # dispatcher survives
             await batcher.close()
             return ok, batcher.stats
 
@@ -321,7 +394,7 @@ class TestMicroBatcher:
         stub = StubSession()
 
         async def main():
-            batcher = MicroBatcher(stub, max_delay_ms=0)
+            batcher = MicroBatcher(stub)
 
             def boom(_size):
                 raise RuntimeError("injected dispatcher bug")
@@ -329,9 +402,9 @@ class TestMicroBatcher:
             batcher.stats.batches.record = boom
             await batcher.start()
             with pytest.raises(ServerError, match="dispatcher failed"):
-                await asyncio.wait_for(batcher.submit(["a"], ["x"]), 10)
+                await asyncio.wait_for(batcher.submit(["a"], packed("ACGT")), 10)
             with pytest.raises(ServerError, match="injected dispatcher bug"):
-                await batcher.submit(["b"], ["y"])
+                await batcher.submit(["b"], packed("ACGT"))
             await batcher.close()
             return batcher.stats
 
@@ -347,7 +420,7 @@ class TestMicroBatcher:
         stub = StubSession()
 
         async def main():
-            batcher = MicroBatcher(stub, max_delay_ms=0)
+            batcher = MicroBatcher(stub)
             orig = batcher._take_batch
 
             def bad(slices):
@@ -357,7 +430,7 @@ class TestMicroBatcher:
             batcher._take_batch = bad
             await batcher.start()
             with pytest.raises(ServerError, match="dispatcher failed"):
-                await asyncio.wait_for(batcher.submit(["a"], ["x"]), 10)
+                await asyncio.wait_for(batcher.submit(["a"], packed("ACGT")), 10)
             await batcher.close()
             return batcher
 
@@ -371,15 +444,15 @@ class TestMicroBatcher:
         stub = StubSession()
 
         async def main():
-            batcher = MicroBatcher(stub, max_delay_ms=50)
+            batcher = MicroBatcher(stub)
             await batcher.start()
 
             def boom(_seconds):
                 raise RuntimeError("injected latency-recording bug")
 
             batcher.stats.latency.record = boom
-            first = asyncio.ensure_future(batcher.submit(["a"], ["x"]))
-            second = asyncio.ensure_future(batcher.submit(["b"], ["y"]))
+            first = asyncio.ensure_future(batcher.submit(["a"], packed("ACGT")))
+            second = asyncio.ensure_future(batcher.submit(["b"], packed("ACGT")))
             results = await asyncio.gather(
                 first, second, return_exceptions=True
             )
@@ -410,7 +483,7 @@ class TestFailureAccounting:
                 raise InvalidReadError("injected bad read in batch")
 
         server = ClassificationServer(
-            BadReadStub(), port=0, max_delay_ms=0
+            BadReadStub(), port=0
         )
 
         def classify_request(reads):
@@ -443,7 +516,7 @@ class TestFailureAccounting:
         balancers take the instance out of rotation."""
         from repro.server.http import HttpRequest
 
-        server = ClassificationServer(StubSession(), port=0, max_delay_ms=0)
+        server = ClassificationServer(StubSession(), port=0)
 
         def health_request():
             return HttpRequest(
@@ -709,7 +782,7 @@ class TestOverloadAndShutdown:
             return real(headers, sequences, **kw)
 
         monkeypatch.setattr(session, "classify_batch", gated)
-        srv = ClassificationServer(session, port=0, max_delay_ms=0, **kwargs)
+        srv = ClassificationServer(session, port=0, **kwargs)
         thread = ServerThread(srv)
         thread.start()
         return srv, thread, session, gate

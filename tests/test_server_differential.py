@@ -93,7 +93,7 @@ def _post_fastq(host, port, records) -> str:
 def _serve_and_collect(handle, records, *, workers, seed) -> str:
     """Run the server; N concurrent clients classify random slices."""
     session = handle.session(workers=workers)
-    server = ClassificationServer(session, port=0, max_delay_ms=5.0)
+    server = ClassificationServer(session, port=0)
     slices = _random_slices(len(records), N_CLIENTS, seed)
     responses: list[str | None] = [None] * len(slices)
     errors: list[BaseException] = []

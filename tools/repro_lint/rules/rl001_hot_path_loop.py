@@ -41,6 +41,10 @@ KERNEL_SCOPES = (
     "src/repro/pipeline/producer.py",
     "src/repro/api/records.py",
     "src/repro/api/sinks.py",
+    # the tables' loops walk probe steps (each a whole tile of walks),
+    # the micro-batcher's the queued requests and a batch's slices
+    "src/repro/warpcore/",
+    "src/repro/server/batcher.py",
 )
 
 _READ_NAME = re.compile(r"(read|seq|window|mate|record|sketch)", re.IGNORECASE)
