@@ -33,8 +33,9 @@ invariant rests on two properties: partition assignment depends only
 on arrival order, and the multi-bucket table stores each key's values
 in global submission order regardless of insert batch boundaries or
 table geometry (a key's slot chain fills strictly in probe order and
-slots are never deleted).  The insert tables grow by chunked rebuild,
-so builds never need the corpus-wide size precomputation the old
+slots are never deleted).  The insert tables grow by rebuild (content
+read off the old slot arrays in one scan, re-inserted in chunks), so
+builds never need the corpus-wide size precomputation the old
 one-shot path used.
 """
 
@@ -111,11 +112,12 @@ class _GrowingTable:
     content in sorted-key chunks.  Re-insertion preserves each key's
     value order (which is submission order -- the only property the
     condensed layout and queries observe), so growth is invisible in
-    the final database bytes.  Chunked retrieval keeps the transient
-    rebuild memory bounded by the chunk size, not the table size.
+    the final database bytes.  The old content is read in one scan
+    (8 bytes per stored value + 16 per key, held once the old slot
+    arrays are freed); chunking bounds the *insert* transients.
     """
 
-    #: keys re-inserted per rebuild chunk (bounds rebuild transients)
+    #: keys re-inserted per rebuild chunk (bounds insert transients)
     REBUILD_CHUNK_KEYS = 1 << 15
 
     def __init__(self, params: MetaCacheParams, initial_capacity: int) -> None:
@@ -144,20 +146,25 @@ class _GrowingTable:
         self.table.insert(feats, locs)
 
     def _grow(self, new_capacity: int) -> None:
-        old = self.table
-        dropped_before = old.dropped_values
-        new = self._allocate(new_capacity)
+        dropped_before = self.table.dropped_values
+        content = self.table.condensed_content()
         self.capacity_values = new_capacity
-        keys = old.occupied_keys()
-        for start in range(0, keys.size, self.REBUILD_CHUNK_KEYS):
-            chunk = keys[start : start + self.REBUILD_CHUNK_KEYS]
-            values, offsets = old.retrieve(chunk)
-            counts = np.diff(offsets)
-            new.insert(np.repeat(chunk, counts), values)
+        self.table = self._allocate(new_capacity)  # frees the old slot arrays
+        self.reinsert(*content)
         # stored values always fit under the (unchanged) per-key cap,
         # so a rebuild can never drop; carry the historical drop count
-        new._dropped += dropped_before
-        self.table = new
+        self.table._dropped += dropped_before
+
+    def reinsert(
+        self, features: np.ndarray, lengths: np.ndarray, locations: np.ndarray
+    ) -> None:
+        """Insert canonical content in sorted-key chunks, value order kept."""
+        offsets = np.zeros(features.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        for start in range(0, features.size, self.REBUILD_CHUNK_KEYS):
+            stop = min(features.size, start + self.REBUILD_CHUNK_KEYS)
+            feats = np.repeat(features[start:stop], lengths[start:stop])
+            self.insert(feats, locations[offsets[start] : offsets[stop]])
 
 
 class DatabaseBuilder:
@@ -283,13 +290,7 @@ class DatabaseBuilder:
             grown = _GrowingTable(
                 builder.params, initial_capacity=max(256, locations.size)
             )
-            chunk_keys = _GrowingTable.REBUILD_CHUNK_KEYS
-            offsets = np.zeros(features.size + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            for start in range(0, features.size, chunk_keys):
-                stop = min(features.size, start + chunk_keys)
-                feats = np.repeat(features[start:stop], lengths[start:stop])
-                grown.insert(feats, locations[offsets[start] : offsets[stop]])
+            grown.reinsert(features, lengths, locations)
             builder._tables[part.partition_id] = grown
             # historical accounting: everything the copied content
             # stores counts as already sketched; drops that happened

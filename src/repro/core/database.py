@@ -78,15 +78,23 @@ class CondensedIndex:
     @classmethod
     def from_table(cls, table: MultiBucketHashTable) -> "CondensedIndex":
         """Compact a build-layout table into the condensed layout."""
-        uniq = table.occupied_keys()
-        values, offsets = table.retrieve(uniq)
-        lengths = np.diff(offsets).astype(np.uint64)
+        return cls.from_content(*table.condensed_content())
+
+    @classmethod
+    def from_content(
+        cls, features: np.ndarray, lengths: np.ndarray, locations: np.ndarray
+    ) -> "CondensedIndex":
+        """Index canonical content (sorted features, dense ``locations``).
+
+        ``ValueError``: a list of 2^24+ locations, or the sentinel feature.
+        """
+        lengths = lengths.astype(np.uint64)
         if lengths.size and int(lengths.max()) >= (1 << 24):
             raise ValueError("location list too long for condensed pointer")
-        packed = (offsets[:-1].astype(np.uint64) << cls.OFFSET_SHIFT) | lengths
-        pointers = SingleValueHashTable(capacity_keys=max(16, uniq.size))
-        pointers.insert(uniq, packed)
-        return cls(locations=values, pointers=pointers)
+        packed = ((np.cumsum(lengths) - lengths) << cls.OFFSET_SHIFT) | lengths
+        pointers = SingleValueHashTable(capacity_keys=max(16, features.size))
+        pointers.insert(features, packed)
+        return cls(locations=locations, pointers=pointers)
 
     def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Same contract as ``MultiBucketHashTable.retrieve``."""

@@ -65,6 +65,7 @@ from repro.core.database import (
 from repro.hashing.sketch import SketchParams
 from repro.taxonomy.ncbi import load_ncbi_dump, write_ncbi_dump
 from repro.util.segmented import segment_ramp
+from repro.warpcore.base import EMPTY_KEY, sort_by_key
 from repro.warpcore.probing import ProbingScheme
 from repro.warpcore.single_value import SingleValueHashTable
 
@@ -101,8 +102,8 @@ def save_database(
 ) -> list[Path]:
     """Write the database **crash-atomically**; returns the files created.
 
-    ``format=1`` (default) writes the compressed NPZ layout; loading
-    it rebuilds the pointer hash table.  ``format=2`` writes the
+    ``format=1`` (default) writes the NPZ layout (stored, not deflated);
+    loading it rebuilds the pointer hash table.  ``format=2`` writes the
     mmap-ready layout described in the module docs; loading it (with
     or without ``mmap=True``) performs **no** hash-table inserts.
     Saving in v2 condenses the database in place (the condensed layout
@@ -264,32 +265,21 @@ def _condensed_content(
     Features sorted ascending, locations re-packed densely in feature
     order -- the serialized form shared by both disk formats.
     """
-    if part.condensed is not None:
-        cond = part.condensed
-        features, packed = _pointer_table_content(cond.pointers)
-        lengths = (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
-        starts = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64)
-        order = np.argsort(features, kind="stable")
-        features = features[order]
-        lengths = lengths[order]
-        # gather every bucket's slice at once (repeat + ramp)
-        locations = cond.locations[
-            np.repeat(starts[order], lengths) + segment_ramp(lengths)
-        ]
-    else:
-        table = part.table
-        features = table.occupied_keys()
-        locations, offsets = table.retrieve(features)
-        lengths = np.diff(offsets)
-    return (
-        features.astype(np.uint64),
-        np.asarray(lengths, dtype=np.int64),
-        np.asarray(locations, dtype=np.uint64),
-    )
+    if part.condensed is None:
+        return part.table.condensed_content()
+    cond = part.condensed
+    occupied = np.flatnonzero(cond.pointers._keys != EMPTY_KEY)
+    features, order = sort_by_key(cond.pointers._keys[occupied])
+    packed = cond.pointers._values[occupied.take(order)]
+    lengths = (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
+    starts = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64)
+    # gather every bucket's slice at once (repeat + ramp)
+    locations = cond.locations[np.repeat(starts, lengths) + segment_ramp(lengths)]
+    return features.astype(np.uint64), lengths, np.asarray(locations, dtype=np.uint64)
 
 
 def _save_partitions_v1(db: Database, directory: Path) -> list[Path]:
-    """One compressed ``database.cache<P>`` NPZ per partition."""
+    """One ``database.cache<P>`` NPZ (``np.savez``: stored) per partition."""
     files: list[Path] = []
     for p, part in enumerate(db.partitions):
         features, lengths, locations = _condensed_content(part)
@@ -308,15 +298,20 @@ def _save_partitions_v2(db: Database, directory: Path) -> list[Path]:
     array.  Every internally-produced condensed index already does
     (``CondensedIndex.from_table`` and both loaders emit canonical
     packing); a hand-built non-canonical index is re-pointed here once
-    at save time so the invariant holds on disk.
+    at save time so the invariant holds on disk.  A partition still in
+    the build layout is condensed here, from the very content written.
     """
-    db.condense()
     files: list[Path] = []
     manifest: dict = {"format_version": FORMAT_V2, "alignment": _NPY_ALIGN,
                       "partitions": []}
     for p, part in enumerate(db.partitions):
         features, lengths, locations = _condensed_content(part)
-        pointers = _canonical_pointers(part.condensed, features, lengths)
+        if part.condensed is None:
+            part.condensed = CondensedIndex.from_content(features, lengths, locations)
+            part.table = None
+            pointers = part.condensed.pointers
+        else:
+            pointers = _canonical_pointers(part.condensed, features, lengths)
         arrays = {
             "features": features,
             "lengths": lengths,
@@ -373,9 +368,7 @@ def _canonical_pointers(
     )
     if bool(found.all()) and np.array_equal(packed_now, canonical):
         return cond.pointers
-    pointers = SingleValueHashTable(capacity_keys=max(16, features.size))
-    pointers.insert(features, canonical)
-    return pointers
+    return CondensedIndex.from_content(features, lengths, cond.locations).pointers
 
 
 def _write_npy_aligned(
@@ -399,24 +392,12 @@ def _write_npy_aligned(
     header = header + " " * pad + "\n"
     if len(header) > 0xFFFF:  # pragma: no cover - align is always < 64k
         raise ValueError("npy header too large for format 1.0")
-    payload = array.tobytes()
     with open(path, "wb") as fh:
         fh.write(_NPY_MAGIC)
         fh.write(struct.pack("<H", len(header)))
         fh.write(header.encode("latin1"))
-        fh.write(payload)
-    return zlib.crc32(payload)
-
-
-def _pointer_table_content(
-    pointers: SingleValueHashTable,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (features, packed pointers) from a single-value table."""
-    occupied = pointers._keys != np.uint32(0xFFFFFFFF)
-    return (
-        pointers._keys[occupied].astype(np.uint64),
-        pointers._values[occupied],
-    )
+        fh.write(array)  # the array's own buffer: no staging copy
+    return zlib.crc32(array)
 
 
 def _check_format_version(meta, meta_path: Path) -> int:
@@ -557,27 +538,16 @@ def _load_condensed_v1(cache_path: Path, pid: int) -> CondensedIndex:
         raise DatabaseFormatError(
             f"{cache_path}: corrupt partition file ({exc})"
         ) from exc
-    offsets = np.zeros(features.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    if int(offsets[-1]) != locations.size:
+    if int(lengths.sum()) != locations.size:
         raise DatabaseFormatError(
             f"{cache_path}: corrupt location array (partition {pid})"
         )
-    if lengths.size and int(lengths.max()) >= (1 << 24):
-        raise DatabaseFormatError(
-            f"{cache_path}: location list too long (partition {pid})"
-        )
-    packed = (offsets[:-1].astype(np.uint64) << CondensedIndex.OFFSET_SHIFT) | (
-        lengths.astype(np.uint64)
-    )
-    pointers = SingleValueHashTable(capacity_keys=max(16, features.size))
     try:
-        pointers.insert(features, packed)
-    except ValueError as exc:
+        return CondensedIndex.from_content(features, lengths, locations)
+    except ValueError as exc:  # a list of 2^24+ locations, the sentinel
         raise DatabaseFormatError(
             f"{cache_path}: invalid feature in partition {pid} ({exc})"
         ) from exc
-    return CondensedIndex(locations=locations, pointers=pointers)
 
 
 def _load_condensed_v2(
@@ -664,7 +634,7 @@ def _load_partition_v2(
             raise DatabaseFormatError(
                 f"{manifest_path}: corrupt location array (partition {pid})"
             )
-        occupied = np.asarray(pointers._keys) != np.uint32(0xFFFFFFFF)
+        occupied = np.asarray(pointers._keys) != EMPTY_KEY
         packed = np.asarray(pointers._values)[occupied]
         starts = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64)
         spans = starts + (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
@@ -700,7 +670,7 @@ def _open_npy(
             f"{path}: array is {array.dtype}{array.shape}, manifest says "
             f"{dtype}{shape}"
         )
-    if crc is not None and zlib.crc32(array.tobytes()) != crc:
+    if crc is not None and zlib.crc32(array) != crc:
         raise DatabaseFormatError(f"{path}: checksum mismatch (file corrupted)")
     return array
 

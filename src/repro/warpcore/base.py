@@ -21,10 +21,12 @@ if TYPE_CHECKING:
 __all__ = [
     "EMPTY_KEY",
     "TableStats",
+    "batch_spans",
     "claim_empty_slots",
     "owned_slots",
     "probe_walk",
     "sanitize_keys",
+    "sort_by_key",
 ]
 
 EMPTY_KEY = np.uint32(0xFFFFFFFF)
@@ -44,6 +46,32 @@ def sanitize_keys(keys: np.ndarray) -> np.ndarray:
     return np.where(k == np.uint64(EMPTY_KEY), k - np.uint64(1), k)
 
 
+#: pairs one grouping sort can index (32-bit submission index half)
+MAX_BATCH_PAIRS = 1 << 32
+
+
+def batch_spans(n: int) -> list[slice]:
+    """Consecutive spans of at most :data:`MAX_BATCH_PAIRS` covering ``n``."""
+    return [slice(i, i + MAX_BATCH_PAIRS) for i in range(0, n, MAX_BATCH_PAIRS)]
+
+
+def sort_by_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable grouping sort of keys below 2^32: ``(sorted keys, order)``.
+
+    One plain ``np.sort`` of ``key << 32 | submission index`` (a
+    stable ``argsort`` is a merge sort); the index in the low half keeps
+    equal keys in submission order.  Words and the ``<u4`` view that
+    splits them are explicitly little-endian on any host.
+    """
+    if keys.size > MAX_BATCH_PAIRS:
+        raise ValueError("batch too large for a 32-bit submission index")
+    packed = np.asarray(keys, dtype="<u8") << np.uint64(32)
+    packed |= np.arange(keys.size, dtype="<u8")
+    packed.sort()
+    halves = packed.view("<u4")  # (index, key) words of each element
+    return halves[1::2], halves[0::2].astype(np.int64)
+
+
 def claim_empty_slots(
     table_keys: np.ndarray, bids: np.ndarray, slots: np.ndarray, keys32: np.ndarray
 ) -> np.ndarray:
@@ -57,15 +85,21 @@ def claim_empty_slots(
     fixed as "lowest submission index" so the build is deterministic.
     ``bids`` is the caller's scratch, one int64 per table slot with
     arbitrary contents.  Returns the winners' indices, ascending.
+
+    The election stays a reduction NumPy defines (``np.minimum.at``):
+    its indexing docs do not guarantee which write lands when a fancy
+    assignment repeats an index, so "last write wins" must never be the
+    CAS stand-in (``bids[cslots] = ...`` repeats equal values only).
     """
-    cand = np.flatnonzero(table_keys[slots] == EMPTY_KEY)
+    cand = np.flatnonzero(table_keys.take(slots) == EMPTY_KEY)
     if cand.size == 0:
         return cand
-    cslots = slots[cand]
+    cslots = slots.take(cand)
     bids[cslots] = cand[-1]
     np.minimum.at(bids, cslots, cand)
-    winners = cand[bids[cslots] == cand]
-    table_keys[slots[winners]] = keys32[winners]
+    won = np.flatnonzero(bids.take(cslots) == cand)
+    winners = cand.take(won)
+    table_keys[cslots.take(won)] = keys32.take(winners)
     return winners
 
 
@@ -151,9 +185,9 @@ def owned_slots(
     slot (or at the probe limit).
     """
     q, slots = probe_walk(table_keys, probing, keys, first_only=False)
-    # stable sort by query restores (query, round) order across steps
-    order = np.argsort(q, kind="stable")
-    return q[order], slots[order]
+    # grouping by query restores (query, round) order across steps
+    sorted_q, order = sort_by_key(q)
+    return sorted_q.astype(np.int64), slots.take(order)
 
 
 @dataclass(frozen=True)

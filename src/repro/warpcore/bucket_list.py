@@ -17,7 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.warpcore.base import EMPTY_KEY, TableStats, sanitize_keys
+from repro.util.segmented import segment_boundaries
+from repro.warpcore.base import (
+    EMPTY_KEY,
+    TableStats,
+    batch_spans,
+    sanitize_keys,
+    sort_by_key,
+)
 from repro.warpcore.probing import ProbingScheme
 
 __all__ = ["BucketListHashTable"]
@@ -143,13 +150,12 @@ class BucketListHashTable:
         pvals = np.asarray(values, dtype=_U64)
         if pkeys.shape != pvals.shape:
             raise ValueError("keys and values must have the same shape")
-        if pkeys.size == 0:
-            return 0
-        order = np.argsort(pkeys, kind="stable")
-        pkeys, pvals = pkeys[order], pvals[order]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], pkeys[1:] != pkeys[:-1]))
-        )
+        spans = batch_spans(pkeys.size)
+        if len(spans) != 1:  # nothing, or more than one grouping sort can index
+            return sum(self.insert(pkeys[span], pvals[span]) for span in spans)
+        skeys, order = sort_by_key(pkeys)
+        pkeys, pvals = skeys.astype(_U64), pvals[order]
+        boundaries = segment_boundaries(pkeys)
         stored_before = self._stored
         for b, e in zip(boundaries, np.append(boundaries[1:], pkeys.size)):
             key = pkeys[b]

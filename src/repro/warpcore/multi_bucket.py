@@ -9,11 +9,12 @@ stored once per ``B`` values instead of once per value.
 
 Insertion is the batch form of Section 5.3's warp aggregation.  On the
 device one cooperative group handles one key and all of its values;
-here a stable sort groups the batch by key and run-length encoding
-turns it into one *walker* per distinct key -- ``(key, cursor into the
-sorted values, values remaining, values of the key passed)`` -- whose
-two probe hashes are computed once.  All walkers advance in lock-step,
-so the probe round is a scalar.  In a round a walker whose slot is
+here one machine-word sort (``base.sort_by_key``) groups the batch by
+key and run-length encoding turns it into one *walker* per distinct
+key -- ``(key, cursor into the sorted values, values remaining, values
+of the key passed)`` -- whose two probe hashes are computed once.  All
+walkers advance in lock-step (carried as index arrays), so the probe
+round is a scalar.  In a round a walker whose slot is
 empty bids for it (:func:`repro.warpcore.base.claim_empty_slots`: a
 scatter-min of submission indices read back, the stand-in for the
 device's ``atomicCAS`` on the key cell -- lowest index wins); a walker
@@ -30,20 +31,23 @@ are the ones a pair-at-a-time walk leaves (the oracle under
 Termination invariant: a key claims slots strictly in probe order and
 only passes *non-empty* slots, and slots are never deleted, so at
 query time the first empty slot in a key's probe sequence proves no
-further slots of that key exist.
+further slots of that key exist (and ``condensed_content`` can read the
+table in one scan, walking only keys that own more than one slot).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util.segmented import first_occurrence_mask, run_length_encode
+from repro.util.segmented import run_length_encode, segment_ramp
 from repro.warpcore.base import (
     EMPTY_KEY,
     TableStats,
+    batch_spans,
     claim_empty_slots,
     owned_slots,
     sanitize_keys,
+    sort_by_key,
 )
 from repro.warpcore.probing import ProbingScheme
 
@@ -160,19 +164,19 @@ class MultiBucketHashTable:
         pvals = np.asarray(values, dtype=_U64)
         if pkeys.shape != pvals.shape:
             raise ValueError("keys and values must have the same shape")
-        if pkeys.size == 0:
-            return 0
-        # Keep original submission order within each key: stable sort
-        # groups duplicates while preserving value order.
-        order = np.argsort(pkeys, kind="stable")
-        pvals = pvals[order]
+        spans = batch_spans(pkeys.size)
+        if len(spans) != 1:  # nothing, or more than one grouping sort can index
+            return sum(self.insert(pkeys[span], pvals[span]) for span in spans)
+        # Keep original submission order within each key: the grouping
+        # sort is stable, so duplicates keep their value order.
+        skeys, order = sort_by_key(pkeys)
+        pvals = pvals.take(order)
         # One walker per distinct key, ascending: its values are
         # pvals[cursor : cursor + remaining].
-        wkeys, remaining = run_length_encode(pkeys[order])
+        key32, remaining = run_length_encode(skeys)
         cursor = np.cumsum(remaining) - remaining
-        key32 = wkeys.astype(np.uint32)
-        g1, g2 = self.probing.probe_bases(wkeys)
-        seen = np.zeros(wkeys.size, dtype=np.int64)  # values of this key passed
+        g1, g2 = self.probing.probe_bases(key32)
+        seen = np.zeros(key32.size, dtype=np.int64)  # values of this key passed
         stored_before = self._stored
         cap = self.max_locations_per_key
         B = self.bucket_size
@@ -184,36 +188,36 @@ class MultiBucketHashTable:
         while key32.size:
             # Keys that already store >= cap values can never place
             # another; drop them before they claim zombie slots.
-            if cap is not None:
-                over = seen >= cap
-                if over.any():
-                    self._dropped += int(remaining[over].sum())
-                    keep = ~over
-                    key32, g1, g2 = key32[keep], g1[keep], g2[keep]
-                    cursor, remaining, seen = cursor[keep], remaining[keep], seen[keep]
-                    if key32.size == 0:
-                        break
+            if cap is not None and bool((seen >= cap).any()):
+                keep = np.flatnonzero(seen < cap)
+                self._dropped += int(remaining.sum() - remaining.take(keep).sum())
+                key32, g1, g2 = key32.take(keep), g1.take(keep), g2.take(keep)
+                cursor, seen = cursor.take(keep), seen.take(keep)
+                remaining = remaining.take(keep)
+                if key32.size == 0:
+                    break
 
             slots = self.probing.slots_at(g1, g2, rnd)
             claim_empty_slots(self._keys, bids, slots, key32)
             # walkers are key-unique, so a slot holds at most one
-            own = np.flatnonzero(self._keys[slots] == key32)
+            own = np.flatnonzero(self._keys.take(slots) == key32)
             if own.size:
-                oslots = slots[own]
-                count = self._counts[oslots].astype(np.int64)
-                left = remaining[own]
+                oslots = slots.take(own)
+                count = self._counts.take(oslots).astype(np.int64)
+                left = remaining.take(own)
                 if cap is not None:
                     # values at key positions >= cap are dropped
-                    kept = np.minimum(left, np.maximum(cap - seen[own] - count, 0))
+                    kept = np.minimum(left, (cap - seen.take(own) - count).clip(0))
                     self._dropped += int((left - kept).sum())
                 else:
                     kept = left
                 n_fit = np.minimum(kept, B - count)
-                src, dst = cursor[own], oslots * B + count
-                # bounded by B, not by the batch: one scatter per value column
+                src, dst = cursor.take(own), oslots * B + count
+                # bounded by B, not by the batch: one index scatter per value column
+                col = np.flatnonzero(n_fit > 0)
                 for j in range(int(n_fit.max())):
-                    col = n_fit > j
-                    cells[dst[col] + j] = pvals[src[col] + j]
+                    col = col.compress(n_fit.take(col) > j)
+                    cells[dst.take(col) + j] = pvals.take(src.take(col) + j)
                 self._counts[oslots] += n_fit.astype(np.uint8)
                 self._stored += int(n_fit.sum())
                 cursor[own] = src + n_fit
@@ -223,12 +227,14 @@ class MultiBucketHashTable:
                 seen[own] += B
 
             rnd += 1
-            alive = remaining > 0
             if rnd >= max_rounds:
-                self._dropped += int(remaining[alive].sum())
+                self._dropped += int(remaining.sum())
                 break
-            key32, g1, g2 = key32[alive], g1[alive], g2[alive]
-            cursor, remaining, seen = cursor[alive], remaining[alive], seen[alive]
+            keep = np.flatnonzero(remaining > 0)
+            if keep.size < key32.size:  # a round that retired nobody moves nothing
+                key32, g1, g2 = key32.take(keep), g1.take(keep), g2.take(keep)
+                cursor, seen = cursor.take(keep), seen.take(keep)
+                remaining = remaining.take(keep)
         return self._stored - stored_before
 
     # -- retrieval -----------------------------------------------------------
@@ -266,19 +272,44 @@ class MultiBucketHashTable:
         """Number of stored values per query key (no value gather)."""
         return self._owned(keys)[2]
 
-    # -- introspection helpers (save / grow / tests / benches) ----------------
+    # -- condensed content (save / condense / grow) ---------------------------
 
-    def _occupied_sorted(self) -> np.ndarray:
-        return np.sort(self._keys[self._keys != EMPTY_KEY])
+    def condensed_content(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(features, lengths, locations)`` in one scan of the slot arrays.
+
+        Sorted distinct keys (uint64), values per key (int64), every key's
+        values in probe-round order (uint64) -- ``retrieve`` of all keys,
+        but only keys owning several slots walk a probe sequence.
+        """
+        occupied = np.flatnonzero(self._keys != EMPTY_KEY)
+        skeys, order = sort_by_key(self._keys.take(occupied))
+        slots = occupied.take(order)
+        key32, n_owned = run_length_encode(skeys)
+        features = key32.astype(_U64)
+        starts = np.cumsum(n_owned) - n_owned
+        multi = np.flatnonzero(n_owned > 1)
+        if multi.size:
+            spans = n_owned.take(multi)
+            at = np.repeat(starts.take(multi), spans) + segment_ramp(spans)
+            # (query, round) order over ascending keys is the order of `at`
+            slots[at] = owned_slots(self._keys, self.probing, features.take(multi))[1]
+        counts = self._counts.take(slots).astype(np.int64)
+        ends = np.cumsum(counts)  # where each slot's values end in the output
+        lengths = np.diff(ends.take(starts + n_owned - 1), prepend=0)
+        # output i reads cell i + (its slot's first cell - its slot's first output)
+        cells = np.repeat(slots * self.bucket_size - ends + counts, counts)
+        cells += np.arange(cells.size)
+        return features, lengths, self._values.reshape(-1).take(cells)
+
+    # -- introspection helpers (tests / benches) -------------------------------
 
     def occupied_keys(self) -> np.ndarray:
         """Sorted distinct keys present in the table (uint64)."""
-        occ = self._occupied_sorted()
-        return occ[first_occurrence_mask(occ)].astype(_U64)
+        return self.condensed_content()[0]
 
     def key_slot_histogram(self) -> dict[int, int]:
         """#slots-per-key distribution: how often keys spill over."""
-        _, slots_per_key = run_length_encode(self._occupied_sorted())
-        hist = np.bincount(slots_per_key)
+        occupied = self._keys[self._keys != EMPTY_KEY]
+        hist = np.bincount(np.unique(occupied, return_counts=True)[1])
         present = np.flatnonzero(hist)
         return dict(zip(present.tolist(), hist[present].tolist()))

@@ -19,9 +19,11 @@ import numpy as np
 from repro.warpcore.base import (
     EMPTY_KEY,
     TableStats,
+    batch_spans,
     claim_empty_slots,
     owned_slots,
     sanitize_keys,
+    sort_by_key,
 )
 from repro.warpcore.probing import ProbingScheme
 
@@ -87,15 +89,16 @@ class MultiValueHashTable:
         pvals = np.asarray(values, dtype=_U64)
         if pkeys.shape != pvals.shape:
             raise ValueError("keys and values must have the same shape")
-        if pkeys.size == 0:
-            return 0
+        spans = batch_spans(pkeys.size)
+        if len(spans) != 1:  # nothing, or more than one grouping sort can index
+            return sum(self.insert(pkeys[span], pvals[span]) for span in spans)
         # The walkers here are *pairs*: every pair needs a slot of its
         # own, so same-key pairs race for one slot like any others.
-        order = np.argsort(pkeys, kind="stable")
-        pkeys, pvals = pkeys[order], pvals[order]
-        key32 = pkeys.astype(np.uint32)
-        g1, g2 = self.probing.probe_bases(pkeys)
-        seen = np.zeros(pkeys.size, dtype=np.int64)
+        skeys, order = sort_by_key(pkeys)
+        pvals = pvals[order]
+        key32 = np.ascontiguousarray(skeys)
+        g1, g2 = self.probing.probe_bases(key32)
+        seen = np.zeros(key32.size, dtype=np.int64)
         stored_before = self._stored
         cap = self.max_locations_per_key
         max_rounds = self.probing.max_probe_rounds

@@ -14,8 +14,10 @@ from repro.util.segmented import segment_boundaries
 from repro.warpcore.base import (
     EMPTY_KEY,
     TableStats,
+    batch_spans,
     claim_empty_slots,
     probe_walk,
+    sort_by_key,
 )
 from repro.warpcore.probing import ProbingScheme
 
@@ -162,15 +164,18 @@ class SingleValueHashTable:
         pvals = np.asarray(values, dtype=_U64)
         if pkeys.shape != pvals.shape:
             raise ValueError("keys and values must have the same shape")
+        spans = batch_spans(pkeys.size)
+        if len(spans) > 1:  # more pairs than one grouping sort can index
+            return sum(self.insert(pkeys[span], pvals[span]) for span in spans)
         # One walker per distinct key.  Strictly increasing keys (all the
         # condensed loader ever submits) are distinct as they stand;
         # otherwise fold duplicates: a key walks once, in the submission
         # position of its first pair, carrying its last value and its
-        # pair count.
+        # pair count.  Walkers are carried as index arrays from then on.
         pairs = np.ones(pkeys.size, dtype=np.int64)
         if not bool((pkeys[1:] > pkeys[:-1]).all()):
-            order = np.argsort(pkeys, kind="stable")
-            starts = segment_boundaries(pkeys[order])
+            skeys, order = sort_by_key(pkeys)
+            starts = segment_boundaries(skeys)
             ends = np.append(starts[1:], pkeys.size) - 1
             by_first = np.argsort(order[starts])
             pairs = (ends - starts + 1)[by_first]
@@ -185,17 +190,19 @@ class SingleValueHashTable:
         while key32.size:
             slots = self.probing.slots_at(g1, g2, rnd)
             self._size += claim_empty_slots(self._keys, bids, slots, key32).size
-            match = self._keys[slots] == key32
-            if match.any():
-                self._values[slots[match]] = pvals[match]
-                placed += int(pairs[match].sum())
+            match = self._keys.take(slots) == key32
+            home = np.flatnonzero(match)
+            if home.size:
+                self._values[slots.take(home)] = pvals.take(home)
+                placed += int(pairs.take(home).sum())
             rnd += 1
-            alive = ~match
             if rnd >= max_rounds:
-                self._dropped += int(pairs[alive].sum())
+                self._dropped += int(pairs.sum() - pairs.take(home).sum())
                 break
-            key32, g1, g2 = key32[alive], g1[alive], g2[alive]
-            pvals, pairs = pvals[alive], pairs[alive]
+            if home.size:  # a round that placed nobody moves nothing
+                keep = np.flatnonzero(~match)
+                key32, g1, g2 = key32.take(keep), g1.take(keep), g2.take(keep)
+                pvals, pairs = pvals.take(keep), pairs.take(keep)
         return placed
 
     def retrieve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -230,6 +230,37 @@ def test_rl001_covers_the_tables_and_the_micro_batcher(tmp_path, relpath):
     assert run_rule("RL001", tmp_path, relpath, RL001_STEP_LOOP) == []
 
 
+RL001_KEY_LOOP = '''
+"""Table module."""
+
+class Table:
+    """A multi-bucket table."""
+
+    def condensed_content(self):
+        """One probe walk per key: what the slot-array scan replaced."""
+        chunks = []
+        for key in self.occupied_keys():
+            chunks.append(self.retrieve(key)[0])
+        for feature, n in zip(self.features, self.lengths):
+            chunks.append(n)
+        return chunks
+
+    def insert(self, key32, n_fit):
+        """Round loops and the bucket-bounded column loop: allowed."""
+        while key32.size:
+            for j in range(int(n_fit.max())):
+                key32 = key32[n_fit > j]
+'''
+
+
+def test_rl001_flags_a_per_key_loop_in_the_condense_scan(tmp_path):
+    relpath = "src/repro/warpcore/multi_bucket.py"
+    findings = run_rule("RL001", tmp_path, relpath, RL001_KEY_LOOP)
+    assert [f.symbol for f in findings] == ["condensed_content"] * 2
+    # the bucket-list baseline walks its chains per key by design
+    assert run_rule("RL001", tmp_path, "src/repro/warpcore/bucket_list.py", RL001_KEY_LOOP) == []
+
+
 def test_rl001_out_of_scope_module_not_checked(tmp_path):
     path = tmp_path / "src/repro/util/misc.py"
     path.parent.mkdir(parents=True)

@@ -31,6 +31,7 @@ from repro.core.database import Database
 from repro.core.io import load_database, save_database
 from repro.genomics import GenomeSimulator
 from repro.taxonomy import build_taxonomy_for_genomes
+from repro.warpcore import base as base_mod
 from repro.warpcore import (
     BucketListHashTable,
     MultiBucketHashTable,
@@ -317,3 +318,132 @@ class TestSavedIndexIdentity:
         ref = self._save_both(tmp_path / "ref", taxonomy, refs)
         assert len(new) > 8
         assert new == ref
+
+
+def _large_batch(n, n_keys, seed):
+    """Heavy duplicates: a few hot keys far past any cap, a long tail."""
+    rng = np.random.default_rng(seed)
+    keys = np.minimum(rng.zipf(1.4, size=n), n_keys).astype(np.uint64)
+    keys[::1013] = SENTINEL - 1
+    return keys, rng.integers(0, 2**48, size=n, dtype=np.uint64)
+
+
+class TestLargeBatches:
+    """>= 20k pairs per batch: the SIMD sort path and many compressed rounds."""
+
+    @pytest.mark.parametrize("cap", [254, 6])
+    def test_multi_bucket(self, cap):
+        keys, values = _large_batch(24_000, 9_000, seed=1)
+        kwargs = dict(capacity_values=24_000, bucket_size=4, max_locations_per_key=cap)
+        new = MultiBucketHashTable(**kwargs)
+        ref = PairwiseMultiBucketHashTable(**kwargs)
+        for table in (new, ref):  # a second batch meets occupied and full slots
+            table.insert(keys, values)
+            table.insert(keys[:5_000], values[:5_000])
+        assert new.dropped_values > 0  # the cap was hit
+        _assert_same_slots(new, ref, TestMultiBucketEquivalence.ARRAYS)
+
+    def test_multi_value(self):
+        keys, values = _large_batch(20_000, 12_000, seed=2)
+        kwargs = dict(capacity_values=20_000, max_locations_per_key=6)
+        new = MultiValueHashTable(**kwargs)
+        ref = PairwiseMultiValueHashTable(**kwargs)
+        assert new.insert(keys, values) == ref.insert(keys, values)
+        assert new.dropped_values > 0
+        _assert_same_slots(new, ref, ("_keys", "_values"))
+
+    def test_bucket_list(self):
+        keys, values = _large_batch(20_000, 2_000, seed=3)
+        kwargs = dict(capacity_keys=2_100, max_locations_per_key=6)
+        new = BucketListHashTable(**kwargs)
+        ref = PairwiseBucketListHashTable(**kwargs)
+        assert new.insert(keys, values) == ref.insert(keys, values)
+        assert new.dropped_values > 0
+        _assert_same_slots(new, ref, ("_keys",))
+        queries = np.unique(keys)
+        for got, want in zip(new.retrieve(queries), ref.retrieve(queries)):
+            assert got.tolist() == want.tolist()
+
+    def test_single_value(self):
+        """Duplicate folding at scale, at the pointer tables' load factor."""
+        keys, values = _large_batch(20_000, 15_000, seed=4)
+        new = SingleValueHashTable(capacity_keys=6_000)
+        ref = PairwiseSingleValueHashTable(capacity_keys=6_000)
+        assert new.insert(keys, values) == ref.insert(keys, values)
+        _assert_same_slots(new, ref, TestSingleValueEquivalence.ARRAYS)
+        assert len(new) == len(ref)
+        # the condensed loader's shape: strictly increasing keys
+        uniq = np.unique(keys)
+        new = SingleValueHashTable(capacity_keys=uniq.size)
+        ref = PairwiseSingleValueHashTable(capacity_keys=uniq.size)
+        assert new.insert(uniq, uniq + np.uint64(7)) == ref.insert(uniq, uniq + np.uint64(7))
+        _assert_same_slots(new, ref, TestSingleValueEquivalence.ARRAYS)
+
+
+class TestBatchBound:
+    """A batch beyond the 32-bit submission index is taken in spans.
+
+    The packed grouping key has 32 bits for the submission index, so
+    ``insert`` hands ``sort_by_key`` consecutive spans of at most
+    ``base.MAX_BATCH_PAIRS`` pairs.  With the bound patched down to a
+    few hundred, the slots are exactly those the oracle leaves when it
+    is fed the same spans as a stream of batches, and stored / dropped
+    counts and the condensed content equal the oracle's for the whole
+    batch at once.  (Slot *positions* of one big batch and of its spans
+    differ by design: walkers advance in lock-step within a batch, so
+    which of two keys reaches a contested slot first depends on what
+    was inserted together -- the contract across batch boundaries is
+    per-key value order, which is all a saved index observes.)
+    """
+
+    BOUND = 300
+
+    @pytest.mark.parametrize("cap", [None, 254, 6, 3])
+    def test_multi_bucket_spans(self, monkeypatch, cap):
+        keys, values = _large_batch(2_000, 500, seed=5)
+        kwargs = dict(capacity_values=2_000, bucket_size=4, max_locations_per_key=cap)
+        whole = PairwiseMultiBucketHashTable(**kwargs)
+        stored = whole.insert(keys, values)
+        streamed = PairwiseMultiBucketHashTable(**kwargs)
+        for start in range(0, keys.size, self.BOUND):
+            stop = start + self.BOUND
+            streamed.insert(keys[start:stop], values[start:stop])
+        new = MultiBucketHashTable(**kwargs)
+        with monkeypatch.context() as patched:
+            patched.setattr(base_mod, "MAX_BATCH_PAIRS", self.BOUND)
+            assert new.insert(keys, values) == stored
+        _assert_same_slots(new, streamed, TestMultiBucketEquivalence.ARRAYS)
+        assert new.stats() == whole.stats()
+        queries = np.unique(keys)
+        for got, want in zip(new.retrieve(queries), whole.retrieve(queries)):
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "new_cls, ref_cls, kwargs, arrays",
+        [
+            (MultiValueHashTable, PairwiseMultiValueHashTable,
+             dict(capacity_values=2_000, max_locations_per_key=6), ("_keys", "_values")),
+            (BucketListHashTable, PairwiseBucketListHashTable,
+             dict(capacity_keys=600, max_locations_per_key=6), ("_keys",)),
+            (SingleValueHashTable, PairwiseSingleValueHashTable,
+             dict(capacity_keys=600), ("_keys", "_values")),
+        ],
+    )
+    def test_other_tables_spans(self, monkeypatch, new_cls, ref_cls, kwargs, arrays):
+        keys, values = _large_batch(2_000, 500, seed=6)
+        streamed = ref_cls(**kwargs)
+        returned = sum(
+            streamed.insert(keys[start : start + self.BOUND], values[start : start + self.BOUND])
+            for start in range(0, keys.size, self.BOUND)
+        )
+        monkeypatch.setattr(base_mod, "MAX_BATCH_PAIRS", self.BOUND)
+        new = new_cls(**kwargs)
+        assert new.insert(keys, values) == returned
+        _assert_same_slots(new, streamed, arrays)
+
+    def test_sort_helper_refuses_what_it_cannot_index(self, monkeypatch):
+        monkeypatch.setattr(base_mod, "MAX_BATCH_PAIRS", 4)
+        with pytest.raises(ValueError, match="submission index"):
+            base_mod.sort_by_key(np.arange(5, dtype=np.uint64))
+        keys, order = base_mod.sort_by_key(np.array([7, 3, 7, 3], dtype=np.uint64))
+        assert keys.tolist() == [3, 3, 7, 7] and order.tolist() == [1, 3, 0, 2]

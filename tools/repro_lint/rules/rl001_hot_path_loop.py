@@ -47,7 +47,20 @@ KERNEL_SCOPES = (
     "src/repro/server/batcher.py",
 )
 
+# In the slot-array tables a ``for`` over keys or features is the same
+# mistake one level down -- one probe walk, or one slice, per key where
+# a scan of the slot arrays serves all of them.  Only ``for`` counts:
+# the lock-step round loops are ``while key32.size``.  bucket_list.py,
+# the baseline whose chain walk is host-side per key by design, is out.
+KEY_LOOP_SCOPES = (
+    "src/repro/warpcore/base.py",
+    "src/repro/warpcore/multi_bucket.py",
+    "src/repro/warpcore/multi_value.py",
+    "src/repro/warpcore/single_value.py",
+)
+
 _READ_NAME = re.compile(r"(read|seq|window|mate|record|sketch)", re.IGNORECASE)
+_KEY_NAME = re.compile(r"(key|feature)", re.IGNORECASE)
 
 
 def _names(node: ast.AST | None) -> Iterator[str]:
@@ -60,11 +73,12 @@ def _names(node: ast.AST | None) -> Iterator[str]:
             yield sub.attr
 
 
-def _iterates_reads(node: ast.For | ast.AsyncFor | ast.While) -> bool:
+def _iterates_reads(node: ast.For | ast.AsyncFor | ast.While, keyed: bool) -> bool:
     if isinstance(node, ast.While):
         return any(_READ_NAME.search(name) for name in _names(node.test))
+    names = (*_names(node.target), *_names(node.iter))
     return any(
-        _READ_NAME.search(name) for name in (*_names(node.target), *_names(node.iter))
+        _READ_NAME.search(name) or (keyed and _KEY_NAME.search(name)) for name in names
     )
 
 
@@ -92,7 +106,7 @@ class HotPathLoop:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             symbol = node.name
         elif isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            if _iterates_reads(node):
+            if _iterates_reads(node, module.relpath.startswith(KEY_LOOP_SCOPES)):
                 yield Finding(
                     rule=self.rule_id,
                     path=module.relpath,
