@@ -111,8 +111,8 @@ def _build_generations(root: Path, n_reads: int) -> tuple[Path, Path, bytes]:
     db_a = Database.build(references[:half], refset.taxonomy)
     db_b = Database.build(references, refset.taxonomy)
     dir_a, dir_b = root / "gen_a", root / "gen_b"
-    save_database(db_a, dir_a, format=2)
-    save_database(db_b, dir_b, format=2)
+    save_database(db_a, dir_a)
+    save_database(db_b, dir_b)
     sequences = [decode_sequence(s) for s in dataset.reads.sequences]
     body = json.dumps(
         {"reads": [[f"q{i}", s] for i, s in enumerate(sequences[:32])]}

@@ -107,7 +107,7 @@ def run_shard_bench(
         mc = MetaCache.ephemeral(
             references, refset.taxonomy, n_partitions=N_PARTITIONS
         )
-        mc.save(db_dir, format=2)
+        mc.save(db_dir)
         mc.close()
 
         # single-process reference: the byte-identity anchor + baseline

@@ -58,18 +58,18 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory(prefix="incremental-") as tmp:
         tmp = Path(tmp)
-        MetaCache(db).save(tmp / "db", format=2)
+        MetaCache(db).save(tmp / "db")
 
         # -- 2. wave 2 lands: extend the saved index -----------------------
         print("extending the saved index with wave 2 (no rebuild) ...")
         mc = MetaCache.open(tmp / "db")
         mc.extend(references=wave2)
-        mc.save(tmp / "db_extended", format=2)
+        mc.save(tmp / "db_extended")
         print(f"  now {mc.n_targets} targets")
 
         # -- 3. byte-identical to a from-scratch build ---------------------
         MetaCache.ephemeral(references, taxonomy, n_partitions=2).save(
-            tmp / "db_fromscratch", format=2
+            tmp / "db_fromscratch"
         )
         diverged = [
             p.name

@@ -7,7 +7,8 @@ through the :mod:`repro.api` facade:
 1. reference genomes arrive as FASTA files plus NCBI-format taxonomy
    dumps (nodes.dmp / names.dmp);
 2. ``MetaCache.build`` parses them through the producer/consumer
-   pipeline into a partitioned database, saved as database.meta/.cacheN;
+   pipeline into a partitioned database, saved as database.meta plus
+   the mmap-ready index arrays of each partition;
 3. ``MetaCache.open`` later reloads the condensed database and a
    session streams a FASTQ sample straight into result sinks --
    the classic TSV report plus a lossless JSONL copy, without the

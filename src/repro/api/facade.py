@@ -215,24 +215,20 @@ class MetaCache:
         source: str | os.PathLike,
         destination: str | os.PathLike,
         *,
-        format: int = 2,
         verify: bool = True,
     ) -> list[Path]:
-        """Rewrite a saved database in another on-disk format.
+        """Rewrite a saved database in the current on-disk format.
 
-        The v1 -> v2 upgrade path (``format=2``, the default) makes an
-        existing database eligible for ``open(..., mmap=True)``'s
-        zero-rebuild cold open; ``format=1`` downgrades a v2 database
-        for older readers.  ``verify`` checks source checksums when it
-        has them.  Returns the files written.
+        The upgrade path for legacy v1 directories: it makes them
+        eligible for ``open(..., mmap=True)``'s zero-rebuild cold
+        open.  ``verify`` checks source checksums when it has them.
+        Returns the files written.
 
         Raises :class:`repro.errors.DatabaseFormatError` for the same
         source conditions as :meth:`open`.
         """
         with _translate_db_errors(source):
-            return convert_database(
-                source, destination, format=format, verify=verify
-            )
+            return convert_database(source, destination, verify=verify)
 
     @classmethod
     def build(
@@ -391,7 +387,6 @@ class MetaCache:
         was_condensed = all(
             p.table is None for p in self.database.partitions
         )
-        source_format = self.database.format_version
         with Timer() as t:
             with DatabaseBuilder.from_database(
                 self.database,
@@ -412,12 +407,10 @@ class MetaCache:
                             taxon,
                         )
                 db = builder.finalize(condense=was_condensed)
-        # sessions pinned to the replaced database are closed; record
-        # the source's on-disk format so `save` defaults sensibly
+        # sessions pinned to the replaced database are closed
         for session in list(self._sessions):
             session.close()
         self._default_session = None
-        db.format_version = source_format
         self.database = db
         self._build_seconds += t.elapsed
         return self
@@ -597,12 +590,11 @@ class MetaCache:
 
     # ------------------------------------------------------------ persistence
 
-    def save(self, path: str | os.PathLike, *, format: int = 1) -> list[Path]:
+    def save(self, path: str | os.PathLike, *, format: int = 2) -> list[Path]:
         """Write the database directory; returns the files created.
 
-        ``format=1`` (default) writes the compressed v1 layout;
-        ``format=2`` writes the mmap-ready layout whose cold open
-        needs no hash-table rebuild (see :meth:`open`).
+        One layout, mmap-ready: its cold open needs no hash-table
+        rebuild (see :meth:`open`).  ``format`` accepts only ``2``.
         """
         return save_database(self.database, path, format=format)
 

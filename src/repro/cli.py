@@ -26,9 +26,9 @@ Subcommands:
   and ``--workers`` topologies only -- the shard plan is pinned).
 - ``info``    -- database summary (targets, windows, sizes).
 - ``merge``   -- combine per-partition candidate runs (Section 4.3).
-- ``convert`` -- rewrite a saved database between on-disk formats;
-  the v1 -> v2 upgrade enables ``query --mmap``'s zero-rebuild,
-  page-cache-shared cold open.
+- ``convert`` -- rewrite a legacy format-v1 database directory in the
+  one format this package writes, enabling ``query --mmap``'s
+  zero-rebuild, page-cache-shared cold open.
 
 The CLI is a thin client of :mod:`repro.api`: every command is a few
 calls against the :class:`~repro.api.MetaCache` facade, so anything
@@ -76,7 +76,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         n_partitions=args.partitions,
         build_workers=args.build_workers,
     )
-    files = mc.save(args.out, format=args.format)
+    files = mc.save(args.out)
     print(
         f"built {mc.n_targets} targets ({mc.total_windows:,} windows) into "
         f"{mc.n_partitions} partition(s); wrote {len(files)} files to {args.out}"
@@ -91,8 +91,7 @@ def _cmd_add(args: argparse.Namespace) -> int:
         args.refs, mapping=args.mapping, build_workers=args.build_workers
     )
     out = args.out if args.out else args.db
-    fmt = args.format or mc.database.format_version or 1
-    files = mc.save(out, format=fmt)
+    files = mc.save(out)
     print(
         f"added {mc.n_targets - before} targets to {args.db} "
         f"(now {mc.n_targets} targets, {mc.total_windows:,} windows); "
@@ -232,13 +231,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    files = MetaCache.convert(
-        args.db, args.out, format=args.format, verify=not args.no_verify
-    )
-    print(
-        f"converted {args.db} -> {args.out} "
-        f"(format v{args.format}, {len(files)} files)"
-    )
+    files = MetaCache.convert(args.db, args.out, verify=not args.no_verify)
+    print(f"converted {args.db} -> {args.out} (format v2, {len(files)} files)")
     return 0
 
 
@@ -301,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sketch-size", type=int, default=16)
     b.add_argument("--window-size", type=int, default=127)
     b.add_argument("--max-locations", type=int, default=254)
-    b.add_argument("--format", type=int, default=1, choices=(1, 2),
-                   help="on-disk format: 1 = compressed NPZ (default), "
-                        "2 = mmap-ready aligned .npy + checksum manifest")
     b.add_argument("--build-workers", type=int, default=1,
                    help="sketch worker processes for the build's parallel "
                         "sketch phase (default 1 = inline; output is "
@@ -319,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TSV mapping accession -> taxid for the new refs")
     a.add_argument("--out",
                    help="output directory (default: rewrite --db in place)")
-    a.add_argument("--format", type=int, default=None, choices=(1, 2),
-                   help="on-disk format (default: keep the source's)")
     a.add_argument("--build-workers", type=int, default=1,
                    help="sketch worker processes (as in build)")
     a.set_defaults(func=_cmd_add)
@@ -395,12 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=_cmd_info)
 
     c = sub.add_parser(
-        "convert", help="rewrite a saved database in another on-disk format"
+        "convert", help="upgrade a legacy format-v1 database directory"
     )
     c.add_argument("--db", required=True, help="source database directory")
     c.add_argument("--out", required=True, help="destination directory")
-    c.add_argument("--format", type=int, default=2, choices=(1, 2),
-                   help="target format (default 2: mmap-ready)")
     c.add_argument("--no-verify", action="store_true",
                    help="skip source checksum verification")
     c.set_defaults(func=_cmd_convert)

@@ -386,7 +386,7 @@ class FileBackedDatabaseHandle:
 
         directory = tempfile.mkdtemp(prefix="metacache-spill-")
         try:
-            save_database(db, directory, format=2)
+            save_database(db, directory)
         except BaseException:
             shutil.rmtree(directory, ignore_errors=True)
             raise

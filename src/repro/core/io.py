@@ -1,43 +1,38 @@
-"""Database persistence: the .meta / .cache file pair (Section 4.3).
+"""Database persistence: one index format, one writer (Section 4.3).
 
-Two on-disk formats coexist:
-
-**Format v1** (the original) writes one metadata file (JSON:
-parameters, target records) plus NCBI-format taxonomy dumps plus one
-``.cache`` NPZ per partition holding the *condensed* layout: sorted
-distinct features, per-feature location counts and the flat
-concatenated location array -- the same content the real MetaCache
-serializes.  Loading a v1 directory reconstructs condensed partitions
-by *rebuilding* the feature -> pointer single-value hash table, which
-is the dominant cost of the load phase that on-the-fly mode avoids.
-
-**Format v2** (``save_database(..., format=2)``) additionally persists
-the already-built :class:`~repro.warpcore.single_value.SingleValueHashTable`
-slot arrays verbatim, as uncompressed page-aligned ``.npy`` files
-described by a ``manifest.json`` with per-array CRC-32 checksums.
-``load_database(..., mmap=True)`` memory-maps those files and wraps
-them with :meth:`SingleValueHashTable.from_arrays` -- **zero rebuild,
-zero copy**: cold open is O(metadata), the index pages fault in on
-first probe, and any number of processes opening the same directory
-share one physical copy through the page cache.
-
-v2 directory layout::
+A saved database is a directory holding the paper's condensed layout
+(Section 5.1) exactly as a query uses it: per partition one dense
+concatenated location array plus the slot arrays of the single-value
+hash table that maps a feature to its packed ``(offset << 24 | length)``
+pointer -- every key and every list length lives in those slots, and
+nowhere else.  Arrays are plain page-aligned ``.npy`` files described
+by a ``manifest.json`` with per-array CRC-32 checksums::
 
     database.meta          # JSON: format_version=2, params, targets
     nodes.dmp, names.dmp   # NCBI-format taxonomy dumps
-    manifest.json          # per-array files/dtypes/shapes/CRC-32s
-                           # + pointer-table probing geometry
-    part<P>.features.npy   # uint64, sorted distinct features
-    part<P>.lengths.npy    # int64, location-list length per feature
+    manifest.json          # per-array files/dtypes/shapes/CRC-32s,
+                           # feature/location counts, probing geometry
     part<P>.locations.npy  # uint64, dense concatenated location lists
     part<P>.ptr_keys.npy   # uint32, pointer-table slot keys (verbatim)
     part<P>.ptr_values.npy # uint64, packed (offset, length) slot values
 
-Partition files written by a database built with N partitions can be
-loaded with any device assignment, mirroring "partitioned databases
-generated by the CPU version can be loaded by the GPU version and
-vice versa".  ``convert_database`` rewrites a directory between
-formats (the ``metacache-repro convert`` subcommand).
+``load_database`` wraps the slot arrays with
+:meth:`SingleValueHashTable.from_arrays` -- **zero rebuild**; with
+``mmap=True`` also **zero copy**: cold open is O(metadata), the index
+pages fault in on first probe, and any number of processes opening the
+same directory share one physical copy through the page cache.
+Partition files load under any device assignment, mirroring
+"partitioned databases generated by the CPU version can be loaded by
+the GPU version and vice versa".
+
+One legacy reader remains: a **format v1** directory (one
+``database.cache<P>`` NPZ per partition: sorted features, per-feature
+lengths, locations) still loads, by *rebuilding* the pointer table;
+``convert_database`` (``metacache-repro convert``) is the upgrade.
+Directories written before the key and length columns stopped being
+stored twice (``part<P>.features.npy`` / ``part<P>.lengths.npy``
+beside the three arrays above) load as they are; the extra files are
+ignored.
 """
 
 from __future__ import annotations
@@ -76,41 +71,35 @@ __all__ = [
     "publish_database",
     "version_directories",
     "latest_version",
-    "FORMAT_V1",
     "FORMAT_V2",
 ]
 
-FORMAT_V1 = 1
-FORMAT_V2 = 2
-_NEWEST_FORMAT = FORMAT_V2
+FORMAT_V2 = 2  # the format written; v1 directories are only read
 _MANIFEST_NAME = "manifest.json"
 _NPY_ALIGN = 4096  # data payload starts on a page boundary
 _NPY_MAGIC = b"\x93NUMPY\x01\x00"
 
-# (manifest key, file suffix, dtype) of every per-partition v2 array
+# (manifest key == file suffix, dtype) of every per-partition array
 _V2_ARRAYS = (
-    ("features", "features", "<u8"),
-    ("lengths", "lengths", "<i8"),
-    ("locations", "locations", "<u8"),
-    ("ptr_keys", "ptr_keys", "<u4"),
-    ("ptr_values", "ptr_values", "<u8"),
+    ("locations", "<u8"),
+    ("ptr_keys", "<u4"),
+    ("ptr_values", "<u8"),
 )
 
 
 def save_database(
-    db: Database, directory: str | os.PathLike, *, format: int = FORMAT_V1
+    db: Database, directory: str | os.PathLike, *, format: int = FORMAT_V2
 ) -> list[Path]:
     """Write the database **crash-atomically**; returns the files created.
 
-    ``format=1`` (default) writes the NPZ layout (stored, not deflated);
-    loading it rebuilds the pointer hash table.  ``format=2`` writes the
-    mmap-ready layout described in the module docs; loading it (with
+    Writes the layout described in the module docs; loading it (with
     or without ``mmap=True``) performs **no** hash-table inserts.
-    Saving in v2 condenses the database in place (the condensed layout
-    is the only one made of flat arrays).  Raises
-    :class:`DatabaseFormatError` when ``directory`` is the one backing
-    a database opened with ``mmap=True`` -- the save would rewrite
-    files under live maps.
+    Saving condenses the database in place (the condensed layout is
+    the only one made of flat arrays).  ``format`` is kept for callers
+    that spell it out and accepts only ``2`` (``ValueError``
+    otherwise).  Raises :class:`DatabaseFormatError` when
+    ``directory`` is the one backing a database opened with
+    ``mmap=True`` -- the save would rewrite files under live maps.
 
     Every file is first written into a hidden temp sibling directory
     (``.<name>.saving-<pid>-<token>``), which is renamed into place in
@@ -125,9 +114,9 @@ def save_database(
     saves of the same directory are swept first -- concurrent saves to
     one target are not supported.
     """
-    if format not in (FORMAT_V1, FORMAT_V2):
+    if format != FORMAT_V2:
         raise ValueError(
-            f"unknown database format {format!r} (supported: 1, 2)"
+            f"unknown database format {format!r} (supported: {FORMAT_V2})"
         )
     directory = Path(directory)
     if db.mmap_path is not None and directory.resolve() == Path(
@@ -158,8 +147,11 @@ def save_database(
 
 def _write_database(db: Database, directory: Path, format: int) -> list[Path]:
     """Write every database file into ``directory`` (no atomicity)."""
-    files: list[Path] = []
+    return _write_metadata(db, directory, format) + _write_partitions(db, directory)
 
+
+def _write_metadata(db: Database, directory: Path, format: int) -> list[Path]:
+    """``database.meta`` and the taxonomy dumps."""
     meta = {
         "format_version": format,
         "params": {
@@ -189,18 +181,10 @@ def _write_database(db: Database, directory: Path, format: int) -> list[Path]:
     }
     meta_path = directory / "database.meta"
     meta_path.write_text(json.dumps(meta, indent=1))
-    files.append(meta_path)
-
     nodes_path = directory / "nodes.dmp"
     names_path = directory / "names.dmp"
     write_ncbi_dump(db.taxonomy, nodes_path, names_path)
-    files.extend([nodes_path, names_path])
-
-    if format == FORMAT_V2:
-        files.extend(_save_partitions_v2(db, directory))
-    else:
-        files.extend(_save_partitions_v1(db, directory))
-    return files
+    return [meta_path, nodes_path, names_path]
 
 
 def _publish_directory(staging: Path, directory: Path) -> None:
@@ -257,72 +241,68 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _unpack(cond: CondensedIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """``(features, lengths, locations, dense)`` read off the slot arrays.
+
+    One scan and one grouping sort of the occupied slots, no probing.
+    ``dense``: the packed offsets are already the running sum of the
+    lengths in feature order and cover ``cond.locations`` exactly --
+    what ``CondensedIndex.from_content`` and both loaders produce --
+    and ``locations`` is then that array itself; any other packing (a
+    hand-built index) is gathered into that order (repeat + ramp).
+    """
+    pointers = cond.pointers
+    occupied = np.flatnonzero(pointers._probe_keys != EMPTY_KEY)
+    features, order = sort_by_key(pointers._probe_keys.take(occupied))
+    packed = pointers._probe_values.take(occupied.take(order))
+    starts = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64)
+    lengths = (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
+    dense = np.array_equal(starts, np.cumsum(lengths) - lengths)
+    dense = dense and int(lengths.sum()) == cond.locations.size
+    locations = cond.locations
+    if not dense:
+        locations = locations[np.repeat(starts, lengths) + segment_ramp(lengths)]
+    locations = np.asarray(locations, dtype=np.uint64)
+    return features.astype(np.uint64), lengths, locations, dense
+
+
 def _condensed_content(
     part: DatabasePartition,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical (features, lengths, locations) of one partition.
-
-    Features sorted ascending, locations re-packed densely in feature
-    order -- the serialized form shared by both disk formats.
-    """
+    """(sorted features, lengths, locations dense in that order) of a partition."""
     if part.condensed is None:
         return part.table.condensed_content()
-    cond = part.condensed
-    occupied = np.flatnonzero(cond.pointers._keys != EMPTY_KEY)
-    features, order = sort_by_key(cond.pointers._keys[occupied])
-    packed = cond.pointers._values[occupied.take(order)]
-    lengths = (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
-    starts = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64)
-    # gather every bucket's slice at once (repeat + ramp)
-    locations = cond.locations[np.repeat(starts, lengths) + segment_ramp(lengths)]
-    return features.astype(np.uint64), lengths, np.asarray(locations, dtype=np.uint64)
+    return _unpack(part.condensed)[:3]
 
 
-def _save_partitions_v1(db: Database, directory: Path) -> list[Path]:
-    """One ``database.cache<P>`` NPZ (``np.savez``: stored) per partition."""
-    files: list[Path] = []
-    for p, part in enumerate(db.partitions):
-        features, lengths, locations = _condensed_content(part)
-        path = directory / f"database.cache{p}"
-        with open(path, "wb") as fh:
-            np.savez(fh, features=features, lengths=lengths, locations=locations)
-        files.append(path)
-    return files
+def _write_partitions(db: Database, directory: Path) -> list[Path]:
+    """Aligned ``.npy`` files per partition + the checksum manifest.
 
-
-def _save_partitions_v2(db: Database, directory: Path) -> list[Path]:
-    """Aligned ``.npy`` files + checksum manifest per partition.
-
-    The pointer table is persisted **slot-verbatim**: its packed
-    values must therefore address the canonical dense locations
-    array.  Every internally-produced condensed index already does
-    (``CondensedIndex.from_table`` and both loaders emit canonical
-    packing); a hand-built non-canonical index is re-pointed here once
-    at save time so the invariant holds on disk.  A partition still in
-    the build layout is condensed here, from the very content written.
+    The pointer table is persisted **slot-verbatim**, so its packed
+    values must address the dense location array.  A partition still
+    in the build layout is condensed in place first; one already
+    condensed is written from the arrays it holds, and only a
+    hand-built index that is not dense (see :func:`_unpack`) is
+    re-pointed, once, here.
     """
     files: list[Path] = []
     manifest: dict = {"format_version": FORMAT_V2, "alignment": _NPY_ALIGN,
                       "partitions": []}
     for p, part in enumerate(db.partitions):
-        features, lengths, locations = _condensed_content(part)
-        if part.condensed is None:
-            part.condensed = CondensedIndex.from_content(features, lengths, locations)
-            part.table = None
-            pointers = part.condensed.pointers
+        cond = part.condensed
+        if cond is None:
+            part.condense()  # a build table leaves from_content dense
+            cond = part.condensed
         else:
-            pointers = _canonical_pointers(part.condensed, features, lengths)
-        arrays = {
-            "features": features,
-            "lengths": lengths,
-            "locations": locations,
-            "ptr_keys": pointers._keys,
-            "ptr_values": pointers._values,
-        }
+            *content, dense = _unpack(cond)
+            if not dense:
+                cond = CondensedIndex.from_content(*content)
+        pointers = cond.pointers
+        arrays = (cond.locations, pointers._keys, pointers._values)
         entry: dict = {
             "partition_id": p,
-            "n_features": int(features.size),
-            "n_locations": int(locations.size),
+            "n_features": len(pointers),
+            "n_locations": int(cond.locations.size),
             "pointer_table": {
                 "n_groups": pointers.probing.n_groups,
                 "group_size": pointers.probing.group_size,
@@ -332,15 +312,14 @@ def _save_partitions_v2(db: Database, directory: Path) -> list[Path]:
             },
             "arrays": {},
         }
-        for key, suffix, dtype in _V2_ARRAYS:
-            array = np.ascontiguousarray(arrays[key], dtype=np.dtype(dtype))
-            path = directory / f"part{p}.{suffix}.npy"
-            crc = _write_npy_aligned(path, array)
+        for (key, dtype), array in zip(_V2_ARRAYS, arrays):
+            array = np.ascontiguousarray(array, dtype=np.dtype(dtype))
+            path = directory / f"part{p}.{key}.npy"
             entry["arrays"][key] = {
                 "file": path.name,
                 "dtype": dtype,
                 "shape": list(array.shape),
-                "crc32": crc,
+                "crc32": _write_npy_aligned(path, array),
             }
             files.append(path)
         manifest["partitions"].append(entry)
@@ -348,27 +327,6 @@ def _save_partitions_v2(db: Database, directory: Path) -> list[Path]:
     manifest_path.write_text(json.dumps(manifest, indent=1))
     files.append(manifest_path)
     return files
-
-
-def _canonical_pointers(
-    cond: CondensedIndex, features: np.ndarray, lengths: np.ndarray
-) -> SingleValueHashTable:
-    """The partition's pointer table, guaranteed canonically packed.
-
-    Returns the existing table untouched (the common case: its packed
-    offsets already equal the dense cumulative sum over sorted
-    features); otherwise builds an equivalent canonical table -- a
-    save-time-only cost that keeps the zero-rebuild load invariant.
-    """
-    packed_now, found = cond.pointers.retrieve(features)
-    offsets = np.zeros(features.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    canonical = (offsets[:-1].astype(np.uint64) << CondensedIndex.OFFSET_SHIFT) | (
-        lengths.astype(np.uint64)
-    )
-    if bool(found.all()) and np.array_equal(packed_now, canonical):
-        return cond.pointers
-    return CondensedIndex.from_content(features, lengths, cond.locations).pointers
 
 
 def _write_npy_aligned(
@@ -404,8 +362,8 @@ def _check_format_version(meta, meta_path: Path) -> int:
     """Validate ``format_version``, distinguishing the failure modes.
 
     A directory without an integer ``format_version`` is *not a
-    database*; an integer above :data:`_NEWEST_FORMAT` was *written by
-    a newer version* of this package.  Every branch raises
+    database*; an integer above :data:`FORMAT_V2` was *written by a
+    newer version* of this package.  Every branch raises
     :class:`DatabaseFormatError` carrying the offending path.
     """
     if not isinstance(meta, dict) or "format_version" not in meta:
@@ -419,10 +377,10 @@ def _check_format_version(meta, meta_path: Path) -> int:
             f"{meta_path}: not a MetaCache database directory "
             f"(format_version is {version!r}, expected a positive integer)"
         )
-    if version > _NEWEST_FORMAT:
+    if version > FORMAT_V2:
         raise DatabaseFormatError(
             f"{meta_path}: database format v{version} was written by a newer "
-            f"version of metacache-repro (this build reads v1..v{_NEWEST_FORMAT}); "
+            f"version of metacache-repro (this build reads v1..v{FORMAT_V2}); "
             "upgrade the package, or re-save the database with the newer tool "
             "in a supported format"
         )
@@ -440,16 +398,16 @@ def load_database(
     Parameters
     ----------
     directory:
-        the database directory (format v1 or v2; auto-detected).
+        the database directory (legacy v1 directories are detected).
     mmap:
-        memory-map the index arrays instead of reading them (format v2
-        only): cold open touches no index bytes, and concurrent
-        processes opening the same directory share one physical copy
-        through the page cache.  Ignored, with a ``UserWarning``, for
-        v1 directories (which have no mmap-able layout and rebuild
-        their pointer tables on load).
+        memory-map the index arrays instead of reading them: cold open
+        touches no index bytes, and concurrent processes opening the
+        same directory share one physical copy through the page
+        cache.  Ignored, with a ``UserWarning``, for legacy v1
+        directories (which have no mmap-able layout and rebuild their
+        pointer tables on load).
     verify:
-        check every v2 array against its manifest CRC-32 (reads the
+        check every array against its manifest CRC-32 (reads the
         full payload; defeats the O(1) open, so off by default --
         ``convert_database`` turns it on).
 
@@ -562,9 +520,7 @@ def _load_condensed_v2(
             f"{manifest_path}: format v2 database is missing its manifest"
         ) from exc
     except json.JSONDecodeError as exc:
-        raise DatabaseFormatError(
-            f"{manifest_path}: corrupt manifest ({exc})"
-        ) from exc
+        raise DatabaseFormatError(f"{manifest_path}: corrupt manifest ({exc})") from exc
     parts = manifest.get("partitions")
     if not isinstance(parts, list) or len(parts) != n_partitions:
         raise DatabaseFormatError(
@@ -586,7 +542,7 @@ def _load_partition_v2(
     arrays: dict[str, np.ndarray] = {}
     try:
         specs = entry["arrays"]
-        for key, _suffix, dtype in _V2_ARRAYS:
+        for key, dtype in _V2_ARRAYS:
             spec = specs[key]
             path = directory / str(spec["file"])
             shape = tuple(int(n) for n in spec["shape"])
@@ -594,6 +550,8 @@ def _load_partition_v2(
                 path, np.dtype(dtype), shape, crc=spec["crc32"] if verify else None,
                 mmap=mmap,
             )
+        n_features = int(entry["n_features"])
+        n_locations = int(entry["n_locations"])
         pt = entry["pointer_table"]
         probing = ProbingScheme(
             n_groups=int(pt["n_groups"]),
@@ -611,39 +569,31 @@ def _load_partition_v2(
         raise DatabaseFormatError(
             f"{manifest_path}: corrupt manifest for partition {pid} ({exc!r})"
         ) from exc
-    features = arrays["features"]
-    lengths = arrays["lengths"]
     locations = arrays["locations"]
     # header-only checks (no payload reads; mmap open stays O(metadata))
-    if features.shape != lengths.shape:
-        raise DatabaseFormatError(
-            f"{manifest_path}: partition {pid} feature/length arrays disagree"
-        )
-    if int(entry.get("n_features", features.size)) != features.size or int(
-        entry.get("n_locations", locations.size)
-    ) != locations.size:
+    if n_features != len(pointers) or n_locations != locations.size:
         raise DatabaseFormatError(
             f"{manifest_path}: partition {pid} array sizes disagree with manifest"
         )
     # deep checks whenever the payload is (or will be) resident anyway:
     # eager loads and verify=True cross-check the slot values queries
-    # actually probe, restoring v1-loader parity; a plain mmap open
-    # skips them by contract (cold open must not fault the index in)
+    # actually probe (v1-loader parity); a plain mmap open skips them
+    # by contract (cold open must not fault the index in)
     if not mmap or verify:
-        if int(np.asarray(lengths).sum()) != locations.size:
-            raise DatabaseFormatError(
-                f"{manifest_path}: corrupt location array (partition {pid})"
-            )
         occupied = np.asarray(pointers._keys) != EMPTY_KEY
         packed = np.asarray(pointers._values)[occupied]
-        starts = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64)
-        spans = starts + (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
-        if int(occupied.sum()) != features.size or (
-            spans.size and int(spans.max()) > locations.size
+        lengths = (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
+        spans = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64) + lengths
+        if packed.size != n_features or (
+            spans.size and int(spans.max()) > n_locations
         ):
             raise DatabaseFormatError(
                 f"{manifest_path}: pointer table of partition {pid} does not "
                 "match its location array"
+            )
+        if int(lengths.sum()) != n_locations:
+            raise DatabaseFormatError(
+                f"{manifest_path}: corrupt location array (partition {pid})"
             )
     return CondensedIndex(locations=locations, pointers=pointers)
 
@@ -679,23 +629,19 @@ def convert_database(
     source: str | os.PathLike,
     destination: str | os.PathLike,
     *,
-    format: int = FORMAT_V2,
     verify: bool = True,
 ) -> list[Path]:
-    """Rewrite a database directory in another on-disk format.
+    """Rewrite a database directory in the current on-disk format.
 
-    The v1 -> v2 upgrade path: load ``source`` (any supported format,
-    checksums verified when it has them and ``verify`` is set) and
-    save it to ``destination`` in ``format``.  Returns the files
-    written.  ``source`` and ``destination`` must differ -- conversion
-    never rewrites a database in place.
+    The upgrade path for legacy v1 directories: load ``source``
+    (checksums verified when it has them and ``verify`` is set) and
+    save it to ``destination``.  Returns the files written.
+    ``source`` and ``destination`` must differ -- conversion never
+    rewrites a database in place.
     """
-    source = Path(source)
-    destination = Path(destination)
-    if source.resolve() == destination.resolve():
+    if Path(source).resolve() == Path(destination).resolve():
         raise ValueError("convert_database cannot rewrite a database in place")
-    db = load_database(source, verify=verify)
-    return save_database(db, destination, format=format)
+    return save_database(load_database(source, verify=verify), destination)
 
 
 _VERSION_DIR_RE = re.compile(r"^v(\d+)$")
@@ -731,9 +677,7 @@ def latest_version(root: str | os.PathLike) -> Path | None:
     return versions[-1][1] if versions else None
 
 
-def publish_database(
-    db: Database, root: str | os.PathLike, *, format: int = FORMAT_V2
-) -> Path:
+def publish_database(db: Database, root: str | os.PathLike) -> Path:
     """Atomically save ``db`` as the next ``v<N>`` under ``root``.
 
     The building block of hot-swap reloads: a watcher polling
@@ -751,5 +695,5 @@ def publish_database(
         if (m := _VERSION_DIR_RE.match(child.name))
     ]
     dest = root / f"v{max(taken, default=0) + 1}"
-    save_database(db, dest, format=format)
+    save_database(db, dest)
     return dest

@@ -641,8 +641,8 @@ class ClassificationServer:
             finally:
                 source.release()
             if out is None:
-                return str(publish_database(extended, watch_dir, format=2))
-            save_database(extended, out, format=2)
+                return str(publish_database(extended, watch_dir))
+            save_database(extended, out)
             return out
 
         loop = asyncio.get_running_loop()

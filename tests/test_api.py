@@ -50,6 +50,8 @@ from repro.genomics.simulate import GenomeSimulator
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ranks import Rank
 
+from reference.index_v1 import save_database_v1
+
 PARAMS = MetaCacheParams.small()
 
 
@@ -496,7 +498,7 @@ class TestErrors:
 
     def test_open_corrupt_partition(self, world, tmp_path):
         _, _, _, mc, _ = world
-        mc.save(tmp_path / "db")
+        save_database_v1(mc.database, tmp_path / "db")
         (tmp_path / "db" / "database.cache0").write_bytes(b"garbage")
         with pytest.raises(DatabaseFormatError):
             MetaCache.open(tmp_path / "db")

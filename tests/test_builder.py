@@ -6,6 +6,7 @@ streaming, parallel sketch workers, and extend-then-finalize --
 produces **byte-identical** saved databases and classification output.
 """
 
+import warnings
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.genomics.fasta import read_fasta, write_fasta
 from repro.genomics.fastq import FastqRecord, write_fastq
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
+from repro.shard import ShardPlan
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 
 PARAMS = MetaCacheParams.small()
@@ -387,10 +389,42 @@ class TestMetaCacheExtend:
         save_database(db, tmp_path / "v2", format=2)
         mc = MetaCache.open(tmp_path / "v2")
         mc.extend(references=refs[2:])
-        assert mc.database.format_version == 2
-        files = mc.save(tmp_path / "v2b", format=2)
+        files = mc.save(tmp_path / "v2b")
         assert (tmp_path / "v2b" / "manifest.json").exists()
         assert len(files) > 0
+
+    def test_extend_then_default_save_stays_mmap_and_shard_ready(
+        self, world, tmp_path
+    ):
+        """open(mmap) -> extend -> save(out) used to downgrade ``out`` to
+        the rebuild-on-open layout: ``open(out, mmap=True)`` warned and
+        rebuilt, ``ShardPlan.from_directory(out, 1)`` raised."""
+        _, _, taxonomy, _, _, _, refs, reads_path = world
+        half = len(refs) // 2
+        MetaCache.ephemeral(refs[:half], taxonomy, params=PARAMS).save(tmp_path / "half")
+        one_shot = MetaCache.ephemeral(refs, taxonomy, params=PARAMS)
+        one_shot.save(tmp_path / "one")
+        out = tmp_path / "out"
+        with MetaCache.open(tmp_path / "half", mmap=True) as mc:
+            mc.extend(references=refs[half:])
+            mc.save(out)
+        _assert_identical(
+            {p.name: p.read_bytes() for p in (tmp_path / "one").iterdir()},
+            {p.name: p.read_bytes() for p in out.iterdir()},
+            "extend -> save",
+        )
+        assert ShardPlan.from_directory(out, 1).n_shards == 1
+
+        def tsv(mc, name):
+            with mc.session() as session, TsvSink(tmp_path / name) as sink:
+                session.classify_files(reads_path, sink=sink)
+            return (tmp_path / name).read_bytes()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the v1 rebuild path warns
+            with MetaCache.open(out, mmap=True) as reopened:
+                assert reopened.database.mmap_path == out
+                assert tsv(reopened, "out.tsv") == tsv(one_shot, "one.tsv") != b""
 
     def test_mmap_backed_save_to_self_refused(self, world, tmp_path):
         _, _, taxonomy, _, _, _, refs, _ = world

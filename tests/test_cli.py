@@ -67,14 +67,15 @@ class TestCliBuild:
         root = cli_world[0]
         assert main(_build_args(cli_world)) == 0
         assert (root / "db" / "database.meta").exists()
-        assert (root / "db" / "database.cache0").exists()
+        assert (root / "db" / "manifest.json").exists()
+        assert (root / "db" / "part0.ptr_keys.npy").exists()
         out = capsys.readouterr().out
         assert "built 4 targets" in out
 
     def test_build_partitions(self, cli_world):
         root = cli_world[0]
         assert main(_build_args(cli_world, "db2", ["--partitions", "2"])) == 0
-        assert (root / "db2" / "database.cache1").exists()
+        assert (root / "db2" / "part1.ptr_keys.npy").exists()
 
     def test_build_missing_mapping_entry(self, cli_world, tmp_path):
         bad_mapping = tmp_path / "bad.tsv"
@@ -120,7 +121,7 @@ class TestCliAdd:
 
     def test_add_to_new_directory_keeps_source(self, cli_world, tmp_path, capsys):
         root, genomes, taxonomy, taxa, *_ = cli_world
-        main(_build_args(cli_world, "db_src", ["--format", "2"]))
+        main(_build_args(cli_world, "db_src"))
         source = (root / "db_src" / "manifest.json").read_bytes()
         path, mapping = self._extra_world(tmp_path, taxonomy, taxa, genomes)
         assert (
@@ -135,7 +136,7 @@ class TestCliAdd:
             )
             == 0
         )
-        # source untouched; destination kept the source's v2 format
+        # source untouched; the destination is a complete database
         assert (root / "db_src" / "manifest.json").read_bytes() == source
         assert (tmp_path / "db_dst" / "manifest.json").exists()
 

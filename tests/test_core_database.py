@@ -13,6 +13,8 @@ from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.warpcore.multi_bucket import MultiBucketHashTable
 from repro.warpcore.single_value import SingleValueHashTable
 
+from reference.index_v1 import save_database_v1
+
 
 @pytest.fixture(scope="module")
 def small_world():
@@ -135,7 +137,7 @@ class TestPersistence:
     def test_save_load_roundtrip(self, small_world, tmp_path):
         _, taxonomy, _, refs = small_world
         db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
-        files = save_database(db, tmp_path)
+        files = save_database_v1(db, tmp_path)
         assert (tmp_path / "database.meta").exists()
         assert (tmp_path / "database.cache0").exists()
         assert (tmp_path / "database.cache1").exists()
@@ -148,7 +150,7 @@ class TestPersistence:
     def test_load_rejects_bad_version(self, small_world, tmp_path):
         _, taxonomy, _, refs = small_world
         db = Database.build(refs, taxonomy, params=PARAMS)
-        save_database(db, tmp_path)
+        save_database_v1(db, tmp_path)
         meta = (tmp_path / "database.meta").read_text()
         (tmp_path / "database.meta").write_text(
             meta.replace('"format_version": 1', '"format_version": 99')
@@ -168,9 +170,9 @@ class TestPersistence:
         """Saving after condense() must produce identical files content-wise."""
         _, taxonomy, _, refs = small_world
         db = Database.build(refs, taxonomy, params=PARAMS)
-        save_database(db, tmp_path / "build")
+        save_database_v1(db, tmp_path / "build")
         db.condense()
-        save_database(db, tmp_path / "cond")
+        save_database_v1(db, tmp_path / "cond")
         for name in ("database.cache0",):
             a = np.load(tmp_path / "build" / name)
             b = np.load(tmp_path / "cond" / name)
@@ -228,8 +230,8 @@ class TestPersistence:
             return
         if case == "empty_partition":
             assert _condensed_content(db.partitions[1])[0].size == 0
-        for fmt in (1, 2):
-            save_database(db, tmp_path / f"v{fmt}", format=fmt)
+        for fmt, save in ((1, save_database_v1), (2, save_database)):
+            save(db, tmp_path / f"v{fmt}")
             loaded = load_database(tmp_path / f"v{fmt}")
             for a, b in zip(db.partitions, loaded.partitions):
                 for x, y in zip(_condensed_content(a), _condensed_content(b)):

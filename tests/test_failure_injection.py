@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import Database, MetaCacheParams, load_database, save_database
+from repro.core import Database, MetaCacheParams, load_database
 from repro.genomics.simulate import GenomeSimulator
 from repro.gpu.device import Device, DeviceSpec, charge_partitions
 from repro.gpu.memory import OutOfDeviceMemory
@@ -18,6 +18,8 @@ from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ncbi import load_ncbi_dump
 from repro.taxonomy.ranks import Rank
 from repro.taxonomy.tree import Taxonomy, TaxonomyError
+
+from reference.index_v1 import save_database_v1
 
 PARAMS = MetaCacheParams.small()
 
@@ -30,7 +32,7 @@ def saved_db(tmp_path):
         (g.name, g.scaffolds[0], taxa.target_taxon[i]) for i, g in enumerate(genomes)
     ]
     db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
-    save_database(db, tmp_path)
+    save_database_v1(db, tmp_path)  # the legacy layout these tests garble
     return tmp_path, db
 
 

@@ -1,16 +1,22 @@
-"""Tests of the format-v2 (mmap, zero-rebuild) database persistence.
+"""Tests of the (mmap, zero-rebuild) database persistence.
 
-Covers the v2 writer/reader pair (aligned ``.npy`` layout, checksum
+Covers the writer/reader pair (aligned ``.npy`` layout, checksum
 manifest, version negotiation), the zero-insert open guarantee, mmap
 attach semantics (``np.memmap`` views, page-cache sharing through
 :class:`FileBackedDatabaseHandle`), classification equivalence across
-{v1, v2, v2+mmap, v2+workers}, the ``convert`` upgrade path (API and
-CLI), and the reserved-sentinel regression on the pointer table.
+{legacy v1, v2, v2+mmap, v2+workers}, the ``convert`` upgrade path
+(API and CLI), the legacy inputs the reader still accepts (format v1
+and the five-array v2 layout, both written by
+``tests/reference/index_v1.py``), a corruption matrix over every file
+of a partition, and the reserved-sentinel regression on the pointer
+table.
 """
 
+import hashlib
 import json
 import os
 import pickle
+import shutil
 import struct
 import zlib
 from pathlib import Path
@@ -20,6 +26,8 @@ import pytest
 
 from repro.api import DatabaseFormatError, MetaCache, MetaCacheParams, TsvSink
 from repro.cli import main as cli_main
+from repro.core import builder as builder_mod
+from repro.core import io as io_mod
 from repro.core.classify import classify_reads
 from repro.core.database import Database, FileBackedDatabaseHandle
 from repro.core.io import (
@@ -37,12 +45,14 @@ from repro.genomics.simulate import GenomeSimulator
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.warpcore.single_value import SingleValueHashTable
 
+from reference.index_v1 import save_database_v1, save_database_v2_five_arrays
+
 PARAMS = MetaCacheParams.small()
 
 
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
-    """A 2-partition database saved in both formats + a read file."""
+    """A 2-partition database saved as legacy v1 and as v2 + a read file."""
     genomes = GenomeSimulator(seed=23).simulate_collection(3, 2, 5000)
     taxonomy, taxa = build_taxonomy_for_genomes(genomes)
     references = [
@@ -53,7 +63,7 @@ def world(tmp_path_factory):
     root = tmp_path_factory.mktemp("dbv2")
     v1 = root / "v1"
     v2 = root / "v2"
-    save_database(db, v1)
+    save_database_v1(db, v1)
     save_database(db, v2, format=2)
     reads = ReadSimulator(genomes, seed=31).simulate(HISEQ, 100)
     records = [
@@ -85,15 +95,16 @@ class TestV2Layout:
         assert manifest["format_version"] == FORMAT_V2
         assert len(manifest["partitions"]) == 2
         for entry in manifest["partitions"]:
-            for key in ("features", "lengths", "locations", "ptr_keys",
-                        "ptr_values"):
-                spec = entry["arrays"][key]
+            assert sorted(entry["arrays"]) == ["locations", "ptr_keys", "ptr_values"]
+            for key, spec in entry["arrays"].items():
                 path = v2 / spec["file"]
                 assert path.is_file()
                 payload = np.load(path)
                 assert zlib.crc32(payload.tobytes()) == spec["crc32"]
             pt = entry["pointer_table"]
             assert pt["size"] == entry["n_features"]
+        # the feature -> pointer map is stored once: in the slot arrays
+        assert len(list(v2.glob("*.npy"))) == 3 * len(manifest["partitions"])
 
     def test_npy_payloads_page_aligned(self, world):
         _, v2, _, _ = world
@@ -262,15 +273,20 @@ class TestConvert:
         db = load_database(dst, mmap=True, verify=True)
         assert np.array_equal(_taxa(load_database(v1), seqs), _taxa(db, seqs))
 
-    def test_convert_v2_to_v1_downgrade(self, world, tmp_path):
-        _, v2, seqs, _ = world
+    def test_downgrade_to_v1_is_refused(self, world, tmp_path):
+        """There is one writer: nothing can be asked to write format v1."""
+        _, v2, _, _ = world
         dst = tmp_path / "downgraded"
-        convert_database(v2, dst, format=1)
-        meta = json.loads((dst / "database.meta").read_text())
-        assert meta["format_version"] == 1
-        assert np.array_equal(
-            _taxa(load_database(v2), seqs), _taxa(load_database(dst), seqs)
-        )
+        with pytest.raises(TypeError):
+            convert_database(v2, dst, format=1)
+        db = load_database(v2)
+        with pytest.raises(ValueError, match=r"supported: 2"):
+            save_database(db, dst, format=1)
+        with pytest.raises(ValueError, match=r"supported: 2"):
+            MetaCache(db).save(dst, format=1)
+        assert not dst.exists()
+        with pytest.raises(SystemExit):
+            cli_main(["convert", "--db", str(v2), "--out", str(dst), "--format", "1"])
 
     def test_convert_in_place_rejected(self, world):
         v1, _, _, _ = world
@@ -357,8 +373,6 @@ class TestMmapOverwriteGuard:
 
 class TestCorruption:
     def _copy_v2(self, v2, tmp_path):
-        import shutil
-
         dst = tmp_path / "copy"
         shutil.copytree(v2, dst)
         return dst
@@ -419,10 +433,200 @@ class TestCorruption:
         _, v2, _, _ = world
         dst = self._copy_v2(v2, tmp_path)
         manifest = json.loads((dst / "manifest.json").read_text())
-        manifest["partitions"][0]["arrays"]["features"]["shape"] = [1]
+        manifest["partitions"][0]["arrays"]["locations"]["shape"] = [1]
         (dst / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DatabaseFormatError, match="manifest says"):
             load_database(dst)
+
+
+def _digests(directory):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(Path(directory).iterdir())
+    }
+
+
+@pytest.fixture(scope="module")
+def refs_world():
+    genomes = GenomeSimulator(seed=29).simulate_collection(3, 2, 4000)
+    taxonomy, taxa = build_taxonomy_for_genomes(genomes)
+    refs = [
+        (g.name, g.scaffolds[0], taxa.target_taxon[i])
+        for i, g in enumerate(genomes)
+    ]
+    reads = ReadSimulator(genomes, seed=7).simulate(HISEQ, 60)
+    return taxonomy, refs, list(reads.sequences)
+
+
+class TestLegacyInputs:
+    """What older versions wrote still loads, and re-saves to today's bytes.
+
+    The retired writers (``tests/reference/index_v1.py``) are the
+    oracle: whatever they put on disk must come back through
+    ``load_database`` as the index a fresh build saves, file for file.
+    """
+
+    UNCAPPED = (1 << 24) - 1  # no list here reaches it
+
+    @staticmethod
+    def _assert_v1_resaves_identically(db, tmp_path):
+        save_database_v1(db, tmp_path / "v1")  # first: leaves the build layout
+        save_database(db, tmp_path / "built")
+        loaded = load_database(tmp_path / "v1")
+        assert loaded.format_version == 1
+        save_database(loaded, tmp_path / "resaved")
+        built = _digests(tmp_path / "built")
+        assert len(built) == 4 + 3 * db.n_partitions
+        assert _digests(tmp_path / "resaved") == built
+        MetaCache.convert(tmp_path / "v1", tmp_path / "converted")
+        assert _digests(tmp_path / "converted") == built
+
+    @pytest.mark.parametrize("n_partitions", [1, 3])
+    @pytest.mark.parametrize("cap", [None, 3, 254])
+    def test_v1_resave_is_sha_identical_to_build_save(
+        self, refs_world, tmp_path, n_partitions, cap
+    ):
+        taxonomy, refs, _ = refs_world
+        params = PARAMS.replace(
+            max_locations_per_feature=self.UNCAPPED if cap is None else cap
+        )
+        db = Database.build(refs, taxonomy, params=params, n_partitions=n_partitions)
+        self._assert_v1_resaves_identically(db, tmp_path)
+
+    def test_v1_resave_with_an_empty_partition(self, refs_world, tmp_path):
+        taxonomy, refs, _ = refs_world
+        db = Database.build(refs[:1], taxonomy, params=PARAMS, n_partitions=2)
+        assert db.partitions[1].table.stored_values == 0
+        self._assert_v1_resaves_identically(db, tmp_path)
+
+    def test_v1_resave_after_table_growth(self, refs_world, tmp_path, monkeypatch):
+        taxonomy, refs, _ = refs_world
+        grows = []
+        original = builder_mod._GrowingTable._grow
+
+        def counting(self, new_capacity):
+            grows.append(new_capacity)
+            return original(self, new_capacity)
+
+        monkeypatch.setattr(builder_mod._GrowingTable, "_grow", counting)
+        db = Database.build(refs, taxonomy, params=PARAMS, insert_batch_windows=40)
+        assert grows  # the streamed build outgrew its first table
+        self._assert_v1_resaves_identically(db, tmp_path)
+
+    def test_five_array_v2_directory_loads_and_upgrades(self, refs_world, tmp_path):
+        taxonomy, refs, seqs = refs_world
+        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
+        expected = _taxa(db, seqs)
+        five = tmp_path / "five"
+        save_database_v2_five_arrays(db, five)
+        save_database(db, tmp_path / "three")
+        assert len(list(five.glob("*.npy"))) == 10
+        for kwargs in ({}, {"mmap": True}, {"verify": True},
+                       {"mmap": True, "verify": True}):
+            loaded = load_database(five, **kwargs)
+            assert loaded.format_version == FORMAT_V2
+            assert np.array_equal(_taxa(loaded, seqs), expected), kwargs
+            loaded.close()
+        MetaCache.convert(five, tmp_path / "converted")
+        assert _digests(tmp_path / "converted") == _digests(tmp_path / "three")
+
+    def test_legacy_directories_classify_as_a_fresh_build(self, world, tmp_path):
+        v1, v2, _, read_file = world
+        five = tmp_path / "five"
+        save_database_v2_five_arrays(load_database(v2), five)
+        ref = _classify_tsv(tmp_path, v2, read_file, "fresh.tsv", mmap=True)
+        assert ref
+        assert ref == _classify_tsv(tmp_path, v1, read_file, "v1.tsv")
+        assert ref == _classify_tsv(tmp_path, five, read_file, "five.tsv", mmap=True)
+
+
+def _truncate(directory, name):
+    path = directory / name
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+
+
+def _wrong_shape(directory, name):
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    entry = manifest["partitions"][0]
+    if name == "manifest.json":  # its own counts
+        entry["n_locations"] += 1
+    else:
+        shape = entry["arrays"][name.split(".")[1]]["shape"]
+        shape[0] += 1
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _absurd_slot(directory, name):
+    """Garble the first occupied slot of the pointer table, via ``name``."""
+    keys = np.load(directory / "part0.ptr_keys.npy")
+    slot = int(np.flatnonzero(keys != np.uint32(0xFFFFFFFF))[0])
+    path = directory / name
+    array = np.load(path)
+    blob = bytearray(path.read_bytes())
+    at = len(blob) - array.nbytes + slot * array.itemsize
+    # ptr_values: an (offset, length) far past the locations;
+    # ptr_keys: the slot reads as empty, its pointer is orphaned
+    blob[at : at + array.itemsize] = b"\xff" * array.itemsize
+    path.write_bytes(bytes(blob))
+
+
+def _missing(directory, name):
+    (directory / name).unlink()
+
+
+_ARRAY_FILES = ("part0.locations.npy", "part0.ptr_keys.npy", "part0.ptr_values.npy")
+_MATRIX = (
+    [(_truncate, name) for name in _ARRAY_FILES + ("manifest.json",)]
+    + [(_wrong_shape, name) for name in _ARRAY_FILES + ("manifest.json",)]
+    + [(_absurd_slot, name) for name in _ARRAY_FILES[1:]]
+    + [(_missing, name) for name in _ARRAY_FILES + ("manifest.json",)]
+)
+
+
+class TestCorruptionMatrix:
+    """Every file of a partition x every way it goes bad -> a typed error."""
+
+    @pytest.mark.parametrize(
+        "fault, name", _MATRIX, ids=[f"{f.__name__[1:]}-{n}" for f, n in _MATRIX]
+    )
+    def test_fault_is_a_database_format_error(self, world, tmp_path, fault, name):
+        _, v2, _, _ = world
+        dst = tmp_path / "copy"
+        shutil.copytree(v2, dst)
+        fault(dst, name)
+        with pytest.raises(DatabaseFormatError):
+            load_database(dst)
+        with pytest.raises(DatabaseFormatError):
+            load_database(dst, mmap=True, verify=True)
+        with pytest.raises(DatabaseFormatError):
+            MetaCache.open(dst)
+
+    @pytest.mark.parametrize("name", _ARRAY_FILES)
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_flipped_payload_byte_needs_the_crc(self, world, tmp_path, name, mmap):
+        _, v2, _, _ = world
+        dst = tmp_path / "copy"
+        shutil.copytree(v2, dst)
+        blob = bytearray((dst / name).read_bytes())
+        blob[-3] ^= 0x01  # low bits of the last slot / location
+        (dst / name).write_bytes(bytes(blob))
+        with pytest.raises(DatabaseFormatError, match="checksum mismatch"):
+            load_database(dst, mmap=mmap, verify=True)
+
+    def test_plain_mmap_open_computes_no_crc(self, world, monkeypatch):
+        _, v2, seqs, _ = world
+        calls = []
+        real = zlib.crc32
+        monkeypatch.setattr(
+            io_mod.zlib, "crc32", lambda *a: calls.append(a) or real(*a)
+        )
+        db = load_database(v2, mmap=True)
+        assert calls == []
+        db.close()
+        load_database(v2, mmap=True, verify=True).close()
+        assert len(calls) == 3 * 2  # three arrays, two partitions
 
 
 class TestSentinelRegression:
@@ -443,7 +647,7 @@ class TestSentinelRegression:
 
         The build tables reserve the sentinel by clamping it onto
         0xFFFFFFFE; the condensed/persisted pointer tables and both
-        disk formats must keep that feature retrievable -- it must not
+        readable disk formats must keep that feature retrievable -- it must not
         vanish from occupied-slot scans on the way to disk and back.
         """
         genomes = GenomeSimulator(seed=5).simulate_collection(2, 1, 3000)
@@ -458,7 +662,10 @@ class TestSentinelRegression:
         db.partitions[0].table.insert(sentinel, marker)
         for fmt, mmap in ((1, False), (2, False), (2, True)):
             directory = tmp_path / f"fmt{fmt}-{mmap}"
-            save_database(db, directory, format=fmt)
+            if fmt == 1:  # first: the v1 writer leaves the build layout
+                save_database_v1(db, directory)
+            else:
+                save_database(db, directory)
             loaded = load_database(directory, mmap=mmap)
             values, offsets = loaded.partitions[0].condensed.retrieve(sentinel)
             got = values[offsets[0] : offsets[1]]
@@ -466,8 +673,6 @@ class TestSentinelRegression:
 
     def test_v1_file_with_raw_sentinel_feature_rejected(self, world, tmp_path):
         """A (corrupt/foreign) v1 cache naming the raw sentinel errors."""
-        import shutil
-
         v1, _, _, _ = world
         dst = tmp_path / "sent"
         shutil.copytree(v1, dst)

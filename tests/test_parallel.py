@@ -39,6 +39,8 @@ from repro.parallel.chunks import ChunkResult
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ncbi import write_ncbi_dump
 
+from reference.index_v1 import save_database_v1
+
 PARAMS = MetaCacheParams.small()
 WORKERS = 2  # the CI box has few cores; 2 exercises every code path
 
@@ -227,7 +229,7 @@ class TestSpillLifetime:
         built = MetaCache.build(
             [refs], taxonomy=tmp_path, mapping=mapping, params=PARAMS
         )
-        built.save(tmp_path / "v1", format=1)
+        save_database_v1(built.database, tmp_path / "v1")
         with built, MetaCache.open(tmp_path / "v1") as v1:
             yield built, v1
 

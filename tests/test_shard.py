@@ -27,6 +27,8 @@ from repro.pipeline.packed import PackedReads
 from repro.shard import ShardPlan, ShardRouter
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 
+from reference.index_v1 import save_database_v1
+
 PARAMS = MetaCacheParams.small()
 N_READS = 48
 N_PARTITIONS = 4
@@ -125,7 +127,7 @@ class TestShardPlan:
             taxonomy,
             params=PARAMS,
         )
-        mc.save(tmp_path / "db_v1", format=1)
+        save_database_v1(mc.database, tmp_path / "db_v1")
         mc.close()
         with pytest.raises(DatabaseFormatError, match="format-v2"):
             ShardPlan.from_directory(tmp_path / "db_v1", 1)

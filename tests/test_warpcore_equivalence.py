@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.index_v1 import save_database_v1
 from reference.warpcore_pairwise import (
     PairwiseBucketListHashTable,
     PairwiseMultiBucketHashTable,
@@ -282,7 +283,7 @@ class TestSavedIndexIdentity:
     @staticmethod
     def _save_both(root, taxonomy, refs):
         db = Database.build(refs, taxonomy, params=MetaCacheParams.small(), n_partitions=2)
-        save_database(db, root / "v1", format=1)
+        save_database_v1(db, root / "v1")
         save_database(db, root / "v2", format=2)
         # the v1 load path rebuilds the pointer table by insertion
         save_database(load_database(root / "v1"), root / "v2-from-v1", format=2)

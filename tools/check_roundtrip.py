@@ -1,32 +1,30 @@
 #!/usr/bin/env python
-"""CI gate: classification is byte-identical across database formats.
+"""CI gate: classification is byte-identical however the index is opened.
 
-Builds a small database, saves it in format v1, upgrades it to format
-v2 with :func:`repro.core.io.convert_database`, then classifies one
-simulated read file through the public API under nine configurations:
+Builds a small database, saves it, then classifies one simulated read
+file through the public API under eight configurations:
 
-- v1 directory (the rebuild load path);
-- v1 directory + ``workers=2`` (the database is not mmap-backed, so
-  worker processes attach a private format-v2 spill of it);
-- v2 directory, eager load;
-- v2 directory, ``mmap=True`` (zero-rebuild, page-cache-backed);
-- v2 directory, ``mmap=True`` + ``workers=2`` (worker processes
-  attach the same files via :class:`FileBackedDatabaseHandle`);
-- v2 directory, ``shards=2, replicas=2`` (every batch fans out
-  through the :mod:`repro.shard` router and is re-merged);
-- v2 directory produced by the *extend* path: a database built from
+- eager load;
+- eager load + ``workers=2`` (the database is not mmap-backed, so
+  worker processes attach a private spill of it);
+- ``mmap=True`` (zero-rebuild, page-cache-backed);
+- ``mmap=True`` + ``workers=2`` (worker processes attach the same
+  files via :class:`FileBackedDatabaseHandle`);
+- ``shards=2, replicas=2`` (every batch fans out through the
+  :mod:`repro.shard` router and is re-merged);
+- the directory produced by the *extend* path: a database built from
   the first half of the references, saved, reopened, grown with
   ``MetaCache.extend`` (the ``metacache-repro add`` path) and
   re-saved -- gating that add-targets round-trips end to end;
-- one session classifying *through a hot-swap reload*: v2 + mmap,
+- one session classifying *through a hot-swap reload*: mmap,
   classify, ``MetaCache.reload`` onto the extended directory (the
   zero-downtime swap path), classify again with the same session --
   both legs must match, gating that a swap never perturbs answers.
 
-All TSV outputs must match byte for byte, and the extended v2
-directory must be **file-for-file byte-identical** to the one-shot v2
-directory.  Exit status 0 when they do, 1 (with a diff summary) when
-any diverges.
+All TSV outputs must match byte for byte, and the extended directory
+must be **file-for-file byte-identical** to the one-shot directory
+(legacy format-v1 input is covered by ``tests/test_io_v2.py``).  Exit
+status 0 when they do, 1 (with a diff summary) when any diverges.
 
 Usage:
 
@@ -42,7 +40,7 @@ from pathlib import Path
 from repro.api import MetaCache, TsvSink
 from repro.bench.workloads import hiseq_mini
 from repro.core.database import Database
-from repro.core.io import convert_database, save_database
+from repro.core.io import save_database
 from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fastq import FastqRecord, write_fastq
 
@@ -78,21 +76,20 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="roundtrip-") as tmp:
         tmp = Path(tmp)
-        v1_dir, v2_dir = tmp / "v1", tmp / "v2"
-        save_database(db, v1_dir)
-        convert_database(v1_dir, v2_dir)  # the upgrade path under test
+        v2_dir = tmp / "v2"
+        save_database(db, v2_dir)
 
         # the extend path: half the references, saved, reopened, grown
-        # to the full set through MetaCache.extend, re-saved as v2
+        # to the full set through MetaCache.extend, re-saved
         half = len(refset.references) // 2
         db_half = Database.build(
             refset.references[:half], refset.taxonomy, n_partitions=2
         )
         half_dir, ext_dir = tmp / "v2half", tmp / "v2ext"
-        save_database(db_half, half_dir, format=2)
+        save_database(db_half, half_dir)
         with MetaCache.open(half_dir) as mc:
             mc.extend(references=refset.references[half:])
-            mc.save(ext_dir, format=2)
+            mc.save(ext_dir)
 
         one_shot = {p.name: p.read_bytes() for p in v2_dir.iterdir()}
         extended = {p.name: p.read_bytes() for p in ext_dir.iterdir()}
@@ -103,14 +100,14 @@ def main() -> int:
         )
         if mismatched_files:
             print(
-                "FAIL: extended v2 directory diverges from one-shot v2 in "
+                "FAIL: extended directory diverges from the one-shot one in "
                 + ", ".join(mismatched_files),
                 file=sys.stderr,
             )
             return 1
         print(
             f"extend: {len(list(ext_dir.iterdir()))} files byte-identical "
-            "to the one-shot v2 directory"
+            "to the one-shot directory"
         )
 
         read_file = tmp / "reads.fastq"
@@ -123,21 +120,20 @@ def main() -> int:
         )
 
         configs = {
-            "v1": (v1_dir, {}),
-            "v1+workers=2": (v1_dir, {"workers": 2}),
-            "v2": (v2_dir, {}),
-            "v2+mmap": (v2_dir, {"mmap": True}),
-            "v2+mmap+workers=2": (v2_dir, {"mmap": True, "workers": 2}),
-            "v2+shards=2x2": (v2_dir, {"shards": 2, "replicas": 2}),
-            "v2-extended": (ext_dir, {}),
+            "eager": (v2_dir, {}),
+            "eager+workers=2": (v2_dir, {"workers": 2}),
+            "mmap": (v2_dir, {"mmap": True}),
+            "mmap+workers=2": (v2_dir, {"mmap": True, "workers": 2}),
+            "shards=2x2": (v2_dir, {"shards": 2, "replicas": 2}),
+            "extended": (ext_dir, {}),
         }
         outputs = {
             name: _classify(db_dir, read_file, tmp / f"{name}.tsv", **kwargs)
             for name, (db_dir, kwargs) in configs.items()
         }
         (
-            outputs["v2-pre-reload"],
-            outputs["v2-post-reload"],
+            outputs["pre-reload"],
+            outputs["post-reload"],
         ) = _classify_through_reload(v2_dir, ext_dir, read_file, tmp)
 
     reference_name, reference = next(iter(outputs.items()))
