@@ -15,9 +15,11 @@ key the segmented sort already ordered the batch by
     key = read << (T + W) | target << W | window
 
 with ``T`` / ``W`` the bit lengths of the batch's largest target and
-window id.  The sorted input re-packs into strictly non-decreasing
-keys, and every step is a linear pass or one single-key operation on
-them.  Why each is exact:
+window id.  The query pipeline hands :func:`top_candidates` those sorted
+keys themselves; :func:`generate_top_candidates` takes sorted location
+lists and only has to number them with their reads.  Every step is a
+linear pass or one single-key operation on the non-decreasing keys.
+Why each is exact:
 
 - **Field widths.**  ``T`` and ``W`` hold every id of the batch and
   the read field takes the rest of the word, so keys compare exactly
@@ -74,7 +76,7 @@ import numpy as np
 from repro.sort.segmented import LocationKeyLayout
 from repro.util.segmented import first_occurrence_mask, segmented_cumcount
 
-__all__ = ["Candidates", "generate_top_candidates"]
+__all__ = ["Candidates", "candidate_groups", "generate_top_candidates", "top_candidates"]
 
 
 @dataclass
@@ -156,8 +158,44 @@ def generate_top_candidates(
         span.
     m:
         top-list length.
+
+    The standalone form of :func:`top_candidates`: sorted segments
+    need only their read numbers to become sorted keys.
     """
     read_offsets = np.asarray(read_offsets, dtype=np.int64)
+    locations = np.asarray(locations, dtype=np.uint64)
+    layout = LocationKeyLayout.of(locations)
+    groups = candidate_groups(layout, read_offsets.size - 1, locations.size)
+    keys = layout.number(layout.squeeze(locations), read_offsets, groups)
+    return top_candidates(keys, read_offsets, layout, sws, m)
+
+
+def candidate_groups(
+    layout: LocationKeyLayout, n_reads: int, n_locations: int
+) -> list[tuple[int, int]]:
+    """The bit-budget groups :func:`top_candidates` reads its keys in.
+
+    The (score | index) and (read | score | run) keys of each group
+    hold two counts of at most ``n_locations`` each.
+    """
+    return layout.groups(n_reads, 2 * int(n_locations).bit_length())
+
+
+def top_candidates(
+    keys: np.ndarray,
+    read_offsets: np.ndarray,
+    layout: LocationKeyLayout,
+    sws: np.ndarray | int,
+    m: int,
+) -> Candidates:
+    """Top-m candidates per read from the batch's sorted keys.
+
+    ``keys`` are ``layout``'s ``(read | target | window)`` keys of every
+    location, read segments as ``read_offsets`` lays them out, numbered
+    and ascending within each group of :func:`candidate_groups` -- what
+    :meth:`LocationKeyLayout.sort_segments` leaves.  ``sws`` and ``m``
+    as in :func:`generate_top_candidates`.
+    """
     n_reads = read_offsets.size - 1
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -168,30 +206,17 @@ def generate_top_candidates(
         score=np.zeros((n_reads, m), dtype=np.int64),
         valid=np.zeros((n_reads, m), dtype=bool),
     )
-    locations = np.asarray(locations, dtype=np.uint64)
-    if locations.size == 0 or n_reads == 0:
+    if keys.size == 0 or n_reads == 0:
         return out
     sws_arr = np.broadcast_to(np.asarray(sws, dtype=np.int64), (n_reads,))
     if sws_arr.min() < 1:
         raise ValueError("sliding-window sizes must be >= 1")
     reach = (sws_arr - 1).astype(np.uint64)
-
-    layout = LocationKeyLayout.of(locations)
-    # the (score | index) and (read | score | run) keys of _group_top
-    # hold two counts of at most locations.size each
-    groups = layout.groups(n_reads, 2 * int(locations.size).bit_length())
+    groups = candidate_groups(layout, n_reads, keys.size)
     for first, last in groups:
         a, b = read_offsets[first], read_offsets[last]
         if a < b:
-            _group_top(
-                out,
-                first,
-                layout,
-                locations[a:b],
-                np.diff(read_offsets[first : last + 1]),
-                reach[first:last],
-                m,
-            )
+            _group_top(out, first, layout, keys[a:b], reach[first:last], m)
     return out
 
 
@@ -199,20 +224,17 @@ def _group_top(
     out: Candidates,
     first_row: int,
     layout: LocationKeyLayout,
-    locations: np.ndarray,
-    lengths: np.ndarray,
+    keys: np.ndarray,
     reach: np.ndarray,
     m: int,
 ) -> None:
     """Fill ``out`` rows ``first_row ..`` from one bit-budget group.
 
-    ``lengths[i]`` sorted locations belong to the group's read ``i``,
-    whose spans may extend ``reach[i] = sws - 1`` windows past their
-    first; the group is not empty.  See the module docstring for why
-    each step is exact.
+    ``keys`` are the group's sorted keys, non-empty; read ``i`` of the
+    group may extend its spans ``reach[i] = sws - 1`` windows past
+    their first.  See the module docstring for why each step is exact.
     """
     u64 = np.uint64
-    keys = layout.pack(locations, lengths)
 
     # -- window count statistic: collapse equal (read, location) keys;
     # an entry's count is the distance to the next entry's start

@@ -34,7 +34,7 @@ from repro.core.config import MetaCacheParams
 from repro.taxonomy.lca import LcaIndex
 from repro.taxonomy.lineage import RankedLineages
 from repro.taxonomy.tree import Taxonomy
-from repro.util.segmented import segment_ramp
+from repro.util.segmented import gather_segments
 from repro.warpcore.multi_bucket import MultiBucketHashTable
 from repro.warpcore.single_value import SingleValueHashTable
 
@@ -98,20 +98,13 @@ class CondensedIndex:
 
     def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Same contract as ``MultiBucketHashTable.retrieve``."""
-        packed, found = self.pointers.retrieve(features)
-        lengths = np.where(found, packed & self.LENGTH_MASK, np.uint64(0)).astype(
-            np.int64
-        )
+        # a missing feature's pointer word is 0: length 0, nothing gathered
+        packed = self.pointers.retrieve(features)[0]
+        lengths = (packed & self.LENGTH_MASK).astype(np.int64)
         starts = (packed >> self.OFFSET_SHIFT).astype(np.int64)
-        offsets = np.zeros(features.size + 1, dtype=np.int64)
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        out = np.empty(int(offsets[-1]), dtype=np.uint64)
-        # gather each query's slice (vectorized over a range matrix is
-        # wasteful for skewed lengths; use repeat-based gather instead)
-        if out.size:
-            idx = np.repeat(starts, lengths) + segment_ramp(lengths)
-            out[:] = self.locations[idx]
-        return out, offsets
+        return gather_segments(self.locations, starts, lengths), offsets
 
     @property
     def nbytes(self) -> int:

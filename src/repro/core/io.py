@@ -59,7 +59,7 @@ from repro.core.database import (
 )
 from repro.hashing.sketch import SketchParams
 from repro.taxonomy.ncbi import load_ncbi_dump, write_ncbi_dump
-from repro.util.segmented import segment_ramp
+from repro.util.segmented import gather_segments
 from repro.warpcore.base import EMPTY_KEY, sort_by_key
 from repro.warpcore.probing import ProbingScheme
 from repro.warpcore.single_value import SingleValueHashTable
@@ -249,7 +249,7 @@ def _unpack(cond: CondensedIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray, b
     lengths in feature order and cover ``cond.locations`` exactly --
     what ``CondensedIndex.from_content`` and both loaders produce --
     and ``locations`` is then that array itself; any other packing (a
-    hand-built index) is gathered into that order (repeat + ramp).
+    hand-built index) is gathered into that order (``gather_segments``).
     """
     pointers = cond.pointers
     occupied = np.flatnonzero(pointers._probe_keys != EMPTY_KEY)
@@ -261,7 +261,7 @@ def _unpack(cond: CondensedIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray, b
     dense = dense and int(lengths.sum()) == cond.locations.size
     locations = cond.locations
     if not dense:
-        locations = locations[np.repeat(starts, lengths) + segment_ramp(lengths)]
+        locations = gather_segments(locations, starts, lengths)
     locations = np.asarray(locations, dtype=np.uint64)
     return features.astype(np.uint64), lengths, locations, dense
 

@@ -4,15 +4,19 @@ Per batch of reads:
 
 1-3. encode + hash + sketch every read window (one batched kernel
      over the batch's *packed* code buffer -- no per-read loop);
-4.   query sketch features against each partition's hash table;
-5.   compact per-window location lists into per-read segments
-     (the feature-order output of the batched retrieve is already
-     window-grouped, so compaction reduces to offset arithmetic --
-     the simulated kernel time is what the cost model charges);
-6.   segmented sort of each read's locations (one ``np.sort`` over a
-     packed ``(read | target | window)`` key);
-7-8. window-count statistic + sliding-window top-m candidates, on
-     the same key.
+4.   query each partition's hash table once per *distinct* feature
+     of the batch (one grouping sort, as the device aggregates a
+     key's work in one cooperative group);
+5.   compact: expand each feature occurrence's ``(start, length)``
+     pointer into the distinct lists, and each read's run of
+     occurrences into its segment offsets (a running sum -- read ids
+     never decrease);
+6.   segmented sort: the distinct lists are squeezed into
+     ``(target | window)`` keys once, every occurrence's slice is
+     gathered, numbered with its read and sorted in place (one
+     ``np.sort`` per bit-budget group);
+7-8. window-count statistic + sliding-window top-m candidates, read
+     straight off those sorted keys.
 
 Reads enter as a :class:`~repro.pipeline.packed.PackedReads` batch
 (one contiguous uint8 buffer + int64 offset/read-id arrays, the host
@@ -40,15 +44,17 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.candidates import Candidates, generate_top_candidates
+from repro.core.candidates import Candidates, candidate_groups, top_candidates
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database
 from repro.hashing.minhash import SKETCH_PAD
 from repro.hashing.sketch import sketch_reads_packed
 from repro.pipeline.packed import PackedReads
 from repro.sort.compaction import read_segment_offsets
-from repro.sort.segmented import segmented_sort_lexsort
+from repro.sort.segmented import LocationKeyLayout
+from repro.util.segmented import gather_segments, run_length_encode
 from repro.util.timer import StageTimer
+from repro.warpcore.base import sort_by_key
 
 __all__ = ["QueryResult", "partition_candidates", "query_database"]
 
@@ -103,33 +109,42 @@ def partition_candidates(
             # partial result is deterministic regardless of plan shape
             raise ValueError(f"partition_ids must be strictly ascending: {pids}")
 
-    n_windows, s = sketches.shape
+    s = sketches.shape[1]
     flat_features = sketches.reshape(-1)
-    valid = flat_features != SKETCH_PAD
-    feat_window = np.repeat(np.arange(n_windows, dtype=np.int64), s)[valid]
-    features = flat_features[valid]
+    occurrence = np.flatnonzero(flat_features != SKETCH_PAD)
+    # read of every feature occurrence, non-decreasing like the
+    # windows' (read_segment_offsets refuses anything else)
+    occurrence_reads = np.asarray(window_read_ids).take(occurrence // s)
+    with timer.stage("query"):
+        # one walk per distinct feature; occurrence i reads the list of
+        # distinct feature feature_of[i]
+        sorted_features, order = sort_by_key(flat_features.take(occurrence))
+        distinct, repeats = run_length_encode(sorted_features)
+        feature_of = np.empty(occurrence.size, dtype=np.int64)
+        feature_of[order] = np.repeat(np.arange(distinct.size), repeats)
 
     per_partition: list[Candidates] = []
     total_locations = 0
     for pid in pids:
         with timer.stage("query"):
-            locations, feat_offsets = db.query_features(features, pid)
-        total_locations += locations.size
+            locations, feature_offsets = db.query_features(distinct, pid)
         with timer.stage("compact"):
-            feat_lengths = np.diff(feat_offsets)
-            # integer scatter-add, not bincount(weights=...): weighted
-            # bincount accumulates in float64 and silently loses
-            # exactness past 2^53 total hits
-            window_counts = np.zeros(n_windows, dtype=np.int64)
-            np.add.at(window_counts, feat_window, feat_lengths)
-            read_offsets = read_segment_offsets(
-                window_read_ids, window_counts, n_reads
-            )
+            # pointers, not locations: each occurrence's slice of the
+            # distinct lists, and each read's run of occurrences
+            starts = feature_offsets.take(feature_of)
+            lengths = np.diff(feature_offsets).take(feature_of)
+            read_offsets = read_segment_offsets(occurrence_reads, lengths, n_reads)
         with timer.stage("segmented_sort"):
-            sorted_locations = segmented_sort_lexsort(locations, read_offsets)
+            # squeeze the distinct lists once, gather every occurrence's
+            # keys, number the reads and sort each bit-budget group
+            layout = LocationKeyLayout.of(locations)
+            keys = gather_segments(layout.squeeze(locations), starts, lengths)
+            groups = candidate_groups(layout, n_reads, keys.size)
+            layout.sort_segments(keys, read_offsets, groups)
+        total_locations += keys.size
         with timer.stage("window_count_top"):
-            cands = generate_top_candidates(
-                sorted_locations, read_offsets, sliding_window_sizes, max_candidates
+            cands = top_candidates(
+                keys, read_offsets, layout, sliding_window_sizes, max_candidates
             )
         per_partition.append(cands)
     return per_partition, total_locations

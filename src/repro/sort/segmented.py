@@ -13,12 +13,15 @@ from NumPy 2.0) orders the whole batch by (read, target, window), and
 dropping the read field and re-expanding the two halves returns the
 locations themselves.  No index array, no second key.
 
-:class:`LocationKeyLayout` owns that format; top-candidate generation
-(:mod:`repro.core.candidates`) re-packs the sorted lists into the same
-key.  When the three fields of a batch do not fit 64 bits the same code
-runs over contiguous groups of reads with a narrower read field
-(:meth:`LocationKeyLayout.groups`) -- down to one read per group, where
-the key is the compressed location alone.
+:class:`LocationKeyLayout` owns that format.  The query pipeline never
+unpacks: it squeezes each distinct feature's list once, gathers the
+keys of every occurrence, sorts them (:meth:`~LocationKeyLayout.sort_segments`)
+and top-candidate generation (:mod:`repro.core.candidates`) reads the
+sorted keys; :func:`segmented_sort_lexsort` is the standalone
+locations-in, locations-out form.  When the three fields of a batch do
+not fit 64 bits the same code runs over contiguous groups of reads with
+a narrower read field (:meth:`LocationKeyLayout.groups`) -- down to one
+read per group, where the key is the compressed location alone.
 """
 
 from __future__ import annotations
@@ -76,18 +79,40 @@ class LocationKeyLayout:
             for first in range(0, n_segments, span)
         ]
 
-    def pack(self, locations: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Keys of one group: ``lengths[i]`` locations belong to read ``i``.
+    def squeeze(self, locations: np.ndarray) -> np.ndarray:
+        """The compressed locations as keys with a zero read field (fresh)."""
+        keys = locations >> _HALF
+        keys *= self._squeeze
+        np.subtract(locations, keys, out=keys)
+        return keys
 
-        Returns a fresh array; fields never overlap, so the read prefix
-        and the compressed location are combined by addition.
+    def number(
+        self, keys: np.ndarray, offsets: np.ndarray, groups: list[tuple[int, int]]
+    ) -> np.ndarray:
+        """Write the read field of ``keys`` in place; returns ``keys``.
+
+        Segment ``i`` is ``keys[offsets[i]:offsets[i+1]]``, and the
+        segments of each ``[first, last)`` group are numbered from
+        zero.  Fields never overlap, so the number is added.
         """
-        numbers = np.arange(lengths.size, dtype=np.uint64)
-        keys = np.repeat(numbers << np.uint64(self.payload_bits), lengths)
-        shifted = locations >> _HALF
-        shifted *= self._squeeze
-        keys += locations
-        keys -= shifted
+        for first, last in groups:
+            numbers = np.arange(last - first, dtype=np.uint64)
+            numbers <<= np.uint64(self.payload_bits)
+            lengths = np.diff(offsets[first : last + 1])
+            keys[offsets[first] : offsets[last]] += np.repeat(numbers, lengths)
+        return keys
+
+    def sort_segments(
+        self, keys: np.ndarray, offsets: np.ndarray, groups: list[tuple[int, int]]
+    ) -> np.ndarray:
+        """:meth:`number` ``keys``, then sort each group in place.
+
+        Afterwards every segment is ascending within its group's keys,
+        the order the top-candidate stage reads.  Returns ``keys``.
+        """
+        self.number(keys, offsets, groups)
+        for first, last in groups:
+            keys[offsets[first] : offsets[last]].sort()
         return keys
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
@@ -124,22 +149,17 @@ def segmented_sort_lexsort(values: np.ndarray, offsets: np.ndarray) -> np.ndarra
     """Sort each segment of ``values`` ascending; returns a new array.
 
     ``offsets`` has length ``n_segments + 1``; segment ``i`` spans
-    ``values[offsets[i]:offsets[i+1]]``.  The production segmented sort:
-    pack ``(segment | value)`` into one ``uint64`` key, one in-place
-    ``np.sort``, unpack (module docstring) -- the same bytes the former
-    two-key ``np.lexsort((value, segment))`` returned, which is where
-    the name comes from.
+    ``values[offsets[i]:offsets[i+1]]``.  Pack ``(segment | value)``
+    into one ``uint64`` key, one in-place ``np.sort``, unpack (module
+    docstring) -- the same bytes the former two-key
+    ``np.lexsort((value, segment))`` returned, which is where the name
+    comes from.  The query pipeline runs the same sort without the
+    unpack.
     """
     v = np.asarray(values, dtype=np.uint64)
     offsets = np.asarray(offsets, dtype=np.int64)
-    out = np.empty_like(v)
-    if v.size == 0:
-        return out
     layout = LocationKeyLayout.of(v)
-    # one pass per bit-budget group, normally a single one
-    for first, last in layout.groups(offsets.size - 1):
-        a, b = offsets[first], offsets[last]
-        keys = layout.pack(v[a:b], np.diff(offsets[first : last + 1]))
-        keys.sort()
-        out[a:b] = layout.unpack(keys)
-    return out
+    keys = layout.squeeze(v)
+    # one sort per bit-budget group, normally a single one
+    layout.sort_segments(keys, offsets, layout.groups(offsets.size - 1))
+    return layout.unpack(keys)

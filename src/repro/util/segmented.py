@@ -17,6 +17,7 @@ __all__ = [
     "segmented_cumcount",
     "segment_ids_from_offsets",
     "segment_ramp",
+    "gather_segments",
     "offsets_from_segment_ids",
     "first_occurrence_mask",
 ]
@@ -86,10 +87,7 @@ def segment_ids_from_offsets(offsets: np.ndarray) -> np.ndarray:
 def segment_ramp(lengths: np.ndarray) -> np.ndarray:
     """``[0..l0-1, 0..l1-1, ...]``: each element's rank in its segment.
 
-    The offset half of the repeat-based gather: with per-segment
-    ``starts``, ``values[np.repeat(starts, lengths) + segment_ramp(lengths)]``
-    concatenates the slices ``values[s : s + l]`` without a Python
-    loop.  Zero-length segments contribute nothing.
+    Zero-length segments contribute nothing.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     total = int(lengths.sum())
@@ -99,13 +97,41 @@ def segment_ramp(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(seg_starts, lengths)
 
 
-def offsets_from_segment_ids(segment_ids: np.ndarray, n_segments: int) -> np.ndarray:
-    """Inverse of :func:`segment_ids_from_offsets` (ids must be sorted)."""
+def gather_segments(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Concatenate the slices ``values[s : s + l]`` of every ``(s, l)``.
+
+    Output element ``i`` of segment ``j`` reads ``values[i + starts[j]
+    - out_starts[j]]``: one ``repeat`` of the per-segment shift plus one
+    ``arange`` build the whole index, and one ``take`` gathers it.
+    Zero-length segments contribute nothing.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    shift = np.asarray(starts, dtype=np.int64) + lengths
+    shift -= np.cumsum(lengths)
+    index = np.repeat(shift, lengths)
+    index += np.arange(index.size)
+    return np.asarray(values).take(index)
+
+
+def offsets_from_segment_ids(
+    segment_ids: np.ndarray, n_segments: int, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse of :func:`segment_ids_from_offsets` (ids must be sorted).
+
+    With ``weights``, item ``i`` of segment ``segment_ids[i]`` stands for
+    ``weights[i]`` elements: the offsets are the int64 running sum of
+    the weights read at each segment's first item (exact at any size,
+    unlike a float-weighted ``bincount``).
+    """
     s = np.asarray(segment_ids, dtype=np.int64)
-    counts = np.bincount(s, minlength=n_segments)
-    off = np.zeros(n_segments + 1, dtype=np.int64)
-    np.cumsum(counts, out=off[1:])
-    return off
+    firsts = np.searchsorted(s, np.arange(n_segments + 1))
+    if weights is None:
+        return firsts
+    ends = np.zeros(s.size + 1, dtype=np.int64)
+    np.cumsum(weights, out=ends[1:])
+    return ends.take(firsts)
 
 
 def first_occurrence_mask(sorted_values: np.ndarray) -> np.ndarray:

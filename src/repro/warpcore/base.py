@@ -128,46 +128,68 @@ def probe_walk(
     lock-step (``w == 1``), and as walks retire the stragglers get
     wider tiles and finish in a few steps instead of one per slot.
     Hits come grouped by step, ordered by (query, round) within one.
+
+    A walk carries its current group's first slot and its outer step,
+    both scaled by the group size (``g1 * G``, ``g2 * G``): a round
+    inside the group is that base plus ``round mod G``, and the base
+    moves on only where a step crosses into the next group -- one add
+    and one conditional subtract of the slot count in lock-step -- so
+    a lock-step round takes no modulo (a wide tile, only ever a few
+    thousand cells, takes one).  It also has one cell per walk, which
+    is then its first and only stop, so it needs none of the per-row
+    bookkeeping of a wide tile.
     """
     qkeys = sanitize_keys(keys)
     key32 = qkeys.astype(np.uint32)
     g1, g2 = probing.probe_bases(qkeys)
+    G, n_slots = probing.group_size, probing.n_slots
+    base, step = g1 * G, g2 * G
     active = np.arange(qkeys.size, dtype=np.int64)
     limit = max(probing.max_probe_rounds, 1)  # round 0 is always probed
     hit_q: list[np.ndarray] = []
     hit_slots: list[np.ndarray] = []
     rnd = 0
     while active.size and rnd < limit:
-        live = active.size
-        w = min(max(_TILE_CELLS // live, 1), limit - rnd)
-        slots = probing.slots_at(
-            g1[:, None], g2[:, None], np.arange(rnd, rnd + w)
-        )
-        found = table_keys.take(slots)
-        match = found == key32[:, None]
-        stop = found == EMPTY_KEY
-        if first_only:
-            stop |= match
-        # cells are numbered row-major: the first stop of each row
-        stops = np.flatnonzero(stop)
-        row = stops // w
-        first = np.ones(stops.size, dtype=bool)
-        first[1:] = row[1:] != row[:-1]
-        ended = row.compress(first)
-        end = np.full(live, live * w)
-        end[ended] = stops.compress(first)
-        hits = np.flatnonzero(match)
-        if hits.size:
+        w = min(max(_TILE_CELLS // active.size, 1), limit - rnd)
+        if w == 1:
+            slots = base + rnd % G
+            found = table_keys.take(slots)
+            match = found == key32
+            ended = found == EMPTY_KEY
+            if first_only:
+                ended |= match
+            hits = np.flatnonzero(match)  # every match is its walk's first stop
+            hit_row = hits
+        else:
+            cols = np.arange(rnd, rnd + w)
+            lag = cols // G - rnd // G  # groups past the base
+            slots = (base[:, None] + lag * step[:, None]) % n_slots + cols % G
+            found = table_keys.take(slots)
+            match = found == key32[:, None]
+            stop = found == EMPTY_KEY
+            if first_only:
+                stop |= match
+            # a match is walked up to and including its row's first stop
+            ended = stop.any(axis=1)
+            end = np.where(ended, stop.argmax(axis=1), w)
+            hits = np.flatnonzero(match)
             hit_row = hits // w
-            walked = hits <= end.take(hit_row)
-            hit_q.append(active.take(hit_row.compress(walked)))
-            hit_slots.append(slots.ravel().take(hits.compress(walked)))
+            walked = hits % w <= end.take(hit_row)
+            hits, hit_row = hits.compress(walked), hit_row.compress(walked)
+        if hits.size:
+            hit_q.append(active.take(hit_row))
+            hit_slots.append(slots.ravel().take(hits))
+        crossings = (rnd + w) // G - rnd // G
         rnd += w
-        keep = np.ones(live, dtype=bool)
-        keep[ended] = False
-        keep = np.flatnonzero(keep)
+        keep = np.flatnonzero(~ended)
         active, key32 = active.take(keep), key32.take(keep)
-        g1, g2 = g1.take(keep), g2.take(keep)
+        base, step = base.take(keep), step.take(keep)
+        if crossings == 1:
+            base += step
+            base -= n_slots * (base >= n_slots)
+        elif crossings:
+            base += crossings * step
+            base %= n_slots
     if not hit_q:
         none = np.zeros(0, dtype=np.int64)
         return none, none

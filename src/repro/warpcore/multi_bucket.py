@@ -39,7 +39,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.segmented import run_length_encode, segment_ramp
+from repro.util.segmented import (
+    gather_segments,
+    offsets_from_segment_ids,
+    run_length_encode,
+    segment_ramp,
+)
 from repro.warpcore.base import (
     EMPTY_KEY,
     TableStats,
@@ -240,14 +245,12 @@ class MultiBucketHashTable:
     # -- retrieval -----------------------------------------------------------
 
     def _owned(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(slots, value count of each slot, value count of each query)``."""
+        """``(slots, value count of each slot, offsets of each query's values)``."""
         q, slots = owned_slots(self._keys, self.probing, keys)
         counts = self._counts[slots].astype(np.int64)
-        # integer scatter-add (bincount's weights= path sums in float64,
-        # losing exactness past 2^53)
-        per_query = np.zeros(np.size(keys), dtype=np.int64)
-        np.add.at(per_query, q, counts)
-        return slots, counts, per_query
+        # q ascends, so the offsets are the running count at each
+        # query's first slot
+        return slots, counts, offsets_from_segment_ids(q, np.size(keys), counts)
 
     def retrieve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batch lookup: all values for each query key.
@@ -256,12 +259,9 @@ class MultiBucketHashTable:
         ``values[offsets[i]:offsets[i+1]]``, ordered by probe round
         (i.e., insertion-slot order).
         """
-        slots, counts, per_query = self._owned(keys)
-        offsets = np.zeros(per_query.size + 1, dtype=np.int64)
-        np.cumsum(per_query, out=offsets[1:])
-        total = int(offsets[-1])
-        out = np.empty(total, dtype=_U64)
-        if total:
+        slots, counts, offsets = self._owned(keys)
+        out = np.empty(int(offsets[-1]), dtype=_U64)
+        if out.size:
             # gather slot value cells row-wise, masked by count
             cell = np.arange(self.bucket_size, dtype=np.int64)
             take = cell[None, :] < counts[:, None]
@@ -270,7 +270,7 @@ class MultiBucketHashTable:
 
     def retrieve_counts(self, keys: np.ndarray) -> np.ndarray:
         """Number of stored values per query key (no value gather)."""
-        return self._owned(keys)[2]
+        return np.diff(self._owned(keys)[2])
 
     # -- condensed content (save / condense / grow) ---------------------------
 
@@ -294,12 +294,12 @@ class MultiBucketHashTable:
             # (query, round) order over ascending keys is the order of `at`
             slots[at] = owned_slots(self._keys, self.probing, features.take(multi))[1]
         counts = self._counts.take(slots).astype(np.int64)
-        ends = np.cumsum(counts)  # where each slot's values end in the output
-        lengths = np.diff(ends.take(starts + n_owned - 1), prepend=0)
-        # output i reads cell i + (its slot's first cell - its slot's first output)
-        cells = np.repeat(slots * self.bucket_size - ends + counts, counts)
-        cells += np.arange(cells.size)
-        return features, lengths, self._values.reshape(-1).take(cells)
+        lengths = np.diff(np.cumsum(counts).take(starts + n_owned - 1), prepend=0)
+        # slot s holds the cells s * B .. s * B + count - 1
+        locations = gather_segments(
+            self._values.reshape(-1), slots * self.bucket_size, counts
+        )
+        return features, lengths, locations
 
     # -- introspection helpers (tests / benches) -------------------------------
 

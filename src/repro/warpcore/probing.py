@@ -113,9 +113,9 @@ class ProbingScheme:
 
         ``rounds`` is a scalar when the whole batch walks in lock-step
         (every table's insert), one round per walk, or -- against
-        column vectors ``g1``/``g2`` -- the rounds of a lookup tile,
-        one row of slots per walk
-        (:func:`repro.warpcore.base.probe_walk`).
+        column vectors ``g1``/``g2`` -- several rounds, one row of
+        slots per walk.  Lookups (:func:`repro.warpcore.base.probe_walk`)
+        carry the same walk as ``g1 * G`` and ``g2 * G`` instead.
         """
         rounds = np.asarray(rounds, dtype=np.int64)
         group = (g1 + (rounds // self.group_size) * g2) % self.n_groups

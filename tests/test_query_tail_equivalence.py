@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import pair_granular_query as pair_granular
 from reference import query_tail as oracle
 from repro.core import query as query_mod
 from repro.core.candidates import generate_top_candidates
@@ -260,8 +261,8 @@ class TestQueryDatabaseEndToEnd:
         mates = ([blank] + mates[:60] + [blank] + mates[60:] + [blank]) if paired else None
         got = query_database(db, reads, mates=mates)
         with monkeypatch.context() as patch:
-            patch.setattr(query_mod, "segmented_sort_lexsort", oracle.segmented_sort_lexsort)
-            patch.setattr(query_mod, "generate_top_candidates", oracle.generate_top_candidates)
+            # the pair-granular lookup, on the lexsort tail of ``oracle``
+            patch.setattr(query_mod, "partition_candidates", pair_granular.partition_candidates)
             expected = query_database(db, reads, mates=mates)
         assert got.total_locations == expected.total_locations > 0
         assert_candidates_identical(got.candidates, expected.candidates)

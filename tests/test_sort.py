@@ -166,3 +166,24 @@ class TestCompaction:
     def test_read_without_windows(self):
         off = read_segment_offsets(np.array([0, 2]), np.array([1, 1]), 4)
         assert list(off) == [0, 1, 1, 2, 2]
+
+    def test_no_windows_at_all(self):
+        off = read_segment_offsets(np.zeros(0, dtype=np.int64), np.zeros(0), 3)
+        assert off.dtype == np.int64 and list(off) == [0, 0, 0, 0]
+
+    def test_rejects_decreasing_read_ids(self):
+        # the compacted values are in window order: read 1's windows
+        # before read 0's would put read 0's offsets over read 1's values
+        with pytest.raises(ValueError, match="non-decreasing"):
+            read_segment_offsets(np.array([0, 1, 0]), np.array([2, 1, 1]), 2)
+
+    @pytest.mark.parametrize("ids", [[-1, 0], [0, 3]])
+    def test_rejects_read_ids_out_of_range(self, ids):
+        with pytest.raises(ValueError, match="must lie in"):
+            read_segment_offsets(np.array(ids), np.array([1, 1]), 3)
+
+    def test_exact_past_float_precision(self):
+        # counts whose sum a float64 accumulator would round
+        counts = np.array([2**53, 1, 1], dtype=np.int64)
+        off = read_segment_offsets(np.array([0, 0, 1]), counts, 2)
+        assert off.tolist() == [0, 2**53 + 1, 2**53 + 2]

@@ -9,6 +9,7 @@ from reference.query_tail import segmented_top_k_mask
 from repro.util.scan import exclusive_prefix_sum, inclusive_prefix_sum
 from repro.util.segmented import (
     first_occurrence_mask,
+    gather_segments,
     offsets_from_segment_ids,
     run_length_encode,
     segment_boundaries,
@@ -76,6 +77,41 @@ class TestSegmentOps:
         ids = segment_ids_from_offsets(offsets)
         assert ids.size == sum(lengths)
         assert np.array_equal(offsets_from_segment_ids(ids, len(lengths)), offsets)
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=30))
+    @settings(max_examples=50)
+    def test_weighted_offsets_match_a_scatter_add(self, items):
+        items.sort(key=lambda item: item[0])
+        ids = np.array([i for i, _ in items], dtype=np.int64)
+        weights = np.array([w for _, w in items], dtype=np.int64)
+        per_segment = np.zeros(6, dtype=np.int64)
+        np.add.at(per_segment, ids, weights)
+        got = offsets_from_segment_ids(ids, 6, weights)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, exclusive_prefix_sum(per_segment))
+
+
+class TestGatherSegments:
+    @given(
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
+        st.lists(st.tuples(st.integers(0, 19), st.integers(0, 20)), max_size=12),
+    )
+    @settings(max_examples=80)
+    def test_concatenates_the_slices(self, values, segments):
+        values = np.array(values, dtype=np.uint64)
+        segments = [(s % values.size, l) for s, l in segments]
+        segments = [(s, min(l, values.size - s)) for s, l in segments]
+        starts = np.array([s for s, _ in segments], dtype=np.int64)
+        lengths = np.array([l for _, l in segments], dtype=np.int64)
+        got = gather_segments(values, starts, lengths)
+        want = [v for s, l in segments for v in values[s : s + l]]
+        assert got.dtype == np.uint64 and got.tolist() == [int(v) for v in want]
+
+    def test_memmap_source_gives_a_plain_array(self, tmp_path):
+        np.save(tmp_path / "v.npy", np.arange(10, dtype=np.uint64))
+        mapped = np.load(tmp_path / "v.npy", mmap_mode="r")
+        got = gather_segments(mapped, np.array([7, 0]), np.array([3, 2]))
+        assert type(got) is np.ndarray and got.tolist() == [7, 8, 9, 0, 1]
 
 
 class TestScans:
