@@ -170,6 +170,11 @@ class RunReport:
     breakdown); ``taxon_counts`` accumulates classified reads per
     assigned taxon so abundance estimation works without retaining
     per-read records.
+
+    ``stages`` and ``total_seconds`` sum thread seconds: when
+    ``classify_files`` splits a batch into slices classified on
+    several threads at once, each slice's stage time is added, so the
+    sum can exceed the wall time the batch took.
     """
 
     n_reads: int = 0

@@ -13,30 +13,36 @@ shapes:
   of reads stream through bounded memory;
 - :meth:`classify_files` -- FASTA/FASTQ file(s) pushed through the
   :mod:`repro.pipeline` producer/consumer machinery into a
-  :class:`~repro.api.sinks.Sink`; with ``workers > 1`` the producer
-  feeds the multi-process engine (:mod:`repro.parallel`) instead of
-  a single in-thread consumer.
+  :class:`~repro.api.sinks.Sink`.  The in-process consumer splits
+  every batch into contiguous read slices, two per available core, and
+  classifies them on threads sharing the one database, one thread
+  pinned per core for the call; with ``workers > 1`` the producer
+  feeds the multi-process engine (:mod:`repro.parallel`) instead.
 
 Every shape only coerces its input to ``(headers, PackedReads)`` and
-hands it to one private seam, :meth:`QuerySession._run_batch` (the
-paper's single per-batch query pipeline, Section 5.2), or streams the
-same items through the worker pool, whose results re-enter the seam's
-record/report tail.  Per-read results are therefore identical across
-the three shapes and across worker counts (candidate generation and
-the top-hit/LCA rule are per-read, and the parallel engine
-reassembles chunks in submission order), which the test suite asserts
-down to byte-identical TSV output.
+hands it, or its slices, to one private seam,
+:meth:`QuerySession._compute` (the paper's single per-batch query
+pipeline, Section 5.2), or streams the same items through the worker
+pool; either way the results re-enter one record/report tail,
+:meth:`QuerySession._finish`, once per batch.  Per-read results are
+therefore identical across the three shapes, worker counts and slice
+counts (candidate generation and the top-hit/LCA rule are per-read,
+and slices and parallel chunks are reassembled in order), which the
+test suite asserts down to byte-identical TSV output.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import itertools
 import operator
 import os
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import fields
 from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -57,12 +63,12 @@ from repro.errors import (
 )
 from repro.genomics.alphabet import encode_sequence
 from repro.parallel.engine import ParallelClassifier
-from repro.pipeline.batch import SequenceBatch
 from repro.pipeline.packed import PackedReads
-from repro.pipeline.producer import read_file_producer
+from repro.pipeline.producer import SequenceBatch, read_file_producer
 from repro.pipeline.queues import ClosableQueue
 from repro.pipeline.scheduler import run_producer_consumer
 from repro.shard.router import ShardRouter
+from repro.util.timer import StageTimer
 
 __all__ = ["QuerySession", "iter_batches", "DEFAULT_BATCH_SIZE"]
 
@@ -146,6 +152,51 @@ def _pack_batch(
     return headers, PackedReads.from_reads(seqs, mate_seqs)
 
 
+#: slices per thread: a pool thread's heap arena keeps free memory up
+#: to its largest recent allocation, so peak RSS grows with the slice
+#: size; with two half-size slices per thread it stays at the unsplit
+#: batch's on the dense workload
+_PIECES = 2
+
+
+def _available_cores() -> int:
+    """Cores this process may run on (the split width of a batch)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _slice_threads(k: int) -> Iterator[ThreadPoolExecutor]:
+    """``k - 1`` pool threads that, with the calling thread, run slices.
+
+    Each of the ``k`` threads is pinned to its own core while the block
+    runs, and the calling thread's affinity is restored on exit.
+    Without the pins a pool thread woken by the caller may stay queued
+    on the caller's core for a whole batch: on a 2-vCPU Linux VM the
+    slices then ran one after the other, not side by side.  The caller
+    always takes the first allowed core, so two ``classify_files``
+    calls running at once in one process share their cores.
+    """
+    try:
+        mask = os.sched_getaffinity(0)
+    except AttributeError:  # no affinity API: leave placement to the OS
+        with ThreadPoolExecutor(k - 1) as pool:
+            yield pool
+        return
+    cores = sorted(mask)
+    others = itertools.cycle(cores[1:] or cores)
+    os.sched_setaffinity(0, {cores[0]})
+    try:
+        with ThreadPoolExecutor(
+            k - 1, initializer=lambda: os.sched_setaffinity(0, {next(others)})
+        ) as pool:
+            yield pool
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
 def _empty_classification() -> Classification:
     z = np.zeros(0, dtype=np.int64)
     return Classification(z, z.copy(), z.copy(), z.copy(), z.copy())
@@ -197,10 +248,27 @@ class QuerySession:
 
     # ------------------------------------------------------------- the seam
 
+    def _compute(
+        self, db: Database, packed: PackedReads, cp: ClassificationParams
+    ) -> tuple[Classification, QueryResult]:
+        """Steps 1-8 plus the top-hit/LCA rule for one non-empty batch.
+
+        ``db`` must be retained by the caller.  Thread-safe: the
+        database is only read, so several slices of one batch may run
+        here at once.
+        """
+        if self.router is not None:
+            result = self.router.query(packed, params=cp)
+        else:
+            result = query_database(
+                db, packed, params=db.params.replace(classification=cp)
+            )
+        return classify_reads(db, result.candidates, cp), result
+
     def _run_batch(
         self, headers: list[str], packed: PackedReads, cp: ClassificationParams
     ) -> ClassificationRun:
-        """Classify one packed batch: the single in-process execution path."""
+        """Classify one packed batch whole, on the calling thread."""
         if not packed.n_reads:
             return self._finish(self.database, headers, _empty_classification())
         # pin the database for this batch: a concurrent hot-swap
@@ -208,18 +276,67 @@ class QuerySession:
         # until the release below, so the arrays stay mapped here
         db = self.database.retain()
         try:
-            if self.router is not None:
-                result = self.router.query(packed, params=cp)
-            else:
-                result = query_database(
-                    db, packed, params=db.params.replace(classification=cp)
-                )
-            cls = classify_reads(db, result.candidates, cp)
+            cls, result = self._compute(db, packed, cp)
             return self._finish(
                 db, headers, cls, result.read_lengths, result.stages.stages, result
             )
         finally:
             db.release()
+
+    def _run_split(
+        self,
+        headers: list[str],
+        packed: PackedReads,
+        cp: ClassificationParams,
+        pool: ThreadPoolExecutor | None,
+        k: int,
+    ) -> ClassificationRun:
+        """Classify one packed batch as contiguous read slices on ``k`` threads.
+
+        The batch is cut at read boundaries into :data:`_PIECES` ``* k``
+        slices (fewer for a smaller batch), and each thread classifies
+        a contiguous share of them in turn: share 0 on the calling
+        thread, whose heap arena is warm, the others on ``pool``'s
+        ``k - 1`` threads, all under the batch's one ``retain()``.  The
+        slices' columns are joined in read order and finished once, so
+        the run is identical to :meth:`_run_batch`'s for every ``k``;
+        with ``k == 1`` (no ``pool``) or a one-read batch it *is*
+        :meth:`_run_batch`.
+        """
+        n = packed.n_reads
+        m = min(_PIECES * k, n)
+        if pool is None or m <= 1:
+            return self._run_batch(headers, packed, cp)
+        k = min(k, m)
+        bounds = [n * i // m for i in range(m + 1)]
+        slices = [packed.slice_reads(a, b) for a, b in zip(bounds, bounds[1:])]
+        shares = [slices[j * m // k : (j + 1) * m // k] for j in range(k)]
+
+        def run(share: list[PackedReads]) -> list[tuple[Classification, QueryResult]]:
+            return [self._compute(db, piece, cp) for piece in share]
+
+        db = self.database.retain()  # one pin for all slices, as above
+        futures = []
+        try:
+            futures = [pool.submit(run, share) for share in shares[1:]]
+            parts = run(shares[0])
+            for f in futures:
+                parts += f.result()
+        finally:
+            # no slice may outlive the pin, even when one of them failed
+            wait(futures)
+            db.release()
+        cls = Classification(
+            *(
+                np.concatenate([getattr(c, f.name) for c, _ in parts])
+                for f in fields(Classification)
+            )
+        )
+        stages = functools.reduce(
+            StageTimer.merge, (r.stages for _, r in parts), StageTimer()
+        )
+        read_lengths = np.concatenate([r.read_lengths for _, r in parts])
+        return self._finish(db, headers, cls, read_lengths, stages.stages)
 
     def _finish(
         self,
@@ -233,7 +350,8 @@ class QuerySession:
         """Format one classified batch: record columns + accounted report.
 
         The tail every batch goes through, whether it was classified
-        by :meth:`_run_batch` or by a pool worker.
+        by :meth:`_run_batch`, as slices by :meth:`_run_split` or by a
+        pool worker.
         """
         records = ClassificationColumns.resolve(db, headers, cls, read_lengths)
         report = RunReport(
@@ -259,17 +377,20 @@ class QuerySession:
         items: Iterable[tuple[list[str], PackedReads]],
         cp: ClassificationParams,
         engine: ParallelClassifier | None,
+        pool: ThreadPoolExecutor | None = None,
+        k: int = 1,
     ) -> Iterator[ClassificationRun]:
         """Classify a stream of packed batches, in order.
 
-        The one consumer loop: in-process through :meth:`_run_batch`,
-        or -- given a worker pool -- the same items through
+        The one consumer loop: in-process through :meth:`_run_split`
+        across ``k`` threads (``pool`` holds the ``k - 1`` beside this
+        one), or -- given a worker engine -- the same items through
         :meth:`ParallelClassifier.classify_chunks`, whose ordered
         results are formatted with the session's own database.
         """
         if engine is None:
             for headers, packed in items:
-                yield self._run_batch(headers, packed, cp)
+                yield self._run_split(headers, packed, cp, pool, k)
             return
         # no retain: the workers hold their own attachment, and record
         # formatting reads only metadata, which outlives Database.close
@@ -368,7 +489,7 @@ class QuerySession:
 
         Each batch may be a collection of reads (any shape
         :meth:`classify` accepts), a
-        :class:`~repro.pipeline.batch.SequenceBatch`, or a
+        :class:`~repro.pipeline.producer.SequenceBatch`, or a
         ``(reads, mates)`` pair for paired-end data -- a 2-tuple whose
         members are both batches themselves (lists or
         ``SequenceBatch``); any other tuple is a batch of reads.
@@ -411,11 +532,20 @@ class QuerySession:
         compute exactly like the original's query pipeline.
 
         ``workers`` (default: the session's ``workers``) selects the
-        consumer end: ``1`` classifies on this thread; ``N > 1`` feeds
-        the same producer stream to N worker processes sharing the
-        database zero-copy (:mod:`repro.parallel`), with results
-        reassembled in submission order — output is byte-identical to
-        ``workers=1``.
+        consumer end: ``1`` classifies in this process, each batch
+        split into contiguous read slices, two per available core (pairs
+        never split), and the slices queried on threads that share the
+        one database -- NumPy's kernels release the GIL, so the slices
+        overlap -- then joined in order and finished once; ``N > 1``
+        feeds the same producer stream to N worker processes sharing
+        the database zero-copy (:mod:`repro.parallel`), with results
+        reassembled in submission order.  Output is byte-identical
+        either way and for any core count.  A routed session keeps one
+        slice per batch: the router already fans out across processes.
+        The slice threads live only for the duration of the call; while
+        it runs, they and the calling thread are each pinned to one of
+        the process's cores, and the caller's affinity is restored on
+        return.
 
         Raises
         ------
@@ -429,6 +559,10 @@ class QuerySession:
         try:
             n_workers = self._effective_workers(workers)
             engine = self._ensure_engine(n_workers) if n_workers > 1 else None
+            # slices per batch on the in-process consumer (a router
+            # already fans every batch out across processes)
+            routed = engine is not None or self.router is not None
+            k = 1 if routed else _available_cores()
             cp = params or self.params
             # When the consumer dies mid-stream (BrokenPipeError on a
             # closed stdout, disk-full in the sink, a worker crash ...)
@@ -446,11 +580,15 @@ class QuerySession:
 
             def consume(q: ClosableQueue) -> RunReport:
                 total = RunReport()
+                # pinned from the consumer thread, so the producer
+                # thread keeps its own placement
+                threads = _slice_threads(k) if k > 1 else contextlib.nullcontext()
                 try:
-                    for run in self._runs(q, cp, engine):
-                        if sink is not None:
-                            write_records(sink, run.records)
-                        total.merge(run.report)
+                    with threads as pool:
+                        for run in self._runs(q, cp, engine, pool, k):
+                            if sink is not None:
+                                write_records(sink, run.records)
+                            total.merge(run.report)
                 except BaseException:
                     cancelled.set()
                     for _ in q:  # unblock the producer, eat to end-of-stream

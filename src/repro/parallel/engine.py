@@ -32,7 +32,7 @@ from repro.errors import PipelineError
 from repro.parallel.chunks import ChunkResult, OrderedReassembler, ReadChunk
 from repro.parallel.pool import WorkerPool
 from repro.parallel.worker import attach_classifier
-from repro.pipeline.batch import SequenceBatch
+from repro.pipeline.producer import SequenceBatch
 from repro.pipeline.packed import PackedReads
 
 __all__ = ["ParallelClassifier"]
@@ -101,7 +101,7 @@ class ParallelClassifier:
         """Stream chunks through the pool, yielding results in order.
 
         ``chunks`` may contain :class:`ReadChunk` objects,
-        :class:`~repro.pipeline.batch.SequenceBatch` instances, or
+        :class:`~repro.pipeline.producer.SequenceBatch` instances, or
         ``(headers, sequences)`` / ``(headers, sequences, mates)``
         tuples.  Chunk ids are the arrival positions (0, 1, 2, ...);
         a :class:`ReadChunk` carrying any other ``chunk_id`` is

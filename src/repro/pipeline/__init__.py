@@ -9,9 +9,8 @@ heavy array work, so the overlap is real, and the structure gives the
 file-based build/query paths the same shape as the paper's.
 """
 
-from repro.pipeline.batch import SequenceBatch
 from repro.pipeline.queues import ClosableQueue
-from repro.pipeline.producer import fasta_producer, read_file_producer
+from repro.pipeline.producer import SequenceBatch, fasta_producer, read_file_producer
 from repro.pipeline.scheduler import run_producer_consumer
 
 __all__ = [

@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.genomics.alphabet import encode_sequence
+from repro.util.segmented import offsets_from_segment_ids
 
 __all__ = ["PackedReads"]
 
@@ -296,13 +297,13 @@ class PackedReads:
     def read_lengths(self) -> np.ndarray:
         """Total bases per *logical* read (both mates when paired).
 
-        Integer scatter-add over ``read_ids`` -- the array-ops
-        replacement for the legacy per-element length loops.
+        A read's segments are contiguous, so its length is the
+        difference of ``offsets`` at its first segment and at the next
+        read's: an exact int64 segment sum, no scatter-add.
         """
         if self._read_lengths is None:
-            lengths = np.zeros(self.n_reads, dtype=np.int64)
-            np.add.at(lengths, self.read_ids, self.segment_lengths)
-            self._read_lengths = lengths
+            firsts = offsets_from_segment_ids(self.read_ids, self.n_reads)
+            self._read_lengths = np.diff(self.offsets.take(firsts))
         return self._read_lengths
 
     # ------------------------------------------------------------ adapters

@@ -125,6 +125,32 @@ class TestSketchStage:
         assert np.array_equal(ids_loop, ids_pack)
         assert np.array_equal(lens, packed.read_lengths)
 
+    @given(
+        segments=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 30)), max_size=12
+        ),
+        trailing=st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_read_lengths_match_scatter_add(self, segments, trailing):
+        # read ids advance by 0-3 per segment (reads with no segment
+        # at all), segment lengths include 0, and up to 3 reads past
+        # the last segment own nothing
+        read_ids = np.cumsum([step for step, _ in segments], dtype=np.int64)
+        sizes = np.array([size for _, size in segments], dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        n_reads = (int(read_ids[-1]) + 1 if read_ids.size else 0) + trailing
+        packed = PackedReads.from_arrays(
+            np.zeros(int(offsets[-1]), dtype=np.uint8),
+            offsets,
+            read_ids,
+            n_reads=n_reads,
+        )
+        expected = np.zeros(n_reads, dtype=np.int64)
+        np.add.at(expected, read_ids, sizes)
+        assert packed.read_lengths.dtype == np.int64
+        assert np.array_equal(packed.read_lengths, expected)
+
     @given(lengths=_LENGTHS, seed=_SEEDS)
     @settings(max_examples=30, deadline=None)
     def test_packed_segments_match_per_sequence(self, lengths, seed):

@@ -8,8 +8,7 @@ import pytest
 from repro.errors import InvalidReadError
 from repro.genomics.fasta import write_fasta
 from repro.genomics.fastq import FastqRecord, write_fastq
-from repro.pipeline.batch import SequenceBatch
-from repro.pipeline.producer import fasta_producer, read_file_producer
+from repro.pipeline.producer import SequenceBatch, fasta_producer, read_file_producer
 from repro.pipeline.queues import ClosableQueue
 from repro.pipeline.scheduler import run_producer_consumer
 
