@@ -1,18 +1,16 @@
 """Build throughput + bounded-memory check: one-shot vs streaming.
 
 The paper's headline claim is ultra-fast database *construction*
-(Table 3): a producer/consumer pipeline that sketches references in
-parallel and batch-inserts them without ever holding the corpus in
-memory.  This bench measures our build surface the same way, at two
-corpus scales, for three configurations:
+(Table 3): a producer/consumer pipeline that sketches references and
+batch-inserts them without ever holding the corpus in memory.  This
+bench measures our build surface the same way, at two corpus scales,
+for two configurations:
 
 - **one_shot**   -- the pre-builder behavior: parse every reference
   into a list, then build (peak memory grows with the corpus);
 - **streaming**  -- :class:`repro.core.builder.DatabaseBuilder` fed
   through ``add_fasta``'s bounded producer queue (peak transient
-  memory is set by the insert batch, not the corpus);
-- **workers=2**  -- streaming plus the parallel sketch phase
-  (:class:`repro.parallel.ParallelSketcher`).
+  memory is set by the insert batch, not the corpus).
 
 For each run we record wall seconds, throughput (Mbp/s) and the
 ``tracemalloc`` *transient* peak -- peak traced bytes minus the bytes
@@ -25,11 +23,8 @@ asserted on the **excess** of one-shot over streaming: it must be
 positive and grow with the corpus (it is the collect-all cost), while
 the streaming build holds only O(insert-batch) sequences at any time
 (the unit test in ``tests/test_builder.py`` pins that exactly with
-per-sequence finalizers).  All three configurations must classify a
-probe read set identically (they build byte-identical databases).
-At bench scale the ``workers=2`` variant is dominated by process
-spawn; its throughput becomes representative on corpora that build
-for minutes, not seconds.
+per-sequence finalizers).  Both configurations must classify a probe
+read set identically (they build byte-identical databases).
 
 Writes ``BENCH_build.json`` (repo root, plus a copy in
 ``benchmarks/out/``) so later PRs can track the trajectory.
@@ -135,13 +130,10 @@ def _build_one_shot(paths, taxonomy, acc2tax, params):
     )
 
 
-def _build_streaming(paths, taxonomy, acc2tax, params, sketch_workers=1):
+def _build_streaming(paths, taxonomy, acc2tax, params):
     """The builder path: bounded producer queue, batched inserts."""
     builder = DatabaseBuilder(
-        taxonomy,
-        params,
-        insert_batch_windows=_INSERT_BATCH_WINDOWS,
-        sketch_workers=sketch_workers,
+        taxonomy, params, insert_batch_windows=_INSERT_BATCH_WINDOWS
     )
     builder.add_fasta(paths, acc2tax, batch_size=_BATCH_SIZE)
     return builder.finalize(condense=False)
@@ -152,9 +144,7 @@ def _probe_taxa(db, seqs) -> np.ndarray:
     return classify_reads(db, result.candidates).taxon
 
 
-def run_bench(
-    n_genomes: int = 40, genome_length: int = 40_000, workers: int = 2
-) -> dict:
+def run_bench(n_genomes: int = 40, genome_length: int = 40_000) -> dict:
     """Execute the comparison and return the (JSON-ready) document.
 
     The sketch window is widened (w=511) so the index is small
@@ -196,9 +186,6 @@ def run_bench(
                 ),
                 "streaming": lambda: _build_streaming(
                     paths, taxonomy, acc2tax, params
-                ),
-                f"workers={workers}": lambda: _build_streaming(
-                    paths, taxonomy, acc2tax, params, sketch_workers=workers
                 ),
             }
             runs = {}
@@ -247,7 +234,6 @@ def run_bench(
         "params": {
             "insert_batch_windows": _INSERT_BATCH_WINDOWS,
             "producer_batch_size": _BATCH_SIZE,
-            "sketch_workers": workers,
         },
         "scales": doc_scales,
         "transient_growth_2x": growth,
@@ -328,13 +314,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--genomes", type=int, default=40)
     parser.add_argument("--genome-length", type=int, default=20_000)
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
-    doc = run_bench(
-        n_genomes=args.genomes,
-        genome_length=args.genome_length,
-        workers=args.workers,
-    )
+    doc = run_bench(n_genomes=args.genomes, genome_length=args.genome_length)
     for path in write_outputs(doc):
         print(f"wrote {path}", file=sys.stderr)
     print(render_report(doc))

@@ -95,7 +95,6 @@ from repro.parallel import (
     ChunkResult,
     FileBackedDatabaseHandle,
     ParallelClassifier,
-    ParallelSketcher,
     ReadChunk,
 )
 
@@ -156,7 +155,6 @@ __all__ = [
     "ReloadError",
     # multi-process engine
     "ParallelClassifier",
-    "ParallelSketcher",
     "ReadChunk",
     "ChunkResult",
     "FileBackedDatabaseHandle",

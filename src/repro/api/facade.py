@@ -241,7 +241,6 @@ class MetaCache:
         n_partitions: int = 1,
         batch_size: int = 32,
         workers: int = 1,
-        build_workers: int = 1,
         progress: Callable[[BuildStats], None] | None = None,
     ) -> "MetaCache":
         """Build from reference FASTA files through the streaming pipeline.
@@ -252,9 +251,7 @@ class MetaCache:
         ``taxonomy`` may be a :class:`Taxonomy` or a directory holding
         ``nodes.dmp``/``names.dmp``; ``mapping`` a dict or a TSV path.
         ``workers`` is the default query fan-out (see :meth:`open`);
-        ``build_workers=N`` fans the sketch phase out over N worker
-        processes (byte-identical result for any N); ``progress`` is
-        an optional callback receiving a
+        ``progress`` is an optional callback receiving a
         :class:`~repro.api.records.BuildStats` snapshot per ingested
         reference.  Raises :class:`repro.errors.BuildError` for
         unmapped accessions or unknown taxa.
@@ -267,9 +264,8 @@ class MetaCache:
                 tax,
                 params,
                 n_partitions=n_partitions,
-                sketch_workers=build_workers,
                 on_progress=progress,
-            ) as builder:  # `with`: sketch workers die even on failure
+            ) as builder:
                 builder.add_fasta(refs, dict(mapping), batch_size=batch_size)
                 db = builder.finalize(condense=False)
         return cls(db, build_seconds=t.elapsed, workers=workers)
@@ -283,7 +279,6 @@ class MetaCache:
         *,
         n_partitions: int = 1,
         workers: int = 1,
-        build_workers: int = 1,
         progress: Callable[[BuildStats], None] | None = None,
     ) -> "MetaCache":
         """On-the-fly mode: in-memory build, queryable immediately.
@@ -295,9 +290,9 @@ class MetaCache:
         layout (~20% slower queries than the condensed layout, Fig. 4)
         but there is no write+load cycle at all -- ``time_to_query``
         is just the build.  ``workers`` is the default query fan-out
-        (see :meth:`open`); ``build_workers`` / ``progress`` behave as
-        in :meth:`build`.  Note the first parallel use spills the
-        database to a private v2 directory, which condenses it.  Raises
+        (see :meth:`open`); ``progress`` behaves as in :meth:`build`.
+        Note the first parallel use spills the database to a private
+        v2 directory, which condenses it.  Raises
         :class:`repro.errors.BuildError` for unknown taxa.
         """
         tax = _resolve_taxonomy(taxonomy)
@@ -306,9 +301,8 @@ class MetaCache:
                 tax,
                 params,
                 n_partitions=n_partitions,
-                sketch_workers=build_workers,
                 on_progress=progress,
-            ) as builder:  # `with`: sketch workers die even on failure
+            ) as builder:
                 for name, seq, taxon in references:
                     builder.add_reference(
                         name,
@@ -327,7 +321,6 @@ class MetaCache:
         *,
         references: Iterable[tuple[str, "np.ndarray | str", int]] | None = None,
         batch_size: int = 32,
-        build_workers: int = 1,
         progress: Callable[[BuildStats], None] | None = None,
     ) -> "MetaCache":
         """Add reference targets to this database, in place.
@@ -355,7 +348,7 @@ class MetaCache:
             alternatively (or additionally, ingested after ``refs``),
             in-memory ``(name, sequence, taxon_id)`` triples as in
             :meth:`ephemeral`.
-        batch_size / build_workers / progress:
+        batch_size / progress:
             as in :meth:`build`.
 
         Open sessions keep classifying against the pre-extension
@@ -389,10 +382,8 @@ class MetaCache:
         )
         with Timer() as t:
             with DatabaseBuilder.from_database(
-                self.database,
-                sketch_workers=build_workers,
-                on_progress=progress,
-            ) as builder:  # `with`: sketch workers die even on failure
+                self.database, on_progress=progress
+            ) as builder:
                 if refs is not None:
                     if not isinstance(mapping, Mapping):
                         mapping = load_accession_mapping(mapping)

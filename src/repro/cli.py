@@ -3,8 +3,7 @@
 Subcommands:
 
 - ``build``  -- reference FASTA files + NCBI taxonomy dumps +
-  accession->taxid mapping -> saved database (Section 4.1);
-  ``--build-workers N`` fans the sketch phase out over N processes.
+  accession->taxid mapping -> saved database (Section 4.1).
 - ``add``    -- stream additional reference FASTA files into an
   existing database and re-save it, byte-identical to a from-scratch
   build of the full collection; the existing references are never
@@ -74,7 +73,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         mapping=args.mapping,
         params=params,
         n_partitions=args.partitions,
-        build_workers=args.build_workers,
     )
     files = mc.save(args.out)
     print(
@@ -87,9 +85,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_add(args: argparse.Namespace) -> int:
     mc = MetaCache.open(args.db)
     before = mc.n_targets
-    mc.extend(
-        args.refs, mapping=args.mapping, build_workers=args.build_workers
-    )
+    mc.extend(args.refs, mapping=args.mapping)
     out = args.out if args.out else args.db
     files = mc.save(out)
     print(
@@ -295,10 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sketch-size", type=int, default=16)
     b.add_argument("--window-size", type=int, default=127)
     b.add_argument("--max-locations", type=int, default=254)
-    b.add_argument("--build-workers", type=int, default=1,
-                   help="sketch worker processes for the build's parallel "
-                        "sketch phase (default 1 = inline; output is "
-                        "byte-identical for any count)")
     b.set_defaults(func=_cmd_build)
 
     a = sub.add_parser(
@@ -310,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TSV mapping accession -> taxid for the new refs")
     a.add_argument("--out",
                    help="output directory (default: rewrite --db in place)")
-    a.add_argument("--build-workers", type=int, default=1,
-                   help="sketch worker processes (as in build)")
     a.set_defaults(func=_cmd_add)
 
     q = sub.add_parser("query", help="classify reads against a database")

@@ -10,13 +10,12 @@ pipeline's composable host-side surface:
   reference; :meth:`DatabaseBuilder.add_fasta` streams reference
   FASTA files through a producer thread.  Either way peak memory is
   bounded by the insert batch, **not** the corpus: sequences are
-  sketched and dropped as they arrive, and partition assignment is
-  *online* greedy (lightest partition first, per arrival) so no
-  collect-everything pass exists anywhere.
-- ``sketch_workers=N`` fans the sketch phase out over
-  :class:`repro.parallel.ParallelSketcher` worker processes while
-  this builder, as the consumer, keeps performing ordered batched
-  inserts -- the paper's two-phase pipeline.
+  sketched inline and dropped as they arrive, and partition
+  assignment is *online* greedy (lightest partition first, per
+  arrival) so no collect-everything pass exists anywhere.  The
+  producer parses while this consumer sketches and inserts; sketching
+  is the smaller part of the consumer's work, so a pool of sketch
+  processes between the two measured slower than this one thread.
 - :meth:`DatabaseBuilder.from_database` re-opens a finished database
   for extension: new targets are appended and the result re-saved,
   with partition loads and per-feature location lists continuing
@@ -27,16 +26,15 @@ pipeline's composable host-side surface:
 
 Every construction path -- one-shot :meth:`Database.build` (now a
 thin wrapper over this builder), incremental ``add_reference`` calls,
-``add_fasta`` streaming, parallel sketch workers, and
-extend-then-finalize -- produces **byte-identical** databases.  That
-invariant rests on two properties: partition assignment depends only
-on arrival order, and the multi-bucket table stores each key's values
-in global submission order regardless of insert batch boundaries or
-table geometry (a key's slot chain fills strictly in probe order and
-slots are never deleted).  The insert tables grow by rebuild (content
-read off the old slot arrays in one scan, re-inserted in chunks), so
-builds never need the corpus-wide size precomputation the old
-one-shot path used.
+``add_fasta`` streaming, and extend-then-finalize -- produces
+**byte-identical** databases.  That invariant rests on two
+properties: partition assignment depends only on arrival order, and
+the multi-bucket table stores each key's values in global submission
+order regardless of insert batch boundaries or table geometry (a
+key's slot chain fills strictly in probe order and slots are never
+deleted).  The insert tables grow by rebuild (content read off the
+old slot arrays in one scan, re-inserted in chunks), so builds never
+need the corpus-wide size precomputation the old one-shot path used.
 """
 
 from __future__ import annotations
@@ -168,7 +166,7 @@ class _GrowingTable:
 
 
 class DatabaseBuilder:
-    """Incremental, bounded-memory, parallel database construction.
+    """Incremental, bounded-memory database construction.
 
     Parameters
     ----------
@@ -185,19 +183,14 @@ class DatabaseBuilder:
         windows buffered per partition before a batched insert is
         flushed into the hash table; bounds the builder's transient
         memory.
-    sketch_workers:
-        fan the sketch phase out over this many worker processes
-        (:class:`repro.parallel.ParallelSketcher`); 1 sketches inline.
-        Results are drained in submission order, so the produced
-        database is byte-identical for any worker count.
     on_progress:
         optional callback invoked with a :class:`BuildStats` snapshot
         after each ingested target.
 
     The builder is single-shot: after :meth:`finalize` returns the
     :class:`Database`, further ``add_*`` calls raise ``RuntimeError``.
-    It is also a context manager -- exiting the ``with`` block closes
-    the sketch worker pool if one was started (without finalizing).
+    It is also a context manager; leaving the ``with`` block releases
+    nothing and does not finalize.
     """
 
     def __init__(
@@ -207,18 +200,14 @@ class DatabaseBuilder:
         *,
         n_partitions: int = 1,
         insert_batch_windows: int = 100_000,
-        sketch_workers: int = 1,
         on_progress: Callable[[BuildStats], None] | None = None,
     ) -> None:
         if n_partitions < 1:
             raise ValueError("n_partitions must be >= 1")
-        if sketch_workers < 1:
-            raise ValueError("sketch_workers must be >= 1")
         self.taxonomy = taxonomy
         self.params = params or MetaCacheParams()
         self.n_partitions = n_partitions
         self.insert_batch_windows = insert_batch_windows
-        self.sketch_workers = sketch_workers
         self.on_progress = on_progress
 
         self._targets: list[TargetRecord] = []
@@ -233,14 +222,6 @@ class DatabaseBuilder:
         self._n_bases = 0
         self._features_sketched = 0
         self._finalized = False
-        self._sketcher = None  # started lazily on first add
-        self._sketch_meta: dict[int, list[tuple[str, int, int]]] = {}
-        self._next_job = 0
-        # coalescing buffer for packed sketch jobs: small references
-        # accumulate here until one job's worth of bases is reached
-        self._pack_codes: list[np.ndarray] = []
-        self._pack_meta: list[tuple[str, int, int]] = []
-        self._pack_bases = 0
 
     # ------------------------------------------------------------ constructors
 
@@ -250,7 +231,6 @@ class DatabaseBuilder:
         db: Database,
         *,
         insert_batch_windows: int = 100_000,
-        sketch_workers: int = 1,
         on_progress: Callable[[BuildStats], None] | None = None,
     ) -> "DatabaseBuilder":
         """Open a finished database for extension.
@@ -277,7 +257,6 @@ class DatabaseBuilder:
             db.params,
             n_partitions=db.n_partitions,
             insert_batch_windows=insert_batch_windows,
-            sketch_workers=sketch_workers,
             on_progress=on_progress,
         )
         builder._targets = list(db.targets)
@@ -327,19 +306,42 @@ class DatabaseBuilder:
                 header=name,
                 taxon_id=taxon_id,
             )
-        if self.sketch_workers > 1:
-            # coalesce small references into one packed job so every
-            # task pickles as two large arrays instead of N small ones
-            self._pack_codes.append(np.asarray(codes, dtype=np.uint8))
-            self._pack_meta.append((name, int(codes.size), taxon_id))
-            self._pack_bases += int(codes.size)
-            if self._pack_bases >= _PACK_JOB_BASES:
-                self._submit_pack_job()
-        else:
-            self._ingest(
-                name, int(codes.size), sketch_sequence(codes, self.params.sketch),
-                taxon_id,
+        sketches = sketch_sequence(codes, self.params.sketch)
+        n_bases = int(codes.size)
+        p = int(np.argmin(self._part_load))
+        self._part_load[p] += n_bases
+        t = len(self._targets)
+        n_windows = sketches.shape[0]
+        self._targets.append(
+            TargetRecord(
+                target_id=t,
+                name=name,
+                taxon_id=taxon_id,
+                length=n_bases,
+                n_windows=n_windows,
+                partition_id=p,
             )
+        )
+        self._n_windows += n_windows
+        self._n_bases += n_bases
+        if n_windows:
+            window_ids = np.repeat(
+                np.arange(n_windows, dtype=np.uint64), sketches.shape[1]
+            )
+            feats = sketches.reshape(-1)
+            valid = feats != SKETCH_PAD
+            locs = pack_pairs(
+                np.full(valid.sum(), t, dtype=np.uint64), window_ids[valid]
+            )
+            feats = feats[valid]
+            self._features_sketched += feats.size
+            self._pending_features += feats.size
+            self._pending[p].append((feats, locs))
+            self._pending_windows[p] += n_windows
+            if self._pending_windows[p] >= self.insert_batch_windows:
+                self._flush(p)
+        if self.on_progress is not None:
+            self.on_progress(self.stats)
 
     def add_fasta(
         self,
@@ -426,99 +428,6 @@ class DatabaseBuilder:
 
     # --------------------------------------------------------------- internals
 
-    def _ensure_sketcher(self):
-        """Start (once) and return the parallel sketch pool."""
-        if self._sketcher is None:
-            from repro.parallel.sketch import ParallelSketcher
-
-            self._sketcher = ParallelSketcher(
-                self.params.sketch, self.sketch_workers
-            )
-        return self._sketcher
-
-    def _submit_pack_job(self) -> None:
-        """Pack the coalescing buffer into one sketch job and submit it."""
-        if not self._pack_codes:
-            return
-        sketcher = self._ensure_sketcher()
-        buffer = (
-            self._pack_codes[0]
-            if len(self._pack_codes) == 1
-            else np.concatenate(self._pack_codes)
-        )
-        offsets = np.zeros(len(self._pack_codes) + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter(
-                (c.size for c in self._pack_codes),
-                count=len(self._pack_codes),
-                dtype=np.int64,
-            ),
-            out=offsets[1:],
-        )
-        job = self._next_job
-        self._next_job += 1
-        self._sketch_meta[job] = self._pack_meta
-        self._pack_codes = []
-        self._pack_meta = []
-        self._pack_bases = 0
-        sketcher.submit(job, buffer, offsets)
-        if sketcher.inflight >= sketcher.max_inflight:
-            self._drain_sketches(sketcher.max_inflight)
-
-    def _drain_sketches(self, below: int) -> None:
-        """Ingest pooled sketch results until in-flight drops below cap."""
-        sketcher = self._sketcher
-        if sketcher is None:
-            return
-        for job, sketches, counts in sketcher.drain(below):
-            row = 0
-            for (name, n_bases, taxon_id), n_win in zip(
-                self._sketch_meta.pop(job), counts
-            ):
-                self._ingest(
-                    name, n_bases, sketches[row : row + int(n_win)], taxon_id
-                )
-                row += int(n_win)
-
-    def _ingest(
-        self, name: str, n_bases: int, sketches: np.ndarray, taxon_id: int
-    ) -> None:
-        """Consumer step: assign a partition, buffer, flush in batches."""
-        p = int(np.argmin(self._part_load))
-        self._part_load[p] += n_bases
-        t = len(self._targets)
-        n_windows = sketches.shape[0]
-        self._targets.append(
-            TargetRecord(
-                target_id=t,
-                name=name,
-                taxon_id=taxon_id,
-                length=n_bases,
-                n_windows=n_windows,
-                partition_id=p,
-            )
-        )
-        self._n_windows += n_windows
-        self._n_bases += n_bases
-        if n_windows:
-            window_ids = np.repeat(
-                np.arange(n_windows, dtype=np.uint64), sketches.shape[1]
-            )
-            feats = sketches.reshape(-1)
-            valid = feats != SKETCH_PAD
-            locs = pack_pairs(
-                np.full(valid.sum(), t, dtype=np.uint64), window_ids[valid]
-            )
-            feats = feats[valid]
-            self._features_sketched += feats.size
-            self._pending_features += feats.size
-            self._pending[p].append((feats, locs))
-            self._pending_windows[p] += n_windows
-            if self._pending_windows[p] >= self.insert_batch_windows:
-                self._flush(p)
-        if self.on_progress is not None:
-            self.on_progress(self.stats)
-
     def _flush(self, p: int) -> None:
         """Batched insert of partition ``p``'s buffered pairs."""
         if not self._pending[p]:
@@ -558,28 +467,19 @@ class DatabaseBuilder:
         )
 
     def finalize(self, condense: bool = True) -> Database:
-        """Drain, flush, and assemble the :class:`Database`.
+        """Flush and assemble the :class:`Database`.
 
-        Outstanding parallel sketch jobs are drained (in order), every
-        partition's pending buffer is flushed and the sketch pool (if
-        any) is shut down.  ``condense=True`` (default) converts the
-        result to the condensed query layout -- what saved/loaded
-        databases use;
-        pass ``condense=False`` to keep the build layout (on-the-fly
-        mode, insertable by a future ``from_database``).
+        Every partition's pending buffer is flushed.  ``condense=True``
+        (default) converts the result to the condensed query layout --
+        what saved/loaded databases use; pass ``condense=False`` to
+        keep the build layout (on-the-fly mode, insertable by a future
+        ``from_database``).
 
         Returns the finished database.  The builder is closed
         afterwards: further ``add_*``/``finalize`` calls raise
         ``RuntimeError``.
         """
         self._check_open()
-        self._submit_pack_job()  # flush the partially-filled packed job
-        if self._sketcher is not None:
-            try:
-                self._drain_sketches(1)
-            finally:
-                self._sketcher.close()
-                self._sketcher = None
         for p in range(self.n_partitions):
             self._flush(p)
         self._finalized = True
@@ -603,19 +503,12 @@ class DatabaseBuilder:
 
     # ------------------------------------------------------------- lifecycle
 
-    def close(self) -> None:
-        """Shut down the sketch pool without finalizing (idempotent)."""
-        if self._sketcher is not None:
-            self._sketcher.close()
-            self._sketcher = None
-
     def __enter__(self) -> "DatabaseBuilder":
         """Enter a ``with`` block; returns the builder itself."""
         return self
 
     def __exit__(self, *exc) -> None:
-        """Close the sketch pool on ``with`` block exit."""
-        self.close()
+        """Leave a ``with`` block; the builder holds nothing to release."""
 
     def __repr__(self) -> str:
         """Short state summary for interactive sessions."""
@@ -629,9 +522,3 @@ class DatabaseBuilder:
 #: disjoint per-file id ranges keep multi-file arrival order
 #: deterministic (file order, then in-file order)
 _FILE_STRIDE = 1 << 40
-
-#: bases coalesced into one packed sketch job before submission --
-#: large enough that per-job queue/pickle overhead amortizes across
-#: many small references, small enough that genome-scale sequences
-#: still go out one per job without extra buffering latency
-_PACK_JOB_BASES = 1 << 20

@@ -13,8 +13,9 @@ pipeline needs:
   reads split into several windows, as Section 6.2 describes for
   MiSeq.
 - :func:`sketch_packed_segments` -- the same kernel shaped for the
-  build phase's parallel sketch pool: several reference sequences per
-  job, per-segment window counts returned alongside.
+  sketch pool (:class:`repro.parallel.ParallelSketcher`): several
+  reference sequences per job, per-segment window counts returned
+  alongside.
 - :func:`sketch_reads` -- thin list-of-arrays adapter over the packed
   kernel (packs, then calls :func:`sketch_reads_packed`).
 

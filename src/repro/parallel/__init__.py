@@ -28,12 +28,12 @@ drives it internally.  Direct use looks like::
         for result in engine.classify_chunks(batches):
             ...  # ChunkResults, in submission order
 
-The *build* side has a sibling plan: :class:`ParallelSketcher` fans
-encoded reference sequences out over sketch workers for the
-streaming :class:`repro.core.builder.DatabaseBuilder` (the paper's
-two-phase construction pipeline); most callers reach it through
-``build_workers=N`` on the facade's build entry points.  The shard
-router (:mod:`repro.shard`) is the third plan.
+The shard router (:mod:`repro.shard`) is the second plan.
+:class:`ParallelSketcher` fans encoded reference sequences out over
+sketch workers, but no build path calls it: the streaming
+:class:`repro.core.builder.DatabaseBuilder` sketches inline, which
+measured faster than the 2-worker pool.  It stays only while the
+end-to-end benchmark's traced run measures it.
 
 Layering note: this package sits *below* ``repro.api`` (it depends
 only on ``repro.core`` and ``repro.pipeline``); the facade converts

@@ -4,10 +4,11 @@ MetaCache-GPU scales one way -- an index resident once per device,
 packed batches streamed to every device, results merged in order --
 and every multi-process surface of this repo is that idea over
 :class:`WorkerPool`: the classify engine
-(:class:`~repro.parallel.engine.ParallelClassifier`), the build-side
-sketch pool (:class:`~repro.parallel.sketch.ParallelSketcher`) and
-the shard router (:class:`~repro.shard.router.ShardRouter`) are
-*plans* over it and own no process machinery themselves.
+(:class:`~repro.parallel.engine.ParallelClassifier`) and the shard
+router (:class:`~repro.shard.router.ShardRouter`) are *plans* over it
+and own no process machinery themselves, as is the sketch pool
+(:class:`~repro.parallel.sketch.ParallelSketcher`), which no build
+path calls.
 
 A pool is a fixed list of :class:`WorkerSlot` positions on the
 ``spawn`` start method.  Each slot runs one child at a time (a
@@ -280,7 +281,8 @@ class WorkerPool:
     ------
     WorkerCrashError
         when a child's ``init`` raises (the message carries the child
-        traceback), a child dies while starting, or the handshake
+        traceback), a child dies while starting, the parent cannot
+        start a child (the message names the slot), or the handshake
         exceeds :data:`START_TIMEOUT`.  The pool is closed first.
     """
 
@@ -334,22 +336,37 @@ class WorkerPool:
     # ------------------------------------------------------------ transport
 
     def respawn(self, index: int) -> None:
-        """Start a new process generation of one slot on fresh queues."""
+        """Start a new process generation of one slot on fresh queues.
+
+        The slot takes the new process only once it has started.
+
+        Raises
+        ------
+        WorkerCrashError
+            when the process cannot be started (chained from the
+            ``OSError``); the slot keeps its previous generation, if
+            any, and no queue is read.
+        """
         slot = self.slots[index]
         slot.release_queues()
         slot.tasks = self._ctx.Queue()
         slot.results = self._ctx.Queue()
+        process = self._ctx.Process(
+            target=_child_main,
+            args=(index, self._init, slot.args, slot.tasks, slot.results),
+            daemon=True,
+            name=f"{slot.name}-gen{slot.generation + 1}",
+        )
+        try:
+            process.start()
+        except OSError as exc:
+            slot.release_queues()
+            raise WorkerCrashError(f"{slot.name} failed to start: {exc}") from exc
+        slot.process = process
         slot.generation += 1
         slot.ready = False
         slot.inflight = 0
         slot.exit_seen = False
-        slot.process = self._ctx.Process(
-            target=_child_main,
-            args=(index, self._init, slot.args, slot.tasks, slot.results),
-            daemon=True,
-            name=f"{slot.name}-gen{slot.generation}",
-        )
-        slot.process.start()
 
     def put(self, index: int, tag: Any, args: tuple) -> None:
         """Queue one task -- ``handle_task(*args)``, answered as ``tag``."""

@@ -2,8 +2,8 @@
 
 The load-bearing invariant: every construction path -- one-shot
 ``Database.build``, incremental ``add_reference`` calls, ``add_fasta``
-streaming, parallel sketch workers, and extend-then-finalize --
-produces **byte-identical** saved databases and classification output.
+streaming, and extend-then-finalize -- produces **byte-identical**
+saved databases and classification output.
 """
 
 import warnings
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import MetaCache, TsvSink
+from repro.cli import main
 from repro.core.build import accession_of
 from repro.core.builder import BuildStats, DatabaseBuilder, _GrowingTable
 from repro.core.config import MetaCacheParams
@@ -98,21 +99,6 @@ class TestBuilderEquivalence:
             _v2_bytes(one, tmp_path / "one"),
             _v2_bytes(streamed, tmp_path / "fasta"),
             "add_fasta",
-        )
-
-    def test_parallel_sketch_matches_one_shot(self, world, tmp_path):
-        _, _, taxonomy, _, _, _, refs, _ = world
-        one = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
-        with DatabaseBuilder(
-            taxonomy, PARAMS, n_partitions=2, sketch_workers=2
-        ) as builder:
-            for name, codes, taxon in refs:
-                builder.add_reference(name, codes, taxon)
-            par = builder.finalize(condense=False)
-        _assert_identical(
-            _v2_bytes(one, tmp_path / "one"),
-            _v2_bytes(par, tmp_path / "par"),
-            "sketch_workers=2",
         )
 
     @pytest.mark.parametrize("layout", ["build", "loaded"])
@@ -302,8 +288,53 @@ class TestBuilderLifecycle:
         _, _, taxonomy, _, _, _, _, _ = world
         with pytest.raises(ValueError):
             DatabaseBuilder(taxonomy, PARAMS, n_partitions=0)
-        with pytest.raises(ValueError):
-            DatabaseBuilder(taxonomy, PARAMS, sketch_workers=0)
+
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            "build",
+            "ephemeral",
+            "extend",
+            "DatabaseBuilder",
+            "from_database",
+            "cli build",
+            "cli add",
+        ],
+    )
+    def test_build_worker_settings_are_gone(self, world, surface):
+        """Every reference is sketched inline; no setting asks for a pool."""
+        _, _, taxonomy, _, paths, acc2tax, refs, _ = world
+        calls = {
+            "build": lambda: MetaCache.build(
+                paths, taxonomy, acc2tax, params=PARAMS, build_workers=2
+            ),
+            "ephemeral": lambda: MetaCache.ephemeral(
+                refs, taxonomy, params=PARAMS, build_workers=2
+            ),
+            "extend": lambda: MetaCache.ephemeral(
+                refs[:1], taxonomy, params=PARAMS
+            ).extend(references=refs[1:], build_workers=2),
+            "DatabaseBuilder": lambda: DatabaseBuilder(
+                taxonomy, PARAMS, sketch_workers=2
+            ),
+            "from_database": lambda: DatabaseBuilder.from_database(
+                Database.build(refs[:1], taxonomy, params=PARAMS),
+                sketch_workers=2,
+            ),
+        }
+        if surface.startswith("cli"):
+            command = {
+                "cli build": ["build", "refs.fasta", "--taxonomy", "tax",
+                              "--mapping", "acc2tax.tsv", "--out", "db"],
+                "cli add": ["add", "refs.fasta", "--db", "db",
+                            "--mapping", "acc2tax.tsv"],
+            }[surface]
+            with pytest.raises(SystemExit) as exit_info:
+                main([*command, "--build-workers", "2"])
+            assert exit_info.value.code == 2
+        else:
+            with pytest.raises(TypeError, match="workers"):
+                calls[surface]()
 
 
 class TestBuildErrors:

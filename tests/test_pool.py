@@ -3,16 +3,19 @@
 One parametrised suite runs over the bare :class:`WorkerPool` and each
 plan built on it -- :class:`ParallelClassifier`, :class:`ParallelSketcher`,
 :class:`ShardRouter` -- because they share one substrate and must share
-its guarantees: a failed start is a typed :class:`WorkerCrashError`, a
+its guarantees: a failed start -- in the child or in the parent -- is a
+typed :class:`WorkerCrashError`, a
 SIGKILLed worker ends in the client's documented outcome, SIGINT never
 takes a worker down, ``close()`` is idempotent and also runs from the
 GC finalizer, and in every case zero child processes are left behind.
 """
 
+import errno
 import gc
 import os
 import signal
 import time
+from multiprocessing.context import SpawnProcess
 
 import numpy as np
 import pytest
@@ -186,7 +189,36 @@ def _assert_no_children(procs) -> None:
     assert all(not p.is_alive() for p in procs)
 
 
-def test_failed_start_is_typed_and_leaves_no_children(subject, world, monkeypatch):
+def _refuse_second_start(monkeypatch) -> list:
+    """The parent's second ``Process.start()`` fails with EAGAIN."""
+    real_start = SpawnProcess.start
+    attempts = []
+
+    def start(process):
+        attempts.append(process)
+        if len(attempts) == 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        real_start(process)
+
+    monkeypatch.setattr(SpawnProcess, "start", start)
+    return attempts
+
+
+# a start fails in the child (``init`` raises or cannot unpickle) or in
+# the parent (``Process.start`` itself raises); the child ids are the
+# subjects' names
+FAILED_STARTS = [
+    pytest.param(cls, where, id=cls.name if where == "child" else f"{cls.name}-parent")
+    for where in ("child", "parent")
+    for cls in SUBJECTS
+]
+
+
+@pytest.mark.parametrize("subject_cls, where", FAILED_STARTS)
+def test_failed_start_is_typed_and_leaves_no_children(
+    subject_cls, where, world, monkeypatch
+):
+    subject = subject_cls()
     started = []
     real_respawn = WorkerPool.respawn
 
@@ -195,11 +227,21 @@ def test_failed_start_is_typed_and_leaves_no_children(subject, world, monkeypatc
         started.append(pool.slots[index].process)
 
     monkeypatch.setattr(WorkerPool, "respawn", recording_respawn)
-    with pytest.raises(WorkerCrashError) as failure:
-        subject.open_broken(world)
+    if where == "child":
+        with pytest.raises(WorkerCrashError) as failure:
+            subject.open_broken(world)
+    else:
+        attempts = _refuse_second_start(monkeypatch)
+        with pytest.raises(WorkerCrashError) as failure:
+            subject.open(world)
+        refused_slot = attempts[1].name.rsplit("-gen", 1)[0]
+        assert f"{refused_slot} failed to start" in str(failure.value)
+        assert isinstance(failure.value.__cause__, OSError)
+        assert failure.value.__cause__.errno == errno.EAGAIN
+        assert len(started) == 1  # only the started slot holds a process
     assert started
     _assert_no_children(started)
-    if not isinstance(subject, _Sketch):
+    if where == "child" and not isinstance(subject, _Sketch):
         # init raised inside the child: its traceback travels with the error
         assert "--- worker traceback ---" in str(failure.value)
         assert "Traceback (most recent call last)" in str(failure.value)
