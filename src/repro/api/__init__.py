@@ -89,8 +89,9 @@ from repro.core.config import ClassificationParams, MetaCacheParams
 from repro.core.query import QueryResult
 from repro.hashing.sketch import SketchParams
 
-# the multi-process query engine (workers=N drives this internally;
-# re-exported for callers orchestrating their own chunk streams)
+# the multi-process query engine (session(workers=N).classify_files
+# drives this internally; re-exported for callers orchestrating their
+# own chunk streams)
 from repro.parallel import (
     ChunkResult,
     FileBackedDatabaseHandle,

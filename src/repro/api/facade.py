@@ -120,13 +120,9 @@ class MetaCache:
         database: Database,
         *,
         build_seconds: float = 0.0,
-        workers: int = 1,
         router: "ShardRouter | None" = None,
     ) -> None:
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
         self.database = database
-        self.workers = workers
         self._router = router
         self._build_seconds = build_seconds
         #: directory this handle was opened from / last reloaded to
@@ -145,19 +141,11 @@ class MetaCache:
         cls,
         path: str | os.PathLike,
         *,
-        workers: int = 1,
         mmap: bool = False,
         shards: int | None = None,
         replicas: int = 1,
     ) -> "MetaCache":
         """Load a saved database directory (condensed query layout).
-
-        ``workers`` sets the default fan-out of every session this
-        handle creates: ``workers=N`` makes
-        ``QuerySession.classify_files`` classify through N worker
-        processes sharing the loaded index zero-copy (see
-        :mod:`repro.parallel`); results are byte-identical to
-        ``workers=1``.
 
         ``mmap=True`` memory-maps a format-v2 database instead of
         reading it: cold open is near-instant (the saved pointer
@@ -175,12 +163,12 @@ class MetaCache:
         that memory-map the directory and query only their assigned
         partitions, with per-shard candidate runs merged back so
         classification output stays byte-identical (see
-        :mod:`repro.shard`).  Requires a format-v2 directory, implies
-        ``mmap=True``, and is mutually exclusive with ``workers > 1``
-        (the router is already one process per shard replica).  A
-        replica crash degrades the affected shard (respawned with
-        backoff) without failing requests.  ``close()`` shuts the
-        router down.
+        :mod:`repro.shard`).  Requires a format-v2 directory and
+        implies ``mmap=True``; its sessions cannot also fan out to
+        workers (the router is already one process per shard
+        replica).  A replica crash degrades the affected shard
+        (respawned with backoff) without failing requests.
+        ``close()`` shuts the router down.
 
         Raises :class:`repro.errors.DatabaseFormatError` when the
         directory is missing, truncated, or has the wrong version.
@@ -189,11 +177,6 @@ class MetaCache:
         if shards is not None:
             if shards < 1:
                 raise ConfigError("shards must be >= 1")
-            if workers > 1:
-                raise ConfigError(
-                    "shards and workers>1 are mutually exclusive: the shard "
-                    "router already runs one process per shard replica"
-                )
             mmap = True  # replicas mmap-attach; the handle must match
         if replicas < 1:
             raise ConfigError("replicas must be >= 1")
@@ -205,7 +188,7 @@ class MetaCache:
                 if shards is not None:
                     plan = ShardPlan.from_directory(path, shards)
                     router = ShardRouter(plan, replicas=replicas)
-        handle = cls(db, build_seconds=t.elapsed, workers=workers, router=router)
+        handle = cls(db, build_seconds=t.elapsed, router=router)
         handle.source_path = str(path)
         return handle
 
@@ -240,7 +223,6 @@ class MetaCache:
         *,
         n_partitions: int = 1,
         batch_size: int = 32,
-        workers: int = 1,
         progress: Callable[[BuildStats], None] | None = None,
     ) -> "MetaCache":
         """Build from reference FASTA files through the streaming pipeline.
@@ -250,7 +232,6 @@ class MetaCache:
         (peak resident is set by the insert batch, not the corpus).
         ``taxonomy`` may be a :class:`Taxonomy` or a directory holding
         ``nodes.dmp``/``names.dmp``; ``mapping`` a dict or a TSV path.
-        ``workers`` is the default query fan-out (see :meth:`open`);
         ``progress`` is an optional callback receiving a
         :class:`~repro.api.records.BuildStats` snapshot per ingested
         reference.  Raises :class:`repro.errors.BuildError` for
@@ -268,7 +249,7 @@ class MetaCache:
             ) as builder:
                 builder.add_fasta(refs, dict(mapping), batch_size=batch_size)
                 db = builder.finalize(condense=False)
-        return cls(db, build_seconds=t.elapsed, workers=workers)
+        return cls(db, build_seconds=t.elapsed)
 
     @classmethod
     def ephemeral(
@@ -278,7 +259,6 @@ class MetaCache:
         params: MetaCacheParams | None = None,
         *,
         n_partitions: int = 1,
-        workers: int = 1,
         progress: Callable[[BuildStats], None] | None = None,
     ) -> "MetaCache":
         """On-the-fly mode: in-memory build, queryable immediately.
@@ -289,10 +269,9 @@ class MetaCache:
         through in bounded memory.  The hash table stays in the build
         layout (~20% slower queries than the condensed layout, Fig. 4)
         but there is no write+load cycle at all -- ``time_to_query``
-        is just the build.  ``workers`` is the default query fan-out
-        (see :meth:`open`); ``progress`` behaves as in :meth:`build`.
-        Note the first parallel use spills the database to a private
-        v2 directory, which condenses it.  Raises
+        is just the build.  ``progress`` behaves as in :meth:`build`.
+        Note that a ``session(workers=N)`` spills the database to a
+        private v2 directory on first use, which condenses it.  Raises
         :class:`repro.errors.BuildError` for unknown taxa.
         """
         tax = _resolve_taxonomy(taxonomy)
@@ -310,7 +289,7 @@ class MetaCache:
                         taxon,
                     )
                 db = builder.finalize(condense=False)
-        return cls(db, build_seconds=t.elapsed, workers=workers)
+        return cls(db, build_seconds=t.elapsed)
 
     # -------------------------------------------------------------- extension
 
@@ -462,22 +441,20 @@ class MetaCache:
         self,
         params: ClassificationParams | None = None,
         *,
-        workers: int | None = None,
+        workers: int = 1,
     ) -> QuerySession:
         """Open a warm query session (cheap; make as many as you like).
 
-        ``workers`` overrides this handle's default fan-out for the
-        new session only.  Sessions with ``workers > 1`` own a worker
-        pool once they first fan out; :meth:`close` on this handle
-        shuts down every pool its sessions started.  A handle opened
-        with ``shards=N`` hands every session its shard router
-        (shared; the handle keeps ownership).
+        ``workers=N`` makes the session's ``classify_files`` run on N
+        worker processes sharing the index zero-copy (see
+        :mod:`repro.parallel`), byte-identical to ``workers=1``; no
+        other call reads it.  :meth:`close` on this handle shuts down
+        every pool its sessions started.  A handle opened with
+        ``shards=N`` hands every session its shard router (shared; the
+        handle keeps ownership) and refuses ``workers > 1``.
         """
         session = QuerySession(
-            self.database,
-            params=params,
-            workers=self.workers if workers is None else workers,
-            router=self._router,
+            self.database, params=params, workers=workers, router=self._router
         )
         self._sessions.add(session)
         return session
@@ -497,7 +474,6 @@ class MetaCache:
         host: str = "127.0.0.1",
         port: int = 8765,
         *,
-        workers: int | None = None,
         params: ClassificationParams | None = None,
         max_batch_reads: int = 4096,
         max_queued_reads: int = 65536,
@@ -512,9 +488,9 @@ class MetaCache:
         dedicated session: concurrent ``POST /classify`` requests are
         coalesced into batches of up to ``max_batch_reads`` reads
         (whatever is queued when the dispatcher comes free; a lone
-        request never waits), classified on the warm index -- across
-        ``workers`` processes when > 1 -- and demultiplexed back to
-        the callers; ``GET /healthz`` and
+        request never waits), classified in this process on the warm
+        index -- or through the shard router of a ``shards=N`` handle --
+        and demultiplexed back to the callers; ``GET /healthz`` and
         ``GET /stats`` expose liveness and the latency/batch-shape
         counters.  The admission queue is bounded by
         ``max_queued_reads``; beyond it requests are answered 503
@@ -526,8 +502,7 @@ class MetaCache:
         subcommand is exactly this call.  With ``block=False`` it
         returns a started :class:`repro.server.ServerThread` (bound
         port in ``thread.server.port``); ``thread.stop()`` drains,
-        shuts the server down, and closes the dedicated session (so
-        a ``workers=N`` pool does not outlive the server).
+        shuts the server down, and closes the dedicated session.
 
         The served index can be hot-swapped without dropping requests:
         ``POST /admin/reload`` swaps to a new directory between
@@ -552,7 +527,7 @@ class MetaCache:
                 "shard plan cannot be hot-swapped; restart the service on "
                 "new directories instead"
             )
-        session = self.session(params, workers=workers)
+        session = self.session(params)
         server = ClassificationServer(
             session,
             host=host,
@@ -649,8 +624,8 @@ class MetaCache:
 
         Safe to call twice; sessions created by :meth:`session` have
         their multi-process engines shut down here, so ``with
-        MetaCache.open(path, workers=4) as mc: ...`` never leaks
-        processes or spill directories.  A shard router opened
+        MetaCache.open(path) as mc: mc.session(workers=4) ...`` never
+        leaks processes or spill directories.  A shard router opened
         with ``shards=N`` is shut down here too (after the sessions
         that share it).  Finally the database is closed
         (:meth:`Database.close`): for ``mmap=True`` handles that

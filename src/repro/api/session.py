@@ -16,8 +16,9 @@ shapes:
   :class:`~repro.api.sinks.Sink`.  The in-process consumer splits
   every batch into contiguous read slices, two per available core, and
   classifies them on threads sharing the one database, one thread
-  pinned per core for the call; with ``workers > 1`` the producer
-  feeds the multi-process engine (:mod:`repro.parallel`) instead.
+  pinned per core for the call; a session opened with ``workers > 1``
+  feeds the producer stream to the multi-process engine
+  (:mod:`repro.parallel`) instead.
 
 Every shape only coerces its input to ``(headers, PackedReads)`` and
 hands it, or its slices, to one private seam,
@@ -37,10 +38,8 @@ import collections
 import contextlib
 import functools
 import itertools
-import operator
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import fields
 from typing import Any, Iterable, Iterator, Mapping
@@ -210,13 +209,13 @@ class QuerySession:
     merged :class:`RunReport` across every call, mirroring the
     interactive-session statistics of the original tool.
 
-    ``workers`` sets the default fan-out of :meth:`classify_files`:
-    with ``workers > 1`` the session lazily starts (and reuses across
-    calls) a :class:`~repro.parallel.ParallelClassifier` whose
-    workers memory-map the database.  Call
-    :meth:`close` (or use the session as a context manager) to shut
-    the worker pool down; sessions that never fan out hold no
-    resources and need no close.
+    ``workers`` is the fan-out of :meth:`classify_files`, fixed for
+    the session's lifetime and read by no other method: with
+    ``workers > 1`` the first call starts (and later calls reuse) a
+    :class:`~repro.parallel.ParallelClassifier` whose workers
+    memory-map the database.  Call :meth:`close` (or use the session
+    as a context manager) to shut the worker pool down; sessions that
+    never fan out hold no resources and need no close.
 
     ``router`` routes candidate generation through a
     :class:`~repro.shard.ShardRouter` (sharded, replicated serving;
@@ -226,7 +225,9 @@ class QuerySession:
     byte-identical either way.  The router is owned by whoever built
     it (normally the :class:`~repro.api.MetaCache` handle), not by
     this session; it is shared across the handle's sessions and
-    survives :meth:`close`.
+    survives :meth:`close`.  A routed session already runs one
+    process per shard replica, so ``router`` with ``workers > 1``
+    raises :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(
@@ -238,6 +239,11 @@ class QuerySession:
     ) -> None:
         if workers < 1:
             raise ConfigError("workers must be >= 1")
+        if workers > 1 and router is not None:
+            raise ConfigError(
+                "a routed session cannot fan out to workers: the shard "
+                "router already runs one process per shard replica"
+            )
         self.database = database
         self.params = params or database.params.classification
         self.workers = workers
@@ -377,8 +383,8 @@ class QuerySession:
         items: Iterable[tuple[list[str], PackedReads]],
         cp: ClassificationParams,
         engine: ParallelClassifier | None,
-        pool: ThreadPoolExecutor | None = None,
-        k: int = 1,
+        pool: ThreadPoolExecutor | None,
+        k: int,
     ) -> Iterator[ClassificationRun]:
         """Classify a stream of packed batches, in order.
 
@@ -434,16 +440,11 @@ class QuerySession:
 
         The serving hot path: the classification server's
         micro-batcher hands coalesced request batches here, already
-        packed.  With the session's ``workers > 1`` the batch is split
-        into up to ``workers`` contiguous sub-chunks and streamed
-        through the worker pool (:mod:`repro.parallel`), then
-        reassembled in order -- records are identical to the
-        single-process path, which the differential server test
-        asserts byte-for-byte.  With ``workers == 1`` it is exactly
-        :meth:`classify` minus the run wrapper.  The result is the
-        batch's :class:`~repro.api.records.ClassificationColumns`:
-        slice it, hand it to a sink's ``write_all``, or iterate it for
-        records.
+        packed.  It is :meth:`classify` minus the run wrapper: the
+        batch is classified whole on the calling thread, whatever the
+        session's ``workers``.  The result is the batch's
+        :class:`~repro.api.records.ClassificationColumns`: slice it,
+        hand it to a sink's ``write_all``, or iterate it for records.
 
         ``sequences`` is a :class:`~repro.pipeline.packed.PackedReads`
         or, for callers that hold per-read arrays, a list of encoded
@@ -460,22 +461,7 @@ class QuerySession:
             raise InvalidReadError(
                 f"classify_batch: {len(headers)} headers for {n} sequences"
             )
-        items: Iterable[tuple[list[str], PackedReads]] = [(headers, packed)]
-        engine = None
-        # a routed session already fans every batch out across the
-        # shard replicas -- the in-process worker pool would only
-        # re-split what the router distributes
-        if n and self.workers > 1 and self.router is None:
-            engine = self._ensure_engine(self.workers)
-        if engine is not None:
-            per_chunk = -(-n // engine.workers)  # ceil division
-            items = (
-                (headers[i : i + per_chunk], packed.slice_reads(i, i + per_chunk))
-                for i in range(0, n, per_chunk)
-            )
-        cp = params or self.params
-        parts = [run.records for run in self._runs(items, cp, engine)]
-        return functools.reduce(operator.add, parts)
+        return self._run_batch(headers, packed, params or self.params).records
 
     # ------------------------------------------------------------ streaming
 
@@ -520,7 +506,6 @@ class QuerySession:
         batch_size: int = DEFAULT_BATCH_SIZE,
         params: ClassificationParams | None = None,
         queue_depth: int = 4,
-        workers: int | None = None,
     ) -> RunReport:
         """Classify FASTA/FASTQ file(s) (plain or gzip'd) into a sink.
 
@@ -531,15 +516,16 @@ class QuerySession:
         consumer end classifies and writes, overlapping I/O with
         compute exactly like the original's query pipeline.
 
-        ``workers`` (default: the session's ``workers``) selects the
-        consumer end: ``1`` classifies in this process, each batch
-        split into contiguous read slices, two per available core (pairs
-        never split), and the slices queried on threads that share the
-        one database -- NumPy's kernels release the GIL, so the slices
-        overlap -- then joined in order and finished once; ``N > 1``
-        feeds the same producer stream to N worker processes sharing
-        the database zero-copy (:mod:`repro.parallel`), with results
-        reassembled in submission order.  Output is byte-identical
+        The session's ``workers`` selects the consumer end: ``1``
+        classifies in this process, each batch split into contiguous
+        read slices, two per available core (pairs never split), and
+        the slices queried on threads that share the one database --
+        NumPy's kernels release the GIL, so the slices overlap -- then
+        joined in order and finished once; ``N > 1`` feeds the same
+        producer stream to N worker processes sharing the database
+        zero-copy (:mod:`repro.parallel`), started on the first call
+        and reused by later ones, with results reassembled in
+        submission order.  Output is byte-identical
         either way and for any core count.  A routed session keeps one
         slice per batch: the router already fans out across processes.
         The slice threads live only for the duration of the call; while
@@ -557,12 +543,11 @@ class QuerySession:
             subclass, likewise naming the file.
         """
         try:
-            n_workers = self._effective_workers(workers)
-            engine = self._ensure_engine(n_workers) if n_workers > 1 else None
-            # slices per batch on the in-process consumer (a router
-            # already fans every batch out across processes)
-            routed = engine is not None or self.router is not None
-            k = 1 if routed else _available_cores()
+            engine = self._ensure_engine() if self.workers > 1 else None
+            # slices per batch on the in-process consumer (the engine
+            # or a router already fans every batch out across processes)
+            in_process = engine is None and self.router is None
+            k = _available_cores() if in_process else 1
             cp = params or self.params
             # When the consumer dies mid-stream (BrokenPipeError on a
             # closed stdout, disk-full in the sink, a worker crash ...)
@@ -612,37 +597,18 @@ class QuerySession:
                 f"{type(exc).__name__}: {exc}"
             ) from exc
 
-    def _effective_workers(self, workers: int | None) -> int:
-        """Resolve the worker count for one classify_files call."""
-        n = self.workers if workers is None else workers
-        if n < 1:
-            raise ConfigError("workers must be >= 1")
-        if n > 1 and self.router is not None:
-            warnings.warn(
-                "worker pool ignored: this session routes batches through "
-                "the shard router, which is already multi-process",
-                stacklevel=3,
-            )
-            return 1
-        return n
-
-    def _ensure_engine(self, workers: int) -> ParallelClassifier:
-        """Start (or reuse) the worker pool.
+    def _ensure_engine(self) -> ParallelClassifier:
+        """Start (or reuse) the session's ``workers``-process pool.
 
         The engine persists across calls so repeated
         :meth:`classify_files` runs amortize process spawn and, for a
         database that is not mmap-backed, the one-time spill to a
-        private v2 directory.  A crashed/closed engine or a different
-        worker count tears the old pool down first.
+        private v2 directory.  A crashed/closed engine is replaced.
         """
-        if (
-            self._engine is None
-            or self._engine.closed
-            or self._engine.workers != workers
-        ):
+        if self._engine is None or self._engine.closed:
             self._close_engine()
             self._engine = ParallelClassifier(
-                self.database, workers, params=self.params
+                self.database, self.workers, params=self.params
             )
         return self._engine
 
@@ -663,11 +629,11 @@ class QuerySession:
         remaining lifetime and typically calls ``old.close()``, which
         defers the actual unmap until batches pinned via
         :meth:`Database.retain` have drained.  The caller must
-        serialize the swap against in-flight calls on *this thread's*
-        engine paths (the serving layer runs it on the micro-batcher's
-        dispatch thread, i.e. between micro-batches); concurrent
-        :meth:`classify` calls from other threads are safe through the
-        retain/release protocol.
+        serialize the swap against an in-flight :meth:`classify_files`
+        call on a ``workers > 1`` session, whose pool it shuts down (the
+        serving layer runs it on the micro-batcher's dispatch thread,
+        i.e. between micro-batches); every other call, from any thread,
+        is safe through the retain/release protocol.
 
         Raises
         ------
@@ -713,9 +679,13 @@ class QuerySession:
         mate_seqs = None
         if mates is not None:
             _, mate_seqs = _coerce_batch(mates, 0)
-        mapping = map_reads(
-            self.database, seqs, mates=mate_seqs, min_hits=min_hits
-        )
+        # pinned like every classify path, so a reload landing mid-call
+        # defers the old index's close until the mapping is done
+        db = self.database.retain()
+        try:
+            mapping = map_reads(db, seqs, mates=mate_seqs, min_hits=min_hits)
+        finally:
+            db.release()
         self.n_queries += 1
         return mapping
 

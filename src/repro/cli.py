@@ -15,14 +15,14 @@ Subcommands:
   the loaded database zero-copy (byte-identical output).
 - ``serve``   -- long-lived HTTP service over a warm database:
   concurrent ``POST /classify`` requests are micro-batched through
-  one hot index (``--workers N`` fans batches over N processes;
-  ``--shards N --replicas R`` serves through the shard router of
-  :mod:`repro.shard` with automatic replica failover), with
-  ``/healthz`` and ``/stats`` for operations.  ``POST /admin/reload``
-  hot-swaps the served index between micro-batches with zero dropped
-  requests; ``--watch DIR`` polls for new ``v<N>`` version
-  directories and swaps to the newest automatically (single-process
-  and ``--workers`` topologies only -- the shard plan is pinned).
+  one hot index in the serving process (``--shards N --replicas R``
+  serves through the shard router of :mod:`repro.shard` with
+  automatic replica failover instead), with ``/healthz`` and
+  ``/stats`` for operations.  ``POST /admin/reload`` hot-swaps the
+  served index between micro-batches with zero dropped requests;
+  ``--watch DIR`` polls for new ``v<N>`` version directories and
+  swaps to the newest automatically (unsharded only -- the shard
+  plan is pinned).
 - ``info``    -- database summary (targets, windows, sizes).
 - ``merge``   -- combine per-partition candidate runs (Section 4.3).
 - ``convert`` -- rewrite a legacy format-v1 database directory in the
@@ -97,7 +97,7 @@ def _cmd_add(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    mc = MetaCache.open(args.db, workers=args.workers, mmap=args.mmap)
+    mc = MetaCache.open(args.db, mmap=args.mmap)
     # Route every override through one replace() call: flags left at
     # None keep the database's own stored defaults instead of being
     # silently reset to CLI constants.
@@ -110,7 +110,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
         if value is not None
     }
-    session = mc.session(mc.params.classification.replace(**overrides))
+    session = mc.session(
+        mc.params.classification.replace(**overrides), workers=args.workers
+    )
 
     sink = open_sink(args.format, args.out if args.out else sys.stdout)
     try:
@@ -168,19 +170,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     mc = MetaCache.open(
-        db_dir,
-        workers=args.workers,
-        mmap=args.mmap,
-        shards=args.shards,
-        replicas=args.replicas,
+        db_dir, mmap=args.mmap, shards=args.shards, replicas=args.replicas
     )
 
     # printed only after bind, so `--port 0` reports the real port
     def banner(server):
+        topology = ""
         if mc.router is not None:
-            topology = f"shards={args.shards}, replicas={args.replicas}"
-        else:
-            topology = f"workers={args.workers}"
+            topology = f"shards={args.shards}, replicas={args.replicas}, "
         watching = (
             f", watching {args.watch} every {args.watch_interval:g}s"
             if args.watch is not None
@@ -189,7 +186,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {mc.n_targets} targets on "
             f"http://{server.host}:{server.port} "
-            f"({topology}, "
+            f"({topology}"
             f"max_batch_reads={args.max_batch_reads}{watching}); "
             "Ctrl-C to drain and stop",
             file=sys.stderr,
@@ -340,17 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--host", default="127.0.0.1", help="bind address")
     s.add_argument("--port", type=int, default=8765,
                    help="bind port (0 picks a free port)")
-    s.add_argument("--workers", type=int, default=1,
-                   help="classification worker processes sharing the "
-                        "database zero-copy (default 1 = in-process)")
     s.add_argument("--mmap", action="store_true",
                    help="memory-map a format-v2 database (near-instant "
                         "start, index shared through the page cache)")
     s.add_argument("--shards", type=int, default=None,
                    help="serve through the shard router: split the "
                         "database's partitions over N shard processes "
-                        "(format-v2 only, implies --mmap, excludes "
-                        "--workers>1); output is byte-identical")
+                        "(format-v2 only, implies --mmap); output is "
+                        "byte-identical")
     s.add_argument("--replicas", type=int, default=1,
                    help="replica processes per shard; a crashed replica "
                         "fails over to a sibling and respawns with "

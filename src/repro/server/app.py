@@ -7,7 +7,7 @@ pipelines)::
                                                      |  coalesce
                                                      v
                                         QuerySession.classify_batch
-                                         (workers=N: process pool)
+                                         (in process, or shard router)
                                                      |  demux
     client <-- TSV/JSONL/Kraken body <-- sink <------+
 
@@ -461,7 +461,6 @@ class ClassificationServer:
         }
         payload = {
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
-            "workers": self.session.workers,
             "batching": {
                 "max_batch_reads": self.batcher.max_batch_reads,
                 "max_queued_reads": self.batcher.max_queued_reads,
@@ -800,8 +799,7 @@ class ServerThread:
     ``on_stop`` (optional zero-argument callable) runs after the
     server has stopped -- on *every* :meth:`stop` path, including a
     failed drain; :meth:`repro.api.MetaCache.serve` uses it to close
-    the dedicated session it opened, so a ``workers=N`` pool or a
-    shard router never outlives its server.  ``drain_timeout`` bounds
+    the dedicated session it opened.  ``drain_timeout`` bounds
     how long :meth:`stop` waits for the draining shutdown before
     declaring it failed (tests shrink it to exercise that branch).
     """

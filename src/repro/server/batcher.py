@@ -7,9 +7,9 @@ the batch.  A serving workload naturally arrives as many *small*
 requests.  :class:`MicroBatcher` is the adapter between the two
 shapes: concurrent requests are admitted into a bounded queue,
 coalesced into classification batches of up to ``max_batch_reads``
-reads, dispatched to one warm :class:`~repro.api.session.QuerySession` --
-which fans out to worker processes when the session has
-``workers > 1`` -- and the per-read results are demultiplexed back to
+reads, dispatched to one warm :class:`~repro.api.session.QuerySession`,
+which classifies each batch whole in this process (or through its
+shard router), and the per-read results are demultiplexed back to
 each caller in arrival order.
 
 Requests are split across batch boundaries when needed (read results
@@ -83,8 +83,8 @@ class MicroBatcher:
     ----------
     session:
         the warm :class:`~repro.api.session.QuerySession` every batch
-        is dispatched to (its ``workers`` setting decides whether a
-        batch additionally fans out across processes).
+        is dispatched to through
+        :meth:`~repro.api.session.QuerySession.classify_batch`.
     max_batch_reads:
         upper bound on reads per dispatched classification batch.
     max_queued_reads:

@@ -20,6 +20,7 @@ import pytest
 from repro.api import (
     ClassificationParams,
     CollectSink,
+    ConfigError,
     DatabaseFormatError,
     InvalidMappingError,
     InvalidReadError,
@@ -42,6 +43,7 @@ from repro.api import (
     read_sequences,
     read_tsv,
 )
+from repro.cli import main as cli_main
 from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fasta import write_fasta
 from repro.genomics.fastq import FastqRecord, write_fastq
@@ -130,6 +132,55 @@ class TestFacade:
         ]
         with MetaCache.ephemeral(references, taxonomy, params=PARAMS) as mc:
             assert "targets" in repr(mc)
+
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            "MetaCache",
+            "open",
+            "build",
+            "ephemeral",
+            "serve",
+            "classify_files",
+            "cli serve",
+            "sharded session",
+        ],
+    )
+    def test_workers_is_only_a_session_setting(self, world, tmp_path, surface):
+        """``session(workers=)`` is the one way to ask for a pool."""
+        genomes, taxonomy, taxa, mc, _ = world
+        db_dir = tmp_path / "db"
+        if surface == "sharded session":
+            references = [
+                (g.name, g.scaffolds[0], taxa.target_taxon[i])
+                for i, g in enumerate(genomes)
+            ]
+            with MetaCache.ephemeral(
+                references, taxonomy, params=PARAMS, n_partitions=2
+            ) as two:
+                two.save(db_dir)
+            with MetaCache.open(db_dir, shards=2) as sharded:
+                with pytest.raises(ConfigError, match="shard router"):
+                    sharded.session(workers=2)
+            return
+        mc.save(db_dir)
+        if surface == "cli serve":
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main(["serve", "--db", str(db_dir), "--workers", "2"])
+            assert exit_info.value.code == 2
+            return
+        calls = {
+            "MetaCache": lambda: MetaCache(mc.database, workers=2),
+            "open": lambda: MetaCache.open(db_dir, workers=2),
+            "build": lambda: MetaCache.build([], taxonomy, {}, workers=2),
+            "ephemeral": lambda: MetaCache.ephemeral([], taxonomy, workers=2),
+            "serve": lambda: mc.serve(port=0, block=False, workers=2),
+            "classify_files": lambda: mc.session().classify_files(
+                tmp_path / "reads.fastq", workers=2
+            ),
+        }
+        with pytest.raises(TypeError, match="workers"):
+            calls[surface]()
 
     def test_mapping_file_parsing(self, tmp_path):
         path = tmp_path / "map.tsv"

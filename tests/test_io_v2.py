@@ -80,10 +80,10 @@ def _taxa(db, seqs):
     return classify_reads(db, result.candidates).taxon
 
 
-def _classify_tsv(tmp_path, db_dir, read_file, name, **open_kwargs):
+def _classify_tsv(tmp_path, db_dir, read_file, name, workers=1, **open_kwargs):
     out = tmp_path / name
     with MetaCache.open(db_dir, **open_kwargs) as mc:
-        with mc.session() as session, TsvSink(out) as sink:
+        with mc.session(workers=workers) as session, TsvSink(out) as sink:
             session.classify_files(read_file, sink=sink)
     return out.read_bytes()
 

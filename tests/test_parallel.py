@@ -5,9 +5,9 @@ plan (byte-identical output vs single-process, per-chunk worker
 errors, worker-crash detection), the lifetime of the private
 format-v2 spill a non-mmap database is shared through (no spill
 directory may outlive the moment every worker has attached), and the
-``repro.api`` integration: ``classify_files(workers=N)`` equivalence,
-engine reuse, and the filename-bearing :class:`PipelineError`
-wrapping.  The process-level contract every pool shares (failed
+``repro.api`` integration: ``session(workers=N).classify_files``
+equivalence, engine reuse, and the filename-bearing
+:class:`PipelineError` wrapping.  The process-level contract every pool shares (failed
 start, SIGKILL, SIGINT, close/finalizer) lives in ``test_pool.py``.
 """
 
@@ -272,7 +272,7 @@ class TestSpillLifetime:
     def test_worker_sigkill_leaves_no_spill(self, handles, read_file, spill_dir):
         _, v1 = handles
         with v1.session(workers=WORKERS) as session:
-            victim = session._ensure_engine(WORKERS)._pool.slots[0].process
+            victim = session._ensure_engine()._pool.slots[0].process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
             with pytest.raises(WorkerCrashError):
@@ -320,7 +320,7 @@ class TestClassifyFilesParallel:
     def test_worker_crash_error_names_file(self, world, read_file, monkeypatch):
         mc, _, _ = world
         with mc.session(workers=WORKERS) as session:
-            victim = session._ensure_engine(WORKERS)._pool.slots[0].process
+            victim = session._ensure_engine()._pool.slots[0].process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
             with pytest.raises(WorkerCrashError, match="reads.fastq"):

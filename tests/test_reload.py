@@ -22,15 +22,19 @@ Covers the reload subsystem end to end:
   the served generation and the process fd count stays flat.
 """
 
+import dataclasses
 import http.client
 import json
 import os
+import shutil
 import threading
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import repro.api.session as session_module
 from repro.api import (
     DatabaseFormatError,
     MetaCache,
@@ -39,6 +43,7 @@ from repro.api import (
     ReloadError,
 )
 from repro.cli import main as cli_main
+from repro.core import mapping
 from repro.core.database import Database
 from repro.core.io import (
     latest_version,
@@ -331,6 +336,34 @@ class TestSwapProtocol:
             assert mc.source_path == str(worlds.dir_b)
             b_taxa = [r.taxon_id for r in session.classify(worlds.probe)]
             assert a_taxa != b_taxa  # the extra genome is now known
+        finally:
+            mc.close()
+
+    def test_map_pins_the_index_through_a_reload(
+        self, worlds, tmp_path, monkeypatch
+    ):
+        """A reload landing inside ``session.map`` must not close the
+        index under it: the old database stays mapped until the call
+        is done, and the mapping equals the one from before."""
+        copy = tmp_path / "a_copy"
+        shutil.copytree(worlds.dir_a, copy)
+        mc = MetaCache.open(worlds.dir_a, mmap=True)
+        try:
+            session = mc.session()
+            before = session.map(worlds.common)
+            old_db = mc.database
+
+            def reload_then_map(db, *args, **kwargs):
+                mc.reload(copy)  # the swap lands mid-call
+                return mapping.map_reads(db, *args, **kwargs)
+
+            monkeypatch.setattr(session_module, "map_reads", reload_then_map)
+            during = session.map(worlds.common)
+            assert old_db.closed  # the deferred close ran on release
+            for field in dataclasses.fields(during):
+                assert np.array_equal(
+                    getattr(during, field.name), getattr(before, field.name)
+                ), field.name
         finally:
             mc.close()
 

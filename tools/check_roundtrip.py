@@ -5,11 +5,11 @@ Builds a small database, saves it, then classifies one simulated read
 file through the public API under eight configurations:
 
 - eager load;
-- eager load + ``workers=2`` (the database is not mmap-backed, so
-  worker processes attach a private spill of it);
+- eager load + ``session(workers=2)`` (the database is not
+  mmap-backed, so worker processes attach a private spill of it);
 - ``mmap=True`` (zero-rebuild, page-cache-backed);
-- ``mmap=True`` + ``workers=2`` (worker processes attach the same
-  files via :class:`FileBackedDatabaseHandle`);
+- ``mmap=True`` + ``session(workers=2)`` (worker processes attach
+  the same files via :class:`FileBackedDatabaseHandle`);
 - ``shards=2, replicas=2`` (every batch fans out through the
   :mod:`repro.shard` router and is re-merged);
 - the directory produced by the *extend* path: a database built from
@@ -45,10 +45,12 @@ from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fastq import FastqRecord, write_fastq
 
 
-def _classify(db_dir: Path, read_file: Path, out: Path, **open_kwargs) -> bytes:
+def _classify(
+    db_dir: Path, read_file: Path, out: Path, workers: int = 1, **open_kwargs
+) -> bytes:
     """One classification run through the facade; returns the TSV bytes."""
     with MetaCache.open(db_dir, **open_kwargs) as mc:
-        with mc.session() as session, TsvSink(out) as sink:
+        with mc.session(workers=workers) as session, TsvSink(out) as sink:
             session.classify_files(read_file, sink=sink)
     return out.read_bytes()
 
