@@ -133,6 +133,7 @@ class MetaCacheCpu:
                 if feature == SKETCH_PAD:
                     continue
                 self.table.insert_one(int(feature), loc)
+        self._db = None  # the adapter's per-target vectors are now stale
         self.targets.append(
             TargetRecord(
                 target_id=t,

@@ -69,12 +69,7 @@ def classify_reads(
     if n == 0:
         return Classification(taxon, best_target, bw_first, bw_last, top_score)
 
-    target_taxa = db.target_taxa()
-    # dense taxonomy indices per target for batch LCA
-    target_dense = np.array(
-        [db.taxonomy.index_of(int(t)) for t in target_taxa], dtype=np.int64
-    )
-
+    target_dense = db.target_dense
     score0 = candidates.score[:, 0]
     valid0 = candidates.valid[:, 0]
     classified = valid0 & (score0 >= params.min_hits)

@@ -25,12 +25,13 @@ from __future__ import annotations
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.config import MetaCacheParams
+from repro.errors import DatabaseFormatError
 from repro.taxonomy.lca import LcaIndex
 from repro.taxonomy.lineage import RankedLineages
 from repro.taxonomy.tree import Taxonomy
@@ -39,6 +40,9 @@ from repro.warpcore.multi_bucket import MultiBucketHashTable
 from repro.warpcore.single_value import SingleValueHashTable
 
 __all__ = [
+    "LOCATION_WORD_BITS",
+    "location_word_capacity",
+    "location_word_fits",
     "TargetRecord",
     "DatabasePartition",
     "CondensedIndex",
@@ -59,14 +63,36 @@ class TargetRecord:
     partition_id: int
 
 
+#: width of an at-rest location word ``local << window_bits | window``
+LOCATION_WORD_BITS = 32
+
+
+def location_word_capacity(max_window: int) -> int:
+    """How many local targets one :data:`LOCATION_WORD_BITS`-bit word
+    indexes beside window ids up to ``max_window`` (0: not even one)."""
+    free = LOCATION_WORD_BITS - int(max_window).bit_length()
+    return 1 << free if free >= 0 else 0
+
+
+def location_word_fits(n_targets: int, max_window: int) -> bool:
+    """Whether ``n_targets`` local target ids and window ids up to
+    ``max_window`` fit one location word."""
+    return max(1, int(n_targets)) <= location_word_capacity(max_window)
+
+
 @dataclass
 class CondensedIndex:
     """The load-from-disk layout: dense buckets + pointer table.
 
-    ``locations`` holds every feature's location list contiguously;
-    ``pointers`` maps a feature to its packed (offset << 24 | length)
-    via a :class:`SingleValueHashTable` (Section 5.1 uses exactly this
-    structure on the GPU).
+    ``locations`` holds every feature's location list contiguously as
+    uint32 words ``local << window_bits | window``: ``local`` is the
+    target's rank in ``targets`` (the ascending target ids present in
+    the partition) and ``window_bits`` the bit length of the largest
+    window id.  ``pointers`` maps a feature to its packed
+    ``(offset << 24 | length)`` via a :class:`SingleValueHashTable`
+    (Section 5.1 uses exactly this structure on the GPU).
+    :meth:`retrieve` expands the words back to the uint64
+    ``target << 32 | window`` locations every other layer sees.
     """
 
     OFFSET_SHIFT = np.uint64(24)
@@ -74,6 +100,13 @@ class CondensedIndex:
 
     locations: np.ndarray
     pointers: SingleValueHashTable
+    targets: np.ndarray
+    window_bits: int
+    # targets << 32, the high half of every expanded location
+    _target_words: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._target_words = np.asarray(self.targets, dtype=np.uint64) << np.uint64(32)
 
     @classmethod
     def from_table(cls, table: MultiBucketHashTable) -> "CondensedIndex":
@@ -86,7 +119,8 @@ class CondensedIndex:
     ) -> "CondensedIndex":
         """Index canonical content (sorted features, dense ``locations``).
 
-        ``ValueError``: a list of 2^24+ locations, or the sentinel feature.
+        ``ValueError``: a list of 2^24+ locations, the sentinel feature,
+        or content whose targets and windows do not fit one word.
         """
         lengths = lengths.astype(np.uint64)
         if lengths.size and int(lengths.max()) >= (1 << 24):
@@ -94,7 +128,55 @@ class CondensedIndex:
         packed = ((np.cumsum(lengths) - lengths) << cls.OFFSET_SHIFT) | lengths
         pointers = SingleValueHashTable(capacity_keys=max(16, features.size))
         pointers.insert(features, packed)
-        return cls(locations=locations, pointers=pointers)
+        return cls.from_locations(locations, pointers)
+
+    @classmethod
+    def from_locations(
+        cls, locations: np.ndarray, pointers: SingleValueHashTable
+    ) -> "CondensedIndex":
+        """Pack uint64 ``target << 32 | window`` locations into words.
+
+        The target map and ``window_bits`` come from the locations
+        themselves.  ``ValueError`` when they do not fit one
+        :data:`LOCATION_WORD_BITS`-bit word.
+        """
+        # little-endian words: halves [2i] / [2i + 1] are window / target
+        locations = np.asarray(locations, dtype="<u8")
+        if locations.size > 1 << 32:  # positions ride in the low half
+            raise ValueError("partition too large to pack: 2^32+ locations")
+        window = locations.view("<u4")[0::2]
+        # rank the target ids by one sort of target << 32 | position
+        # (ids may be sparse, so no table indexed by id)
+        keyed = locations & np.uint64(0xFFFFFFFF_00000000)
+        keyed |= np.arange(locations.size, dtype="<u8")
+        keyed.sort()
+        sorted_ids, order = keyed.view("<u4")[1::2], keyed.view("<u4")[0::2]
+        first = np.ones(sorted_ids.size, dtype=bool)
+        np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
+        targets = sorted_ids[first]
+        max_window = int(window.max(initial=0))
+        if not location_word_fits(targets.size, max_window):
+            raise ValueError(
+                f"{targets.size} targets with window ids up to {max_window} "
+                f"do not fit a {LOCATION_WORD_BITS}-bit location word"
+            )
+        window_bits = max_window.bit_length()
+        words = np.empty(locations.size, dtype=np.uint32)
+        words[order] = np.cumsum(first, dtype=np.uint32) - np.uint32(1)
+        words <<= np.uint32(window_bits)
+        words |= window
+        return cls(locations=words, pointers=pointers, targets=targets,
+                   window_bits=window_bits)
+
+    def expand(self, words: np.ndarray) -> np.ndarray:
+        """uint64 ``target << 32 | window`` of this index's location words.
+
+        ``IndexError`` when a word's local target is outside the map
+        (a corrupt partition).
+        """
+        expanded = self._target_words.take(words >> np.uint32(self.window_bits))
+        expanded |= words & np.uint32((1 << self.window_bits) - 1)
+        return expanded
 
     def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Same contract as ``MultiBucketHashTable.retrieve``."""
@@ -104,11 +186,16 @@ class CondensedIndex:
         starts = (packed >> self.OFFSET_SHIFT).astype(np.int64)
         offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        return gather_segments(self.locations, starts, lengths), offsets
+        words = gather_segments(self.locations, starts, lengths)
+        return self.expand(words), offsets
 
     @property
     def nbytes(self) -> int:
-        return int(self.locations.nbytes) + self.pointers.stats().bytes_total
+        return (
+            int(self.locations.nbytes)
+            + int(self.targets.nbytes)
+            + self.pointers.stats().bytes_total
+        )
 
 
 @dataclass
@@ -120,8 +207,21 @@ class DatabasePartition:
     condensed: CondensedIndex | None = None
 
     def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Location lists of a feature batch (``retrieve`` contract).
+
+        A plain ``mmap=True`` open skips the eager content checks, so a
+        corrupt location word (or pointer) first shows up here, as an
+        index past the end of the target map (or location array): it
+        raises :class:`DatabaseFormatError` naming this partition.
+        """
         if self.condensed is not None:
-            return self.condensed.retrieve(features)
+            try:
+                return self.condensed.retrieve(features)
+            except IndexError as exc:
+                raise DatabaseFormatError(
+                    f"partition {self.partition_id}: corrupt index, a location "
+                    f"word or pointer lies outside its array ({exc})"
+                ) from exc
         if self.table is None:
             raise RuntimeError("partition has neither build nor condensed layout")
         return self.table.retrieve(features)
@@ -155,6 +255,10 @@ class Database:
         self.targets = targets
         self.lineages = RankedLineages(taxonomy)
         self.lca = LcaIndex(taxonomy)
+        #: dense taxonomy index per target id (the classifier's LCA input)
+        self.target_dense = np.array(
+            [taxonomy.index_of(t.taxon_id) for t in targets], dtype=np.int64
+        )
         #: on-disk format this database was loaded from (None = built
         #: in memory); set by :func:`repro.core.io.load_database`.
         self.format_version: int | None = None

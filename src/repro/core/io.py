@@ -2,19 +2,30 @@
 
 A saved database is a directory holding the paper's condensed layout
 (Section 5.1) exactly as a query uses it: per partition one dense
-concatenated location array plus the slot arrays of the single-value
-hash table that maps a feature to its packed ``(offset << 24 | length)``
-pointer -- every key and every list length lives in those slots, and
-nowhere else.  Arrays are plain page-aligned ``.npy`` files described
-by a ``manifest.json`` with per-array CRC-32 checksums::
+concatenated array of 32-bit location words, the partition's target
+map, and the slot arrays of the single-value hash table that maps a
+feature to its packed ``(offset << 24 | length)`` pointer -- every key
+and every list length lives in those slots, and nowhere else.  Arrays
+are plain page-aligned ``.npy`` files described by a ``manifest.json``
+with per-array CRC-32 checksums::
 
     database.meta          # JSON: format_version=2, params, targets
     nodes.dmp, names.dmp   # NCBI-format taxonomy dumps
     manifest.json          # per-array files/dtypes/shapes/CRC-32s,
-                           # feature/location counts, probing geometry
-    part<P>.locations.npy  # uint64, dense concatenated location lists
+                           # feature/location counts, window_bits,
+                           # probing geometry
+    part<P>.locations.npy  # uint32 words local << window_bits | window,
+                           # dense concatenated location lists
+    part<P>.targets.npy    # uint32, ascending target ids present in the
+                           # partition (local target -> target id)
     part<P>.ptr_keys.npy   # uint32, pointer-table slot keys (verbatim)
     part<P>.ptr_values.npy # uint64, packed (offset, length) slot values
+
+A location word's ``local`` field is the target's rank in the target
+map and ``window_bits`` (in the manifest entry) the bit length of the
+partition's largest window id; both follow from the content, and
+``CondensedIndex.retrieve`` expands the words back to the uint64
+``target << 32 | window`` locations every query layer sees.
 
 ``load_database`` wraps the slot arrays with
 :meth:`SingleValueHashTable.from_arrays` -- **zero rebuild**; with
@@ -25,14 +36,24 @@ Partition files load under any device assignment, mirroring
 "partitioned databases generated by the CPU version can be loaded by
 the GPU version and vice versa".
 
-One legacy reader remains: a **format v1** directory (one
-``database.cache<P>`` NPZ per partition: sorted features, per-feature
-lengths, locations) still loads, by *rebuilding* the pointer table;
-``convert_database`` (``metacache-repro convert``) is the upgrade.
-Directories written before the key and length columns stopped being
-stored twice (``part<P>.features.npy`` / ``part<P>.lengths.npy``
-beside the three arrays above) load as they are; the extra files are
-ignored.
+Legacy inputs still load; ``convert_database`` (``metacache-repro
+convert``) upgrades each to the layout above:
+
+- a **format v1** directory (one ``database.cache<P>`` NPZ per
+  partition: sorted features, per-feature lengths, locations) loads by
+  *rebuilding* the pointer table;
+- a v2 directory whose manifest gives ``part<P>.locations.npy`` the
+  dtype ``<u8`` (uint64 ``target << 32 | window``, no target map)
+  loads by packing the words in memory, once;
+- directories written before the key and length columns stopped
+  being stored twice (``part<P>.features.npy`` /
+  ``part<P>.lengths.npy`` beside the pointer arrays) load as they are;
+  the extra files are ignored.
+
+Neither of the first two can be memory-mapped: ``mmap=True`` loads
+them eagerly with a ``UserWarning``.  A legacy partition whose targets
+and windows do not fit one 32-bit word raises
+:class:`DatabaseFormatError`.
 """
 
 from __future__ import annotations
@@ -56,6 +77,7 @@ from repro.core.database import (
     Database,
     DatabasePartition,
     TargetRecord,
+    location_word_fits,
 )
 from repro.hashing.sketch import SketchParams
 from repro.taxonomy.ncbi import load_ncbi_dump, write_ncbi_dump
@@ -81,6 +103,13 @@ _NPY_MAGIC = b"\x93NUMPY\x01\x00"
 
 # (manifest key == file suffix, dtype) of every per-partition array
 _V2_ARRAYS = (
+    ("locations", "<u4"),
+    ("targets", "<u4"),
+    ("ptr_keys", "<u4"),
+    ("ptr_values", "<u8"),
+)
+# what a partition written with uint64 location words holds
+_WIDE_ARRAYS = (
     ("locations", "<u8"),
     ("ptr_keys", "<u4"),
     ("ptr_values", "<u8"),
@@ -242,14 +271,15 @@ def _fsync_dir(path: Path) -> None:
 
 
 def _unpack(cond: CondensedIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """``(features, lengths, locations, dense)`` read off the slot arrays.
+    """``(features, lengths, words, dense)`` read off the slot arrays.
 
     One scan and one grouping sort of the occupied slots, no probing.
     ``dense``: the packed offsets are already the running sum of the
     lengths in feature order and cover ``cond.locations`` exactly --
     what ``CondensedIndex.from_content`` and both loaders produce --
-    and ``locations`` is then that array itself; any other packing (a
+    and ``words`` is then that array itself; any other packing (a
     hand-built index) is gathered into that order (``gather_segments``).
+    The words stay packed (:meth:`CondensedIndex.expand` reads them).
     """
     pointers = cond.pointers
     occupied = np.flatnonzero(pointers._probe_keys != EMPTY_KEY)
@@ -259,20 +289,20 @@ def _unpack(cond: CondensedIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray, b
     lengths = (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
     dense = np.array_equal(starts, np.cumsum(lengths) - lengths)
     dense = dense and int(lengths.sum()) == cond.locations.size
-    locations = cond.locations
+    words = cond.locations
     if not dense:
-        locations = gather_segments(locations, starts, lengths)
-    locations = np.asarray(locations, dtype=np.uint64)
-    return features.astype(np.uint64), lengths, locations, dense
+        words = gather_segments(words, starts, lengths)
+    return features.astype(np.uint64), lengths, words, dense
 
 
 def _condensed_content(
     part: DatabasePartition,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sorted features, lengths, locations dense in that order) of a partition."""
+    """(sorted features, lengths, uint64 locations dense in that order)."""
     if part.condensed is None:
         return part.table.condensed_content()
-    return _unpack(part.condensed)[:3]
+    features, lengths, words, _ = _unpack(part.condensed)
+    return features, lengths, part.condensed.expand(words)
 
 
 def _write_partitions(db: Database, directory: Path) -> list[Path]:
@@ -294,15 +324,18 @@ def _write_partitions(db: Database, directory: Path) -> list[Path]:
             part.condense()  # a build table leaves from_content dense
             cond = part.condensed
         else:
-            *content, dense = _unpack(cond)
+            features, lengths, words, dense = _unpack(cond)
             if not dense:
-                cond = CondensedIndex.from_content(*content)
+                cond = CondensedIndex.from_content(
+                    features, lengths, cond.expand(words)
+                )
         pointers = cond.pointers
-        arrays = (cond.locations, pointers._keys, pointers._values)
+        arrays = (cond.locations, cond.targets, pointers._keys, pointers._values)
         entry: dict = {
             "partition_id": p,
             "n_features": len(pointers),
             "n_locations": int(cond.locations.size),
+            "window_bits": cond.window_bits,
             "pointer_table": {
                 "n_groups": pointers.probing.n_groups,
                 "group_size": pointers.probing.group_size,
@@ -403,9 +436,10 @@ def load_database(
         memory-map the index arrays instead of reading them: cold open
         touches no index bytes, and concurrent processes opening the
         same directory share one physical copy through the page
-        cache.  Ignored, with a ``UserWarning``, for legacy v1
-        directories (which have no mmap-able layout and rebuild their
-        pointer tables on load).
+        cache.  Ignored, with one ``UserWarning``, for legacy v1
+        directories (which rebuild their pointer tables on load) and
+        directories with uint64 location words (packed in memory on
+        load): neither has an mmap-able layout.
     verify:
         check every array against its manifest CRC-32 (reads the
         full payload; defeats the O(1) open, so off by default --
@@ -454,9 +488,23 @@ def load_database(
     taxonomy = load_ncbi_dump(directory / "nodes.dmp", directory / "names.dmp")
 
     if version == FORMAT_V2:
-        condensed_parts = _load_condensed_v2(
-            directory, n_partitions, mmap=mmap, verify=verify
-        )
+        entries = _read_manifest(directory, n_partitions)
+        wide = [_locations_dtype(directory, e, pid) == "<u8"
+                for pid, e in enumerate(entries)]
+        if mmap and any(wide):
+            warnings.warn(
+                f"{directory}: uint64 location words cannot be memory-mapped; "
+                "packing them in memory (convert with `metacache-repro "
+                "convert` for zero-copy opens)",
+                stacklevel=2,
+            )
+            mmap = False
+        condensed_parts = [
+            _load_partition_v2(
+                directory, entry, pid, wide=wide[pid], mmap=mmap, verify=verify
+            )
+            for pid, entry in enumerate(entries)
+        ]
     else:
         if mmap:
             warnings.warn(
@@ -465,6 +513,7 @@ def load_database(
                 "`metacache-repro convert` for zero-rebuild opens)",
                 stacklevel=2,
             )
+            mmap = False
         condensed_parts = [
             _load_condensed_v1(directory / f"database.cache{pid}", pid)
             for pid in range(n_partitions)
@@ -478,7 +527,7 @@ def load_database(
         params=params, taxonomy=taxonomy, partitions=partitions, targets=targets
     )
     db.format_version = version
-    if version >= FORMAT_V2 and mmap:
+    if mmap:
         db.mmap_path = directory
     return db
 
@@ -502,16 +551,15 @@ def _load_condensed_v1(cache_path: Path, pid: int) -> CondensedIndex:
         )
     try:
         return CondensedIndex.from_content(features, lengths, locations)
-    except ValueError as exc:  # a list of 2^24+ locations, the sentinel
+    except ValueError as exc:  # 2^24+ locations, the sentinel, word overflow
         raise DatabaseFormatError(
-            f"{cache_path}: invalid feature in partition {pid} ({exc})"
+            f"{cache_path}: invalid feature or location in partition {pid} "
+            f"({exc})"
         ) from exc
 
 
-def _load_condensed_v2(
-    directory: Path, n_partitions: int, *, mmap: bool, verify: bool
-) -> list[CondensedIndex]:
-    """Open every v2 partition with zero pointer-table rebuild."""
+def _read_manifest(directory: Path, n_partitions: int) -> list[dict]:
+    """The manifest's partition entries, one per metadata partition."""
     manifest_path = directory / _MANIFEST_NAME
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -528,28 +576,54 @@ def _load_condensed_v2(
             f"{len(parts) if isinstance(parts, list) else 0} partition(s), "
             f"metadata says {n_partitions}"
         )
-    return [
-        _load_partition_v2(directory, entry, pid, mmap=mmap, verify=verify)
-        for pid, entry in enumerate(parts)
-    ]
+    return parts
+
+
+def _locations_dtype(directory: Path, entry: dict, pid: int) -> str:
+    """The manifest's dtype of a partition's location words."""
+    try:
+        dtype = entry["arrays"]["locations"]["dtype"]
+    except (KeyError, TypeError) as exc:
+        raise DatabaseFormatError(
+            f"{directory / _MANIFEST_NAME}: corrupt manifest for partition "
+            f"{pid} ({exc!r})"
+        ) from exc
+    if dtype not in ("<u4", "<u8"):
+        raise DatabaseFormatError(
+            f"{directory / _MANIFEST_NAME}: partition {pid} has location "
+            f"words of dtype {dtype!r} (expected '<u4', or legacy '<u8')"
+        )
+    return dtype
 
 
 def _load_partition_v2(
-    directory: Path, entry: dict, pid: int, *, mmap: bool, verify: bool
+    directory: Path,
+    entry: dict,
+    pid: int,
+    *,
+    wide: bool,
+    mmap: bool,
+    verify: bool,
 ) -> CondensedIndex:
-    """Map (or read) one partition's arrays and wrap them, copy-free."""
+    """Map (or read) one partition's arrays and wrap them, copy-free.
+
+    ``wide``: the manifest gives uint64 location words
+    (``_WIDE_ARRAYS``, only ever loaded eagerly); they are packed into
+    the 32-bit layout here instead.
+    """
     manifest_path = directory / _MANIFEST_NAME
     arrays: dict[str, np.ndarray] = {}
     try:
         specs = entry["arrays"]
-        for key, dtype in _V2_ARRAYS:
+        for key, dtype in _WIDE_ARRAYS if wide else _V2_ARRAYS:
             spec = specs[key]
             path = directory / str(spec["file"])
             shape = tuple(int(n) for n in spec["shape"])
             arrays[key] = _open_npy(
                 path, np.dtype(dtype), shape, crc=spec["crc32"] if verify else None,
-                mmap=mmap,
+                mmap=mmap and key != "targets",  # the map is metadata-sized
             )
+        window_bits = None if wide else int(entry["window_bits"])
         n_features = int(entry["n_features"])
         n_locations = int(entry["n_locations"])
         pt = entry["pointer_table"]
@@ -575,6 +649,18 @@ def _load_partition_v2(
         raise DatabaseFormatError(
             f"{manifest_path}: partition {pid} array sizes disagree with manifest"
         )
+    if wide:
+        try:
+            cond = CondensedIndex.from_locations(locations, pointers)
+        except ValueError as exc:
+            raise DatabaseFormatError(
+                f"{manifest_path}: partition {pid} cannot be packed ({exc}); "
+                "rebuild it with more partitions"
+            ) from exc
+    else:
+        cond = _narrow_index(
+            locations, pointers, arrays["targets"], window_bits, manifest_path, pid
+        )
     # deep checks whenever the payload is (or will be) resident anyway:
     # eager loads and verify=True cross-check the slot values queries
     # actually probe (v1-loader parity); a plain mmap open skips them
@@ -595,7 +681,44 @@ def _load_partition_v2(
             raise DatabaseFormatError(
                 f"{manifest_path}: corrupt location array (partition {pid})"
             )
-    return CondensedIndex(locations=locations, pointers=pointers)
+        # (words packed here from wide locations are in range by construction)
+        if not wide and n_locations and (
+            int(locations.max()) >> window_bits >= cond.targets.size
+        ):
+            raise DatabaseFormatError(
+                f"{manifest_path}: location words of partition {pid} name "
+                "targets outside its target map"
+            )
+    return cond
+
+
+def _narrow_index(
+    locations: np.ndarray,
+    pointers: SingleValueHashTable,
+    targets: np.ndarray,
+    window_bits: int,
+    manifest_path: Path,
+    pid: int,
+) -> CondensedIndex:
+    """Wrap a 32-bit-word partition after checking its target map."""
+    # 32: the widest window field a uint32 word has room for
+    fits = 0 <= window_bits <= 32 and location_word_fits(
+        targets.size, (1 << window_bits) - 1
+    )
+    if not fits:
+        raise DatabaseFormatError(
+            f"{manifest_path}: partition {pid} declares window_bits "
+            f"{window_bits} for {targets.size} targets"
+        )
+    if np.any(targets[1:] <= targets[:-1]):
+        raise DatabaseFormatError(
+            f"{manifest_path}: target map of partition {pid} is not strictly "
+            "ascending"
+        )
+    return CondensedIndex(
+        locations=locations, pointers=pointers, targets=targets,
+        window_bits=window_bits,
+    )
 
 
 def _open_npy(

@@ -6,7 +6,9 @@ growing a table all listed its distinct keys (``occupied_keys``) and
 then walked the probe sequence of *every* key (``retrieve``).  These
 two functions are that code -- the build-layout branch of
 ``repro.core.io._condensed_content`` and ``CondensedIndex.from_table``
--- moved out of ``src/`` verbatim; ``tests/test_condense_equivalence.py``
+-- moved out of ``src/`` verbatim, except that the uint64 locations
+are now packed into the 32-bit words (``CondensedIndex.from_locations``);
+``tests/test_condense_equivalence.py``
 asserts that the scan returns the same arrays, element for element, and
 that the pointer table built from them has the same slot arrays.
 """
@@ -45,4 +47,4 @@ def condensed_index_by_probe(table: MultiBucketHashTable) -> CondensedIndex:
     packed = (offsets[:-1].astype(np.uint64) << CondensedIndex.OFFSET_SHIFT) | lengths
     pointers = SingleValueHashTable(capacity_keys=max(16, uniq.size))
     pointers.insert(uniq, packed)
-    return CondensedIndex(locations=values, pointers=pointers)
+    return CondensedIndex.from_locations(values, pointers)

@@ -8,9 +8,13 @@ layout that stored those same features and lengths as two more
 ``.npy`` files *beside* the pointer table that already holds every key
 and every length.  ``repro.core.io`` still reads both; it writes
 neither.  ``_condensed_content`` and ``_save_partitions_v1`` are the
-old writer, moved out of ``src/`` verbatim; :func:`save_database_v1`
-and :func:`save_database_v2_five_arrays` wrap them into directories
-the way the old ``save_database`` laid them out.
+old writer, moved out of ``src/`` verbatim except that the location
+words are expanded back to uint64 where ``cond.locations`` used to be
+read directly; :func:`save_database_v1` and
+:func:`save_database_v2_five_arrays` wrap them into directories the
+way the old ``save_database`` laid them out.  Both layouts predate the
+32-bit location words, so the five-array directory is built on the
+uint64 writer of ``index_u64.py``.
 """
 
 from __future__ import annotations
@@ -21,14 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.database import CondensedIndex, Database, DatabasePartition
-from repro.core.io import (
-    _MANIFEST_NAME,
-    _write_metadata,
-    _write_npy_aligned,
-    save_database,
-)
+from repro.core.io import _MANIFEST_NAME, _write_metadata, _write_npy_aligned
 from repro.util.segmented import segment_ramp
 from repro.warpcore.base import EMPTY_KEY, sort_by_key
+
+from reference.index_u64 import save_database_u64
 
 __all__ = ["save_database_v1", "save_database_v2_five_arrays"]
 
@@ -50,8 +51,8 @@ def _condensed_content(
     lengths = (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
     starts = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64)
     # gather every bucket's slice at once (repeat + ramp)
-    locations = cond.locations[np.repeat(starts, lengths) + segment_ramp(lengths)]
-    return features.astype(np.uint64), lengths, np.asarray(locations, dtype=np.uint64)
+    words = cond.locations[np.repeat(starts, lengths) + segment_ramp(lengths)]
+    return features.astype(np.uint64), lengths, cond.expand(words)
 
 
 def _save_partitions_v1(db: Database, directory: Path) -> list[Path]:
@@ -76,12 +77,12 @@ def save_database_v1(db: Database, directory) -> list[Path]:
 def save_database_v2_five_arrays(db: Database, directory) -> list[Path]:
     """A v2 directory as written before the key/length columns were dropped.
 
-    The current three-array directory plus ``part<P>.features.npy`` and
+    The uint64 three-array directory plus ``part<P>.features.npy`` and
     ``part<P>.lengths.npy`` with their manifest entries (condenses
     ``db`` in place, as every v2 save did).
     """
     directory = Path(directory)
-    files = save_database(db, directory)
+    files = save_database_u64(db, directory)
     manifest_path = directory / _MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text())
     for p, (part, entry) in enumerate(zip(db.partitions, manifest["partitions"])):

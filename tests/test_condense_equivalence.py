@@ -63,10 +63,11 @@ def _assert_scan_equals_probe(table: MultiBucketHashTable) -> None:
     )
     new, ref = CondensedIndex.from_table(table), condensed_index_by_probe(oracle)
     _assert_same_arrays(
-        (new.locations, new.pointers._keys, new.pointers._values),
-        (ref.locations, ref.pointers._keys, ref.pointers._values),
-        ("locations", "ptr_keys", "ptr_values"),
+        (new.locations, new.targets, new.pointers._keys, new.pointers._values),
+        (ref.locations, ref.targets, ref.pointers._keys, ref.pointers._values),
+        ("locations", "targets", "ptr_keys", "ptr_values"),
     )
+    assert new.window_bits == ref.window_bits
     assert new.pointers.stats() == ref.pointers.stats()
     # the partition-level entry point both disk formats serialize from
     _assert_same_arrays(
@@ -119,7 +120,10 @@ class TestScanEqualsProbeWalk:
         keys = np.minimum(rng.zipf(1.3, size=n), 40_000).astype(np.uint64)
         keys[::997] = SENTINEL  # clamps onto SENTINEL - 1
         keys[1::997] = SENTINEL - 1
-        values = rng.integers(0, 2**48, size=n, dtype=np.uint64)
+        # locations: up to 2^12 targets x 2^20 windows, a full 32-bit word
+        values = (rng.integers(0, 2**12, size=n, dtype=np.uint64) << np.uint64(32)) | (
+            rng.integers(0, 2**20, size=n, dtype=np.uint64)
+        )
         table = MultiBucketHashTable(
             capacity_values=n, bucket_size=4, max_locations_per_key=cap
         )
@@ -182,7 +186,9 @@ class TestScanEqualsProbeWalk:
         for n in (200, 900, 50, 4000):
             growing.insert(
                 rng.integers(0, 300, size=n).astype(np.uint64),
-                rng.integers(0, 2**40, size=n, dtype=np.uint64),
+                # locations: 2^8 targets x 2^24 windows, a full 32-bit word
+                (rng.integers(0, 2**8, size=n, dtype=np.uint64) << np.uint64(32))
+                | rng.integers(0, 2**24, size=n, dtype=np.uint64),
             )
         assert growing.capacity_values > 256  # it did grow
         _assert_scan_equals_probe(growing.table)

@@ -107,7 +107,10 @@ class TestCondensedIndex:
         rng = np.random.default_rng(0)
         table = MultiBucketHashTable(capacity_values=2048, bucket_size=4)
         keys = rng.integers(0, 50, 500).astype(np.uint64)
-        vals = rng.integers(0, 2**62, 500, dtype=np.uint64)
+        # locations: target << 32 | window, as the condensed words hold
+        vals = (rng.integers(0, 64, 500, dtype=np.uint64) << np.uint64(32)) | (
+            rng.integers(0, 2**20, 500, dtype=np.uint64)
+        )
         table.insert(keys, vals)
         cond = CondensedIndex.from_table(table)
         queries = np.arange(60, dtype=np.uint64)
@@ -203,9 +206,8 @@ class TestPersistence:
                 np.array([5, 9, 7], dtype=np.uint64),
                 np.array([(2 << 24) | 2, (0 << 24) | 2, (2 << 24) | 0], dtype=np.uint64),
             )
-            index = CondensedIndex(
-                locations=np.array([10, 11, 12, 13], dtype=np.uint64),
-                pointers=pointers,
+            index = CondensedIndex.from_locations(
+                np.array([10, 11, 12, 13], dtype=np.uint64), pointers
             )
             parts = [DatabasePartition(partition_id=0, table=None, condensed=index)]
         else:
@@ -218,7 +220,7 @@ class TestPersistence:
             chunks = []  # the reference: one Python slice per feature
             for p, n in zip(packed.tolist(), lengths.tolist()):
                 assert p & 0xFFFFFF == n
-                chunks.append(cond.locations[p >> 24 : (p >> 24) + n])
+                chunks.append(cond.expand(cond.locations[p >> 24 : (p >> 24) + n]))
             expected = (
                 np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
             )

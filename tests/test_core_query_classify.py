@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import MetaCache
 from repro.core.abundance import abundance_deviation, estimate_abundances
 from repro.core.classify import UNCLASSIFIED, classify_reads
 from repro.core.config import ClassificationParams, MetaCacheParams
@@ -17,6 +18,7 @@ from repro.gpu.topology import MultiGpuNode
 from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ranks import Rank
+from repro.taxonomy.tree import Taxonomy
 
 PARAMS = MetaCacheParams.small()
 
@@ -134,6 +136,26 @@ class TestQueryPipeline:
 
 
 class TestClassificationRule:
+    def test_per_target_taxa_are_built_once_per_database(self, world, monkeypatch):
+        """A batch's classify step looks up no taxon: the target -> taxon
+        vector belongs to the database.  (Rendering records still names
+        each distinct taxon of the batch, so the spy wraps the rule.)"""
+        genomes, _, _, db = world
+        reads = ReadSimulator(genomes, seed=5).simulate(HISEQ, 8).sequences
+        headers = [f"r{i}" for i in range(len(reads))]
+        session = MetaCache(db).session()
+        first = session.classify_batch(headers, reads)
+        calls = []
+        real = Taxonomy.index_of
+        monkeypatch.setattr(
+            Taxonomy, "index_of", lambda self, t: calls.append(t) or real(self, t)
+        )
+        result = query_database(db, reads)
+        assert calls == []
+        again = classify_reads(db, result.candidates)
+        assert calls == []
+        assert again.taxon.tolist() == first.columns[1]
+
     def test_min_hits_threshold(self, world):
         genomes, _, _, db = world
         reads = ReadSimulator(genomes, seed=8).simulate(HISEQ, 50)

@@ -18,6 +18,7 @@ import os
 import pickle
 import shutil
 import struct
+import warnings
 import zlib
 from pathlib import Path
 
@@ -95,7 +96,10 @@ class TestV2Layout:
         assert manifest["format_version"] == FORMAT_V2
         assert len(manifest["partitions"]) == 2
         for entry in manifest["partitions"]:
-            assert sorted(entry["arrays"]) == ["locations", "ptr_keys", "ptr_values"]
+            assert sorted(entry["arrays"]) == [
+                "locations", "ptr_keys", "ptr_values", "targets"
+            ]
+            assert entry["arrays"]["locations"]["dtype"] == "<u4"
             for key, spec in entry["arrays"].items():
                 path = v2 / spec["file"]
                 assert path.is_file()
@@ -104,7 +108,7 @@ class TestV2Layout:
             pt = entry["pointer_table"]
             assert pt["size"] == entry["n_features"]
         # the feature -> pointer map is stored once: in the slot arrays
-        assert len(list(v2.glob("*.npy"))) == 3 * len(manifest["partitions"])
+        assert len(list(v2.glob("*.npy"))) == 4 * len(manifest["partitions"])
 
     def test_npy_payloads_page_aligned(self, world):
         _, v2, _, _ = world
@@ -392,7 +396,7 @@ class TestCorruption:
         dst = self._copy_v2(v2, tmp_path)
         victim = dst / "part0.locations.npy"
         blob = bytearray(victim.read_bytes())
-        blob[-1] ^= 0xFF
+        blob[-4] ^= 0xFF  # the last word's low byte: a window id, in range
         victim.write_bytes(bytes(blob))
         load_database(dst)  # corruption invisible without verify
 
@@ -476,7 +480,7 @@ class TestLegacyInputs:
         assert loaded.format_version == 1
         save_database(loaded, tmp_path / "resaved")
         built = _digests(tmp_path / "built")
-        assert len(built) == 4 + 3 * db.n_partitions
+        assert len(built) == 4 + 4 * db.n_partitions
         assert _digests(tmp_path / "resaved") == built
         MetaCache.convert(tmp_path / "v1", tmp_path / "converted")
         assert _digests(tmp_path / "converted") == built
@@ -523,7 +527,12 @@ class TestLegacyInputs:
         assert len(list(five.glob("*.npy"))) == 10
         for kwargs in ({}, {"mmap": True}, {"verify": True},
                        {"mmap": True, "verify": True}):
-            loaded = load_database(five, **kwargs)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                loaded = load_database(five, **kwargs)
+            # its locations are uint64 words: packed in memory, never mapped
+            assert len(caught) == int(kwargs.get("mmap", False)), kwargs
+            assert loaded.mmap_path is None
             assert loaded.format_version == FORMAT_V2
             assert np.array_equal(_taxa(loaded, seqs), expected), kwargs
             loaded.close()
@@ -537,7 +546,8 @@ class TestLegacyInputs:
         ref = _classify_tsv(tmp_path, v2, read_file, "fresh.tsv", mmap=True)
         assert ref
         assert ref == _classify_tsv(tmp_path, v1, read_file, "v1.tsv")
-        assert ref == _classify_tsv(tmp_path, five, read_file, "five.tsv", mmap=True)
+        with pytest.warns(UserWarning, match="uint64 location words"):
+            assert ref == _classify_tsv(tmp_path, five, read_file, "five.tsv", mmap=True)
 
 
 def _truncate(directory, name):
@@ -576,11 +586,16 @@ def _missing(directory, name):
     (directory / name).unlink()
 
 
-_ARRAY_FILES = ("part0.locations.npy", "part0.ptr_keys.npy", "part0.ptr_values.npy")
+_ARRAY_FILES = (
+    "part0.locations.npy",
+    "part0.targets.npy",
+    "part0.ptr_keys.npy",
+    "part0.ptr_values.npy",
+)
 _MATRIX = (
     [(_truncate, name) for name in _ARRAY_FILES + ("manifest.json",)]
     + [(_wrong_shape, name) for name in _ARRAY_FILES + ("manifest.json",)]
-    + [(_absurd_slot, name) for name in _ARRAY_FILES[1:]]
+    + [(_absurd_slot, name) for name in _ARRAY_FILES[2:]]
     + [(_missing, name) for name in _ARRAY_FILES + ("manifest.json",)]
 )
 
@@ -615,6 +630,25 @@ class TestCorruptionMatrix:
         with pytest.raises(DatabaseFormatError, match="checksum mismatch"):
             load_database(dst, mmap=mmap, verify=True)
 
+    def test_corrupt_word_under_plain_mmap_open_then_classify(self, world, tmp_path):
+        """A plain mmap open does not scan the words; the query names the partition."""
+        _, v2, seqs, _ = world
+        dst = tmp_path / "copy"
+        shutil.copytree(v2, dst)
+        manifest = json.loads((dst / "manifest.json").read_text())
+        window_bits = manifest["partitions"][0]["window_bits"]
+        path = dst / "part0.locations.npy"
+        words = np.load(path)
+        words |= np.uint32((0xFFFFFFFF << window_bits) & 0xFFFFFFFF)  # local: all ones
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) - words.nbytes :] = words.tobytes()
+        path.write_bytes(bytes(blob))
+        with MetaCache.open(dst, mmap=True) as mc:
+            with pytest.raises(DatabaseFormatError, match="partition 0"):
+                mc.session().classify(seqs)
+        with pytest.raises(DatabaseFormatError, match="outside its target map"):
+            MetaCache.open(dst)  # an eager open scans the words it reads
+
     def test_plain_mmap_open_computes_no_crc(self, world, monkeypatch):
         _, v2, seqs, _ = world
         calls = []
@@ -626,7 +660,7 @@ class TestCorruptionMatrix:
         assert calls == []
         db.close()
         load_database(v2, mmap=True, verify=True).close()
-        assert len(calls) == 3 * 2  # three arrays, two partitions
+        assert len(calls) == 4 * 2  # four arrays, two partitions
 
 
 class TestSentinelRegression:

@@ -49,11 +49,13 @@ STORED = [1, 2, 3, 4, 5, 6, 7, 1 << 31, SENTINEL - 1]
 ABSENT = [0, 8, 9, 1000, (1 << 31) + 1]
 # (targets of partition 0, windows) id pools; partition p adds p to a
 # target.  "wide" needs all 64 payload bits (one read per bit-budget
-# group), "tall" 63 (two reads per group).
+# group), "tall" 63 (two reads per group).  Each still fits a 32-bit
+# location word at rest: "wide" is one target with 32-bit windows,
+# "tall" two targets (one local bit) with 31-bit windows.
 POOLS = {
     "packed": ([0, 3, 6, 9], list(range(12))),
-    "wide": ([0, 3, TOP - 2], [0, 1, 2**31, TOP - 1, TOP]),
-    "tall": ([0, 3, 2**30], [0, 5, TOP - 1, TOP]),
+    "wide": ([TOP - 2], [0, 1, 2**31, TOP - 1, TOP]),
+    "tall": ([3, 2**31], [0, 5, 2**31 - 2, 2**31 - 1]),
 }
 
 

@@ -2,7 +2,7 @@
 """CI gate: classification is byte-identical however the index is opened.
 
 Builds a small database, saves it, then classifies one simulated read
-file through the public API under eight configurations:
+file through the public API under ten configurations:
 
 - eager load;
 - eager load + ``session(workers=2)`` (the database is not
@@ -16,6 +16,10 @@ file through the public API under eight configurations:
   the first half of the references, saved, reopened, grown with
   ``MetaCache.extend`` (the ``metacache-repro add`` path) and
   re-saved -- gating that add-targets round-trips end to end;
+- a legacy directory with uint64 location words (written by the
+  retired writer in ``tests/reference/index_u64.py``), opened eagerly
+  and with ``mmap=True`` (which loads it eagerly, with a warning):
+  both pack the words in memory and must classify the same;
 - one session classifying *through a hot-swap reload*: mmap,
   classify, ``MetaCache.reload`` onto the extended directory (the
   zero-downtime swap path), classify again with the same session --
@@ -43,6 +47,10 @@ from repro.core.database import Database
 from repro.core.io import save_database
 from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fastq import FastqRecord, write_fastq
+
+# the retired uint64 writer lives with the test oracles
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference.index_u64 import save_database_u64  # noqa: E402
 
 
 def _classify(
@@ -78,8 +86,9 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="roundtrip-") as tmp:
         tmp = Path(tmp)
-        v2_dir = tmp / "v2"
+        v2_dir, u64_dir = tmp / "v2", tmp / "v2u64"
         save_database(db, v2_dir)
+        save_database_u64(db, u64_dir)
 
         # the extend path: half the references, saved, reopened, grown
         # to the full set through MetaCache.extend, re-saved
@@ -128,6 +137,8 @@ def main() -> int:
             "mmap+workers=2": (v2_dir, {"mmap": True, "workers": 2}),
             "shards=2x2": (v2_dir, {"shards": 2, "replicas": 2}),
             "extended": (ext_dir, {}),
+            "legacy-u64": (u64_dir, {}),
+            "legacy-u64+mmap": (u64_dir, {"mmap": True}),
         }
         outputs = {
             name: _classify(db_dir, read_file, tmp / f"{name}.tsv", **kwargs)
