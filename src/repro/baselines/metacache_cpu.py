@@ -133,7 +133,6 @@ class MetaCacheCpu:
                 if feature == SKETCH_PAD:
                     continue
                 self.table.insert_one(int(feature), loc)
-        self._db = None  # the adapter's per-target vectors are now stale
         self.targets.append(
             TargetRecord(
                 target_id=t,
@@ -144,7 +143,7 @@ class MetaCacheCpu:
                 partition_id=0,
             )
         )
-        self._db = None  # invalidate the query adapter
+        self._db = None  # invalidate the query adapter (its per-target vectors)
 
     def build(self, references: Iterable[tuple[str, np.ndarray, int]]) -> "MetaCacheCpu":
         for name, codes, taxon_id in references:

@@ -50,7 +50,6 @@ from repro.core.database import (
     Database,
     DatabasePartition,
     TargetRecord,
-    location_word_capacity,
     location_word_fits,
 )
 from repro.errors import BuildError, ConfigError
@@ -218,10 +217,8 @@ class DatabaseBuilder:
 
         self._targets: list[TargetRecord] = []
         self._part_load = np.zeros(n_partitions, dtype=np.int64)
-        # per partition: targets with windows, and their largest window id
-        # (what one location word must hold, see _check_word_capacity)
-        self._part_targets = [0] * n_partitions
-        self._part_max_window = [0] * n_partitions
+        # per partition: what one location word must hold (see _word_with)
+        self._part_word = [(0, 0)] * n_partitions
         self._tables: dict[int, _GrowingTable] = {}
         self._pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {
             p: [] for p in range(n_partitions)
@@ -271,8 +268,9 @@ class DatabaseBuilder:
         )
         builder._targets = list(db.targets)
         for t in db.targets:
-            builder._part_load[t.partition_id] += t.length
-            builder._count_windows(t.partition_id, t.n_windows)
+            p = t.partition_id
+            builder._part_load[p] += t.length
+            builder._part_word[p] = _word_with(builder._part_word[p], t.n_windows)
             builder._n_windows += t.n_windows
             builder._n_bases += t.length
         for part in db.partitions:
@@ -327,9 +325,11 @@ class DatabaseBuilder:
         p = int(np.argmin(self._part_load))
         t = len(self._targets)
         n_windows = sketches.shape[0]
-        self._check_word_capacity(p, name, n_bases, n_windows)
+        word = _word_with(self._part_word[p], n_windows)
+        if not location_word_fits(*word):
+            self._refuse_word(p, word, name, n_bases, n_windows)
         self._part_load[p] += n_bases
-        self._count_windows(p, n_windows)
+        self._part_word[p] = word
         self._targets.append(
             TargetRecord(
                 target_id=t,
@@ -446,47 +446,28 @@ class DatabaseBuilder:
 
     # --------------------------------------------------------------- internals
 
-    def _count_windows(self, p: int, n_windows: int) -> None:
-        """Account a target of ``n_windows`` windows to partition ``p``."""
-        if n_windows:
-            self._part_targets[p] += 1
-            self._part_max_window[p] = max(self._part_max_window[p], n_windows - 1)
-
-    def _check_word_capacity(
-        self, p: int, name: str, n_bases: int, n_windows: int
+    def _refuse_word(
+        self, p: int, word: tuple[int, int], name: str, n_bases: int, n_windows: int
     ) -> None:
-        """Refuse a target that would overflow partition ``p``'s location word.
-
-        A condensed partition stores ``local << window_bits | window``
-        in one word (``CondensedIndex``); its targets and windows are
-        bounded above by what is counted here, so a build that passes
-        always condenses.
-        """
-        if not n_windows:
-            return
-        n_local = self._part_targets[p] + 1
-        max_window = max(self._part_max_window[p], n_windows - 1)
-        if location_word_fits(n_local, max_window):
-            return
+        """Raise the ``ConfigError`` for a target that overflows partition
+        ``p``'s location word, naming the smallest ``n_partitions`` that
+        fits the references so far."""
         lengths = [tr.length for tr in self._targets] + [n_bases]
         windows = [tr.n_windows for tr in self._targets] + [n_windows]
         if not location_word_fits(1, n_windows - 1):
             advice = "no partitioning fits a target with that many windows"
         else:
-            # start where a count-balanced split would fit, then grow
-            # geometrically: n = len(lengths) always fits (one target each)
-            per_partition = location_word_capacity(max(windows) - 1)
-            n_local_total = sum(1 for w in windows if w)
-            n = max(self.n_partitions + 1, -(-n_local_total // per_partition))
+            # terminates: one partition per target always fits
+            n = self.n_partitions + 1
             while not _greedy_fits(lengths, windows, n):
-                n += max(1, n // 4)
+                n += 1
             advice = (
-                f"build with n_partitions={n} (enough for the references "
-                "added so far)"
+                f"build with n_partitions={n} (the smallest that fits the "
+                "references added so far)"
             )
         raise ConfigError(
-            f"target {name!r} would put {n_local} targets with window ids up "
-            f"to {max_window} into partition {p}, more than a location word "
+            f"target {name!r} would put {word[0]} targets with window ids up "
+            f"to {word[1]} into partition {p}, more than a location word "
             f"holds at n_partitions={self.n_partitions}; {advice}"
         )
 
@@ -581,20 +562,27 @@ class DatabaseBuilder:
         )
 
 
+def _word_with(word: tuple[int, int], n_windows: int) -> tuple[int, int]:
+    """A partition's ``(targets with windows, largest window id)`` -- what
+    its location word must hold (``CondensedIndex``) -- once a target of
+    ``n_windows`` windows joins it.  Bounds the condensed content from
+    above, so a build whose partitions all fit always condenses."""
+    if not n_windows:
+        return word
+    return word[0] + 1, max(word[1], n_windows - 1)
+
+
 def _greedy_fits(lengths: list[int], windows: list[int], n_partitions: int) -> bool:
     """Whether the builder's greedy assignment over ``n_partitions``
-    keeps every partition's targets and windows within one word."""
+    keeps every partition's location word within its width."""
     load = np.zeros(n_partitions, dtype=np.int64)
-    n_local = [0] * n_partitions
-    max_window = [0] * n_partitions
+    words = [(0, 0)] * n_partitions
     for length, n_windows in zip(lengths, windows):
         p = int(np.argmin(load))
         load[p] += length
-        if n_windows:
-            n_local[p] += 1
-            max_window[p] = max(max_window[p], n_windows - 1)
-            if not location_word_fits(n_local[p], max_window[p]):
-                return False
+        words[p] = _word_with(words[p], n_windows)
+        if not location_word_fits(*words[p]):
+            return False
     return True
 
 

@@ -41,7 +41,6 @@ from repro.warpcore.single_value import SingleValueHashTable
 
 __all__ = [
     "LOCATION_WORD_BITS",
-    "location_word_capacity",
     "location_word_fits",
     "TargetRecord",
     "DatabasePartition",
@@ -67,17 +66,11 @@ class TargetRecord:
 LOCATION_WORD_BITS = 32
 
 
-def location_word_capacity(max_window: int) -> int:
-    """How many local targets one :data:`LOCATION_WORD_BITS`-bit word
-    indexes beside window ids up to ``max_window`` (0: not even one)."""
-    free = LOCATION_WORD_BITS - int(max_window).bit_length()
-    return 1 << free if free >= 0 else 0
-
-
 def location_word_fits(n_targets: int, max_window: int) -> bool:
     """Whether ``n_targets`` local target ids and window ids up to
-    ``max_window`` fit one location word."""
-    return max(1, int(n_targets)) <= location_word_capacity(max_window)
+    ``max_window`` fit one :data:`LOCATION_WORD_BITS`-bit location word."""
+    free = LOCATION_WORD_BITS - int(max_window).bit_length()
+    return free >= 0 and max(1, int(n_targets)) <= 1 << free
 
 
 @dataclass
@@ -140,20 +133,11 @@ class CondensedIndex:
         themselves.  ``ValueError`` when they do not fit one
         :data:`LOCATION_WORD_BITS`-bit word.
         """
-        # little-endian words: halves [2i] / [2i + 1] are window / target
-        locations = np.asarray(locations, dtype="<u8")
-        if locations.size > 1 << 32:  # positions ride in the low half
-            raise ValueError("partition too large to pack: 2^32+ locations")
-        window = locations.view("<u4")[0::2]
-        # rank the target ids by one sort of target << 32 | position
-        # (ids may be sparse, so no table indexed by id)
-        keyed = locations & np.uint64(0xFFFFFFFF_00000000)
-        keyed |= np.arange(locations.size, dtype="<u8")
-        keyed.sort()
-        sorted_ids, order = keyed.view("<u4")[1::2], keyed.view("<u4")[0::2]
-        first = np.ones(sorted_ids.size, dtype=bool)
-        np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
-        targets = sorted_ids[first]
+        locations = np.asarray(locations, dtype=np.uint64)
+        targets, local = np.unique(
+            (locations >> np.uint64(32)).astype(np.uint32), return_inverse=True
+        )
+        window = (locations & np.uint64(0xFFFFFFFF)).astype(np.uint32)
         max_window = int(window.max(initial=0))
         if not location_word_fits(targets.size, max_window):
             raise ValueError(
@@ -161,12 +145,10 @@ class CondensedIndex:
                 f"do not fit a {LOCATION_WORD_BITS}-bit location word"
             )
         window_bits = max_window.bit_length()
-        words = np.empty(locations.size, dtype=np.uint32)
-        words[order] = np.cumsum(first, dtype=np.uint32) - np.uint32(1)
-        words <<= np.uint32(window_bits)
+        words = local.astype(np.uint32) << np.uint32(window_bits)
         words |= window
-        return cls(locations=words, pointers=pointers, targets=targets,
-                   window_bits=window_bits)
+        return cls(locations=words, pointers=pointers,
+                   targets=targets, window_bits=window_bits)
 
     def expand(self, words: np.ndarray) -> np.ndarray:
         """uint64 ``target << 32 | window`` of this index's location words.

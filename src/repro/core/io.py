@@ -486,6 +486,13 @@ def load_database(
     except (KeyError, TypeError) as exc:
         raise DatabaseFormatError(f"{meta_path}: incomplete metadata ({exc!r})") from exc
     taxonomy = load_ncbi_dump(directory / "nodes.dmp", directory / "names.dmp")
+    # before any partition is opened, so a refusal leaves nothing mapped
+    for t in targets:
+        if t.taxon_id not in taxonomy:
+            raise DatabaseFormatError(
+                f"{meta_path}: target {t.target_id} ({t.name!r}) names taxon "
+                f"{t.taxon_id}, which is not in nodes.dmp"
+            )
 
     if version == FORMAT_V2:
         entries = _read_manifest(directory, n_partitions)

@@ -586,6 +586,18 @@ def _missing(directory, name):
     (directory / name).unlink()
 
 
+UNKNOWN_TAXON = 999_999_999
+
+
+def _unknown_taxon(directory, name):
+    """Point the first target of ``name`` (the metadata) at a taxon
+    that ``nodes.dmp`` does not have."""
+    path = directory / name
+    meta = json.loads(path.read_text())
+    meta["targets"][0]["taxon_id"] = UNKNOWN_TAXON
+    path.write_text(json.dumps(meta))
+
+
 _ARRAY_FILES = (
     "part0.locations.npy",
     "part0.targets.npy",
@@ -597,6 +609,7 @@ _MATRIX = (
     + [(_wrong_shape, name) for name in _ARRAY_FILES + ("manifest.json",)]
     + [(_absurd_slot, name) for name in _ARRAY_FILES[2:]]
     + [(_missing, name) for name in _ARRAY_FILES + ("manifest.json",)]
+    + [(_unknown_taxon, "database.meta")]
 )
 
 
@@ -648,6 +661,14 @@ class TestCorruptionMatrix:
                 mc.session().classify(seqs)
         with pytest.raises(DatabaseFormatError, match="outside its target map"):
             MetaCache.open(dst)  # an eager open scans the words it reads
+
+    def test_unknown_taxon_is_named_under_plain_mmap_open(self, world, tmp_path):
+        _, v2, _, _ = world
+        dst = tmp_path / "copy"
+        shutil.copytree(v2, dst)
+        _unknown_taxon(dst, "database.meta")
+        with pytest.raises(DatabaseFormatError, match=f"target 0 .*{UNKNOWN_TAXON}"):
+            MetaCache.open(dst, mmap=True)
 
     def test_plain_mmap_open_computes_no_crc(self, world, monkeypatch):
         _, v2, seqs, _ = world

@@ -273,6 +273,11 @@ class TestWordCapacity:
                 assert f"n_partitions={n_partitions};" in str(exc)
                 suggested = _suggested(exc)
                 assert suggested > n_partitions
+                if suggested - 1 > n_partitions:  # the smallest that fits
+                    with pytest.raises(ConfigError):
+                        Database.build(
+                            refs, taxonomy, params=PARAMS, n_partitions=suggested - 1
+                        )
                 n_partitions = suggested
         assert attempts > 1 and n_partitions > 1
         db.condense()  # fits, so it condenses

@@ -49,11 +49,19 @@ STORED = [1, 2, 3, 4, 5, 6, 7, 1 << 31, SENTINEL - 1]
 ABSENT = [0, 8, 9, 1000, (1 << 31) + 1]
 # (targets of partition 0, windows) id pools; partition p adds p to a
 # target.  "wide" needs all 64 payload bits (one read per bit-budget
-# group), "tall" 63 (two reads per group).  Each still fits a 32-bit
-# location word at rest: "wide" is one target with 32-bit windows,
-# "tall" two targets (one local bit) with 31-bit windows.
+# group), "tall" 63 (two reads per group).
 POOLS = {
     "packed": ([0, 3, 6, 9], list(range(12))),
+    "wide": ([0, 3, TOP - 2], [0, 1, 2**31, TOP - 1, TOP]),
+    "tall": ([0, 3, 2**30], [0, 5, TOP - 1, TOP]),
+}
+# "wide" and "tall" do not fit a 32-bit location word at rest.  The
+# condensed and mmap layouts use these pools instead, which need the
+# same 64 and 63 payload bits in the query tail and fit a word: "wide"
+# one target with 32-bit windows, "tall" two targets (one local bit)
+# with 31-bit windows.
+AT_REST_POOLS = {
+    **POOLS,
     "wide": ([TOP - 2], [0, 1, 2**31, TOP - 1, TOP]),
     "tall": ([3, 2**31], [0, 5, 2**31 - 2, 2**31 - 1]),
 }
@@ -64,10 +72,10 @@ def _taxonomy():
     return build_taxonomy_for_genomes(genomes)[0]
 
 
-def _table(pid: int, cap: int, pool: str) -> MultiBucketHashTable:
+def _table(pid: int, cap: int, pool: str, layout: str) -> MultiBucketHashTable:
     """One partition's table: skewed list lengths, repeated locations."""
     rng = np.random.default_rng(100 * pid + cap)
-    targets, windows = POOLS[pool]
+    targets, windows = (POOLS if layout == "build" else AT_REST_POOLS)[pool]
     keys, values = [], []
     for i, key in enumerate(STORED + [SENTINEL]):
         n = int(rng.choice([1, 2, 5, 40, 300])) if i % 4 else 300
@@ -85,7 +93,9 @@ def _table(pid: int, cap: int, pool: str) -> MultiBucketHashTable:
 
 def _synthetic_db(cap: int, pool: str, layout: str, tmp_path_factory) -> Database:
     params = MetaCacheParams.small(max_locations_per_feature=cap)
-    parts = [DatabasePartition(p, _table(p, cap, pool)) for p in range(N_PARTITIONS)]
+    parts = [
+        DatabasePartition(p, _table(p, cap, pool, layout)) for p in range(N_PARTITIONS)
+    ]
     if layout == "condensed":
         parts = [
             DatabasePartition(p.partition_id, None, CondensedIndex.from_table(p.table))
@@ -145,6 +155,16 @@ def _batch(rows_per_read: list[list[list[int]]]):
             ids.append(read)
     sketches = np.array(rows, dtype=np.uint64).reshape(-1, S)
     return sketches, np.array(ids, dtype=np.int64), len(rows_per_read)
+
+
+def _assert_several_groups(db):
+    """One read per stored feature: same lookup, 2+ bit-budget groups."""
+    reads = [[[f]] for f in STORED] + [[[STORED[0], STORED[-1]]]]
+    sketches, ids, n = _batch(reads)
+    assert_same_lookup(db, sketches, ids, n, 2, 3)
+    locations = db.query_features(np.array(STORED, dtype=np.uint64), 0)[0]
+    layout = LocationKeyLayout.of(locations)
+    assert len(candidate_groups(layout, n, locations.size)) >= 2
 
 
 feature_st = st.one_of(
@@ -211,13 +231,12 @@ class TestHandMadeBatches:
 
     @pytest.mark.parametrize("pool", ["wide", "tall"])
     def test_several_bit_budget_groups(self, synthetic, pool):
-        db = synthetic(254, pool, "build")
-        reads = [[[f]] for f in STORED] + [[[STORED[0], STORED[-1]]]]
-        sketches, ids, n = _batch(reads)
-        assert_same_lookup(db, sketches, ids, n, 2, 3)
-        locations = db.query_features(np.array(STORED, dtype=np.uint64), 0)[0]
-        layout = LocationKeyLayout.of(locations)
-        assert len(candidate_groups(layout, n, locations.size)) >= 2
+        _assert_several_groups(synthetic(254, pool, "build"))
+
+    @pytest.mark.parametrize("layout", LAYOUTS[1:])
+    @pytest.mark.parametrize("pool", ["wide", "tall"])
+    def test_several_bit_budget_groups_at_rest(self, synthetic, pool, layout):
+        _assert_several_groups(synthetic(254, pool, layout))
 
     def test_rejects_decreasing_read_ids(self, synthetic):
         db = synthetic(3, "packed", "build")
