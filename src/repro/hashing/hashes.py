@@ -2,8 +2,8 @@
 
 These are the classic MurmurHash3 finalizers (fmix32 / fmix64): cheap,
 invertible, statistically strong bit mixers.  MetaCache uses exactly
-this family for both the k-mer feature hash (h1) and the table slot
-hash (h2).  All functions operate element-wise on NumPy arrays with
+this family for both the k-mer feature hash (h1) and the table's
+probe hashes (:mod:`repro.warpcore.probing`).  All functions operate element-wise on NumPy arrays with
 explicit unsigned dtypes so the wrap-around arithmetic matches the
 C++ semantics bit for bit.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fmix32", "fmix64", "hash_kmers_h1", "hash_features_h2"]
+__all__ = ["fmix32", "fmix64", "hash_kmers_h1"]
 
 _U32 = np.uint32
 _U64 = np.uint64
@@ -62,14 +62,3 @@ def hash_kmers_h1(kmers: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     _fmix64_inplace(out)
     out &= _U64(0xFFFFFFFF)
     return out
-
-
-def hash_features_h2(features: np.ndarray) -> np.ndarray:
-    """Slot hash h2: feature -> 64-bit probe base.
-
-    A different finalizer seed (xor constant) decorrelates h2 from h1;
-    Section 4.1 explains this counteracts the biased distribution of
-    sketch values (sketches select *small* h1 values, so hashing the
-    feature again is required for uniform slot occupancy).
-    """
-    return fmix64(np.asarray(features, dtype=_U64) ^ _U64(0x9E3779B97F4A7C15))

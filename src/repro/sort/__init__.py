@@ -7,19 +7,17 @@ form -- every location is packed with its read number into one
 ``np.sort`` -- and owns that key format, which top-candidate
 generation reuses.  (The size-binned bitonic-network *kernel
 structure* of Hou et al. [12] lives with the other kernel emulations
-in :mod:`repro.gpu.kernels`.)
+in ``benchmarks/paper/gpu/kernels/``, outside the installed package.)
 
-:mod:`repro.sort.compaction` provides the prefix-sum compaction of
-Section 5.4 that densifies sparse per-window query results before
-sorting.
+:mod:`repro.sort.compaction` turns per-window location counts into
+the per-read segment offsets of Section 5.4's compaction step.
 """
 
 from repro.sort.segmented import LocationKeyLayout, segmented_sort_lexsort
-from repro.sort.compaction import compact_rows, read_segment_offsets
+from repro.sort.compaction import read_segment_offsets
 
 __all__ = [
     "LocationKeyLayout",
     "segmented_sort_lexsort",
-    "compact_rows",
     "read_segment_offsets",
 ]

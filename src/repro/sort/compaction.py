@@ -1,42 +1,17 @@
-"""Prefix-sum compaction of sparse per-window results (Section 5.4).
+"""Read segment offsets over compacted per-window results (Section 5.4).
 
-The query kernel writes each window's location list into a fixed-size
-row of a result matrix (rows = windows, width = worst-case capacity).
-A prefix sum over per-window counts then drives a gather that packs
-the lists densely, and the window->read mapping collapses into read
-segment offsets for the segmented sort.
+The compaction step packs each window's location list densely; the
+window->read mapping then collapses into read segment offsets for the
+segmented sort.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util.scan import exclusive_prefix_sum
 from repro.util.segmented import offsets_from_segment_ids
 
-__all__ = ["compact_rows", "read_segment_offsets"]
-
-
-def compact_rows(
-    matrix: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pack the first ``counts[i]`` entries of each row densely.
-
-    Returns ``(flat, offsets)`` with ``offsets = exclusive prefix sum
-    of counts`` -- row ``i``'s data is ``flat[offsets[i]:offsets[i+1]]``.
-    """
-    m = np.asarray(matrix)
-    counts = np.asarray(counts, dtype=np.int64)
-    if m.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    if counts.size != m.shape[0]:
-        raise ValueError("counts length must equal number of rows")
-    if (counts > m.shape[1]).any():
-        raise ValueError("count exceeds row width")
-    offsets = exclusive_prefix_sum(counts)
-    cols = np.arange(m.shape[1], dtype=np.int64)
-    take = cols[None, :] < counts[:, None]
-    return m[take], offsets
+__all__ = ["read_segment_offsets"]
 
 
 def read_segment_offsets(

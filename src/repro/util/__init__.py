@@ -13,7 +13,6 @@ from repro.util.bitops import (
     reverse_complement_2bit,
     pack_pairs,
     unpack_pairs,
-    bit_count,
 )
 from repro.util.segmented import (
     run_length_encode,
@@ -23,7 +22,7 @@ from repro.util.segmented import (
     offsets_from_segment_ids,
     first_occurrence_mask,
 )
-from repro.util.scan import exclusive_prefix_sum, inclusive_prefix_sum
+from repro.util.scan import exclusive_prefix_sum
 from repro.util.timer import StageTimer, Timer
 from repro.util.rng import derive_rng
 
@@ -32,7 +31,6 @@ __all__ = [
     "reverse_complement_2bit",
     "pack_pairs",
     "unpack_pairs",
-    "bit_count",
     "run_length_encode",
     "segment_boundaries",
     "segmented_cumcount",
@@ -40,7 +38,6 @@ __all__ = [
     "offsets_from_segment_ids",
     "first_occurrence_mask",
     "exclusive_prefix_sum",
-    "inclusive_prefix_sum",
     "StageTimer",
     "Timer",
     "derive_rng",

@@ -19,7 +19,6 @@ __all__ = [
     "reverse_complement_2bit",
     "pack_pairs",
     "unpack_pairs",
-    "bit_count",
 ]
 
 _U64 = np.uint64
@@ -95,15 +94,3 @@ def unpack_pairs(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`pack_pairs`; returns ``(high, low)`` as uint32."""
     p = np.asarray(packed, dtype=_U64)
     return (p >> _S32).astype(np.uint32), (p & _M32).astype(np.uint32)
-
-
-def bit_count(values: np.ndarray) -> np.ndarray:
-    """Population count per element (uint64-safe, vectorized)."""
-    v = np.asarray(values, dtype=_U64)
-    c1 = _U64(0x5555555555555555)
-    c2 = _U64(0x3333333333333333)
-    c4 = _U64(0x0F0F0F0F0F0F0F0F)
-    v = v - ((v >> _U64(1)) & c1)
-    v = (v & c2) + ((v >> _U64(2)) & c2)
-    v = (v + (v >> _U64(4))) & c4
-    return ((v * _U64(0x0101010101010101)) >> _U64(56)).astype(np.int64)

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["exclusive_prefix_sum", "inclusive_prefix_sum"]
-
-
-def inclusive_prefix_sum(values: np.ndarray) -> np.ndarray:
-    """Inclusive scan: ``out[i] = sum(values[:i+1])`` (int64)."""
-    return np.cumsum(np.asarray(values, dtype=np.int64))
+__all__ = ["exclusive_prefix_sum"]
 
 
 def exclusive_prefix_sum(values: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.genomics.alphabet import encode_sequence
 from repro.genomics.kmers import canonical_kmers, pack_kmers
-from repro.hashing.hashes import fmix32, fmix64, hash_features_h2, hash_kmers_h1
+from repro.hashing.hashes import fmix32, fmix64, hash_kmers_h1
 from repro.hashing.minhash import (
     SKETCH_PAD,
     sketch_window,
@@ -43,10 +43,6 @@ class TestHashes:
         h = hash_kmers_h1(v)
         assert (h < (1 << 32)).all()
         assert h.dtype == np.uint64
-
-    def test_h2_differs_from_h1(self):
-        v = np.arange(100, dtype=np.uint64)
-        assert not np.array_equal(hash_kmers_h1(v), hash_features_h2(v) & np.uint64(0xFFFFFFFF))
 
     def test_h1_uniformity(self):
         """Mean of hashed values should be near the middle of the range."""

@@ -607,8 +607,8 @@ def test_rl007_fires_on_upward_imports(tmp_path):
         """Core module reaching up."""
         from typing import TYPE_CHECKING
 
-        import repro.bench
-        from repro.gpu.topology import MultiGpuNode
+        import paper
+        from paper.gpu.topology import MultiGpuNode
 
         if TYPE_CHECKING:
             from repro import server
@@ -619,9 +619,9 @@ def test_rl007_fires_on_upward_imports(tmp_path):
         ''',
     )
     assert sorted(f.message.split(":")[0] for f in findings) == [
+        "imports paper",
+        "imports paper.gpu.topology",
         "imports repro.api.records",
-        "imports repro.bench",
-        "imports repro.gpu.topology",
         "imports repro.server",
     ]
     assert findings[-1].symbol == "query"
@@ -629,16 +629,12 @@ def test_rl007_fires_on_upward_imports(tmp_path):
 
 def test_rl007_silent_on_downward_and_wrapper_imports(tmp_path):
     for relpath, source in [
-        # the simulation wraps core; baselines and bench may use it
-        ("src/repro/gpu/multi_gpu.py", "from repro.core.query import query_database\n"),
-        ("src/repro/bench/runners.py", "from repro.gpu import CostModel\n"),
-        ("src/repro/baselines/cpu.py", "import repro.gpu.costmodel\n"),
         # the facade layer and entry points sit on top
         ("src/repro/server/app.py", "from repro.api import QuerySession\n"),
         ("src/repro/api/facade.py", "from repro.server import ServerThread\n"),
         ("src/repro/cli.py", "from repro.api import MetaCache\n"),
         # lookalike names and third-party modules are not the layers
-        ("src/repro/core/io.py", "import gpu\nfrom repro.apiary import x\n"),
+        ("src/repro/core/io.py", "import paperwork\nfrom repro.apiary import x\n"),
     ]:
         source = '"""Module."""\n' + source
         assert run_rule("RL007", tmp_path, relpath, source) == [], relpath

@@ -122,7 +122,8 @@ def server(world):
 
 
 class TestMicroBatcher:
-    def test_coalesces_concurrent_requests(self):
+    @pytest.mark.parametrize("n_requests", [4, 32])
+    def test_coalesces_concurrent_requests(self, n_requests):
         stub = StubSession()
 
         async def main():
@@ -131,15 +132,18 @@ class TestMicroBatcher:
             results = await asyncio.gather(
                 *(
                     batcher.submit([f"h{i}"], packed("ACGT"))
-                    for i in range(4)
+                    for i in range(n_requests)
                 )
             )
             await batcher.close()
             return results
 
         results = run_async(main())
-        assert stub.batch_sizes == [4]  # one coalesced dispatch
-        assert [r[0] for r in results] == [f"cls:h{i}" for i in range(4)]
+        if n_requests == 4:
+            assert stub.batch_sizes == [4]  # one coalesced dispatch
+        assert len(stub.batch_sizes) < n_requests  # requests share dispatches
+        assert sum(stub.batch_sizes) == n_requests
+        assert [r[0] for r in results] == [f"cls:h{i}" for i in range(n_requests)]
 
     def test_splits_oversized_request_across_batches(self):
         stub = StubSession()

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.bitops import (
-    bit_count,
     pack_pairs,
     reverse_2bit_fields,
     reverse_complement_2bit,
@@ -119,16 +118,3 @@ class TestPackPairs:
         h, l = unpack_pairs(pack_pairs(hi, lo))
         assert np.array_equal(h.astype(np.uint64), hi)
         assert np.array_equal(l.astype(np.uint64), lo)
-
-
-class TestBitCount:
-    def test_known_values(self):
-        v = np.array([0, 1, 3, 0xFF, 2**64 - 1], dtype=np.uint64)
-        assert list(bit_count(v)) == [0, 1, 2, 8, 64]
-
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
-    @settings(max_examples=50)
-    def test_matches_python_popcount(self, values):
-        v = np.array(values, dtype=np.uint64)
-        expected = [int(x).bit_count() for x in values]
-        assert list(bit_count(v)) == expected

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference.query_tail import segmented_top_k_mask
-from repro.util.scan import exclusive_prefix_sum, inclusive_prefix_sum
+from repro.util.scan import exclusive_prefix_sum
 from repro.util.segmented import (
     first_occurrence_mask,
     gather_segments,
@@ -118,10 +118,6 @@ class TestScans:
     def test_exclusive(self):
         out = exclusive_prefix_sum(np.array([2, 0, 5]))
         assert list(out) == [0, 2, 2, 7]
-
-    def test_inclusive(self):
-        out = inclusive_prefix_sum(np.array([2, 0, 5]))
-        assert list(out) == [2, 2, 7]
 
     def test_empty(self):
         assert list(exclusive_prefix_sum(np.array([], dtype=np.int64))) == [0]

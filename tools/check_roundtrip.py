@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""CI gate: classification is byte-identical however the index is opened.
+"""Gate: classification is byte-identical however the index is opened.
 
-Builds a small database, saves it, then classifies one simulated read
-file through the public API under ten configurations:
+Builds a small database (48 simulated 40 kbp genomes, 2 partitions),
+saves it, then classifies 600 simulated HiSeq reads of a 10-species
+mock community through the public API under ten configurations:
 
 - eager load;
 - eager load + ``session(workers=2)`` (the database is not
@@ -33,6 +34,8 @@ status 0 when they do, 1 (with a diff summary) when any diverges.
 Usage:
 
     PYTHONPATH=src python tools/check_roundtrip.py
+
+``tests/test_roundtrip_gate.py`` runs the same ``main()`` in tier-1.
 """
 
 from __future__ import annotations
@@ -42,15 +45,33 @@ import tempfile
 from pathlib import Path
 
 from repro.api import MetaCache, TsvSink
-from repro.bench.workloads import hiseq_mini
 from repro.core.database import Database
 from repro.core.io import save_database
 from repro.genomics.alphabet import decode_sequence
+from repro.genomics.community import MockCommunity
 from repro.genomics.fastq import FastqRecord, write_fastq
+from repro.genomics.reads import HISEQ
+from repro.genomics.simulate import GenomeSimulator
+from repro.taxonomy.builder import build_taxonomy_for_genomes
 
 # the retired uint64 writer lives with the test oracles
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from reference.index_u64 import save_database_u64  # noqa: E402
+
+
+def _inputs(n_reads: int = 600):
+    """References, taxonomy and reads: 16 genera x 3 species, 10 members."""
+    genomes = GenomeSimulator(seed=101).simulate_collection(
+        n_genera=16, species_per_genus=3, genome_length=40_000, name_prefix="RSQ"
+    )
+    taxonomy, taxa = build_taxonomy_for_genomes(genomes)
+    references = [
+        (g.name, g.scaffolds[0], taxa.target_taxon[i]) for i, g in enumerate(genomes)
+    ]
+    community = MockCommunity.uniform(
+        genomes, list(range(0, 30, 3)), seed=77, strain_divergence=0.03
+    )
+    return references, taxonomy, community.simulate_reads(HISEQ, n_reads)
 
 
 def _classify(
@@ -80,9 +101,8 @@ def _classify_through_reload(
 
 def main() -> int:
     """Run the comparison; 0 = identical, 1 = divergence."""
-    dataset = hiseq_mini(600)
-    refset = dataset.refset
-    db = Database.build(refset.references, refset.taxonomy, n_partitions=2)
+    references, taxonomy, reads = _inputs()
+    db = Database.build(references, taxonomy, n_partitions=2)
 
     with tempfile.TemporaryDirectory(prefix="roundtrip-") as tmp:
         tmp = Path(tmp)
@@ -92,14 +112,12 @@ def main() -> int:
 
         # the extend path: half the references, saved, reopened, grown
         # to the full set through MetaCache.extend, re-saved
-        half = len(refset.references) // 2
-        db_half = Database.build(
-            refset.references[:half], refset.taxonomy, n_partitions=2
-        )
+        half = len(references) // 2
+        db_half = Database.build(references[:half], taxonomy, n_partitions=2)
         half_dir, ext_dir = tmp / "v2half", tmp / "v2ext"
         save_database(db_half, half_dir)
         with MetaCache.open(half_dir) as mc:
-            mc.extend(references=refset.references[half:])
+            mc.extend(references=references[half:])
             mc.save(ext_dir)
 
         one_shot = {p.name: p.read_bytes() for p in v2_dir.iterdir()}
@@ -125,7 +143,7 @@ def main() -> int:
         write_fastq(
             [
                 FastqRecord(f"r{i}", decode_sequence(s), "I" * s.size)
-                for i, s in enumerate(dataset.reads.sequences)
+                for i, s in enumerate(reads.sequences)
             ],
             read_file,
         )

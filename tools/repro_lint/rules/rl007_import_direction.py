@@ -4,11 +4,10 @@ DESIGN.md's first rule, machine-enforced.  Two directions are banned
 for ``import`` / ``from ... import`` statements anywhere in a module
 (top level, inside functions, under ``TYPE_CHECKING``):
 
-* production code must not depend on the simulation: nothing under
-  ``src/repro/`` outside ``gpu/``, ``bench/`` and ``baselines/`` may
-  import ``repro.gpu`` or ``repro.bench`` -- the simulated-GPU
-  substrate and the paper-table harness *wrap* the core (PR 13 moved
-  ``Device``/``MultiGpuNode`` out of ``core/`` and ``api/``);
+* the installed package must not depend on the paper projection: no
+  module under ``src/repro/`` may import ``paper`` -- the simulated-GPU
+  substrate and the paper-table harness live in ``benchmarks/paper/``
+  and *wrap* the core;
 * nothing below the facade may import it back: only ``api/``,
   ``server/``, ``cli.py`` and ``__main__.py`` may import
   ``repro.api`` or ``repro.server``.
@@ -24,16 +23,16 @@ from tools.repro_lint.registry import register
 
 _PACKAGE = "src/repro/"
 
-#: (banned top-level subpackages, path prefixes allowed to import them, why)
+#: (banned packages, path prefixes allowed to import them, why)
 _DIRECTIONS = (
     (
-        ("gpu", "bench"),
-        ("gpu/", "bench/", "baselines/"),
-        "production code must not import the simulation/bench layer "
-        "(repro.gpu and repro.bench wrap the core, not the reverse)",
+        ("paper",),
+        (),
+        "the installed package must not import the paper projection "
+        "(benchmarks/paper/ wraps the core, not the reverse)",
     ),
     (
-        ("api", "server"),
+        ("repro.api", "repro.server"),
         ("api/", "server/", "cli.py", "__main__.py"),
         "layers below the facade must not import it back "
         "(dependencies point downward only)",
@@ -45,7 +44,7 @@ def _imported_modules(node: ast.AST) -> list[str]:
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
     if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-        if node.module == "repro":  # from repro import gpu
+        if node.module == "repro":  # from repro import api
             return [f"repro.{alias.name}" for alias in node.names]
         return [node.module]
     return []
@@ -58,7 +57,7 @@ class ImportDirection:
     rule_id = "RL007"
     name = "import-direction"
     rationale = (
-        "PR 13 inverted core's dependency on the simulated GPU; DESIGN.md's "
+        "The simulated GPU wraps the core from benchmarks/paper/; DESIGN.md's "
         "'dependencies point downward only' must not regress by accident."
     )
 
@@ -71,11 +70,9 @@ class ImportDirection:
         inner = module.relpath[len(_PACKAGE) :]
         for node in ast.walk(module.tree):
             for name in _imported_modules(node):
-                parts = name.split(".")
-                if parts[0] != "repro" or len(parts) < 2:
-                    continue
                 for banned, allowed, why in _DIRECTIONS:
-                    if parts[1] in banned and not inner.startswith(allowed):
+                    hit = any(name == b or name.startswith(b + ".") for b in banned)
+                    if hit and not inner.startswith(allowed):
                         yield Finding(
                             rule=self.rule_id,
                             path=module.relpath,
