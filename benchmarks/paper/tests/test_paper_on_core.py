@@ -1,9 +1,12 @@
 """Tests of the paper projection on top of the production core.
 
-Each test drives a :mod:`paper` piece -- simulated device accounting,
-the ring merge of Fig. 2, the bitonic / binned segmented-sort kernel
-emulations, the table renderers and the cost model's workload shape --
-against :mod:`repro` code or its output.
+Each test drives a :mod:`paper` piece -- the ring merge of Fig. 2, the
+bitonic / binned segmented-sort kernel emulations, the table renderers
+and the cost model's workload shape -- against :mod:`repro` code or its
+output.  Placing a built database on simulated devices and the ring
+query against the sequential one stay with the core tests they extend
+(``tests/test_core_database.py``, ``tests/test_failure_injection.py``,
+``tests/test_core_query_classify.py``).
 """
 
 import numpy as np
@@ -11,63 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Database, MetaCacheParams, load_database
 from repro.core.candidates import Candidates
-from repro.core.io import save_database
-from repro.core.query import query_database
-from repro.genomics.reads import HISEQ, ReadSimulator
-from repro.genomics.simulate import GenomeSimulator
-from repro.pipeline.packed import PackedReads
-from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.util.scan import exclusive_prefix_sum
 
 from paper.bench.tables import format_bytes, format_seconds, render_bars, render_table
 from paper.gpu.costmodel import WorkloadShape
-from paper.gpu.device import Device, DeviceSpec, charge_partitions
 from paper.gpu.kernels.bitonic import bitonic_compare_exchange_steps, bitonic_sort_rows
 from paper.gpu.kernels.segmented_sort_kernel import (
     plan_bins,
     segmented_sort,
     segmented_sort_reference,
 )
-from paper.gpu.memory import OutOfDeviceMemory
-from paper.gpu.multi_gpu import ring_merge_candidates, ring_query
+from paper.gpu.multi_gpu import ring_merge_candidates
 from paper.gpu.topology import MultiGpuNode
-
-PARAMS = MetaCacheParams.small()
-
-
-@pytest.fixture(scope="module")
-def small_world():
-    genomes = GenomeSimulator(seed=11).simulate_collection(3, 2, 3000)
-    taxonomy, taxa = build_taxonomy_for_genomes(genomes)
-    refs = [
-        (g.name, g.scaffolds[0], taxa.target_taxon[i]) for i, g in enumerate(genomes)
-    ]
-    return genomes, taxonomy, taxa, refs
-
-
-@pytest.fixture()
-def saved_db(tmp_path):
-    genomes = GenomeSimulator(seed=71).simulate_collection(2, 2, 2000)
-    taxonomy, taxa = build_taxonomy_for_genomes(genomes)
-    refs = [
-        (g.name, g.scaffolds[0], taxa.target_taxon[i]) for i, g in enumerate(genomes)
-    ]
-    db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
-    save_database(db, tmp_path)
-    return tmp_path, db
-
-
-@pytest.fixture(scope="module")
-def world():
-    genomes = GenomeSimulator(seed=21).simulate_collection(4, 2, 4000)
-    taxonomy, taxa = build_taxonomy_for_genomes(genomes)
-    refs = [
-        (g.name, g.scaffolds[0], taxa.target_taxon[i]) for i, g in enumerate(genomes)
-    ]
-    db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
-    return genomes, taxonomy, taxa, db
 
 
 def _cands(scores):
@@ -89,95 +48,7 @@ def random_segments(seed, n_seg, max_len):
     return values, offsets
 
 
-class TestDeviceAccounting:
-    def test_device_memory_accounting(self, small_world):
-        _, taxonomy, _, refs = small_world
-        devices = [Device(device_id=i) for i in range(2)]
-        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
-        charge_partitions(db, devices)
-        assert [d.memory.allocated_bytes for d in devices] == [
-            p.nbytes for p in db.partitions
-        ]
-        for d in devices:
-            d.memory.reset()
-        assert all(d.memory.allocated_bytes == 0 for d in devices)
-
-    def test_too_small_device_raises(self, small_world):
-        _, taxonomy, _, refs = small_world
-        tiny_spec = DeviceSpec(
-            name="tiny",
-            memory_bytes=1024,  # 1 KiB: nothing fits
-            mem_bandwidth=1e9,
-            sm_count=1,
-            cores_per_sm=1,
-            clock_hz=1e9,
-            nvlink_bw=1e9,
-            pcie_bw=1e9,
-        )
-        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=1)
-        with pytest.raises(OutOfDeviceMemory):
-            charge_partitions(db, [Device(device_id=0, spec=tiny_spec)])
-
-    def test_fewer_devices_than_partitions_rejected(self, small_world):
-        _, taxonomy, _, refs = small_world
-        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
-        with pytest.raises(ValueError):
-            charge_partitions(db, [Device(device_id=0)])
-
-    def test_load_onto_devices(self, small_world, tmp_path):
-        _, taxonomy, _, refs = small_world
-        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
-        save_database(db, tmp_path)
-        devices = [Device(device_id=i) for i in range(2)]
-        charge_partitions(load_database(tmp_path), devices)
-        assert all(d.memory.allocated_bytes > 0 for d in devices)
-
-    def test_load_onto_too_small_device(self, saved_db):
-        path, _ = saved_db
-        tiny = DeviceSpec(
-            name="tiny", memory_bytes=64, mem_bandwidth=1e9, sm_count=1,
-            cores_per_sm=1, clock_hz=1e9, nvlink_bw=1e9, pcie_bw=1e9,
-        )
-        with pytest.raises(OutOfDeviceMemory):
-            charge_partitions(
-                load_database(path), [Device(0, tiny), Device(1, tiny)]
-            )
-
-    def test_partial_device_allocations_released(self, saved_db):
-        """After a failed multi-device placement, the error is raised and
-        earlier allocations stay visible for diagnosis, then release."""
-        path, _ = saved_db
-        big = Device(0)
-        tiny = Device(
-            1,
-            DeviceSpec(
-                name="tiny", memory_bytes=64, mem_bandwidth=1e9, sm_count=1,
-                cores_per_sm=1, clock_hz=1e9, nvlink_bw=1e9, pcie_bw=1e9,
-            ),
-        )
-        with pytest.raises(OutOfDeviceMemory):
-            charge_partitions(load_database(path), [big, tiny])
-        # the first partition landed on the big device before failure
-        assert big.memory.allocated_bytes > 0
-        big.memory.reset()
-        assert big.memory.allocated_bytes == 0
-
-
 class TestRingMerge:
-    def test_ring_merge_matches_sequential(self, world):
-        genomes, _, _, db = world
-        reads = ReadSimulator(genomes, seed=3).simulate(HISEQ, 60)
-        node = MultiGpuNode.dgx1(db.n_partitions)
-        r_ring, trace = ring_query(node, db, PackedReads.from_reads(reads.sequences))
-        r_seq = query_database(db, reads.sequences)
-        assert np.array_equal(r_ring.candidates.score, r_seq.candidates.score)
-        assert np.array_equal(r_ring.candidates.target, r_seq.candidates.target)
-        assert r_ring.total_locations == r_seq.total_locations
-        assert trace.merge_order == list(range(db.n_partitions))
-        assert trace.total_transfer_seconds > 0
-        with pytest.raises(ValueError, match="partition"):
-            ring_query(MultiGpuNode.dgx1(db.n_partitions + 1), db, PackedReads.empty())
-
     def test_merges_and_traces(self):
         node = MultiGpuNode.dgx1(3)
         per_dev = [_cands([5, 0]), _cands([2, 9]), _cands([1, 1])]

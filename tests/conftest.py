@@ -18,15 +18,26 @@ through with a debugger).
 The alarm is armed only on the main thread of the main interpreter
 (a SIGALRM constraint) and only on platforms that have it -- other
 configurations silently skip the guard rather than break the suite.
+
+It also puts ``benchmarks/`` on the import path, so the few core tests
+that drive a database through the simulated GPU (``paper.gpu``) run
+under any invocation, not only when ``benchmarks/paper/tests/`` is
+collected first.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import sys
 import threading
+from pathlib import Path
 
 import pytest
+
+_BENCHMARKS = str(Path(__file__).resolve().parent.parent / "benchmarks")
+if _BENCHMARKS not in sys.path:
+    sys.path.insert(0, _BENCHMARKS)
 
 DEFAULT_TIMEOUT_SECONDS = int(os.environ.get("REPRO_TEST_TIMEOUT", "300"))
 

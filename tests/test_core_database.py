@@ -11,6 +11,8 @@ from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.warpcore.multi_bucket import MultiBucketHashTable
 from repro.warpcore.single_value import SingleValueHashTable
 
+from paper.gpu.device import Device, DeviceSpec, charge_partitions
+from paper.gpu.memory import OutOfDeviceMemory
 from reference.index_v1 import save_database_v1
 
 
@@ -64,6 +66,41 @@ class TestBuild:
         tiny = refs + [("tiny", np.zeros(3, dtype=np.uint8), taxa.target_taxon[0])]
         db = Database.build(tiny, taxonomy, params=PARAMS)
         assert db.targets[-1].n_windows == 0
+
+    def test_device_memory_accounting(self, small_world):
+        _, taxonomy, _, refs = small_world
+        devices = [Device(device_id=i) for i in range(2)]
+        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
+        charge_partitions(db, devices)
+        assert [d.memory.allocated_bytes for d in devices] == [
+            p.nbytes for p in db.partitions
+        ]
+        for d in devices:
+            d.memory.reset()
+        assert all(d.memory.allocated_bytes == 0 for d in devices)
+
+    def test_too_small_device_raises(self, small_world):
+        _, taxonomy, _, refs = small_world
+        tiny_spec = DeviceSpec(
+            name="tiny",
+            memory_bytes=1024,  # 1 KiB: nothing fits
+            mem_bandwidth=1e9,
+            sm_count=1,
+            cores_per_sm=1,
+            clock_hz=1e9,
+            nvlink_bw=1e9,
+            pcie_bw=1e9,
+        )
+        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=1)
+        with pytest.raises(OutOfDeviceMemory):
+            charge_partitions(db, [Device(device_id=0, spec=tiny_spec)])
+
+    def test_fewer_devices_than_partitions_rejected(self, small_world):
+        _, taxonomy, _, refs = small_world
+        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
+        with pytest.raises(ValueError):
+            charge_partitions(db, [Device(device_id=0)])
+
 
 class TestCondensedIndex:
     def test_matches_build_layout(self):
@@ -123,6 +160,14 @@ class TestPersistence:
         )
         with pytest.raises(ValueError):
             load_database(tmp_path)
+
+    def test_load_onto_devices(self, small_world, tmp_path):
+        _, taxonomy, _, refs = small_world
+        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
+        save_database(db, tmp_path)
+        devices = [Device(device_id=i) for i in range(2)]
+        charge_partitions(load_database(tmp_path), devices)
+        assert all(d.memory.allocated_bytes > 0 for d in devices)
 
     def test_save_condensed_database(self, small_world, tmp_path):
         """Saving after condense() must produce identical files content-wise."""

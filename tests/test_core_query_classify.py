@@ -13,9 +13,13 @@ from repro.core.stats import evaluate_accuracy
 from repro.genomics.community import CommunityMember, MockCommunity
 from repro.genomics.reads import HISEQ, KAL_D, ReadProfile, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ranks import Rank
 from repro.taxonomy.tree import Taxonomy
+
+from paper.gpu.multi_gpu import ring_query
+from paper.gpu.topology import MultiGpuNode
 
 PARAMS = MetaCacheParams.small()
 
@@ -62,6 +66,20 @@ class TestQueryPipeline:
         c1 = classify_reads(db1, r1.candidates)
         c2 = classify_reads(db, r2.candidates)
         assert np.array_equal(c1.taxon, c2.taxon)
+
+    def test_ring_merge_matches_sequential(self, world):
+        genomes, _, _, db = world
+        reads = ReadSimulator(genomes, seed=3).simulate(HISEQ, 60)
+        node = MultiGpuNode.dgx1(db.n_partitions)
+        r_ring, trace = ring_query(node, db, PackedReads.from_reads(reads.sequences))
+        r_seq = query_database(db, reads.sequences)
+        assert np.array_equal(r_ring.candidates.score, r_seq.candidates.score)
+        assert np.array_equal(r_ring.candidates.target, r_seq.candidates.target)
+        assert r_ring.total_locations == r_seq.total_locations
+        assert trace.merge_order == list(range(db.n_partitions))
+        assert trace.total_transfer_seconds > 0
+        with pytest.raises(ValueError, match="partition"):
+            ring_query(MultiGpuNode.dgx1(db.n_partitions + 1), db, PackedReads.empty())
 
     def test_paired_end_classification(self, world):
         genomes, _, taxa, db = world

@@ -1,4 +1,4 @@
-"""Failure injection: corrupted databases, taxonomies and inputs.
+"""Failure injection: corrupted inputs and resource exhaustion.
 
 A production system must fail loudly and precisely, never silently
 misclassify.  These tests corrupt databases, taxonomies and inputs in
@@ -17,6 +17,8 @@ from repro.taxonomy.ncbi import load_ncbi_dump
 from repro.taxonomy.ranks import Rank
 from repro.taxonomy.tree import Taxonomy, TaxonomyError
 
+from paper.gpu.device import Device, DeviceSpec, charge_partitions
+from paper.gpu.memory import OutOfDeviceMemory
 from reference.index_v1 import save_database_v1
 
 PARAMS = MetaCacheParams.small()
@@ -125,6 +127,38 @@ class TestCorruptTaxonomy:
         )
         t = load_ncbi_dump(tmp_path / "nodes.dmp", tmp_path / "names.dmp")
         assert t.rank_of(2) == Rank.SEQUENCE  # unknown rank -> 'no rank'
+
+
+class TestResourceExhaustion:
+    def test_load_onto_too_small_device(self, saved_db):
+        path, _ = saved_db
+        tiny = DeviceSpec(
+            name="tiny", memory_bytes=64, mem_bandwidth=1e9, sm_count=1,
+            cores_per_sm=1, clock_hz=1e9, nvlink_bw=1e9, pcie_bw=1e9,
+        )
+        with pytest.raises(OutOfDeviceMemory):
+            charge_partitions(
+                load_database(path), [Device(0, tiny), Device(1, tiny)]
+            )
+
+    def test_partial_device_allocations_released(self, saved_db):
+        """After a failed multi-device placement, the error is raised and
+        earlier allocations stay visible for diagnosis, then release."""
+        path, _ = saved_db
+        big = Device(0)
+        tiny = Device(
+            1,
+            DeviceSpec(
+                name="tiny", memory_bytes=64, mem_bandwidth=1e9, sm_count=1,
+                cores_per_sm=1, clock_hz=1e9, nvlink_bw=1e9, pcie_bw=1e9,
+            ),
+        )
+        with pytest.raises(OutOfDeviceMemory):
+            charge_partitions(load_database(path), [big, tiny])
+        # the first partition landed on the big device before failure
+        assert big.memory.allocated_bytes > 0
+        big.memory.reset()
+        assert big.memory.allocated_bytes == 0
 
 
 class TestDegenerateInputs:
