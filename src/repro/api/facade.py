@@ -540,11 +540,13 @@ class MetaCache:
         )
         if not block:
             thread = ServerThread(server, on_stop=session.close)
+            started = False
             try:
                 thread.start()
-            except BaseException:
-                session.close()
-                raise
+                started = True
+            finally:
+                if not started:  # the thread never owned the session
+                    session.close()
             if on_started is not None:
                 on_started(server)
             return thread
@@ -559,8 +561,8 @@ class MetaCache:
     def save(self, path: str | os.PathLike, *, format: int = 2) -> list[Path]:
         """Write the database directory; returns the files created.
 
-        One layout, mmap-ready: its cold open needs no hash-table
-        rebuild (see :meth:`open`).  ``format`` accepts only ``2``.
+        One layout, mmap-ready: its cold open builds nothing (see
+        :meth:`open`).  ``format`` accepts only ``2``.
         """
         return save_database(self.database, path, format=format)
 

@@ -14,8 +14,9 @@ Two storage layouts exist, as in the paper (Section 5.1):
 - the **build layout** -- the multi-bucket table as filled during
   construction; usable for querying immediately (on-the-fly mode);
 - the **condensed layout** -- produced by save/load: all location
-  buckets concatenated into one dense array with a single-value table
-  mapping features to (offset, length) pointers.
+  buckets concatenated into one dense array, with the sorted features
+  and the running sums of their list lengths pointing into it (the
+  paper's GPU version uses a single-value hash table there).
 
 ``Database.query_features`` hides the difference from the pipeline.
 """
@@ -36,12 +37,15 @@ from repro.taxonomy.lca import LcaIndex
 from repro.taxonomy.lineage import RankedLineages
 from repro.taxonomy.tree import Taxonomy
 from repro.util.segmented import gather_segments
+from repro.warpcore.base import sort_by_key
 from repro.warpcore.multi_bucket import MultiBucketHashTable
-from repro.warpcore.single_value import SingleValueHashTable
 
 __all__ = [
     "LOCATION_WORD_BITS",
     "location_word_fits",
+    "NARROW_OFFSETS_LIMIT",
+    "offsets_dtype",
+    "SortedPointers",
     "TargetRecord",
     "DatabasePartition",
     "CondensedIndex",
@@ -73,26 +77,147 @@ def location_word_fits(n_targets: int, max_window: int) -> bool:
     return free >= 0 and max(1, int(n_targets)) <= 1 << free
 
 
+#: a partition holding fewer locations than this stores ``<u4``
+#: offsets, any other ``<u8`` (:func:`offsets_dtype`)
+NARROW_OFFSETS_LIMIT = 1 << 32
+# the largest storable feature: build tables clamp the sentinel onto it
+_LAST_FEATURE = np.uint32(0xFFFFFFFE)
+
+
+def offsets_dtype(n_locations: int) -> np.dtype:
+    """The offsets dtype of a partition holding ``n_locations`` locations."""
+    return np.dtype("<u4" if n_locations < NARROW_OFFSETS_LIMIT else "<u8")
+
+
+class SortedPointers:
+    """Feature -> location-list pointer, as sorted keys plus running sums.
+
+    ``features`` is strictly ascending ``<u4`` (the sentinel
+    ``0xFFFFFFFF`` never among them); the list of ``features[row]`` is
+    ``offsets[row]:offsets[row + 1]`` of the partition's dense location
+    array, so ``offsets`` (``n + 1`` entries, ``<u4`` or ``<u8``) starts
+    at 0 and ends at the location count.  The arrays are kept as handed
+    in -- for a memory-mapped index the ``np.memmap`` objects that
+    ``Database.close`` unmaps -- and lookups read base-``ndarray`` views
+    of them, taken once, because every index into an ``np.memmap`` pays
+    a Python-level ``__getitem__`` and ``__array_finalize__``.
+    """
+
+    def __init__(self, features: np.ndarray, offsets: np.ndarray) -> None:
+        self.features = features
+        self.offsets = offsets
+        self._features = features.view(np.ndarray)
+        self._offsets = offsets.view(np.ndarray)
+
+    @classmethod
+    def from_lengths(
+        cls, features: np.ndarray, lengths: np.ndarray
+    ) -> "SortedPointers":
+        """Pointers of ascending ``features`` with lists of ``lengths``.
+
+        ``ValueError``: features that are not strictly ascending, the
+        sentinel (or a feature past 32 bits), or a negative length.
+        """
+        features = np.asarray(features)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if features.size and not (
+            0 <= int(features.min()) and int(features.max()) <= _LAST_FEATURE
+        ):
+            raise ValueError("a feature is the sentinel 0xFFFFFFFF or past 32 bits")
+        if lengths.size and int(lengths.min()) < 0:
+            raise ValueError("negative location-list length")
+        offsets = np.zeros(lengths.size + 1, dtype=offsets_dtype(int(lengths.sum())))
+        offsets[1:] = np.cumsum(lengths)
+        pointers = cls(features.astype("<u4"), offsets)
+        pointers.validate(int(offsets[-1]))  # what is left: the order
+        return pointers
+
+    def __len__(self) -> int:
+        return int(self.features.size)
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.features.nbytes) + int(self.offsets.nbytes)
+
+    def validate(self, n_locations: int) -> None:
+        """Check the whole arrays; ``ValueError`` names the first fault."""
+        keys, offsets = self._features, self._offsets
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("features are not strictly ascending")
+        if keys.size and keys[-1] > _LAST_FEATURE:
+            raise ValueError("the sentinel 0xFFFFFFFF is stored as a feature")
+        if offsets.size != keys.size + 1 or int(offsets[0]) != 0:
+            raise ValueError("offsets do not start at 0")
+        if np.any(offsets[1:] < offsets[:-1]):
+            raise ValueError("offsets decrease")
+        if int(offsets[-1]) != n_locations:
+            raise ValueError(
+                f"offsets end at {int(offsets[-1])}, not at the "
+                f"{n_locations} locations"
+            )
+
+    def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, found)`` of every feature: one binary search each.
+
+        The needles are cast to the keys' ``<u4`` (a uint64 cast of the
+        keys would copy the whole column on every call), and
+        ``0xFFFFFFFF`` is clamped onto ``0xFFFFFFFE`` as the build
+        tables clamp it on insert.  Unsorted needles are searched in
+        sorted order (one grouping sort): consecutive searches then
+        walk neighbouring paths, two to three times faster from a
+        thousand needles on.  A missing feature's row is its insertion
+        point, in ``0..len(self)``.
+        """
+        needles = np.minimum(
+            np.asarray(features).astype(np.uint32, copy=False), _LAST_FEATURE
+        )
+        if np.any(needles[1:] < needles[:-1]):
+            keys, order = sort_by_key(needles)
+            row = np.empty(needles.size, dtype=np.intp)
+            row[order] = np.searchsorted(self._features, keys)
+        else:  # what query_database passes: sorted distinct features
+            row = np.searchsorted(self._features, needles)
+        if not self._features.size:
+            return row, np.zeros(row.size, dtype=bool)
+        return row, self._features.take(row, mode="clip") == needles
+
+    def spans(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """int64 ``(start, end)`` of every feature's list (empty if missing)."""
+        row, found = self.retrieve(features)
+        starts = self._offsets.take(row).astype(np.int64)
+        ends = self._offsets.take(row + found).astype(np.int64)
+        return starts, ends
+
+    def drop_arrays(self) -> None:
+        """Let go of the arrays, views first (the pointers are dead after).
+
+        A view is a buffer export of its memory map, and ``mmap.close``
+        refuses while one is alive: ``Database.close`` calls this on
+        every mapped index before unmapping, whoever else still holds
+        the pointers object.
+        """
+        self._features = self._offsets = None
+        self.features = self.offsets = None
+
+
 @dataclass
 class CondensedIndex:
-    """The load-from-disk layout: dense buckets + pointer table.
+    """The load-from-disk layout: dense buckets + sorted pointers.
 
     ``locations`` holds every feature's location list contiguously as
     uint32 words ``local << window_bits | window``: ``local`` is the
     target's rank in ``targets`` (the ascending target ids present in
     the partition) and ``window_bits`` the bit length of the largest
-    window id.  ``pointers`` maps a feature to its packed
-    ``(offset << 24 | length)`` via a :class:`SingleValueHashTable`
-    (Section 5.1 uses exactly this structure on the GPU).
+    window id.  ``pointers`` (:class:`SortedPointers`) maps a feature
+    to its list by binary search over the sorted features; the paper's
+    GPU version uses a single-value hash table there (Section 5.1),
+    which in NumPy costs more bytes and a probe walk per lookup.
     :meth:`retrieve` expands the words back to the uint64
     ``target << 32 | window`` locations every other layer sees.
     """
 
-    OFFSET_SHIFT = np.uint64(24)
-    LENGTH_MASK = np.uint64((1 << 24) - 1)
-
     locations: np.ndarray
-    pointers: SingleValueHashTable
+    pointers: SortedPointers
     targets: np.ndarray
     window_bits: int
     # targets << 32, the high half of every expanded location
@@ -112,20 +237,16 @@ class CondensedIndex:
     ) -> "CondensedIndex":
         """Index canonical content (sorted features, dense ``locations``).
 
-        ``ValueError``: a list of 2^24+ locations, the sentinel feature,
-        or content whose targets and windows do not fit one word.
+        ``ValueError``: features not strictly ascending, the sentinel
+        feature, or content whose targets and windows do not fit one
+        word.
         """
-        lengths = lengths.astype(np.uint64)
-        if lengths.size and int(lengths.max()) >= (1 << 24):
-            raise ValueError("location list too long for condensed pointer")
-        packed = ((np.cumsum(lengths) - lengths) << cls.OFFSET_SHIFT) | lengths
-        pointers = SingleValueHashTable(capacity_keys=max(16, features.size))
-        pointers.insert(features, packed)
+        pointers = SortedPointers.from_lengths(features, lengths)
         return cls.from_locations(locations, pointers)
 
     @classmethod
     def from_locations(
-        cls, locations: np.ndarray, pointers: SingleValueHashTable
+        cls, locations: np.ndarray, pointers: SortedPointers
     ) -> "CondensedIndex":
         """Pack uint64 ``target << 32 | window`` locations into words.
 
@@ -161,11 +282,19 @@ class CondensedIndex:
         return expanded
 
     def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Same contract as ``MultiBucketHashTable.retrieve``."""
-        # a missing feature's pointer word is 0: length 0, nothing gathered
-        packed = self.pointers.retrieve(features)[0]
-        lengths = (packed & self.LENGTH_MASK).astype(np.int64)
-        starts = (packed >> self.OFFSET_SHIFT).astype(np.int64)
+        """Same contract as ``MultiBucketHashTable.retrieve``.
+
+        ``IndexError`` when an offset read decreases or lies outside
+        the location array (a corrupt partition).
+        """
+        starts, ends = self.pointers.spans(features)
+        lengths = ends - starts  # int64: a uint32 difference would wrap
+        if lengths.size and (
+            int(lengths.min()) < 0
+            or int(starts.min()) < 0
+            or int(ends.max()) > self.locations.size
+        ):
+            raise IndexError("an offset decreases or lies past the location array")
         offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         words = gather_segments(self.locations, starts, lengths)
@@ -176,7 +305,7 @@ class CondensedIndex:
         return (
             int(self.locations.nbytes)
             + int(self.targets.nbytes)
-            + self.pointers.stats().bytes_total
+            + self.pointers.nbytes
         )
 
 
@@ -192,9 +321,10 @@ class DatabasePartition:
         """Location lists of a feature batch (``retrieve`` contract).
 
         A plain ``mmap=True`` open skips the eager content checks, so a
-        corrupt location word (or pointer) first shows up here, as an
-        index past the end of the target map (or location array): it
-        raises :class:`DatabaseFormatError` naming this partition.
+        corrupt location word first shows up here, as an index past the
+        end of the target map, and a corrupt offset as one that
+        decreases or points past the location array: either raises
+        :class:`DatabaseFormatError` naming this partition.
         """
         if self.condensed is not None:
             try:
@@ -202,7 +332,7 @@ class DatabasePartition:
             except IndexError as exc:
                 raise DatabaseFormatError(
                     f"partition {self.partition_id}: corrupt index, a location "
-                    f"word or pointer lies outside its array ({exc})"
+                    f"word or offset lies outside its array ({exc})"
                 ) from exc
         if self.table is None:
             raise RuntimeError("partition has neither build nor condensed layout")
@@ -396,16 +526,13 @@ class Database:
             found: list[object] = []
             if p.condensed is not None:
                 cond = p.condensed
-                for array in (
-                    cond.locations,
-                    cond.pointers._keys,
-                    cond.pointers._values,
-                ):
+                pointers = cond.pointers
+                for array in (cond.locations, pointers.features, pointers.offsets):
                     mm = getattr(array, "_mmap", None)
                     if mm is not None:
                         found.append(mm)
-                # the table's lookup views are exports of those maps
-                cond.pointers.drop_arrays()
+                # the pointers' lookup views are exports of those maps
+                pointers.drop_arrays()
             p.condensed = None
             p.table = None
             return found

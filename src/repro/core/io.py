@@ -1,38 +1,38 @@
 """Database persistence: one index format, one writer (Section 4.3).
 
-A saved database is a directory holding the paper's condensed layout
-(Section 5.1) exactly as a query uses it: per partition one dense
-concatenated array of 32-bit location words, the partition's target
-map, and the slot arrays of the single-value hash table that maps a
-feature to its packed ``(offset << 24 | length)`` pointer -- every key
-and every list length lives in those slots, and nowhere else.  Arrays
+A saved database is a directory holding the condensed layout (Section
+5.1) exactly as a query uses it: per partition one dense concatenated
+array of 32-bit location words, the partition's target map, the
+sorted features and the running sums of their list lengths.  Arrays
 are plain page-aligned ``.npy`` files described by a ``manifest.json``
 with per-array CRC-32 checksums::
 
     database.meta          # JSON: format_version=2, params, targets
     nodes.dmp, names.dmp   # NCBI-format taxonomy dumps
     manifest.json          # per-array files/dtypes/shapes/CRC-32s,
-                           # feature/location counts, window_bits,
-                           # probing geometry
+                           # feature/location counts, window_bits
     part<P>.locations.npy  # uint32 words local << window_bits | window,
                            # dense concatenated location lists
     part<P>.targets.npy    # uint32, ascending target ids present in the
                            # partition (local target -> target id)
-    part<P>.ptr_keys.npy   # uint32, pointer-table slot keys (verbatim)
-    part<P>.ptr_values.npy # uint64, packed (offset, length) slot values
+    part<P>.features.npy   # uint32, strictly ascending features
+    part<P>.offsets.npy    # n_features + 1 running sums into locations:
+                           # uint32 below 2^32 locations, else uint64
 
 A location word's ``local`` field is the target's rank in the target
 map and ``window_bits`` (in the manifest entry) the bit length of the
 partition's largest window id; both follow from the content, and
 ``CondensedIndex.retrieve`` expands the words back to the uint64
-``target << 32 | window`` locations every query layer sees.
+``target << 32 | window`` locations every other layer sees.  Feature
+``features[i]`` owns ``locations[offsets[i]:offsets[i + 1]]``; a
+lookup is one binary search per feature.  The manifest records the
+offsets dtype the way it records the location dtype.
 
-``load_database`` wraps the slot arrays with
-:meth:`SingleValueHashTable.from_arrays` -- **zero rebuild**; with
-``mmap=True`` also **zero copy**: cold open is O(metadata), the index
-pages fault in on first probe, and any number of processes opening the
-same directory share one physical copy through the page cache.
-Partition files load under any device assignment, mirroring
+``load_database`` wraps the arrays as they are -- **zero rebuild**;
+with ``mmap=True`` also **zero copy**: cold open is O(metadata), the
+index pages fault in on first lookup, and any number of processes
+opening the same directory share one physical copy through the page
+cache.  Partition files load under any device assignment, mirroring
 "partitioned databases generated by the CPU version can be loaded by
 the GPU version and vice versa".
 
@@ -41,19 +41,21 @@ convert``) upgrades each to the layout above:
 
 - a **format v1** directory (one ``database.cache<P>`` NPZ per
   partition: sorted features, per-feature lengths, locations) loads by
-  *rebuilding* the pointer table;
-- a v2 directory whose manifest gives ``part<P>.locations.npy`` the
-  dtype ``<u8`` (uint64 ``target << 32 | window``, no target map)
-  loads by packing the words in memory, once;
-- directories written before the key and length columns stopped
-  being stored twice (``part<P>.features.npy`` /
-  ``part<P>.lengths.npy`` beside the pointer arrays) load as they are;
-  the extra files are ignored.
+  indexing those columns directly;
+- a v2 partition that stores the slot arrays of a single-value hash
+  table mapping each feature to a packed ``(offset << 24 | length)``
+  pointer (what this package wrote before the sorted pointers) loads
+  by reading the occupied slots into sorted features and offsets,
+  once; whatever else its manifest entry lists, the slot arrays mark
+  it;
+- such a partition whose locations have the dtype ``<u8`` (uint64
+  ``target << 32 | window``, no target map) also has its words packed
+  in memory, once; the key and length columns that directories of
+  that age may store beside the slot arrays are ignored.
 
-Neither of the first two can be memory-mapped: ``mmap=True`` loads
-them eagerly with a ``UserWarning``.  A legacy partition whose targets
-and windows do not fit one 32-bit word raises
-:class:`DatabaseFormatError`.
+None of them can be memory-mapped: ``mmap=True`` loads them eagerly
+with one ``UserWarning``.  A legacy partition whose targets and
+windows do not fit one 32-bit word raises :class:`DatabaseFormatError`.
 """
 
 from __future__ import annotations
@@ -76,15 +78,15 @@ from repro.core.database import (
     CondensedIndex,
     Database,
     DatabasePartition,
+    SortedPointers,
     TargetRecord,
     location_word_fits,
+    offsets_dtype,
 )
 from repro.hashing.sketch import SketchParams
 from repro.taxonomy.ncbi import load_ncbi_dump, write_ncbi_dump
 from repro.util.segmented import gather_segments
 from repro.warpcore.base import EMPTY_KEY, sort_by_key
-from repro.warpcore.probing import ProbingScheme
-from repro.warpcore.single_value import SingleValueHashTable
 
 __all__ = [
     "save_database",
@@ -101,19 +103,10 @@ _MANIFEST_NAME = "manifest.json"
 _NPY_ALIGN = 4096  # data payload starts on a page boundary
 _NPY_MAGIC = b"\x93NUMPY\x01\x00"
 
-# (manifest key == file suffix, dtype) of every per-partition array
-_V2_ARRAYS = (
-    ("locations", "<u4"),
-    ("targets", "<u4"),
-    ("ptr_keys", "<u4"),
-    ("ptr_values", "<u8"),
-)
-# what a partition written with uint64 location words holds
-_WIDE_ARRAYS = (
-    ("locations", "<u8"),
-    ("ptr_keys", "<u4"),
-    ("ptr_values", "<u8"),
-)
+# manifest key == file suffix of every per-partition array, in order;
+# all are <u4 but the offsets, whose dtype the manifest records
+_V2_ARRAYS = ("locations", "targets", "features", "offsets")
+_OFFSETS_DTYPES = ("<u4", "<u8")
 
 
 def save_database(
@@ -122,7 +115,7 @@ def save_database(
     """Write the database **crash-atomically**; returns the files created.
 
     Writes the layout described in the module docs; loading it (with
-    or without ``mmap=True``) performs **no** hash-table inserts.
+    or without ``mmap=True``) builds nothing: the arrays are the index.
     Saving condenses the database in place (the condensed layout is
     the only one made of flat arrays).  ``format`` is kept for callers
     that spell it out and accepts only ``2`` (``ValueError``
@@ -270,82 +263,47 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _unpack(cond: CondensedIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """``(features, lengths, words, dense)`` read off the slot arrays.
-
-    One scan and one grouping sort of the occupied slots, no probing.
-    ``dense``: the packed offsets are already the running sum of the
-    lengths in feature order and cover ``cond.locations`` exactly --
-    what ``CondensedIndex.from_content`` and both loaders produce --
-    and ``words`` is then that array itself; any other packing (a
-    hand-built index) is gathered into that order (``gather_segments``).
-    The words stay packed (:meth:`CondensedIndex.expand` reads them).
-    """
-    pointers = cond.pointers
-    occupied = np.flatnonzero(pointers._probe_keys != EMPTY_KEY)
-    features, order = sort_by_key(pointers._probe_keys.take(occupied))
-    packed = pointers._probe_values.take(occupied.take(order))
-    starts = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64)
-    lengths = (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
-    dense = np.array_equal(starts, np.cumsum(lengths) - lengths)
-    dense = dense and int(lengths.sum()) == cond.locations.size
-    words = cond.locations
-    if not dense:
-        words = gather_segments(words, starts, lengths)
-    return features.astype(np.uint64), lengths, words, dense
-
-
 def _condensed_content(
     part: DatabasePartition,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sorted features, lengths, uint64 locations dense in that order)."""
     if part.condensed is None:
         return part.table.condensed_content()
-    features, lengths, words, _ = _unpack(part.condensed)
-    return features, lengths, part.condensed.expand(words)
+    cond = part.condensed
+    pointers = cond.pointers
+    return (
+        pointers.features.astype(np.uint64),
+        np.diff(pointers.offsets.astype(np.int64)),
+        cond.expand(cond.locations),
+    )
 
 
 def _write_partitions(db: Database, directory: Path) -> list[Path]:
     """Aligned ``.npy`` files per partition + the checksum manifest.
 
-    The pointer table is persisted **slot-verbatim**, so its packed
-    values must address the dense location array.  A partition still
-    in the build layout is condensed in place first; one already
-    condensed is written from the arrays it holds, and only a
-    hand-built index that is not dense (see :func:`_unpack`) is
-    re-pointed, once, here.
+    A partition still in the build layout is condensed in place first;
+    one already condensed is written from the arrays it holds (sorted
+    pointers are always dense, so nothing is re-pointed).
     """
     files: list[Path] = []
     manifest: dict = {"format_version": FORMAT_V2, "alignment": _NPY_ALIGN,
                       "partitions": []}
     for p, part in enumerate(db.partitions):
+        if part.condensed is None:
+            part.condense()
         cond = part.condensed
-        if cond is None:
-            part.condense()  # a build table leaves from_content dense
-            cond = part.condensed
-        else:
-            features, lengths, words, dense = _unpack(cond)
-            if not dense:
-                cond = CondensedIndex.from_content(
-                    features, lengths, cond.expand(words)
-                )
         pointers = cond.pointers
-        arrays = (cond.locations, cond.targets, pointers._keys, pointers._values)
+        n_locations = int(cond.locations.size)
+        arrays = (cond.locations, cond.targets, pointers.features, pointers.offsets)
+        dtypes = ("<u4", "<u4", "<u4", offsets_dtype(n_locations).str)
         entry: dict = {
             "partition_id": p,
             "n_features": len(pointers),
-            "n_locations": int(cond.locations.size),
+            "n_locations": n_locations,
             "window_bits": cond.window_bits,
-            "pointer_table": {
-                "n_groups": pointers.probing.n_groups,
-                "group_size": pointers.probing.group_size,
-                "max_probe_rounds": pointers.probing.max_probe_rounds,
-                "size": len(pointers),
-                "dropped": pointers._dropped,
-            },
             "arrays": {},
         }
-        for (key, dtype), array in zip(_V2_ARRAYS, arrays):
+        for key, dtype, array in zip(_V2_ARRAYS, dtypes, arrays):
             array = np.ascontiguousarray(array, dtype=np.dtype(dtype))
             path = directory / f"part{p}.{key}.npy"
             entry["arrays"][key] = {
@@ -436,10 +394,10 @@ def load_database(
         memory-map the index arrays instead of reading them: cold open
         touches no index bytes, and concurrent processes opening the
         same directory share one physical copy through the page
-        cache.  Ignored, with one ``UserWarning``, for legacy v1
-        directories (which rebuild their pointer tables on load) and
-        directories with uint64 location words (packed in memory on
-        load): neither has an mmap-able layout.
+        cache.  Ignored, with one ``UserWarning``, for the legacy
+        inputs of the module docs (v1 directories and pointer-table
+        partitions, with 32- or 64-bit location words), which are
+        re-indexed in memory on load: none has an mmap-able layout.
     verify:
         check every array against its manifest CRC-32 (reads the
         full payload; defeats the O(1) open, so off by default --
@@ -498,26 +456,37 @@ def load_database(
         entries = _read_manifest(directory, n_partitions)
         wide = [_locations_dtype(directory, e, pid) == "<u8"
                 for pid, e in enumerate(entries)]
-        if mmap and any(wide):
+        legacy = [_lists_pointer_table(e) for e in entries]
+        if mmap and any(legacy):
+            what = (
+                "uint64 location words cannot be memory-mapped; packing them"
+                if any(wide) else
+                "hash-table pointers cannot be memory-mapped; reading them "
+                "into sorted pointers"
+            )
             warnings.warn(
-                f"{directory}: uint64 location words cannot be memory-mapped; "
-                "packing them in memory (convert with `metacache-repro "
+                f"{directory}: {what} in memory (convert with `metacache-repro "
                 "convert` for zero-copy opens)",
                 stacklevel=2,
             )
             mmap = False
-        condensed_parts = [
-            _load_partition_v2(
-                directory, entry, pid, wide=wide[pid], mmap=mmap, verify=verify
-            )
-            for pid, entry in enumerate(entries)
-        ]
+        condensed_parts = []
+        for pid, entry in enumerate(entries):
+            if legacy[pid]:
+                cond = _load_pointer_table_partition(
+                    directory, entry, pid, wide=wide[pid], verify=verify
+                )
+            else:
+                cond = _load_partition_v2(
+                    directory, entry, pid, mmap=mmap, verify=verify
+                )
+            condensed_parts.append(cond)
     else:
         if mmap:
             warnings.warn(
                 f"{directory}: format v1 databases cannot be memory-mapped; "
-                "loading through the rebuild path (convert to v2 with "
-                "`metacache-repro convert` for zero-rebuild opens)",
+                "loading them in memory (convert to v2 with "
+                "`metacache-repro convert` for zero-copy opens)",
                 stacklevel=2,
             )
             mmap = False
@@ -540,7 +509,7 @@ def load_database(
 
 
 def _load_condensed_v1(cache_path: Path, pid: int) -> CondensedIndex:
-    """Rebuild one partition's pointer table from a v1 NPZ (slow path)."""
+    """Index one partition of a v1 NPZ (its columns, read whole)."""
     try:
         with np.load(cache_path) as data:
             features = data["features"]
@@ -558,7 +527,7 @@ def _load_condensed_v1(cache_path: Path, pid: int) -> CondensedIndex:
         )
     try:
         return CondensedIndex.from_content(features, lengths, locations)
-    except ValueError as exc:  # 2^24+ locations, the sentinel, word overflow
+    except ValueError as exc:  # unsorted features, the sentinel, word overflow
         raise DatabaseFormatError(
             f"{cache_path}: invalid feature or location in partition {pid} "
             f"({exc})"
@@ -603,111 +572,112 @@ def _locations_dtype(directory: Path, entry: dict, pid: int) -> str:
     return dtype
 
 
+def _open_partition(
+    directory: Path, entry: dict, pid: int, dtypes: dict, *, mmap: bool, verify: bool
+) -> tuple[dict[str, np.ndarray], int, int]:
+    """Open the arrays ``dtypes`` names; ``(arrays, n_features, n_locations)``.
+
+    ``dtypes`` maps each manifest key to the dtypes it may have; the
+    manifest says which one it has.
+    """
+    arrays: dict[str, np.ndarray] = {}
+    try:
+        for key, allowed in dtypes.items():
+            spec = entry["arrays"][key]
+            if spec["dtype"] not in allowed:
+                raise ValueError(
+                    f"{key} of dtype {spec['dtype']!r} (expected one of {allowed})"
+                )
+            arrays[key] = _open_npy(
+                directory / str(spec["file"]), np.dtype(spec["dtype"]),
+                tuple(int(n) for n in spec["shape"]),
+                crc=spec["crc32"] if verify else None,
+                mmap=mmap and key != "targets",  # the map is metadata-sized
+            )
+        return arrays, int(entry["n_features"]), int(entry["n_locations"])
+    except DatabaseFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatabaseFormatError(
+            f"{directory / _MANIFEST_NAME}: corrupt manifest for partition "
+            f"{pid} ({exc!r})"
+        ) from exc
+
+
 def _load_partition_v2(
     directory: Path,
     entry: dict,
     pid: int,
     *,
-    wide: bool,
     mmap: bool,
     verify: bool,
 ) -> CondensedIndex:
-    """Map (or read) one partition's arrays and wrap them, copy-free.
-
-    ``wide``: the manifest gives uint64 location words
-    (``_WIDE_ARRAYS``, only ever loaded eagerly); they are packed into
-    the 32-bit layout here instead.
-    """
+    """Map (or read) one partition's arrays and wrap them, copy-free."""
     manifest_path = directory / _MANIFEST_NAME
-    arrays: dict[str, np.ndarray] = {}
-    try:
-        specs = entry["arrays"]
-        for key, dtype in _WIDE_ARRAYS if wide else _V2_ARRAYS:
-            spec = specs[key]
-            path = directory / str(spec["file"])
-            shape = tuple(int(n) for n in spec["shape"])
-            arrays[key] = _open_npy(
-                path, np.dtype(dtype), shape, crc=spec["crc32"] if verify else None,
-                mmap=mmap and key != "targets",  # the map is metadata-sized
-            )
-        window_bits = None if wide else int(entry["window_bits"])
-        n_features = int(entry["n_features"])
-        n_locations = int(entry["n_locations"])
-        pt = entry["pointer_table"]
-        probing = ProbingScheme(
-            n_groups=int(pt["n_groups"]),
-            group_size=int(pt["group_size"]),
-            max_probe_rounds=int(pt["max_probe_rounds"]),
-        )
-        pointers = SingleValueHashTable.from_arrays(
-            keys=arrays["ptr_keys"],
-            values=arrays["ptr_values"],
-            probing=probing,
-            size=int(pt["size"]),
-            dropped=int(pt["dropped"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatabaseFormatError(
-            f"{manifest_path}: corrupt manifest for partition {pid} ({exc!r})"
-        ) from exc
+    dtypes = dict.fromkeys(_V2_ARRAYS, ("<u4",))
+    dtypes["offsets"] = _OFFSETS_DTYPES
+    arrays, n_features, n_locations = _open_partition(
+        directory, entry, pid, dtypes, mmap=mmap, verify=verify
+    )
     locations = arrays["locations"]
     # header-only checks (no payload reads; mmap open stays O(metadata))
-    if n_features != len(pointers) or n_locations != locations.size:
+    if (
+        arrays["features"].size != n_features
+        or arrays["offsets"].size != n_features + 1
+        or locations.size != n_locations
+    ):
         raise DatabaseFormatError(
             f"{manifest_path}: partition {pid} array sizes disagree with manifest"
         )
-    if wide:
-        try:
-            cond = CondensedIndex.from_locations(locations, pointers)
-        except ValueError as exc:
-            raise DatabaseFormatError(
-                f"{manifest_path}: partition {pid} cannot be packed ({exc}); "
-                "rebuild it with more partitions"
-            ) from exc
-    else:
-        cond = _narrow_index(
-            locations, pointers, arrays["targets"], window_bits, manifest_path, pid
-        )
+    pointers = SortedPointers(arrays["features"], arrays["offsets"])
+    cond = _narrow_index(
+        locations, pointers, arrays["targets"], entry, manifest_path, pid
+    )
     # deep checks whenever the payload is (or will be) resident anyway:
-    # eager loads and verify=True cross-check the slot values queries
-    # actually probe (v1-loader parity); a plain mmap open skips them
-    # by contract (cold open must not fault the index in)
+    # eager loads and verify=True check the pointers and words queries
+    # read (v1-loader parity); a plain mmap open skips them by contract
+    # (cold open must not fault the index in), and retrieve checks the
+    # offsets it reads instead
     if not mmap or verify:
-        occupied = np.asarray(pointers._keys) != EMPTY_KEY
-        packed = np.asarray(pointers._values)[occupied]
-        lengths = (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
-        spans = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64) + lengths
-        if packed.size != n_features or (
-            spans.size and int(spans.max()) > n_locations
-        ):
-            raise DatabaseFormatError(
-                f"{manifest_path}: pointer table of partition {pid} does not "
-                "match its location array"
-            )
-        if int(lengths.sum()) != n_locations:
-            raise DatabaseFormatError(
-                f"{manifest_path}: corrupt location array (partition {pid})"
-            )
-        # (words packed here from wide locations are in range by construction)
-        if not wide and n_locations and (
-            int(locations.max()) >> window_bits >= cond.targets.size
-        ):
-            raise DatabaseFormatError(
-                f"{manifest_path}: location words of partition {pid} name "
-                "targets outside its target map"
-            )
+        _check_content(cond, n_locations, manifest_path, pid)
     return cond
+
+
+def _check_content(
+    cond: CondensedIndex, n_locations: int, manifest_path: Path, pid: int
+) -> None:
+    """Pointers cover the locations exactly; words name mapped targets."""
+    try:
+        cond.pointers.validate(n_locations)
+    except ValueError as exc:
+        raise DatabaseFormatError(
+            f"{manifest_path}: pointers of partition {pid} do not match its "
+            f"location array ({exc})"
+        ) from exc
+    if n_locations and (
+        int(cond.locations.max()) >> cond.window_bits >= cond.targets.size
+    ):
+        raise DatabaseFormatError(
+            f"{manifest_path}: location words of partition {pid} name "
+            "targets outside its target map"
+        )
 
 
 def _narrow_index(
     locations: np.ndarray,
-    pointers: SingleValueHashTable,
+    pointers: SortedPointers,
     targets: np.ndarray,
-    window_bits: int,
+    entry: dict,
     manifest_path: Path,
     pid: int,
 ) -> CondensedIndex:
     """Wrap a 32-bit-word partition after checking its target map."""
+    try:
+        window_bits = int(entry["window_bits"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatabaseFormatError(
+            f"{manifest_path}: corrupt manifest for partition {pid} ({exc!r})"
+        ) from exc
     # 32: the widest window field a uint32 word has room for
     fits = 0 <= window_bits <= 32 and location_word_fits(
         targets.size, (1 << window_bits) - 1
@@ -726,6 +696,80 @@ def _narrow_index(
         locations=locations, pointers=pointers, targets=targets,
         window_bits=window_bits,
     )
+
+
+# ------------------------------------------------ legacy pointer-table partitions
+
+
+def _lists_pointer_table(entry: dict) -> bool:
+    """Whether a manifest entry is a legacy pointer-table partition."""
+    arrays = entry.get("arrays") if isinstance(entry, dict) else None
+    return isinstance(arrays, dict) and "ptr_keys" in arrays
+
+
+def _load_pointer_table_partition(
+    directory: Path, entry: dict, pid: int, *, wide: bool, verify: bool
+) -> CondensedIndex:
+    """Read a pointer-table partition into sorted pointers (always eager).
+
+    One scan and one grouping sort of the occupied slots, no probing:
+    each slot value packs ``offset << 24 | length``.  Offsets that are
+    already the running sum of the lengths in feature order -- what
+    every writer produced -- keep the location array as it is; any
+    other packing is gathered into that order.  ``wide``: the locations
+    are uint64 ``target << 32 | window`` and are packed into words here.
+    """
+    manifest_path = directory / _MANIFEST_NAME
+    dtypes = {"locations": ("<u8",) if wide else ("<u4",)}
+    if not wide:
+        dtypes["targets"] = ("<u4",)
+    dtypes.update(ptr_keys=("<u4",), ptr_values=("<u8",))
+    arrays, n_features, n_locations = _open_partition(
+        directory, entry, pid, dtypes, mmap=False, verify=verify
+    )
+    locations = arrays["locations"]
+    slot_keys, slot_values = arrays["ptr_keys"], arrays["ptr_values"]
+    if slot_keys.shape != slot_values.shape or n_locations != locations.size:
+        raise DatabaseFormatError(
+            f"{manifest_path}: partition {pid} array sizes disagree with manifest"
+        )
+    occupied = np.flatnonzero(slot_keys != EMPTY_KEY)
+    features, order = sort_by_key(slot_keys.take(occupied))
+    packed = slot_values.take(occupied.take(order))
+    starts = (packed >> np.uint64(24)).astype(np.int64)
+    lengths = (packed & np.uint64((1 << 24) - 1)).astype(np.int64)
+    if features.size != n_features or (
+        lengths.size and int((starts + lengths).max()) > n_locations
+    ):
+        raise DatabaseFormatError(
+            f"{manifest_path}: pointer table of partition {pid} does not "
+            "match its location array"
+        )
+    if int(lengths.sum()) != n_locations:
+        raise DatabaseFormatError(
+            f"{manifest_path}: corrupt location array (partition {pid})"
+        )
+    if not np.array_equal(starts, np.cumsum(lengths) - lengths):
+        locations = gather_segments(locations, starts, lengths)
+    try:
+        pointers = SortedPointers.from_lengths(features, lengths)
+    except ValueError as exc:  # a key stored in two slots
+        raise DatabaseFormatError(
+            f"{manifest_path}: pointer table of partition {pid} is corrupt ({exc})"
+        ) from exc
+    if wide:
+        try:
+            return CondensedIndex.from_locations(locations, pointers)
+        except ValueError as exc:
+            raise DatabaseFormatError(
+                f"{manifest_path}: partition {pid} cannot be packed ({exc}); "
+                "rebuild it with more partitions"
+            ) from exc
+    cond = _narrow_index(
+        locations, pointers, arrays["targets"], entry, manifest_path, pid
+    )
+    _check_content(cond, n_locations, manifest_path, pid)
+    return cond
 
 
 def _open_npy(

@@ -25,8 +25,10 @@ the batch stand-in for ``atomicCAS``.
 - :class:`MultiBucketHashTable` -- the paper's contribution.
 - :class:`MultiValueHashTable` -- WarpCore baseline, 1 value/slot.
 - :class:`BucketListHashTable` -- WarpCore baseline, linked buckets.
-- :class:`SingleValueHashTable` -- key -> single value; used for the
-  condensed (load-from-disk) query layout, Section 5.1.
+- :class:`SingleValueHashTable` -- key -> single value, WarpCore's
+  basic map (the GPU version's condensed-layout pointer table, Section
+  5.1; the condensed index here uses sorted features instead, see
+  :class:`repro.core.database.SortedPointers`).
 """
 
 from repro.warpcore.base import EMPTY_KEY, TableStats

@@ -1,9 +1,12 @@
 """Single-value hash table: key -> exactly one value.
 
 WarpCore's basic map.  MetaCache-GPU uses it for the *condensed*
-query layout loaded from disk (Section 5.1): all location buckets are
-concatenated into one big array and this table maps each feature to
-its (offset, length) pointer, packed into the uint64 value.
+query layout loaded from disk (Section 5.1), mapping each feature to
+its (offset, length) pointer into the concatenated location buckets.
+The condensed index of this package does not: a binary search over
+sorted features needs fewer bytes and no probe walk in NumPy (see
+:class:`repro.core.database.SortedPointers`).  The table stays as the
+WarpCore baseline the micro-benchmarks and tests exercise.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ _EMPTY64 = np.uint64(EMPTY_KEY)
 class SingleValueHashTable:
     """Open-addressing key -> value map with batch operations.
 
-    Re-inserting an existing key overwrites its value (the condensed
-    loader never does; the semantic is defined for completeness and
-    tested).
+    Re-inserting an existing key overwrites its value (the semantic is
+    defined for completeness and tested).
     """
 
     def __init__(
@@ -64,10 +66,10 @@ class SingleValueHashTable:
     ) -> "SingleValueHashTable":
         """Wrap existing slot arrays without copying them.
 
-        Used to map a table over externally owned memory — the
-        format-v2 loader hands in (read-only, memory-mapped) views of
-        the saved slot arrays, so every process probing the same files
-        probes the same physical memory (zero-copy).  ``keys``/``values`` must be the
+        Used to map a table over externally owned memory -- e.g.
+        (read-only, memory-mapped) views of saved slot arrays, so every
+        process probing the same files probes the same physical memory
+        (zero-copy).  ``keys``/``values`` must be the
         full slot arrays of a table built with the given ``probing``
         scheme; ``size`` is its occupied-slot count.
 
@@ -150,7 +152,7 @@ class SingleValueHashTable:
         ``0xFFFFFFFE`` and, in a single-*value* table, overwrite that
         key's value -- a feature's pointer would vanish without a
         trace.  Callers feeding sketch features never hit this: the
-        build tables reserve the sentinel at insert time, so condensed
+        build tables reserve the sentinel at insert time, so their
         keys arriving here are already clamped.  :meth:`retrieve`
         keeps the symmetric clamp so queries for the raw sentinel
         still find the clamped feature.
@@ -167,8 +169,8 @@ class SingleValueHashTable:
         spans = batch_spans(pkeys.size)
         if len(spans) > 1:  # more pairs than one grouping sort can index
             return sum(self.insert(pkeys[span], pvals[span]) for span in spans)
-        # One walker per distinct key.  Strictly increasing keys (all the
-        # condensed loader ever submits) are distinct as they stand;
+        # One walker per distinct key.  Strictly increasing keys (what
+        # condensed content submits) are distinct as they stand;
         # otherwise fold duplicates: a key walks once, in the submission
         # position of its first pair, carrying its last value and its
         # pair count.  Walkers are carried as index arrays from then on.

@@ -7,18 +7,20 @@ then walked the probe sequence of *every* key (``retrieve``).  These
 two functions are that code -- the build-layout branch of
 ``repro.core.io._condensed_content`` and ``CondensedIndex.from_table``
 -- moved out of ``src/`` verbatim, except that the uint64 locations
-are now packed into the 32-bit words (``CondensedIndex.from_locations``);
-``tests/test_condense_equivalence.py``
+are now packed into the 32-bit words and the pointers are the old
+pointer table (``PointerTableIndex.from_locations`` of
+``index_ptr_table.py``); ``tests/test_condense_equivalence.py``
 asserts that the scan returns the same arrays, element for element, and
-that the pointer table built from them has the same slot arrays.
+that the sorted pointers built from them are what that table holds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.database import CondensedIndex
 from repro.warpcore import MultiBucketHashTable, SingleValueHashTable
+
+from reference.index_ptr_table import PointerTableIndex
 
 __all__ = ["condensed_content_by_probe", "condensed_index_by_probe"]
 
@@ -37,14 +39,14 @@ def condensed_content_by_probe(
     )
 
 
-def condensed_index_by_probe(table: MultiBucketHashTable) -> CondensedIndex:
+def condensed_index_by_probe(table: MultiBucketHashTable) -> PointerTableIndex:
     """Compact a build-layout table into the condensed layout."""
     uniq = table.occupied_keys()
     values, offsets = table.retrieve(uniq)
     lengths = np.diff(offsets).astype(np.uint64)
     if lengths.size and int(lengths.max()) >= (1 << 24):
         raise ValueError("location list too long for condensed pointer")
-    packed = (offsets[:-1].astype(np.uint64) << CondensedIndex.OFFSET_SHIFT) | lengths
+    packed = (offsets[:-1].astype(np.uint64) << PointerTableIndex.OFFSET_SHIFT) | lengths
     pointers = SingleValueHashTable(capacity_keys=max(16, uniq.size))
     pointers.insert(uniq, packed)
-    return CondensedIndex.from_locations(values, pointers)
+    return PointerTableIndex.from_locations(values, pointers)

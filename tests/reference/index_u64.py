@@ -6,11 +6,12 @@ every location of a partition as a uint64 ``target << 32 | window``
 two slot arrays, with no target map and no ``window_bits``.
 ``repro.core.io`` still reads such directories (packing the words in
 memory); it no longer writes them.  :func:`save_database_u64` is that
-writer, moved out of ``src/``: where it used to write
-``cond.locations`` it now writes the words expanded back to uint64,
-which is the array it wrote before.  :class:`U64Index` is the old
-``CondensedIndex.retrieve`` over such a directory's arrays, read
-straight off disk -- the oracle ``query_features`` is compared to.
+writer, moved out of ``src/``: it indexes the partition's canonical
+content with the retired pointer table of ``index_ptr_table.py`` and
+writes the words expanded back to uint64, which is the array it wrote
+before.  :class:`U64Index` is the old ``CondensedIndex.retrieve`` over
+such a directory's arrays, read straight off disk -- the oracle
+``query_features`` is compared to.
 """
 
 from __future__ import annotations
@@ -20,11 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.database import CondensedIndex, Database
-from repro.core.io import _MANIFEST_NAME, _unpack, _write_metadata, _write_npy_aligned
+from repro.core.database import Database
+from repro.core.io import _MANIFEST_NAME, _condensed_content, _write_metadata
 from repro.util.segmented import gather_segments
 from repro.warpcore.probing import ProbingScheme
 from repro.warpcore.single_value import SingleValueHashTable
+
+from reference.index_ptr_table import (
+    PointerTableIndex,
+    pointer_table_entry,
+    write_entry_arrays,
+)
 
 __all__ = ["save_database_u64", "U64Index"]
 
@@ -40,39 +47,13 @@ def _write_partitions_u64(db: Database, directory: Path) -> list[Path]:
     files: list[Path] = []
     manifest: dict = {"format_version": 2, "alignment": 4096, "partitions": []}
     for p, part in enumerate(db.partitions):
-        cond = part.condensed
-        if cond is None:
+        if part.condensed is None:
             part.condense()
-            cond = part.condensed
-        features, lengths, words, dense = _unpack(cond)
-        if not dense:
-            cond = CondensedIndex.from_content(features, lengths, cond.expand(words))
-            words = cond.locations
+        cond = PointerTableIndex.from_content(*_condensed_content(part))
         pointers = cond.pointers
-        arrays = (cond.expand(words), pointers._keys, pointers._values)
-        entry: dict = {
-            "partition_id": p,
-            "n_features": len(pointers),
-            "n_locations": int(words.size),
-            "pointer_table": {
-                "n_groups": pointers.probing.n_groups,
-                "group_size": pointers.probing.group_size,
-                "max_probe_rounds": pointers.probing.max_probe_rounds,
-                "size": len(pointers),
-                "dropped": pointers._dropped,
-            },
-            "arrays": {},
-        }
-        for (key, dtype), array in zip(_U64_ARRAYS, arrays):
-            array = np.ascontiguousarray(array, dtype=np.dtype(dtype))
-            path = directory / f"part{p}.{key}.npy"
-            entry["arrays"][key] = {
-                "file": path.name,
-                "dtype": dtype,
-                "shape": list(array.shape),
-                "crc32": _write_npy_aligned(path, array),
-            }
-            files.append(path)
+        entry = pointer_table_entry(p, pointers, int(cond.locations.size))
+        arrays = (cond.expand(cond.locations), pointers._keys, pointers._values)
+        files += write_entry_arrays(directory, p, entry, _U64_ARRAYS, arrays)
         manifest["partitions"].append(entry)
     manifest_path = directory / _MANIFEST_NAME
     manifest_path.write_text(json.dumps(manifest, indent=1))
@@ -115,8 +96,8 @@ class U64Index:
     def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(locations, offsets)`` of a feature batch, gathered as uint64."""
         packed = self.pointers.retrieve(features)[0]
-        lengths = (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
-        starts = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64)
+        lengths = (packed & PointerTableIndex.LENGTH_MASK).astype(np.int64)
+        starts = (packed >> PointerTableIndex.OFFSET_SHIFT).astype(np.int64)
         offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         return gather_segments(self.locations, starts, lengths), offsets

@@ -3,14 +3,16 @@
 Until the condensed layout got one serialized form, ``save_database``
 could write two: **format v1**, one ``database.cache<P>`` NPZ per
 partition holding sorted features, per-feature lengths and the dense
-location array (loading it rebuilds the pointer table), and a **v2**
+location array, and a **v2**
 layout that stored those same features and lengths as two more
 ``.npy`` files *beside* the pointer table that already holds every key
 and every length.  ``repro.core.io`` still reads both; it writes
 neither.  ``_condensed_content`` and ``_save_partitions_v1`` are the
 old writer, moved out of ``src/`` verbatim except that the location
 words are expanded back to uint64 where ``cond.locations`` used to be
-read directly; :func:`save_database_v1` and
+read directly, and the features and lengths are read off today's
+sorted pointers instead of a pointer table's slots;
+:func:`save_database_v1` and
 :func:`save_database_v2_five_arrays` wrap them into directories the
 way the old ``save_database`` laid them out.  Both layouts predate the
 32-bit location words, so the five-array directory is built on the
@@ -24,10 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.database import CondensedIndex, Database, DatabasePartition
+from repro.core.database import Database, DatabasePartition
 from repro.core.io import _MANIFEST_NAME, _write_metadata, _write_npy_aligned
 from repro.util.segmented import segment_ramp
-from repro.warpcore.base import EMPTY_KEY, sort_by_key
 
 from reference.index_u64 import save_database_u64
 
@@ -45,11 +46,9 @@ def _condensed_content(
     if part.condensed is None:
         return part.table.condensed_content()
     cond = part.condensed
-    occupied = np.flatnonzero(cond.pointers._keys != EMPTY_KEY)
-    features, order = sort_by_key(cond.pointers._keys[occupied])
-    packed = cond.pointers._values[occupied.take(order)]
-    lengths = (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
-    starts = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64)
+    features = np.asarray(cond.pointers.features)
+    offsets = np.asarray(cond.pointers.offsets).astype(np.int64)
+    starts, lengths = offsets[:-1], np.diff(offsets)
     # gather every bucket's slice at once (repeat + ramp)
     words = cond.locations[np.repeat(starts, lengths) + segment_ramp(lengths)]
     return features.astype(np.uint64), lengths, cond.expand(words)

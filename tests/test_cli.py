@@ -68,14 +68,14 @@ class TestCliBuild:
         assert main(_build_args(cli_world)) == 0
         assert (root / "db" / "database.meta").exists()
         assert (root / "db" / "manifest.json").exists()
-        assert (root / "db" / "part0.ptr_keys.npy").exists()
+        assert (root / "db" / "part0.features.npy").exists()
         out = capsys.readouterr().out
         assert "built 4 targets" in out
 
     def test_build_partitions(self, cli_world):
         root = cli_world[0]
         assert main(_build_args(cli_world, "db2", ["--partitions", "2"])) == 0
-        assert (root / "db2" / "part1.ptr_keys.npy").exists()
+        assert (root / "db2" / "part1.offsets.npy").exists()
 
     def test_build_missing_mapping_entry(self, cli_world, tmp_path):
         bad_mapping = tmp_path / "bad.tsv"

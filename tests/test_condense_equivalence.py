@@ -8,7 +8,8 @@ growth history -- the three arrays equal, element for element, what the
 retained code in ``tests/reference/condense_by_probe.py`` returns by
 walking every key (through the pair-granular oracle's own
 ``occupied_keys`` / ``retrieve``, over the very same slot arrays), and
-the pointer table built from them has the same slot arrays.
+the sorted pointers built from them hold exactly what the retired
+pointer table built by probing holds (``tests/reference/index_ptr_table.py``).
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from reference.condense_by_probe import (
     condensed_content_by_probe,
     condensed_index_by_probe,
 )
+from reference.index_ptr_table import unpack
 from reference.warpcore_pairwise import PairwiseMultiBucketHashTable
 from repro.core.builder import DatabaseBuilder, _GrowingTable
 from repro.core.config import MetaCacheParams
@@ -62,13 +64,15 @@ def _assert_scan_equals_probe(table: MultiBucketHashTable) -> None:
         ("features", "lengths", "locations"),
     )
     new, ref = CondensedIndex.from_table(table), condensed_index_by_probe(oracle)
+    features, lengths, words, dense = unpack(ref)
+    assert dense and ref.pointers.stats().dropped_values == 0
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.uint32)
     _assert_same_arrays(
-        (new.locations, new.targets, new.pointers._keys, new.pointers._values),
-        (ref.locations, ref.targets, ref.pointers._keys, ref.pointers._values),
-        ("locations", "targets", "ptr_keys", "ptr_values"),
+        (new.locations, new.targets, new.pointers.features, new.pointers.offsets),
+        (words, ref.targets, features.astype(np.uint32), offsets),
+        ("locations", "targets", "features", "offsets"),
     )
     assert new.window_bits == ref.window_bits
-    assert new.pointers.stats() == ref.pointers.stats()
     # the partition-level entry point both disk formats serialize from
     _assert_same_arrays(
         _condensed_content(DatabasePartition(0, table)),
@@ -166,7 +170,8 @@ class TestScanEqualsProbeWalk:
         assert lengths.dtype == np.int64 and lengths.size == 0
         assert locations.dtype == np.uint64 and locations.size == 0
         _assert_scan_equals_probe(table)
-        assert len(CondensedIndex.from_table(table).pointers) == 0
+        pointers = CondensedIndex.from_table(table).pointers
+        assert len(pointers) == 0 and pointers.offsets.tolist() == [0]
 
     def test_probe_limit_drops(self):
         """A table whose inserts ran out of probe rounds still condenses the same."""

@@ -9,7 +9,6 @@ from repro.core.io import _condensed_content, load_database, save_database
 from repro.genomics.simulate import GenomeSimulator
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.warpcore.multi_bucket import MultiBucketHashTable
-from repro.warpcore.single_value import SingleValueHashTable
 
 from paper.gpu.device import Device, DeviceSpec, charge_partitions
 from paper.gpu.memory import OutOfDeviceMemory
@@ -201,13 +200,10 @@ class TestPersistence:
         db.condense()
         if case == "zero_length_bucket":
             # a hand-built index whose middle feature points at no locations
-            pointers = SingleValueHashTable(capacity_keys=16)
-            pointers.insert(
-                np.array([5, 9, 7], dtype=np.uint64),
-                np.array([(2 << 24) | 2, (0 << 24) | 2, (2 << 24) | 0], dtype=np.uint64),
-            )
-            index = CondensedIndex.from_locations(
-                np.array([10, 11, 12, 13], dtype=np.uint64), pointers
+            index = CondensedIndex.from_content(
+                np.array([5, 7, 9], dtype=np.uint64),
+                np.array([2, 0, 2], dtype=np.int64),
+                np.array([12, 13, 10, 11], dtype=np.uint64),
             )
             parts = [DatabasePartition(partition_id=0, table=None, condensed=index)]
         else:
@@ -215,12 +211,13 @@ class TestPersistence:
         for part in parts:
             features, lengths, locations = _condensed_content(part)
             cond = part.condensed
-            packed, found = cond.pointers.retrieve(features)
+            rows, found = cond.pointers.retrieve(features)
             assert found.all()
             chunks = []  # the reference: one Python slice per feature
-            for p, n in zip(packed.tolist(), lengths.tolist()):
-                assert p & 0xFFFFFF == n
-                chunks.append(cond.expand(cond.locations[p >> 24 : (p >> 24) + n]))
+            for row, n in zip(rows.tolist(), lengths.tolist()):
+                start, end = cond.pointers.offsets[row : row + 2].tolist()
+                assert end - start == n
+                chunks.append(cond.expand(cond.locations[start:end]))
             expected = (
                 np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
             )

@@ -7,9 +7,10 @@ attach semantics (``np.memmap`` views, page-cache sharing through
 {legacy v1, v2, v2+mmap, v2+workers}, the ``convert`` upgrade path
 (API and CLI), the legacy inputs the reader still accepts (format v1
 and the five-array v2 layout, both written by
-``tests/reference/index_v1.py``), a corruption matrix over every file
-of a partition, and the reserved-sentinel regression on the pointer
-table.
+``tests/reference/index_v1.py``, and pointer-table partitions, written
+by ``tests/reference/index_ptr_table.py``), a corruption matrix over
+every file of a partition, and the reserved-sentinel regression on the
+pointers.
 """
 
 import hashlib
@@ -30,7 +31,7 @@ from repro.cli import main as cli_main
 from repro.core import builder as builder_mod
 from repro.core import io as io_mod
 from repro.core.classify import classify_reads
-from repro.core.database import Database, FileBackedDatabaseHandle
+from repro.core.database import Database, FileBackedDatabaseHandle, SortedPointers
 from repro.core.io import (
     FORMAT_V2,
     _NPY_ALIGN,
@@ -46,6 +47,7 @@ from repro.genomics.simulate import GenomeSimulator
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.warpcore.single_value import SingleValueHashTable
 
+from reference.index_ptr_table import save_database_ptr_table
 from reference.index_v1 import save_database_v1, save_database_v2_five_arrays
 
 PARAMS = MetaCacheParams.small()
@@ -97,17 +99,22 @@ class TestV2Layout:
         assert len(manifest["partitions"]) == 2
         for entry in manifest["partitions"]:
             assert sorted(entry["arrays"]) == [
-                "locations", "ptr_keys", "ptr_values", "targets"
+                "features", "locations", "offsets", "targets"
             ]
-            assert entry["arrays"]["locations"]["dtype"] == "<u4"
+            assert "pointer_table" not in entry
+            for key in ("locations", "targets", "features", "offsets"):
+                assert entry["arrays"][key]["dtype"] == "<u4"
             for key, spec in entry["arrays"].items():
                 path = v2 / spec["file"]
                 assert path.is_file()
                 payload = np.load(path)
                 assert zlib.crc32(payload.tobytes()) == spec["crc32"]
-            pt = entry["pointer_table"]
-            assert pt["size"] == entry["n_features"]
-        # the feature -> pointer map is stored once: in the slot arrays
+            n = entry["n_features"]
+            assert entry["arrays"]["features"]["shape"] == [n]
+            assert entry["arrays"]["offsets"]["shape"] == [n + 1]
+            offsets = np.load(v2 / entry["arrays"]["offsets"]["file"])
+            assert offsets[0] == 0 and offsets[-1] == entry["n_locations"]
+        # the feature -> list map is stored once: features + offsets
         assert len(list(v2.glob("*.npy"))) == 4 * len(manifest["partitions"])
 
     def test_npy_payloads_page_aligned(self, world):
@@ -126,28 +133,38 @@ class TestV2Layout:
 
 class TestZeroRebuildOpen:
     def test_v2_open_performs_no_inserts(self, world, monkeypatch):
-        """The acceptance criterion: v2 open never rebuilds the table."""
+        """The acceptance criterion: v2 open never rebuilds the pointers."""
         v1, v2, _, _ = world
-        calls = []
-        original = SingleValueHashTable.insert
+        inserts, indexed = [], []
+        insert = SingleValueHashTable.insert
+        from_lengths = SortedPointers.from_lengths.__func__
 
-        def counting(self, keys, values):
-            calls.append(np.asarray(keys).size)
-            return original(self, keys, values)
+        def counting_insert(self, keys, values):
+            inserts.append(np.asarray(keys).size)
+            return insert(self, keys, values)
 
-        monkeypatch.setattr(SingleValueHashTable, "insert", counting)
+        def counting_from_lengths(cls, features, lengths):
+            indexed.append(np.asarray(features).size)
+            return from_lengths(cls, features, lengths)
+
+        monkeypatch.setattr(SingleValueHashTable, "insert", counting_insert)
+        monkeypatch.setattr(
+            SortedPointers, "from_lengths", classmethod(counting_from_lengths)
+        )
         load_database(v2)
         load_database(v2, mmap=True)
-        assert calls == []
-        load_database(v1)  # the rebuild path, by contrast, inserts
-        assert calls != []
+        assert indexed == []
+        load_database(v1)  # the v1 path, by contrast, indexes its columns
+        assert indexed != []
+        assert inserts == []  # and no path builds a hash table
 
     def test_mmap_views_are_memmaps(self, world):
         _, v2, _, _ = world
         db = load_database(v2, mmap=True)
         cond = db.partitions[0].condensed
         assert isinstance(cond.locations, np.memmap)
-        assert isinstance(cond.pointers._keys, np.memmap)
+        assert isinstance(cond.pointers.features, np.memmap)
+        assert isinstance(cond.pointers.offsets, np.memmap)
         assert db.mmap_path == v2
         assert db.format_version == FORMAT_V2
 
@@ -166,7 +183,7 @@ class TestZeroRebuildOpen:
 
 
 class TestProbeViewLifetime:
-    """Lookups read base-``ndarray`` views of the mapped slot arrays;
+    """Lookups read base-``ndarray`` views of the mapped pointer arrays;
     every view is an export of its map and must be gone before
     ``mmap.close``, or the close fails silently and the fd leaks."""
 
@@ -192,7 +209,8 @@ class TestProbeViewLifetime:
         assert mapped > before
         # what a batch in flight holds on to while the swap closes the index
         tables = [p.condensed.pointers for p in db.partitions]
-        assert all(type(t._probe_keys) is np.ndarray for t in tables)
+        assert all(type(t._features) is np.ndarray for t in tables)
+        assert all(type(t._offsets) is np.ndarray for t in tables)
         expected = _taxa(db, seqs[:8])
         db.retain()
         db.close()
@@ -200,9 +218,10 @@ class TestProbeViewLifetime:
         assert np.array_equal(_taxa(db, seqs[:8]), expected)  # still mapped
         db.release()
         assert db.closed
-        # unmapped although the tables themselves are still referenced
+        # unmapped although the pointers themselves are still referenced
         assert self._fd_count() == before
-        assert all(t._probe_keys is None and t._keys is None for t in tables)
+        assert all(t._features is None and t.features is None for t in tables)
+        assert all(t._offsets is None and t.offsets is None for t in tables)
 
 
 class TestEquivalence:
@@ -410,24 +429,23 @@ class TestCorruption:
     def test_missing_array_file(self, world, tmp_path):
         _, v2, _, _ = world
         dst = self._copy_v2(v2, tmp_path)
-        (dst / "part1.ptr_values.npy").unlink()
-        with pytest.raises(DatabaseFormatError, match="part1.ptr_values.npy"):
+        (dst / "part1.offsets.npy").unlink()
+        with pytest.raises(DatabaseFormatError, match="part1.offsets.npy"):
             load_database(dst)
 
     def test_corrupt_pointer_values_detected_on_eager_load(
         self, world, tmp_path
     ):
-        """Eager loads cross-check the slot values queries probe."""
+        """Eager loads cross-check the offsets queries read."""
         _, v2, _, _ = world
         dst = self._copy_v2(v2, tmp_path)
-        keys = np.load(dst / "part0.ptr_keys.npy")
-        slot = int(np.flatnonzero(keys != np.uint32(0xFFFFFFFF))[0])
-        victim = dst / "part0.ptr_values.npy"
+        victim = dst / "part0.offsets.npy"
+        offsets = np.load(victim)
         blob = bytearray(victim.read_bytes())
-        offset = len(blob) - keys.size * 8 + slot * 8
-        blob[offset : offset + 8] = b"\xff" * 8  # absurd (offset, length)
+        at = len(blob) - offsets.nbytes + 4  # offsets[1]
+        blob[at : at + 4] = b"\xff" * 4  # far past the locations
         victim.write_bytes(bytes(blob))
-        with pytest.raises(DatabaseFormatError, match="pointer table"):
+        with pytest.raises(DatabaseFormatError, match="pointers of partition 0"):
             load_database(dst)  # eager: caught without verify=
         load_database(dst, mmap=True)  # mmap contract: open stays lazy
         with pytest.raises(DatabaseFormatError):
@@ -539,15 +557,85 @@ class TestLegacyInputs:
         MetaCache.convert(five, tmp_path / "converted")
         assert _digests(tmp_path / "converted") == _digests(tmp_path / "three")
 
+    @pytest.mark.parametrize("n_partitions", [1, 3])
+    def test_pointer_table_directory_loads_and_upgrades(
+        self, refs_world, tmp_path, n_partitions
+    ):
+        taxonomy, refs, seqs = refs_world
+        db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=n_partitions)
+        expected = _taxa(db, seqs)
+        table = tmp_path / "table"
+        save_database_ptr_table(db, table)  # leaves the build layout
+        save_database(db, tmp_path / "fresh")
+        assert len(list(table.glob("*.ptr_*.npy"))) == 2 * n_partitions
+        for kwargs in ({}, {"mmap": True}, {"verify": True},
+                       {"mmap": True, "verify": True}):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                loaded = load_database(table, **kwargs)
+            # hash-table pointers are read into sorted ones, never mapped
+            assert len(caught) == int(kwargs.get("mmap", False)), kwargs
+            if caught:
+                assert "cannot be memory-mapped" in str(caught[0].message)
+            assert loaded.mmap_path is None
+            assert np.array_equal(_taxa(loaded, seqs), expected), kwargs
+            save_database(loaded, tmp_path / "resaved")
+            assert _digests(tmp_path / "resaved") == _digests(tmp_path / "fresh")
+            loaded.close()
+        MetaCache.convert(table, tmp_path / "converted")
+        assert _digests(tmp_path / "converted") == _digests(tmp_path / "fresh")
+
+    def test_pointer_table_with_a_duplicated_key_is_rejected(self, refs_world, tmp_path):
+        taxonomy, refs, _ = refs_world
+        db = Database.build(refs, taxonomy, params=PARAMS)
+        save_database_ptr_table(db, tmp_path)
+        path = tmp_path / "part0.ptr_keys.npy"
+        keys = np.load(path)
+        occupied = np.flatnonzero(keys != np.uint32(0xFFFFFFFF))
+        blob = bytearray(path.read_bytes())
+        at = len(blob) - keys.nbytes + int(occupied[1]) * 4
+        blob[at : at + 4] = keys[occupied[0]].tobytes()  # one key, two slots
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatabaseFormatError, match="pointer table of partition 0"):
+            load_database(tmp_path)
+
     def test_legacy_directories_classify_as_a_fresh_build(self, world, tmp_path):
         v1, v2, _, read_file = world
         five = tmp_path / "five"
         save_database_v2_five_arrays(load_database(v2), five)
+        table = tmp_path / "table"
+        save_database_ptr_table(load_database(v2), table)
         ref = _classify_tsv(tmp_path, v2, read_file, "fresh.tsv", mmap=True)
         assert ref
         assert ref == _classify_tsv(tmp_path, v1, read_file, "v1.tsv")
+        assert ref == _classify_tsv(tmp_path, table, read_file, "table.tsv")
+        with pytest.warns(UserWarning, match="hash-table pointers"):
+            assert ref == _classify_tsv(tmp_path, table, read_file, "tm.tsv", mmap=True)
         with pytest.warns(UserWarning, match="uint64 location words"):
             assert ref == _classify_tsv(tmp_path, five, read_file, "five.tsv", mmap=True)
+
+    def test_convert_cli_writes_no_pointer_table(self, world, tmp_path, capsys):
+        _, v2, _, _ = world
+        table = tmp_path / "table"
+        save_database_ptr_table(load_database(v2), table)
+        dst = tmp_path / "converted"
+        assert cli_main(["convert", "--db", str(table), "--out", str(dst)]) == 0
+        assert "format v2" in capsys.readouterr().out
+        assert not list(dst.glob("*ptr_*"))
+        assert _digests(dst) == _digests(v2)
+
+    def test_v1_file_with_unsorted_features_rejected(self, world, tmp_path):
+        v1, _, _, _ = world
+        dst = tmp_path / "unsorted"
+        shutil.copytree(v1, dst)
+        cache = dst / "database.cache0"
+        with np.load(cache) as data:
+            arrays = {key: data[key].copy() for key in data.files}
+        arrays["features"][[0, 1]] = arrays["features"][[1, 0]]
+        with open(cache, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(DatabaseFormatError, match="not strictly ascending"):
+            load_database(dst)
 
 
 def _truncate(directory, name):
@@ -568,18 +656,61 @@ def _wrong_shape(directory, name):
     manifest_path.write_text(json.dumps(manifest))
 
 
-def _absurd_slot(directory, name):
-    """Garble the first occupied slot of the pointer table, via ``name``."""
-    keys = np.load(directory / "part0.ptr_keys.npy")
-    slot = int(np.flatnonzero(keys != np.uint32(0xFFFFFFFF))[0])
+def _rewrite(directory, name, change):
+    """Replace array ``name`` by ``change(array)``, manifest and CRC included.
+
+    The checksum is kept valid, so ``verify=True`` cannot catch the
+    fault by its CRC: the content checks have to.
+    """
     path = directory / name
-    array = np.load(path)
-    blob = bytearray(path.read_bytes())
-    at = len(blob) - array.nbytes + slot * array.itemsize
-    # ptr_values: an (offset, length) far past the locations;
-    # ptr_keys: the slot reads as empty, its pointer is orphaned
-    blob[at : at + array.itemsize] = b"\xff" * array.itemsize
-    path.write_bytes(bytes(blob))
+    array = change(np.load(path))
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    spec = manifest["partitions"][0]["arrays"][name.split(".")[1]]
+    spec["dtype"] = array.dtype.str
+    spec["shape"] = list(array.shape)
+    spec["crc32"] = io_mod._write_npy_aligned(path, array)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _set(index, value):
+    def change(array):
+        array = array.copy()
+        array[index] = value(array) if callable(value) else value
+        return array
+    return change
+
+
+def _offsets_not_from_zero(directory, name):
+    _rewrite(directory, name, _set(0, 1))
+
+
+def _mid(array):
+    return array.size // 2
+
+
+def _decreasing_offsets(directory, name):
+    def change(offsets):
+        k = _mid(offsets)
+        assert offsets[k + 1] > 0
+        return _set(k, offsets[k + 1] + 1)(offsets)
+    _rewrite(directory, name, change)
+
+
+def _offsets_end_short(directory, name):
+    _rewrite(directory, name, _set(-1, lambda a: a[-1] - 1))
+
+
+def _offset_past_locations(directory, name):
+    _rewrite(directory, name, lambda a: _set(_mid(a), a[-1] + 7)(a))
+
+
+def _unsorted_features(directory, name):
+    _rewrite(directory, name, lambda a: _set([0, 1], a[[1, 0]])(a))
+
+
+def _offsets_dtype(directory, name):
+    _rewrite(directory, name, lambda a: a.astype("<i8"))
 
 
 def _missing(directory, name):
@@ -601,13 +732,21 @@ def _unknown_taxon(directory, name):
 _ARRAY_FILES = (
     "part0.locations.npy",
     "part0.targets.npy",
-    "part0.ptr_keys.npy",
-    "part0.ptr_values.npy",
+    "part0.features.npy",
+    "part0.offsets.npy",
 )
+_POINTER_FAULTS = [
+    (_offsets_not_from_zero, "part0.offsets.npy"),
+    (_decreasing_offsets, "part0.offsets.npy"),
+    (_offsets_end_short, "part0.offsets.npy"),
+    (_offset_past_locations, "part0.offsets.npy"),
+    (_unsorted_features, "part0.features.npy"),
+    (_offsets_dtype, "part0.offsets.npy"),
+]
 _MATRIX = (
     [(_truncate, name) for name in _ARRAY_FILES + ("manifest.json",)]
     + [(_wrong_shape, name) for name in _ARRAY_FILES + ("manifest.json",)]
-    + [(_absurd_slot, name) for name in _ARRAY_FILES[2:]]
+    + _POINTER_FAULTS
     + [(_missing, name) for name in _ARRAY_FILES + ("manifest.json",)]
     + [(_unknown_taxon, "database.meta")]
 )
@@ -662,6 +801,26 @@ class TestCorruptionMatrix:
         with pytest.raises(DatabaseFormatError, match="outside its target map"):
             MetaCache.open(dst)  # an eager open scans the words it reads
 
+    @pytest.mark.parametrize("fault", [_decreasing_offsets, _offset_past_locations])
+    def test_corrupt_offset_under_plain_mmap_open_then_query(
+        self, world, tmp_path, fault
+    ):
+        """A plain mmap open does not scan the offsets; the lookup names the partition."""
+        _, v2, _, _ = world
+        dst = tmp_path / "copy"
+        shutil.copytree(v2, dst)
+        fault(dst, "part0.offsets.npy")
+        features = np.load(dst / "part0.features.npy")
+        db = load_database(dst, mmap=True)
+        try:
+            with pytest.raises(DatabaseFormatError, match="partition 0"):
+                db.query_features(features, 0)
+            # rows the fault does not touch still answer
+            locations, offsets = db.query_features(features[:1], 0)
+            assert offsets.tolist() == [0, locations.size] and locations.size
+        finally:
+            db.close()
+
     def test_unknown_taxon_is_named_under_plain_mmap_open(self, world, tmp_path):
         _, v2, _, _ = world
         dst = tmp_path / "copy"
@@ -701,7 +860,7 @@ class TestSentinelRegression:
         """A build-table feature equal to the sentinel round-trips.
 
         The build tables reserve the sentinel by clamping it onto
-        0xFFFFFFFE; the condensed/persisted pointer tables and both
+        0xFFFFFFFE; the condensed/persisted pointers and both
         readable disk formats must keep that feature retrievable -- it must not
         vanish from occupied-slot scans on the way to disk and back.
         """

@@ -781,13 +781,12 @@ def test_committed_baseline_matches_current_tree():
     assert result.ok, f"src/ no longer matches the committed baseline:\n{diff}"
 
 
-def test_committed_baseline_is_only_the_serve_reraise():
-    """Argument preconditions raise ``ConfigError`` now, so the baseline
-    holds nothing but the serve() cleanup re-raise; growing it is a
-    deliberate act that must show up in review."""
+def test_committed_baseline_is_empty():
+    """Argument preconditions raise ``ConfigError`` and serve() closes its
+    session in a ``finally``, so the baseline holds nothing; growing it
+    is a deliberate act that must show up in review."""
     baseline = load_baseline(REPO_ROOT / "tools" / "repro_lint" / "baseline.json")
-    keys = {(e.rule, e.path, e.symbol) for e in baseline}
-    assert keys == {("RL003", "src/repro/api/facade.py", "MetaCache.serve")}
+    assert list(baseline) == []
 
 
 # ---------------------------------------------------------------------- CLI

@@ -893,6 +893,31 @@ class TestOverloadAndShutdown:
 
 
 class TestFacadeServe:
+    @pytest.mark.parametrize("error", [RuntimeError("no thread"), KeyboardInterrupt()])
+    def test_failed_thread_start_closes_session_and_propagates(
+        self, world, monkeypatch, error
+    ):
+        from repro.api.session import QuerySession
+        from repro.server import ServerThread
+
+        mc, _ = world
+        closed = []
+        close = QuerySession.close
+
+        def failing_start(self):
+            raise error
+
+        def counting_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(ServerThread, "start", failing_start)
+        monkeypatch.setattr(QuerySession, "close", counting_close)
+        with pytest.raises(type(error)) as caught:
+            mc.serve(port=0, block=False)
+        assert caught.value is error  # unchanged, not wrapped
+        assert len(closed) == 1
+
     def test_nonblocking_serve_reports_port_and_closes_session(self, world):
         mc, sequences = world
         seen = []

@@ -24,8 +24,6 @@ from reference.warpcore_pairwise import (
     slots_for_round,
 )
 from repro.core import builder as builder_mod
-from repro.core import database as database_mod
-from repro.core import io as io_mod
 from repro.core.builder import _GrowingTable
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database
@@ -285,7 +283,7 @@ class TestSavedIndexIdentity:
         db = Database.build(refs, taxonomy, params=MetaCacheParams.small(), n_partitions=2)
         save_database_v1(db, root / "v1")
         save_database(db, root / "v2", format=2)
-        # the v1 load path rebuilds the pointer table by insertion
+        # the v1 load path indexes the saved columns
         save_database(load_database(root / "v1"), root / "v2-from-v1", format=2)
         digests = {}
         for sub in ("v2", "v2-from-v1"):
@@ -311,11 +309,10 @@ class TestSavedIndexIdentity:
         (tmp_path / "new").mkdir()
         (tmp_path / "ref").mkdir()
         new = self._save_both(tmp_path / "new", taxonomy, refs)
+        # (no single-value table is on the save or load path any more)
         monkeypatch.setattr(
             builder_mod, "MultiBucketHashTable", PairwiseMultiBucketHashTable
         )
-        for mod in (database_mod, io_mod):
-            monkeypatch.setattr(mod, "SingleValueHashTable", PairwiseSingleValueHashTable)
         ref = self._save_both(tmp_path / "ref", taxonomy, refs)
         assert len(new) > 8
         assert new == ref
