@@ -37,7 +37,6 @@ from repro.taxonomy.lca import LcaIndex
 from repro.taxonomy.lineage import RankedLineages
 from repro.taxonomy.tree import Taxonomy
 from repro.util.segmented import gather_segments
-from repro.warpcore.base import sort_by_key
 from repro.warpcore.multi_bucket import MultiBucketHashTable
 
 __all__ = [
@@ -162,21 +161,13 @@ class SortedPointers:
         The needles are cast to the keys' ``<u4`` (a uint64 cast of the
         keys would copy the whole column on every call), and
         ``0xFFFFFFFF`` is clamped onto ``0xFFFFFFFE`` as the build
-        tables clamp it on insert.  Unsorted needles are searched in
-        sorted order (one grouping sort): consecutive searches then
-        walk neighbouring paths, two to three times faster from a
-        thousand needles on.  A missing feature's row is its insertion
-        point, in ``0..len(self)``.
+        tables clamp it on insert.  A missing feature's row is its
+        insertion point, in ``0..len(self)``.
         """
         needles = np.minimum(
             np.asarray(features).astype(np.uint32, copy=False), _LAST_FEATURE
         )
-        if np.any(needles[1:] < needles[:-1]):
-            keys, order = sort_by_key(needles)
-            row = np.empty(needles.size, dtype=np.intp)
-            row[order] = np.searchsorted(self._features, keys)
-        else:  # what query_database passes: sorted distinct features
-            row = np.searchsorted(self._features, needles)
+        row = np.searchsorted(self._features, needles)
         if not self._features.size:
             return row, np.zeros(row.size, dtype=bool)
         return row, self._features.take(row, mode="clip") == needles

@@ -85,7 +85,6 @@ from repro.core.database import (
 )
 from repro.hashing.sketch import SketchParams
 from repro.taxonomy.ncbi import load_ncbi_dump, write_ncbi_dump
-from repro.util.segmented import gather_segments
 from repro.warpcore.base import EMPTY_KEY, sort_by_key
 
 __all__ = [
@@ -713,11 +712,11 @@ def _load_pointer_table_partition(
     """Read a pointer-table partition into sorted pointers (always eager).
 
     One scan and one grouping sort of the occupied slots, no probing:
-    each slot value packs ``offset << 24 | length``.  Offsets that are
-    already the running sum of the lengths in feature order -- what
-    every writer produced -- keep the location array as it is; any
-    other packing is gathered into that order.  ``wide``: the locations
-    are uint64 ``target << 32 | window`` and are packed into words here.
+    each slot value packs ``offset << 24 | length``.  Every writer
+    stored the offsets as the running sum of the lengths in feature
+    order, so the location array is kept as it is; any other packing
+    is a ``DatabaseFormatError``.  ``wide``: the locations are uint64
+    ``target << 32 | window`` and are packed into words here.
     """
     manifest_path = directory / _MANIFEST_NAME
     dtypes = {"locations": ("<u8",) if wide else ("<u4",)}
@@ -738,19 +737,17 @@ def _load_pointer_table_partition(
     packed = slot_values.take(occupied.take(order))
     starts = (packed >> np.uint64(24)).astype(np.int64)
     lengths = (packed & np.uint64((1 << 24) - 1)).astype(np.int64)
-    if features.size != n_features or (
-        lengths.size and int((starts + lengths).max()) > n_locations
+    if features.size != n_features or not np.array_equal(
+        starts, np.cumsum(lengths) - lengths
     ):
         raise DatabaseFormatError(
             f"{manifest_path}: pointer table of partition {pid} does not "
-            "match its location array"
+            "point at its lists in feature order"
         )
     if int(lengths.sum()) != n_locations:
         raise DatabaseFormatError(
             f"{manifest_path}: corrupt location array (partition {pid})"
         )
-    if not np.array_equal(starts, np.cumsum(lengths) - lengths):
-        locations = gather_segments(locations, starts, lengths)
     try:
         pointers = SortedPointers.from_lengths(features, lengths)
     except ValueError as exc:  # a key stored in two slots

@@ -66,12 +66,10 @@ class SingleValueHashTable:
     ) -> "SingleValueHashTable":
         """Wrap existing slot arrays without copying them.
 
-        Used to map a table over externally owned memory -- e.g.
-        (read-only, memory-mapped) views of saved slot arrays, so every
-        process probing the same files probes the same physical memory
-        (zero-copy).  ``keys``/``values`` must be the
-        full slot arrays of a table built with the given ``probing``
-        scheme; ``size`` is its occupied-slot count.
+        Lets a table probe memory it does not own (read-only arrays
+        included).  ``keys``/``values`` must be the full slot arrays of
+        a table built with the given ``probing`` scheme; ``size`` is its
+        occupied-slot count.
 
         Raises ``ValueError`` when the array shapes do not match the
         probing scheme's slot count.
@@ -95,27 +93,14 @@ class SingleValueHashTable:
     def _adopt(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Own the slot arrays and take the views lookups read through.
 
-        ``_keys`` / ``_values`` stay whatever was handed in (for a
-        memory-mapped index the ``np.memmap`` objects that
-        ``Database.close`` unmaps); lookups gather through base-class
-        views of them, taken once, because every index into an
-        ``np.memmap`` pays a Python-level ``__getitem__`` and
-        ``__array_finalize__``.
+        ``_keys`` / ``_values`` stay whatever was handed in (possibly
+        ``np.memmap`` objects); lookups gather through base-class views
+        of them, taken once, because every index into an ``np.memmap``
+        pays a Python-level ``__getitem__`` and ``__array_finalize__``.
         """
         self._keys, self._values = keys, values
         self._probe_keys = keys.view(np.ndarray)
         self._probe_values = values.view(np.ndarray)
-
-    def drop_arrays(self) -> None:
-        """Let go of the slot arrays, views first (the table is dead after).
-
-        A view is a buffer export of its memory map, and ``mmap.close``
-        refuses while one is alive: ``Database.close`` calls this on
-        every mapped table before unmapping, whoever else still holds
-        the table object.
-        """
-        self._probe_keys = self._probe_values = None
-        self._keys = self._values = None
 
     @property
     def n_slots(self) -> int:

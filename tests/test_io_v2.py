@@ -599,6 +599,22 @@ class TestLegacyInputs:
         with pytest.raises(DatabaseFormatError, match="pointer table of partition 0"):
             load_database(tmp_path)
 
+    def test_pointer_table_not_in_feature_order_is_rejected(self, refs_world, tmp_path):
+        taxonomy, refs, _ = refs_world
+        db = Database.build(refs, taxonomy, params=PARAMS)
+        save_database_ptr_table(db, tmp_path)
+        keys = np.load(tmp_path / "part0.ptr_keys.npy")
+        path = tmp_path / "part0.ptr_values.npy"
+        values = np.load(path)
+        occupied = np.flatnonzero(keys != np.uint32(0xFFFFFFFF))
+        first, last = occupied[np.argsort(keys[occupied])[[0, -1]]]
+        values[[first, last]] = values[[last, first]]  # lists swap places
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) - values.nbytes :] = values.tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatabaseFormatError, match="in feature order"):
+            load_database(tmp_path)
+
     def test_legacy_directories_classify_as_a_fresh_build(self, world, tmp_path):
         v1, v2, _, read_file = world
         five = tmp_path / "five"
