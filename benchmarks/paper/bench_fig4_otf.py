@@ -40,7 +40,7 @@ def _run_phases():
             res = query_database(db2, reads.sequences)
             classify_reads(db2, res.candidates)
         phases["query(loaded)"] = t.elapsed
-        with Timer() as t:  # OTF query on the build-layout database
+        with Timer() as t:  # OTF query on the database as built
             res = query_database(db, reads.sequences)
             classify_reads(db, res.candidates)
         phases["query(otf)"] = t.elapsed
@@ -87,8 +87,11 @@ def test_fig4_otf_vs_write_load(benchmark, report):
     report(text)
     # the OTF session completes before the W+L flow finishes loading
     assert otf_total < wl_total
-    # OTF querying (build layout) is slower than condensed querying,
-    # as in Section 6.3 (~20% there; any measurable slowdown here)
+    # The built and the loaded database hold the same sorted layout, so
+    # both query at about the same speed; the bound only guards against
+    # a timing artefact.  The paper's ~20% OTF penalty (Section 6.3,
+    # its GPU build layout) lives in the cost model's on_the_fly=True
+    # projection above.
     assert phases["query(otf)"] >= 0.85 * phases["query(loaded)"]
     # projected: write+load dominates the projected GPU build
     proj_write_load = m.write_time(db_bytes) + m.load_time(db_bytes)

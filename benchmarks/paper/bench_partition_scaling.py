@@ -31,7 +31,7 @@ def _sweep():
         with Timer() as t_query:
             res = query_database(db, reads.sequences)
             cls = classify_reads(db, res.candidates)
-        stored = sum(p.table.stored_values for p in db.partitions)
+        stored = sum(p.condensed.locations.size for p in db.partitions)
         rows.append((n, t_build.elapsed, t_query.elapsed, db.nbytes, stored))
         taxa_per_n[n] = cls.taxon.copy()
     return rows, taxa_per_n

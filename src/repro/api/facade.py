@@ -248,7 +248,7 @@ class MetaCache:
                 on_progress=progress,
             ) as builder:
                 builder.add_fasta(refs, dict(mapping), batch_size=batch_size)
-                db = builder.finalize(condense=False)
+                db = builder.finalize()
         return cls(db, build_seconds=t.elapsed)
 
     @classmethod
@@ -266,13 +266,14 @@ class MetaCache:
         ``references`` are ``(name, sequence, taxon_id)`` triples with
         the sequence either an encoded uint8 array or a plain string;
         the iterable is consumed lazily, so a generator streams
-        through in bounded memory.  The hash table stays in the build
-        layout (~20% slower queries than the condensed layout, Fig. 4)
-        but there is no write+load cycle at all -- ``time_to_query``
-        is just the build.  ``progress`` behaves as in :meth:`build`.
-        Note that a ``session(workers=N)`` spills the database to a
-        private v2 directory on first use, which condenses it.  Raises
-        :class:`repro.errors.BuildError` for unknown taxa.
+        through in bounded memory.  The build sorts its content into
+        the layout a saved database loads in, so queries run exactly
+        as they would after a save and open, but there is no
+        write+load cycle at all -- ``time_to_query`` is just the
+        build.  ``progress`` behaves as in :meth:`build`.  Note that a
+        ``session(workers=N)`` spills the database to a private v2
+        directory on first use.  Raises :class:`repro.errors.BuildError`
+        for unknown taxa.
         """
         tax = _resolve_taxonomy(taxonomy)
         with Timer() as t:
@@ -288,7 +289,7 @@ class MetaCache:
                         encode_sequence(seq) if isinstance(seq, str) else seq,
                         taxon,
                     )
-                db = builder.finalize(condense=False)
+                db = builder.finalize()
         return cls(db, build_seconds=t.elapsed)
 
     # -------------------------------------------------------------- extension
@@ -314,9 +315,9 @@ class MetaCache:
         classification output) to one built from ``A + B`` in one
         shot.  The existing references are never re-parsed or
         re-sketched (the dominant build cost); their index content is
-        re-inserted into fresh tables, which costs O(index) time and
-        a transient second copy of the index in memory.  Re-save with
-        :meth:`save` to persist.
+        copied into the builder as its first sorted run, which costs
+        O(index) time and a transient second copy of the index in
+        memory.  Re-save with :meth:`save` to persist.
 
         Parameters
         ----------
@@ -356,9 +357,6 @@ class MetaCache:
             raise ConfigError("extend needs refs (files) and/or references")
         if refs is not None and mapping is None:
             raise ConfigError("extend with refs requires a mapping")
-        was_condensed = all(
-            p.table is None for p in self.database.partitions
-        )
         with Timer() as t:
             with DatabaseBuilder.from_database(
                 self.database, on_progress=progress
@@ -376,7 +374,7 @@ class MetaCache:
                             encode_sequence(seq) if isinstance(seq, str) else seq,
                             taxon,
                         )
-                db = builder.finalize(condense=was_condensed)
+                db = builder.finalize()
         # sessions pinned to the replaced database are closed
         for session in list(self._sessions):
             session.close()

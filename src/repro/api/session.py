@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import ctypes
 import functools
 import itertools
 import os
@@ -157,6 +158,14 @@ def _pack_batch(
 #: batch's on the dense workload
 _PIECES = 2
 
+#: glibc's ``mallopt``: a session pins the heap thresholds glibc would
+#: otherwise raise only after some earlier large free, so batch
+#: temporaries stay on the heap in any process (docs/architecture.md)
+try:
+    _MALLOPT = ctypes.CDLL(None).mallopt
+except (OSError, AttributeError):  # pragma: no cover - not glibc
+    _MALLOPT = None
+
 
 def _available_cores() -> int:
     """Cores this process may run on (the split width of a batch)."""
@@ -251,6 +260,9 @@ class QuerySession:
         self.report = RunReport()
         self.n_queries = 0
         self._engine: ParallelClassifier | None = None
+        if _MALLOPT is not None:  # keep batch temporaries on the heap:
+            _MALLOPT(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's dynamic ceiling
+            _MALLOPT(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice it as glibc sets
 
     # ------------------------------------------------------------- the seam
 

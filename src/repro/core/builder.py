@@ -13,7 +13,7 @@ pipeline's composable host-side surface:
   sketched inline and dropped as they arrive, and partition
   assignment is *online* greedy (lightest partition first, per
   arrival) so no collect-everything pass exists anywhere.  The
-  producer parses while this consumer sketches and inserts; sketching
+  producer parses while this consumer sketches and sorts; sketching
   is the smaller part of the consumer's work, so a pool of sketch
   processes between the two measured slower than this one thread.
 - :meth:`DatabaseBuilder.from_database` re-opens a finished database
@@ -29,24 +29,30 @@ thin wrapper over this builder), incremental ``add_reference`` calls,
 ``add_fasta`` streaming, and extend-then-finalize -- produces
 **byte-identical** databases.  That invariant rests on two
 properties: partition assignment depends only on arrival order, and
-the multi-bucket table stores each key's values in global submission
-order regardless of insert batch boundaries or table geometry (a
-key's slot chain fills strictly in probe order and slots are never
-deleted).  The insert tables grow by rebuild (content read off the
-old slot arrays in one scan, re-inserted in chunks), so builds never
-need the corpus-wide size precomputation the old one-shot path used.
+each feature keeps its first ``max_locations_per_feature`` locations
+in global submission order, whatever the batch boundaries.  The paper
+fills a multi-bucket hash table here because thousands of GPU threads
+insert at once (Section 5.3); one host thread gets the same content
+by sorting each flushed batch into a *run*, merging runs stably
+(earlier run first) and cutting every feature to the cap at each
+step.  :meth:`DatabaseBuilder.finalize` then holds the condensed
+layout of Section 5.1, so a built database is queried and saved as
+it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from functools import reduce
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.build import accession_of
 from repro.core.config import MetaCacheParams
 from repro.core.database import (
+    _LAST_FEATURE,
+    CondensedIndex,
     Database,
     DatabasePartition,
     TargetRecord,
@@ -57,6 +63,8 @@ from repro.hashing.minhash import SKETCH_PAD
 from repro.hashing.sketch import sketch_sequence
 from repro.taxonomy.tree import Taxonomy
 from repro.util.bitops import pack_pairs
+from repro.util.segmented import run_length_encode
+from repro.warpcore.base import sort_by_key
 from repro.warpcore.multi_bucket import MultiBucketHashTable
 
 __all__ = ["BuildStats", "DatabaseBuilder"]
@@ -70,9 +78,11 @@ class BuildStats:
     accounting: ``features_sketched`` valid sketch features were
     produced, of which ``features_inserted`` are stored in the index,
     ``features_dropped`` were discarded by the per-feature location
-    cap (``max_locations_per_feature``, Section 4.1) or probe-limit
-    overflow, and ``features_pending`` sit in the insert buffer
-    awaiting the next batched flush.
+    cap (``max_locations_per_feature``, Section 4.1), and
+    ``features_pending`` sit in the insert buffer awaiting the next
+    batched flush; the three sum to ``features_sketched``.  A location
+    past the cap counts as inserted until its run merges with the runs
+    before it, so the counts are final after :meth:`finalize`.
     """
 
     n_targets: int = 0
@@ -105,69 +115,15 @@ class BuildStats:
         )
 
 
-class _GrowingTable:
-    """A :class:`MultiBucketHashTable` that grows by chunked rebuild.
+class _Run(NamedTuple):
+    """A partition's (feature, location) pairs sorted by feature, each
+    feature's locations in submission order and within the cap."""
 
-    The one-shot build sized each partition's table from the full
-    corpus up front; a streaming build cannot.  This wrapper starts
-    small and, when an insert batch would exceed the current value
-    capacity, rebuilds into a doubled table by re-inserting the old
-    content in sorted-key chunks.  Re-insertion preserves each key's
-    value order (which is submission order -- the only property the
-    condensed layout and queries observe), so growth is invisible in
-    the final database bytes.  The old content is read in one scan
-    (8 bytes per stored value + 16 per key, held once the old slot
-    arrays are freed); chunking bounds the *insert* transients.
-    """
+    keys: np.ndarray  # uint32 features, one per pair
+    locs: np.ndarray  # uint64 target << 32 | window
 
-    #: keys re-inserted per rebuild chunk (bounds insert transients)
-    REBUILD_CHUNK_KEYS = 1 << 15
 
-    def __init__(self, params: MetaCacheParams, initial_capacity: int) -> None:
-        self.params = params
-        self.capacity_values = max(256, int(initial_capacity))
-        self.table = self._allocate(self.capacity_values)
-
-    def _allocate(self, capacity_values: int) -> MultiBucketHashTable:
-        p = self.params
-        return MultiBucketHashTable(
-            capacity_values=capacity_values,
-            bucket_size=p.bucket_size,
-            group_size=p.group_size,
-            max_load_factor=p.max_load_factor,
-            max_locations_per_key=p.max_locations_per_feature,
-        )
-
-    def insert(self, feats: np.ndarray, locs: np.ndarray) -> None:
-        """Insert a feature/location batch, growing first if needed."""
-        needed = self.table.stored_values + feats.size
-        if needed > self.capacity_values:
-            new_capacity = self.capacity_values
-            while needed > new_capacity:
-                new_capacity *= 2
-            self._grow(new_capacity)
-        self.table.insert(feats, locs)
-
-    def _grow(self, new_capacity: int) -> None:
-        dropped_before = self.table.dropped_values
-        content = self.table.condensed_content()
-        self.capacity_values = new_capacity
-        self.table = self._allocate(new_capacity)  # frees the old slot arrays
-        self.reinsert(*content)
-        # stored values always fit under the (unchanged) per-key cap,
-        # so a rebuild can never drop; carry the historical drop count
-        self.table._dropped += dropped_before
-
-    def reinsert(
-        self, features: np.ndarray, lengths: np.ndarray, locations: np.ndarray
-    ) -> None:
-        """Insert canonical content in sorted-key chunks, value order kept."""
-        offsets = np.zeros(features.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        for start in range(0, features.size, self.REBUILD_CHUNK_KEYS):
-            stop = min(features.size, start + self.REBUILD_CHUNK_KEYS)
-            feats = np.repeat(features[start:stop], lengths[start:stop])
-            self.insert(feats, locations[offsets[start] : offsets[stop]])
+_NO_PAIRS = _Run(np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.uint64))
 
 
 class DatabaseBuilder:
@@ -185,9 +141,8 @@ class DatabaseBuilder:
         bases), never splitting a target -- the same greedy rule the
         one-shot build applied, made streaming.
     insert_batch_windows:
-        windows buffered per partition before a batched insert is
-        flushed into the hash table; bounds the builder's transient
-        memory.
+        windows buffered per partition before the batch is sorted
+        into a run; bounds the builder's transient memory.
     on_progress:
         optional callback invoked with a :class:`BuildStats` snapshot
         after each ingested target.
@@ -219,7 +174,8 @@ class DatabaseBuilder:
         self._part_load = np.zeros(n_partitions, dtype=np.int64)
         # per partition: what one location word must hold (see _word_with)
         self._part_word = [(0, 0)] * n_partitions
-        self._tables: dict[int, _GrowingTable] = {}
+        # per partition: sorted (feature, location) runs, oldest first
+        self._runs: list[list[_Run]] = [[] for _ in range(n_partitions)]
         self._pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {
             p: [] for p in range(n_partitions)
         }
@@ -228,6 +184,7 @@ class DatabaseBuilder:
         self._n_windows = 0
         self._n_bases = 0
         self._features_sketched = 0
+        self._features_dropped = 0
         self._finalized = False
 
     # ------------------------------------------------------------ constructors
@@ -243,13 +200,13 @@ class DatabaseBuilder:
         """Open a finished database for extension.
 
         The builder copies ``db``'s parameters, taxonomy, targets and
-        partition loads, and re-materializes each partition's insert
-        table by re-inserting its canonical content in sorted-key
-        chunks, preserving every feature's location order.  Extending
+        partition loads, and takes each partition's saved content --
+        already sorted by feature, every list in submission order and
+        within the cap -- as that partition's first run.  Extending
         with new references then behaves exactly as if the original
         build had continued -- a database built from ``A`` then
         extended with ``B`` is byte-identical to one built from
-        ``A + B`` in one shot.  Re-materializing costs O(index) time
+        ``A + B`` in one shot.  Copying the content costs O(index) time
         and memory; what extension never repeats is parsing and
         sketching the existing references (the dominant build cost).
 
@@ -275,15 +232,12 @@ class DatabaseBuilder:
             builder._n_bases += t.length
         for part in db.partitions:
             features, lengths, locations = _condensed_content(part)
-            grown = _GrowingTable(
-                builder.params, initial_capacity=max(256, locations.size)
-            )
-            grown.reinsert(features, lengths, locations)
-            builder._tables[part.partition_id] = grown
+            keys = np.repeat(features.astype(np.uint32), lengths)
+            builder._runs[part.partition_id].append(_Run(keys, locations))
             # historical accounting: everything the copied content
             # stores counts as already sketched; drops that happened
-            # before a save/condense are not recoverable
-            builder._features_sketched += grown.table.stored_values
+            # before a save are not recoverable
+            builder._features_sketched += locations.size
         return builder
 
     # ------------------------------------------------------------- ingestion
@@ -472,7 +426,11 @@ class DatabaseBuilder:
         )
 
     def _flush(self, p: int) -> None:
-        """Batched insert of partition ``p``'s buffered pairs."""
+        """Sort partition ``p``'s buffered pairs into a new run (the
+        sentinel ``0xFFFFFFFF`` clamped onto ``0xFFFFFFFE``, as lookups
+        clamp it).  The newest two runs merge while the older holds at
+        most twice the newer's pairs: sizes stay geometric, so there
+        are O(log n) runs and each pair is merged O(log n) times."""
         if not self._pending[p]:
             return
         feats = np.concatenate([f for f, _ in self._pending[p]])
@@ -480,13 +438,35 @@ class DatabaseBuilder:
         self._pending_features -= feats.size
         self._pending[p].clear()
         self._pending_windows[p] = 0
-        table = self._tables.get(p)
-        if table is None:
-            table = _GrowingTable(
-                self.params, initial_capacity=max(256, feats.size)
-            )
-            self._tables[p] = table
-        table.insert(feats, locs)
+        keys, order = sort_by_key(np.minimum(feats.astype(np.uint32), _LAST_FEATURE))
+        runs = self._runs[p]
+        runs.append(self._cut(keys, locs.take(order)))
+        while len(runs) > 1 and runs[-2].keys.size <= 2 * runs[-1].keys.size:
+            newer = runs.pop()
+            runs.append(self._merge(runs.pop(), newer))
+
+    def _merge(self, older: "_Run", newer: "_Run") -> "_Run":
+        """One sorted run of two, cut to the cap: each of ``newer``'s
+        pairs goes after every ``older`` pair of its feature."""
+        at = np.searchsorted(older.keys, newer.keys, side="right")
+        return self._cut(
+            np.insert(older.keys, at, newer.keys), np.insert(older.locs, at, newer.locs)
+        )
+
+    def _cut(self, keys: np.ndarray, locs: np.ndarray) -> "_Run":
+        """A sorted run with each feature cut to its first
+        ``max_locations_per_feature`` pairs; counts the drops."""
+        cap = self.params.max_locations_per_feature
+        # in a sorted run a pair is past the cap iff the pair ``cap``
+        # places earlier has the same feature
+        over = np.zeros(keys.size, dtype=bool)
+        np.equal(keys[cap:], keys[:-cap], out=over[cap:])
+        n_over = int(np.count_nonzero(over))
+        if n_over:
+            self._features_dropped += n_over
+            keep = ~over
+            keys, locs = keys[keep], locs[keep]
+        return _Run(np.ascontiguousarray(keys), locs)
 
     def _check_open(self) -> None:
         if self._finalized:
@@ -497,26 +477,31 @@ class DatabaseBuilder:
     @property
     def stats(self) -> BuildStats:
         """Current accounting snapshot (cheap; no flush is forced)."""
-        inserted = sum(t.table.stored_values for t in self._tables.values())
-        dropped = sum(t.table.dropped_values for t in self._tables.values())
+        # every sketched pair is pending, in a run, or cut at the cap
+        inserted = (
+            self._features_sketched - self._features_dropped - self._pending_features
+        )
         return BuildStats(
             n_targets=len(self._targets),
             n_windows=self._n_windows,
             n_bases=self._n_bases,
             features_sketched=self._features_sketched,
             features_inserted=inserted,
-            features_dropped=dropped,
+            features_dropped=self._features_dropped,
             features_pending=self._pending_features,
         )
 
     def finalize(self, condense: bool = True) -> Database:
         """Flush and assemble the :class:`Database`.
 
-        Every partition's pending buffer is flushed.  ``condense=True``
-        (default) converts the result to the condensed query layout --
-        what saved/loaded databases use; pass ``condense=False`` to
-        keep the build layout (on-the-fly mode, insertable by a future
-        ``from_database``).
+        Every partition's pending pairs are flushed and its runs merged
+        into one, whose features, list lengths and locations go to
+        :meth:`CondensedIndex.from_content`: the database is in the
+        layout a saved one loads in, queryable at once (on-the-fly
+        mode) and saved as it is.  ``condense=False`` instead inserts
+        that content once into a :class:`MultiBucketHashTable` sized for
+        it (one slot per location at most), for
+        ``benchmarks/e2e/traced.py``.
 
         Returns the finished database.  The builder is closed
         afterwards: further ``add_*``/``finalize`` calls raise
@@ -528,21 +513,29 @@ class DatabaseBuilder:
         self._finalized = True
 
         partitions: list[DatabasePartition] = []
-        for p in range(self.n_partitions):
-            grown = self._tables.get(p)
-            if grown is None:  # partition never received a feature
-                grown = _GrowingTable(self.params, initial_capacity=256)
-                self._tables[p] = grown
-            partitions.append(DatabasePartition(partition_id=p, table=grown.table))
-        db = Database(
+        for p, runs in enumerate(self._runs):
+            run = reduce(self._merge, runs) if runs else _NO_PAIRS
+            runs.clear()
+            features, lengths = run_length_encode(run.keys)
+            if condense:
+                index = CondensedIndex.from_content(features, lengths, run.locs)
+                partitions.append(DatabasePartition(p, None, index))
+                continue
+            table = MultiBucketHashTable(
+                capacity_values=run.keys.size,
+                bucket_size=self.params.bucket_size,
+                group_size=self.params.group_size,
+                max_load_factor=self.params.max_load_factor,
+                max_locations_per_key=self.params.max_locations_per_feature,
+            )
+            table.insert(run.keys, run.locs)
+            partitions.append(DatabasePartition(p, table))
+        return Database(
             params=self.params,
             taxonomy=self.taxonomy,
             partitions=partitions,
             targets=self._targets,
         )
-        if condense:
-            db.condense()
-        return db
 
     # ------------------------------------------------------------- lifecycle
 

@@ -1,24 +1,21 @@
 """The reference database: partitioned minhash k-mer index + taxonomy.
 
 A database maps 32-bit sketch features to packed (target, window)
-locations through one :class:`repro.warpcore.MultiBucketHashTable`
-per *partition*.  Partitions correspond to GPUs (Section 4.3): a
-reference sequence (target) is never split across partitions, the
-same feature may appear in several partitions, and each partition
-enforces the per-feature location cap independently -- which is why
-the partitioned GPU database retains more locations per k-mer than
-the single CPU table and gains accuracy (Section 6.5).
+locations, one index per *partition*.  Partitions correspond to GPUs
+(Section 4.3): a reference sequence (target) is never split across
+partitions, the same feature may appear in several partitions, and
+each partition enforces the per-feature location cap independently --
+which is why the partitioned GPU database retains more locations per
+k-mer than the single CPU table and gains accuracy (Section 6.5).
 
-Two storage layouts exist, as in the paper (Section 5.1):
-
-- the **build layout** -- the multi-bucket table as filled during
-  construction; usable for querying immediately (on-the-fly mode);
-- the **condensed layout** -- produced by save/load: all location
-  buckets concatenated into one dense array, with the sorted features
-  and the running sums of their list lengths pointing into it (the
-  paper's GPU version uses a single-value hash table there).
-
-``Database.query_features`` hides the difference from the pipeline.
+Builds (:mod:`repro.core.builder`) and loads alike produce the
+paper's **condensed layout** (Section 5.1): all location lists in one
+dense array, with the sorted features and the running sums of their
+list lengths pointing into it (the paper's GPU version uses a
+single-value hash table there).  Only
+``DatabaseBuilder.finalize(condense=False)`` leaves a partition
+holding a :class:`repro.warpcore.MultiBucketHashTable`;
+``Database.query_features`` answers from either.
 """
 
 from __future__ import annotations
@@ -302,7 +299,7 @@ class CondensedIndex:
 
 @dataclass
 class DatabasePartition:
-    """One partition: a hash table in the build or condensed layout."""
+    """One partition: its condensed index, or a build-layout table."""
 
     partition_id: int
     table: MultiBucketHashTable | None
@@ -410,7 +407,7 @@ class Database:
         )
         for name, codes, taxon_id in references:
             builder.add_reference(name, codes, taxon_id)
-        return builder.finalize(condense=False)
+        return builder.finalize()
 
     # ------------------------------------------------------------------ query
 
@@ -442,11 +439,6 @@ class Database:
     def target_taxa(self) -> np.ndarray:
         """taxon id per target id (dense vector for the classifier)."""
         return np.array([t.taxon_id for t in self.targets], dtype=np.int64)
-
-    def condense(self) -> None:
-        """Convert all partitions to the condensed query layout."""
-        for p in self.partitions:
-            p.condense()
 
     # -------------------------------------------------------------- lifetime
 
@@ -545,8 +537,7 @@ class Database:
         which the returned handle owns and removes on
         :meth:`FileBackedDatabaseHandle.unlink`.  Either way workers
         memory-map the same files, so the index exists once in
-        physical memory however many attach.  Spilling condenses the
-        database in place, exactly like saving it does.
+        physical memory however many attach.
         """
         if self.mmap_path is not None:
             return FileBackedDatabaseHandle(self.mmap_path)

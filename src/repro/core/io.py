@@ -114,10 +114,9 @@ def save_database(
     """Write the database **crash-atomically**; returns the files created.
 
     Writes the layout described in the module docs; loading it (with
-    or without ``mmap=True``) builds nothing: the arrays are the index.
-    Saving condenses the database in place (the condensed layout is
-    the only one made of flat arrays).  ``format`` is kept for callers
-    that spell it out and accepts only ``2`` (``ValueError``
+    or without ``mmap=True``) builds nothing: the arrays are the index,
+    and a built database already holds them.  ``format`` is kept for
+    callers that spell it out and accepts only ``2`` (``ValueError``
     otherwise).  Raises :class:`DatabaseFormatError` when
     ``directory`` is the one backing a database opened with
     ``mmap=True`` -- the save would rewrite files under live maps.
@@ -280,9 +279,10 @@ def _condensed_content(
 def _write_partitions(db: Database, directory: Path) -> list[Path]:
     """Aligned ``.npy`` files per partition + the checksum manifest.
 
-    A partition still in the build layout is condensed in place first;
-    one already condensed is written from the arrays it holds (sorted
-    pointers are always dense, so nothing is re-pointed).
+    Every partition a build or a load produces is written from the
+    arrays it holds (sorted pointers are always dense, so nothing is
+    re-pointed); only a partition holding a build-layout table
+    (``finalize(condense=False)``) is condensed in place first.
     """
     files: list[Path] = []
     manifest: dict = {"format_version": FORMAT_V2, "alignment": _NPY_ALIGN,

@@ -162,7 +162,7 @@ def query_database(
     Parameters
     ----------
     db:
-        the database (build or condensed layout).
+        the database (any partition layout).
     sequences / mates:
         the reads -- either one :class:`PackedReads` batch (``mates``
         must then be ``None``: pairs are already interleaved inside

@@ -45,8 +45,8 @@ class ParallelClassifier:
     ----------
     database:
         the database to serve; mmap-opened databases are attached from
-        their own directory, anything else is condensed (and therefore
-        frozen) by the one-time spill to a private v2 directory.
+        their own directory, anything else is written once to a
+        private v2 directory and attached from there.
     workers:
         number of worker processes (>= 1).
     params:

@@ -636,7 +636,7 @@ class ClassificationServer:
             try:
                 with DatabaseBuilder.from_database(source) as builder:
                     builder.add_fasta(list(refs), dict(accession_map))
-                    extended = builder.finalize(condense=True)
+                    extended = builder.finalize()
             finally:
                 source.release()
             if out is None:

@@ -6,6 +6,8 @@ streaming, and extend-then-finalize -- produces **byte-identical**
 saved databases and classification output.
 """
 
+import http.client
+import json
 import warnings
 import weakref
 
@@ -15,7 +17,7 @@ import pytest
 from repro.api import MetaCache, TsvSink
 from repro.cli import main
 from repro.core.build import accession_of
-from repro.core.builder import BuildStats, DatabaseBuilder, _GrowingTable
+from repro.core.builder import BuildStats, DatabaseBuilder
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database
 from repro.core.io import load_database, save_database
@@ -82,7 +84,7 @@ class TestBuilderEquivalence:
         builder = DatabaseBuilder(taxonomy, PARAMS, n_partitions=2)
         for name, codes, taxon in refs:
             builder.add_reference(name, codes, taxon)
-        inc = builder.finalize(condense=False)
+        inc = builder.finalize()
         _assert_identical(
             _v2_bytes(one, tmp_path / "one"),
             _v2_bytes(inc, tmp_path / "inc"),
@@ -94,7 +96,7 @@ class TestBuilderEquivalence:
         one = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
         builder = DatabaseBuilder(taxonomy, PARAMS, n_partitions=2)
         builder.add_fasta(paths, acc2tax)
-        streamed = builder.finalize(condense=False)
+        streamed = builder.finalize()
         _assert_identical(
             _v2_bytes(one, tmp_path / "one"),
             _v2_bytes(streamed, tmp_path / "fasta"),
@@ -123,13 +125,13 @@ class TestBuilderEquivalence:
         )
 
     def test_growth_path_still_identical(self, world, tmp_path):
-        """A tiny insert batch forces repeated table growth mid-build."""
+        """A tiny insert batch makes many runs, merged mid-build."""
         _, _, taxonomy, _, _, _, refs, _ = world
         one = Database.build(refs, taxonomy, params=PARAMS)
         builder = DatabaseBuilder(taxonomy, PARAMS, insert_batch_windows=8)
         for name, codes, taxon in refs:
             builder.add_reference(name, codes, taxon)
-        grown = builder.finalize(condense=False)
+        grown = builder.finalize()
         _assert_identical(
             _v2_bytes(one, tmp_path / "one"),
             _v2_bytes(grown, tmp_path / "grown"),
@@ -149,7 +151,7 @@ class TestBuilderEquivalence:
         one = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
         fasta_builder = DatabaseBuilder(taxonomy, PARAMS, n_partitions=2)
         fasta_builder.add_fasta(paths, acc2tax)
-        streamed = fasta_builder.finalize(condense=False)
+        streamed = fasta_builder.finalize()
         ext_builder = DatabaseBuilder.from_database(
             Database.build(refs[:3], taxonomy, params=PARAMS, n_partitions=2)
         )
@@ -194,23 +196,32 @@ class TestBoundedMemory:
         # one in the builder's hands plus one the generator holds
         assert live["peak"] <= 4
 
-    def test_growing_table_preserves_content(self):
-        """Chunked-rebuild growth loses no pair and keeps value order."""
-        rng = np.random.default_rng(3)
-        keys = rng.integers(1, 500, size=5000).astype(np.uint64)
-        values = np.arange(5000, dtype=np.uint64)
-        params = MetaCacheParams.small()
-        small = _GrowingTable(params, initial_capacity=256)
-        for start in range(0, 5000, 500):
-            small.insert(keys[start : start + 500], values[start : start + 500])
-        assert small.capacity_values > 256  # growth actually happened
-        big = _GrowingTable(params, initial_capacity=8192)
-        big.insert(keys, values)
-        uniq = np.unique(keys)
-        got_small = small.table.retrieve(uniq)
-        got_big = big.table.retrieve(uniq)
-        assert np.array_equal(got_small[0], got_big[0])
-        assert np.array_equal(got_small[1], got_big[1])
+    def test_sorted_runs_preserve_content(self, world):
+        """Many runs merged stably hold what one sorted batch holds,
+        and the merges keep the run count logarithmic."""
+        _, _, taxonomy, _, _, _, refs, _ = world
+        most_runs = {"n": 0}
+
+        def count_runs(_stats):
+            most_runs["n"] = max(most_runs["n"], *map(len, builder._runs))
+
+        contents = []
+        for batch in (1, 100_000):
+            builder = DatabaseBuilder(
+                taxonomy, PARAMS, insert_batch_windows=batch, on_progress=count_runs
+            )
+            for ref in refs + refs:
+                builder.add_reference(*ref)
+            part = builder.finalize().partitions[0].condensed
+            contents.append(
+                (part.pointers.features, part.pointers.offsets,
+                 part.expand(part.locations))
+            )
+        (features, offsets, locations), want = contents
+        assert 1 < most_runs["n"] <= (2 * len(refs)).bit_length()
+        assert np.array_equal(features, want[0])
+        assert np.array_equal(offsets, want[1])
+        assert np.array_equal(locations, want[2])
 
 
 class TestBuildStats:
@@ -227,13 +238,44 @@ class TestBuildStats:
         assert snapshots[-1].n_targets == len(refs)
         pre = builder.stats
         assert pre.features_pending > 0  # default batch far from full
-        db = builder.finalize(condense=False)
-        post_inserted = sum(
-            p.table.stored_values for p in db.partitions
+        db = builder.finalize()
+        post = builder.stats
+        assert post.features_pending == 0
+        assert post.features_inserted == sum(
+            p.condensed.locations.size for p in db.partitions
         )
-        assert pre.features_sketched == post_inserted + sum(
-            p.table.dropped_values for p in db.partitions
-        )
+        assert pre.features_sketched == post.features_inserted + post.features_dropped
+
+    @pytest.mark.parametrize("reopened", [False, True])
+    def test_every_snapshot_accounts_for_every_feature(self, world, reopened):
+        """inserted + dropped + pending == sketched at every snapshot,
+        with flushes, cuts and merges between them, and after
+        ``from_database``."""
+        _, _, taxonomy, _, _, _, refs, _ = world
+        tight = MetaCacheParams.small(max_locations_per_feature=1)
+        snapshots = []
+        if reopened:
+            first = Database.build(refs[:2], taxonomy, params=tight, n_partitions=2)
+            builder = DatabaseBuilder.from_database(
+                first, insert_batch_windows=500, on_progress=snapshots.append
+            )
+            snapshots.append(builder.stats)
+        else:
+            builder = DatabaseBuilder(
+                taxonomy, tight, n_partitions=2, insert_batch_windows=500,
+                on_progress=snapshots.append,
+            )
+        for ref in refs + refs:
+            builder.add_reference(*ref)
+        builder.finalize()
+        snapshots.append(builder.stats)
+        assert snapshots[-1].features_dropped > 0
+        assert any(s.features_pending for s in snapshots)
+        for s in snapshots:
+            assert (
+                s.features_inserted + s.features_dropped + s.features_pending
+                == s.features_sketched
+            )
 
     def test_lost_features_accounting(self, world):
         """max_locations_per_feature drops are counted, not silent."""
@@ -245,7 +287,7 @@ class TestBuildStats:
         # exceeds the cap of one
         builder.add_reference("a", codes.scaffolds[0], taxa.target_taxon[0])
         builder.add_reference("b", codes.scaffolds[0], taxa.target_taxon[0])
-        builder.finalize(condense=False)
+        builder.finalize()
         stats = builder.stats
         assert stats.features_dropped > 0
         assert (
@@ -258,7 +300,7 @@ class TestBuildStats:
     def test_from_database_carries_accounting(self, world):
         _, _, taxonomy, _, _, _, refs, _ = world
         first = Database.build(refs[:2], taxonomy, params=PARAMS)
-        inserted = sum(p.table.stored_values for p in first.partitions)
+        inserted = sum(p.condensed.locations.size for p in first.partitions)
         builder = DatabaseBuilder.from_database(first)
         assert builder.stats.n_targets == 2
         assert builder.stats.features_inserted == inserted
@@ -277,12 +319,10 @@ class TestBuilderLifecycle:
 
     def test_empty_builder_finalizes(self, world):
         _, _, taxonomy, _, _, _, _, _ = world
-        db = DatabaseBuilder(taxonomy, PARAMS, n_partitions=3).finalize(
-            condense=False
-        )
+        db = DatabaseBuilder(taxonomy, PARAMS, n_partitions=3).finalize()
         assert db.n_targets == 0
         assert db.n_partitions == 3
-        assert all(p.table is not None for p in db.partitions)
+        assert all(p.condensed.locations.size == 0 for p in db.partitions)
 
     def test_constructor_validation(self, world):
         _, _, taxonomy, _, _, _, _, _ = world
@@ -335,6 +375,59 @@ class TestBuilderLifecycle:
         else:
             with pytest.raises(TypeError, match="workers"):
                 calls[surface]()
+
+
+class TestBuiltLayout:
+    @pytest.mark.parametrize(
+        "surface", ["build", "ephemeral", "extend", "Database.build", "admin reload"]
+    )
+    def test_every_build_surface_returns_sorted_partitions(
+        self, world, tmp_path, monkeypatch, surface
+    ):
+        """No product path leaves a hash table in a built database."""
+        _, _, taxonomy, _, paths, acc2tax, refs, _ = world
+        if surface == "build":
+            db = MetaCache.build(paths, taxonomy, acc2tax, params=PARAMS).database
+        elif surface == "ephemeral":
+            db = MetaCache.ephemeral(refs, taxonomy, params=PARAMS).database
+        elif surface == "extend":
+            mc = MetaCache.ephemeral(refs[:2], taxonomy, params=PARAMS)
+            db = mc.extend(references=refs[2:]).database
+        elif surface == "Database.build":
+            db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
+        else:
+            built = []
+            finalize = DatabaseBuilder.finalize
+
+            def keep(builder, *args, **kwargs):
+                built.append(finalize(builder, *args, **kwargs))
+                return built[-1]
+
+            MetaCache.ephemeral(refs[:2], taxonomy, params=PARAMS).save(
+                tmp_path / "served"
+            )
+            monkeypatch.setattr(DatabaseBuilder, "finalize", keep)
+            mc = MetaCache.open(tmp_path / "served")
+            thread = mc.serve(port=0, block=False)
+            try:
+                conn = http.client.HTTPConnection(
+                    thread.server.host, thread.server.port, timeout=60
+                )
+                conn.request("POST", "/admin/reload", body=json.dumps({
+                    "refs": [str(p) for p in paths[1:]],
+                    "mapping": {a: int(t) for a, t in acc2tax.items()},
+                    "out": str(tmp_path / "rebuilt"),
+                }), headers={"Content-Type": "application/json"})
+                assert conn.getresponse().status == 200
+                conn.close()
+            finally:
+                thread.stop()
+                mc.close()
+            (db,) = built
+        assert db.n_partitions >= 1
+        assert all(
+            p.table is None and p.condensed is not None for p in db.partitions
+        )
 
 
 class TestBuildErrors:

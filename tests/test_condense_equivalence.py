@@ -25,7 +25,8 @@ from reference.condense_by_probe import (
 )
 from reference.index_ptr_table import unpack
 from reference.warpcore_pairwise import PairwiseMultiBucketHashTable
-from repro.core.builder import DatabaseBuilder, _GrowingTable
+from reference.build_by_table import _GrowingTable
+from repro.core.builder import DatabaseBuilder
 from repro.core.config import MetaCacheParams
 from repro.core.database import CondensedIndex, Database, DatabasePartition
 from repro.core.io import _condensed_content, save_database
@@ -217,12 +218,11 @@ class TestExtendEqualsOneShot:
         ]
         params = MetaCacheParams.small()
         one = Database.build(refs, taxonomy, params=params, n_partitions=2)
-        for part in one.partitions:  # what the one-shot build will serialize
-            _assert_scan_equals_probe(part.table)
         first = Database.build(refs[:3], taxonomy, params=params, n_partitions=2)
         with DatabaseBuilder.from_database(first) as builder:
             for ref in refs[3:]:
                 builder.add_reference(*ref)
+            # the build-layout table finished content converts to
             extended = builder.finalize(condense=False)
         for part in extended.partitions:
             _assert_scan_equals_probe(part.table)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.builder import DatabaseBuilder
 from repro.core.config import MetaCacheParams
 from repro.core.database import CondensedIndex, Database, DatabasePartition
 from repro.core.io import _condensed_content, load_database, save_database
@@ -169,11 +170,13 @@ class TestPersistence:
         assert all(d.memory.allocated_bytes > 0 for d in devices)
 
     def test_save_condensed_database(self, small_world, tmp_path):
-        """Saving after condense() must produce identical files content-wise."""
+        """A build-layout table and the sorted build save identical content."""
         _, taxonomy, _, refs = small_world
+        builder = DatabaseBuilder(taxonomy, PARAMS)
+        for ref in refs:
+            builder.add_reference(*ref)
+        save_database_v1(builder.finalize(condense=False), tmp_path / "build")
         db = Database.build(refs, taxonomy, params=PARAMS)
-        save_database_v1(db, tmp_path / "build")
-        db.condense()
         save_database_v1(db, tmp_path / "cond")
         for name in ("database.cache0",):
             a = np.load(tmp_path / "build" / name)
@@ -197,7 +200,6 @@ class TestPersistence:
             db = Database.build(refs[:1], taxonomy, params=PARAMS, n_partitions=2)
         else:
             db = Database.build(refs, taxonomy, params=PARAMS)
-        db.condense()
         if case == "zero_length_bucket":
             # a hand-built index whose middle feature points at no locations
             index = CondensedIndex.from_content(

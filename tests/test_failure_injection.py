@@ -179,4 +179,4 @@ class TestDegenerateInputs:
         refs = [("all-N", np.full(500, 255, dtype=np.uint8), taxa.target_taxon[0])]
         db = Database.build(refs, taxonomy, params=PARAMS)
         # windows exist, but no feature was inserted
-        assert db.partitions[0].table.stored_values == 0
+        assert db.partitions[0].condensed.locations.size == 0

@@ -518,21 +518,21 @@ class TestLegacyInputs:
     def test_v1_resave_with_an_empty_partition(self, refs_world, tmp_path):
         taxonomy, refs, _ = refs_world
         db = Database.build(refs[:1], taxonomy, params=PARAMS, n_partitions=2)
-        assert db.partitions[1].table.stored_values == 0
+        assert db.partitions[1].condensed.locations.size == 0
         self._assert_v1_resaves_identically(db, tmp_path)
 
-    def test_v1_resave_after_table_growth(self, refs_world, tmp_path, monkeypatch):
+    def test_v1_resave_after_run_merges(self, refs_world, tmp_path, monkeypatch):
         taxonomy, refs, _ = refs_world
-        grows = []
-        original = builder_mod._GrowingTable._grow
+        merges = []
+        original = builder_mod.DatabaseBuilder._merge
 
-        def counting(self, new_capacity):
-            grows.append(new_capacity)
-            return original(self, new_capacity)
+        def counting(self, older, newer):
+            merges.append(older.keys.size + newer.keys.size)
+            return original(self, older, newer)
 
-        monkeypatch.setattr(builder_mod._GrowingTable, "_grow", counting)
+        monkeypatch.setattr(builder_mod.DatabaseBuilder, "_merge", counting)
         db = Database.build(refs, taxonomy, params=PARAMS, insert_batch_windows=40)
-        assert grows  # the streamed build outgrew its first table
+        assert merges  # the streamed build merged its sorted runs
         self._assert_v1_resaves_identically(db, tmp_path)
 
     def test_five_array_v2_directory_loads_and_upgrades(self, refs_world, tmp_path):
@@ -872,13 +872,15 @@ class TestSentinelRegression:
         # the batch is rejected atomically: nothing was placed
         assert len(t) == 0
 
-    def test_sentinel_feature_survives_save_load_both_formats(self, tmp_path):
-        """A build-table feature equal to the sentinel round-trips.
+    def test_sentinel_feature_survives_save_load_both_formats(
+        self, tmp_path, monkeypatch
+    ):
+        """A sketched feature equal to the sentinel round-trips.
 
-        The build tables reserve the sentinel by clamping it onto
-        0xFFFFFFFE; the condensed/persisted pointers and both
-        readable disk formats must keep that feature retrievable -- it must not
-        vanish from occupied-slot scans on the way to disk and back.
+        The build stores the sentinel clamped onto 0xFFFFFFFE; the
+        persisted pointers and both readable disk formats must keep
+        that feature retrievable -- it must not vanish on the way to
+        disk and back.
         """
         genomes = GenomeSimulator(seed=5).simulate_collection(2, 1, 3000)
         taxonomy, taxa = build_taxonomy_for_genomes(genomes)
@@ -886,13 +888,20 @@ class TestSentinelRegression:
             (g.name, g.scaffolds[0], taxa.target_taxon[i])
             for i, g in enumerate(genomes)
         ]
+        sketch = builder_mod.sketch_sequence
+
+        def with_sentinel(codes, params):  # window 1 of every target
+            sketches = sketch(codes, params)
+            sketches[1, 0] = 0xFFFFFFFF
+            return sketches
+
+        monkeypatch.setattr(builder_mod, "sketch_sequence", with_sentinel)
         db = Database.build(refs, taxonomy, params=PARAMS)
         sentinel = np.array([0xFFFFFFFF], dtype=np.uint64)
-        marker = np.array([123456], dtype=np.uint64)
-        db.partitions[0].table.insert(sentinel, marker)
+        marker = np.array([1], dtype=np.uint64)  # target 0, window 1
         for fmt, mmap in ((1, False), (2, False), (2, True)):
             directory = tmp_path / f"fmt{fmt}-{mmap}"
-            if fmt == 1:  # first: the v1 writer leaves the build layout
+            if fmt == 1:
                 save_database_v1(db, directory)
             else:
                 save_database(db, directory)

@@ -280,8 +280,7 @@ class TestWordCapacity:
                         )
                 n_partitions = suggested
         assert attempts > 1 and n_partitions > 1
-        db.condense()  # fits, so it condenses
-        for part in db.partitions:
+        for part in db.partitions:  # it fits, so the build indexed it
             cond = part.condensed
             local_bits = max(0, cond.targets.size - 1).bit_length()
             assert local_bits + cond.window_bits <= self.WORD_BITS

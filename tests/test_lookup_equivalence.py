@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from reference import pair_granular_query as oracle
 from repro.core import query as query_mod
+from repro.core.builder import DatabaseBuilder
 from repro.core.candidates import candidate_groups
 from repro.core.config import MetaCacheParams
 from repro.core.database import CondensedIndex, Database, DatabasePartition
@@ -266,10 +267,12 @@ def built(request, world, tmp_path_factory):
     cap, layout = request.param
     _, taxonomy, refs = world
     params = MetaCacheParams.small(max_locations_per_feature=cap)
-    db = Database.build(refs, taxonomy, params=params, n_partitions=N_PARTITIONS)
-    if layout == "condensed":
-        db.condense()
-    elif layout == "mmap":
+    builder = DatabaseBuilder(taxonomy, params, n_partitions=N_PARTITIONS)
+    for ref in refs:
+        builder.add_reference(*ref)
+    # the build layout is the table finalize(condense=False) converts to
+    db = builder.finalize(condense=layout != "build")
+    if layout == "mmap":
         directory = tmp_path_factory.mktemp(f"built-{cap}")
         save_database(db, directory)
         db = load_database(directory, mmap=True)

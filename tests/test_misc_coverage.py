@@ -1,5 +1,5 @@
-"""Coverage for the smaller utilities: timers, RNG derivation and the
-numpy floor."""
+"""Coverage for the smaller utilities: timers, RNG derivation, the
+numpy floor and the heap thresholds sessions pin."""
 
 import time
 
@@ -75,3 +75,25 @@ def test_installed_numpy_meets_install_requires():
     setup_py = (Path(__file__).parent.parent / "setup.py").read_text()
     floor = re.search(r'"numpy>=(\d+)\.(\d+)"', setup_py).groups()
     assert tuple(map(int, np.__version__.split(".")[:2])) >= tuple(map(int, floor)) >= (1, 25)
+
+
+def test_every_session_pins_the_heap_thresholds(monkeypatch):
+    """A session's batch temporaries stay on the heap whatever the
+    process allocated before it (glibc's mmap and trim thresholds)."""
+    from repro.api import MetaCache
+    from repro.core.config import MetaCacheParams
+    from repro.genomics.simulate import GenomeSimulator
+    from repro.taxonomy.builder import build_taxonomy_for_genomes
+    from repro.api import session as session_mod
+
+    calls = []
+    monkeypatch.setattr(session_mod, "_MALLOPT", lambda *args: calls.append(args))
+    genomes = GenomeSimulator(seed=2).simulate_collection(1, 1, 2000)
+    taxonomy, taxa = build_taxonomy_for_genomes(genomes)
+    mc = MetaCache.ephemeral(
+        [("g", genomes[0].scaffolds[0], taxa.target_taxon[0])],
+        taxonomy, params=MetaCacheParams.small(),
+    )
+    assert calls == []  # building and opening leave the allocator alone
+    mc.session()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]

@@ -373,7 +373,6 @@ def world():
         for i, g in enumerate(genomes)
     ]
     mc = MetaCache.ephemeral(references, taxonomy, params=PARAMS)
-    mc.database.condense()
     return mc, genomes
 
 

@@ -69,7 +69,6 @@ def world():
         for i, g in enumerate(genomes)
     ]
     mc = MetaCache.ephemeral(references, taxonomy, params=PARAMS)
-    mc.database.condense()  # freeze the layout so every test sees the same
     reads = ReadSimulator(genomes, seed=29).simulate(HISEQ, 120)
     seqs = list(reads.sequences)
     headers = [f"r{i}" for i in range(len(seqs))]

@@ -13,6 +13,7 @@ byte-identical to those of the single-value-table index kept in
 
 import json
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference.index_ptr_table import PointerTableIndex
+from repro.core import builder as builder_mod
 from repro.core import database as database_mod
 from repro.core.config import MetaCacheParams
 from repro.core.database import CondensedIndex, Database, SortedPointers
-from repro.core.io import load_database, save_database
+from repro.core.io import _condensed_content, load_database, save_database
 from repro.genomics import GenomeSimulator
 from repro.taxonomy import build_taxonomy_for_genomes
 
@@ -35,7 +37,7 @@ WORLDS = [(n, cap) for n in (1, 2, 3) for cap in (3, 254)]
 
 @dataclass
 class World:
-    db: Database  # condensed by its save
+    db: Database  # as built
     eager: Database
     mapped: Database
     oracles: list[PointerTableIndex]
@@ -56,17 +58,24 @@ def refs():
 def worlds(refs, tmp_path_factory):
     taxonomy, references = refs
     made = {}
+    sketch = builder_mod.sketch_sequence
+
+    def with_edges(codes, params):
+        # make 0 and the sentinel (clamped onto 0xFFFFFFFE) stored
+        # features: window 1 of every target sketches them
+        sketches = sketch(codes, params)
+        sketches[1, :2] = [0, SENTINEL]
+        return sketches
+
     for n_partitions, cap in WORLDS:
         params = PARAMS.replace(max_locations_per_feature=cap)
-        db = Database.build(references, taxonomy, params=params,
-                            n_partitions=n_partitions)
-        # make 0 and the sentinel (clamped onto 0xFFFFFFFE) stored features
-        target = next(t for t in db.targets if t.partition_id == 0)
-        location = np.uint64(target.target_id << 32 | 1)
-        db.partitions[0].table.insert(
-            np.array([0, SENTINEL], dtype=np.uint64), np.array([location] * 2)
-        )
-        oracles = [PointerTableIndex.from_table(p.table) for p in db.partitions]
+        with mock.patch.object(builder_mod, "sketch_sequence", with_edges):
+            db = Database.build(references, taxonomy, params=params,
+                                n_partitions=n_partitions)
+        oracles = [
+            PointerTableIndex.from_content(*_condensed_content(p))
+            for p in db.partitions
+        ]
         for oracle in oracles:  # the oracle holds every feature
             assert oracle.pointers.stats().dropped_values == 0
         directory = tmp_path_factory.mktemp(f"p{n_partitions}-cap{cap}")
@@ -185,7 +194,6 @@ class TestSortedPointers:
         """Past the width limit the offsets are uint64, on disk and in memory."""
         taxonomy, references = refs
         narrow = Database.build(references, taxonomy, params=PARAMS, n_partitions=2)
-        narrow.condense()
         monkeypatch.setattr(database_mod, "NARROW_OFFSETS_LIMIT", 16)
         db = Database.build(references, taxonomy, params=PARAMS, n_partitions=2)
         save_database(db, tmp_path / "wide")

@@ -6,7 +6,8 @@ classifies them on threads that share the one database.  The claim
 is that the split changes nothing observable: sink bytes,
 ``RunReport.taxon_counts`` and ``n_classified`` are identical to the
 one-slice run for every slice count, on single-end and paired reads,
-on the build, condensed and mmap layouts, with batches smaller than
+on a fresh build, a database loaded eagerly and one memory-mapped
+(the ``build``, ``condensed`` and ``mmap`` handles), with batches smaller than
 the slice count, empty inputs, all-miss reads and reads too short to
 hold a window.  The core count is pinned by patching
 ``repro.api.session._available_cores``.
@@ -67,10 +68,9 @@ def world(tmp_path_factory):
         for i, g in enumerate(genomes)
     ]
     built = MetaCache.ephemeral(references, taxonomy, params=PARAMS)
-    condensed = MetaCache.ephemeral(references, taxonomy, params=PARAMS)
-    condensed.database.condense()
     saved = tmp_path_factory.mktemp("split_db") / "db"
-    condensed.save(saved)
+    built.save(saved)
+    condensed = MetaCache.open(saved)
     mapped = MetaCache.open(saved, mmap=True)
     pool = list(ReadSimulator(genomes, seed=7).simulate(HISEQ, 64).sequences)
     handles = {"build": built, "condensed": condensed, "mmap": mapped}

@@ -23,8 +23,8 @@ from reference.warpcore_pairwise import (
     PairwiseSingleValueHashTable,
     slots_for_round,
 )
-from repro.core import builder as builder_mod
-from repro.core.builder import _GrowingTable
+import reference.build_by_table as table_build
+from reference.build_by_table import TableDatabaseBuilder, _GrowingTable
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database
 from repro.core.io import load_database, save_database
@@ -169,7 +169,7 @@ class TestMultiBucketEquivalence:
 
         new = run()
         monkeypatch.setattr(
-            builder_mod, "MultiBucketHashTable", PairwiseMultiBucketHashTable
+            table_build, "MultiBucketHashTable", PairwiseMultiBucketHashTable
         )
         ref = run()
         assert isinstance(ref.table, PairwiseMultiBucketHashTable)
@@ -279,8 +279,15 @@ class TestSavedIndexIdentity:
     """The claim end to end: saved directories do not change by a byte."""
 
     @staticmethod
-    def _save_both(root, taxonomy, refs):
-        db = Database.build(refs, taxonomy, params=MetaCacheParams.small(), n_partitions=2)
+    def _save_both(root, taxonomy, refs, builder=None):
+        if builder is None:
+            db = Database.build(
+                refs, taxonomy, params=MetaCacheParams.small(), n_partitions=2
+            )
+        else:
+            for ref in refs:
+                builder.add_reference(*ref)
+            db = builder.finalize()
         save_database_v1(db, root / "v1")
         save_database(db, root / "v2", format=2)
         # the v1 load path indexes the saved columns
@@ -309,11 +316,15 @@ class TestSavedIndexIdentity:
         (tmp_path / "new").mkdir()
         (tmp_path / "ref").mkdir()
         new = self._save_both(tmp_path / "new", taxonomy, refs)
-        # (no single-value table is on the save or load path any more)
+        # the sorted build against the table build on the pair-at-a-time
+        # table (no single-value table is on the save or load path any more)
         monkeypatch.setattr(
-            builder_mod, "MultiBucketHashTable", PairwiseMultiBucketHashTable
+            table_build, "MultiBucketHashTable", PairwiseMultiBucketHashTable
         )
-        ref = self._save_both(tmp_path / "ref", taxonomy, refs)
+        ref = self._save_both(
+            tmp_path / "ref", taxonomy, refs,
+            TableDatabaseBuilder(taxonomy, MetaCacheParams.small(), n_partitions=2),
+        )
         assert len(new) > 8
         assert new == ref
 
