@@ -222,7 +222,6 @@ class MetaCache:
         params: MetaCacheParams | None = None,
         *,
         n_partitions: int = 1,
-        batch_size: int = 32,
         progress: Callable[[BuildStats], None] | None = None,
     ) -> "MetaCache":
         """Build from reference FASTA files through the streaming pipeline.
@@ -230,12 +229,15 @@ class MetaCache:
         A thin client of :class:`repro.core.builder.DatabaseBuilder`:
         the files stream through a producer thread in bounded memory
         (peak resident is set by the insert batch, not the corpus).
+        Reference files may be gzip'd (sniffed by magic bytes).
         ``taxonomy`` may be a :class:`Taxonomy` or a directory holding
         ``nodes.dmp``/``names.dmp``; ``mapping`` a dict or a TSV path.
         ``progress`` is an optional callback receiving a
         :class:`~repro.api.records.BuildStats` snapshot per ingested
         reference.  Raises :class:`repro.errors.BuildError` for
-        unmapped accessions or unknown taxa.
+        unmapped accessions or unknown taxa, and
+        :class:`repro.errors.InvalidReadError` naming the file for a
+        reference file that is not FASTA.
         """
         tax = _resolve_taxonomy(taxonomy)
         if not isinstance(mapping, Mapping):
@@ -247,7 +249,7 @@ class MetaCache:
                 n_partitions=n_partitions,
                 on_progress=progress,
             ) as builder:
-                builder.add_fasta(refs, dict(mapping), batch_size=batch_size)
+                builder.add_fasta(refs, dict(mapping))
                 db = builder.finalize()
         return cls(db, build_seconds=t.elapsed)
 
@@ -300,7 +302,6 @@ class MetaCache:
         mapping: Mapping[str, int] | str | os.PathLike | None = None,
         *,
         references: Iterable[tuple[str, "np.ndarray | str", int]] | None = None,
-        batch_size: int = 32,
         progress: Callable[[BuildStats], None] | None = None,
     ) -> "MetaCache":
         """Add reference targets to this database, in place.
@@ -328,7 +329,7 @@ class MetaCache:
             alternatively (or additionally, ingested after ``refs``),
             in-memory ``(name, sequence, taxon_id)`` triples as in
             :meth:`ephemeral`.
-        batch_size / progress:
+        progress:
             as in :meth:`build`.
 
         Open sessions keep classifying against the pre-extension
@@ -364,9 +365,7 @@ class MetaCache:
                 if refs is not None:
                     if not isinstance(mapping, Mapping):
                         mapping = load_accession_mapping(mapping)
-                    builder.add_fasta(
-                        refs, dict(mapping), batch_size=batch_size
-                    )
+                    builder.add_fasta(refs, dict(mapping))
                 if references is not None:
                     for name, seq, taxon in references:
                         builder.add_reference(

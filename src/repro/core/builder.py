@@ -8,11 +8,14 @@ pipeline's composable host-side surface:
 
 - :meth:`DatabaseBuilder.add_reference` ingests one already-encoded
   reference; :meth:`DatabaseBuilder.add_fasta` streams reference
-  FASTA files through a producer thread.  Either way peak memory is
-  bounded by the insert batch, **not** the corpus: sequences are
-  sketched inline and dropped as they arrive, and partition
-  assignment is *online* greedy (lightest partition first, per
-  arrival) so no collect-everything pass exists anywhere.  The
+  FASTA files through a producer thread, which parses them a chunk at
+  a time and hands over blocks of references of about 64 kbp, each
+  sketched here with one kernel call and then ingested target by
+  target exactly as ``add_reference`` ingests one.  Either way peak
+  memory is bounded by the insert batch, **not** the corpus:
+  sequences are sketched inline and dropped as they arrive, and
+  partition assignment is *online* greedy (lightest partition first,
+  per arrival) so no collect-everything pass exists anywhere.  The
   producer parses while this consumer sketches and sorts; sketching
   is the smaller part of the consumer's work, so a pool of sketch
   processes between the two measured slower than this one thread.
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,12 +63,15 @@ from repro.core.database import (
 )
 from repro.errors import BuildError, ConfigError
 from repro.hashing.minhash import SKETCH_PAD
-from repro.hashing.sketch import sketch_sequence
+from repro.hashing.sketch import sketch_packed_segments, sketch_sequence
 from repro.taxonomy.tree import Taxonomy
 from repro.util.bitops import pack_pairs
 from repro.util.segmented import run_length_encode
 from repro.warpcore.base import sort_by_key
 from repro.warpcore.multi_bucket import MultiBucketHashTable
+
+if TYPE_CHECKING:
+    from repro.pipeline.producer import ReferenceBlock
 
 __all__ = ["BuildStats", "DatabaseBuilder"]
 
@@ -268,17 +274,122 @@ class DatabaseBuilder:
             when the builder was already finalized.
         """
         self._check_open()
+        self._check_taxon(name, taxon_id)
+        sketches = sketch_sequence(codes, self.params.sketch)
+        n_windows = sketches.shape[0]
+        feats, locs, _ = _pairs(sketches, [n_windows], len(self._targets))
+        self._ingest(name, taxon_id, int(codes.size), n_windows, feats, locs)
+
+    def add_fasta(
+        self,
+        paths: Sequence,
+        accession_to_taxon: Mapping[str, int],
+    ) -> None:
+        """Stream reference FASTA files (plain or gzip'd) into the builder.
+
+        One producer thread parses and encodes the files (in the
+        given order) into a bounded queue of reference blocks while
+        this thread -- the consumer -- sketches each block with one
+        kernel call and ingests its targets in order, so at no point
+        does more than a queue's worth of encoded sequences exist in
+        memory.  Headers resolve to taxa through ``accession_to_taxon``
+        (the role NCBI's ``accession2taxid`` files play); the full
+        header becomes the target name.  Each target is ingested as
+        :meth:`add_reference` ingests one: same checks, same order,
+        same bytes.
+
+        Raises
+        ------
+        BuildError
+            when a header's accession has no mapping entry (file and
+            header are named in the message) -- silently dropping
+            references would corrupt every downstream accuracy
+            number.  References ingested before the failure remain in
+            the builder.
+        repro.errors.InvalidReadError
+            when a file is not FASTA (FASTQ, binary, sequence data
+            before the first header, corrupt gzip); the path is named.
+        RuntimeError
+            when the builder was already finalized.
+        """
+        from repro.pipeline.producer import fasta_producer
+        from repro.pipeline.queues import ClosableQueue
+        from repro.pipeline.scheduler import run_producer_consumer
+
+        self._check_open()
+        paths = list(paths)
+
+        def consume(q: ClosableQueue):
+            failure: BaseException | None = None
+            for block in q:
+                if failure is not None:
+                    continue  # drain so the bounded-queue producer can exit
+                try:
+                    self._add_block(block, accession_to_taxon)
+                except BaseException as exc:  # noqa: BLE001 - re-raised
+                    failure = exc
+            if failure is not None:
+                raise failure
+
+        # one producer thread walking the files in order: arrival order
+        # is file order then in-file order, as in the one-shot path
+        run_producer_consumer(
+            producers=[lambda q: fasta_producer(paths, q)], consumers=[consume]
+        )
+
+    def _add_block(
+        self, block: "ReferenceBlock", accession_to_taxon: Mapping[str, int]
+    ) -> None:
+        """Sketch a block of references once, then ingest its targets in
+        order."""
+        packed = block.packed
+        sketches, counts = sketch_packed_segments(
+            packed.buffer, packed.offsets, self.params.sketch
+        )
+        feats, locs, ends = _pairs(sketches, counts, len(self._targets))
+        targets = zip(
+            block.headers,
+            packed.segment_lengths.tolist(),
+            counts.tolist(),
+            [0, *ends[:-1]],
+            ends,
+        )
+        for header, n_bases, n_windows, start, end in targets:
+            acc = accession_of(header)
+            if acc not in accession_to_taxon:
+                raise BuildError(
+                    f"{block.path}: accession {acc!r} of header {header!r} "
+                    "not in accession_to_taxon mapping",
+                    file=block.path,
+                    header=header,
+                )
+            taxon_id = accession_to_taxon[acc]
+            self._check_taxon(header, taxon_id)
+            self._ingest(
+                header, taxon_id, n_bases, n_windows, feats[start:end], locs[start:end]
+            )
+
+    def _check_taxon(self, name: str, taxon_id: int) -> None:
         if taxon_id not in self.taxonomy:
             raise BuildError(
                 f"taxon {taxon_id} of target {name!r} not in taxonomy",
                 header=name,
                 taxon_id=taxon_id,
             )
-        sketches = sketch_sequence(codes, self.params.sketch)
-        n_bases = int(codes.size)
+
+    def _ingest(
+        self,
+        name: str,
+        taxon_id: int,
+        n_bases: int,
+        n_windows: int,
+        feats: np.ndarray,
+        locs: np.ndarray,
+    ) -> None:
+        """Assign a sketched target a partition and queue its pairs, which
+        name it as target ``len(self._targets)`` (see :func:`_pairs`)."""
         p = int(np.argmin(self._part_load))
         t = len(self._targets)
-        n_windows = sketches.shape[0]
         word = _word_with(self._part_word[p], n_windows)
         if not location_word_fits(*word):
             self._refuse_word(p, word, name, n_bases, n_windows)
@@ -297,15 +408,6 @@ class DatabaseBuilder:
         self._n_windows += n_windows
         self._n_bases += n_bases
         if n_windows:
-            window_ids = np.repeat(
-                np.arange(n_windows, dtype=np.uint64), sketches.shape[1]
-            )
-            feats = sketches.reshape(-1)
-            valid = feats != SKETCH_PAD
-            locs = pack_pairs(
-                np.full(valid.sum(), t, dtype=np.uint64), window_ids[valid]
-            )
-            feats = feats[valid]
             self._features_sketched += feats.size
             self._pending_features += feats.size
             self._pending[p].append((feats, locs))
@@ -314,89 +416,6 @@ class DatabaseBuilder:
                 self._flush(p)
         if self.on_progress is not None:
             self.on_progress(self.stats)
-
-    def add_fasta(
-        self,
-        paths: Sequence,
-        accession_to_taxon: Mapping[str, int],
-        *,
-        batch_size: int = 32,
-    ) -> None:
-        """Stream reference FASTA files into the builder.
-
-        One producer thread parses and encodes the files (in the
-        given order) into a bounded queue while this thread -- the
-        consumer -- sketches and inserts, so at no point does more
-        than a queue's worth of encoded sequences exist in memory.
-        Headers resolve to taxa through ``accession_to_taxon`` (the
-        role NCBI's ``accession2taxid`` files play); the full header
-        becomes the target name.
-
-        Raises
-        ------
-        BuildError
-            when a header's accession has no mapping entry (file and
-            header are named in the message) -- silently dropping
-            references would corrupt every downstream accuracy
-            number.  References ingested before the failure remain in
-            the builder.
-        RuntimeError
-            when the builder was already finalized.
-        """
-        from repro.pipeline.producer import fasta_producer
-        from repro.pipeline.queues import ClosableQueue
-        from repro.pipeline.scheduler import run_producer_consumer
-
-        self._check_open()
-        paths = list(paths)
-
-        def consume(q: ClosableQueue):
-            failure: BaseException | None = None
-            for batch in q:
-                if failure is not None:
-                    continue  # drain so the bounded-queue producer can exit
-                for header, codes, seq_id in zip(
-                    batch.headers, batch.sequences, batch.ids
-                ):
-                    try:
-                        acc = accession_of(header)
-                        if acc not in accession_to_taxon:
-                            path = paths[seq_id // _FILE_STRIDE]
-                            raise BuildError(
-                                f"{path}: accession {acc!r} of header "
-                                f"{header!r} not in accession_to_taxon "
-                                "mapping",
-                                file=str(path),
-                                header=header,
-                            )
-                        self.add_reference(
-                            header, codes, accession_to_taxon[acc]
-                        )
-                    except BaseException as exc:  # noqa: BLE001 - re-raised
-                        failure = exc
-                        break
-            if failure is not None:
-                raise failure
-
-        # One producer thread walking the files in order: arrival
-        # order is file order then in-file order, identical to the
-        # one-shot path.  Each per-file fasta_producer call closes the
-        # registration it is handed, so the walk registers one per
-        # file and closes its own outer registration at the end.
-        def produce(q: ClosableQueue):
-            try:
-                for i, path in enumerate(paths):
-                    q.register_producer()
-                    fasta_producer(
-                        [path],
-                        q,
-                        batch_size=batch_size,
-                        id_offset=i * _FILE_STRIDE,
-                    )
-            finally:
-                q.close_producer()
-
-        run_producer_consumer(producers=[produce], consumers=[consume])
 
     # --------------------------------------------------------------- internals
 
@@ -555,6 +574,33 @@ class DatabaseBuilder:
         )
 
 
+def _pairs(
+    sketches: np.ndarray, counts: Sequence[int] | np.ndarray, first_target: int
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The valid features of consecutive targets' sketch rows and their
+    locations ``target << 32 | window``.
+
+    Target ``i`` owns the next ``counts[i]`` rows and is numbered
+    ``first_target + i``.  Returns ``(features, locations, ends)``:
+    target ``i``'s pairs are ``[ends[i - 1], ends[i])``, row by row and
+    within a row in sketch order.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    valid = sketches != SKETCH_PAD
+    per_row = np.count_nonzero(valid, axis=1)
+    row_ends = np.cumsum(counts)
+    first_row = np.repeat(row_ends - counts, counts)
+    windows = np.arange(sketches.shape[0], dtype=np.int64) - first_row
+    targets = np.repeat(np.arange(counts.size, dtype=np.int64) + first_target, counts)
+    pair_ends = np.zeros(per_row.size + 1, dtype=np.int64)
+    np.cumsum(per_row, out=pair_ends[1:])
+    return (
+        sketches[valid],
+        np.repeat(pack_pairs(targets, windows), per_row),
+        pair_ends[row_ends].tolist(),
+    )
+
+
 def _word_with(word: tuple[int, int], n_windows: int) -> tuple[int, int]:
     """A partition's ``(targets with windows, largest window id)`` -- what
     its location word must hold (``CondensedIndex``) -- once a target of
@@ -578,7 +624,3 @@ def _greedy_fits(lengths: list[int], windows: list[int], n_partitions: int) -> b
             return False
     return True
 
-
-#: disjoint per-file id ranges keep multi-file arrival order
-#: deterministic (file order, then in-file order)
-_FILE_STRIDE = 1 << 40

@@ -239,13 +239,23 @@ class CondensedIndex:
         """Pack uint64 ``target << 32 | window`` locations into words.
 
         The target map and ``window_bits`` come from the locations
-        themselves.  ``ValueError`` when they do not fit one
+        themselves: the targets present, ascending, and each location's
+        rank among them -- one bincount and one running sum, no sort.
+        Target ids past the number of locations (no build makes them,
+        a hand-filled table can) would make the count longer than the
+        input, so those are ranked by ``np.unique``.  ``ValueError``
+        when targets and windows do not fit one
         :data:`LOCATION_WORD_BITS`-bit word.
         """
         locations = np.asarray(locations, dtype=np.uint64)
-        targets, local = np.unique(
-            (locations >> np.uint64(32)).astype(np.uint32), return_inverse=True
-        )
+        target = (locations >> np.uint64(32)).astype(np.uint32)
+        if int(target.max(initial=0)) <= target.size:
+            present = np.bincount(target) > 0
+            targets = np.flatnonzero(present).astype(np.uint32)
+            local = (np.cumsum(present, dtype=np.uint32) - np.uint32(1)).take(target)
+        else:
+            targets, local = np.unique(target, return_inverse=True)
+            local = local.astype(np.uint32)
         window = (locations & np.uint64(0xFFFFFFFF)).astype(np.uint32)
         max_window = int(window.max(initial=0))
         if not location_word_fits(targets.size, max_window):
@@ -254,7 +264,7 @@ class CondensedIndex:
                 f"do not fit a {LOCATION_WORD_BITS}-bit location word"
             )
         window_bits = max_window.bit_length()
-        words = local.astype(np.uint32) << np.uint32(window_bits)
+        words = local << np.uint32(window_bits)
         words |= window
         return cls(locations=words, pointers=pointers,
                    targets=targets, window_bits=window_bits)

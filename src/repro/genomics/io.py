@@ -11,7 +11,7 @@ truncated final FASTQ record -- raises
 ``UnicodeDecodeError`` / ``zlib.error``.  Servers and pipelines can
 therefore wrap ingest in a single ``except MetaCacheError``.
 
-Four entry points share the machinery, all over one *binary* handle
+Five entry points share the machinery, all over one *binary* handle
 (plain file, gzip stream or in-memory body alike):
 
 - :func:`iter_sequence_blocks` streams a file ``batch_size`` reads at
@@ -22,7 +22,14 @@ Four entry points share the machinery, all over one *binary* handle
   buffer, whole (the server's ``POST /classify`` request bodies);
 - :func:`iter_sequence_records` is the per-record view of a file;
 - :func:`iter_sequence_records_bytes` the per-record view of an
-  in-memory buffer.
+  in-memory buffer;
+- :func:`iter_fasta_blocks` streams a reference FASTA file as the
+  parser's blocks of ASCII records (the build's producer recuts them
+  by bases).
+
+FASTA is parsed by :func:`repro.genomics.fasta.read_fasta_blocks` and
+FASTQ by :func:`repro.genomics.fastq.read_fastq_blocks`; every entry
+point is a view of one of the two.
 """
 
 from __future__ import annotations
@@ -39,11 +46,12 @@ import numpy as np
 
 from repro.errors import InvalidReadError
 from repro.genomics.alphabet import encode_sequence
-from repro.genomics.fasta import FastaRecord, read_fasta
+from repro.genomics.fasta import read_fasta_blocks
 from repro.genomics.fastq import read_fastq_blocks, split_lines
 
 __all__ = [
     "open_sequence_file",
+    "iter_fasta_blocks",
     "iter_sequence_blocks",
     "iter_sequence_records",
     "iter_sequence_records_bytes",
@@ -122,8 +130,10 @@ def _sniff(handle: io.BufferedReader, name: str) -> str:
     return sigil
 
 
-def _fasta_records(handle: io.BufferedReader) -> Iterator[FastaRecord]:
-    return read_fasta(io.TextIOWrapper(handle, encoding="ascii"))
+def _fasta_entries(handle: io.BufferedReader) -> Iterator[tuple[str, bytes]]:
+    """``(header, ASCII sequence)`` per record of a FASTA stream."""
+    for headers, sequences in read_fasta_blocks(handle):
+        yield from zip(headers, sequences)
 
 
 def _sniffed_records(
@@ -136,7 +146,8 @@ def _sniffed_records(
     """
     sigil = _sniff(handle, name)
     if sigil == ">":
-        yield from ((fa.header, fa.sequence) for fa in _fasta_records(handle))
+        for header, sequence in _fasta_entries(handle):
+            yield header, sequence.decode("ascii")
     elif sigil == "@":
         blocks = read_fastq_blocks(handle)
         for block in blocks:
@@ -149,20 +160,18 @@ def _sniffed_blocks(
     """Block view of an open stream: ``(headers, sequence lines)``.
 
     The bulk counterpart of :func:`_sniffed_records` (same sniffing,
-    same errors): each sequence is one ASCII line still ending in
-    ``\\n``, ready to be joined and encoded once per batch.  FASTQ
-    blocks come straight from
-    :func:`repro.genomics.fastq.read_fastq_blocks`; FASTA is still
-    parsed per record underneath.
+    same errors): each sequence is one ASCII line ending in ``\\n``,
+    ready to be joined and encoded once per batch.  FASTQ blocks come
+    straight from :func:`repro.genomics.fastq.read_fastq_blocks`; FASTA
+    records from :func:`repro.genomics.fasta.read_fasta_blocks`, whose
+    chunk-sized blocks are regrouped into ``batch_size`` records.
     """
     sigil = _sniff(handle, name)
     if sigil == ">":
-        entries = _fasta_records(handle)
+        entries = _fasta_entries(handle)
         while chunk := list(itertools.islice(entries, batch_size)):
-            yield (
-                [fa.header for fa in chunk],
-                [fa.sequence.encode("ascii") + b"\n" for fa in chunk],
-            )
+            headers, sequences = zip(*chunk)
+            yield list(headers), [sequence + b"\n" for sequence in sequences]
     elif sigil == "@":
         blocks = read_fastq_blocks(handle, batch_size)
         for block in blocks:
@@ -180,6 +189,25 @@ def iter_sequence_blocks(
     """
     with _translate_parse_errors(str(path)), open_sequence_file(path) as handle:
         yield from _sniffed_blocks(handle, str(path), batch_size)
+
+
+def iter_fasta_blocks(
+    path: str | os.PathLike,
+) -> Iterator[tuple[list[str], list[bytes]]]:
+    """Lazily yield ``(headers, ASCII sequences)`` blocks of a FASTA file.
+
+    The build's reference reader: plain or gzip'd (sniffed by magic
+    bytes, as for read files), a block per chunk parsed
+    (:func:`repro.genomics.fasta.read_fasta_blocks`).  A FASTQ file, or
+    anything that is not FASTA, raises
+    :class:`repro.errors.InvalidReadError` naming the path; a missing
+    file still raises ``FileNotFoundError``.
+    """
+    name = str(path)
+    with _translate_parse_errors(name), open_sequence_file(path) as handle:
+        if _sniff(handle, name) == "@":
+            raise InvalidReadError(f"{name}: FASTQ, not a FASTA reference file")
+        yield from read_fasta_blocks(handle)
 
 
 def iter_sequence_records(path: str | os.PathLike) -> Iterator[tuple[str, str]]:

@@ -4,7 +4,7 @@ Composes the k-mer, windowing and minhash layers into the shapes the
 pipeline needs:
 
 - :func:`sketch_sequence` -- all windows of one reference sequence
-  (build phase, Fig. 1 step 1);
+  (``DatabaseBuilder.add_reference``, Fig. 1 step 1);
 - :func:`sketch_reads_packed` -- all windows of a *packed* batch (one
   contiguous code buffer + segment offsets) mapped to read ids: the
   query-phase hot path, pure array ops with no per-read Python loop,
@@ -12,10 +12,11 @@ pipeline needs:
   Reads shorter than the window size yield a single window; longer
   reads split into several windows, as Section 6.2 describes for
   MiSeq.
-- :func:`sketch_packed_segments` -- the same kernel shaped for the
-  sketch pool (:class:`repro.parallel.ParallelSketcher`): several
-  reference sequences per job, per-segment window counts returned
-  alongside.
+- :func:`sketch_packed_segments` -- the build's kernel: a block of
+  reference sequences (``DatabaseBuilder.add_fasta`` sketches each
+  ~64 kbp block the producer hands over with one call, and
+  :class:`repro.parallel.ParallelSketcher` one job), per-segment window
+  counts returned alongside so the rows split back per target.
 - :func:`sketch_reads` -- thin list-of-arrays adapter over the packed
   kernel (packs, then calls :func:`sketch_reads_packed`).
 

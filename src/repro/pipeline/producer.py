@@ -5,12 +5,14 @@ split the data into header and sequence strings which are then pushed
 into the queue."  The producers here do exactly that (plus encoding,
 which in the GPU version happens device-side but costs the same
 either way in the simulation).  :func:`fasta_producer` feeds the
-build side in :class:`SequenceBatch` es, :func:`read_file_producer`
-the query side in packed batches.
+build side in :class:`ReferenceBlock` s of about :data:`BLOCK_BASES`
+bases, :func:`read_file_producer` the query side in packed batches.
+Both hand over :class:`PackedReads`, encoded once per block.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -19,27 +21,35 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import InvalidReadError
-from repro.genomics.alphabet import encode_sequence
-from repro.genomics.fasta import read_fasta
-from repro.genomics.io import iter_sequence_blocks
+from repro.genomics.io import iter_fasta_blocks, iter_sequence_blocks
 from repro.pipeline.packed import PackedReads
 from repro.pipeline.queues import ClosableQueue
 
-__all__ = ["SequenceBatch", "fasta_producer", "read_file_producer"]
+__all__ = [
+    "BLOCK_BASES",
+    "ReferenceBlock",
+    "SequenceBatch",
+    "fasta_producer",
+    "read_file_producer",
+]
+
+#: bases per reference block: references join a block until the next
+#: one would take it past this; a longer reference is a block of its own
+BLOCK_BASES = 1 << 16
 
 
 @dataclass
 class SequenceBatch:
-    """A batch of parsed sequences.
+    """A batch of in-memory reads, one encoded array each.
 
-    ``headers`` carry the FASTA/FASTQ identifiers (the build phase
-    resolves them to taxa); ``sequences`` are encoded uint8 code
-    arrays; ``ids`` are global sequential indices assigned by the
-    producer so downstream results can be reassembled in input order
-    regardless of consumer scheduling.
+    ``headers`` carry the read identifiers; ``sequences`` are encoded
+    uint8 code arrays; ``ids`` are global sequential indices so
+    downstream results can be reassembled in input order regardless of
+    consumer scheduling.  Sessions and the classification engine accept
+    it as a batch of reads.
 
     Storage stays list-of-arrays while the batch is being appended to
-    (parsers grow it one record at a time); :meth:`packed` produces --
+    (callers grow it one record at a time); :meth:`packed` produces --
     and caches -- the contiguous :class:`PackedReads` form the hot-path
     kernels consume.  Appending after packing invalidates the cache.
     """
@@ -76,37 +86,78 @@ class SequenceBatch:
         return self._packed
 
 
+@dataclass(frozen=True)
+class ReferenceBlock:
+    """Consecutive references of one file, encoded into one buffer.
+
+    Segment ``i`` of ``packed`` is the sequence of ``headers[i]``;
+    ``path`` names the file they came from (for error messages).
+    """
+
+    path: str
+    headers: list[str]
+    packed: PackedReads
+
+    def __len__(self) -> int:
+        return len(self.headers)
+
+
+def _block_spans(sizes: np.ndarray, final: bool) -> list[tuple[int, int]]:
+    """``[start, stop)`` of each block of records with these base counts.
+
+    A block takes records until the next one would take it past
+    :data:`BLOCK_BASES` (one longer record is a block of its own).
+    Unless ``final``, records that may still share a block with ones
+    not yet parsed are left out.
+    """
+    ends = np.cumsum(sizes)
+    spans: list[tuple[int, int]] = []
+    start = 0
+    while start < sizes.size:
+        base = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, base + BLOCK_BASES, side="right"))
+        stop = max(stop, start + 1)
+        if stop == sizes.size and not final:
+            break
+        spans.append((start, stop))
+        start = stop
+    return spans
+
+
 def fasta_producer(
-    paths: Sequence[str | os.PathLike],
-    out: ClosableQueue,
-    batch_size: int = 64,
-    id_offset: int = 0,
+    paths: Sequence[str | os.PathLike], out: ClosableQueue
 ) -> int:
     """Parse FASTA files into the queue; returns sequences produced.
 
+    Files are read in order, plain or gzip'd, a chunk at a time by
+    :func:`repro.genomics.io.iter_fasta_blocks`, and their records
+    recut into :class:`ReferenceBlock` s by bases
+    (:data:`BLOCK_BASES`), each encoded with one
+    :meth:`PackedReads.from_ascii`.  A block never spans two files.
     Must be called with the queue already registered for this
     producer; closes its registration when done (even on error).
-    ``id_offset`` shifts the assigned sequence ids -- concurrent
-    producers use disjoint offset ranges so downstream order is
-    deterministic.
     """
     produced = 0
     try:
         for path in paths:
-            batch = SequenceBatch()
-            references = read_fasta(path)
-            for reference in references:
-                batch.append(
-                    reference.header,
-                    encode_sequence(reference.sequence),
-                    id_offset + produced,
-                )
-                produced += 1
-                if len(batch) >= batch_size:
-                    out.put(batch)
-                    batch = SequenceBatch()
-            if len(batch):
-                out.put(batch)
+            names: list[str] = []
+            texts: list[bytes] = []  # parsed, not yet in a block
+            # None marks the end of the file: every record is final
+            for parsed in itertools.chain(iter_fasta_blocks(path), [None]):
+                if parsed is not None:
+                    names += parsed[0]
+                    texts += parsed[1]
+                sizes = np.fromiter(map(len, texts), np.int64, len(texts))
+                spans = _block_spans(sizes, final=parsed is None)
+                for start, stop in spans:
+                    out.put(ReferenceBlock(
+                        str(path), names[start:stop],
+                        PackedReads.from_ascii(texts[start:stop]),
+                    ))
+                if spans:
+                    done = spans[-1][1]
+                    del names[:done], texts[:done]
+                    produced += done
     finally:
         out.close_producer()
     return produced

@@ -8,8 +8,12 @@ saved content into fresh tables.  :class:`TableDatabaseBuilder` is that
 builder: ``_GrowingTable`` and the overridden methods below are the
 old code moved out of ``src/`` verbatim, except that ``finalize``
 condenses partition by partition (``Database.condense`` is gone).
-Sketching, partition assignment and FASTA streaming are inherited, as
-they did not change.  ``tests/test_build_equivalence.py`` asserts that
+Sketching and partition assignment are inherited, as they did not
+change.  FASTA files are ingested as ``add_fasta`` ingested them before
+it sketched blocks of references: record by record through the
+per-line parser and ``add_reference``
+(``tests/reference/fasta_per_line.py``).
+``tests/test_build_equivalence.py`` asserts that
 both builders save byte-identical directories and report the same
 :class:`BuildStats` once finalized.
 
@@ -20,7 +24,7 @@ limit.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +32,8 @@ from repro.core.builder import BuildStats, DatabaseBuilder, _word_with
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database, DatabasePartition
 from repro.warpcore.multi_bucket import MultiBucketHashTable
+
+from reference.fasta_per_line import per_record_fasta_ingest
 
 __all__ = ["TableDatabaseBuilder"]
 
@@ -135,6 +141,12 @@ class TableDatabaseBuilder(DatabaseBuilder):
             builder._tables[part.partition_id] = grown
             builder._features_sketched += grown.table.stored_values
         return builder
+
+    def add_fasta(
+        self, paths: Sequence, accession_to_taxon: Mapping[str, int]
+    ) -> None:
+        self._check_open()
+        per_record_fasta_ingest(self, paths, accession_to_taxon)
 
     def _flush(self, p: int) -> None:
         """Batched insert of partition ``p``'s buffered pairs."""

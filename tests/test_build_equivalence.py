@@ -3,9 +3,11 @@
 ``DatabaseBuilder`` groups each flushed batch into a sorted run, merges
 runs stably and cuts every feature to ``max_locations_per_feature``;
 the retained builder in ``tests/reference/build_by_table.py`` inserted
-the same batches into a growing multi-bucket hash table.  The contract:
-for any history -- ``add_reference`` and ``add_fasta`` calls (any
-producer batch size), any ``insert_batch_windows``, reopening through
+the same batches into a growing multi-bucket hash table, and ingested
+FASTA files record by record through the per-line parser.  The
+contract: for any history -- ``add_reference`` and ``add_fasta`` calls
+(reference blocks of one record, of a few, or of the default
+``BLOCK_BASES``), any ``insert_batch_windows``, reopening through
 ``from_database`` (with or without a save in between) and
 ``MetaCache.extend`` -- over 1-3 partitions and caps 1, 3 and 254, both
 save byte-identical directories, and every finalized builder reports
@@ -26,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.builder as builder_mod
+import repro.pipeline.producer as producer_mod
 from reference.build_by_table import TableDatabaseBuilder
 from repro.api import MetaCache
 from repro.core.builder import DatabaseBuilder
@@ -38,20 +41,32 @@ from repro.taxonomy.builder import build_taxonomy_for_genomes
 
 EDGE_FEATURES = np.array([0, 0xFFFFFFFE, 0xFFFFFFFF], dtype=np.uint64)
 _sketch = builder_mod.sketch_sequence
+_sketch_blocks = builder_mod.sketch_packed_segments
 
 
-def sketch_with_edge_features(codes, params):
-    """The real sketch with about a third of its features replaced by
-    ``0``, ``0xFFFFFFFE`` or ``0xFFFFFFFF`` (chosen by the feature)."""
-    sketches = _sketch(codes, params)
+def _with_edge_features(sketches):
     pick = sketches % np.uint64(9)
     edge = (sketches != SKETCH_PAD) & (pick < 3)
     return np.where(edge, EDGE_FEATURES[np.minimum(pick, 2)], sketches)
 
 
+def sketch_with_edge_features(codes, params):
+    """The real sketch with about a third of its features replaced by
+    ``0``, ``0xFFFFFFFE`` or ``0xFFFFFFFF`` (chosen by the feature)."""
+    return _with_edge_features(_sketch(codes, params))
+
+
+def sketch_blocks_with_edge_features(buffer, offsets, params):
+    """The block kernel with the same replacement, row for row."""
+    sketches, counts = _sketch_blocks(buffer, offsets, params)
+    return _with_edge_features(sketches), counts
+
+
 @pytest.fixture(scope="module")
 def pool(tmp_path_factory):
-    """Reference triples, one FASTA file per genome, the mapping."""
+    """Reference triples, one FASTA file per genome and one holding all
+    of them (so reference blocks can hold several records), the
+    mapping."""
     root = tmp_path_factory.mktemp("build-equivalence")
     genomes = GenomeSimulator(seed=53).simulate_collection(2, 2, 1200)
     taxonomy, taxa = build_taxonomy_for_genomes(genomes)
@@ -62,16 +77,20 @@ def pool(tmp_path_factory):
         write_fasta(g.to_fasta_records(), path)
         files.append(path)
         mapping[g.accession] = taxa.target_taxon[i]
+    files.append(root / "all.fasta")
+    write_fasta([r for g in genomes for r in g.to_fasta_records()], files[-1])
     return taxonomy, refs, files, mapping, root
 
 
-# one ingest call: ("ref", reference) or ("fasta", files, batch_size)
+# one ingest call: ("ref", reference) or ("fasta", files, block bases):
+# blocks of one record, of two (the genomes hold 1,200-1,227 bases) and
+# of the default
 ops_st = st.one_of(
     st.tuples(st.just("ref"), st.integers(0, 3)),
     st.tuples(
         st.just("fasta"),
-        st.lists(st.integers(0, 3), min_size=1, max_size=3),
-        st.sampled_from([1, 2, 32]),
+        st.lists(st.integers(0, 4), min_size=1, max_size=3),
+        st.sampled_from([1, 2500, producer_mod.BLOCK_BASES]),
     ),
 )
 # how a phase after the first reopens the finished database
@@ -89,7 +108,8 @@ def _ingest(builder, op, refs, files, mapping) -> None:
     if op[0] == "ref":
         builder.add_reference(*refs[op[1]])
     else:
-        builder.add_fasta([files[i] for i in op[1]], mapping, batch_size=op[2])
+        with mock.patch.object(producer_mod, "BLOCK_BASES", op[2]):
+            builder.add_fasta([files[i] for i in op[1]], mapping)
 
 
 def _extend(db, op, refs, files, mapping):
@@ -98,7 +118,8 @@ def _extend(db, op, refs, files, mapping):
     if op[0] == "ref":
         mc.extend(references=[refs[op[1]]])
     else:
-        mc.extend([files[i] for i in op[1]], mapping, batch_size=op[2])
+        with mock.patch.object(producer_mod, "BLOCK_BASES", op[2]):
+            mc.extend([files[i] for i in op[1]], mapping)
     return mc.database
 
 
@@ -159,7 +180,9 @@ def test_sorted_build_equals_table_build(
     params = MetaCacheParams.small(max_locations_per_feature=cap)
     workdir = Path(tempfile.mkdtemp(dir=pool[4]))
     sketch = sketch_with_edge_features if edge_features else _sketch
-    with mock.patch.object(builder_mod, "sketch_sequence", sketch):
+    blocks = sketch_blocks_with_edge_features if edge_features else _sketch_blocks
+    with mock.patch.object(builder_mod, "sketch_sequence", sketch), \
+            mock.patch.object(builder_mod, "sketch_packed_segments", blocks):
         runs = {
             name: _run(kind, history, pool, params, n_partitions,
                        batch_windows, workdir / name)

@@ -255,6 +255,66 @@ def _suggested(error: ConfigError) -> int:
     return int(re.search(r"n_partitions=(\d+) \(", str(error)).group(1))
 
 
+class TestTargetMap:
+    """``from_locations`` ranks targets by a bincount and a running sum;
+    ``np.unique(..., return_inverse=True)`` is the oracle."""
+
+    @staticmethod
+    def _oracle(locations):
+        targets, local = np.unique(
+            (locations >> np.uint64(32)).astype(np.uint32), return_inverse=True
+        )
+        window = (locations & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+        bits = int(window.max(initial=0)).bit_length()
+        return targets, local.astype(np.uint32) << np.uint32(bits) | window
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 600), max_size=40),
+        far=st.booleans(),
+        windows=st.lists(st.integers(0, 70), min_size=1, max_size=5),
+        n=st.integers(0, 200),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_unique(self, ids, far, windows, n, seed):
+        # gappy ids; with ``far`` one past every location count
+        ids = ids + [2**31 + 5] if far else ids
+        rng = np.random.default_rng(seed)
+        if not ids:
+            n = 0
+        target = rng.choice(np.array(ids or [0], dtype=np.uint64), size=n)
+        window = rng.choice(np.array(windows, dtype=np.uint64), size=n)
+        locations = target << np.uint64(32) | window
+        pointers = database_mod.SortedPointers.from_lengths(
+            np.arange(n, dtype=np.uint32), np.ones(n, dtype=np.int64)
+        )
+        index = CondensedIndex.from_locations(locations, pointers)
+        targets, words = self._oracle(locations)
+        assert index.targets.dtype == np.uint32 and index.locations.dtype == np.uint32
+        assert np.array_equal(index.targets, targets)
+        assert np.array_equal(index.locations, words)
+        assert np.array_equal(index.expand(index.locations), locations)
+
+    def test_targets_cut_whole_at_the_cap(self):
+        """A target whose every feature is some earlier target's keeps no
+        location at cap 1, so the map skips its id."""
+        genomes = GenomeSimulator(seed=7).simulate_collection(1, 2, 2000)
+        taxonomy, taxa = build_taxonomy_for_genomes(genomes)
+        refs = [(g.name, g.scaffolds[0], taxa.target_taxon[i])
+                for i, g in enumerate(genomes)]
+        builder = DatabaseBuilder(
+            taxonomy, MetaCacheParams.small(max_locations_per_feature=1)
+        )
+        for ref in [refs[0], refs[0], refs[1], refs[0]]:
+            builder.add_reference(*ref)
+        index = builder.finalize().partitions[0].condensed
+        locations = index.expand(index.locations)
+        assert 1 not in index.targets and 3 not in index.targets
+        targets, words = self._oracle(locations)
+        assert np.array_equal(index.targets, targets)
+        assert np.array_equal(index.locations, words)
+
+
 class TestWordCapacity:
     WORD_BITS = 10  # 4 simulated 3000-base targets of 181 windows: 2 bits left
 

@@ -1,13 +1,16 @@
 """Tests for the producer/consumer pipeline."""
 
+import gzip
 import threading
 
 import numpy as np
 import pytest
 
 from repro.errors import InvalidReadError
+from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fasta import write_fasta
 from repro.genomics.fastq import FastqRecord, write_fastq
+import repro.pipeline.producer as producer_mod
 from repro.pipeline.producer import SequenceBatch, fasta_producer, read_file_producer
 from repro.pipeline.queues import ClosableQueue
 from repro.pipeline.scheduler import run_producer_consumer
@@ -77,17 +80,39 @@ class TestBatch:
 
 
 class TestProducers:
-    def test_fasta_producer(self, tmp_path):
+    def test_fasta_producer(self, tmp_path, monkeypatch):
+        # references join a block until the next would pass BLOCK_BASES
         path = tmp_path / "refs.fasta"
-        write_fasta([("g1", "ACGT" * 10), ("g2", "TTTT" * 5)], path)
+        write_fasta(
+            [("g1", "ACGT" * 10), ("g2", "TTTT" * 5), ("g3", "GA" * 8)], path
+        )
+        for block_bases, blocks in (
+            (1, [["g1"], ["g2"], ["g3"]]),
+            (70, [["g1", "g2"], ["g3"]]),
+            (producer_mod.BLOCK_BASES, [["g1", "g2", "g3"]]),
+        ):
+            monkeypatch.setattr(producer_mod, "BLOCK_BASES", block_bases)
+            q = ClosableQueue()
+            q.register_producer()
+            assert fasta_producer([path], q) == 3
+            items = list(q)
+            assert [item.headers for item in items] == blocks
+            assert {item.path for item in items} == {str(path)}
+            packed = [s for item in items for s in item.packed.segments()]
+            assert [s.size for s in packed] == [40, 20, 16]
+            assert decode_sequence(packed[2]) == "GA" * 8
+
+    def test_fasta_producer_blocks_stay_in_their_file(self, tmp_path):
+        paths = [tmp_path / "a.fasta", tmp_path / "b.fasta.gz"]
+        write_fasta([("a1", "ACGT")], paths[0])
+        with gzip.open(paths[1], "wt") as handle:
+            write_fasta([("b1", "GG"), ("b2", "TT")], handle)
         q = ClosableQueue()
         q.register_producer()
-        n = fasta_producer([path], q, batch_size=1)
-        assert n == 2
-        batches = list(q)
-        assert len(batches) == 2
-        assert batches[0].headers == ["g1"]
-        assert batches[0].sequences[0].size == 40
+        assert fasta_producer(paths, q) == 3
+        assert [(item.path, item.headers) for item in q] == [
+            (str(paths[0]), ["a1"]), (str(paths[1]), ["b1", "b2"])
+        ]
 
     def test_fastq_producer(self, tmp_path):
         # the query-side producer: FASTQ reads, optionally with mates
