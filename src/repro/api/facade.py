@@ -37,7 +37,8 @@ from repro.api.session import QuerySession
 from repro.core.builder import DatabaseBuilder
 from repro.core.config import ClassificationParams, MetaCacheParams
 from repro.core.database import Database
-from repro.core.io import convert_database, load_database, save_database
+from repro.core.io import load_database, save_database
+from repro.core.legacy import convert_database
 from repro.errors import ConfigError, DatabaseFormatError, InvalidMappingError, ReloadError
 from repro.genomics.alphabet import encode_sequence
 from repro.shard.plan import ShardPlan
@@ -147,14 +148,14 @@ class MetaCache:
     ) -> "MetaCache":
         """Load a saved database directory (condensed query layout).
 
-        ``mmap=True`` memory-maps a format-v2 database instead of
-        reading it: cold open is near-instant (the saved pointer
-        tables are used verbatim, no rebuild), index pages fault in on
-        first query, and worker processes attach the same files
-        through the page cache instead of a private spilled copy.
-        Classification output is byte-identical either way.  Format-v1
-        directories warn and load through the rebuild path; upgrade
-        them with :meth:`convert` or ``metacache-repro convert``.
+        ``mmap=True`` memory-maps the database instead of reading it:
+        cold open is near-instant (the saved arrays are used verbatim,
+        no rebuild), index pages fault in on first query, and worker
+        processes attach the same files through the page cache instead
+        of a private spilled copy.  Classification output is
+        byte-identical either way.  A legacy layout is refused before
+        any array is opened; upgrade it with :meth:`convert` or
+        ``metacache-repro convert``.
 
         ``shards=N`` serves the directory through a
         :class:`~repro.shard.ShardRouter` instead of querying it
@@ -202,13 +203,14 @@ class MetaCache:
     ) -> list[Path]:
         """Rewrite a saved database in the current on-disk format.
 
-        The upgrade path for legacy v1 directories: it makes them
-        eligible for ``open(..., mmap=True)``'s zero-rebuild cold
-        open.  ``verify`` checks source checksums when it has them.
-        Returns the files written.
+        The upgrade path for the legacy layouts :meth:`open` refuses
+        (see :mod:`repro.core.legacy`), making them eligible for
+        ``open(..., mmap=True)``'s zero-rebuild cold open.  ``verify``
+        checks source checksums when it has them.  Returns the files
+        written.
 
         Raises :class:`repro.errors.DatabaseFormatError` for the same
-        source conditions as :meth:`open`.
+        source conditions as :meth:`open`, legacy layouts aside.
         """
         with _translate_db_errors(source):
             return convert_database(source, destination, verify=verify)

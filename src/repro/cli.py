@@ -25,9 +25,9 @@ Subcommands:
   plan is pinned).
 - ``info``    -- database summary (targets, windows, sizes).
 - ``merge``   -- combine per-partition candidate runs (Section 4.3).
-- ``convert`` -- rewrite a legacy format-v1 database directory in the
-  one format this package writes, enabling ``query --mmap``'s
-  zero-rebuild, page-cache-shared cold open.
+- ``convert`` -- rewrite a directory in a legacy layout (format v1,
+  pointer-table partitions, uint64 location words), which no other
+  command opens, in the one format this package writes and opens.
 
 The CLI is a thin client of :mod:`repro.api`: every command is a few
 calls against the :class:`~repro.api.MetaCache` facade, so anything
@@ -368,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=_cmd_info)
 
     c = sub.add_parser(
-        "convert", help="upgrade a legacy format-v1 database directory"
+        "convert",
+        help="upgrade a legacy database directory (format v1, pointer-table "
+        "partitions or uint64 location words) to the current format",
     )
     c.add_argument("--db", required=True, help="source database directory")
     c.add_argument("--out", required=True, help="destination directory")

@@ -369,9 +369,6 @@ class Database:
         self.target_dense = np.array(
             [taxonomy.index_of(t.taxon_id) for t in targets], dtype=np.int64
         )
-        #: on-disk format this database was loaded from (None = built
-        #: in memory); set by :func:`repro.core.io.load_database`.
-        self.format_version: int | None = None
         #: directory of the mmap-backed (format v2) index, when this
         #: database was opened with ``mmap=True``.  Worker processes
         #: map these files directly; any other database is spilled to

@@ -36,26 +36,15 @@ cache.  Partition files load under any device assignment, mirroring
 "partitioned databases generated by the CPU version can be loaded by
 the GPU version and vice versa".
 
-Legacy inputs still load; ``convert_database`` (``metacache-repro
-convert``) upgrades each to the layout above:
-
-- a **format v1** directory (one ``database.cache<P>`` NPZ per
-  partition: sorted features, per-feature lengths, locations) loads by
-  indexing those columns directly;
-- a v2 partition that stores the slot arrays of a single-value hash
-  table mapping each feature to a packed ``(offset << 24 | length)``
-  pointer (what this package wrote before the sorted pointers) loads
-  by reading the occupied slots into sorted features and offsets,
-  once; whatever else its manifest entry lists, the slot arrays mark
-  it;
-- such a partition whose locations have the dtype ``<u8`` (uint64
-  ``target << 32 | window``, no target map) also has its words packed
-  in memory, once; the key and length columns that directories of
-  that age may store beside the slot arrays are ignored.
-
-None of them can be memory-mapped: ``mmap=True`` loads them eagerly
-with one ``UserWarning``.  A legacy partition whose targets and
-windows do not fit one 32-bit word raises :class:`DatabaseFormatError`.
+This is the one layout that opens.  A directory written before it (a
+format v1 directory, or a v2 manifest entry listing the slot arrays of
+a pointer table) is refused with :class:`DatabaseFormatError` before
+any array is opened; :mod:`repro.core.legacy`, reached only by
+``convert`` (``metacache-repro convert``), reads those and rewrites
+them in this layout.  :func:`check_format_version`,
+:func:`read_metadata` and :func:`read_manifest` are the readers every
+other module (the shard planner) goes through, so the format is
+parsed here alone.
 """
 
 from __future__ import annotations
@@ -66,7 +55,6 @@ import re
 import secrets
 import shutil
 import struct
-import warnings
 import zlib
 from pathlib import Path
 
@@ -85,19 +73,21 @@ from repro.core.database import (
 )
 from repro.hashing.sketch import SketchParams
 from repro.taxonomy.ncbi import load_ncbi_dump, write_ncbi_dump
-from repro.warpcore.base import EMPTY_KEY, sort_by_key
+from repro.taxonomy.tree import Taxonomy
 
 __all__ = [
     "save_database",
     "load_database",
-    "convert_database",
+    "check_format_version",
+    "read_metadata",
+    "read_manifest",
     "publish_database",
     "version_directories",
     "latest_version",
     "FORMAT_V2",
 ]
 
-FORMAT_V2 = 2  # the format written; v1 directories are only read
+FORMAT_V2 = 2  # the one format written and opened
 _MANIFEST_NAME = "manifest.json"
 _NPY_ALIGN = 4096  # data payload starts on a page boundary
 _NPY_MAGIC = b"\x93NUMPY\x01\x00"
@@ -348,12 +338,13 @@ def _write_npy_aligned(
     return zlib.crc32(array)
 
 
-def _check_format_version(meta, meta_path: Path) -> int:
+def check_format_version(meta: object, meta_path: Path) -> None:
     """Validate ``format_version``, distinguishing the failure modes.
 
     A directory without an integer ``format_version`` is *not a
     database*; an integer above :data:`FORMAT_V2` was *written by a
-    newer version* of this package.  Every branch raises
+    newer version* of this package; ``1`` is the legacy NPZ layout,
+    which only ``metacache-repro convert`` reads.  Every branch raises
     :class:`DatabaseFormatError` carrying the offending path.
     """
     if not isinstance(meta, dict) or "format_version" not in meta:
@@ -370,11 +361,20 @@ def _check_format_version(meta, meta_path: Path) -> int:
     if version > FORMAT_V2:
         raise DatabaseFormatError(
             f"{meta_path}: database format v{version} was written by a newer "
-            f"version of metacache-repro (this build reads v1..v{FORMAT_V2}); "
+            f"version of metacache-repro (this build opens v{FORMAT_V2}); "
             "upgrade the package, or re-save the database with the newer tool "
             "in a supported format"
         )
-    return version
+    if version < FORMAT_V2:
+        raise _legacy_layout_error(meta_path, f"format v{version}")
+
+
+def _legacy_layout_error(path: Path, layout: str) -> DatabaseFormatError:
+    """The refusal of a layout that only ``convert`` reads."""
+    return DatabaseFormatError(
+        f"{path}: {layout} is a legacy index layout that is no longer opened; "
+        "upgrade the directory with `metacache-repro convert --db DIR --out NEW`"
+    )
 
 
 def load_database(
@@ -388,30 +388,44 @@ def load_database(
     Parameters
     ----------
     directory:
-        the database directory (legacy v1 directories are detected).
+        the database directory, in the layout of the module docs.
     mmap:
         memory-map the index arrays instead of reading them: cold open
         touches no index bytes, and concurrent processes opening the
-        same directory share one physical copy through the page
-        cache.  Ignored, with one ``UserWarning``, for the legacy
-        inputs of the module docs (v1 directories and pointer-table
-        partitions, with 32- or 64-bit location words), which are
-        re-indexed in memory on load: none has an mmap-able layout.
+        same directory share one physical copy through the page cache.
     verify:
         check every array against its manifest CRC-32 (reads the
         full payload; defeats the O(1) open, so off by default --
-        ``convert_database`` turns it on).
+        ``convert`` turns it on).
 
-    Raises :class:`DatabaseFormatError` on malformed content; a
-    missing ``database.meta`` surfaces as the raw ``FileNotFoundError``
-    and garbled JSON as ``json.JSONDecodeError`` (long-standing
-    contract; the API facade translates them at the ``repro.api``
-    boundary).
+    Raises :class:`DatabaseFormatError` on malformed content and on a
+    legacy layout (naming ``metacache-repro convert``) before any
+    array is opened; a missing ``database.meta`` surfaces as the raw
+    ``FileNotFoundError`` and garbled JSON as ``json.JSONDecodeError``
+    (long-standing contract; the API facade translates them at the
+    ``repro.api`` boundary).
     """
     directory = Path(directory)
     meta_path = directory / "database.meta"
     meta = json.loads(meta_path.read_text())
-    version = _check_format_version(meta, meta_path)
+    check_format_version(meta, meta_path)
+    params, targets, n_partitions = read_metadata(meta, meta_path)
+    entries = read_manifest(directory, n_partitions)
+    taxonomy = _load_taxonomy(directory, targets, meta_path)
+    db = Database(params, taxonomy, [
+        DatabasePartition(pid, None, _load_partition(
+            directory, entry, pid, mmap=mmap, verify=verify
+        )) for pid, entry in enumerate(entries)
+    ], targets)
+    if mmap:
+        db.mmap_path = directory
+    return db
+
+
+def read_metadata(
+    meta: dict, meta_path: Path
+) -> tuple[MetaCacheParams, list[TargetRecord], int]:
+    """Parameters, target records and partition count of ``database.meta``."""
     try:
         p = meta["params"]
         params = MetaCacheParams(
@@ -439,101 +453,26 @@ def load_database(
             )
             for t in meta["targets"]
         ]
-        n_partitions = int(meta["n_partitions"])
+        return params, targets, int(meta["n_partitions"])
     except (KeyError, TypeError) as exc:
         raise DatabaseFormatError(f"{meta_path}: incomplete metadata ({exc!r})") from exc
+
+
+def _load_taxonomy(
+    directory: Path, targets: list[TargetRecord], meta_path: Path
+) -> Taxonomy:
+    """The directory's taxonomy dumps; every target's taxon must be in them."""
     taxonomy = load_ncbi_dump(directory / "nodes.dmp", directory / "names.dmp")
-    # before any partition is opened, so a refusal leaves nothing mapped
     for t in targets:
         if t.taxon_id not in taxonomy:
             raise DatabaseFormatError(
                 f"{meta_path}: target {t.target_id} ({t.name!r}) names taxon "
                 f"{t.taxon_id}, which is not in nodes.dmp"
             )
-
-    if version == FORMAT_V2:
-        entries = _read_manifest(directory, n_partitions)
-        wide = [_locations_dtype(directory, e, pid) == "<u8"
-                for pid, e in enumerate(entries)]
-        legacy = [_lists_pointer_table(e) for e in entries]
-        if mmap and any(legacy):
-            what = (
-                "uint64 location words cannot be memory-mapped; packing them"
-                if any(wide) else
-                "hash-table pointers cannot be memory-mapped; reading them "
-                "into sorted pointers"
-            )
-            warnings.warn(
-                f"{directory}: {what} in memory (convert with `metacache-repro "
-                "convert` for zero-copy opens)",
-                stacklevel=2,
-            )
-            mmap = False
-        condensed_parts = []
-        for pid, entry in enumerate(entries):
-            if legacy[pid]:
-                cond = _load_pointer_table_partition(
-                    directory, entry, pid, wide=wide[pid], verify=verify
-                )
-            else:
-                cond = _load_partition_v2(
-                    directory, entry, pid, mmap=mmap, verify=verify
-                )
-            condensed_parts.append(cond)
-    else:
-        if mmap:
-            warnings.warn(
-                f"{directory}: format v1 databases cannot be memory-mapped; "
-                "loading them in memory (convert to v2 with "
-                "`metacache-repro convert` for zero-copy opens)",
-                stacklevel=2,
-            )
-            mmap = False
-        condensed_parts = [
-            _load_condensed_v1(directory / f"database.cache{pid}", pid)
-            for pid in range(n_partitions)
-        ]
-
-    partitions = [
-        DatabasePartition(partition_id=pid, table=None, condensed=condensed)
-        for pid, condensed in enumerate(condensed_parts)
-    ]
-    db = Database(
-        params=params, taxonomy=taxonomy, partitions=partitions, targets=targets
-    )
-    db.format_version = version
-    if mmap:
-        db.mmap_path = directory
-    return db
+    return taxonomy
 
 
-def _load_condensed_v1(cache_path: Path, pid: int) -> CondensedIndex:
-    """Index one partition of a v1 NPZ (its columns, read whole)."""
-    try:
-        with np.load(cache_path) as data:
-            features = data["features"]
-            lengths = data["lengths"]
-            locations = data["locations"]
-    except (DatabaseFormatError, FileNotFoundError):
-        raise
-    except (OSError, ValueError, KeyError) as exc:
-        raise DatabaseFormatError(
-            f"{cache_path}: corrupt partition file ({exc})"
-        ) from exc
-    if int(lengths.sum()) != locations.size:
-        raise DatabaseFormatError(
-            f"{cache_path}: corrupt location array (partition {pid})"
-        )
-    try:
-        return CondensedIndex.from_content(features, lengths, locations)
-    except ValueError as exc:  # unsorted features, the sentinel, word overflow
-        raise DatabaseFormatError(
-            f"{cache_path}: invalid feature or location in partition {pid} "
-            f"({exc})"
-        ) from exc
-
-
-def _read_manifest(directory: Path, n_partitions: int) -> list[dict]:
+def _manifest_entries(directory: Path, n_partitions: int) -> list[dict]:
     """The manifest's partition entries, one per metadata partition."""
     manifest_path = directory / _MANIFEST_NAME
     try:
@@ -544,7 +483,7 @@ def _read_manifest(directory: Path, n_partitions: int) -> list[dict]:
         ) from exc
     except json.JSONDecodeError as exc:
         raise DatabaseFormatError(f"{manifest_path}: corrupt manifest ({exc})") from exc
-    parts = manifest.get("partitions")
+    parts = manifest.get("partitions") if isinstance(manifest, dict) else None
     if not isinstance(parts, list) or len(parts) != n_partitions:
         raise DatabaseFormatError(
             f"{manifest_path}: manifest lists "
@@ -554,71 +493,66 @@ def _read_manifest(directory: Path, n_partitions: int) -> list[dict]:
     return parts
 
 
-def _locations_dtype(directory: Path, entry: dict, pid: int) -> str:
-    """The manifest's dtype of a partition's location words."""
-    try:
-        dtype = entry["arrays"]["locations"]["dtype"]
-    except (KeyError, TypeError) as exc:
-        raise DatabaseFormatError(
-            f"{directory / _MANIFEST_NAME}: corrupt manifest for partition "
-            f"{pid} ({exc!r})"
-        ) from exc
-    if dtype not in ("<u4", "<u8"):
-        raise DatabaseFormatError(
-            f"{directory / _MANIFEST_NAME}: partition {pid} has location "
-            f"words of dtype {dtype!r} (expected '<u4', or legacy '<u8')"
-        )
-    return dtype
+def _lists_pointer_table(entry) -> bool:
+    """Whether a manifest entry is a legacy pointer-table partition."""
+    arrays = entry.get("arrays") if isinstance(entry, dict) else None
+    return isinstance(arrays, dict) and "ptr_keys" in arrays
 
 
-def _open_partition(
-    directory: Path, entry: dict, pid: int, dtypes: dict, *, mmap: bool, verify: bool
-) -> tuple[dict[str, np.ndarray], int, int]:
-    """Open the arrays ``dtypes`` names; ``(arrays, n_features, n_locations)``.
-
-    ``dtypes`` maps each manifest key to the dtypes it may have; the
-    manifest says which one it has.
-    """
-    arrays: dict[str, np.ndarray] = {}
-    try:
-        for key, allowed in dtypes.items():
-            spec = entry["arrays"][key]
-            if spec["dtype"] not in allowed:
-                raise ValueError(
-                    f"{key} of dtype {spec['dtype']!r} (expected one of {allowed})"
-                )
-            arrays[key] = _open_npy(
-                directory / str(spec["file"]), np.dtype(spec["dtype"]),
-                tuple(int(n) for n in spec["shape"]),
-                crc=spec["crc32"] if verify else None,
-                mmap=mmap and key != "targets",  # the map is metadata-sized
+def read_manifest(directory: Path, n_partitions: int) -> list[dict]:
+    """:func:`_manifest_entries`, refusing legacy pointer-table partitions."""
+    entries = _manifest_entries(directory, n_partitions)
+    for pid, entry in enumerate(entries):
+        if _lists_pointer_table(entry):
+            raise _legacy_layout_error(
+                directory / _MANIFEST_NAME,
+                f"partition {pid} (hash-table pointers)",
             )
-        return arrays, int(entry["n_features"]), int(entry["n_locations"])
+    return entries
+
+
+def _open_array(
+    directory: Path, entry: dict, key: str, allowed: tuple[str, ...], *,
+    mmap: bool, verify: bool,
+) -> np.ndarray:
+    """Open manifest array ``key`` of an ``allowed`` dtype (a corrupt
+    entry raises ``KeyError`` / ``TypeError`` / ``ValueError``)."""
+    spec = entry["arrays"][key]
+    if spec["dtype"] not in allowed:
+        raise ValueError(
+            f"{key} of dtype {spec['dtype']!r} (expected one of {allowed})"
+        )
+    return _open_npy(
+        directory / str(spec["file"]), np.dtype(spec["dtype"]),
+        tuple(int(n) for n in spec["shape"]),
+        crc=spec["crc32"] if verify else None, mmap=mmap,
+    )
+
+
+def _load_partition(
+    directory: Path, entry: dict, pid: int, *, mmap: bool, verify: bool
+) -> CondensedIndex:
+    """Map (or read) one partition's arrays and wrap them, copy-free."""
+    manifest_path = directory / _MANIFEST_NAME
+    try:
+        arrays = {
+            key: _open_array(
+                directory, entry, key,
+                _OFFSETS_DTYPES if key == "offsets" else ("<u4",),
+                mmap=mmap and key != "targets",  # the map is metadata-sized
+                verify=verify,
+            )
+            for key in _V2_ARRAYS
+        }
+        n_features, n_locations = int(entry["n_features"]), int(entry["n_locations"])
+        window_bits = int(entry["window_bits"])
     except DatabaseFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DatabaseFormatError(
-            f"{directory / _MANIFEST_NAME}: corrupt manifest for partition "
-            f"{pid} ({exc!r})"
+            f"{manifest_path}: corrupt manifest for partition {pid} ({exc!r})"
         ) from exc
-
-
-def _load_partition_v2(
-    directory: Path,
-    entry: dict,
-    pid: int,
-    *,
-    mmap: bool,
-    verify: bool,
-) -> CondensedIndex:
-    """Map (or read) one partition's arrays and wrap them, copy-free."""
-    manifest_path = directory / _MANIFEST_NAME
-    dtypes = dict.fromkeys(_V2_ARRAYS, ("<u4",))
-    dtypes["offsets"] = _OFFSETS_DTYPES
-    arrays, n_features, n_locations = _open_partition(
-        directory, entry, pid, dtypes, mmap=mmap, verify=verify
-    )
-    locations = arrays["locations"]
+    locations, targets = arrays["locations"], arrays["targets"]
     # header-only checks (no payload reads; mmap open stays O(metadata))
     if (
         arrays["features"].size != n_features
@@ -628,60 +562,27 @@ def _load_partition_v2(
         raise DatabaseFormatError(
             f"{manifest_path}: partition {pid} array sizes disagree with manifest"
         )
-    pointers = SortedPointers(arrays["features"], arrays["offsets"])
-    cond = _narrow_index(
-        locations, pointers, arrays["targets"], entry, manifest_path, pid
-    )
     # deep checks whenever the payload is (or will be) resident anyway:
     # eager loads and verify=True check the pointers and words queries
-    # read (v1-loader parity); a plain mmap open skips them by contract
-    # (cold open must not fault the index in), and retrieve checks the
-    # offsets it reads instead
-    if not mmap or verify:
-        _check_content(cond, n_locations, manifest_path, pid)
-    return cond
-
-
-def _check_content(
-    cond: CondensedIndex, n_locations: int, manifest_path: Path, pid: int
-) -> None:
-    """Pointers cover the locations exactly; words name mapped targets."""
-    try:
-        cond.pointers.validate(n_locations)
-    except ValueError as exc:
-        raise DatabaseFormatError(
-            f"{manifest_path}: pointers of partition {pid} do not match its "
-            f"location array ({exc})"
-        ) from exc
-    if n_locations and (
-        int(cond.locations.max()) >> cond.window_bits >= cond.targets.size
-    ):
-        raise DatabaseFormatError(
-            f"{manifest_path}: location words of partition {pid} name "
-            "targets outside its target map"
-        )
-
-
-def _narrow_index(
-    locations: np.ndarray,
-    pointers: SortedPointers,
-    targets: np.ndarray,
-    entry: dict,
-    manifest_path: Path,
-    pid: int,
-) -> CondensedIndex:
-    """Wrap a 32-bit-word partition after checking its target map."""
-    try:
-        window_bits = int(entry["window_bits"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatabaseFormatError(
-            f"{manifest_path}: corrupt manifest for partition {pid} ({exc!r})"
-        ) from exc
-    # 32: the widest window field a uint32 word has room for
-    fits = 0 <= window_bits <= 32 and location_word_fits(
-        targets.size, (1 << window_bits) - 1
+    # read; a plain mmap open skips them by contract (cold open must
+    # not fault the index in), and retrieve checks the offsets it
+    # reads instead
+    return _word_index(
+        locations, SortedPointers(arrays["features"], arrays["offsets"]),
+        targets, window_bits, manifest_path, pid, deep=not mmap or verify,
     )
-    if not fits:
+
+
+def _word_index(
+    locations: np.ndarray, pointers: SortedPointers, targets: np.ndarray,
+    window_bits: int, manifest_path: Path, pid: int, *, deep: bool,
+) -> CondensedIndex:
+    """Wrap a partition of 32-bit words after checking its target map;
+    ``deep``: also the pointers and every word (reads the payload)."""
+    # 32: the widest window field a uint32 word has room for
+    if not (0 <= window_bits <= 32 and location_word_fits(
+        targets.size, (1 << window_bits) - 1
+    )):
         raise DatabaseFormatError(
             f"{manifest_path}: partition {pid} declares window_bits "
             f"{window_bits} for {targets.size} targets"
@@ -691,82 +592,23 @@ def _narrow_index(
             f"{manifest_path}: target map of partition {pid} is not strictly "
             "ascending"
         )
+    if deep:
+        try:
+            pointers.validate(locations.size)
+        except ValueError as exc:
+            raise DatabaseFormatError(
+                f"{manifest_path}: pointers of partition {pid} do not match "
+                f"its location array ({exc})"
+            ) from exc
+        if locations.size and int(locations.max()) >> window_bits >= targets.size:
+            raise DatabaseFormatError(
+                f"{manifest_path}: location words of partition {pid} name "
+                "targets outside its target map"
+            )
     return CondensedIndex(
         locations=locations, pointers=pointers, targets=targets,
         window_bits=window_bits,
     )
-
-
-# ------------------------------------------------ legacy pointer-table partitions
-
-
-def _lists_pointer_table(entry: dict) -> bool:
-    """Whether a manifest entry is a legacy pointer-table partition."""
-    arrays = entry.get("arrays") if isinstance(entry, dict) else None
-    return isinstance(arrays, dict) and "ptr_keys" in arrays
-
-
-def _load_pointer_table_partition(
-    directory: Path, entry: dict, pid: int, *, wide: bool, verify: bool
-) -> CondensedIndex:
-    """Read a pointer-table partition into sorted pointers (always eager).
-
-    One scan and one grouping sort of the occupied slots, no probing:
-    each slot value packs ``offset << 24 | length``.  Every writer
-    stored the offsets as the running sum of the lengths in feature
-    order, so the location array is kept as it is; any other packing
-    is a ``DatabaseFormatError``.  ``wide``: the locations are uint64
-    ``target << 32 | window`` and are packed into words here.
-    """
-    manifest_path = directory / _MANIFEST_NAME
-    dtypes = {"locations": ("<u8",) if wide else ("<u4",)}
-    if not wide:
-        dtypes["targets"] = ("<u4",)
-    dtypes.update(ptr_keys=("<u4",), ptr_values=("<u8",))
-    arrays, n_features, n_locations = _open_partition(
-        directory, entry, pid, dtypes, mmap=False, verify=verify
-    )
-    locations = arrays["locations"]
-    slot_keys, slot_values = arrays["ptr_keys"], arrays["ptr_values"]
-    if slot_keys.shape != slot_values.shape or n_locations != locations.size:
-        raise DatabaseFormatError(
-            f"{manifest_path}: partition {pid} array sizes disagree with manifest"
-        )
-    occupied = np.flatnonzero(slot_keys != EMPTY_KEY)
-    features, order = sort_by_key(slot_keys.take(occupied))
-    packed = slot_values.take(occupied.take(order))
-    starts = (packed >> np.uint64(24)).astype(np.int64)
-    lengths = (packed & np.uint64((1 << 24) - 1)).astype(np.int64)
-    if features.size != n_features or not np.array_equal(
-        starts, np.cumsum(lengths) - lengths
-    ):
-        raise DatabaseFormatError(
-            f"{manifest_path}: pointer table of partition {pid} does not "
-            "point at its lists in feature order"
-        )
-    if int(lengths.sum()) != n_locations:
-        raise DatabaseFormatError(
-            f"{manifest_path}: corrupt location array (partition {pid})"
-        )
-    try:
-        pointers = SortedPointers.from_lengths(features, lengths)
-    except ValueError as exc:  # a key stored in two slots
-        raise DatabaseFormatError(
-            f"{manifest_path}: pointer table of partition {pid} is corrupt ({exc})"
-        ) from exc
-    if wide:
-        try:
-            return CondensedIndex.from_locations(locations, pointers)
-        except ValueError as exc:
-            raise DatabaseFormatError(
-                f"{manifest_path}: partition {pid} cannot be packed ({exc}); "
-                "rebuild it with more partitions"
-            ) from exc
-    cond = _narrow_index(
-        locations, pointers, arrays["targets"], entry, manifest_path, pid
-    )
-    _check_content(cond, n_locations, manifest_path, pid)
-    return cond
 
 
 def _open_npy(
@@ -794,25 +636,6 @@ def _open_npy(
     if crc is not None and zlib.crc32(array) != crc:
         raise DatabaseFormatError(f"{path}: checksum mismatch (file corrupted)")
     return array
-
-
-def convert_database(
-    source: str | os.PathLike,
-    destination: str | os.PathLike,
-    *,
-    verify: bool = True,
-) -> list[Path]:
-    """Rewrite a database directory in the current on-disk format.
-
-    The upgrade path for legacy v1 directories: load ``source``
-    (checksums verified when it has them and ``verify`` is set) and
-    save it to ``destination``.  Returns the files written.
-    ``source`` and ``destination`` must differ -- conversion never
-    rewrites a database in place.
-    """
-    if Path(source).resolve() == Path(destination).resolve():
-        raise ValueError("convert_database cannot rewrite a database in place")
-    return save_database(load_database(source, verify=verify), destination)
 
 
 _VERSION_DIR_RE = re.compile(r"^v(\d+)$")

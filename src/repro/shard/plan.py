@@ -1,13 +1,15 @@
-"""Partition-to-shard planning over a saved format-v2 database.
+"""Partition-to-shard planning over a saved database directory.
 
 A shard plan splits an existing database directory's partitions into
 N disjoint, jointly exhaustive shards *without touching the index*:
-the v2 ``database.meta`` / ``manifest.json`` already record every
+``database.meta`` / ``manifest.json`` already record every
 partition's size (``n_locations``), so planning is pure metadata work
--- no rebuild, no rewrite.  Each shard's replica processes then
-memory-map the whole directory (a cheap O(metadata) cold open) but
-query only their assigned partition ids, so the unqueried partitions'
-index pages are never faulted in.
+-- no rebuild, no rewrite.  Both files are read through
+:mod:`repro.core.io`'s readers, so a directory the loader refuses (a
+legacy layout) is refused here, before any replica starts.  Each
+shard's replica processes then memory-map the whole directory (a
+cheap O(metadata) cold open) but query only their assigned partition
+ids, so the unqueried partitions' index pages are never faulted in.
 
 Assignment is greedy by weight: partitions are placed heaviest-first
 onto the currently lightest shard, the classic LPT balance heuristic.
@@ -24,11 +26,10 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.io import check_format_version, read_manifest, read_metadata
 from repro.errors import DatabaseFormatError
 
 __all__ = ["ShardAssignment", "ShardPlan"]
-
-_FORMAT_V2 = 2
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,12 @@ class ShardPlan:
     def from_directory(
         cls, directory: "str | os.PathLike[str]", n_shards: int
     ) -> "ShardPlan":
-        """Plan ``n_shards`` shards over a saved format-v2 directory.
+        """Plan ``n_shards`` shards over a saved database directory.
 
         Reads ``database.meta`` and ``manifest.json`` only; the index
         arrays themselves are never opened.  Raises
         :class:`~repro.errors.DatabaseFormatError` when the directory
-        is missing, not format v2 (upgrade with ``metacache-repro
+        is missing, in a legacy layout (upgrade with ``metacache-repro
         convert``), or its metadata is corrupt, and ``ValueError``
         when ``n_shards`` is not in ``1..n_partitions`` (a shard with
         no partitions could never contribute candidates).
@@ -91,27 +92,21 @@ class ShardPlan:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         path = Path(directory)
-        meta = _read_json(path / "database.meta")
-        version = int(meta.get("format_version", 1))
-        if version != _FORMAT_V2:
-            raise DatabaseFormatError(
-                f"{path}: sharding requires a format-v2 database (found "
-                f"v{version}); upgrade with `metacache-repro convert`"
-            )
-        n_partitions = int(meta["n_partitions"])
+        meta_path = path / "database.meta"
+        try:
+            meta = json.loads(meta_path.read_text())
+        except FileNotFoundError as exc:
+            raise DatabaseFormatError(f"no database at {path} ({exc})") from exc
+        except json.JSONDecodeError as exc:
+            raise DatabaseFormatError(f"{meta_path}: corrupt metadata ({exc})") from exc
+        check_format_version(meta, meta_path)
+        _, _, n_partitions = read_metadata(meta, meta_path)
         if n_shards > n_partitions:
             raise ValueError(
                 f"cannot plan {n_shards} shard(s) over {n_partitions} "
                 "partition(s): every shard needs at least one partition"
             )
-        manifest = _read_json(path / "manifest.json")
-        entries = manifest.get("partitions")
-        if not isinstance(entries, list) or len(entries) != n_partitions:
-            raise DatabaseFormatError(
-                f"{path / 'manifest.json'}: manifest lists "
-                f"{len(entries) if isinstance(entries, list) else 'no'} "
-                f"partition(s), metadata says {n_partitions}"
-            )
+        entries = read_manifest(path, n_partitions)
         weights = {
             int(e["partition_id"]): int(e["n_locations"]) for e in entries
         }
@@ -135,21 +130,6 @@ class ShardPlan:
                 f"({a.weight:,} locations)"
             )
         return "\n".join(lines)
-
-
-def _read_json(path: Path) -> dict:
-    """Load one metadata JSON file, mapping failures to the typed error."""
-    try:
-        payload = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise DatabaseFormatError(
-            f"no format-v2 database metadata at {path} ({exc})"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise DatabaseFormatError(f"{path}: corrupt metadata ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise DatabaseFormatError(f"{path}: expected a JSON object")
-    return payload
 
 
 def _assign(

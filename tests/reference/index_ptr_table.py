@@ -8,8 +8,8 @@ Until partitions stored sorted features and running-sum offsets,
 arrays verbatim as ``part<P>.ptr_keys.npy`` / ``part<P>.ptr_values.npy``
 beside the location words and the target map, with a ``pointer_table``
 block (probing geometry, size, drops) in the manifest.
-``repro.core.io`` still reads such directories; it no longer writes
-them.
+``repro.core.legacy`` still reads such directories (for ``convert``;
+every open refuses them); nothing writes them.
 
 :class:`PointerTableIndex` is the old ``CondensedIndex``, moved out of
 ``src/`` verbatim but for its name; :func:`unpack` is the old

@@ -1,11 +1,12 @@
-"""The uint64 location writer, kept to make the legacy directories the loader reads.
+"""The uint64 location writer, kept to make the legacy directories ``convert`` reads.
 
 Until partitions stored 32-bit location words, ``save_database`` wrote
 every location of a partition as a uint64 ``target << 32 | window``
 (``part<P>.locations.npy``, dtype ``<u8``) beside the pointer table's
 two slot arrays, with no target map and no ``window_bits``.
-``repro.core.io`` still reads such directories (packing the words in
-memory); it no longer writes them.  :func:`save_database_u64` is that
+``repro.core.legacy`` still reads such directories for ``convert``
+(packing the words); every open refuses them, and nothing writes
+them.  :func:`save_database_u64` is that
 writer, moved out of ``src/``: it indexes the partition's canonical
 content with the retired pointer table of ``index_ptr_table.py`` and
 writes the words expanded back to uint64, which is the array it wrote

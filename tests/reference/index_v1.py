@@ -1,4 +1,4 @@
-"""The retired index writers, kept to make the inputs the legacy reader is tested on.
+"""The retired index writers, kept to make the inputs ``convert`` is tested on.
 
 Until the condensed layout got one serialized form, ``save_database``
 could write two: **format v1**, one ``database.cache<P>`` NPZ per
@@ -6,8 +6,8 @@ partition holding sorted features, per-feature lengths and the dense
 location array, and a **v2**
 layout that stored those same features and lengths as two more
 ``.npy`` files *beside* the pointer table that already holds every key
-and every length.  ``repro.core.io`` still reads both; it writes
-neither.  ``_condensed_content`` and ``_save_partitions_v1`` are the
+and every length.  ``repro.core.legacy`` still reads both (for
+``convert``; every open refuses them); nothing writes them.  ``_condensed_content`` and ``_save_partitions_v1`` are the
 old writer, moved out of ``src/`` verbatim except that the location
 words are expanded back to uint64 where ``cond.locations`` used to be
 read directly, and the features and lengths are read off today's

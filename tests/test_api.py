@@ -532,7 +532,7 @@ class TestErrors:
         db = tmp_path / "db"
         db.mkdir()
         (db / "database.meta").write_text(
-            json.dumps({"format_version": 1, "params": {}, "targets": []})
+            json.dumps({"format_version": 2, "params": {}, "targets": []})
         )
         with pytest.raises(DatabaseFormatError):
             MetaCache.open(db)
@@ -549,10 +549,15 @@ class TestErrors:
 
     def test_open_corrupt_partition(self, world, tmp_path):
         _, _, _, mc, _ = world
-        save_database_v1(mc.database, tmp_path / "db")
-        (tmp_path / "db" / "database.cache0").write_bytes(b"garbage")
+        mc.save(tmp_path / "db")
+        (tmp_path / "db" / "part0.locations.npy").write_bytes(b"garbage")
         with pytest.raises(DatabaseFormatError):
             MetaCache.open(tmp_path / "db")
+        # a garbled legacy partition, which only convert reads
+        save_database_v1(mc.database, tmp_path / "v1")
+        (tmp_path / "v1" / "database.cache0").write_bytes(b"garbage")
+        with pytest.raises(DatabaseFormatError, match="corrupt partition file"):
+            MetaCache.convert(tmp_path / "v1", tmp_path / "out")
 
     def test_wrong_format_version(self, world, tmp_path):
         _, _, _, mc, _ = world

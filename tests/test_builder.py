@@ -545,7 +545,7 @@ class TestMetaCacheExtend:
             return (tmp_path / name).read_bytes()
 
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the v1 rebuild path warns
+            warnings.simplefilter("error")  # an mmap open never warns
             with MetaCache.open(out, mmap=True) as reopened:
                 assert reopened.database.mmap_path == out
                 assert tsv(reopened, "out.tsv") == tsv(one_shot, "one.tsv") != b""

@@ -7,6 +7,7 @@ from repro.core.builder import DatabaseBuilder
 from repro.core.config import MetaCacheParams
 from repro.core.database import CondensedIndex, Database, DatabasePartition
 from repro.core.io import _condensed_content, load_database, save_database
+from repro.core.legacy import convert_database
 from repro.genomics.simulate import GenomeSimulator
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.warpcore.multi_bucket import MultiBucketHashTable
@@ -140,12 +141,13 @@ class TestPersistence:
     def test_save_load_roundtrip(self, small_world, tmp_path):
         _, taxonomy, _, refs = small_world
         db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
-        files = save_database_v1(db, tmp_path)
-        assert (tmp_path / "database.meta").exists()
-        assert (tmp_path / "database.cache0").exists()
-        assert (tmp_path / "database.cache1").exists()
+        files = save_database_v1(db, tmp_path / "v1")
+        assert (tmp_path / "v1" / "database.meta").exists()
+        assert (tmp_path / "v1" / "database.cache0").exists()
+        assert (tmp_path / "v1" / "database.cache1").exists()
         assert len(files) == 5  # meta + 2 dumps + 2 caches
-        db2 = load_database(tmp_path)
+        convert_database(tmp_path / "v1", tmp_path / "v2")  # v1 opens only so
+        db2 = load_database(tmp_path / "v2")
         assert db2.n_targets == db.n_targets
         assert db2.params == db.params
         assert [t.name for t in db2.targets] == [t.name for t in db.targets]
@@ -231,9 +233,11 @@ class TestPersistence:
             return
         if case == "empty_partition":
             assert _condensed_content(db.partitions[1])[0].size == 0
-        for fmt, save in ((1, save_database_v1), (2, save_database)):
-            save(db, tmp_path / f"v{fmt}")
-            loaded = load_database(tmp_path / f"v{fmt}")
+        save_database_v1(db, tmp_path / "v1")
+        convert_database(tmp_path / "v1", tmp_path / "v1-converted")
+        save_database(db, tmp_path / "v2")
+        for directory in ("v1-converted", "v2"):
+            loaded = load_database(tmp_path / directory)
             for a, b in zip(db.partitions, loaded.partitions):
                 for x, y in zip(_condensed_content(a), _condensed_content(b)):
                     assert np.array_equal(x, y)

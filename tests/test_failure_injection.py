@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import Database, MetaCacheParams, load_database
+from repro.core import Database, MetaCacheParams, load_database, save_database
+from repro.core.legacy import convert_database
 from repro.genomics.simulate import GenomeSimulator
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ncbi import load_ncbi_dump
@@ -32,19 +33,26 @@ def saved_db(tmp_path):
         (g.name, g.scaffolds[0], taxa.target_taxon[i]) for i, g in enumerate(genomes)
     ]
     db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=2)
-    save_database_v1(db, tmp_path)  # the legacy layout these tests garble
-    return tmp_path, db
+    save_database(db, tmp_path / "db")
+    return tmp_path / "db", db
 
 
 class TestCorruptDatabase:
-    def test_missing_cache_file(self, saved_db):
-        path, _ = saved_db
+    # the two NPZ cases garble a legacy v1 directory, which only
+    # ``convert`` reads
+
+    def test_missing_cache_file(self, saved_db, tmp_path):
+        _, db = saved_db
+        path = tmp_path / "v1"
+        save_database_v1(db, path)
         (path / "database.cache1").unlink()
         with pytest.raises(FileNotFoundError):
-            load_database(path)
+            convert_database(path, tmp_path / "out")
 
-    def test_truncated_locations(self, saved_db):
-        path, _ = saved_db
+    def test_truncated_locations(self, saved_db, tmp_path):
+        _, db = saved_db
+        path = tmp_path / "v1"
+        save_database_v1(db, path)
         with np.load(path / "database.cache0") as data:
             features = data["features"]
             lengths = data["lengths"]
@@ -52,7 +60,7 @@ class TestCorruptDatabase:
         with open(path / "database.cache0", "wb") as fh:
             np.savez(fh, features=features, lengths=lengths, locations=locations)
         with pytest.raises(ValueError, match="corrupt location array"):
-            load_database(path)
+            convert_database(path, tmp_path / "out")
 
     def test_garbled_meta_json(self, saved_db):
         path, _ = saved_db

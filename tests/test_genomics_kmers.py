@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.genomics.alphabet import (
+    _ENCODE_LUT,
     AMBIG,
     complement_codes,
     decode_sequence,
@@ -53,6 +54,27 @@ class TestAlphabet:
     def test_reverse_complement_str(self):
         assert reverse_complement_str("AACGTT") == "AACGTT"  # palindrome
         assert reverse_complement_str("AAAC") == "GTTT"
+
+    def test_encode_table_over_every_byte(self):
+        """The byte table the encoder translates through: ACGTU either
+        case to 0-3 (U as T), every other byte value to AMBIG."""
+        codes = dict(zip(b"ACGTUacgtu", [0, 1, 2, 3, 3] * 2))
+        every = bytes(range(256))
+        want = [codes.get(b, AMBIG) for b in every]
+        assert encode_sequence(every).tolist() == want
+        assert _ENCODE_LUT.tolist() == want
+
+    @given(st.binary(max_size=600) | st.lists(
+        st.sampled_from(b"ACGTNUacgtnu\x00\xff"), max_size=600).map(bytes))
+    @settings(max_examples=300)
+    def test_encode_equals_the_lut_gather(self, raw):
+        """``bytes.translate`` gives the fancy index's codes, writable."""
+        got = encode_sequence(raw)
+        assert got.dtype == np.uint8 and got.flags.writeable
+        assert np.array_equal(got, _ENCODE_LUT[np.frombuffer(raw, dtype=np.uint8)])
+        if raw.isascii():
+            assert np.array_equal(encode_sequence(raw.decode("ascii")), got)
+        got[:1] = 7  # callers write into it
 
     @given(dna)
     @settings(max_examples=50)

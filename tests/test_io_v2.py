@@ -4,11 +4,12 @@ Covers the writer/reader pair (aligned ``.npy`` layout, checksum
 manifest, version negotiation), the zero-insert open guarantee, mmap
 attach semantics (``np.memmap`` views, page-cache sharing through
 :class:`FileBackedDatabaseHandle`), classification equivalence across
-{legacy v1, v2, v2+mmap, v2+workers}, the ``convert`` upgrade path
-(API and CLI), the legacy inputs the reader still accepts (format v1
-and the five-array v2 layout, both written by
+{converted v1, v2, v2+mmap, v2+workers}, the ``convert`` upgrade path
+(API and CLI), the legacy inputs ``convert`` reads and ``load_database``
+refuses (format v1 and the five-array v2 layout, both written by
 ``tests/reference/index_v1.py``, and pointer-table partitions, written
-by ``tests/reference/index_ptr_table.py``), a corruption matrix over
+by ``tests/reference/index_ptr_table.py``; every open path's refusal
+is in ``tests/test_legacy_convert.py``), a corruption matrix over
 every file of a partition, and the reserved-sentinel regression on the
 pointers.
 """
@@ -32,13 +33,8 @@ from repro.core import builder as builder_mod
 from repro.core import io as io_mod
 from repro.core.classify import classify_reads
 from repro.core.database import Database, FileBackedDatabaseHandle, SortedPointers
-from repro.core.io import (
-    FORMAT_V2,
-    _NPY_ALIGN,
-    convert_database,
-    load_database,
-    save_database,
-)
+from repro.core.io import FORMAT_V2, _NPY_ALIGN, load_database, save_database
+from repro.core.legacy import convert_database
 from repro.core.query import query_database
 from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fastq import FastqRecord, write_fastq
@@ -76,6 +72,15 @@ def world(tmp_path_factory):
     read_file = root / "reads.fastq"
     write_fastq(records, read_file)
     return v1, v2, list(reads.sequences), read_file
+
+
+@pytest.fixture(scope="module")
+def v1_converted(world, tmp_path_factory):
+    """The legacy v1 directory of ``world``, converted."""
+    v1 = world[0]
+    out = tmp_path_factory.mktemp("v1c") / "converted"
+    convert_database(v1, out)
+    return out
 
 
 def _taxa(db, seqs):
@@ -132,7 +137,7 @@ class TestV2Layout:
 
 
 class TestZeroRebuildOpen:
-    def test_v2_open_performs_no_inserts(self, world, monkeypatch):
+    def test_v2_open_performs_no_inserts(self, world, monkeypatch, tmp_path):
         """The acceptance criterion: v2 open never rebuilds the pointers."""
         v1, v2, _, _ = world
         inserts, indexed = [], []
@@ -154,7 +159,7 @@ class TestZeroRebuildOpen:
         load_database(v2)
         load_database(v2, mmap=True)
         assert indexed == []
-        load_database(v1)  # the v1 path, by contrast, indexes its columns
+        convert_database(v1, tmp_path / "c")  # converting v1 indexes its columns
         assert indexed != []
         assert inserts == []  # and no path builds a hash table
 
@@ -166,7 +171,6 @@ class TestZeroRebuildOpen:
         assert isinstance(cond.pointers.features, np.memmap)
         assert isinstance(cond.pointers.offsets, np.memmap)
         assert db.mmap_path == v2
-        assert db.format_version == FORMAT_V2
 
     def test_plain_v2_load_not_mmap_backed(self, world):
         _, v2, _, _ = world
@@ -174,12 +178,16 @@ class TestZeroRebuildOpen:
         assert db.mmap_path is None
         assert not isinstance(db.partitions[0].condensed.locations, np.memmap)
 
-    def test_v1_mmap_warns_and_rebuilds(self, world):
-        v1, _, seqs, _ = world
-        with pytest.warns(UserWarning, match="cannot be memory-mapped"):
-            db = load_database(v1, mmap=True)
-        assert db.mmap_path is None
-        assert db.format_version == 1
+    def test_v1_mmap_refused_and_converted_maps(self, world, v1_converted):
+        v1, v2, seqs, _ = world
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an mmap open never warns
+            with pytest.raises(DatabaseFormatError, match="metacache-repro convert"):
+                load_database(v1, mmap=True)
+            db = load_database(v1_converted, mmap=True)
+        assert db.mmap_path == v1_converted
+        assert np.array_equal(_taxa(db, seqs), _taxa(load_database(v2), seqs))
+        db.close()
 
 
 class TestProbeViewLifetime:
@@ -225,25 +233,25 @@ class TestProbeViewLifetime:
 
 
 class TestEquivalence:
-    def test_classification_identical_across_formats(self, world):
-        v1, v2, seqs, _ = world
-        expected = _taxa(load_database(v1), seqs)
+    def test_classification_identical_across_formats(self, world, v1_converted):
+        _, v2, seqs, _ = world
+        expected = _taxa(load_database(v1_converted), seqs)
         assert np.array_equal(expected, _taxa(load_database(v2), seqs))
         assert np.array_equal(expected, _taxa(load_database(v2, mmap=True), seqs))
 
-    def test_tsv_byte_identical_v1_v2_mmap(self, world, tmp_path):
-        v1, v2, _, read_file = world
-        ref = _classify_tsv(tmp_path, v1, read_file, "v1.tsv")
+    def test_tsv_byte_identical_v1_v2_mmap(self, world, v1_converted, tmp_path):
+        _, v2, _, read_file = world
+        ref = _classify_tsv(tmp_path, v1_converted, read_file, "v1.tsv")
         assert ref  # sanity: non-empty output
         assert ref == _classify_tsv(tmp_path, v2, read_file, "v2.tsv")
         assert ref == _classify_tsv(
             tmp_path, v2, read_file, "v2m.tsv", mmap=True
         )
 
-    def test_tsv_byte_identical_mmap_workers(self, world, tmp_path):
+    def test_tsv_byte_identical_mmap_workers(self, world, v1_converted, tmp_path):
         """Workers attach the same files via mmap; output is identical."""
-        v1, v2, _, read_file = world
-        ref = _classify_tsv(tmp_path, v1, read_file, "ref.tsv")
+        _, v2, _, read_file = world
+        ref = _classify_tsv(tmp_path, v1_converted, read_file, "ref.tsv")
         got = _classify_tsv(
             tmp_path, v2, read_file, "w2.tsv", mmap=True, workers=2
         )
@@ -290,11 +298,11 @@ class TestFileBackedHandle:
 
 class TestConvert:
     def test_convert_v1_to_v2(self, world, tmp_path):
-        v1, _, seqs, _ = world
+        v1, v2, seqs, _ = world
         dst = tmp_path / "upgraded"
         convert_database(v1, dst)
         db = load_database(dst, mmap=True, verify=True)
-        assert np.array_equal(_taxa(load_database(v1), seqs), _taxa(db, seqs))
+        assert np.array_equal(_taxa(load_database(v2), seqs), _taxa(db, seqs))
 
     def test_downgrade_to_v1_is_refused(self, world, tmp_path):
         """There is one writer: nothing can be asked to write format v1."""
@@ -317,11 +325,11 @@ class TestConvert:
             convert_database(v1, v1)
 
     def test_convert_cli(self, world, tmp_path, capsys):
-        v1, _, _, read_file = world
+        v1, v2, _, read_file = world
         dst = tmp_path / "cli-upgraded"
         assert cli_main(["convert", "--db", str(v1), "--out", str(dst)]) == 0
         assert "format v2" in capsys.readouterr().out
-        ref = _classify_tsv(tmp_path, v1, read_file, "a.tsv")
+        ref = _classify_tsv(tmp_path, v2, read_file, "a.tsv")
         got = _classify_tsv(tmp_path, dst, read_file, "b.tsv", mmap=True)
         assert ref == got
 
@@ -481,11 +489,12 @@ def refs_world():
 
 
 class TestLegacyInputs:
-    """What older versions wrote still loads, and re-saves to today's bytes.
+    """What older versions wrote is refused by ``load_database`` and
+    converts to today's bytes.
 
     The retired writers (``tests/reference/index_v1.py``) are the
     oracle: whatever they put on disk must come back through
-    ``load_database`` as the index a fresh build saves, file for file.
+    ``convert`` as the index a fresh build saves, file for file.
     """
 
     UNCAPPED = (1 << 24) - 1  # no list here reaches it
@@ -494,12 +503,15 @@ class TestLegacyInputs:
     def _assert_v1_resaves_identically(db, tmp_path):
         save_database_v1(db, tmp_path / "v1")  # first: leaves the build layout
         save_database(db, tmp_path / "built")
-        loaded = load_database(tmp_path / "v1")
-        assert loaded.format_version == 1
-        save_database(loaded, tmp_path / "resaved")
+        with pytest.raises(DatabaseFormatError, match="format v1"):
+            load_database(tmp_path / "v1")
+        convert_database(tmp_path / "v1", tmp_path / "resaved")
         built = _digests(tmp_path / "built")
         assert len(built) == 4 + 4 * db.n_partitions
         assert _digests(tmp_path / "resaved") == built
+        # the converted directory re-saves to itself
+        save_database(load_database(tmp_path / "resaved"), tmp_path / "again")
+        assert _digests(tmp_path / "again") == built
         MetaCache.convert(tmp_path / "v1", tmp_path / "converted")
         assert _digests(tmp_path / "converted") == built
 
@@ -543,19 +555,16 @@ class TestLegacyInputs:
         save_database_v2_five_arrays(db, five)
         save_database(db, tmp_path / "three")
         assert len(list(five.glob("*.npy"))) == 10
-        for kwargs in ({}, {"mmap": True}, {"verify": True},
-                       {"mmap": True, "verify": True}):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                loaded = load_database(five, **kwargs)
-            # its locations are uint64 words: packed in memory, never mapped
-            assert len(caught) == int(kwargs.get("mmap", False)), kwargs
-            assert loaded.mmap_path is None
-            assert loaded.format_version == FORMAT_V2
-            assert np.array_equal(_taxa(loaded, seqs), expected), kwargs
-            loaded.close()
+        # its locations are uint64 words: only convert reads them (every
+        # open path's refusal: tests/test_legacy_convert.py)
+        with pytest.raises(DatabaseFormatError, match="convert"):
+            load_database(five)
         MetaCache.convert(five, tmp_path / "converted")
         assert _digests(tmp_path / "converted") == _digests(tmp_path / "three")
+        for kwargs in ({}, {"mmap": True}):
+            loaded = load_database(tmp_path / "converted", **kwargs)
+            assert np.array_equal(_taxa(loaded, seqs), expected), kwargs
+            loaded.close()
 
     @pytest.mark.parametrize("n_partitions", [1, 3])
     def test_pointer_table_directory_loads_and_upgrades(
@@ -568,20 +577,16 @@ class TestLegacyInputs:
         save_database_ptr_table(db, table)  # leaves the build layout
         save_database(db, tmp_path / "fresh")
         assert len(list(table.glob("*.ptr_*.npy"))) == 2 * n_partitions
-        for kwargs in ({}, {"mmap": True}, {"verify": True},
-                       {"mmap": True, "verify": True}):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                loaded = load_database(table, **kwargs)
-            # hash-table pointers are read into sorted ones, never mapped
-            assert len(caught) == int(kwargs.get("mmap", False)), kwargs
-            if caught:
-                assert "cannot be memory-mapped" in str(caught[0].message)
-            assert loaded.mmap_path is None
-            assert np.array_equal(_taxa(loaded, seqs), expected), kwargs
-            save_database(loaded, tmp_path / "resaved")
+        # hash-table pointers: only convert reads them
+        with pytest.raises(DatabaseFormatError, match="hash-table pointers"):
+            load_database(table)
+        for verify in (False, True):
+            convert_database(table, tmp_path / "resaved", verify=verify)
             assert _digests(tmp_path / "resaved") == _digests(tmp_path / "fresh")
-            loaded.close()
+            for mmap in (False, True):
+                loaded = load_database(tmp_path / "resaved", mmap=mmap)
+                assert np.array_equal(_taxa(loaded, seqs), expected), (verify, mmap)
+                loaded.close()
         MetaCache.convert(table, tmp_path / "converted")
         assert _digests(tmp_path / "converted") == _digests(tmp_path / "fresh")
 
@@ -597,7 +602,8 @@ class TestLegacyInputs:
         blob[at : at + 4] = keys[occupied[0]].tobytes()  # one key, two slots
         path.write_bytes(bytes(blob))
         with pytest.raises(DatabaseFormatError, match="pointer table of partition 0"):
-            load_database(tmp_path)
+            # past the checksums, which the edit breaks
+            convert_database(tmp_path, tmp_path / "out", verify=False)
 
     def test_pointer_table_not_in_feature_order_is_rejected(self, refs_world, tmp_path):
         taxonomy, refs, _ = refs_world
@@ -613,7 +619,8 @@ class TestLegacyInputs:
         blob[len(blob) - values.nbytes :] = values.tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(DatabaseFormatError, match="in feature order"):
-            load_database(tmp_path)
+            # past the checksums, which the edit breaks
+            convert_database(tmp_path, tmp_path / "out", verify=False)
 
     def test_legacy_directories_classify_as_a_fresh_build(self, world, tmp_path):
         v1, v2, _, read_file = world
@@ -623,12 +630,14 @@ class TestLegacyInputs:
         save_database_ptr_table(load_database(v2), table)
         ref = _classify_tsv(tmp_path, v2, read_file, "fresh.tsv", mmap=True)
         assert ref
-        assert ref == _classify_tsv(tmp_path, v1, read_file, "v1.tsv")
-        assert ref == _classify_tsv(tmp_path, table, read_file, "table.tsv")
-        with pytest.warns(UserWarning, match="hash-table pointers"):
-            assert ref == _classify_tsv(tmp_path, table, read_file, "tm.tsv", mmap=True)
-        with pytest.warns(UserWarning, match="uint64 location words"):
-            assert ref == _classify_tsv(tmp_path, five, read_file, "five.tsv", mmap=True)
+        for legacy in (v1, table, five):
+            converted = tmp_path / f"{legacy.name}-converted"
+            MetaCache.convert(legacy, converted)
+            for mmap in (False, True):
+                got = _classify_tsv(
+                    tmp_path, converted, read_file, f"{legacy.name}.tsv", mmap=mmap
+                )
+                assert ref == got, (legacy.name, mmap)
 
     def test_convert_cli_writes_no_pointer_table(self, world, tmp_path, capsys):
         _, v2, _, _ = world
@@ -651,7 +660,7 @@ class TestLegacyInputs:
         with open(cache, "wb") as fh:
             np.savez(fh, **arrays)
         with pytest.raises(DatabaseFormatError, match="not strictly ascending"):
-            load_database(dst)
+            convert_database(dst, tmp_path / "out")
 
 
 def _truncate(directory, name):
@@ -902,7 +911,8 @@ class TestSentinelRegression:
         for fmt, mmap in ((1, False), (2, False), (2, True)):
             directory = tmp_path / f"fmt{fmt}-{mmap}"
             if fmt == 1:
-                save_database_v1(db, directory)
+                save_database_v1(db, tmp_path / "v1")
+                convert_database(tmp_path / "v1", directory)
             else:
                 save_database(db, directory)
             loaded = load_database(directory, mmap=mmap)
@@ -926,4 +936,4 @@ class TestSentinelRegression:
         with open(cache, "wb") as fh:
             np.savez(fh, features=features, lengths=lengths, locations=locations)
         with pytest.raises(DatabaseFormatError, match="invalid feature"):
-            load_database(dst)
+            convert_database(dst, tmp_path / "out")

@@ -10,14 +10,15 @@ query layer sees.  The oracle is the uint64 writer and reader kept in
 - for random partitions, target and window counts (a window id of
   ``2^window_bits - 1`` included) and feature batches with misses,
   ``query_features`` on eager and mmap opens returns the oracle's
-  arrays byte for byte, and classification writes the same TSV bytes;
-- a legacy uint64 directory loads eagerly without a warning, under
-  ``mmap=True`` with exactly one ``UserWarning``, classifies to the
-  same bytes, and ``convert`` rewrites it to uint32 words;
+  arrays byte for byte, and classification writes the same TSV bytes
+  as the uint64 directory converted;
+- a legacy uint64 directory is refused by every open, without a
+  warning, and ``convert`` rewrites it to uint32 words that classify
+  to the same bytes;
 - with the word width patched small, the builder refuses a partition
   that would not fit with a ``ConfigError`` naming the
-  ``n_partitions`` that does, and a legacy directory that no longer
-  fits raises ``DatabaseFormatError``.
+  ``n_partitions`` that does, and converting a legacy directory that
+  no longer fits raises ``DatabaseFormatError``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from repro.core.database import (
     TargetRecord,
 )
 from repro.core.io import load_database, save_database
+from repro.core.legacy import convert_database
 from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fastq import FastqRecord, write_fastq
 from repro.genomics.reads import HISEQ, ReadSimulator
@@ -195,7 +197,8 @@ class TestClassificationBytes:
         save_database_u64(db, root / "u64")
         save_database(db, root / "u32")
         reads = _write_reads(genomes, root / "reads.fastq", 40, seed)
-        want = _tsv(root / "u64", reads, root / "u64.tsv")
+        convert_database(root / "u64", root / "u64-converted")
+        want = _tsv(root / "u64-converted", reads, root / "u64.tsv")
         assert want
         assert _tsv(root / "u32", reads, root / "eager.tsv") == want
         assert _tsv(root / "u32", reads, root / "mmap.tsv", mmap=True) == want
@@ -214,26 +217,30 @@ def legacy(tmp_path_factory):
 
 
 class TestLegacyU64Directory:
-    def test_loads_eagerly_without_warning_and_mmap_warns_once(self, legacy):
+    def test_refused_then_converted_classifies_the_same(
+        self, legacy, tmp_path
+    ):
         root, reads = legacy
         want = _tsv(root / "fresh", reads, root / "fresh.tsv", mmap=True)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            eager = _tsv(root / "u64", reads, root / "eager.tsv")
-        assert [w for w in caught if issubclass(w.category, UserWarning)] == []
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            mapped = _tsv(root / "u64", reads, root / "mmap.tsv", mmap=True)
-        user = [w for w in caught if issubclass(w.category, UserWarning)]
-        assert len(user) == 1 and "uint64 location words" in str(user[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mmap in (False, True):
+                with pytest.raises(DatabaseFormatError, match="convert"):
+                    _tsv(root / "u64", reads, root / "refused.tsv", mmap=mmap)
+            MetaCache.convert(root / "u64", tmp_path / "converted")
+            eager = _tsv(tmp_path / "converted", reads, root / "eager.tsv")
+            mapped = _tsv(tmp_path / "converted", reads, root / "mmap.tsv", mmap=True)
         assert eager == mapped == want
 
-    def test_mmap_open_of_a_legacy_directory_is_not_mmap_backed(self, legacy):
+    def test_mmap_open_of_a_legacy_directory_is_not_mmap_backed(self, legacy, tmp_path):
         root, _ = legacy
-        with pytest.warns(UserWarning):
-            db = load_database(root / "u64", mmap=True)
-        assert db.mmap_path is None
+        with pytest.raises(DatabaseFormatError, match="uint64|hash-table pointers"):
+            load_database(root / "u64", mmap=True)
+        convert_database(root / "u64", tmp_path / "converted")
+        db = load_database(tmp_path / "converted", mmap=True)
+        assert db.mmap_path == tmp_path / "converted"
         assert db.partitions[0].condensed.locations.dtype == np.uint32
+        db.close()
 
     def test_convert_rewrites_uint32_words(self, legacy, tmp_path):
         root, _ = legacy
@@ -375,10 +382,12 @@ class TestWordCapacity:
         monkeypatch.setattr(database_mod, "LOCATION_WORD_BITS", self.WORD_BITS - 2)
         for directory in (root / "u64", tmp_path / "v1", root / "fresh"):
             with pytest.raises(DatabaseFormatError):
-                load_database(directory)
+                convert_database(directory, tmp_path / "out")
+        with pytest.raises(DatabaseFormatError):
+            load_database(root / "fresh")
         with pytest.raises(DatabaseFormatError, match="cannot be packed"):
-            with pytest.warns(UserWarning):
-                load_database(root / "u64", mmap=True)
+            convert_database(root / "u64", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 def test_corrupt_word_copy_is_caught_on_eager_open(legacy, tmp_path):

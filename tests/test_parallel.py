@@ -219,7 +219,8 @@ class TestSpillLifetime:
 
     @pytest.fixture()
     def handles(self, tmp_path):
-        """A handle built from files and the same index reopened as v1."""
+        """A handle built from files and the same index reopened from a
+        converted v1 directory (eagerly: neither is mmap-backed)."""
         genomes, taxonomy, taxa = _genomes()
         refs = tmp_path / "refs.fasta"
         write_fasta([rec for g in genomes for rec in g.to_fasta_records()], refs)
@@ -229,7 +230,8 @@ class TestSpillLifetime:
             [refs], taxonomy=tmp_path, mapping=mapping, params=PARAMS
         )
         save_database_v1(built.database, tmp_path / "v1")
-        with built, MetaCache.open(tmp_path / "v1") as v1:
+        MetaCache.convert(tmp_path / "v1", tmp_path / "converted")
+        with built, MetaCache.open(tmp_path / "converted") as v1:
             yield built, v1
 
     @staticmethod

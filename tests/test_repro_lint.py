@@ -640,6 +640,37 @@ def test_rl007_silent_on_downward_and_wrapper_imports(tmp_path):
         assert run_rule("RL007", tmp_path, relpath, source) == [], relpath
 
 
+def test_rl007_fires_on_legacy_readers_outside_convert(tmp_path):
+    for relpath, source, name in [
+        # the open path, at top level and lazily
+        ("src/repro/core/io.py", "from repro.core.legacy import convert_database\n",
+         "repro.core.legacy"),
+        ("src/repro/core/io.py",
+         "def load():\n    \"\"\"Lazy.\"\"\"\n    from repro.core import legacy\n",
+         "repro.core.legacy"),
+        ("src/repro/shard/plan.py", "import repro.core.legacy\n", "repro.core.legacy"),
+        # the facade package is allowed only through facade.py
+        ("src/repro/api/session.py", "from repro.core.legacy import _load_any\n",
+         "repro.core.legacy"),
+    ]:
+        findings = run_rule("RL007", tmp_path, relpath, '"""Module."""\n' + source)
+        assert [f.message.split(":")[0] for f in findings] == [f"imports {name}"], relpath
+        assert "convert" in findings[0].message
+
+
+def test_rl007_silent_on_legacy_readers_behind_convert(tmp_path):
+    for relpath, source in [
+        ("src/repro/api/facade.py", "from repro.core.legacy import convert_database\n"),
+        ("src/repro/cli.py", "from repro.core import legacy\n"),
+        # the legacy module's own imports of the open path point down
+        ("src/repro/core/legacy.py", "from repro.core.io import load_database\n"),
+        # lookalike names are not the legacy module
+        ("src/repro/core/io.py", "from repro.core import legacy_names\n"),
+    ]:
+        source = '"""Module."""\n' + source
+        assert run_rule("RL007", tmp_path, relpath, source) == [], relpath
+
+
 # ------------------------------------------------------------- suppressions
 
 

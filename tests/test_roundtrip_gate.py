@@ -1,8 +1,9 @@
 """The index round-trip gate (``tools/check_roundtrip.py``) as a test.
 
 Ten ways to open and serve one saved index -- eager, mmap, worker
-processes, shards, the extend path, uint64 legacy words and a hot-swap
-reload -- must write byte-identical TSV.
+processes, shards, the extend path, converted uint64 legacy words and
+a hot-swap reload -- must write byte-identical TSV, and the unconverted
+uint64 directory must be refused.
 """
 
 import sys
@@ -17,6 +18,5 @@ from tools.check_roundtrip import main  # noqa: E402
 
 
 @pytest.mark.slow
-@pytest.mark.filterwarnings("ignore:.*uint64 location words:UserWarning")  # legacy-u64+mmap
 def test_ten_configurations_byte_identical():
     assert main() == 0

@@ -9,6 +9,8 @@ lands), and tearing the router down must leave no orphan processes.
 """
 
 import io
+import json
+import shutil
 import signal
 import threading
 import time
@@ -119,6 +121,17 @@ class TestShardPlan:
         with pytest.raises(DatabaseFormatError):
             ShardPlan.from_directory(tmp_path / "nope", 1)
 
+    def test_rejects_metadata_without_a_partition_count(self, world, tmp_path):
+        """The planner parses the metadata with the loader's reader."""
+        db_dir, _, _ = world
+        shutil.copytree(db_dir, tmp_path / "db")
+        meta_path = tmp_path / "db" / "database.meta"
+        meta = json.loads(meta_path.read_text())
+        del meta["n_partitions"]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(DatabaseFormatError, match="incomplete metadata"):
+            ShardPlan.from_directory(tmp_path / "db", 1)
+
     def test_rejects_v1_directory(self, tmp_path):
         genomes = GenomeSimulator(seed=5).simulate_collection(1, 1, 3000)
         taxonomy, taxa = build_taxonomy_for_genomes(genomes)
@@ -129,8 +142,10 @@ class TestShardPlan:
         )
         save_database_v1(mc.database, tmp_path / "db_v1")
         mc.close()
-        with pytest.raises(DatabaseFormatError, match="format-v2"):
+        with pytest.raises(DatabaseFormatError, match="metacache-repro convert"):
             ShardPlan.from_directory(tmp_path / "db_v1", 1)
+        MetaCache.convert(tmp_path / "db_v1", tmp_path / "db")
+        assert ShardPlan.from_directory(tmp_path / "db", 1).n_shards == 1
 
 
 # --------------------------------------------------------- partition_ids

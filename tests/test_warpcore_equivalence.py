@@ -27,7 +27,8 @@ import reference.build_by_table as table_build
 from reference.build_by_table import TableDatabaseBuilder, _GrowingTable
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database
-from repro.core.io import load_database, save_database
+from repro.core.io import save_database
+from repro.core.legacy import convert_database
 from repro.genomics import GenomeSimulator
 from repro.taxonomy import build_taxonomy_for_genomes
 from repro.warpcore import base as base_mod
@@ -290,8 +291,8 @@ class TestSavedIndexIdentity:
             db = builder.finalize()
         save_database_v1(db, root / "v1")
         save_database(db, root / "v2", format=2)
-        # the v1 load path indexes the saved columns
-        save_database(load_database(root / "v1"), root / "v2-from-v1", format=2)
+        # converting v1 indexes the saved columns
+        convert_database(root / "v1", root / "v2-from-v1")
         digests = {}
         for sub in ("v2", "v2-from-v1"):
             for f in sorted((root / sub).iterdir()):

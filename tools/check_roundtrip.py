@@ -18,9 +18,10 @@ mock community through the public API under ten configurations:
   ``MetaCache.extend`` (the ``metacache-repro add`` path) and
   re-saved -- gating that add-targets round-trips end to end;
 - a legacy directory with uint64 location words (written by the
-  retired writer in ``tests/reference/index_u64.py``), opened eagerly
-  and with ``mmap=True`` (which loads it eagerly, with a warning):
-  both pack the words in memory and must classify the same;
+  retired writer in ``tests/reference/index_u64.py``) upgraded by
+  ``MetaCache.convert``, opened eagerly and with ``mmap=True``; the
+  unconverted directory itself must be refused by ``MetaCache.open``
+  with a ``DatabaseFormatError`` naming ``metacache-repro convert``;
 - one session classifying *through a hot-swap reload*: mmap,
   classify, ``MetaCache.reload`` onto the extended directory (the
   zero-downtime swap path), classify again with the same session --
@@ -28,8 +29,10 @@ mock community through the public API under ten configurations:
 
 All TSV outputs must match byte for byte, and the extended directory
 must be **file-for-file byte-identical** to the one-shot directory
-(legacy format-v1 input is covered by ``tests/test_io_v2.py``).  Exit
-status 0 when they do, 1 (with a diff summary) when any diverges.
+(the other legacy layouts are covered by
+``tests/test_legacy_convert.py``).  Exit status 0 when they do, 1
+(with a diff summary) when any diverges or the unconverted directory
+opens.
 
 Usage:
 
@@ -44,7 +47,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.api import MetaCache, TsvSink
+from repro.api import DatabaseFormatError, MetaCache, TsvSink
 from repro.core.database import Database
 from repro.core.io import save_database
 from repro.genomics.alphabet import decode_sequence
@@ -106,9 +109,19 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="roundtrip-") as tmp:
         tmp = Path(tmp)
-        v2_dir, u64_dir = tmp / "v2", tmp / "v2u64"
+        v2_dir, u64_dir, converted_dir = tmp / "v2", tmp / "v2u64", tmp / "v2conv"
         save_database(db, v2_dir)
         save_database_u64(db, u64_dir)
+        try:
+            MetaCache.open(u64_dir).close()
+        except DatabaseFormatError as exc:
+            if "metacache-repro convert" not in str(exc):
+                print(f"FAIL: refusal does not name convert: {exc}", file=sys.stderr)
+                return 1
+        else:
+            print("FAIL: the unconverted uint64 directory opened", file=sys.stderr)
+            return 1
+        MetaCache.convert(u64_dir, converted_dir)
 
         # the extend path: half the references, saved, reopened, grown
         # to the full set through MetaCache.extend, re-saved
@@ -155,8 +168,8 @@ def main() -> int:
             "mmap+workers=2": (v2_dir, {"mmap": True, "workers": 2}),
             "shards=2x2": (v2_dir, {"shards": 2, "replicas": 2}),
             "extended": (ext_dir, {}),
-            "legacy-u64": (u64_dir, {}),
-            "legacy-u64+mmap": (u64_dir, {"mmap": True}),
+            "legacy-u64": (converted_dir, {}),
+            "legacy-u64+mmap": (converted_dir, {"mmap": True}),
         }
         outputs = {
             name: _classify(db_dir, read_file, tmp / f"{name}.tsv", **kwargs)

@@ -10,7 +10,10 @@ for ``import`` / ``from ... import`` statements anywhere in a module
   and *wrap* the core;
 * nothing below the facade may import it back: only ``api/``,
   ``server/``, ``cli.py`` and ``__main__.py`` may import
-  ``repro.api`` or ``repro.server``.
+  ``repro.api`` or ``repro.server``;
+* the legacy index readers stay behind ``convert``: only
+  ``api/facade.py`` and ``cli.py`` may import ``repro.core.legacy``,
+  so no open path (``core/io.py`` least of all) can reach them.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ _DIRECTIONS = (
         "layers below the facade must not import it back "
         "(dependencies point downward only)",
     ),
+    (
+        ("repro.core.legacy",),
+        ("api/facade.py", "cli.py"),
+        "the legacy index readers are reached only by convert "
+        "(the open path loads one layout)",
+    ),
 )
 
 
@@ -44,9 +53,8 @@ def _imported_modules(node: ast.AST) -> list[str]:
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
     if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-        if node.module == "repro":  # from repro import api
-            return [f"repro.{alias.name}" for alias in node.names]
-        return [node.module]
+        # the module, then what it names: ``from repro.core import legacy``
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
     return []
 
 
@@ -69,15 +77,22 @@ class ImportDirection:
         """Yield one finding per upward ``repro.*`` import."""
         inner = module.relpath[len(_PACKAGE) :]
         for node in ast.walk(module.tree):
-            for name in _imported_modules(node):
-                for banned, allowed, why in _DIRECTIONS:
-                    hit = any(name == b or name.startswith(b + ".") for b in banned)
-                    if hit and not inner.startswith(allowed):
-                        yield Finding(
-                            rule=self.rule_id,
-                            path=module.relpath,
-                            line=node.lineno,
-                            col=node.col_offset,
-                            message=f"imports {name}: {why}",
-                            symbol=enclosing_symbol(module.tree, node.lineno),
-                        )
+            names = _imported_modules(node)
+            for banned, allowed, why in _DIRECTIONS:
+                if inner.startswith(allowed):
+                    continue
+                # one finding per statement and direction: the first hit
+                hit = next(
+                    (n for n in names
+                     if any(n == b or n.startswith(b + ".") for b in banned)),
+                    None,
+                )
+                if hit is not None:
+                    yield Finding(
+                        rule=self.rule_id,
+                        path=module.relpath,
+                        line=node.lineno,
+                        col=node.col_offset,
+                        message=f"imports {hit}: {why}",
+                        symbol=enclosing_symbol(module.tree, node.lineno),
+                    )
