@@ -160,11 +160,15 @@ _PIECES = 2
 
 #: glibc's ``mallopt``: a session pins the heap thresholds glibc would
 #: otherwise raise only after some earlier large free, so batch
-#: temporaries stay on the heap in any process (docs/architecture.md)
+#: temporaries stay on the heap in any process (docs/architecture.md);
+#: ``malloc_trim`` then returns what the heap holds free at the pin
+#: (a build's temporaries), which the raised trim threshold would keep
 try:
-    _MALLOPT = ctypes.CDLL(None).mallopt
+    _LIBC = ctypes.CDLL(None)
+    _MALLOPT, _MALLOC_TRIM = _LIBC.mallopt, _LIBC.malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = (ctypes.c_size_t,), ctypes.c_int
 except (OSError, AttributeError):  # pragma: no cover - not glibc
-    _MALLOPT = None
+    _MALLOPT = _MALLOC_TRIM = None
 
 
 def _available_cores() -> int:
@@ -263,6 +267,7 @@ class QuerySession:
         if _MALLOPT is not None:  # keep batch temporaries on the heap:
             _MALLOPT(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's dynamic ceiling
             _MALLOPT(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice it as glibc sets
+            _MALLOC_TRIM(0)  # return the free heap, which that threshold keeps
 
     # ------------------------------------------------------------- the seam
 

@@ -8,10 +8,13 @@ This package provides everything the classifier consumes:
   from encoded sequences, with validity masking of ambiguous bases.
 - :mod:`repro.genomics.windows` -- the window partitioning used by
   MetaCache (length ``w``, overlap ``k-1``).
-- :mod:`repro.genomics.fasta` / :mod:`repro.genomics.fastq` -- plain
-  text sequence IO compatible with the common formats.
-- :mod:`repro.genomics.io` -- format-sniffing reader over both
-  (plain or gzip'd), used by the CLI and :mod:`repro.api`.
+- :mod:`repro.genomics.fasta` / :mod:`repro.genomics.fastq` -- the
+  block parsers (a block is ``(headers, ASCII sequences)``) and the
+  writers of the common text formats.
+- :mod:`repro.genomics.io` -- the format-sniffing reader over both
+  (plain or gzip'd), used by the CLI, :mod:`repro.api`, the pipeline
+  and the server; the rest of :mod:`repro` imports no parser module
+  directly.
 - :mod:`repro.genomics.simulate` -- synthetic reference genomes with a
   phylogeny-shaped mutation structure (the RefSeq / AFS stand-ins).
 - :mod:`repro.genomics.reads` -- Illumina-like read simulation
@@ -39,7 +42,7 @@ from repro.genomics.kmers import (
 )
 from repro.genomics.windows import WindowLayout, num_windows, window_slices
 from repro.genomics.fasta import read_fasta, write_fasta, FastaRecord
-from repro.genomics.fastq import read_fastq, write_fastq, FastqRecord
+from repro.genomics.fastq import write_fastq, FastqRecord
 from repro.genomics.io import (
     iter_sequence_records,
     open_sequence_file,
@@ -69,7 +72,6 @@ __all__ = [
     "read_fasta",
     "write_fasta",
     "FastaRecord",
-    "read_fastq",
     "write_fastq",
     "FastqRecord",
     "iter_sequence_records",

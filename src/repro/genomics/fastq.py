@@ -1,9 +1,9 @@
 """FASTQ reading and writing (4-line records), a block of reads at a time.
 
 KAL_D-style datasets are paired-end FASTQ; the query pipeline's
-producer thread consumes these.  Quality strings are carried through
-verbatim but the classifier itself never interprets them (neither
-does MetaCache).
+producer thread consumes these.  The classifier never interprets
+quality strings (neither does MetaCache): the parser checks each one's
+length against its sequence and drops it.
 
 :func:`read_fastq_blocks` is the one parser: it pulls ``4 x
 batch_size`` lines from a binary stream and describes them by stride
@@ -12,30 +12,29 @@ checking sigils and sequence/quality lengths as arrays.  A block the
 stride view cannot describe (CR line ends, blank lines between
 records, a final record cut short) is normalised first, so the
 grammar is the one the line-walking parser it replaced defined (now
-the oracle in ``tests/reference/per_read_io.py``).
-:func:`read_fastq` is the per-record view over it.
+the oracle in ``tests/reference/per_read_io.py``).  Its blocks have
+the shape of :func:`repro.genomics.fasta.read_fasta_blocks`'s:
+``(headers, ASCII sequences)``.  :func:`write_fastq` writes
+:class:`FastqRecord` s, qualities included.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
+import operator
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.errors import InvalidReadError
 
-__all__ = [
-    "FastqRecord",
-    "FastqBlock",
-    "read_fastq",
-    "read_fastq_blocks",
-    "split_lines",
-    "write_fastq",
-]
+__all__ = ["FastqRecord", "read_fastq_blocks", "write_fastq"]
+
+#: a ``\n``-terminated line without its terminator
+_LINE_END_DROPPED = operator.itemgetter(slice(None, -1))
 
 
 @dataclass(frozen=True)
@@ -52,18 +51,6 @@ class FastqRecord:
                 f"sequence/quality length mismatch for '{self.header}': "
                 f"{len(self.sequence)} vs {len(self.quality)}"
             )
-
-
-class FastqBlock(NamedTuple):
-    """Consecutive records as parallel lists, one entry per record.
-
-    ``sequences`` and ``qualities`` are the file's own ASCII lines,
-    each still ending in ``\\n``, to be joined once per block.
-    """
-
-    headers: list[str]
-    sequences: list[bytes]
-    qualities: list[bytes]
 
 
 def _line_lengths(lines: list[bytes]) -> np.ndarray:
@@ -123,7 +110,7 @@ def _grammar_error(lines: list[bytes], bad: int) -> InvalidReadError:
 
 def _take_block(
     source: Iterator[bytes], held: list[bytes], batch_size: int
-) -> tuple[FastqBlock | None, list[bytes], bool]:
+) -> tuple[tuple[list[str], list[bytes]] | None, list[bytes], bool]:
     """Pull and check one block: ``(block, lines still held, at end of input)``.
 
     ``held`` are lines pulled earlier but not yet yielded.  The block is
@@ -151,17 +138,19 @@ def _take_block(
         return None, lines, at_eof
     heads = b"".join(lines[0:whole:4]).decode("ascii")
     headers = list(map(str.strip, heads[1:-1].split("\n@")))
-    block = FastqBlock(headers, lines[1:whole:4], lines[3:whole:4])
-    return block, lines[whole:], at_eof
+    sequences = list(map(_LINE_END_DROPPED, lines[1:whole:4]))
+    return (headers, sequences), lines[whole:], at_eof
 
 
 def read_fastq_blocks(
     handle: Iterable[bytes], batch_size: int = 4096
-) -> Iterator[FastqBlock]:
+) -> Iterator[tuple[list[str], list[bytes]]]:
     """Parse a binary FASTQ stream ``batch_size`` records at a time.
 
-    Every block but the last holds exactly ``batch_size`` records (the
-    default is the pipeline's batch size; the per-record views use it).
+    Yields ``(headers, sequences)``: the sequences are ASCII with no
+    line end, the quality strings are checked and dropped.  Every block
+    but the last holds exactly ``batch_size`` records (the default is
+    the pipeline's batch size; the per-record views use it).
     Raises :class:`repro.errors.InvalidReadError` on a wrong sigil, a
     sequence/quality length mismatch or a truncated final record, and
     ``UnicodeDecodeError`` (a ``ValueError``) on a byte outside ASCII.
@@ -173,38 +162,6 @@ def read_fastq_blocks(
         block, held, at_eof = _take_block(source, held, batch_size)
         if block is not None:
             yield block
-
-
-def split_lines(lines: list[bytes]) -> list[str]:
-    """One string per ``\\n``-terminated ASCII line (terminator dropped)."""
-    return b"".join(lines).decode("ascii").split("\n")[:-1]
-
-
-def _records_of(handle: Iterable[bytes]) -> Iterator[FastqRecord]:
-    blocks = read_fastq_blocks(handle)
-    for block in blocks:
-        yield from map(
-            FastqRecord,
-            block.headers,
-            split_lines(block.sequences),
-            split_lines(block.qualities),
-        )
-
-
-def read_fastq(source: str | os.PathLike | io.TextIOBase) -> Iterator[FastqRecord]:
-    """Yield records from a FASTQ path or open text handle.
-
-    The per-record view over :func:`read_fastq_blocks`.  Strict 4-line
-    format; raises :class:`repro.errors.InvalidReadError` (a
-    ``ValueError`` subclass, so old ``except ValueError`` call sites
-    keep working) on malformed records (wrong sigil or truncated final
-    record).
-    """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as handle:
-            yield from _records_of(handle)
-    else:
-        yield from _records_of(map(str.encode, source))
 
 
 def write_fastq(

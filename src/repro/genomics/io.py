@@ -11,21 +11,21 @@ truncated final FASTQ record -- raises
 ``UnicodeDecodeError`` / ``zlib.error``.  Servers and pipelines can
 therefore wrap ingest in a single ``except MetaCacheError``.
 
-Five entry points share the machinery, all over one *binary* handle
-(plain file, gzip stream or in-memory body alike):
+Four entry points share the machinery, all over one *binary* handle
+(plain file, gzip stream or in-memory body alike), and all hand over
+reads in one shape, ``(headers, sequences)`` with each sequence ASCII
+and no line end -- what
+:meth:`repro.pipeline.packed.PackedReads.from_ascii` packs:
 
 - :func:`iter_sequence_blocks` streams a file ``batch_size`` reads at
-  a time as header and sequence-line lists (the query pipeline's
-  producer packs these without touching a read in Python;
-  multi-gigabyte files never need to fit in memory);
-- :func:`read_sequence_lines_bytes` is the same for an in-memory
+  a time (the query pipeline's producer packs these without touching
+  a read in Python; multi-gigabyte files never need to fit in memory);
+- :func:`read_sequence_block_bytes` is the same for an in-memory
   buffer, whole (the server's ``POST /classify`` request bodies);
-- :func:`iter_sequence_records` is the per-record view of a file;
-- :func:`iter_sequence_records_bytes` the per-record view of an
-  in-memory buffer;
+- :func:`iter_sequence_records` flattens a file's blocks into
+  ``(header, sequence)`` pairs;
 - :func:`iter_fasta_blocks` streams a reference FASTA file as the
-  parser's blocks of ASCII records (the build's producer recuts them
-  by bases).
+  parser's blocks (the build's producer recuts them by bases).
 
 FASTA is parsed by :func:`repro.genomics.fasta.read_fasta_blocks` and
 FASTQ by :func:`repro.genomics.fastq.read_fastq_blocks`; every entry
@@ -47,15 +47,14 @@ import numpy as np
 from repro.errors import InvalidReadError
 from repro.genomics.alphabet import encode_sequence
 from repro.genomics.fasta import read_fasta_blocks
-from repro.genomics.fastq import read_fastq_blocks, split_lines
+from repro.genomics.fastq import read_fastq_blocks
 
 __all__ = [
     "open_sequence_file",
     "iter_fasta_blocks",
     "iter_sequence_blocks",
     "iter_sequence_records",
-    "iter_sequence_records_bytes",
-    "read_sequence_lines_bytes",
+    "read_sequence_block_bytes",
     "read_sequences",
 ]
 
@@ -130,61 +129,37 @@ def _sniff(handle: io.BufferedReader, name: str) -> str:
     return sigil
 
 
-def _fasta_entries(handle: io.BufferedReader) -> Iterator[tuple[str, bytes]]:
-    """``(header, ASCII sequence)`` per record of a FASTA stream."""
-    for headers, sequences in read_fasta_blocks(handle):
-        yield from zip(headers, sequences)
-
-
-def _sniffed_records(
-    handle: io.BufferedReader, name: str
-) -> Iterator[tuple[str, str]]:
-    """Per-record view of an open stream, FASTA or FASTQ.
-
-    Shared by the file and in-memory entry points so their accepted
-    grammar cannot diverge; empty input yields nothing.
-    """
-    sigil = _sniff(handle, name)
-    if sigil == ">":
-        for header, sequence in _fasta_entries(handle):
-            yield header, sequence.decode("ascii")
-    elif sigil == "@":
-        blocks = read_fastq_blocks(handle)
-        for block in blocks:
-            yield from zip(block.headers, split_lines(block.sequences))
-
-
 def _sniffed_blocks(
     handle: io.BufferedReader, name: str, batch_size: int = 4096
 ) -> Iterator[tuple[list[str], list[bytes]]]:
-    """Block view of an open stream: ``(headers, sequence lines)``.
+    """``(headers, ASCII sequences)`` of an open stream, FASTA or FASTQ.
 
-    The bulk counterpart of :func:`_sniffed_records` (same sniffing,
-    same errors): each sequence is one ASCII line ending in ``\\n``,
-    ready to be joined and encoded once per batch.  FASTQ blocks come
-    straight from :func:`repro.genomics.fastq.read_fastq_blocks`; FASTA
-    records from :func:`repro.genomics.fasta.read_fasta_blocks`, whose
-    chunk-sized blocks are regrouped into ``batch_size`` records.
+    Shared by the file and in-memory entry points, so that their
+    accepted grammar cannot diverge; empty input yields nothing.
+    FASTQ blocks come straight from
+    :func:`repro.genomics.fastq.read_fastq_blocks`; FASTA records from
+    :func:`repro.genomics.fasta.read_fasta_blocks`, whose chunk-sized
+    blocks are regrouped into ``batch_size`` records.
     """
     sigil = _sniff(handle, name)
     if sigil == ">":
-        entries = _fasta_entries(handle)
+        entries = itertools.chain.from_iterable(
+            zip(*block) for block in read_fasta_blocks(handle)
+        )
         while chunk := list(itertools.islice(entries, batch_size)):
             headers, sequences = zip(*chunk)
-            yield list(headers), [sequence + b"\n" for sequence in sequences]
+            yield list(headers), list(sequences)
     elif sigil == "@":
-        blocks = read_fastq_blocks(handle, batch_size)
-        for block in blocks:
-            yield block.headers, block.sequences
+        yield from read_fastq_blocks(handle, batch_size)
 
 
 def iter_sequence_blocks(
     path: str | os.PathLike, batch_size: int
 ) -> Iterator[tuple[list[str], list[bytes]]]:
-    """Yield ``(headers, sequence lines)`` for ``batch_size`` reads at a time.
+    """Yield ``(headers, ASCII sequences)`` for ``batch_size`` reads at a time.
 
     The query pipeline's producer feeds these to
-    :meth:`repro.pipeline.packed.PackedReads.from_lines`; sniffing and
+    :meth:`repro.pipeline.packed.PackedReads.from_ascii`; sniffing and
     errors are those of :func:`iter_sequence_records`.
     """
     with _translate_parse_errors(str(path)), open_sequence_file(path) as handle:
@@ -222,7 +197,8 @@ def iter_sequence_records(path: str | os.PathLike) -> Iterator[tuple[str, str]]:
     file still raises ``FileNotFoundError``.
     """
     with _translate_parse_errors(str(path)), open_sequence_file(path) as handle:
-        yield from _sniffed_records(handle, str(path))
+        for headers, sequences in _sniffed_blocks(handle, str(path)):
+            yield from zip(headers, map(bytes.decode, sequences))
 
 
 def _bounded_gunzip(data: bytes, limit: int | None, name: str) -> bytes:
@@ -305,51 +281,34 @@ def _bytes_handle(
     return io.BufferedReader(io.BytesIO(data))  # type: ignore[arg-type]
 
 
-def iter_sequence_records_bytes(
+def read_sequence_block_bytes(
     data: bytes,
     *,
     name: str = "<request body>",
     max_decompressed_bytes: int | None = None,
-) -> Iterator[tuple[str, str]]:
-    """Lazily yield ``(header, sequence)`` pairs from an in-memory buffer.
+) -> tuple[list[str], list[bytes]]:
+    """An in-memory buffer's reads as ``(headers, ASCII sequences)``.
 
-    FASTA or FASTQ, plain or a gzip'd payload (sniffed by magic
-    bytes, exactly like the file path).  Empty input yields nothing;
-    malformed input raises :class:`repro.errors.InvalidReadError`
-    carrying ``name``.
+    The server's ingest path: a ``POST /classify`` body arrives as
+    bytes and leaves as the block :func:`iter_sequence_blocks` would
+    yield for a file holding it, all reads at once.  FASTA or FASTQ,
+    plain or a gzip'd payload (sniffed by magic bytes, exactly like
+    the file path); empty input yields no reads; malformed input
+    raises :class:`repro.errors.InvalidReadError` carrying ``name``.
 
     ``max_decompressed_bytes`` bounds how far a gzip payload may
     inflate (untrusted input: a request-size limit alone does not
     bound the plaintext of a compressed body); exceeding it raises
     :class:`repro.errors.InvalidReadError`.
     """
-    with _translate_parse_errors(name):
-        handle = _bytes_handle(data, name, max_decompressed_bytes)
-        yield from _sniffed_records(handle, name)
-
-
-def read_sequence_lines_bytes(
-    data: bytes,
-    *,
-    name: str = "<request body>",
-    max_decompressed_bytes: int | None = None,
-) -> tuple[list[str], list[bytes]]:
-    """An in-memory buffer's reads as ``(headers, sequence lines)``.
-
-    The server's ingest path: a ``POST /classify`` body arrives as
-    bytes and leaves as the block :func:`iter_sequence_blocks` would
-    yield for a file holding it, all reads at once.  Grammar, errors
-    and ``max_decompressed_bytes`` are those of
-    :func:`iter_sequence_records_bytes`.
-    """
     headers: list[str] = []
-    lines: list[bytes] = []
+    sequences: list[bytes] = []
     with _translate_parse_errors(name):
         handle = _bytes_handle(data, name, max_decompressed_bytes)
-        for block_headers, block_lines in _sniffed_blocks(handle, name):
+        for block_headers, block_sequences in _sniffed_blocks(handle, name):
             headers += block_headers
-            lines += block_lines
-    return headers, lines
+            sequences += block_sequences
+    return headers, sequences
 
 
 def read_sequences(path: str | os.PathLike) -> tuple[list[str], list[np.ndarray]]:

@@ -33,7 +33,7 @@ batch after handing it to the pipeline is undefined behavior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,33 @@ from repro.genomics.alphabet import encode_sequence
 from repro.util.segmented import offsets_from_segment_ids
 
 __all__ = ["PackedReads"]
+
+
+def _interleaved(
+    sequences: Sequence, mates: Sequence | None
+) -> tuple[Sequence, np.ndarray]:
+    """Segments and read ids of reads with optional mates.
+
+    With ``mates`` the two lists are interleaved by stride, mate-first
+    (m1[0], m2[0], m1[1], ...), and both segments of pair ``i`` carry
+    read id ``i``.
+    """
+    read_ids = np.arange(len(sequences), dtype=np.int64)
+    if mates is None:
+        return sequences, read_ids
+    if len(mates) != len(sequences):
+        raise ValueError("mates list must match sequences list")
+    segments = [None] * (2 * len(sequences))
+    segments[0::2] = sequences
+    segments[1::2] = mates
+    return segments, np.repeat(read_ids, 2)
+
+
+def _offsets(sizes: Iterable[int], count: int) -> np.ndarray:
+    """Running sums of ``count`` segment sizes, from 0."""
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(sizes, np.int64, count), out=offsets[1:])
+    return offsets
 
 
 def _concat_uint8(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -55,10 +82,11 @@ class PackedReads:
     """A batch of encoded reads in one contiguous buffer.
 
     See the module docstring for the layout contract.  Construct via
-    :meth:`from_reads` (list-of-arrays adapter, handles paired-end
-    interleaving) or :meth:`from_arrays` (pre-built arrays, e.g. a
-    worker re-wrapping pickled chunk payloads); the raw constructor
-    validates but does not copy.
+    :meth:`from_ascii` (ASCII reads, as parsed from files and request
+    bodies), :meth:`from_reads` (list-of-arrays adapter; both handle
+    paired-end interleaving) or :meth:`from_arrays` (pre-built arrays,
+    e.g. a worker re-wrapping pickled chunk payloads); the raw
+    constructor validates but does not copy.
     """
 
     buffer: np.ndarray
@@ -116,88 +144,34 @@ class PackedReads:
         per-element ``_interleave_pairs`` loop, computed with array
         ops over the segment table instead.
         """
-        n = len(sequences)
-        if mates is None:
-            buffer = _concat_uint8(sequences)
-            sizes = np.fromiter(
-                (s.size for s in sequences), count=n, dtype=np.int64
-            )
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(sizes, out=offsets[1:])
-            return cls(
-                buffer=buffer,
-                offsets=offsets,
-                read_ids=np.arange(n, dtype=np.int64),
-                n_reads=n,
-            )
-        if len(mates) != n:
-            raise ValueError("mates list must match sequences list")
-        interleaved: list[np.ndarray] = [None] * (2 * n)  # type: ignore[list-item]
-        interleaved[0::2] = sequences
-        interleaved[1::2] = mates
-        buffer = _concat_uint8(interleaved)
-        sizes = np.fromiter(
-            (s.size for s in interleaved), count=2 * n, dtype=np.int64
-        )
-        offsets = np.zeros(2 * n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        read_ids = np.repeat(np.arange(n, dtype=np.int64), 2)
+        segments, read_ids = _interleaved(sequences, mates)
         return cls(
-            buffer=buffer,
-            offsets=offsets,
+            buffer=_concat_uint8(segments),
+            offsets=_offsets((s.size for s in segments), len(segments)),
             read_ids=read_ids,
-            n_reads=n,
-            paired=True,
+            n_reads=len(sequences),
+            paired=mates is not None,
         )
 
     @classmethod
-    def from_lines(
-        cls, lines: Sequence[bytes], mate_lines: Sequence[bytes] | None = None
+    def from_ascii(
+        cls, sequences: Sequence[bytes], mates: Sequence[bytes] | None = None
     ) -> "PackedReads":
-        """Pack a block of ASCII sequence lines, each ending in ``\\n``.
+        """Pack reads given as ASCII byte strings, every byte a base.
 
-        The file-bytes adapter (what a FASTA/FASTQ parser hands over):
-        one join, one encode and one cumulative sum per batch, no
-        per-read array.  ``mate_lines`` are interleaved by stride
-        before the join, giving the same paired layout as
-        :meth:`from_reads`.
+        The one file-bytes adapter: parsed FASTA/FASTQ blocks, request
+        bodies, JSON reads and reference blocks all arrive in this
+        shape.  One join, one encode and one cumulative sum per batch,
+        no per-read array.  ``mates`` are interleaved by stride before
+        the join, giving the same paired layout as :meth:`from_reads`.
         """
-        n = len(lines)
-        if mate_lines is not None:
-            if len(mate_lines) != n:
-                raise ValueError("mates list must match sequences list")
-            interleaved = [b""] * (2 * n)
-            interleaved[0::2] = lines
-            interleaved[1::2] = mate_lines
-            lines = interleaved
-        sizes = np.fromiter(map(len, lines), count=len(lines), dtype=np.int64)
-        offsets = np.zeros(len(lines) + 1, dtype=np.int64)
-        np.cumsum(sizes - 1, out=offsets[1:])
-        read_ids = np.arange(n, dtype=np.int64)
+        segments, read_ids = _interleaved(sequences, mates)
         return cls(
-            buffer=encode_sequence(b"".join(lines).replace(b"\n", b"")),
-            offsets=offsets,
-            read_ids=read_ids if mate_lines is None else np.repeat(read_ids, 2),
-            n_reads=n,
-            paired=mate_lines is not None,
-        )
-
-    @classmethod
-    def from_ascii(cls, sequences: Sequence[bytes]) -> "PackedReads":
-        """Pack single-end reads given as ASCII byte strings.
-
-        The request-body adapter (a JSON payload's sequences): one
-        join and one encode per batch.  Unlike :meth:`from_lines`
-        every byte is a base -- nothing is stripped.
-        """
-        n = len(sequences)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, sequences), np.int64, n), out=offsets[1:])
-        return cls(
-            buffer=encode_sequence(b"".join(sequences)),
-            offsets=offsets,
-            read_ids=np.arange(n, dtype=np.int64),
-            n_reads=n,
+            buffer=encode_sequence(b"".join(segments)),
+            offsets=_offsets(map(len, segments), len(segments)),
+            read_ids=read_ids,
+            n_reads=len(sequences),
+            paired=mates is not None,
         )
 
     @classmethod

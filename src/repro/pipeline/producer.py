@@ -176,10 +176,10 @@ def read_file_producer(
     FASTQ, plain or gzip'd, sniffed by
     :func:`repro.genomics.io.iter_sequence_blocks`.  Each queue item
     is ``(headers, PackedReads)`` for up to ``batch_size`` reads --
-    the file's sequence lines joined, encoded *and* packed here a
-    batch at a time, so the consumer (the serial query loop or the
-    worker pool's chunk pickling) receives the contiguous form without
-    paying for it.  With ``mates_path`` the two files are read in lock
+    the block's sequences joined, encoded *and* packed here a batch at
+    a time (:meth:`PackedReads.from_ascii`), so the consumer (the
+    serial query loop or the worker pool's chunk pickling) receives
+    the contiguous form without paying for it.  With ``mates_path`` the two files are read in lock
     step (pairing is positional, headers come from ``path``) and
     packed mate-interleaved; files of different lengths raise
     :class:`~repro.errors.InvalidReadError`.
@@ -197,19 +197,19 @@ def read_file_producer(
             None if mates_path is None else iter_sequence_blocks(mates_path, batch_size)
         )
         while cancelled is None or not cancelled.is_set():
-            headers, lines = next(blocks, ([], []))
-            mate_lines = None
+            headers, sequences = next(blocks, ([], []))
+            mates = None
             if mate_blocks is not None:
                 # past the last read, one more block of mates is asked
                 # for, so a longer mates file is caught too
-                _, mate_lines = next(mate_blocks, ([], []))
-                if len(mate_lines) != len(lines):
+                _, mates = next(mate_blocks, ([], []))
+                if len(mates) != len(sequences):
                     raise InvalidReadError(
                         f"paired files differ in length: {path} vs {mates_path}"
                     )
             if not headers:
                 break
-            out.put((headers, PackedReads.from_lines(lines, mate_lines)))
+            out.put((headers, PackedReads.from_ascii(sequences, mates)))
             produced += len(headers)
     finally:
         out.close_producer()

@@ -65,7 +65,7 @@ from repro.errors import (
     ReloadError,
     ServerError,
 )
-from repro.genomics.io import read_sequence_lines_bytes
+from repro.genomics.io import read_sequence_block_bytes
 from repro.pipeline.packed import PackedReads
 from repro.server.batcher import MicroBatcher
 from repro.server.http import (
@@ -774,15 +774,15 @@ class ClassificationServer:
                         f"reads[{i}]: not a nucleotide sequence ({exc})"
                     ) from exc
                 headers.append(header)
-            return headers, PackedReads.from_ascii(sequences)
-        headers, lines = read_sequence_lines_bytes(
-            request.body,
-            name="request body",
-            # a size-limited *compressed* body could still inflate
-            # into gigabytes; cap the plaintext at the same bound
-            max_decompressed_bytes=self.max_body_bytes,
-        )
-        return headers, PackedReads.from_lines(lines)
+        else:
+            headers, sequences = read_sequence_block_bytes(
+                request.body,
+                name="request body",
+                # a size-limited *compressed* body could still inflate
+                # into gigabytes; cap the plaintext at the same bound
+                max_decompressed_bytes=self.max_body_bytes,
+            )
+        return headers, PackedReads.from_ascii(sequences)
 
 
 class ServerThread:

@@ -7,8 +7,9 @@ batch with one join.  The contract is strong: the accepted FASTQ
 grammar, every error, the packed buffers and every output byte are
 those of the retained per-read code (``tests/reference/per_read_io.py``):
 
-(a) parser vs the line-walking ``read_fastq`` on headers, packed
-    buffers and the class and message of every error;
+(a) parser vs the line-walking ``read_fastq`` on headers, sequences,
+    packed buffers and the class and message of every error (the
+    parser checks quality strings and drops them);
 (b) each sink's ``write_all(columns)`` vs the per-record rows;
 (c) a sink that defines only ``write`` still sees every record;
 (d) a served request -- one slice of a batch, or split across two --
@@ -40,11 +41,11 @@ from repro.api.sinks import CollectSink, TsvSink, open_sink, register_sink
 from repro.core.classify import Classification
 from repro.errors import InvalidReadError
 from repro.genomics.alphabet import decode_sequence, encode_sequence
-from repro.genomics.fastq import read_fastq
+from repro.genomics.fastq import read_fastq_blocks
 from repro.genomics.io import (
     iter_sequence_blocks,
     iter_sequence_records,
-    iter_sequence_records_bytes,
+    read_sequence_block_bytes,
 )
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
@@ -137,6 +138,15 @@ def _outcome(parse):
         return "error", str(exc)
 
 
+def _flat(blocks):
+    """``(header, sequence str)`` pairs of ``(headers, sequences)`` blocks."""
+    return [
+        (header, sequence.decode("ascii"))
+        for headers, sequences in blocks
+        for header, sequence in zip(headers, sequences)
+    ]
+
+
 def _batches(path, batch_size, mates=None):
     """What the producer puts on the queue for ``path``."""
     queue = ClosableQueue(maxsize=0)
@@ -159,25 +169,23 @@ class TestParserAgainstOracle:
         kind, expected = _oracle_outcome(data)
         path = tmp_path_factory.mktemp("fq") / "reads.fq"
         path.write_bytes(data)
-        # the per-record view (quality strings too), on a path and a text handle
-        for source in (path, io.StringIO(data.decode("latin-1"))):
-            try:
-                got = [(r.header, r.sequence, r.quality) for r in read_fastq(source)]
-                assert (kind, expected) == ("ok", got)
-            except InvalidReadError as exc:
-                assert kind == "error" and _same_error(str(exc), expected)
-            except UnicodeDecodeError:
-                assert expected.startswith(":")
+        # the parser itself, on a file and an in-memory handle
+        with open(path, "rb") as handle:
+            for source in (handle, io.BytesIO(data)):
+                try:
+                    got = _flat(read_fastq_blocks(source, batch_size))
+                    assert kind == "ok"
+                    assert got == [(h, s) for h, s, _ in expected]
+                except InvalidReadError as exc:
+                    assert kind == "error" and _same_error(str(exc), expected)
+                except UnicodeDecodeError:
+                    assert expected.startswith(":")
         if not data.lstrip(b"\r\n").startswith(b"@"):
             return  # not sniffed as FASTQ: the sniffer's own tests cover it
         views = {
             "file": lambda: list(iter_sequence_records(path)),
-            "bytes": lambda: list(iter_sequence_records_bytes(data)),
-            "blocks": lambda: [
-                pair
-                for headers, lines in iter_sequence_blocks(path, batch_size)
-                for pair in zip(headers, [line[:-1].decode() for line in lines])
-            ],
+            "bytes": lambda: _flat([read_sequence_block_bytes(data)]),
+            "blocks": lambda: _flat(iter_sequence_blocks(path, batch_size)),
         }
         for name, view in views.items():
             got_kind, got = _outcome(view)
@@ -237,7 +245,7 @@ class TestParserAgainstOracle:
         path.write_bytes(data)
         expected = [("a", "ACGT"), ("b", "GG")] * 2
         assert list(iter_sequence_records(path)) == expected
-        assert list(iter_sequence_records_bytes(data)) == expected
+        assert _flat([read_sequence_block_bytes(data)]) == expected
         assert [h for h, _ in iter_sequence_blocks(path, 3)] == [["a", "b", "a"], ["b"]]
 
     def test_old_mac_line_ends_read_as_lines(self, tmp_path):
@@ -247,7 +255,7 @@ class TestParserAgainstOracle:
         path.write_bytes(data)
         assert _oracle_outcome(data) == ("ok", [("a", "AC", "II"), ("b", "", "")])
         assert list(iter_sequence_records(path)) == [("a", "AC"), ("b", "")]
-        assert list(iter_sequence_records_bytes(data)) == [("a", "AC"), ("b", "")]
+        assert _flat([read_sequence_block_bytes(data)]) == [("a", "AC"), ("b", "")]
 
 
 def _assert_packed_identical(got: PackedReads, expected: PackedReads) -> None:

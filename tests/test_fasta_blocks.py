@@ -35,7 +35,7 @@ from repro.genomics.io import (
     iter_fasta_blocks,
     iter_sequence_blocks,
     iter_sequence_records,
-    read_sequence_lines_bytes,
+    read_sequence_block_bytes,
 )
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
@@ -108,7 +108,7 @@ def _outcome(parse):
 def _flat(blocks):
     """``(header, sequence str)`` pairs of ``(headers, sequences)`` blocks."""
     return [
-        (header, bytes(sequence).decode("ascii").rstrip("\n"))
+        (header, bytes(sequence).decode("ascii"))
         for headers, sequences in blocks
         for header, sequence in zip(headers, sequences)
     ]
@@ -152,7 +152,7 @@ class TestParserAgainstOracle:
                 lambda: list(iter_sequence_records(path)),
                 lambda: _flat(iter_sequence_blocks(path, batch_size)),
                 lambda: _flat(iter_fasta_blocks(path)),
-                lambda: _flat([read_sequence_lines_bytes(path.read_bytes())]),
+                lambda: _flat([read_sequence_block_bytes(path.read_bytes())]),
             ]
             for view in views:
                 assert _outcome(view) == (kind, expected)

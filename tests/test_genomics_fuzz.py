@@ -21,15 +21,18 @@ import pytest
 
 from repro.api import MetaCache, MetaCacheParams
 from repro.errors import InvalidReadError, MetaCacheError
-from repro.genomics.io import (
-    iter_sequence_records,
-    iter_sequence_records_bytes,
-)
+from repro.genomics.io import iter_sequence_records, read_sequence_block_bytes
 from repro.genomics.simulate import GenomeSimulator
 from repro.server import ClassificationServer, ServerThread
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 
 # ------------------------------------------------------------- corpus
+
+
+def _records_bytes(data: bytes, **kwargs) -> list[tuple[str, str]]:
+    """``(header, sequence)`` pairs of an in-memory buffer's one block."""
+    headers, sequences = read_sequence_block_bytes(data, **kwargs)
+    return list(zip(headers, map(bytes.decode, sequences)))
 
 
 def _base_fasta() -> bytes:
@@ -84,7 +87,7 @@ def _mutate(data: bytes, rng: random.Random) -> bytes:
 def _assert_typed(data: bytes) -> None:
     """The property under test: records out, or MetaCacheError, only."""
     try:
-        records = list(iter_sequence_records_bytes(data, name="fuzz"))
+        records = _records_bytes(data, name="fuzz")
     except MetaCacheError:
         return
     for header, seq in records:
@@ -123,7 +126,7 @@ class TestDirectedCases:
         for cut in (len(payload) // 2, len(payload) - 1):
             data = payload[:cut]
             with pytest.raises(InvalidReadError, match="gzip"):
-                list(iter_sequence_records_bytes(data))
+                _records_bytes(data)
             path = tmp_path / "trunc.fq.gz"
             path.write_bytes(data)
             with pytest.raises(InvalidReadError):
@@ -133,7 +136,7 @@ class TestDirectedCases:
         payload = bytearray(gzip.compress(_base_fasta()))
         payload[12] ^= 0xFF  # damage the deflate stream
         with pytest.raises(InvalidReadError):
-            list(iter_sequence_records_bytes(bytes(payload)))
+            _records_bytes(bytes(payload))
 
     def test_gzip_bomb_rejected_by_decompression_bound(self):
         # ~10 MB of 'A' compresses to ~10 KB: a size check on the
@@ -141,27 +144,18 @@ class TestDirectedCases:
         bomb = gzip.compress(b">b\n" + b"A" * 10_000_000)
         assert len(bomb) < 20_000
         with pytest.raises(InvalidReadError, match="inflates past"):
-            list(
-                iter_sequence_records_bytes(
-                    bomb, max_decompressed_bytes=65536
-                )
-            )
+            _records_bytes(bomb, max_decompressed_bytes=65536)
         # within the bound, bounded decompression behaves like the
         # trusting path
         small = gzip.compress(_base_fasta())
-        bounded = list(
-            iter_sequence_records_bytes(small, max_decompressed_bytes=65536)
-        )
-        assert bounded == list(iter_sequence_records_bytes(small))
+        bounded = _records_bytes(small, max_decompressed_bytes=65536)
+        assert bounded == _records_bytes(small)
 
     def test_truncated_gzip_rejected_under_bound_too(self):
         payload = gzip.compress(_base_fastq())
         with pytest.raises(InvalidReadError, match="gzip"):
-            list(
-                iter_sequence_records_bytes(
-                    payload[: len(payload) // 2],
-                    max_decompressed_bytes=65536,
-                )
+            _records_bytes(
+                payload[: len(payload) // 2], max_decompressed_bytes=65536
             )
 
     def test_multi_member_gzip_parses_all_members_under_bound(self):
@@ -169,10 +163,8 @@ class TestDirectedCases:
         # back-to-back gzip members; the bounded server path must not
         # silently stop at the first end-of-stream marker
         multi = gzip.compress(_base_fastq()) + gzip.compress(_base_fastq())
-        trusting = list(iter_sequence_records_bytes(multi))
-        bounded = list(
-            iter_sequence_records_bytes(multi, max_decompressed_bytes=65536)
-        )
+        trusting = _records_bytes(multi)
+        bounded = _records_bytes(multi, max_decompressed_bytes=65536)
         assert bounded == trusting
         assert len(bounded) == 6  # 3 FASTQ records per member
 
@@ -181,11 +173,7 @@ class TestDirectedCases:
         # not per member
         half = gzip.compress(b">b\n" + b"A" * 40_000)
         with pytest.raises(InvalidReadError, match="inflates past"):
-            list(
-                iter_sequence_records_bytes(
-                    half + half, max_decompressed_bytes=65536
-                )
-            )
+            _records_bytes(half + half, max_decompressed_bytes=65536)
 
     def test_nul_padding_between_and_after_members_accepted(self):
         # tape-block / archiver zero padding between members and after
@@ -196,61 +184,53 @@ class TestDirectedCases:
             (gzip.compress(_base_fasta()) + b"\x00" * 8, 3),
             (member + b"\x00" * 512 + member + b"\x00" * 8, 6),
         ]:
-            trusting = list(iter_sequence_records_bytes(padded))
-            bounded = list(
-                iter_sequence_records_bytes(
-                    padded, max_decompressed_bytes=65536
-                )
-            )
+            trusting = _records_bytes(padded)
+            bounded = _records_bytes(padded, max_decompressed_bytes=65536)
             assert bounded == trusting
             assert len(bounded) == records
 
     def test_trailing_garbage_after_gzip_member_rejected(self):
         data = gzip.compress(_base_fasta()) + b"not a gzip member"
         with pytest.raises(InvalidReadError):
-            list(
-                iter_sequence_records_bytes(
-                    data, max_decompressed_bytes=65536
-                )
-            )
+            _records_bytes(data, max_decompressed_bytes=65536)
         with pytest.raises(InvalidReadError):
-            list(iter_sequence_records_bytes(data))
+            _records_bytes(data)
 
     def test_crlf_line_endings_parse(self):
         fasta = _base_fasta().replace(b"\n", b"\r\n")
-        records = list(iter_sequence_records_bytes(fasta))
+        records = _records_bytes(fasta)
         assert [h for h, _ in records] == ["r0 first", "r1", "r2 third"]
         fastq = _base_fastq().replace(b"\n", b"\r\n")
-        assert len(list(iter_sequence_records_bytes(fastq))) == 3
+        assert len(_records_bytes(fastq)) == 3
 
     def test_empty_input_and_empty_records(self):
-        assert list(iter_sequence_records_bytes(b"")) == []
-        assert list(iter_sequence_records_bytes(b"\n\n\n")) == []
+        assert _records_bytes(b"") == []
+        assert _records_bytes(b"\n\n\n") == []
         # a header with no sequence lines is an empty record, not an error
-        records = list(iter_sequence_records_bytes(b">a\n>b\nACGT\n"))
+        records = _records_bytes(b">a\n>b\nACGT\n")
         assert records == [("a", ""), ("b", "ACGT")]
 
     def test_sigils_inside_quality_lines(self):
         # '@' and '>' are legal quality characters; the 4-line grammar
         # must not resynchronize on them
         data = b"@r0\nACGT\n+\n@>@>\n@r1\nTTTT\n+\nIIII\n"
-        records = list(iter_sequence_records_bytes(data))
+        records = _records_bytes(data)
         assert [h for h, _ in records] == ["r0", "r1"]
 
     def test_truncated_final_fastq_record(self):
         with pytest.raises(InvalidReadError):
-            list(iter_sequence_records_bytes(b"@r0\nACGT\n+\nIIII\n@r1\nACGT\n"))
+            _records_bytes(b"@r0\nACGT\n+\nIIII\n@r1\nACGT\n")
 
     def test_non_ascii_bytes(self):
         with pytest.raises(InvalidReadError):
-            list(iter_sequence_records_bytes(b">r0\nAC\xc3\xa9GT\n"))
+            _records_bytes(b">r0\nAC\xc3\xa9GT\n")
 
     def test_sequence_before_header(self):
         with pytest.raises(InvalidReadError):
-            list(iter_sequence_records_bytes(b"ACGT\n>r0\nACGT\n"))
+            _records_bytes(b"ACGT\n>r0\nACGT\n")
         # ...also when the stray data hides behind a valid first record
         with pytest.raises(InvalidReadError):
-            list(iter_sequence_records_bytes(b"@r0\nACGT\n+\nIIII\nACGT\n"))
+            _records_bytes(b"@r0\nACGT\n+\nIIII\nACGT\n")
 
 
 # ---------------------------------------------------------- server survival

@@ -4,8 +4,10 @@ import io
 
 import pytest
 
+from reference.per_read_io import read_fastq
 from repro.genomics.fasta import FastaRecord, read_fasta, write_fasta
-from repro.genomics.fastq import FastqRecord, read_fastq, write_fastq
+from repro.genomics.fastq import FastqRecord, write_fastq
+from repro.genomics.io import iter_sequence_records
 
 
 class TestFasta:
@@ -47,6 +49,8 @@ class TestFasta:
 
 class TestFastq:
     def test_roundtrip(self, tmp_path):
+        """What ``write_fastq`` writes, qualities included, reads back
+        through the line-walking oracle (the program drops qualities)."""
         records = [
             FastqRecord("r1", "ACGT", "IIII"),
             FastqRecord("r2 extra", "GG", "!!"),
@@ -54,18 +58,27 @@ class TestFastq:
         path = tmp_path / "x.fastq"
         assert write_fastq(records, path) == 2
         assert list(read_fastq(path)) == records
+        assert list(iter_sequence_records(path)) == [
+            ("r1", "ACGT"), ("r2 extra", "GG")
+        ]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FastqRecord("r", "ACGT", "II")
 
-    def test_malformed_sigil(self):
-        with pytest.raises(ValueError):
-            list(read_fastq(io.StringIO("notfastq\nACGT\n+\nIIII\n")))
+    def test_malformed_sigil(self, tmp_path):
+        path = tmp_path / "x.fastq"
+        path.write_text("@r0\nAC\n+\nII\nnotfastq\nACGT\n+\nIIII\n")
+        with pytest.raises(ValueError, match="expected '@' header"):
+            list(iter_sequence_records(path))
 
-    def test_truncated_record(self):
-        with pytest.raises(ValueError):
-            list(read_fastq(io.StringIO("@r\nACGT\n+\nII")))
+    def test_truncated_record(self, tmp_path):
+        path = tmp_path / "x.fastq"
+        path.write_text("@r\nACGT\n+\nII")
+        with pytest.raises(ValueError, match="truncated FASTQ record"):
+            list(iter_sequence_records(path))
 
-    def test_empty(self):
-        assert list(read_fastq(io.StringIO(""))) == []
+    def test_empty(self, tmp_path):
+        path = tmp_path / "x.fastq"
+        path.write_text("")
+        assert list(iter_sequence_records(path)) == []

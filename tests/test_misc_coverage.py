@@ -79,7 +79,8 @@ def test_installed_numpy_meets_install_requires():
 
 def test_every_session_pins_the_heap_thresholds(monkeypatch):
     """A session's batch temporaries stay on the heap whatever the
-    process allocated before it (glibc's mmap and trim thresholds)."""
+    process allocated before it (glibc's mmap and trim thresholds),
+    and what the heap holds free at the pin is returned with one trim."""
     from repro.api import MetaCache
     from repro.core.config import MetaCacheParams
     from repro.genomics.simulate import GenomeSimulator
@@ -88,6 +89,9 @@ def test_every_session_pins_the_heap_thresholds(monkeypatch):
 
     calls = []
     monkeypatch.setattr(session_mod, "_MALLOPT", lambda *args: calls.append(args))
+    monkeypatch.setattr(
+        session_mod, "_MALLOC_TRIM", lambda pad: calls.append(("trim", pad))
+    )
     genomes = GenomeSimulator(seed=2).simulate_collection(1, 1, 2000)
     taxonomy, taxa = build_taxonomy_for_genomes(genomes)
     mc = MetaCache.ephemeral(
@@ -95,5 +99,13 @@ def test_every_session_pins_the_heap_thresholds(monkeypatch):
         taxonomy, params=MetaCacheParams.small(),
     )
     assert calls == []  # building and opening leave the allocator alone
+    pin = [(-3, 32 << 20), (-1, 64 << 20), ("trim", 0)]
     mc.session()
-    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert calls == pin  # the free heap is returned once, after the pin
+    mc.session()
+    assert calls == pin * 2
+    # without glibc's mallopt (another libc) a session calls neither
+    calls.clear()
+    monkeypatch.setattr(session_mod, "_MALLOPT", None)
+    mc.session()
+    assert calls == []

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import MetaCache, MetaCacheParams, TsvSink
@@ -53,9 +53,12 @@ from reference.legacy import (
     query_database_legacy,
     sketch_reads_loop,
 )
+from reference.pack_lines import from_lines
 
 PARAMS = MetaCacheParams.small()  # k=8, s=4, w=24
 SK = PARAMS.sketch
+# a read as the parsers hand it over: ASCII, no line end, maybe empty
+_ASCII_READ = st.text("ACGTNacgtnURYKMSW-*. \t", max_size=9).map(str.encode)
 
 # ambiguous bases encode to 255; 0..3 are A/C/G/T
 _CODES = st.sampled_from([0, 1, 2, 3, 255])
@@ -271,6 +274,35 @@ class TestPackedReads:
         assert np.array_equal(packed.read_ids, ref.read_ids)
         assert packed.n_reads == 4 and not packed.paired
         assert PackedReads.from_ascii([]).n_reads == 0
+
+    @given(pairs=st.lists(st.tuples(_ASCII_READ, _ASCII_READ), max_size=8),
+           paired=st.booleans())
+    @example(pairs=[], paired=False)
+    @example(pairs=[], paired=True)
+    @example(pairs=[(b"", b"")], paired=True)
+    @settings(max_examples=200, deadline=None)
+    def test_from_ascii_matches_the_line_packer(self, pairs, paired):
+        """``from_ascii`` packs a block as ``from_lines`` packed its lines."""
+        texts = [text for text, _ in pairs]
+        mates = [mate for _, mate in pairs] if paired else None
+        got = PackedReads.from_ascii(texts, mates)
+        ref = from_lines(
+            [t + b"\n" for t in texts],
+            None if mates is None else [m + b"\n" for m in mates],
+        )
+        for name in ("buffer", "offsets", "read_ids"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (got.n_reads, got.paired) == (ref.n_reads, ref.paired)
+
+    @pytest.mark.parametrize("mates", [[b"TT"], [b"TT", b"A", b"C"]])
+    def test_from_ascii_refuses_mismatched_mates(self, mates):
+        texts = [b"ACGT", b"GG"]
+        with pytest.raises(ValueError) as expected:
+            from_lines([t + b"\n" for t in texts], [m + b"\n" for m in mates])
+        with pytest.raises(ValueError) as got:
+            PackedReads.from_ascii(texts, mates)
+        assert str(got.value) == str(expected.value)
 
     def test_validation_rejects_malformed(self):
         with pytest.raises(ValueError):

@@ -671,6 +671,42 @@ def test_rl007_silent_on_legacy_readers_behind_convert(tmp_path):
         assert run_rule("RL007", tmp_path, relpath, source) == [], relpath
 
 
+def test_rl007_fires_on_parsers_outside_genomics(tmp_path):
+    for relpath, source, name in [
+        ("src/repro/pipeline/producer.py",
+         "from repro.genomics.fastq import read_fastq_blocks\n",
+         "repro.genomics.fastq"),
+        ("src/repro/pipeline/producer.py",
+         "def produce():\n    \"\"\"Lazy.\"\"\"\n    from repro.genomics import fasta\n",
+         "repro.genomics.fasta"),
+        ("src/repro/server/app.py", "import repro.genomics.fasta\n",
+         "repro.genomics.fasta"),
+        ("src/repro/server/app.py",
+         "from repro.genomics.fastq import FastqRecord\n",
+         "repro.genomics.fastq"),
+    ]:
+        findings = run_rule("RL007", tmp_path, relpath, '"""Module."""\n' + source)
+        assert [f.message.split(":")[0] for f in findings] == [f"imports {name}"], relpath
+        assert "genomics/io.py" in findings[0].message
+
+
+def test_rl007_silent_on_parsers_inside_genomics(tmp_path):
+    for relpath, source in [
+        ("src/repro/genomics/io.py",
+         "from repro.genomics.fasta import read_fasta_blocks\n"
+         "from repro.genomics.fastq import read_fastq_blocks\n"),
+        ("src/repro/genomics/__init__.py",
+         "from repro.genomics.fasta import read_fasta, write_fasta\n"
+         "from repro.genomics.fastq import write_fastq, FastqRecord\n"),
+        # the sniffing reader and the package's re-exports are open to all
+        ("src/repro/pipeline/producer.py",
+         "from repro.genomics.io import iter_sequence_blocks\n"
+         "from repro.genomics import read_fasta\n"),
+    ]:
+        source = '"""Module."""\n' + source
+        assert run_rule("RL007", tmp_path, relpath, source) == [], relpath
+
+
 # ------------------------------------------------------------- suppressions
 
 

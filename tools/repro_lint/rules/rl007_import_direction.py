@@ -1,6 +1,6 @@
 """RL007: dependencies point downward only.
 
-DESIGN.md's first rule, machine-enforced.  Two directions are banned
+DESIGN.md's first rule, machine-enforced.  These directions are banned
 for ``import`` / ``from ... import`` statements anywhere in a module
 (top level, inside functions, under ``TYPE_CHECKING``):
 
@@ -13,7 +13,11 @@ for ``import`` / ``from ... import`` statements anywhere in a module
   ``repro.api`` or ``repro.server``;
 * the legacy index readers stay behind ``convert``: only
   ``api/facade.py`` and ``cli.py`` may import ``repro.core.legacy``,
-  so no open path (``core/io.py`` least of all) can reach them.
+  so no open path (``core/io.py`` least of all) can reach them;
+* the parsers stay behind the sniffing reader: only ``genomics/`` may
+  import ``repro.genomics.fasta`` or ``repro.genomics.fastq``, so every
+  other layer reads sequences through ``genomics/io.py``'s one block
+  shape.
 """
 
 from __future__ import annotations
@@ -45,6 +49,12 @@ _DIRECTIONS = (
         ("api/facade.py", "cli.py"),
         "the legacy index readers are reached only by convert "
         "(the open path loads one layout)",
+    ),
+    (
+        ("repro.genomics.fasta", "repro.genomics.fastq"),
+        ("genomics/",),
+        "the FASTA and FASTQ parsers are reached through genomics/io.py "
+        "(one sniffing reader, one block shape)",
     ),
 )
 
