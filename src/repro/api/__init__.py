@@ -96,7 +96,6 @@ from repro.parallel import (
     ChunkResult,
     FileBackedDatabaseHandle,
     ParallelClassifier,
-    ReadChunk,
 )
 
 # curated analysis helpers riding on the classification results
@@ -156,7 +155,6 @@ __all__ = [
     "ReloadError",
     # multi-process engine
     "ParallelClassifier",
-    "ReadChunk",
     "ChunkResult",
     "FileBackedDatabaseHandle",
     # parameters

@@ -20,8 +20,10 @@ shapes:
   feeds the producer stream to the multi-process engine
   (:mod:`repro.parallel`) instead.
 
-Every shape only coerces its input to ``(headers, PackedReads)`` and
-hands it, or its slices, to one private seam,
+Every shape only coerces its input to ``(headers, PackedReads)`` --
+the one batch shape below these methods: the file producer's items,
+the worker pool's chunks and :meth:`QuerySession.classify_batch`'s
+input -- and hands it, or its slices, to one private seam,
 :meth:`QuerySession._compute` (the paper's single per-batch query
 pipeline, Section 5.2), or streams the same items through the worker
 pool; either way the results re-enter one record/report tail,
@@ -64,7 +66,7 @@ from repro.errors import (
 from repro.genomics.alphabet import encode_sequence
 from repro.parallel.engine import ParallelClassifier
 from repro.pipeline.packed import PackedReads
-from repro.pipeline.producer import SequenceBatch, read_file_producer
+from repro.pipeline.producer import read_file_producer
 from repro.pipeline.queues import ClosableQueue
 from repro.pipeline.scheduler import run_producer_consumer
 from repro.shard.router import ShardRouter
@@ -120,11 +122,9 @@ def _coerce_read(read: Any, index: int) -> tuple[str | None, np.ndarray]:
 
 
 def _coerce_batch(
-    reads: SequenceBatch | Iterable[Any], id_offset: int
+    reads: Iterable[Any], id_offset: int
 ) -> tuple[list[str], list[np.ndarray]]:
     """Normalize a batch into (headers, encoded sequences)."""
-    if isinstance(reads, SequenceBatch):
-        return list(reads.headers), list(reads.sequences)
     headers: list[str] = []
     seqs: list[np.ndarray] = []
     for i, read in enumerate(reads):
@@ -138,9 +138,6 @@ def _pack_batch(
     reads: Any, mates: Any, id_offset: int
 ) -> tuple[list[str], PackedReads]:
     """Coerce one batch (+ optional mates) to the seam's input shape."""
-    if isinstance(reads, SequenceBatch) and mates is None:
-        # the batch's cached packed form, no list round-trip
-        return list(reads.headers), reads.packed()
     headers, seqs = _coerce_batch(reads, id_offset)
     mate_seqs = None
     if mates is not None:
@@ -449,7 +446,7 @@ class QuerySession:
     def classify_batch(
         self,
         headers: list[str],
-        sequences: "list[np.ndarray] | PackedReads",
+        packed: PackedReads,
         *,
         params: ClassificationParams | None = None,
     ) -> ClassificationColumns:
@@ -463,16 +460,9 @@ class QuerySession:
         :class:`~repro.api.records.ClassificationColumns`: slice it,
         hand it to a sink's ``write_all``, or iterate it for records.
 
-        ``sequences`` is a :class:`~repro.pipeline.packed.PackedReads`
-        or, for callers that hold per-read arrays, a list of encoded
-        reads (uint8 code arrays) that is packed here; either way one
-        header per read, else :class:`repro.errors.InvalidReadError`.
+        One header per read of ``packed``, else
+        :class:`repro.errors.InvalidReadError`.
         """
-        packed = (
-            sequences
-            if isinstance(sequences, PackedReads)
-            else PackedReads.from_reads(sequences)
-        )
         n = packed.n_reads
         if len(headers) != n:
             raise InvalidReadError(
@@ -491,11 +481,9 @@ class QuerySession:
         """Lazily classify an iterable of batches, yielding per-batch runs.
 
         Each batch may be a collection of reads (any shape
-        :meth:`classify` accepts), a
-        :class:`~repro.pipeline.producer.SequenceBatch`, or a
-        ``(reads, mates)`` pair for paired-end data -- a 2-tuple whose
-        members are both batches themselves (lists or
-        ``SequenceBatch``); any other tuple is a batch of reads.
+        :meth:`classify` accepts) or a ``(reads, mates)`` pair for
+        paired-end data -- a 2-tuple of two lists; any other tuple is
+        a batch of reads.
         Batches are pulled one at a time, so peak resident reads equal
         the largest single batch -- feed it :func:`iter_batches` over
         a generator and millions of reads stream through constant
@@ -507,7 +495,7 @@ class QuerySession:
             if (
                 isinstance(batch, tuple)
                 and len(batch) == 2
-                and all(isinstance(part, (list, SequenceBatch)) for part in batch)
+                and all(isinstance(part, list) for part in batch)
             ):
                 reads, mates = batch
             run = self.classify(reads, mates, params=params, _id_offset=offset)

@@ -33,7 +33,8 @@ from repro.core.config import MetaCacheParams
 from repro.core.database import Database, DatabasePartition, TargetRecord
 from repro.core.query import QueryResult
 from repro.hashing.minhash import SKETCH_PAD
-from repro.hashing.sketch import sketch_reads, sketch_sequence
+from repro.hashing.sketch import sketch_reads_packed, sketch_sequence
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy.tree import Taxonomy
 from repro.util.bitops import pack_pairs
 
@@ -204,7 +205,10 @@ class MetaCacheCpu:
         total_locations = 0
         for i in range(n):
             seqs = [sequences[i]] if mates is None else [sequences[i], mates[i]]
-            sketches, _ = sketch_reads(seqs, params.sketch)
+            packed = PackedReads.from_reads(seqs)
+            sketches, _ = sketch_reads_packed(
+                packed.buffer, packed.offsets, params.sketch
+            )
             feats = sketches.reshape(-1)
             feats = feats[feats != SKETCH_PAD]
             locations, _ = self.table.retrieve(feats)

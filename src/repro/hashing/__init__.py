@@ -18,7 +18,7 @@ from repro.hashing.minhash import (
     window_hash_matrix,
     SKETCH_PAD,
 )
-from repro.hashing.sketch import SketchParams, sketch_sequence, sketch_reads
+from repro.hashing.sketch import SketchParams, sketch_sequence
 
 __all__ = [
     "fmix32",
@@ -30,5 +30,4 @@ __all__ = [
     "SKETCH_PAD",
     "SketchParams",
     "sketch_sequence",
-    "sketch_reads",
 ]

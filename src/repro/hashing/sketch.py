@@ -17,10 +17,10 @@ pipeline needs:
   ~64 kbp block the producer hands over with one call, and
   :class:`repro.parallel.ParallelSketcher` one job), per-segment window
   counts returned alongside so the rows split back per target.
-- :func:`sketch_reads` -- thin list-of-arrays adapter over the packed
-  kernel (packs, then calls :func:`sketch_reads_packed`).
 
-All of them are one kernel, :func:`_sketch_segments`: canonical k-mers
+Reads held as a list of arrays are packed first
+(:meth:`repro.pipeline.packed.PackedReads.from_reads`).  All three
+are one kernel, :func:`_sketch_segments`: canonical k-mers
 of both strands packed by doubling (:mod:`repro.genomics.kmers`),
 hashed in place, gathered into a window matrix as contiguous rows,
 row-sorted, and read off the sorted prefix
@@ -45,7 +45,6 @@ from repro.hashing.minhash import SKETCH_PAD, gather_window_rows, select_sorted_
 __all__ = [
     "SketchParams",
     "sketch_sequence",
-    "sketch_reads",
     "sketch_reads_packed",
     "sketch_packed_segments",
     "position_hashes",
@@ -194,27 +193,3 @@ def sketch_packed_segments(
     """
     sketches, counts, _ = _sketch_segments(buffer, offsets, params)
     return sketches, counts
-
-
-def sketch_reads(
-    sequences: list[np.ndarray],
-    params: SketchParams,
-    read_ids: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sketch a batch of reads given as a list of arrays.
-
-    The thin adapter keeping the legacy list-of-arrays call sites
-    working: concatenates the reads into the packed layout and calls
-    :func:`sketch_reads_packed`.  Same result contract; hot paths
-    that already hold a packed batch should call the packed kernel
-    directly and skip the concatenation.
-    """
-    n = len(sequences)
-    # np.concatenate rejects an empty list; the empty buffer stands in
-    buffer = np.concatenate(
-        [np.zeros(0, dtype=np.uint8), *(np.asarray(s, dtype=np.uint8) for s in sequences)]
-    )
-    sizes = np.fromiter((s.size for s in sequences), count=n, dtype=np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return sketch_reads_packed(buffer, offsets, params, read_ids)

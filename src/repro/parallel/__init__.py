@@ -18,13 +18,14 @@ exists exactly once in physical memory no matter the worker count.
 least-loaded worker, each running the unmodified single-process hot
 path, and reassembles results in submission order -- output is
 byte-identical to a single-process run.  Most callers never touch it
-directly: pass ``workers=N`` to :meth:`repro.api.MetaCache.open` (or
-to :meth:`~repro.api.QuerySession.classify_files`) and the facade
-drives it internally.  Direct use looks like::
+directly: a session opened with ``workers=N``
+(:meth:`repro.api.MetaCache.session`) drives it internally from
+:meth:`~repro.api.QuerySession.classify_files`.  Direct use looks like::
 
     from repro.parallel import ParallelClassifier
 
     with ParallelClassifier(database, workers=4) as engine:
+        # batches: (headers, PackedReads) pairs
         for result in engine.classify_chunks(batches):
             ...  # ChunkResults, in submission order
 
@@ -41,7 +42,7 @@ only on ``repro.core`` and ``repro.pipeline``); the facade converts
 """
 
 from repro.core.database import FileBackedDatabaseHandle
-from repro.parallel.chunks import ChunkResult, OrderedReassembler, ReadChunk
+from repro.parallel.chunks import ChunkResult, OrderedReassembler
 from repro.parallel.engine import ParallelClassifier
 from repro.parallel.pool import WorkerPool
 from repro.parallel.sketch import ParallelSketcher
@@ -50,7 +51,6 @@ __all__ = [
     "WorkerPool",
     "ParallelClassifier",
     "ParallelSketcher",
-    "ReadChunk",
     "ChunkResult",
     "OrderedReassembler",
     "FileBackedDatabaseHandle",

@@ -29,10 +29,9 @@ from typing import Iterable, Iterator
 from repro.core.config import ClassificationParams
 from repro.core.database import Database
 from repro.errors import PipelineError
-from repro.parallel.chunks import ChunkResult, OrderedReassembler, ReadChunk
+from repro.parallel.chunks import ChunkResult, OrderedReassembler
 from repro.parallel.pool import WorkerPool
 from repro.parallel.worker import attach_classifier
-from repro.pipeline.producer import SequenceBatch
 from repro.pipeline.packed import PackedReads
 
 __all__ = ["ParallelClassifier"]
@@ -94,20 +93,15 @@ class ParallelClassifier:
 
     def classify_chunks(
         self,
-        chunks: Iterable[ReadChunk | SequenceBatch | tuple],
+        chunks: Iterable[tuple[list[str], PackedReads]],
         *,
         params: ClassificationParams | None = None,
     ) -> Iterator[ChunkResult]:
         """Stream chunks through the pool, yielding results in order.
 
-        ``chunks`` may contain :class:`ReadChunk` objects,
-        :class:`~repro.pipeline.producer.SequenceBatch` instances, or
-        ``(headers, sequences)`` / ``(headers, sequences, mates)``
-        tuples.  Chunk ids are the arrival positions (0, 1, 2, ...);
-        a :class:`ReadChunk` carrying any other ``chunk_id`` is
-        rejected with ``ValueError``, because ordered reassembly is
-        defined over a contiguous id sequence.  The iterable is
-        pulled lazily — at most
+        Each chunk is a ``(headers, PackedReads)`` pair with one header
+        per read; its id is its arrival position (0, 1, 2, ...).  The
+        iterable is pulled lazily — at most
         :attr:`max_inflight` chunks are resident between the feeder
         and the reassembly buffer, so arbitrarily long streams run in
         bounded memory.
@@ -117,6 +111,10 @@ class ParallelClassifier:
 
         Raises
         ------
+        TypeError
+            a chunk is not a ``(headers, PackedReads)`` pair.
+        ValueError
+            a chunk's header count differs from its read count.
         PipelineError
             a chunk raised inside a worker (original traceback in the
             message).
@@ -157,14 +155,15 @@ class ParallelClassifier:
                     exhausted = True
                     break
                 slot = min(pool.slots, key=lambda s: s.inflight)
-                pool.put(slot.index, fed, (_coerce_chunk(raw, fed), cparams))
+                headers, packed = _checked_chunk(raw, fed)
+                pool.put(slot.index, fed, (headers, packed, cparams))
                 fed += 1
                 inflight += 1
             if exhausted and inflight == 0:
                 # every submitted chunk was returned: complete, in order
                 return
-            worker_id, _, result = pool.next_result()
-            result.worker_id = worker_id
+            worker_id, chunk_id, result = pool.next_result()
+            result.worker_id, result.chunk_id = worker_id, chunk_id
             inflight -= 1
             assembler.push(result)
             yield from assembler.drain()
@@ -191,30 +190,18 @@ class ParallelClassifier:
         return f"ParallelClassifier({self.workers} workers, {state})"
 
 
-def _coerce_chunk(raw, chunk_id: int) -> ReadChunk:
-    """Normalize the chunk shapes :meth:`classify_chunks` accepts."""
-    if isinstance(raw, ReadChunk):
-        if raw.chunk_id != chunk_id:
-            raise ValueError(
-                f"chunk arrived at position {chunk_id} but carries id "
-                f"{raw.chunk_id}"
-            )
-        return raw
-    if isinstance(raw, SequenceBatch):
-        # reuse the batch's cached packed form (built on the producer
-        # thread) instead of re-deriving it from the list view
-        return ReadChunk(
-            chunk_id=chunk_id, headers=list(raw.headers), packed=raw.packed()
+def _checked_chunk(raw, chunk_id: int) -> tuple[list[str], PackedReads]:
+    """One :meth:`~ParallelClassifier.classify_chunks` item, checked."""
+    if not (
+        isinstance(raw, tuple) and len(raw) == 2 and isinstance(raw[1], PackedReads)
+    ):
+        raise TypeError(
+            f"chunk {chunk_id}: expected (headers, PackedReads), got "
+            f"{type(raw).__name__}"
         )
-    if isinstance(raw, tuple) and len(raw) in (2, 3):
-        if len(raw) == 2 and isinstance(raw[1], PackedReads):
-            return ReadChunk(chunk_id=chunk_id, headers=list(raw[0]), packed=raw[1])
-        headers, sequences = list(raw[0]), list(raw[1])
-        mates = list(raw[2]) if len(raw) == 3 and raw[2] is not None else None
-        return ReadChunk(
-            chunk_id=chunk_id, headers=headers, sequences=sequences, mates=mates
+    headers, packed = list(raw[0]), raw[1]
+    if len(headers) != packed.n_reads:
+        raise ValueError(
+            f"chunk {chunk_id}: {len(headers)} headers for {packed.n_reads} reads"
         )
-    raise TypeError(
-        f"unsupported chunk type {type(raw).__name__} (expected ReadChunk, "
-        "SequenceBatch, (headers, PackedReads) or (headers, sequences[, mates]))"
-    )
+    return headers, packed

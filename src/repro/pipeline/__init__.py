@@ -10,11 +10,10 @@ file-based build/query paths the same shape as the paper's.
 """
 
 from repro.pipeline.queues import ClosableQueue
-from repro.pipeline.producer import SequenceBatch, fasta_producer, read_file_producer
+from repro.pipeline.producer import fasta_producer, read_file_producer
 from repro.pipeline.scheduler import run_producer_consumer
 
 __all__ = [
-    "SequenceBatch",
     "ClosableQueue",
     "fasta_producer",
     "read_file_producer",

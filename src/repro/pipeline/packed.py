@@ -84,9 +84,8 @@ class PackedReads:
     See the module docstring for the layout contract.  Construct via
     :meth:`from_ascii` (ASCII reads, as parsed from files and request
     bodies), :meth:`from_reads` (list-of-arrays adapter; both handle
-    paired-end interleaving) or :meth:`from_arrays` (pre-built arrays,
-    e.g. a worker re-wrapping pickled chunk payloads); the raw
-    constructor validates but does not copy.
+    paired-end interleaving) or :meth:`from_arrays` (pre-built
+    arrays); the raw constructor validates but does not copy.
     """
 
     buffer: np.ndarray
@@ -289,18 +288,6 @@ class PackedReads:
     def segments(self) -> list[np.ndarray]:
         """Zero-copy views of every segment, in order."""
         return [self.segment(i) for i in range(self.n_segments)]
-
-    def to_lists(self) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
-        """Unpack into the legacy ``(sequences, mates)`` list shape.
-
-        The thin adapter keeping list-of-arrays call sites working:
-        views, not copies.  Paired batches split back into their two
-        mate lists; single-end batches return ``(segments, None)``.
-        """
-        segs = self.segments()
-        if not self.paired:
-            return segs, None
-        return segs[0::2], segs[1::2]
 
     def slice_reads(self, start: int, stop: int) -> "PackedReads":
         """A packed sub-batch of logical reads ``[start, stop)``.

@@ -6,8 +6,10 @@ into the queue."  The producers here do exactly that (plus encoding,
 which in the GPU version happens device-side but costs the same
 either way in the simulation).  :func:`fasta_producer` feeds the
 build side in :class:`ReferenceBlock` s of about :data:`BLOCK_BASES`
-bases, :func:`read_file_producer` the query side in packed batches.
-Both hand over :class:`PackedReads`, encoded once per block.
+bases, :func:`read_file_producer` the query side in
+``(headers, PackedReads)`` batches -- the one batch shape the session,
+its slice threads and the worker pool consume.  Both encode once per
+block.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +30,6 @@ from repro.pipeline.queues import ClosableQueue
 __all__ = [
     "BLOCK_BASES",
     "ReferenceBlock",
-    "SequenceBatch",
     "fasta_producer",
     "read_file_producer",
 ]
@@ -36,54 +37,6 @@ __all__ = [
 #: bases per reference block: references join a block until the next
 #: one would take it past this; a longer reference is a block of its own
 BLOCK_BASES = 1 << 16
-
-
-@dataclass
-class SequenceBatch:
-    """A batch of in-memory reads, one encoded array each.
-
-    ``headers`` carry the read identifiers; ``sequences`` are encoded
-    uint8 code arrays; ``ids`` are global sequential indices so
-    downstream results can be reassembled in input order regardless of
-    consumer scheduling.  Sessions and the classification engine accept
-    it as a batch of reads.
-
-    Storage stays list-of-arrays while the batch is being appended to
-    (callers grow it one record at a time); :meth:`packed` produces --
-    and caches -- the contiguous :class:`PackedReads` form the hot-path
-    kernels consume.  Appending after packing invalidates the cache.
-    """
-
-    headers: list[str] = field(default_factory=list)
-    sequences: list[np.ndarray] = field(default_factory=list)
-    ids: list[int] = field(default_factory=list)
-    _packed: PackedReads | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __len__(self) -> int:
-        return len(self.sequences)
-
-    @property
-    def total_bases(self) -> int:
-        return int(sum(s.size for s in self.sequences))
-
-    def append(self, header: str, codes: np.ndarray, seq_id: int) -> None:
-        self.headers.append(header)
-        self.sequences.append(codes)
-        self.ids.append(seq_id)
-        self._packed = None
-
-    def packed(self) -> PackedReads:
-        """The batch's contiguous packed form (built once, cached).
-
-        Producers call this on their own thread right before enqueuing
-        a finished batch, so consumers get the packed layout for free;
-        any consumer can also call it lazily.
-        """
-        if self._packed is None or self._packed.n_reads != len(self.sequences):
-            self._packed = PackedReads.from_reads(self.sequences)
-        return self._packed
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ class TestClassificationRule:
         reads = ReadSimulator(genomes, seed=5).simulate(HISEQ, 8).sequences
         headers = [f"r{i}" for i in range(len(reads))]
         session = MetaCache(db).session()
-        first = session.classify_batch(headers, reads)
+        first = session.classify_batch(headers, PackedReads.from_reads(reads))
         calls = []
         real = Taxonomy.index_of
         monkeypatch.setattr(

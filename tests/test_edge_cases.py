@@ -18,6 +18,7 @@ from repro.core.classify import classify_reads
 from repro.core.query import query_database
 from repro.genomics.alphabet import encode_sequence
 from repro.genomics.simulate import GenomeSimulator
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 
 PARAMS = MetaCacheParams.small()
@@ -91,7 +92,7 @@ class TestApi:
 
     def test_classify_batch_empty(self, world):
         mc, _, _ = world
-        assert mc.session().classify_batch([], []) == []
+        assert mc.session().classify_batch([], PackedReads.empty()) == []
 
     def test_classify_iter_empty_iterable(self, world):
         mc, _, _ = world

@@ -14,7 +14,13 @@ from repro.hashing.minhash import (
     sketch_windows_batch,
     window_hash_matrix,
 )
-from repro.hashing.sketch import SketchParams, position_hashes, sketch_reads, sketch_sequence
+from repro.hashing.sketch import (
+    SketchParams,
+    position_hashes,
+    sketch_reads_packed,
+    sketch_sequence,
+)
+from repro.pipeline.packed import PackedReads
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=300)
 
@@ -172,13 +178,19 @@ class TestSketchSequence:
         assert hashes[16] != SKETCH_PAD
 
 
+def _sketch_list(reads, params, read_ids=None):
+    """Sketch a list of encoded reads through the packed kernel."""
+    packed = PackedReads.from_reads(reads)
+    return sketch_reads_packed(packed.buffer, packed.offsets, params, read_ids)
+
+
 class TestSketchReads:
     PARAMS = SketchParams(k=8, sketch_size=4, window_size=24)
 
     def test_reads_map_to_ids(self):
         rng = np.random.default_rng(0)
         reads = [rng.integers(0, 4, size=n).astype(np.uint8) for n in (30, 100, 5)]
-        sketches, win_ids = sketch_reads(reads, self.PARAMS)
+        sketches, win_ids = _sketch_list(reads, self.PARAMS)
         # read 2 (5bp < k) contributes nothing
         assert set(win_ids.tolist()) == {0, 1}
         assert sketches.shape[0] == win_ids.size
@@ -188,19 +200,19 @@ class TestSketchReads:
         m1 = [rng.integers(0, 4, size=24).astype(np.uint8) for _ in range(3)]
         m2 = [rng.integers(0, 4, size=24).astype(np.uint8) for _ in range(3)]
         ids = np.array([0, 1, 2, 0, 1, 2])
-        sketches, win_ids = sketch_reads(m1 + m2, self.PARAMS, read_ids=ids)
+        sketches, win_ids = _sketch_list(m1 + m2, self.PARAMS, read_ids=ids)
         # each read id appears twice (one window per mate)
         for rid in (0, 1, 2):
             assert (win_ids == rid).sum() == 2
 
     def test_id_length_mismatch(self):
         with pytest.raises(ValueError):
-            sketch_reads(
+            _sketch_list(
                 [np.zeros(30, dtype=np.uint8)], self.PARAMS, read_ids=np.array([0, 1])
             )
 
     def test_empty_batch(self):
-        sketches, win_ids = sketch_reads([], self.PARAMS)
+        sketches, win_ids = _sketch_list([], self.PARAMS)
         assert sketches.shape == (0, 4)
         assert win_ids.size == 0
 
@@ -208,7 +220,7 @@ class TestSketchReads:
         """Sketches from batched reads == sketches from single reads."""
         rng = np.random.default_rng(2)
         reads = [rng.integers(0, 4, size=n).astype(np.uint8) for n in (50, 70, 24)]
-        batch_sk, batch_ids = sketch_reads(reads, self.PARAMS)
+        batch_sk, batch_ids = _sketch_list(reads, self.PARAMS)
         row = 0
         for i, r in enumerate(reads):
             solo = sketch_sequence(r, self.PARAMS)

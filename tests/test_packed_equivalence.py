@@ -41,7 +41,6 @@ from repro.genomics.windows import WindowLayout, window_slices
 from repro.hashing.minhash import SKETCH_PAD
 from repro.hashing.sketch import (
     SketchParams,
-    sketch_reads,
     sketch_reads_packed,
     sketch_sequence,
 )
@@ -107,10 +106,6 @@ class TestSketchStage:
         )
         assert np.array_equal(s_loop, s_pack)
         assert np.array_equal(ids_loop, ids_pack)
-        # the list adapter routes through the same kernel
-        s_ad, ids_ad = sketch_reads(reads, SK)
-        assert np.array_equal(s_loop, s_ad)
-        assert np.array_equal(ids_loop, ids_ad)
 
     @given(lengths=_LENGTHS, seed=_SEEDS)
     @settings(max_examples=60, deadline=None)
@@ -216,9 +211,8 @@ class TestPackedReads:
         assert len(p) == len(reads)
         assert p.total_bases == sum(r.size for r in reads)
         assert p.segment_lengths.tolist() == [r.size for r in reads]
-        segs, mates = p.to_lists()
-        assert mates is None
-        assert all(np.array_equal(a, b) for a, b in zip(segs, reads))
+        assert not p.paired
+        assert all(np.array_equal(a, b) for a, b in zip(p.segments(), reads))
 
     @given(
         lengths=_LENGTHS,
@@ -232,7 +226,8 @@ class TestPackedReads:
         p = PackedReads.from_reads(reads, mates)
         start, stop = min(cut), max(cut)
         sub = p.slice_reads(start, stop)
-        s, m = sub.to_lists()
+        segs = sub.segments()
+        s, m = segs[0::2], segs[1::2]
         assert all(np.array_equal(a, b) for a, b in zip(s, reads[start:stop]))
         assert all(np.array_equal(a, b) for a, b in zip(m, mates[start:stop]))
         assert len(s) == len(reads[start:stop])
@@ -336,20 +331,26 @@ class TestPackedReads:
             )
 
 
-# -------------------------------------------------- sketch_reads edge paths
+# ------------------------------------------- sketch_reads_packed edge paths
+
+
+def _sketch_list(reads, params):
+    """Sketch a list of encoded reads through the packed kernel."""
+    packed = PackedReads.from_reads(reads)
+    return sketch_reads_packed(packed.buffer, packed.offsets, params)
 
 
 class TestSketchEdgePaths:
     def test_all_reads_shorter_than_k(self):
         reads = [np.zeros(n, dtype=np.uint8) for n in (0, 1, SK.k - 1)]
-        sketches, ids = sketch_reads(reads, SK)
+        sketches, ids = _sketch_list(reads, SK)
         assert sketches.shape == (0, SK.sketch_size)
         assert ids.size == 0
 
     def test_read_of_exactly_window_size(self):
         rng = np.random.default_rng(5)
         read = rng.integers(0, 4, size=SK.window_size).astype(np.uint8)
-        sketches, ids = sketch_reads([read], SK)
+        sketches, ids = _sketch_list([read], SK)
         # exactly one full window; identical to the reference sketcher
         assert sketches.shape == (1, SK.sketch_size)
         assert np.array_equal(sketches, sketch_sequence(read, SK))
@@ -358,7 +359,7 @@ class TestSketchEdgePaths:
     def test_read_of_window_size_plus_one_spills(self):
         rng = np.random.default_rng(6)
         read = rng.integers(0, 4, size=SK.window_size + 1).astype(np.uint8)
-        sketches, _ = sketch_reads([read], SK)
+        sketches, _ = _sketch_list([read], SK)
         assert sketches.shape[0] == SK.layout.num_windows(read.size) == 2
 
     def test_only_last_read_contributes_windows(self):
@@ -370,7 +371,7 @@ class TestSketchEdgePaths:
             np.zeros(SK.k - 1, dtype=np.uint8),
             rng.integers(0, 4, size=30).astype(np.uint8),
         ]
-        sketches, ids = sketch_reads(reads, SK)
+        sketches, ids = _sketch_list(reads, SK)
         assert sketches.shape[0] == SK.layout.num_windows(30)
         assert (ids == 2).all()
         assert np.array_equal(sketches, sketch_sequence(reads[2], SK))
@@ -382,12 +383,12 @@ class TestSketchEdgePaths:
             np.zeros(2, dtype=np.uint8),
             np.zeros(0, dtype=np.uint8),
         ]
-        _, ids = sketch_reads(reads, SK)
+        _, ids = _sketch_list(reads, SK)
         assert (ids == 0).all()
 
     def test_all_ambiguous_read_yields_padded_sketch(self):
         read = np.full(30, 255, dtype=np.uint8)
-        sketches, ids = sketch_reads([read], SK)
+        sketches, ids = _sketch_list([read], SK)
         # windows exist but every k-mer is invalid -> all-pad rows
         assert sketches.shape[0] == SK.layout.num_windows(30)
         assert (sketches == SKETCH_PAD).all()

@@ -34,8 +34,9 @@ from repro.genomics.fasta import write_fasta
 from repro.genomics.fastq import FastqRecord, write_fastq
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
-from repro.parallel import OrderedReassembler, ParallelClassifier, ReadChunk
+from repro.parallel import OrderedReassembler, ParallelClassifier
 from repro.parallel.chunks import ChunkResult
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ncbi import write_ncbi_dump
 
@@ -96,7 +97,7 @@ def read_file(world, tmp_path):
 
 def _chunks(headers, seqs, size):
     return [
-        (headers[i : i + size], seqs[i : i + size])
+        (headers[i : i + size], PackedReads.from_reads(seqs[i : i + size]))
         for i in range(0, len(seqs), size)
     ]
 
@@ -150,7 +151,7 @@ class TestParallelClassifier:
         taxa2 = np.concatenate([r.classification.taxon for r in again])
         assert np.array_equal(taxa2, serial_taxa)
         assert sum(r.n_reads for r in results) == len(seqs)
-        assert all(r.worker_id >= 0 and r.compute_seconds >= 0 for r in results)
+        assert all(r.worker_id >= 0 for r in results)
 
     def test_worker_crash_raises_and_cleans_up(self, world):
         mc, headers, seqs = world
@@ -172,16 +173,12 @@ class TestParallelClassifier:
     def test_worker_task_error_surfaces_traceback(self, world):
         mc, headers, seqs = world
         engine = ParallelClassifier(mc.database, workers=WORKERS)
-        # malformed input now fails at parent-side packing; to reach
-        # the worker, poison a valid chunk's payload after validation
-        chunk = ReadChunk(
-            chunk_id=0,
-            headers=["broken"],
-            sequences=[np.zeros(60, dtype=np.uint8)],
-        )
-        chunk.packed.buffer = None  # worker-side sketch raises on this
+        # malformed input fails the parent-side check; to reach the
+        # worker, poison a valid chunk's payload after construction
+        packed = PackedReads.from_reads([np.zeros(60, dtype=np.uint8)])
+        packed.buffer = None  # worker-side sketch raises on this
         with pytest.raises(PipelineError, match="worker traceback"):
-            list(engine.classify_chunks([chunk]))
+            list(engine.classify_chunks([(["broken"], packed)]))
         assert engine.closed
 
     def test_abandoned_run_closes_engine(self, world):
@@ -198,16 +195,38 @@ class TestParallelClassifier:
         with pytest.raises(ValueError):
             ParallelClassifier(mc.database, workers=0)
 
-    def test_chunk_validation(self):
-        with pytest.raises(ValueError):
-            ReadChunk(chunk_id=0, headers=["a"], sequences=[])
-        with pytest.raises(ValueError):
-            ReadChunk(
-                chunk_id=0,
-                headers=["a"],
-                sequences=[np.zeros(4, dtype=np.uint8)],
-                mates=[],
-            )
+    def test_chunk_validation(self, world):
+        """A header count that differs from the chunk's reads is refused
+        in the parent, and the failed run closes the engine."""
+        mc, _, _ = world
+        read = np.zeros(4, dtype=np.uint8)
+        for headers, packed in (
+            (["a"], PackedReads.from_reads([])),
+            (["a"], PackedReads.from_reads([read, read])),
+            (["a", "b"], PackedReads.from_reads([read], [read])),
+        ):
+            engine = ParallelClassifier(mc.database, workers=1)
+            with pytest.raises(ValueError, match="headers for"):
+                list(engine.classify_chunks([(headers, packed)]))
+            assert engine.closed
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            pytest.param((["a"], [np.zeros(4, np.uint8)]), id="list-payload"),
+            pytest.param(
+                PackedReads.from_reads([np.zeros(4, np.uint8)]), id="bare-packed"
+            ),
+        ],
+    )
+    def test_rejects_other_chunk_shapes(self, world, item):
+        """Only ``(headers, PackedReads)`` items are chunks."""
+        mc, headers, seqs = world
+        engine = ParallelClassifier(mc.database, workers=1)
+        good = _chunks(headers, seqs, 40)[0]
+        with pytest.raises(TypeError, match=r"\(headers, PackedReads\)"):
+            list(engine.classify_chunks([good, item]))
+        assert engine.closed
 
 
 # ---------------------------------------------------------- spill lifetime

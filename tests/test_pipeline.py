@@ -3,7 +3,6 @@
 import gzip
 import threading
 
-import numpy as np
 import pytest
 
 from repro.errors import InvalidReadError
@@ -11,7 +10,7 @@ from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fasta import write_fasta
 from repro.genomics.fastq import FastqRecord, write_fastq
 import repro.pipeline.producer as producer_mod
-from repro.pipeline.producer import SequenceBatch, fasta_producer, read_file_producer
+from repro.pipeline.producer import fasta_producer, read_file_producer
 from repro.pipeline.queues import ClosableQueue
 from repro.pipeline.scheduler import run_producer_consumer
 
@@ -67,16 +66,6 @@ class TestClosableQueue:
         q.close_producer()
         with pytest.raises(RuntimeError):
             q.register_producer()
-
-
-class TestBatch:
-    def test_append_and_stats(self):
-        b = SequenceBatch()
-        b.append("h1", np.zeros(10, dtype=np.uint8), 0)
-        b.append("h2", np.zeros(5, dtype=np.uint8), 1)
-        assert len(b) == 2
-        assert b.total_bases == 15
-        assert b.ids == [0, 1]
 
 
 class TestProducers:

@@ -110,7 +110,10 @@ class _Classify(_Subject):
 
     def work(self, obj, world):
         headers, seqs = world["headers"], world["seqs"]
-        chunks = [(headers[i : i + 6], seqs[i : i + 6]) for i in range(0, 24, 6)]
+        chunks = [
+            (headers[i : i + 6], PackedReads.from_reads(seqs[i : i + 6]))
+            for i in range(0, 24, 6)
+        ]
         got = list(obj.classify_chunks(chunks))
         assert {r.worker_id for r in got} == {0, 1}
         ref = query_database(self._db, seqs)
@@ -354,7 +357,10 @@ def test_abandoned_classify_generator_closes_the_pool(world):
     engine = ParallelClassifier(db, workers=2)
     procs = _processes(engine._pool)
     headers, seqs = world["headers"], world["seqs"]
-    chunks = [(headers[i : i + 4], seqs[i : i + 4]) for i in range(0, 24, 4)]
+    chunks = [
+        (headers[i : i + 4], PackedReads.from_reads(seqs[i : i + 4]))
+        for i in range(0, 24, 4)
+    ]
     stream = engine.classify_chunks(chunks)
     next(stream)
     stream.close()  # abandoned mid-run

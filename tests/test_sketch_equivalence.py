@@ -27,10 +27,10 @@ from repro.hashing.sketch import (
     SketchParams,
     position_hashes,
     sketch_packed_segments,
-    sketch_reads,
     sketch_reads_packed,
     sketch_sequence,
 )
+from repro.pipeline.packed import PackedReads
 
 # the one canonical 16-mer whose h1 is 0xFFFFFFFF (found by scanning all 4**16)
 TOP_FEATURE_16MER = "GAGGATCAGTTTCTAA"
@@ -180,7 +180,8 @@ class TestNamedShapes:
     def test_empty_batch(self):
         params = SketchParams(k=8, sketch_size=4, window_size=24)
         assert assert_batch_identical([], params).shape == (0, 4)
-        sketches, ids = sketch_reads([], params)
+        empty = PackedReads.from_reads([])
+        sketches, ids = sketch_reads_packed(empty.buffer, empty.offsets, params)
         assert sketches.shape == (0, 4) and ids.dtype == np.int64 and ids.size == 0
 
     def test_paired_read_ids(self):
