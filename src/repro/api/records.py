@@ -107,14 +107,17 @@ class ClassificationColumns(Sequence[ReadClassification]):
         read_lengths: np.ndarray | None = None,
     ) -> "ClassificationColumns":
         """Columns of a vectorized Classification: name and rank are
-        looked up once per *distinct* taxon, unclassified reads get
-        :meth:`ReadClassification.unclassified`'s values."""
+        looked up once per *distinct* taxon (the rank labels of the
+        whole taxonomy are computed once, by ``db.lineages``),
+        unclassified reads get :meth:`ReadClassification.unclassified`'s
+        values."""
         n, top = len(headers), classification
         taxa = np.asarray(top.taxon[:n])
         distinct, inverse = np.unique(taxa, return_inverse=True)
-        ids = distinct.tolist()
-        names = [db.taxonomy.name_of(t) if t else UNCLASSIFIED_NAME for t in ids]
-        ranks = [db.lineages.rank_resolved(t).name.lower() if t else "-" for t in ids]
+        taxonomy, labels = db.taxonomy, db.lineages.rank_labels
+        dense = [taxonomy.index_of(t) if t else None for t in distinct.tolist()]
+        names = [UNCLASSIFIED_NAME if i is None else taxonomy.names[i] for i in dense]
+        ranks = ["-" if i is None else labels[i] for i in dense]
         hits = np.where(
             taxa != 0,
             [top.top_score[:n], top.best_target[:n],

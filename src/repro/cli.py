@@ -26,8 +26,9 @@ Subcommands:
 - ``info``    -- database summary (targets, windows, sizes).
 - ``merge``   -- combine per-partition candidate runs (Section 4.3).
 - ``convert`` -- rewrite a directory in a legacy layout (format v1,
-  pointer-table partitions, uint64 location words), which no other
-  command opens, in the one format this package writes and opens.
+  pointer-table partitions, uint64 location words, one-column
+  partitions without inline singletons), which no other command
+  opens, in the one format this package writes and opens.
 
 The CLI is a thin client of :mod:`repro.api`: every command is a few
 calls against the :class:`~repro.api.MetaCache` facade, so anything
@@ -370,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser(
         "convert",
         help="upgrade a legacy database directory (format v1, pointer-table "
-        "partitions or uint64 location words) to the current format",
+        "partitions, uint64 location words or one-column partitions) to the "
+        "current format",
     )
     c.add_argument("--db", required=True, help="source database directory")
     c.add_argument("--out", required=True, help="destination directory")

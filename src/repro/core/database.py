@@ -9,13 +9,17 @@ which is why the partitioned GPU database retains more locations per
 k-mer than the single CPU table and gains accuracy (Section 6.5).
 
 Builds (:mod:`repro.core.builder`) and loads alike produce the
-paper's **condensed layout** (Section 5.1): all location lists in one
-dense array, with the sorted features and the running sums of their
-list lengths pointing into it (the paper's GPU version uses a
-single-value hash table there).  Only
-``DatabaseBuilder.finalize(condense=False)`` leaves a partition
-holding a :class:`repro.warpcore.MultiBucketHashTable`;
-``Database.query_features`` answers from either.
+paper's **condensed layout** (Section 5.1), stored as two sorted
+columns per partition (:class:`SortedPointers`): a feature with one
+location keeps that 32-bit word inline beside it, and every longer
+list lies in one dense array that the running sums of the lengths
+point into (the paper's GPU version reaches every list through a
+single-value hash table).  Most features own one location, so the
+singles column saves an offsets entry each.  A lookup is one binary
+search over the singles and one over the multis for the singles'
+misses.  Only ``DatabaseBuilder.finalize(condense=False)`` leaves a
+partition holding a :class:`repro.warpcore.MultiBucketHashTable`;
+``Database.query_features`` and the query pipeline answer from either.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 
 from repro.core.config import MetaCacheParams
 from repro.errors import DatabaseFormatError
+from repro.sort.segmented import LocationKeyLayout
 from repro.taxonomy.lca import LcaIndex
 from repro.taxonomy.lineage import RankedLineages
 from repro.taxonomy.tree import Taxonomy
@@ -41,6 +46,7 @@ __all__ = [
     "location_word_fits",
     "NARROW_OFFSETS_LIMIT",
     "offsets_dtype",
+    "pack_locations",
     "SortedPointers",
     "TargetRecord",
     "DatabasePartition",
@@ -73,108 +79,240 @@ def location_word_fits(n_targets: int, max_window: int) -> bool:
     return free >= 0 and max(1, int(n_targets)) <= 1 << free
 
 
-#: a partition holding fewer locations than this stores ``<u4``
-#: offsets, any other ``<u8`` (:func:`offsets_dtype`)
+#: a partition whose multi column holds fewer locations than this
+#: stores ``<u4`` offsets, any other ``<u8`` (:func:`offsets_dtype`)
 NARROW_OFFSETS_LIMIT = 1 << 32
 # the largest storable feature: build tables clamp the sentinel onto it
 _LAST_FEATURE = np.uint32(0xFFFFFFFE)
 
 
 def offsets_dtype(n_locations: int) -> np.dtype:
-    """The offsets dtype of a partition holding ``n_locations`` locations."""
+    """The offsets dtype of a multi column holding ``n_locations`` locations."""
     return np.dtype("<u4" if n_locations < NARROW_OFFSETS_LIMIT else "<u8")
 
 
-class SortedPointers:
-    """Feature -> location-list pointer, as sorted keys plus running sums.
+def pack_locations(locations: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(words, targets, window_bits)`` of uint64 ``target << 32 | window``
+    locations.
 
-    ``features`` is strictly ascending ``<u4`` (the sentinel
-    ``0xFFFFFFFF`` never among them); the list of ``features[row]`` is
-    ``offsets[row]:offsets[row + 1]`` of the partition's dense location
-    array, so ``offsets`` (``n + 1`` entries, ``<u4`` or ``<u8``) starts
-    at 0 and ends at the location count.  The arrays are kept as handed
-    in -- for a memory-mapped index the ``np.memmap`` objects that
-    ``Database.close`` unmaps -- and lookups read base-``ndarray`` views
-    of them, taken once, because every index into an ``np.memmap`` pays
-    a Python-level ``__getitem__`` and ``__array_finalize__``.
+    The target map and ``window_bits`` come from the locations
+    themselves: the targets present, ascending, and each location's
+    rank among them -- one bincount and one running sum, no sort.
+    Target ids past the number of locations (no build makes them, a
+    hand-filled table can) would make the count longer than the input,
+    so those are ranked by ``np.unique``.  ``ValueError`` when targets
+    and windows do not fit one :data:`LOCATION_WORD_BITS`-bit word.
+    """
+    locations = np.asarray(locations, dtype=np.uint64)
+    target = (locations >> np.uint64(32)).astype(np.uint32)
+    if int(target.max(initial=0)) <= target.size:
+        present = np.bincount(target) > 0
+        targets = np.flatnonzero(present).astype(np.uint32)
+        local = (np.cumsum(present, dtype=np.uint32) - np.uint32(1)).take(target)
+    else:
+        targets, local = np.unique(target, return_inverse=True)
+        local = local.astype(np.uint32)
+    window = (locations & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    max_window = int(window.max(initial=0))
+    if not location_word_fits(targets.size, max_window):
+        raise ValueError(
+            f"{targets.size} targets with window ids up to {max_window} "
+            f"do not fit a {LOCATION_WORD_BITS}-bit location word"
+        )
+    window_bits = max_window.bit_length()
+    words = local << np.uint32(window_bits)
+    words |= window
+    return words, targets, window_bits
+
+
+def _search(keys: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(found, row)`` of every needle in one ascending key column; a
+    missing needle's row is its insertion point."""
+    row = np.searchsorted(keys, needles)
+    if not keys.size:
+        return np.zeros(row.size, dtype=bool), row
+    return keys.take(row, mode="clip") == needles, row
+
+
+class SortedPointers:
+    """Feature -> location words, as two sorted columns.
+
+    - **Singles.** ``single_features`` (strictly ascending ``<u4``) and
+      ``single_words`` (``<u4``): a feature with exactly one location
+      stores that word inline, where a pointer would be.
+    - **Multis.** ``multi_features`` (strictly ascending ``<u4``),
+      ``multi_offsets`` (``n + 1`` running sums, ``<u4`` or ``<u8``,
+      from 0 to the location count) and ``multi_locations`` (``<u4``):
+      the list of ``multi_features[row]`` is
+      ``multi_locations[offsets[row]:offsets[row + 1]]``, two or more
+      words.
+
+    No feature is in both columns, and the sentinel ``0xFFFFFFFF`` is
+    in neither.  The arrays are kept as handed in -- for a
+    memory-mapped index the ``np.memmap`` objects that
+    ``Database.close`` unmaps -- and lookups read base-``ndarray``
+    views of them, taken once, because every index into an
+    ``np.memmap`` pays a Python-level ``__getitem__`` and
+    ``__array_finalize__``.
     """
 
-    def __init__(self, features: np.ndarray, offsets: np.ndarray) -> None:
-        self.features = features
-        self.offsets = offsets
-        self._features = features.view(np.ndarray)
-        self._offsets = offsets.view(np.ndarray)
+    def __init__(
+        self,
+        single_features: np.ndarray,
+        single_words: np.ndarray,
+        multi_features: np.ndarray,
+        multi_offsets: np.ndarray,
+        multi_locations: np.ndarray,
+    ) -> None:
+        self.single_features = single_features
+        self.single_words = single_words
+        self.multi_features = multi_features
+        self.multi_offsets = multi_offsets
+        self.multi_locations = multi_locations
+        self._single_features = single_features.view(np.ndarray)
+        self._single_words = single_words.view(np.ndarray)
+        self._multi_features = multi_features.view(np.ndarray)
+        self._multi_offsets = multi_offsets.view(np.ndarray)
+        self._multi_locations = multi_locations.view(np.ndarray)
 
     @classmethod
-    def from_lengths(
-        cls, features: np.ndarray, lengths: np.ndarray
+    def split(
+        cls, features: np.ndarray, lengths: np.ndarray, words: np.ndarray
     ) -> "SortedPointers":
-        """Pointers of ascending ``features`` with lists of ``lengths``.
+        """The two columns of ascending ``features`` whose lists of
+        ``lengths`` lie dense in feature order in ``words``.
 
         ``ValueError``: features that are not strictly ascending, the
-        sentinel (or a feature past 32 bits), or a negative length.
+        sentinel (or a feature past 32 bits), an empty list, or lengths
+        that do not add up to the words.
         """
         features = np.asarray(features)
         lengths = np.asarray(lengths, dtype=np.int64)
+        words = np.asarray(words, dtype=np.uint32)
         if features.size and not (
             0 <= int(features.min()) and int(features.max()) <= _LAST_FEATURE
         ):
             raise ValueError("a feature is the sentinel 0xFFFFFFFF or past 32 bits")
-        if lengths.size and int(lengths.min()) < 0:
-            raise ValueError("negative location-list length")
-        offsets = np.zeros(lengths.size + 1, dtype=offsets_dtype(int(lengths.sum())))
-        offsets[1:] = np.cumsum(lengths)
-        pointers = cls(features.astype("<u4"), offsets)
-        pointers.validate(int(offsets[-1]))  # what is left: the order
-        return pointers
+        if lengths.size != features.size or int(lengths.sum()) != words.size:
+            raise ValueError("list lengths do not add up to the location words")
+        if lengths.size and int(lengths.min()) < 1:
+            raise ValueError("empty location list")
+        if np.any(features[1:] <= features[:-1]):
+            raise ValueError("features are not strictly ascending")
+        single = lengths == 1
+        singles = np.flatnonzero(single)
+        multis = np.flatnonzero(~single)
+        # the one word of a single is the last (only) word of its list
+        at = np.cumsum(lengths).take(singles)
+        at -= 1
+        in_multi = np.ones(words.size, dtype=bool)
+        in_multi[at] = False
+        multi_lengths = lengths.take(multis)
+        offsets = np.zeros(multis.size + 1, dtype=offsets_dtype(words.size - at.size))
+        offsets[1:] = np.cumsum(multi_lengths)
+        # disjoint, ascending columns by construction: nothing to validate
+        return cls(
+            features.take(singles).astype("<u4"),
+            words.take(at),
+            features.take(multis).astype("<u4"),
+            offsets,
+            words.compress(in_multi),
+        )
 
     def __len__(self) -> int:
-        return int(self.features.size)
+        return int(self.single_features.size + self.multi_features.size)
 
     @property
-    def nbytes(self) -> int:
-        return int(self.features.nbytes) + int(self.offsets.nbytes)
+    def n_locations(self) -> int:
+        """Location words stored, in both columns."""
+        return int(self.single_words.size + self.multi_locations.size)
 
-    def validate(self, n_locations: int) -> None:
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The five arrays by manifest key, in file order."""
+        return {
+            "single.features": self.single_features,
+            "single.words": self.single_words,
+            "multi.features": self.multi_features,
+            "multi.offsets": self.multi_offsets,
+            "multi.locations": self.multi_locations,
+        }
+
+    def validate(self) -> None:
         """Check the whole arrays; ``ValueError`` names the first fault."""
-        keys, offsets = self._features, self._offsets
-        if np.any(keys[1:] <= keys[:-1]):
-            raise ValueError("features are not strictly ascending")
-        if keys.size and keys[-1] > _LAST_FEATURE:
-            raise ValueError("the sentinel 0xFFFFFFFF is stored as a feature")
-        if offsets.size != keys.size + 1 or int(offsets[0]) != 0:
-            raise ValueError("offsets do not start at 0")
+        singles, multis = self._single_features, self._multi_features
+        offsets = self._multi_offsets
+        for name, keys in (("single", singles), ("multi", multis)):
+            if np.any(keys[1:] <= keys[:-1]):
+                raise ValueError(f"{name} features are not strictly ascending")
+            if keys.size and keys[-1] > _LAST_FEATURE:
+                raise ValueError("the sentinel 0xFFFFFFFF is stored as a feature")
+        if self._single_words.size != singles.size:
+            raise ValueError("single words and single features differ in count")
+        if offsets.size != multis.size + 1 or int(offsets[0]) != 0:
+            raise ValueError("multi offsets do not start at 0")
         if np.any(offsets[1:] < offsets[:-1]):
-            raise ValueError("offsets decrease")
-        if int(offsets[-1]) != n_locations:
+            raise ValueError("multi offsets decrease")
+        if np.any(offsets[1:] - offsets[:-1] < 2):
+            raise ValueError("a multi-column list holds fewer than two locations")
+        if int(offsets[-1]) != self._multi_locations.size:
             raise ValueError(
-                f"offsets end at {int(offsets[-1])}, not at the "
-                f"{n_locations} locations"
+                f"multi offsets end at {int(offsets[-1])}, not at the "
+                f"{self._multi_locations.size} multi-column locations"
             )
+        if np.intersect1d(singles, multis, assume_unique=True).size:
+            raise ValueError("a feature is stored in both columns")
 
-    def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(row, found)`` of every feature: one binary search each.
+    def lookup(
+        self, features: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(words, starts, lengths)``: every feature's list is
+        ``words[start : start + length]`` (empty if missing).
 
-        The needles are cast to the keys' ``<u4`` (a uint64 cast of the
-        keys would copy the whole column on every call), and
-        ``0xFFFFFFFF`` is clamped onto ``0xFFFFFFFE`` as the build
-        tables clamp it on insert.  A missing feature's row is its
-        insertion point, in ``0..len(self)``.
+        One binary search over the singles, and one over the multis for
+        the singles' misses only.  ``words`` holds the singles' hits
+        first, then the multi lists, each once per needle: its order is
+        not the features' order.  The needles are cast to the keys'
+        ``<u4`` (a uint64 cast of the keys would copy a whole column on
+        every call), and ``0xFFFFFFFF`` is clamped onto ``0xFFFFFFFE``
+        as the build tables clamp it on insert.  ``IndexError`` when an
+        offset read decreases or lies outside the multi locations (a
+        corrupt partition).
         """
         needles = np.minimum(
             np.asarray(features).astype(np.uint32, copy=False), _LAST_FEATURE
         )
-        row = np.searchsorted(self._features, needles)
-        if not self._features.size:
-            return row, np.zeros(row.size, dtype=bool)
-        return row, self._features.take(row, mode="clip") == needles
+        single, row = _search(self._single_features, needles)
+        hits = np.flatnonzero(single)
+        misses = np.flatnonzero(~single)
+        found, multi_row = _search(self._multi_features, needles.take(misses))
+        begin = self._multi_offsets.take(multi_row).astype(np.int64)
+        multi_lengths = self._multi_offsets.take(multi_row + found).astype(np.int64)
+        multi_lengths -= begin  # int64: a uint32 difference would wrap
+        if multi_lengths.size and (
+            int(multi_lengths.min()) < 0
+            or int(begin.min()) < 0
+            or int((begin + multi_lengths).max()) > self._multi_locations.size
+        ):
+            raise IndexError("an offset decreases or lies past the location array")
+        words = np.concatenate((
+            self._single_words.take(row.take(hits)),
+            gather_segments(self._multi_locations, begin, multi_lengths),
+        ))
+        starts = np.empty(needles.size, dtype=np.int64)
+        lengths = np.empty(needles.size, dtype=np.int64)
+        starts[hits] = np.arange(hits.size)
+        lengths[hits] = 1
+        ends = np.cumsum(multi_lengths)
+        ends += hits.size
+        starts[misses] = ends - multi_lengths
+        lengths[misses] = multi_lengths
+        return words, starts, lengths
 
-    def spans(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """int64 ``(start, end)`` of every feature's list (empty if missing)."""
-        row, found = self.retrieve(features)
-        starts = self._offsets.take(row).astype(np.int64)
-        ends = self._offsets.take(row + found).astype(np.int64)
-        return starts, ends
+    def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(length, found)`` of every feature: its list length (0 when
+        missing) and whether either column stores it."""
+        lengths = self.lookup(features)[2]
+        return lengths, lengths > 0
 
     def drop_arrays(self) -> None:
         """Let go of the arrays, views first (the pointers are dead after).
@@ -184,27 +322,29 @@ class SortedPointers:
         every mapped index before unmapping, whoever else still holds
         the pointers object.
         """
-        self._features = self._offsets = None
-        self.features = self.offsets = None
+        self._single_features = self._single_words = None
+        self._multi_features = self._multi_offsets = self._multi_locations = None
+        self.single_features = self.single_words = None
+        self.multi_features = self.multi_offsets = self.multi_locations = None
 
 
 @dataclass
 class CondensedIndex:
-    """The load-from-disk layout: dense buckets + sorted pointers.
+    """The load-from-disk layout: two sorted columns of location words.
 
-    ``locations`` holds every feature's location list contiguously as
-    uint32 words ``local << window_bits | window``: ``local`` is the
-    target's rank in ``targets`` (the ascending target ids present in
-    the partition) and ``window_bits`` the bit length of the largest
-    window id.  ``pointers`` (:class:`SortedPointers`) maps a feature
-    to its list by binary search over the sorted features; the paper's
-    GPU version uses a single-value hash table there (Section 5.1),
-    which in NumPy costs more bytes and a probe walk per lookup.
-    :meth:`retrieve` expands the words back to the uint64
-    ``target << 32 | window`` locations every other layer sees.
+    Every location is a uint32 word ``local << window_bits | window``:
+    ``local`` is the target's rank in ``targets`` (the ascending target
+    ids present in the partition) and ``window_bits`` the bit length of
+    the largest window id.  ``pointers`` (:class:`SortedPointers`) maps
+    a feature to its words by binary search: a singleton's word inline,
+    a longer list through running sums; the paper's GPU version uses a
+    single-value hash table there (Section 5.1), which in NumPy costs
+    more bytes and a probe walk per lookup.  :meth:`location_keys`
+    turns a lookup straight into the query tail's keys;
+    :meth:`retrieve` expands it back to the uint64
+    ``target << 32 | window`` locations, in feature order.
     """
 
-    locations: np.ndarray
     pointers: SortedPointers
     targets: np.ndarray
     window_bits: int
@@ -223,51 +363,43 @@ class CondensedIndex:
     def from_content(
         cls, features: np.ndarray, lengths: np.ndarray, locations: np.ndarray
     ) -> "CondensedIndex":
-        """Index canonical content (sorted features, dense ``locations``).
+        """Index canonical content: ascending features, their list
+        lengths, and uint64 ``locations`` dense in feature order.
 
-        ``ValueError``: features not strictly ascending, the sentinel
-        feature, or content whose targets and windows do not fit one
-        word.
+        Packs the words (:func:`pack_locations`) and splits the lists by
+        length once.  ``ValueError``: features not strictly ascending,
+        the sentinel feature, an empty list, or content whose targets
+        and windows do not fit one word.
         """
-        pointers = SortedPointers.from_lengths(features, lengths)
-        return cls.from_locations(locations, pointers)
+        words, targets, window_bits = pack_locations(locations)
+        return cls(SortedPointers.split(features, lengths, words), targets, window_bits)
 
-    @classmethod
-    def from_locations(
-        cls, locations: np.ndarray, pointers: SortedPointers
-    ) -> "CondensedIndex":
-        """Pack uint64 ``target << 32 | window`` locations into words.
+    def location_keys(
+        self, features: np.ndarray
+    ) -> tuple[LocationKeyLayout, np.ndarray, np.ndarray, np.ndarray]:
+        """``(layout, keys, starts, lengths)``: the
+        :meth:`SortedPointers.lookup` of a feature batch with every word
+        turned into its ``(target | window)`` key
+        (:meth:`LocationKeyLayout.of_words`).
 
-        The target map and ``window_bits`` come from the locations
-        themselves: the targets present, ascending, and each location's
-        rank among them -- one bincount and one running sum, no sort.
-        Target ids past the number of locations (no build makes them,
-        a hand-filled table can) would make the count longer than the
-        input, so those are ranked by ``np.unique``.  ``ValueError``
-        when targets and windows do not fit one
-        :data:`LOCATION_WORD_BITS`-bit word.
+        ``IndexError`` when a word's local target is outside the map or
+        an offset is corrupt.
         """
-        locations = np.asarray(locations, dtype=np.uint64)
-        target = (locations >> np.uint64(32)).astype(np.uint32)
-        if int(target.max(initial=0)) <= target.size:
-            present = np.bincount(target) > 0
-            targets = np.flatnonzero(present).astype(np.uint32)
-            local = (np.cumsum(present, dtype=np.uint32) - np.uint32(1)).take(target)
-        else:
-            targets, local = np.unique(target, return_inverse=True)
-            local = local.astype(np.uint32)
-        window = (locations & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        max_window = int(window.max(initial=0))
-        if not location_word_fits(targets.size, max_window):
-            raise ValueError(
-                f"{targets.size} targets with window ids up to {max_window} "
-                f"do not fit a {LOCATION_WORD_BITS}-bit location word"
-            )
-        window_bits = max_window.bit_length()
-        words = local << np.uint32(window_bits)
-        words |= window
-        return cls(locations=words, pointers=pointers,
-                   targets=targets, window_bits=window_bits)
+        words, starts, lengths = self.pointers.lookup(features)
+        layout, keys = LocationKeyLayout.of_words(words, self.targets, self.window_bits)
+        return layout, keys, starts, lengths
+
+    def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Same contract as ``MultiBucketHashTable.retrieve``: the uint64
+        locations of every feature in feature order, and their offsets.
+
+        ``IndexError`` when a word's local target is outside the map or
+        an offset is corrupt.
+        """
+        words, starts, lengths = self.pointers.lookup(features)
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return self.expand(gather_segments(words, starts, lengths)), offsets
 
     def expand(self, words: np.ndarray) -> np.ndarray:
         """uint64 ``target << 32 | window`` of this index's location words.
@@ -279,32 +411,50 @@ class CondensedIndex:
         expanded |= words & np.uint32((1 << self.window_bits) - 1)
         return expanded
 
-    def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Same contract as ``MultiBucketHashTable.retrieve``.
+    def content(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Canonical ``(features, lengths, words)``: uint64 features
+        ascending across both columns, int64 list lengths, and the words
+        dense in that order (a fresh copy of the whole index)."""
+        p = self.pointers
+        n_single = p.single_features.size
+        offsets = np.asarray(p.multi_offsets).astype(np.int64)
+        features = np.concatenate((p.single_features, p.multi_features))
+        order = np.argsort(features, kind="stable")
+        lengths = np.concatenate((np.ones(n_single, np.int64), np.diff(offsets)))
+        starts = np.concatenate((np.arange(n_single), offsets[:-1] + n_single))
+        lengths = lengths.take(order)
+        words = gather_segments(
+            np.concatenate((p.single_words, p.multi_locations)),
+            starts.take(order), lengths,
+        )
+        return features.take(order).astype(np.uint64), lengths, words
 
-        ``IndexError`` when an offset read decreases or lies outside
-        the location array (a corrupt partition).
+    @property
+    def locations(self) -> np.ndarray:
+        """Every stored location word, dense in feature order (a copy)."""
+        return self.content()[2]
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every array of the partition by manifest key, in file order:
+        what a save writes and what a memory-mapped open maps."""
+        return {**self.pointers.arrays(), "targets": self.targets}
+
+    def drop_arrays(self) -> list:
+        """Let go of every array; returns the memory maps behind them.
+
+        ``Database.close`` calls this on every index before unmapping
+        what it returns (the pointers' lookup views go first).
         """
-        starts, ends = self.pointers.spans(features)
-        lengths = ends - starts  # int64: a uint32 difference would wrap
-        if lengths.size and (
-            int(lengths.min()) < 0
-            or int(starts.min()) < 0
-            or int(ends.max()) > self.locations.size
-        ):
-            raise IndexError("an offset decreases or lies past the location array")
-        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        words = gather_segments(self.locations, starts, lengths)
-        return self.expand(words), offsets
+        maps = [
+            mm for array in self.arrays().values()
+            if (mm := getattr(array, "_mmap", None)) is not None
+        ]
+        self.pointers.drop_arrays()
+        return maps
 
     @property
     def nbytes(self) -> int:
-        return (
-            int(self.locations.nbytes)
-            + int(self.targets.nbytes)
-            + self.pointers.nbytes
-        )
+        return sum(int(array.nbytes) for array in self.arrays().values())
 
 
 @dataclass
@@ -316,25 +466,46 @@ class DatabasePartition:
     condensed: CondensedIndex | None = None
 
     def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Location lists of a feature batch (``retrieve`` contract).
+        """Location lists of a feature batch (``retrieve`` contract)."""
+        if self.condensed is None:
+            return self._table().retrieve(features)
+        return self._read(CondensedIndex.retrieve, features)
 
-        A plain ``mmap=True`` open skips the eager content checks, so a
-        corrupt location word first shows up here, as an index past the
-        end of the target map, and a corrupt offset as one that
-        decreases or points past the location array: either raises
-        :class:`DatabaseFormatError` naming this partition.
+    def location_keys(
+        self, features: np.ndarray
+    ) -> tuple[LocationKeyLayout, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`CondensedIndex.location_keys` of a feature batch.
+
+        A build-layout table (whose content need not fit a 32-bit word)
+        answers with uint64 locations, squeezed into the same keys.
         """
-        if self.condensed is not None:
-            try:
-                return self.condensed.retrieve(features)
-            except IndexError as exc:
-                raise DatabaseFormatError(
-                    f"partition {self.partition_id}: corrupt index, a location "
-                    f"word or offset lies outside its array ({exc})"
-                ) from exc
+        if self.condensed is None:
+            locations, offsets = self._table().retrieve(features)
+            layout = LocationKeyLayout.of(locations)
+            return layout, layout.squeeze(locations), offsets[:-1], np.diff(offsets)
+        return self._read(CondensedIndex.location_keys, features)
+
+    def _table(self) -> MultiBucketHashTable:
         if self.table is None:
             raise RuntimeError("partition has neither build nor condensed layout")
-        return self.table.retrieve(features)
+        return self.table
+
+    def _read(self, method, features: np.ndarray):
+        """``method(index, features)``, naming this partition on corruption.
+
+        A plain ``mmap=True`` open skips the eager content checks, so a
+        corrupt location word first shows up in a lookup, as an index
+        past the end of the target map, and a corrupt offset as one
+        that decreases or points past the location array: either raises
+        :class:`DatabaseFormatError` naming this partition.
+        """
+        try:
+            return method(self.condensed, features)
+        except IndexError as exc:
+            raise DatabaseFormatError(
+                f"partition {self.partition_id}: corrupt index, a location "
+                f"word or offset lies outside its array ({exc})"
+            ) from exc
 
     @property
     def nbytes(self) -> int:
@@ -345,7 +516,7 @@ class DatabasePartition:
     def condense(self) -> None:
         """Switch to the condensed layout (drops the build table)."""
         if self.condensed is None:
-            self.condensed = CondensedIndex.from_table(self.table)
+            self.condensed = CondensedIndex.from_table(self._table())
             self.table = None
 
 
@@ -510,19 +681,10 @@ class Database:
     def _close_now(self) -> None:
         """Drop index content and unmap mmap-backed arrays."""
 
-        def strip(p: DatabasePartition) -> "list[object]":
-            # collect the backing mmap objects while dropping every
-            # array reference, so no dangling view outlives the close
-            found: list[object] = []
-            if p.condensed is not None:
-                cond = p.condensed
-                pointers = cond.pointers
-                for array in (cond.locations, pointers.features, pointers.offsets):
-                    mm = getattr(array, "_mmap", None)
-                    if mm is not None:
-                        found.append(mm)
-                # the pointers' lookup views are exports of those maps
-                pointers.drop_arrays()
+        def strip(p: DatabasePartition) -> list:
+            # drop every array reference, so no dangling view outlives
+            # the close, and collect the maps behind them
+            found = p.condensed.drop_arrays() if p.condensed is not None else []
             p.condensed = None
             p.table = None
             return found

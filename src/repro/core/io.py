@@ -1,32 +1,38 @@
 """Database persistence: one index format, one writer (Section 4.3).
 
 A saved database is a directory holding the condensed layout (Section
-5.1) exactly as a query uses it: per partition one dense concatenated
-array of 32-bit location words, the partition's target map, the
-sorted features and the running sums of their list lengths.  Arrays
-are plain page-aligned ``.npy`` files described by a ``manifest.json``
+5.1) exactly as a query uses it: per partition two sorted columns of
+32-bit location words and the partition's target map.  Arrays are
+plain page-aligned ``.npy`` files described by a ``manifest.json``
 with per-array CRC-32 checksums::
 
-    database.meta          # JSON: format_version=2, params, targets
-    nodes.dmp, names.dmp   # NCBI-format taxonomy dumps
-    manifest.json          # per-array files/dtypes/shapes/CRC-32s,
-                           # feature/location counts, window_bits
-    part<P>.locations.npy  # uint32 words local << window_bits | window,
-                           # dense concatenated location lists
-    part<P>.targets.npy    # uint32, ascending target ids present in the
-                           # partition (local target -> target id)
-    part<P>.features.npy   # uint32, strictly ascending features
-    part<P>.offsets.npy    # n_features + 1 running sums into locations:
-                           # uint32 below 2^32 locations, else uint64
+    database.meta               # JSON: format_version=2, params, targets
+    nodes.dmp, names.dmp        # NCBI-format taxonomy dumps
+    manifest.json               # per-array files/dtypes/shapes/CRC-32s,
+                                # feature/location counts, window_bits
+    part<P>.single.features.npy # uint32, strictly ascending features
+                                # that own exactly one location
+    part<P>.single.words.npy    # uint32, that one location word each
+    part<P>.multi.features.npy  # uint32, strictly ascending features
+                                # that own two or more locations
+    part<P>.multi.offsets.npy   # n_multi + 1 running sums into
+                                # multi.locations: uint32 below 2^32
+                                # locations, else uint64
+    part<P>.multi.locations.npy # uint32 words, the multis' lists dense
+                                # in feature order
+    part<P>.targets.npy         # uint32, ascending target ids present in
+                                # the partition (local target -> target id)
 
-A location word's ``local`` field is the target's rank in the target
-map and ``window_bits`` (in the manifest entry) the bit length of the
-partition's largest window id; both follow from the content, and
-``CondensedIndex.retrieve`` expands the words back to the uint64
-``target << 32 | window`` locations every other layer sees.  Feature
-``features[i]`` owns ``locations[offsets[i]:offsets[i + 1]]``; a
-lookup is one binary search per feature.  The manifest records the
-offsets dtype the way it records the location dtype.
+A location word is ``local << window_bits | window``: ``local`` is the
+target's rank in the target map and ``window_bits`` (in the manifest
+entry) the bit length of the partition's largest window id; both
+follow from the content.  Feature ``multi.features[i]`` owns
+``multi.locations[offsets[i]:offsets[i + 1]]``; no feature is in both
+columns.  A lookup is one binary search over the singles and one over
+the multis for the singles' misses.  The manifest entry lists the six
+arrays by these keys, records the offsets dtype the way it records
+every dtype, and counts ``n_features`` and ``n_locations`` over both
+columns.
 
 ``load_database`` wraps the arrays as they are -- **zero rebuild**;
 with ``mmap=True`` also **zero copy**: cold open is O(metadata), the
@@ -38,7 +44,8 @@ the GPU version and vice versa".
 
 This is the one layout that opens.  A directory written before it (a
 format v1 directory, or a v2 manifest entry listing the slot arrays of
-a pointer table) is refused with :class:`DatabaseFormatError` before
+a pointer table or the one ``features`` / ``offsets`` column that kept
+singletons behind pointers too) is refused with :class:`DatabaseFormatError` before
 any array is opened; :mod:`repro.core.legacy`, reached only by
 ``convert`` (``metacache-repro convert``), reads those and rewrites
 them in this layout.  :func:`check_format_version`,
@@ -92,9 +99,14 @@ _MANIFEST_NAME = "manifest.json"
 _NPY_ALIGN = 4096  # data payload starts on a page boundary
 _NPY_MAGIC = b"\x93NUMPY\x01\x00"
 
-# manifest key == file suffix of every per-partition array, in order;
-# all are <u4 but the offsets, whose dtype the manifest records
-_V2_ARRAYS = ("locations", "targets", "features", "offsets")
+# manifest key == file suffix of every per-partition array, in file
+# order (CondensedIndex.arrays); all are <u4 but the offsets, whose
+# dtype the manifest records
+_ARRAYS = (
+    "single.features", "single.words", "multi.features", "multi.offsets",
+    "multi.locations", "targets",
+)
+_OFFSETS = "multi.offsets"
 _OFFSETS_DTYPES = ("<u4", "<u8")
 
 
@@ -258,19 +270,15 @@ def _condensed_content(
     if part.condensed is None:
         return part.table.condensed_content()
     cond = part.condensed
-    pointers = cond.pointers
-    return (
-        pointers.features.astype(np.uint64),
-        np.diff(pointers.offsets.astype(np.int64)),
-        cond.expand(cond.locations),
-    )
+    features, lengths, words = cond.content()
+    return features, lengths, cond.expand(words)
 
 
 def _write_partitions(db: Database, directory: Path) -> list[Path]:
     """Aligned ``.npy`` files per partition + the checksum manifest.
 
     Every partition a build or a load produces is written from the
-    arrays it holds (sorted pointers are always dense, so nothing is
+    arrays it holds (both columns are always dense, so nothing is
     re-pointed); only a partition holding a build-layout table
     (``finalize(condense=False)``) is condensed in place first.
     """
@@ -281,18 +289,19 @@ def _write_partitions(db: Database, directory: Path) -> list[Path]:
         if part.condensed is None:
             part.condense()
         cond = part.condensed
-        pointers = cond.pointers
-        n_locations = int(cond.locations.size)
-        arrays = (cond.locations, cond.targets, pointers.features, pointers.offsets)
-        dtypes = ("<u4", "<u4", "<u4", offsets_dtype(n_locations).str)
+        arrays = cond.arrays()
         entry: dict = {
             "partition_id": p,
-            "n_features": len(pointers),
-            "n_locations": n_locations,
+            "n_features": len(cond.pointers),
+            "n_locations": cond.pointers.n_locations,
             "window_bits": cond.window_bits,
             "arrays": {},
         }
-        for key, dtype, array in zip(_V2_ARRAYS, dtypes, arrays):
+        for key, array in arrays.items():
+            dtype = (
+                offsets_dtype(arrays["multi.locations"].size).str
+                if key == _OFFSETS else "<u4"
+            )
             array = np.ascontiguousarray(array, dtype=np.dtype(dtype))
             path = directory / f"part{p}.{key}.npy"
             entry["arrays"][key] = {
@@ -493,20 +502,26 @@ def _manifest_entries(directory: Path, n_partitions: int) -> list[dict]:
     return parts
 
 
-def _lists_pointer_table(entry) -> bool:
-    """Whether a manifest entry is a legacy pointer-table partition."""
+def _legacy_entry_layout(entry) -> str | None:
+    """What legacy layout a manifest entry lists, if any."""
     arrays = entry.get("arrays") if isinstance(entry, dict) else None
-    return isinstance(arrays, dict) and "ptr_keys" in arrays
+    if not isinstance(arrays, dict):
+        return None
+    if "ptr_keys" in arrays:
+        return "hash-table pointers"
+    if "offsets" in arrays:
+        return "one pointer column, singletons not inline"
+    return None
 
 
 def read_manifest(directory: Path, n_partitions: int) -> list[dict]:
-    """:func:`_manifest_entries`, refusing legacy pointer-table partitions."""
+    """:func:`_manifest_entries`, refusing partitions of a legacy layout."""
     entries = _manifest_entries(directory, n_partitions)
     for pid, entry in enumerate(entries):
-        if _lists_pointer_table(entry):
+        layout = _legacy_entry_layout(entry)
+        if layout is not None:
             raise _legacy_layout_error(
-                directory / _MANIFEST_NAME,
-                f"partition {pid} (hash-table pointers)",
+                directory / _MANIFEST_NAME, f"partition {pid} ({layout})"
             )
     return entries
 
@@ -538,11 +553,11 @@ def _load_partition(
         arrays = {
             key: _open_array(
                 directory, entry, key,
-                _OFFSETS_DTYPES if key == "offsets" else ("<u4",),
+                _OFFSETS_DTYPES if key == _OFFSETS else ("<u4",),
                 mmap=mmap and key != "targets",  # the map is metadata-sized
                 verify=verify,
             )
-            for key in _V2_ARRAYS
+            for key in _ARRAYS
         }
         n_features, n_locations = int(entry["n_features"]), int(entry["n_locations"])
         window_bits = int(entry["window_bits"])
@@ -552,33 +567,35 @@ def _load_partition(
         raise DatabaseFormatError(
             f"{manifest_path}: corrupt manifest for partition {pid} ({exc!r})"
         ) from exc
-    locations, targets = arrays["locations"], arrays["targets"]
+    targets = arrays.pop("targets")
+    pointers = SortedPointers(*arrays.values())
     # header-only checks (no payload reads; mmap open stays O(metadata))
     if (
-        arrays["features"].size != n_features
-        or arrays["offsets"].size != n_features + 1
-        or locations.size != n_locations
+        pointers.single_words.size != pointers.single_features.size
+        or pointers.multi_offsets.size != pointers.multi_features.size + 1
+        or len(pointers) != n_features
+        or pointers.n_locations != n_locations
     ):
         raise DatabaseFormatError(
             f"{manifest_path}: partition {pid} array sizes disagree with manifest"
         )
     # deep checks whenever the payload is (or will be) resident anyway:
-    # eager loads and verify=True check the pointers and words queries
+    # eager loads and verify=True check the columns and words queries
     # read; a plain mmap open skips them by contract (cold open must
-    # not fault the index in), and retrieve checks the offsets it
+    # not fault the index in), and a lookup checks the offsets it
     # reads instead
     return _word_index(
-        locations, SortedPointers(arrays["features"], arrays["offsets"]),
-        targets, window_bits, manifest_path, pid, deep=not mmap or verify,
+        pointers, targets, window_bits, manifest_path, pid,
+        deep=not mmap or verify,
     )
 
 
 def _word_index(
-    locations: np.ndarray, pointers: SortedPointers, targets: np.ndarray,
-    window_bits: int, manifest_path: Path, pid: int, *, deep: bool,
+    pointers: SortedPointers, targets: np.ndarray, window_bits: int,
+    manifest_path: Path, pid: int, *, deep: bool,
 ) -> CondensedIndex:
     """Wrap a partition of 32-bit words after checking its target map;
-    ``deep``: also the pointers and every word (reads the payload)."""
+    ``deep``: also both columns and every word (reads the payload)."""
     # 32: the widest window field a uint32 word has room for
     if not (0 <= window_bits <= 32 and location_word_fits(
         targets.size, (1 << window_bits) - 1
@@ -594,21 +611,19 @@ def _word_index(
         )
     if deep:
         try:
-            pointers.validate(locations.size)
+            pointers.validate()
         except ValueError as exc:
             raise DatabaseFormatError(
                 f"{manifest_path}: pointers of partition {pid} do not match "
-                f"its location array ({exc})"
+                f"its location arrays ({exc})"
             ) from exc
-        if locations.size and int(locations.max()) >> window_bits >= targets.size:
-            raise DatabaseFormatError(
-                f"{manifest_path}: location words of partition {pid} name "
-                "targets outside its target map"
-            )
-    return CondensedIndex(
-        locations=locations, pointers=pointers, targets=targets,
-        window_bits=window_bits,
-    )
+        for words in (pointers.single_words, pointers.multi_locations):
+            if words.size and int(words.max()) >> window_bits >= targets.size:
+                raise DatabaseFormatError(
+                    f"{manifest_path}: location words of partition {pid} name "
+                    "targets outside its target map"
+                )
+    return CondensedIndex(pointers=pointers, targets=targets, window_bits=window_bits)
 
 
 def _open_npy(

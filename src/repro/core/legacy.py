@@ -11,11 +11,17 @@ the one writer, file for file what a fresh save writes:
   arrays of a single-value hash table (``ptr_keys`` / ``ptr_values``,
   values ``offset << 24 | length``) beside 32-bit location words and
   a target map, or beside uint64 locations (any other columns of that
-  age are ignored).
+  age are ignored);
+- **one-column partitions**: a v2 manifest entry listing every feature
+  in one ``features`` column with the running sums of the list
+  lengths (``offsets``) into one dense array of 32-bit ``locations``,
+  beside the target map -- singletons not yet inline.
 
-Each is reduced to sorted pointers plus its locations; uint64
-locations are packed by :meth:`CondensedIndex.from_locations`, 32-bit
-words get the open path's checks.  Any fault, or a partition that does
+Each is reduced to its canonical content (sorted features, list
+lengths, locations dense in that order) and split into the two
+columns; uint64 locations are packed by
+:func:`~repro.core.database.pack_locations`, 32-bit words get the open
+path's checks.  Any fault, or a partition that does
 not fit one 32-bit word, raises :class:`DatabaseFormatError`.
 """
 
@@ -35,7 +41,8 @@ from repro.core.database import (
 )
 from repro.core.io import (
     _MANIFEST_NAME,
-    _lists_pointer_table,
+    _OFFSETS_DTYPES,
+    _legacy_entry_layout,
     _load_taxonomy,
     _manifest_entries,
     _open_array,
@@ -80,13 +87,15 @@ def _load_any(directory: Path, *, verify: bool) -> Database:
     params, targets, n_partitions = read_metadata(meta, meta_path)
     if not v1:
         entries = _manifest_entries(directory, n_partitions)
-        if not any(map(_lists_pointer_table, entries)):
+        if not any(map(_legacy_entry_layout, entries)):
             return load_database(directory, verify=verify)
     taxonomy = _load_taxonomy(directory, targets, meta_path)
     return Database(params, taxonomy, [
         DatabasePartition(pid, None, (
             _v1_index(directory / f"database.cache{pid}", pid) if v1 else
             _pointer_table_index(directory, entries[pid], pid, verify=verify)
+            if "ptr_keys" in entries[pid]["arrays"] else
+            _one_column_index(directory, entries[pid], pid, verify=verify)
         )) for pid in range(n_partitions)
     ], targets)
 
@@ -110,7 +119,8 @@ def _v1_index(cache_path: Path, pid: int) -> CondensedIndex:
         )
     try:
         return CondensedIndex.from_content(features, lengths, locations)
-    except ValueError as exc:  # unsorted features, the sentinel, word overflow
+    except ValueError as exc:  # unsorted features, the sentinel, word overflow,
+        # an empty list
         raise DatabaseFormatError(
             f"{cache_path}: invalid feature or location in partition {pid} "
             f"({exc})"
@@ -166,21 +176,81 @@ def _pointer_table_index(
         raise DatabaseFormatError(
             f"{manifest_path}: corrupt location array (partition {pid})"
         )
-    try:
-        pointers = SortedPointers.from_lengths(features, lengths)
-    except ValueError as exc:  # a key stored in two slots
+    if np.any(features[1:] == features[:-1]):
         raise DatabaseFormatError(
-            f"{manifest_path}: pointer table of partition {pid} is corrupt ({exc})"
-        ) from exc
-    if window_bits is not None:
-        return _word_index(
-            locations, pointers, arrays["targets"], window_bits,
-            manifest_path, pid, deep=True,
+            f"{manifest_path}: pointer table of partition {pid} is corrupt "
+            "(a key stored in two slots)"
         )
+    if window_bits is None:
+        try:
+            return CondensedIndex.from_content(features, lengths, locations)
+        except ValueError as exc:
+            raise DatabaseFormatError(
+                f"{manifest_path}: partition {pid} cannot be packed ({exc}); "
+                "rebuild it with more partitions"
+            ) from exc
+    return _split_words(
+        features, lengths, locations, arrays["targets"], window_bits,
+        manifest_path, pid,
+    )
+
+
+def _one_column_index(
+    directory: Path, entry: dict, pid: int, *, verify: bool
+) -> CondensedIndex:
+    """Read a one-column partition (every feature, its running sums and
+    one dense word array) and split it into the two columns."""
+    manifest_path = directory / _MANIFEST_NAME
     try:
-        return CondensedIndex.from_locations(locations, pointers)
-    except ValueError as exc:
+        arrays = {
+            key: _open_array(
+                directory, entry, key,
+                _OFFSETS_DTYPES if key == "offsets" else ("<u4",),
+                mmap=False, verify=verify,
+            )
+            for key in ("locations", "targets", "features", "offsets")
+        }
+        n_features, n_locations = int(entry["n_features"]), int(entry["n_locations"])
+        window_bits = int(entry["window_bits"])
+    except DatabaseFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise DatabaseFormatError(
-            f"{manifest_path}: partition {pid} cannot be packed ({exc}); "
-            "rebuild it with more partitions"
+            f"{manifest_path}: corrupt manifest for partition {pid} ({exc!r})"
         ) from exc
+    features, locations = arrays["features"], arrays["locations"]
+    offsets = arrays["offsets"].astype(np.int64)
+    if (
+        features.size != n_features
+        or offsets.size != n_features + 1
+        or locations.size != n_locations
+    ):
+        raise DatabaseFormatError(
+            f"{manifest_path}: partition {pid} array sizes disagree with manifest"
+        )
+    if int(offsets[0]) != 0 or int(offsets[-1]) != n_locations or np.any(
+        offsets[1:] < offsets[:-1]
+    ):
+        raise DatabaseFormatError(
+            f"{manifest_path}: offsets of partition {pid} do not run from 0 "
+            "to its location count"
+        )
+    return _split_words(
+        features, np.diff(offsets), locations, arrays["targets"], window_bits,
+        manifest_path, pid,
+    )
+
+
+def _split_words(
+    features: np.ndarray, lengths: np.ndarray, words: np.ndarray,
+    targets: np.ndarray, window_bits: int, manifest_path: Path, pid: int,
+) -> CondensedIndex:
+    """The two columns of canonical 32-bit content, with the open
+    path's deep checks."""
+    try:
+        pointers = SortedPointers.split(features, lengths, words)
+    except ValueError as exc:  # unsorted or repeated features, empty lists
+        raise DatabaseFormatError(
+            f"{manifest_path}: pointers of partition {pid} are corrupt ({exc})"
+        ) from exc
+    return _word_index(pointers, targets, window_bits, manifest_path, pid, deep=True)

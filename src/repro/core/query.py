@@ -4,17 +4,17 @@ Per batch of reads:
 
 1-3. encode + hash + sketch every read window (one batched kernel
      over the batch's *packed* code buffer -- no per-read loop);
-4.   query each partition's hash table once per *distinct* feature
-     of the batch (one grouping sort, as the device aggregates a
-     key's work in one cooperative group);
+4.   look each partition's index up once per *distinct* feature of
+     the batch (one grouping sort, as the device aggregates a key's
+     work in one cooperative group), and turn the location words
+     found straight into ``(target | window)`` keys;
 5.   compact: expand each feature occurrence's ``(start, length)``
      pointer into the distinct lists, and each read's run of
      occurrences into its segment offsets (a running sum -- read ids
      never decrease);
-6.   segmented sort: the distinct lists are squeezed into
-     ``(target | window)`` keys once, every occurrence's slice is
-     gathered, numbered with its read and sorted in place (one
-     ``np.sort`` per bit-budget group);
+6.   segmented sort: every occurrence's slice of keys is gathered,
+     numbered with its read and sorted in place (one ``np.sort`` per
+     bit-budget group);
 7-8. window-count statistic + sliding-window top-m candidates, read
      straight off those sorted keys.
 
@@ -51,7 +51,6 @@ from repro.hashing.minhash import SKETCH_PAD
 from repro.hashing.sketch import sketch_reads_packed
 from repro.pipeline.packed import PackedReads
 from repro.sort.compaction import read_segment_offsets
-from repro.sort.segmented import LocationKeyLayout
 from repro.util.segmented import gather_segments, run_length_encode
 from repro.util.timer import StageTimer
 from repro.warpcore.base import sort_by_key
@@ -127,18 +126,21 @@ def partition_candidates(
     total_locations = 0
     for pid in pids:
         with timer.stage("query"):
-            locations, feature_offsets = db.query_features(distinct, pid)
+            # the keys of every distinct feature's list, built straight
+            # from the partition's location words
+            layout, feature_keys, feature_starts, feature_lengths = (
+                db.partitions[pid].location_keys(distinct)
+            )
         with timer.stage("compact"):
-            # pointers, not locations: each occurrence's slice of the
+            # pointers, not keys: each occurrence's slice of the
             # distinct lists, and each read's run of occurrences
-            starts = feature_offsets.take(feature_of)
-            lengths = np.diff(feature_offsets).take(feature_of)
+            starts = feature_starts.take(feature_of)
+            lengths = feature_lengths.take(feature_of)
             read_offsets = read_segment_offsets(occurrence_reads, lengths, n_reads)
         with timer.stage("segmented_sort"):
-            # squeeze the distinct lists once, gather every occurrence's
-            # keys, number the reads and sort each bit-budget group
-            layout = LocationKeyLayout.of(locations)
-            keys = gather_segments(layout.squeeze(locations), starts, lengths)
+            # gather every occurrence's keys, number the reads and sort
+            # each bit-budget group
+            keys = gather_segments(feature_keys, starts, lengths)
             groups = candidate_groups(layout, n_reads, keys.size)
             layout.sort_segments(keys, read_offsets, groups)
         total_locations += keys.size

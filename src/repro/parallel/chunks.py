@@ -1,8 +1,9 @@
 """Work units of the multi-process query engine.
 
-What travels parent -> worker is a ``(headers, PackedReads)`` chunk
-(plus the decision rule), tagged in the pool with its position in the
-input stream.  A :class:`ChunkResult` travels worker -> parent: the
+A chunk is ``(headers, PackedReads)``; only its ``PackedReads`` (plus
+the decision rule) travels parent -> worker, tagged in the pool with
+the chunk's position in the input stream, and the parent keeps the
+headers.  A :class:`ChunkResult` travels worker -> parent: the
 vectorized classification arrays for one chunk plus per-stage timings.
 Results arrive in *completion* order; :class:`OrderedReassembler`
 restores submission order so downstream sinks observe exactly the
@@ -36,21 +37,22 @@ class ChunkResult:
     accounting identical to the single-process path: the vectorized
     :class:`~repro.core.classify.Classification`, per-read total
     lengths, and the query pipeline's per-stage seconds.  The parent
-    stamps ``chunk_id`` (the task's tag: the chunk's position in the
-    input stream) and ``worker_id`` (the pool slot that answered).
+    stamps ``headers`` (its own record of the chunk's), ``chunk_id``
+    (the task's tag: the chunk's position in the input stream) and
+    ``worker_id`` (the pool slot that answered).
     """
 
-    headers: list[str]
     classification: Classification
     read_lengths: np.ndarray
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    headers: list[str] = field(default_factory=list)
     chunk_id: int = -1
     worker_id: int = -1
 
     @property
     def n_reads(self) -> int:
         """Reads (or read pairs) classified in this chunk."""
-        return len(self.headers)
+        return int(self.read_lengths.size)
 
 
 class OrderedReassembler:

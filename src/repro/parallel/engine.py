@@ -144,6 +144,8 @@ class ParallelClassifier:
     ) -> Iterator[ChunkResult]:
         pool = self._pool
         assembler = OrderedReassembler()
+        # headers of every chunk in flight, by tag: they never travel
+        headers_of: dict[int, list[str]] = {}
         inflight = 0
         fed = 0
         exhausted = False
@@ -155,8 +157,8 @@ class ParallelClassifier:
                     exhausted = True
                     break
                 slot = min(pool.slots, key=lambda s: s.inflight)
-                headers, packed = _checked_chunk(raw, fed)
-                pool.put(slot.index, fed, (headers, packed, cparams))
+                headers_of[fed], packed = _checked_chunk(raw, fed)
+                pool.put(slot.index, fed, (packed, cparams))
                 fed += 1
                 inflight += 1
             if exhausted and inflight == 0:
@@ -164,6 +166,7 @@ class ParallelClassifier:
                 return
             worker_id, chunk_id, result = pool.next_result()
             result.worker_id, result.chunk_id = worker_id, chunk_id
+            result.headers = headers_of.pop(chunk_id)
             inflight -= 1
             assembler.push(result)
             yield from assembler.drain()

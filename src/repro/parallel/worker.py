@@ -6,8 +6,9 @@ with -- the format-v2 directory is memory-mapped, not deserialized --
 and then runs the exact single-process hot path,
 :func:`repro.core.query.query_database` followed by
 :func:`repro.core.classify.classify_reads`, on every
-``(headers, PackedReads, ClassificationParams)`` task the pool's child
-loop (:mod:`repro.parallel.pool`) hands it.
+``(PackedReads, ClassificationParams)`` task the pool's child loop
+(:mod:`repro.parallel.pool`) hands it.  Headers never travel: the
+parent keeps each chunk's headers and stamps them on the answer.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ __all__ = ["attach_classifier"]
 
 def attach_classifier(
     handle: FileBackedDatabaseHandle,
-) -> Callable[[list[str], PackedReads, ClassificationParams], ChunkResult]:
+) -> Callable[[PackedReads, ClassificationParams], ChunkResult]:
     """Pool ``init``: map the database, return the per-chunk task."""
     return functools.partial(_classify_chunk, handle.attach())
 
 
 def _classify_chunk(
     db: Database,
-    headers: list[str],
     packed: PackedReads,
     cparams: ClassificationParams,
 ) -> ChunkResult:
@@ -43,7 +43,6 @@ def _classify_chunk(
     result = query_database(db, packed, params=query_params)
     cls = classify_reads(db, result.candidates, cparams)
     return ChunkResult(
-        headers=headers,
         classification=cls,
         read_lengths=result.read_lengths,
         stage_seconds=dict(result.stages.stages),

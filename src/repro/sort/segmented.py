@@ -14,8 +14,10 @@ dropping the read field and re-expanding the two halves returns the
 locations themselves.  No index array, no second key.
 
 :class:`LocationKeyLayout` owns that format.  The query pipeline never
-unpacks: it squeezes each distinct feature's list once, gathers the
-keys of every occurrence, sorts them (:meth:`~LocationKeyLayout.sort_segments`)
+unpacks: it builds the keys of each distinct feature's list once,
+straight from the index's 32-bit location words
+(:meth:`~LocationKeyLayout.of_words`), gathers the keys of every
+occurrence, sorts them (:meth:`~LocationKeyLayout.sort_segments`)
 and top-candidate generation (:mod:`repro.core.candidates`) reads the
 sorted keys; :func:`segmented_sort_lexsort` is the standalone
 locations-in, locations-out form.  When the three fields of a batch do
@@ -53,6 +55,31 @@ class LocationKeyLayout:
         """
         used = int(np.bitwise_or.reduce(locations))
         return cls((used >> 32).bit_length(), (used & 0xFFFFFFFF).bit_length())
+
+    @classmethod
+    def of_words(
+        cls, words: np.ndarray, targets: np.ndarray, window_bits: int
+    ) -> tuple["LocationKeyLayout", np.ndarray]:
+        """Layout and keys (zero read field) of 32-bit location words.
+
+        A word is ``local << window_bits | window`` with ``local`` an
+        index into the ascending target map ``targets``.  The widths
+        are read off the ORs of the target ids and of the windows, as
+        :meth:`of` reads them off the expanded locations, and the keys
+        are what :meth:`squeeze` makes of those: no uint64 location
+        and no multiply.  ``IndexError`` when a word's local target is
+        outside the map.
+        """
+        target = targets.take(words >> np.uint32(window_bits))
+        window = words & np.uint32((1 << window_bits) - 1)
+        layout = cls(
+            int(np.bitwise_or.reduce(target)).bit_length(),
+            int(np.bitwise_or.reduce(window)).bit_length(),
+        )
+        keys = target.astype(np.uint64)
+        keys <<= np.uint64(layout.window_bits)
+        keys |= window
+        return layout, keys
 
     @property
     def payload_bits(self) -> int:

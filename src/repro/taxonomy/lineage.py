@@ -22,7 +22,9 @@ class RankedLineages:
 
     ``matrix[i, r]`` is the *taxon id* of the ancestor of taxon with
     dense index ``i`` at rank ``r`` (0 where the lineage has no node
-    at that rank).
+    at that rank).  ``resolved_ranks[i]`` is the rank :meth:`rank_resolved`
+    names for dense index ``i`` and ``rank_labels[i]`` its lower-case
+    name, both computed once for the whole taxonomy.
     """
 
     NO_TAXON = 0  # NCBI ids are >= 1, so 0 is a safe "absent" marker
@@ -40,6 +42,13 @@ class RankedLineages:
             r = int(taxonomy.ranks[i])
             matrix[i, r] = int(taxonomy.ids[i])
         self.matrix = matrix
+        # the first rank, most specific first, that holds the taxon itself
+        own = matrix == taxonomy.ids[:, None]
+        self.resolved_ranks = np.where(
+            own.any(axis=1), own.argmax(axis=1), int(Rank.ROOT)
+        ).astype(np.int8)
+        labels = np.array([rank.name.lower() for rank in Rank], dtype=object)
+        self.rank_labels: list[str] = labels[self.resolved_ranks].tolist()
 
     def ancestor_at_rank(self, taxon_id: int, rank: Rank) -> int | None:
         """Taxon id of the ancestor at ``rank`` (None if absent)."""
@@ -57,10 +66,4 @@ class RankedLineages:
         that node's rank; the accuracy evaluation uses this to decide
         whether a prediction counts at species / genus level.
         """
-        row = self.matrix[self.taxonomy.index_of(taxon_id)]
-        for r in range(int(Rank.SEQUENCE), int(Rank.ROOT) + 1):
-            if row[r] == taxon_id:
-                return Rank(r)
-        # A taxon is always present at its own rank; reaching here
-        # means taxon_id is the root.
-        return Rank.ROOT
+        return Rank(int(self.resolved_ranks[self.taxonomy.index_of(taxon_id)]))

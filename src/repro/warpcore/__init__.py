@@ -27,7 +27,7 @@ the batch stand-in for ``atomicCAS``.
 - :class:`BucketListHashTable` -- WarpCore baseline, linked buckets.
 - :class:`SingleValueHashTable` -- key -> single value, WarpCore's
   basic map (the GPU version's condensed-layout pointer table, Section
-  5.1; the condensed index here uses sorted features instead, see
+  5.1; the condensed index here uses sorted feature columns instead, see
   :class:`repro.core.database.SortedPointers`).
 """
 

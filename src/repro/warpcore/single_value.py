@@ -4,7 +4,7 @@ WarpCore's basic map.  MetaCache-GPU uses it for the *condensed*
 query layout loaded from disk (Section 5.1), mapping each feature to
 its (offset, length) pointer into the concatenated location buckets.
 The condensed index of this package does not: a binary search over
-sorted features needs fewer bytes and no probe walk in NumPy (see
+sorted feature columns needs fewer bytes and no probe walk in NumPy (see
 :class:`repro.core.database.SortedPointers`).  The table stays as the
 WarpCore baseline the micro-benchmarks and tests exercise.
 """

@@ -7,11 +7,11 @@ location array, and a **v2**
 layout that stored those same features and lengths as two more
 ``.npy`` files *beside* the pointer table that already holds every key
 and every length.  ``repro.core.legacy`` still reads both (for
-``convert``; every open refuses them); nothing writes them.  ``_condensed_content`` and ``_save_partitions_v1`` are the
-old writer, moved out of ``src/`` verbatim except that the location
-words are expanded back to uint64 where ``cond.locations`` used to be
-read directly, and the features and lengths are read off today's
-sorted pointers instead of a pointer table's slots;
+``convert``; every open refuses them); nothing writes them.
+``_save_partitions_v1`` is the old writer, moved out of ``src/``
+verbatim; it reads each partition's canonical content through
+``repro.core.io._condensed_content`` (features, lengths and the
+locations expanded back to uint64), as the old writer did;
 :func:`save_database_v1` and
 :func:`save_database_v2_five_arrays` wrap them into directories the
 way the old ``save_database`` laid them out.  Both layouts predate the
@@ -26,32 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.database import Database, DatabasePartition
-from repro.core.io import _MANIFEST_NAME, _write_metadata, _write_npy_aligned
-from repro.util.segmented import segment_ramp
+from repro.core.database import Database
+from repro.core.io import (
+    _MANIFEST_NAME,
+    _condensed_content,
+    _write_metadata,
+    _write_npy_aligned,
+)
 
 from reference.index_u64 import save_database_u64
 
 __all__ = ["save_database_v1", "save_database_v2_five_arrays"]
-
-
-def _condensed_content(
-    part: DatabasePartition,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical (features, lengths, locations) of one partition.
-
-    Features sorted ascending, locations re-packed densely in feature
-    order -- the serialized form shared by both disk formats.
-    """
-    if part.condensed is None:
-        return part.table.condensed_content()
-    cond = part.condensed
-    features = np.asarray(cond.pointers.features)
-    offsets = np.asarray(cond.pointers.offsets).astype(np.int64)
-    starts, lengths = offsets[:-1], np.diff(offsets)
-    # gather every bucket's slice at once (repeat + ramp)
-    words = cond.locations[np.repeat(starts, lengths) + segment_ramp(lengths)]
-    return features.astype(np.uint64), lengths, cond.expand(words)
 
 
 def _save_partitions_v1(db: Database, directory: Path) -> list[Path]:

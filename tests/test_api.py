@@ -550,7 +550,7 @@ class TestErrors:
     def test_open_corrupt_partition(self, world, tmp_path):
         _, _, _, mc, _ = world
         mc.save(tmp_path / "db")
-        (tmp_path / "db" / "part0.locations.npy").write_bytes(b"garbage")
+        (tmp_path / "db" / "part0.multi.locations.npy").write_bytes(b"garbage")
         with pytest.raises(DatabaseFormatError):
             MetaCache.open(tmp_path / "db")
         # a garbled legacy partition, which only convert reads

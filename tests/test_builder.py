@@ -213,15 +213,12 @@ class TestBoundedMemory:
             for ref in refs + refs:
                 builder.add_reference(*ref)
             part = builder.finalize().partitions[0].condensed
-            contents.append(
-                (part.pointers.features, part.pointers.offsets,
-                 part.expand(part.locations))
-            )
-        (features, offsets, locations), want = contents
+            contents.append(part.content())
+        (features, lengths, words), want = contents
         assert 1 < most_runs["n"] <= (2 * len(refs)).bit_length()
         assert np.array_equal(features, want[0])
-        assert np.array_equal(offsets, want[1])
-        assert np.array_equal(locations, want[2])
+        assert np.array_equal(lengths, want[1])
+        assert np.array_equal(words, want[2])
 
 
 class TestBuildStats:
@@ -242,7 +239,7 @@ class TestBuildStats:
         post = builder.stats
         assert post.features_pending == 0
         assert post.features_inserted == sum(
-            p.condensed.locations.size for p in db.partitions
+            p.condensed.pointers.n_locations for p in db.partitions
         )
         assert pre.features_sketched == post.features_inserted + post.features_dropped
 

@@ -8,8 +8,9 @@ growth history -- the three arrays equal, element for element, what the
 retained code in ``tests/reference/condense_by_probe.py`` returns by
 walking every key (through the pair-granular oracle's own
 ``occupied_keys`` / ``retrieve``, over the very same slot arrays), and
-the sorted pointers built from them hold exactly what the retired
-pointer table built by probing holds (``tests/reference/index_ptr_table.py``).
+the two sorted columns built from them hold exactly the content the
+retired pointer table built by probing holds
+(``tests/reference/index_ptr_table.py``).
 """
 
 import hashlib
@@ -67,12 +68,15 @@ def _assert_scan_equals_probe(table: MultiBucketHashTable) -> None:
     new, ref = CondensedIndex.from_table(table), condensed_index_by_probe(oracle)
     features, lengths, words, dense = unpack(ref)
     assert dense and ref.pointers.stats().dropped_values == 0
-    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.uint32)
+    # the two columns hold the same content, split by list length
+    got_features, got_lengths, got_words = new.content()
     _assert_same_arrays(
-        (new.locations, new.targets, new.pointers.features, new.pointers.offsets),
-        (words, ref.targets, features.astype(np.uint32), offsets),
-        ("locations", "targets", "features", "offsets"),
+        (got_words, new.targets, got_features.astype(np.uint32), got_lengths),
+        (words, ref.targets, features.astype(np.uint32),
+         np.asarray(lengths, dtype=np.int64)),
+        ("locations", "targets", "features", "lengths"),
     )
+    assert len(new.pointers.single_features) == int(np.count_nonzero(lengths == 1))
     assert new.window_bits == ref.window_bits
     # the partition-level entry point both disk formats serialize from
     _assert_same_arrays(
@@ -172,7 +176,7 @@ class TestScanEqualsProbeWalk:
         assert locations.dtype == np.uint64 and locations.size == 0
         _assert_scan_equals_probe(table)
         pointers = CondensedIndex.from_table(table).pointers
-        assert len(pointers) == 0 and pointers.offsets.tolist() == [0]
+        assert len(pointers) == 0 and pointers.multi_offsets.tolist() == [0]
 
     def test_probe_limit_drops(self):
         """A table whose inserts ran out of probe rounds still condenses the same."""

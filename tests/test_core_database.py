@@ -192,22 +192,34 @@ class TestPersistence:
                     b["locations"][off[i]:off[i+1]].tolist()
                 )
 
-    @pytest.mark.parametrize("case", ["built", "zero_length_bucket", "empty_partition"])
+    @pytest.mark.parametrize(
+        "case", ["built", "zero_length_bucket", "hand_built", "empty_partition"]
+    )
     def test_condensed_content_matches_slice_loop(self, small_world, tmp_path, case):
-        """The vectorized bucket gather equals the per-feature slice loop,
-        and what it serializes survives a v1 and a v2 save/load."""
+        """The vectorized gather over both columns equals a per-feature
+        lookup loop, and what it serializes survives a v1 and a v2
+        save/load.  A feature that points at no locations has no column
+        to live in: such content is refused."""
+        if case == "zero_length_bucket":
+            with pytest.raises(ValueError, match="empty location list"):
+                CondensedIndex.from_content(
+                    np.array([5, 7, 9], dtype=np.uint64),
+                    np.array([2, 0, 2], dtype=np.int64),
+                    np.array([12, 13, 10, 11], dtype=np.uint64),
+                )
+            return
         _, taxonomy, _, refs = small_world
         if case == "empty_partition":
             # one target, two partitions: partition 1 holds no feature
             db = Database.build(refs[:1], taxonomy, params=PARAMS, n_partitions=2)
         else:
             db = Database.build(refs, taxonomy, params=PARAMS)
-        if case == "zero_length_bucket":
-            # a hand-built index whose middle feature points at no locations
+        if case == "hand_built":
+            # a hand-built index whose middle feature owns one location
             index = CondensedIndex.from_content(
                 np.array([5, 7, 9], dtype=np.uint64),
-                np.array([2, 0, 2], dtype=np.int64),
-                np.array([12, 13, 10, 11], dtype=np.uint64),
+                np.array([2, 1, 2], dtype=np.int64),
+                np.array([12, 13, 14, 10, 11], dtype=np.uint64),
             )
             parts = [DatabasePartition(partition_id=0, table=None, condensed=index)]
         else:
@@ -215,21 +227,22 @@ class TestPersistence:
         for part in parts:
             features, lengths, locations = _condensed_content(part)
             cond = part.condensed
-            rows, found = cond.pointers.retrieve(features)
-            assert found.all()
-            chunks = []  # the reference: one Python slice per feature
-            for row, n in zip(rows.tolist(), lengths.tolist()):
-                start, end = cond.pointers.offsets[row : row + 2].tolist()
-                assert end - start == n
-                chunks.append(cond.expand(cond.locations[start:end]))
+            held, found = cond.pointers.retrieve(features)
+            assert found.all() and np.array_equal(held, lengths)
+            chunks = []  # the reference: one lookup per feature
+            for feature, n in zip(features.tolist(), lengths.tolist()):
+                words, starts, held = cond.pointers.lookup(np.array([feature], np.uint64))
+                assert held.tolist() == [n] and words.size == n
+                chunks.append(cond.expand(words))
             expected = (
                 np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
             )
             assert np.array_equal(locations, expected)
             assert np.all(np.diff(features.astype(np.int64)) > 0)
-        if case == "zero_length_bucket":
-            assert lengths.tolist() == [2, 0, 2]
-            assert locations.tolist() == [12, 13, 10, 11]
+        if case == "hand_built":
+            assert lengths.tolist() == [2, 1, 2]
+            assert locations.tolist() == [12, 13, 14, 10, 11]
+            assert index.pointers.single_features.tolist() == [7]
             return
         if case == "empty_partition":
             assert _condensed_content(db.partitions[1])[0].size == 0

@@ -10,8 +10,9 @@ refuses (format v1 and the five-array v2 layout, both written by
 ``tests/reference/index_v1.py``, and pointer-table partitions, written
 by ``tests/reference/index_ptr_table.py``; every open path's refusal
 is in ``tests/test_legacy_convert.py``), a corruption matrix over
-every file of a partition, and the reserved-sentinel regression on the
-pointers.
+every file of a partition (both columns: singles with their words
+inline, multis with their offsets and locations), and the
+reserved-sentinel regression on the pointers.
 """
 
 import hashlib
@@ -103,24 +104,32 @@ class TestV2Layout:
         assert manifest["format_version"] == FORMAT_V2
         assert len(manifest["partitions"]) == 2
         for entry in manifest["partitions"]:
-            assert sorted(entry["arrays"]) == [
-                "features", "locations", "offsets", "targets"
+            arrays = entry["arrays"]
+            assert list(arrays) == [
+                "single.features", "single.words", "multi.features",
+                "multi.offsets", "multi.locations", "targets",
             ]
             assert "pointer_table" not in entry
-            for key in ("locations", "targets", "features", "offsets"):
-                assert entry["arrays"][key]["dtype"] == "<u4"
-            for key, spec in entry["arrays"].items():
+            for key, spec in arrays.items():
+                assert spec["dtype"] == "<u4"
+                assert spec["file"] == f"part{entry['partition_id']}.{key}.npy"
                 path = v2 / spec["file"]
                 assert path.is_file()
                 payload = np.load(path)
                 assert zlib.crc32(payload.tobytes()) == spec["crc32"]
-            n = entry["n_features"]
-            assert entry["arrays"]["features"]["shape"] == [n]
-            assert entry["arrays"]["offsets"]["shape"] == [n + 1]
-            offsets = np.load(v2 / entry["arrays"]["offsets"]["file"])
-            assert offsets[0] == 0 and offsets[-1] == entry["n_locations"]
-        # the feature -> list map is stored once: features + offsets
-        assert len(list(v2.glob("*.npy"))) == 4 * len(manifest["partitions"])
+            n_single = arrays["single.features"]["shape"][0]
+            n_multi = arrays["multi.features"]["shape"][0]
+            assert n_single > 0 and n_multi > 0
+            assert arrays["single.words"]["shape"] == [n_single]
+            assert arrays["multi.offsets"]["shape"] == [n_multi + 1]
+            assert entry["n_features"] == n_single + n_multi
+            offsets = np.load(v2 / arrays["multi.offsets"]["file"])
+            n_multi_locations = arrays["multi.locations"]["shape"][0]
+            assert offsets[0] == 0 and offsets[-1] == n_multi_locations
+            assert np.all(np.diff(offsets.astype(np.int64)) >= 2)
+            assert entry["n_locations"] == n_single + n_multi_locations
+        # a singleton's word is stored inline: no offsets entry for it
+        assert len(list(v2.glob("*.npy"))) == 6 * len(manifest["partitions"])
 
     def test_npy_payloads_page_aligned(self, world):
         _, v2, _, _ = world
@@ -142,20 +151,18 @@ class TestZeroRebuildOpen:
         v1, v2, _, _ = world
         inserts, indexed = [], []
         insert = SingleValueHashTable.insert
-        from_lengths = SortedPointers.from_lengths.__func__
+        split = SortedPointers.split.__func__
 
         def counting_insert(self, keys, values):
             inserts.append(np.asarray(keys).size)
             return insert(self, keys, values)
 
-        def counting_from_lengths(cls, features, lengths):
+        def counting_split(cls, features, lengths, words):
             indexed.append(np.asarray(features).size)
-            return from_lengths(cls, features, lengths)
+            return split(cls, features, lengths, words)
 
         monkeypatch.setattr(SingleValueHashTable, "insert", counting_insert)
-        monkeypatch.setattr(
-            SortedPointers, "from_lengths", classmethod(counting_from_lengths)
-        )
+        monkeypatch.setattr(SortedPointers, "split", classmethod(counting_split))
         load_database(v2)
         load_database(v2, mmap=True)
         assert indexed == []
@@ -167,16 +174,17 @@ class TestZeroRebuildOpen:
         _, v2, _, _ = world
         db = load_database(v2, mmap=True)
         cond = db.partitions[0].condensed
-        assert isinstance(cond.locations, np.memmap)
-        assert isinstance(cond.pointers.features, np.memmap)
-        assert isinstance(cond.pointers.offsets, np.memmap)
+        for key, array in cond.arrays().items():
+            # the target map is metadata-sized and always read
+            assert isinstance(array, np.memmap) == (key != "targets"), key
         assert db.mmap_path == v2
 
     def test_plain_v2_load_not_mmap_backed(self, world):
         _, v2, _, _ = world
         db = load_database(v2)
         assert db.mmap_path is None
-        assert not isinstance(db.partitions[0].condensed.locations, np.memmap)
+        arrays = db.partitions[0].condensed.arrays().values()
+        assert not any(isinstance(array, np.memmap) for array in arrays)
 
     def test_v1_mmap_refused_and_converted_maps(self, world, v1_converted):
         v1, v2, seqs, _ = world
@@ -217,8 +225,9 @@ class TestProbeViewLifetime:
         assert mapped > before
         # what a batch in flight holds on to while the swap closes the index
         tables = [p.condensed.pointers for p in db.partitions]
-        assert all(type(t._features) is np.ndarray for t in tables)
-        assert all(type(t._offsets) is np.ndarray for t in tables)
+        keys = list(tables[0].arrays())
+        views = ["_" + key.replace(".", "_") for key in keys]
+        assert all(type(getattr(t, v)) is np.ndarray for t in tables for v in views)
         expected = _taxa(db, seqs[:8])
         db.retain()
         db.close()
@@ -228,8 +237,8 @@ class TestProbeViewLifetime:
         assert db.closed
         # unmapped although the pointers themselves are still referenced
         assert self._fd_count() == before
-        assert all(t._features is None and t.features is None for t in tables)
-        assert all(t._offsets is None and t.offsets is None for t in tables)
+        assert all(getattr(t, v) is None for t in tables for v in views)
+        assert all(a is None for t in tables for a in t.arrays().values())
 
 
 class TestEquivalence:
@@ -411,7 +420,7 @@ class TestCorruption:
     def test_checksum_mismatch_detected(self, world, tmp_path):
         _, v2, _, _ = world
         dst = self._copy_v2(v2, tmp_path)
-        victim = dst / "part0.locations.npy"
+        victim = dst / "part0.multi.locations.npy"
         blob = bytearray(victim.read_bytes())
         blob[-1] ^= 0xFF  # flip one payload byte
         victim.write_bytes(bytes(blob))
@@ -421,7 +430,7 @@ class TestCorruption:
     def test_unverified_load_skips_checksums(self, world, tmp_path):
         _, v2, _, _ = world
         dst = self._copy_v2(v2, tmp_path)
-        victim = dst / "part0.locations.npy"
+        victim = dst / "part0.multi.locations.npy"
         blob = bytearray(victim.read_bytes())
         blob[-4] ^= 0xFF  # the last word's low byte: a window id, in range
         victim.write_bytes(bytes(blob))
@@ -437,8 +446,8 @@ class TestCorruption:
     def test_missing_array_file(self, world, tmp_path):
         _, v2, _, _ = world
         dst = self._copy_v2(v2, tmp_path)
-        (dst / "part1.offsets.npy").unlink()
-        with pytest.raises(DatabaseFormatError, match="part1.offsets.npy"):
+        (dst / "part1.multi.offsets.npy").unlink()
+        with pytest.raises(DatabaseFormatError, match="part1.multi.offsets.npy"):
             load_database(dst)
 
     def test_corrupt_pointer_values_detected_on_eager_load(
@@ -447,7 +456,7 @@ class TestCorruption:
         """Eager loads cross-check the offsets queries read."""
         _, v2, _, _ = world
         dst = self._copy_v2(v2, tmp_path)
-        victim = dst / "part0.offsets.npy"
+        victim = dst / "part0.multi.offsets.npy"
         offsets = np.load(victim)
         blob = bytearray(victim.read_bytes())
         at = len(blob) - offsets.nbytes + 4  # offsets[1]
@@ -463,7 +472,7 @@ class TestCorruption:
         _, v2, _, _ = world
         dst = self._copy_v2(v2, tmp_path)
         manifest = json.loads((dst / "manifest.json").read_text())
-        manifest["partitions"][0]["arrays"]["locations"]["shape"] = [1]
+        manifest["partitions"][0]["arrays"]["multi.locations"]["shape"] = [1]
         (dst / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DatabaseFormatError, match="manifest says"):
             load_database(dst)
@@ -507,7 +516,7 @@ class TestLegacyInputs:
             load_database(tmp_path / "v1")
         convert_database(tmp_path / "v1", tmp_path / "resaved")
         built = _digests(tmp_path / "built")
-        assert len(built) == 4 + 4 * db.n_partitions
+        assert len(built) == 4 + 6 * db.n_partitions
         assert _digests(tmp_path / "resaved") == built
         # the converted directory re-saves to itself
         save_database(load_database(tmp_path / "resaved"), tmp_path / "again")
@@ -530,7 +539,7 @@ class TestLegacyInputs:
     def test_v1_resave_with_an_empty_partition(self, refs_world, tmp_path):
         taxonomy, refs, _ = refs_world
         db = Database.build(refs[:1], taxonomy, params=PARAMS, n_partitions=2)
-        assert db.partitions[1].condensed.locations.size == 0
+        assert db.partitions[1].condensed.pointers.n_locations == 0
         self._assert_v1_resaves_identically(db, tmp_path)
 
     def test_v1_resave_after_run_merges(self, refs_world, tmp_path, monkeypatch):
@@ -669,6 +678,11 @@ def _truncate(directory, name):
     path.write_bytes(blob[: len(blob) // 2])
 
 
+def _key(name):
+    """The manifest key of array file ``part0.<key>.npy``."""
+    return name[len("part0."):-len(".npy")]
+
+
 def _wrong_shape(directory, name):
     manifest_path = directory / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
@@ -676,7 +690,7 @@ def _wrong_shape(directory, name):
     if name == "manifest.json":  # its own counts
         entry["n_locations"] += 1
     else:
-        shape = entry["arrays"][name.split(".")[1]]["shape"]
+        shape = entry["arrays"][_key(name)]["shape"]
         shape[0] += 1
     manifest_path.write_text(json.dumps(manifest))
 
@@ -691,7 +705,7 @@ def _rewrite(directory, name, change):
     array = change(np.load(path))
     manifest_path = directory / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    spec = manifest["partitions"][0]["arrays"][name.split(".")[1]]
+    spec = manifest["partitions"][0]["arrays"][_key(name)]
     spec["dtype"] = array.dtype.str
     spec["shape"] = list(array.shape)
     spec["crc32"] = io_mod._write_npy_aligned(path, array)
@@ -734,8 +748,26 @@ def _unsorted_features(directory, name):
     _rewrite(directory, name, lambda a: _set([0, 1], a[[1, 0]])(a))
 
 
-def _offsets_dtype(directory, name):
+def _wrong_dtype(directory, name):
     _rewrite(directory, name, lambda a: a.astype("<i8"))
+
+
+def _word_past_the_map(directory, name):
+    """Set one word's local target to all ones: past a small map."""
+    manifest = json.loads((directory / "manifest.json").read_text())
+    window_bits = manifest["partitions"][0]["window_bits"]
+    local = (0xFFFFFFFF << window_bits) & 0xFFFFFFFF
+    _rewrite(directory, name, lambda a: _set(_mid(a), a[_mid(a)] | local)(a))
+
+
+def _feature_in_both_columns(directory, name):
+    """Move one single feature onto a multi feature, keeping the order."""
+    multis = np.load(directory / "part0.multi.features.npy")
+
+    def change(singles):
+        row = min(int(np.searchsorted(singles, multis[0])), singles.size - 1)
+        return _set(row, multis[0])(singles)
+    _rewrite(directory, name, change)
 
 
 def _missing(directory, name):
@@ -755,18 +787,25 @@ def _unknown_taxon(directory, name):
 
 
 _ARRAY_FILES = (
-    "part0.locations.npy",
+    "part0.single.features.npy",
+    "part0.single.words.npy",
+    "part0.multi.features.npy",
+    "part0.multi.offsets.npy",
+    "part0.multi.locations.npy",
     "part0.targets.npy",
-    "part0.features.npy",
-    "part0.offsets.npy",
 )
+_OFFSETS = "part0.multi.offsets.npy"
 _POINTER_FAULTS = [
-    (_offsets_not_from_zero, "part0.offsets.npy"),
-    (_decreasing_offsets, "part0.offsets.npy"),
-    (_offsets_end_short, "part0.offsets.npy"),
-    (_offset_past_locations, "part0.offsets.npy"),
-    (_unsorted_features, "part0.features.npy"),
-    (_offsets_dtype, "part0.offsets.npy"),
+    (_offsets_not_from_zero, _OFFSETS),
+    (_decreasing_offsets, _OFFSETS),
+    (_offsets_end_short, _OFFSETS),
+    (_offset_past_locations, _OFFSETS),
+    (_unsorted_features, "part0.single.features.npy"),
+    (_unsorted_features, "part0.multi.features.npy"),
+    (_word_past_the_map, "part0.single.words.npy"),
+    (_word_past_the_map, "part0.multi.locations.npy"),
+    (_feature_in_both_columns, "part0.single.features.npy"),
+    *[(_wrong_dtype, name) for name in _ARRAY_FILES],
 ]
 _MATRIX = (
     [(_truncate, name) for name in _ARRAY_FILES + ("manifest.json",)]
@@ -814,7 +853,7 @@ class TestCorruptionMatrix:
         shutil.copytree(v2, dst)
         manifest = json.loads((dst / "manifest.json").read_text())
         window_bits = manifest["partitions"][0]["window_bits"]
-        path = dst / "part0.locations.npy"
+        path = dst / "part0.single.words.npy"
         words = np.load(path)
         words |= np.uint32((0xFFFFFFFF << window_bits) & 0xFFFFFFFF)  # local: all ones
         blob = bytearray(path.read_bytes())
@@ -834,8 +873,8 @@ class TestCorruptionMatrix:
         _, v2, _, _ = world
         dst = tmp_path / "copy"
         shutil.copytree(v2, dst)
-        fault(dst, "part0.offsets.npy")
-        features = np.load(dst / "part0.features.npy")
+        fault(dst, _OFFSETS)
+        features = np.load(dst / "part0.multi.features.npy")
         db = load_database(dst, mmap=True)
         try:
             with pytest.raises(DatabaseFormatError, match="partition 0"):
@@ -865,7 +904,7 @@ class TestCorruptionMatrix:
         assert calls == []
         db.close()
         load_database(v2, mmap=True, verify=True).close()
-        assert len(calls) == 4 * 2  # four arrays, two partitions
+        assert len(calls) == 6 * 2  # six arrays, two partitions
 
 
 class TestSentinelRegression:

@@ -3,8 +3,10 @@
 ``load_database`` opens one layout.  The layouts this package wrote
 before it -- format v1 and the five-array v2 directory
 (``tests/reference/index_v1.py``), pointer-table partitions
-(``index_ptr_table.py``) and uint64 location words (``index_u64.py``)
--- are written here by those retired writers and must be:
+(``index_ptr_table.py``), uint64 location words (``index_u64.py``) and
+one-column partitions that kept singletons behind pointers too
+(``sorted_pointers.py``) -- are written here by those retired writers
+and must be:
 
 - refused by ``load_database`` (eager, ``mmap=True``, ``verify=True``),
   ``MetaCache.open``, ``ShardPlan.from_directory`` and
@@ -39,6 +41,7 @@ from repro.taxonomy.builder import build_taxonomy_for_genomes
 from reference.index_ptr_table import save_database_ptr_table
 from reference.index_u64 import save_database_u64
 from reference.index_v1 import save_database_v1, save_database_v2_five_arrays
+from reference.sorted_pointers import save_database_one_column
 
 PARAMS = MetaCacheParams.small()
 
@@ -47,6 +50,7 @@ LAYOUTS = {
     "five-array": save_database_v2_five_arrays,
     "pointer-table": save_database_ptr_table,
     "u64": save_database_u64,
+    "one-column": save_database_one_column,
 }
 
 
@@ -195,3 +199,4 @@ def test_convert_help_names_every_layout(capsys):
         cli_main(["--help"])
     usage = capsys.readouterr().out
     assert "format v1" in usage and "pointer-table" in usage and "uint64" in usage
+    assert "one-column" in usage

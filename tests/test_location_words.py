@@ -164,7 +164,8 @@ class TestQueryFeaturesMatchTheU64Oracle:
         loaded = [load_database(root / "u32"), load_database(root / "u32", mmap=True)]
         for pid in range(n_partitions):
             entry = manifest["partitions"][pid]
-            assert entry["arrays"]["locations"]["dtype"] == "<u4"
+            for key in ("single.words", "multi.locations"):
+                assert entry["arrays"][key]["dtype"] == "<u4"
             present = sorted({t for _, t, _ in rows if home[t] == pid})
             assert np.load(root / "u32" / f"part{pid}.targets.npy").tolist() == present
             mine = [w for _, t, w in rows if home[t] == pid]
@@ -247,15 +248,20 @@ class TestLegacyU64Directory:
         MetaCache.convert(root / "u64", tmp_path / "converted")
         manifest = json.loads((tmp_path / "converted" / "manifest.json").read_text())
         for entry in manifest["partitions"]:
-            assert entry["arrays"]["locations"]["dtype"] == "<u4"
+            for key in ("single.words", "multi.locations"):
+                assert entry["arrays"][key]["dtype"] == "<u4"
         assert _digests(tmp_path / "converted") == _digests(root / "fresh")
 
     def test_u32_directory_is_smaller(self, legacy):
         root, _ = legacy
         for pid in range(2):
             wide = np.load(root / "u64" / f"part{pid}.locations.npy")
-            narrow = np.load(root / "fresh" / f"part{pid}.locations.npy")
-            assert narrow.size == wide.size and narrow.nbytes * 2 == wide.nbytes
+            narrow = [
+                np.load(root / "fresh" / f"part{pid}.{key}.npy")
+                for key in ("single.words", "multi.locations")
+            ]
+            assert sum(a.size for a in narrow) == wide.size
+            assert sum(a.nbytes for a in narrow) * 2 == wide.nbytes
 
 
 def _suggested(error: ConfigError) -> int:
@@ -263,7 +269,7 @@ def _suggested(error: ConfigError) -> int:
 
 
 class TestTargetMap:
-    """``from_locations`` ranks targets by a bincount and a running sum;
+    """``pack_locations`` ranks targets by a bincount and a running sum;
     ``np.unique(..., return_inverse=True)`` is the oracle."""
 
     @staticmethod
@@ -292,10 +298,10 @@ class TestTargetMap:
         target = rng.choice(np.array(ids or [0], dtype=np.uint64), size=n)
         window = rng.choice(np.array(windows, dtype=np.uint64), size=n)
         locations = target << np.uint64(32) | window
-        pointers = database_mod.SortedPointers.from_lengths(
-            np.arange(n, dtype=np.uint32), np.ones(n, dtype=np.int64)
+        index = CondensedIndex.from_content(
+            np.arange(n, dtype=np.uint32), np.ones(n, dtype=np.int64), locations
         )
-        index = CondensedIndex.from_locations(locations, pointers)
+        assert database_mod.pack_locations(locations)[2] == index.window_bits
         targets, words = self._oracle(locations)
         assert index.targets.dtype == np.uint32 and index.locations.dtype == np.uint32
         assert np.array_equal(index.targets, targets)
@@ -395,7 +401,7 @@ def test_corrupt_word_copy_is_caught_on_eager_open(legacy, tmp_path):
     root, _ = legacy
     dst = tmp_path / "copy"
     shutil.copytree(root / "fresh", dst)
-    path = dst / "part1.locations.npy"
+    path = dst / "part1.single.words.npy"
     words = np.load(path)
     blob = bytearray(path.read_bytes())
     blob[-1] = 0xFF  # the last word's local field is all ones

@@ -36,6 +36,7 @@ from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
 from repro.parallel import OrderedReassembler, ParallelClassifier
 from repro.parallel.chunks import ChunkResult
+from repro.parallel.pool import WorkerPool
 from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ncbi import write_ncbi_dump
@@ -110,7 +111,6 @@ class TestOrderedReassembler:
     def _result(i):
         return ChunkResult(
             chunk_id=i,
-            headers=[],
             classification=None,
             read_lengths=np.zeros(0, dtype=np.int64),
         )
@@ -152,6 +152,25 @@ class TestParallelClassifier:
         assert np.array_equal(taxa2, serial_taxa)
         assert sum(r.n_reads for r in results) == len(seqs)
         assert all(r.worker_id >= 0 for r in results)
+        # the parent stamps every chunk's headers from its own record
+        assert [h for r in results for h in r.headers] == headers
+
+    def test_headers_never_travel_to_workers(self, world, monkeypatch):
+        mc, headers, seqs = world
+        tasks = []
+        real = WorkerPool.put
+
+        def recording(pool, index, tag, args):
+            tasks.append(args)
+            return real(pool, index, tag, args)
+
+        monkeypatch.setattr(WorkerPool, "put", recording)
+        with ParallelClassifier(mc.database, workers=WORKERS) as engine:
+            results = list(engine.classify_chunks(_chunks(headers, seqs, 17)))
+        assert tasks and all(
+            len(args) == 2 and isinstance(args[0], PackedReads) for args in tasks
+        )
+        assert [h for r in results for h in r.headers] == headers
 
     def test_worker_crash_raises_and_cleans_up(self, world):
         mc, headers, seqs = world

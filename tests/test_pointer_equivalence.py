@@ -1,8 +1,9 @@
 """Equivalence harness: sorted pointers vs the retired pointer table.
 
 The condensed index maps a feature to its location list by one binary
-search over the partition's sorted features and two reads of the
-running-sum offsets.  The contract: for any partitioning, any location
+search over the partition's singles (one word inline each) and one
+over its multis (two reads of the running-sum offsets) for the
+singles' misses.  The contract: for any partitioning, any location
 cap and *any* query vector -- unsorted, duplicated, empty, absent
 keys, ``0``, ``0xFFFFFFFE`` and the sentinel ``0xFFFFFFFF`` -- the
 ``(locations, offsets)`` of ``CondensedIndex.retrieve``, of
@@ -85,7 +86,7 @@ def worlds(refs, tmp_path_factory):
             eager=load_database(directory),
             mapped=load_database(directory, mmap=True),
             oracles=oracles,
-            features=[p.condensed.pointers.features.copy() for p in db.partitions],
+            features=[p.condensed.content()[0] for p in db.partitions],
         )
     yield made
     for world in made.values():
@@ -150,11 +151,13 @@ class TestSortedEqualsPointerTable:
         pointers = world.mapped.partitions[0].condensed.pointers
         stored = world.features[0]
         query = np.concatenate([stored[::7], [1, SENTINEL]]).astype(np.uint64)
-        rows, found = pointers.retrieve(query)
+        lengths, found = pointers.retrieve(query)
         want = world.oracles[0].pointers.retrieve(query)[1]
         assert np.array_equal(found, want)
-        clamped = np.minimum(query, SENTINEL - 1)[found]  # the sentinel's row
-        assert np.array_equal(stored[rows[found]], clamped.astype(np.uint32))
+        # the sentinel is found as its clamp target, with its list
+        assert np.array_equal(
+            lengths, np.diff(world.oracles[0].retrieve(query)[1])
+        )
 
 
 class TestSortedPointers:
@@ -176,10 +179,11 @@ class TestSortedPointers:
             )
 
     def test_lists_past_two_to_the_24_need_no_packing(self):
-        pointers = SortedPointers.from_lengths(
-            np.array([7], dtype=np.uint64), np.array([1 << 24], dtype=np.int64)
+        pointers = SortedPointers.split(
+            np.array([7], dtype=np.uint64), np.array([1 << 24], dtype=np.int64),
+            np.zeros(1 << 24, dtype=np.uint32),
         )
-        assert pointers.offsets.tolist() == [0, 1 << 24]
+        assert pointers.multi_offsets.tolist() == [0, 1 << 24]
 
     def test_empty_index(self):
         index = CondensedIndex.from_content(
@@ -199,14 +203,16 @@ class TestSortedPointers:
         save_database(db, tmp_path / "wide")
         manifest = json.loads((tmp_path / "wide" / "manifest.json").read_text())
         for entry in manifest["partitions"]:
-            assert entry["arrays"]["offsets"]["dtype"] == "<u8"
-            assert entry["arrays"]["features"]["dtype"] == "<u4"
+            assert entry["arrays"]["multi.offsets"]["dtype"] == "<u8"
+            assert entry["arrays"]["multi.features"]["dtype"] == "<u4"
         for kwargs in ({}, {"mmap": True}, {"mmap": True, "verify": True}):
             loaded = load_database(tmp_path / "wide", **kwargs)
             for pid in range(2):
                 pointers = loaded.partitions[pid].condensed.pointers
-                assert pointers.offsets.dtype == "<u8"
-                query = np.concatenate([pointers.features[::3], EDGES])
+                assert pointers.multi_offsets.dtype == "<u8"
+                query = np.concatenate([
+                    pointers.multi_features[::3], pointers.single_features[::3], EDGES
+                ])
                 got = loaded.query_features(query, pid)
                 assert got[1][-1] > 0
                 _assert_same(got, narrow.query_features(query, pid), kwargs)
@@ -215,4 +221,4 @@ class TestSortedPointers:
         save_database(load_database(tmp_path / "wide"), tmp_path / "narrow")
         manifest = json.loads((tmp_path / "narrow" / "manifest.json").read_text())
         for entry in manifest["partitions"]:
-            assert entry["arrays"]["offsets"]["dtype"] == "<u4"
+            assert entry["arrays"]["multi.offsets"]["dtype"] == "<u4"

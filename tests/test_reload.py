@@ -310,6 +310,17 @@ class TestDatabaseLifetime:
         db.close()
         assert _fd_count() == before
 
+    def test_close_unmaps_every_mapped_array(self, worlds):
+        """Every array the two-column index maps -- both columns, the
+        offsets and the multi locations -- is unmapped by close."""
+        db = load_database(worlds.dir_a, mmap=True)
+        arrays = [a for p in db.partitions for a in p.condensed.arrays().values()]
+        maps = [a._mmap for a in arrays if isinstance(a, np.memmap)]
+        assert len(maps) == 5 * db.n_partitions  # all but the target maps
+        assert not any(mm.closed for mm in maps)
+        db.close()
+        assert all(mm.closed for mm in maps)
+
     def test_open_close_cycles_keep_fd_count_flat(self, worlds):
         with MetaCache.open(worlds.dir_a, mmap=True) as mc:
             mc.classify(worlds.probe[:1])  # warm lazy imports first
