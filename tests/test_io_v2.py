@@ -795,6 +795,17 @@ _ARRAY_FILES = (
     "part0.targets.npy",
 )
 _OFFSETS = "part0.multi.offsets.npy"
+
+
+def _label(name):
+    """Test-id label of file ``name``: the array first, then its column
+    (``part0.multi.locations.npy`` -> ``part0.locations.multi.npy``), so an
+    id cut short still names the array it corrupts."""
+    parts = name.split(".")
+    if len(parts) == 4:  # part0.<column>.<array>.npy
+        parts[1], parts[2] = parts[2], parts[1]
+    return ".".join(parts)
+
 _POINTER_FAULTS = [
     (_offsets_not_from_zero, _OFFSETS),
     (_decreasing_offsets, _OFFSETS),
@@ -820,7 +831,7 @@ class TestCorruptionMatrix:
     """Every file of a partition x every way it goes bad -> a typed error."""
 
     @pytest.mark.parametrize(
-        "fault, name", _MATRIX, ids=[f"{f.__name__[1:]}-{n}" for f, n in _MATRIX]
+        "fault, name", _MATRIX, ids=[f"{f.__name__[1:]}-{_label(n)}" for f, n in _MATRIX]
     )
     def test_fault_is_a_database_format_error(self, world, tmp_path, fault, name):
         _, v2, _, _ = world
@@ -834,7 +845,7 @@ class TestCorruptionMatrix:
         with pytest.raises(DatabaseFormatError):
             MetaCache.open(dst)
 
-    @pytest.mark.parametrize("name", _ARRAY_FILES)
+    @pytest.mark.parametrize("name", _ARRAY_FILES, ids=_label)
     @pytest.mark.parametrize("mmap", [False, True])
     def test_flipped_payload_byte_needs_the_crc(self, world, tmp_path, name, mmap):
         _, v2, _, _ = world
