@@ -8,6 +8,8 @@ modeled, not measured; measured speed is owned by ``benchmarks/e2e/``.
 
 - :mod:`paper.gpu` -- simulated CUDA substrate, warp-level kernel
   emulations and the DGX-1 cost model;
+- :mod:`paper.baselines` -- the Kraken2-style and MetaCache-CPU
+  classifiers the tables compare against;
 - :mod:`paper.bench` -- mini-scale workloads, experiment runners and
   table renderers;
 - ``bench_*.py`` -- one pytest module per table or figure;

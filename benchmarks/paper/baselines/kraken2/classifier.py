@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.kraken2.minimizer import extract_minimizers
-from repro.baselines.kraken2.table import MinimizerLcaTable
 from repro.core.classify import UNCLASSIFIED, Classification
 from repro.taxonomy.lineage import RankedLineages
 from repro.taxonomy.tree import Taxonomy
+
+from paper.baselines.kraken2.minimizer import extract_minimizers
+from paper.baselines.kraken2.table import MinimizerLcaTable
 
 __all__ = ["Kraken2Params", "Kraken2Classifier"]
 

@@ -7,8 +7,9 @@ each position's minimizer is the minimum over a sliding window of
 ``l - m + 1`` hashes.  Consecutive duplicate minimizers collapse --
 that is what makes minimizers a subsampling scheme.
 
-The sliding minimum is ``scipy.ndimage.minimum_filter1d``, so the
-whole extraction is vectorized.
+The m-mers come from the core's canonical packer and the sliding
+minimum is a ``sliding_window_view`` reduction, so the whole
+extraction is vectorized.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.genomics.kmers import canonical_kmers, kmer_validity, pack_kmers
+from repro.genomics.kmers import pack_canonical_kmers
 from repro.hashing.hashes import fmix64
 
 __all__ = ["extract_minimizers"]
@@ -48,12 +49,12 @@ def extract_minimizers(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    kmers = pack_kmers(codes, m)
-    if kmers.size == 0:
+    canonical, invalid = pack_canonical_kmers(codes, m)
+    if canonical.size == 0:
         return np.zeros(0, dtype=np.uint64)
-    hashes = fmix64(canonical_kmers(kmers, m))
-    valid = kmer_validity(codes, m)
-    hashes = np.where(valid, hashes, _INVALID)
+    hashes = fmix64(canonical)  # widened to uint64 on entry
+    if invalid is not None:
+        hashes[invalid] = _INVALID
     if hashes.size < window:
         mins = np.array([hashes.min()], dtype=np.uint64)
     else:

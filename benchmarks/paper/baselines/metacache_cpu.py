@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.candidates import Candidates, generate_top_candidates
 from repro.core.classify import Classification, classify_reads
 from repro.core.config import MetaCacheParams
-from repro.core.database import Database, DatabasePartition, TargetRecord
+from repro.core.database import Database, TargetRecord
 from repro.core.query import QueryResult
 from repro.hashing.minhash import SKETCH_PAD
 from repro.hashing.sketch import sketch_reads_packed, sketch_sequence
@@ -66,42 +66,17 @@ class _DictTable:
         else:
             self.dropped += 1
 
-    def retrieve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Same (values, offsets) contract as the warpcore tables."""
-        chunks: list[list[int]] = []
-        lengths = np.zeros(keys.size, dtype=np.int64)
-        for i, k in enumerate(np.asarray(keys, dtype=np.uint64)):
-            bucket = self.buckets.get(int(k))
-            if bucket:
-                lengths[i] = len(bucket)
-                chunks.append(bucket)
-        offsets = np.zeros(keys.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        values = (
-            np.array([v for c in chunks for v in c], dtype=np.uint64)
-            if chunks
-            else np.zeros(0, dtype=np.uint64)
+    def retrieve(self, keys: np.ndarray) -> np.ndarray:
+        """Every location in the keys' buckets, concatenated in key order."""
+        keys = np.asarray(keys, dtype=np.uint64).tolist()
+        return np.array(
+            [v for k in keys for v in self.buckets.get(k, ())], dtype=np.uint64
         )
-        return values, offsets
 
     @property
     def nbytes(self) -> int:
         """Approximate host bytes (8B/location + 16B/bucket header)."""
         return 8 * self.stored + 16 * len(self.buckets)
-
-    def stats(self):
-        """TableStats view so the Database adapter's accounting works."""
-        from repro.warpcore.base import TableStats
-
-        return TableStats(
-            capacity_slots=len(self.buckets),
-            occupied_slots=len(self.buckets),
-            stored_values=self.stored,
-            dropped_values=self.dropped,
-            bytes_keys=8 * len(self.buckets),
-            bytes_values=8 * self.stored,
-            bytes_metadata=8 * len(self.buckets),
-        )
 
 
 class MetaCacheCpu:
@@ -158,19 +133,18 @@ class MetaCacheCpu:
     # ------------------------------------------------------------------ query
 
     def _as_database(self) -> Database:
-        """Adapter: expose the dict table through the Database API.
+        """The targets and taxonomy as a :class:`Database` with no index.
 
-        The shared query pipeline only needs ``retrieve``; a partition
-        wrapping the dict table provides it, so candidates and
-        classification run through exactly the same code as the GPU
-        path (isolating the content difference, not code differences).
+        :meth:`query` retrieves from the dict table itself, so the
+        classification rule only needs the per-target taxa; running it
+        through the same code as the GPU path isolates the content
+        difference, not code differences.
         """
         if self._db is None:
-            part = DatabasePartition(partition_id=0, table=self.table)  # type: ignore[arg-type]
             self._db = Database(
                 params=self.params,
                 taxonomy=self.taxonomy,
-                partitions=[part],
+                partitions=[],
                 targets=self.targets,
             )
         return self._db
@@ -211,7 +185,7 @@ class MetaCacheCpu:
             )
             feats = sketches.reshape(-1)
             feats = feats[feats != SKETCH_PAD]
-            locations, _ = self.table.retrieve(feats)
+            locations = self.table.retrieve(feats)
             total_locations += locations.size
             if locations.size == 0:
                 continue

@@ -4,8 +4,8 @@ Each runner executes one paper experiment at mini scale with real
 wall-clock measurement, returning plain row dataclasses the bench
 files render and assert on.  Methods compared:
 
-- ``Kraken2*``   -- :class:`repro.baselines.kraken2.Kraken2Classifier`
-- ``MC CPU``     -- :class:`repro.baselines.metacache_cpu.MetaCacheCpu`
+- ``Kraken2*``   -- :class:`paper.baselines.kraken2.Kraken2Classifier`
+- ``MC CPU``     -- :class:`paper.baselines.metacache_cpu.MetaCacheCpu`
 - ``MC n GPUs``  -- :class:`repro.core.database.Database` with n
   partitions on simulated devices (the batch-vectorized path).
 """
@@ -18,16 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.baselines.kraken2 import Kraken2Classifier, Kraken2Params
-from repro.baselines.metacache_cpu import MetaCacheCpu
 from repro.core.classify import Classification, classify_reads
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database
 from repro.core.io import save_database
 from repro.core.query import query_database
 from repro.core.stats import AccuracyReport, evaluate_accuracy
+from repro.pipeline.packed import PackedReads
 from repro.util.timer import Timer
 
+from paper.baselines.kraken2 import Kraken2Classifier, Kraken2Params
+from paper.baselines.metacache_cpu import MetaCacheCpu
 from paper.bench.workloads import ReadDataset, ReferenceSet
 
 __all__ = [
@@ -187,7 +188,9 @@ def run_query_comparison(
         rows.append(QueryRow("MC CPU", dataset.name, refset.name, t.elapsed, len(reads)))
         for n, db in dbs.items():
             with Timer() as t:
-                res = query_database(db, reads.sequences, mates=reads.mates)
+                res = query_database(
+                    db, PackedReads.from_reads(reads.sequences, reads.mates)
+                )
                 classify_reads(db, res.candidates)
             rows.append(
                 QueryRow(f"MC {n} GPUs", dataset.name, refset.name, t.elapsed, len(reads))
@@ -243,8 +246,9 @@ def run_accuracy_comparison(
         reads = dataset.reads
         score("Kraken2*", dataset, k2.classify(reads.sequences, mates=reads.mates))
         score("MC CPU", dataset, cpu.classify(reads.sequences, mates=reads.mates))
+        packed = PackedReads.from_reads(reads.sequences, reads.mates)
         for n, db in dbs.items():
-            res = query_database(db, reads.sequences, mates=reads.mates)
+            res = query_database(db, packed)
             score(f"MC {n} GPUs", dataset, classify_reads(db, res.candidates))
     return rows
 

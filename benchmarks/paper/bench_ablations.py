@@ -22,6 +22,7 @@ from repro.core.database import Database
 from repro.core.query import query_database
 from repro.core.stats import evaluate_accuracy
 from repro.hashing.sketch import SketchParams
+from repro.pipeline.packed import PackedReads
 from repro.sort.segmented import segmented_sort_lexsort
 from repro.util.bitops import pack_pairs
 from repro.util.scan import exclusive_prefix_sum
@@ -200,7 +201,7 @@ def test_ablation_sketch_size(benchmark, report):
             )
             db = Database.build(refset.references, refset.taxonomy, params=params)
             with Timer() as t:
-                res = query_database(db, reads.sequences)
+                res = query_database(db, PackedReads.from_reads(reads.sequences))
                 cls = classify_reads(db, res.candidates)
             rep = evaluate_accuracy(
                 refset.taxonomy, cls, ds.true_species, ds.true_genus

@@ -11,13 +11,14 @@ abundances against the afs-plus-mini database.
 
 import numpy as np
 
-from repro.baselines.kraken2 import Kraken2Classifier
-from repro.baselines.metacache_cpu import MetaCacheCpu
 from repro.core.abundance import abundance_deviation, estimate_abundances
 from repro.core.classify import classify_reads
 from repro.core.query import query_database
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy.ranks import Rank
 
+from paper.baselines.kraken2 import Kraken2Classifier
+from paper.baselines.metacache_cpu import MetaCacheCpu
 from paper.bench.runners import build_gpu_database, kraken2_params, paper_params
 from paper.bench.tables import render_table
 from paper.bench.workloads import afs_plus_mini, kald_mini
@@ -39,7 +40,9 @@ def _run_all():
     results = {}
     db = build_gpu_database(refset, 4)
     cls = classify_reads(
-        db, query_database(db, reads.sequences, mates=reads.mates).candidates
+        db, query_database(
+            db, PackedReads.from_reads(reads.sequences, reads.mates)
+        ).candidates
     )
     est = estimate_abundances(refset.taxonomy, cls, Rank.SPECIES)
     results["MC 4 GPUs"] = abundance_deviation(est, truth)

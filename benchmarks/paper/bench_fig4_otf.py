@@ -14,6 +14,7 @@ from pathlib import Path
 from repro.core.classify import classify_reads
 from repro.core.io import load_database, save_database
 from repro.core.query import query_database
+from repro.pipeline.packed import PackedReads
 from repro.util.timer import Timer
 
 from paper.bench.runners import build_gpu_database
@@ -37,11 +38,11 @@ def _run_phases():
             db2 = load_database(Path(tmp) / "db")
         phases["load"] = t.elapsed
         with Timer() as t:  # query the loaded (condensed) database
-            res = query_database(db2, reads.sequences)
+            res = query_database(db2, PackedReads.from_reads(reads.sequences))
             classify_reads(db2, res.candidates)
         phases["query(loaded)"] = t.elapsed
         with Timer() as t:  # OTF query on the database as built
-            res = query_database(db, reads.sequences)
+            res = query_database(db, PackedReads.from_reads(reads.sequences))
             classify_reads(db, res.candidates)
         phases["query(otf)"] = t.elapsed
     return phases

@@ -9,6 +9,7 @@ projected shares.
 """
 
 from repro.core.query import query_database
+from repro.pipeline.packed import PackedReads
 
 from paper.bench.runners import build_gpu_database
 from paper.bench.tables import render_bars
@@ -24,7 +25,7 @@ def _measure_shares():
     refset = refseq_mini()
     reads = hiseq_mini().reads
     db = build_gpu_database(refset, 2)
-    res = query_database(db, reads.sequences)
+    res = query_database(db, PackedReads.from_reads(reads.sequences))
     return res.stages.shares(), res.total_locations / res.n_reads
 
 

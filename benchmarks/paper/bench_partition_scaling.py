@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.core.classify import classify_reads
 from repro.core.query import query_database
+from repro.pipeline.packed import PackedReads
 from repro.util.timer import Timer
 
 from paper.bench.runners import build_gpu_database
@@ -29,9 +30,9 @@ def _sweep():
         with Timer() as t_build:
             db = build_gpu_database(refset, n)
         with Timer() as t_query:
-            res = query_database(db, reads.sequences)
+            res = query_database(db, PackedReads.from_reads(reads.sequences))
             cls = classify_reads(db, res.candidates)
-        stored = sum(p.condensed.locations.size for p in db.partitions)
+        stored = sum(p.condensed.pointers.n_locations for p in db.partitions)
         rows.append((n, t_build.elapsed, t_query.elapsed, db.nbytes, stored))
         taxa_per_n[n] = cls.taxon.copy()
     return rows, taxa_per_n

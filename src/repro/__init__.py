@@ -18,13 +18,13 @@ Package map (details in README.md / DESIGN.md):
 - :mod:`repro.taxonomy`  -- tree, lineages, O(1) LCA, NCBI dumps
 - :mod:`repro.sort`      -- single-key segmented sort, compaction
 - :mod:`repro.pipeline`  -- producer/consumer host threading
-- :mod:`repro.baselines` -- Kraken2-style and MetaCache-CPU baselines
 - :mod:`repro.cli`       -- ``metacache-repro build|query|info|merge``
   (a thin client of :mod:`repro.api`; also ``python -m repro``)
 
-The simulated CUDA substrate, the DGX-1 cost model and the paper-table
-harness are not part of this package: they live in ``benchmarks/paper/``
-(importable as ``paper``) and wrap it from outside.
+The simulated CUDA substrate, the DGX-1 cost model, the Kraken2-style
+and MetaCache-CPU baselines and the paper-table harness are not part
+of this package: they live in ``benchmarks/paper/`` (importable as
+``paper``) and wrap it from outside.
 """
 
 __version__ = "1.1.0"

@@ -680,15 +680,12 @@ class QuerySession:
         min_hits: int | None = None,
     ) -> ReadMapping:
         """Map one batch to candidate reference regions (Section 6.2)."""
-        _, seqs = _coerce_batch(reads, 0)
-        mate_seqs = None
-        if mates is not None:
-            _, mate_seqs = _coerce_batch(mates, 0)
+        _, packed = _pack_batch(reads, mates, 0)
         # pinned like every classify path, so a reload landing mid-call
         # defers the old index's close until the mapping is done
         db = self.database.retain()
         try:
-            mapping = map_reads(db, seqs, mates=mate_seqs, min_hits=min_hits)
+            mapping = map_reads(db, packed, min_hits=min_hits)
         finally:
             db.release()
         self.n_queries += 1

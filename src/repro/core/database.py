@@ -429,11 +429,6 @@ class CondensedIndex:
         )
         return features.take(order).astype(np.uint64), lengths, words
 
-    @property
-    def locations(self) -> np.ndarray:
-        """Every stored location word, dense in feature order (a copy)."""
-        return self.content()[2]
-
     def arrays(self) -> dict[str, np.ndarray]:
         """Every array of the partition by manifest key, in file order:
         what a save writes and what a memory-mapped open maps."""

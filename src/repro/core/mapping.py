@@ -21,6 +21,7 @@ from repro.core.config import MetaCacheParams
 from repro.core.database import Database
 from repro.core.query import query_database
 from repro.genomics.kmers import valid_canonical_kmers
+from repro.pipeline.packed import PackedReads
 
 __all__ = ["ReadMapping", "map_reads", "refine_mapping"]
 
@@ -52,8 +53,7 @@ class ReadMapping:
 
 def map_reads(
     db: Database,
-    sequences: list[np.ndarray],
-    mates: list[np.ndarray] | None = None,
+    packed: PackedReads,
     params: MetaCacheParams | None = None,
     min_hits: int | None = None,
 ) -> ReadMapping:
@@ -61,7 +61,7 @@ def map_reads(
     params = params or db.params
     if min_hits is None:
         min_hits = params.classification.min_hits
-    result = query_database(db, sequences, mates=mates, params=params)
+    result = query_database(db, packed, params=params)
     cands = result.candidates
     n = cands.n_reads
     stride = params.window_stride

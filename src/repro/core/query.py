@@ -21,11 +21,11 @@ Per batch of reads:
 Reads enter as a :class:`~repro.pipeline.packed.PackedReads` batch
 (one contiguous uint8 buffer + int64 offset/read-id arrays, the host
 analogue of MetaCache-GPU staging whole read batches in device
-buffers); the list-of-arrays shape is still accepted and packed on
-entry.  Steps 4-8 are :func:`partition_candidates`, shared with the
-simulated device ring (``ring_query`` in the ``gpu`` package) and the
-per-read oracle under ``tests/reference/``, which differ only in how
-they sketch and how they merge.
+buffers), the one read shape below the public API.  Steps 4-8 are
+:func:`partition_candidates`, shared with the simulated device ring
+(``ring_query`` in the ``gpu`` package) and the per-read oracle under
+``tests/reference/``, which differ only in how they sketch and how
+they merge.
 
 With several partitions, sketches are generated once and each
 partition produces local top hits which are merged -- contents
@@ -154,8 +154,7 @@ def partition_candidates(
 
 def query_database(
     db: Database,
-    sequences: "PackedReads | list[np.ndarray]",
-    mates: list[np.ndarray] | None = None,
+    packed: PackedReads,
     params: MetaCacheParams | None = None,
     partition_ids: Sequence[int] | None = None,
 ) -> QueryResult:
@@ -165,10 +164,9 @@ def query_database(
     ----------
     db:
         the database (any partition layout).
-    sequences / mates:
-        the reads -- either one :class:`PackedReads` batch (``mates``
-        must then be ``None``: pairs are already interleaved inside
-        it), or the list-of-arrays shape, packed on entry.
+    packed:
+        the reads, one :class:`PackedReads` batch (pairs are
+        interleaved inside it).
     params:
         defaults to the database's own parameters.
     partition_ids:
@@ -181,16 +179,6 @@ def query_database(
         unique across partitions.
     """
     params = params or db.params
-    if isinstance(sequences, PackedReads):
-        if mates is not None:
-            raise ValueError(
-                "mates must be None for packed input (pairs are "
-                "interleaved inside the PackedReads batch)"
-            )
-        packed = sequences
-    else:
-        packed = PackedReads.from_reads(sequences, mates)
-
     timer = StageTimer()
     with timer.stage("sketch"):
         sketches, window_read_ids = sketch_reads_packed(

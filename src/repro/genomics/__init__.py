@@ -35,9 +35,7 @@ from repro.genomics.alphabet import (
     AMBIG,
 )
 from repro.genomics.kmers import (
-    pack_kmers,
     canonical_kmers,
-    kmer_validity,
     valid_canonical_kmers,
 )
 from repro.genomics.windows import WindowLayout, num_windows, window_slices
@@ -62,9 +60,7 @@ __all__ = [
     "G",
     "T",
     "AMBIG",
-    "pack_kmers",
     "canonical_kmers",
-    "kmer_validity",
     "valid_canonical_kmers",
     "WindowLayout",
     "num_windows",

@@ -1,9 +1,9 @@
 """Vectorized canonical k-mer extraction.
 
 Given an encoded sequence of length ``n`` this module produces the
-``n - k + 1`` packed 2-bit k-mers, their validity mask (a k-mer is
-invalid if it covers any ambiguous base) and the canonical form
-``min(kmer, revcomp(kmer))`` that MetaCache hashes.
+canonical form ``min(kmer, revcomp(kmer))`` that MetaCache hashes of
+each of its ``n - k + 1`` packed 2-bit k-mers, and which of them are
+invalid (a k-mer is invalid if it covers any ambiguous base).
 
 Packing is by *doubling*: the ``2m``-mer at position ``i`` is the
 ``m``-mer at ``i`` joined with the ``m``-mer at ``i + m``, so a k-mer
@@ -24,8 +24,6 @@ import numpy as np
 from repro.util.bitops import reverse_complement_2bit
 
 __all__ = [
-    "pack_kmers",
-    "kmer_validity",
     "canonical_kmers",
     "valid_canonical_kmers",
     "pack_canonical_kmers",
@@ -113,32 +111,6 @@ def _forward_bases(
     return codes.astype(_word(k))
 
 
-def pack_kmers(codes: np.ndarray, k: int) -> np.ndarray:
-    """Pack all k-mers of an encoded sequence into uint64 values.
-
-    Ambiguous bases are packed as code 0; callers must combine with
-    :func:`kmer_validity` to discard affected k-mers.  Returns an
-    array of length ``max(0, len(codes) - k + 1)``.
-    """
-    _check_k(k)
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size < k:
-        return np.zeros(0, dtype=_U64)
-    bases = _forward_bases(codes, k, _ambiguous(codes))
-    return _pack_strand(bases, k, reverse=False).astype(_U64)
-
-
-def kmer_validity(codes: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask: True where the k-mer starting at i has no AMBIG base."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size < k:
-        return np.zeros(0, dtype=bool)
-    bad = _ambiguous(codes)
-    if bad is None:
-        return np.ones(codes.size - k + 1, dtype=bool)
-    return ~_covers(bad, k)
-
-
 def canonical_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
     """Canonical form: element-wise min of k-mer and its reverse complement.
 
@@ -160,11 +132,11 @@ def pack_canonical_kmers(
 
     Returns ``(canonical, invalid)``.  ``canonical`` has length
     ``max(0, len(codes) - k + 1)`` and dtype ``uint32`` when
-    ``2k <= 32``, else ``uint64``; it equals
-    ``canonical_kmers(pack_kmers(codes, k), k)`` value for value.
-    ``invalid`` is ``None`` when the sequence has no ambiguous base
-    (the common case pays one ``uint8`` comparison for it), otherwise
-    the complement of :func:`kmer_validity`.
+    ``2k <= 32``, else ``uint64``; it equals :func:`canonical_kmers`
+    of the forward 2-bit packing value for value (an ambiguous base
+    packs as code 0).  ``invalid`` is ``None`` when the sequence has
+    no ambiguous base (the common case pays one ``uint8`` comparison
+    for it), otherwise True where the k-mer covers an ambiguous base.
     """
     _check_k(k)
     codes = np.asarray(codes, dtype=np.uint8)
@@ -181,8 +153,8 @@ def pack_canonical_kmers(
 def valid_canonical_kmers(codes: np.ndarray, k: int) -> np.ndarray:
     """All valid canonical k-mers of an encoded sequence, in order.
 
-    Convenience composition used by the scalar reference paths and the
-    Kraken2-like baseline.
+    Convenience composition used by read-to-region seed verification
+    (:func:`repro.core.mapping.refine_mapping`).
     """
     canonical, invalid = pack_canonical_kmers(codes, k)
     if invalid is not None:

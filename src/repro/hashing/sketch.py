@@ -18,9 +18,9 @@ pipeline needs:
   :class:`repro.parallel.ParallelSketcher` one job), per-segment window
   counts returned alongside so the rows split back per target.
 
-Reads held as a list of arrays are packed first
-(:meth:`repro.pipeline.packed.PackedReads.from_reads`).  All three
-are one kernel, :func:`_sketch_segments`: canonical k-mers
+Reads reach the query kernel packed (the session packs a list of
+arrays once, with :meth:`repro.pipeline.packed.PackedReads.from_reads`).
+All three are one kernel, :func:`_sketch_segments`: canonical k-mers
 of both strands packed by doubling (:mod:`repro.genomics.kmers`),
 hashed in place, gathered into a window matrix as contiguous rows,
 row-sorted, and read off the sorted prefix

@@ -83,9 +83,9 @@ class PackedReads:
 
     See the module docstring for the layout contract.  Construct via
     :meth:`from_ascii` (ASCII reads, as parsed from files and request
-    bodies), :meth:`from_reads` (list-of-arrays adapter; both handle
-    paired-end interleaving) or :meth:`from_arrays` (pre-built
-    arrays); the raw constructor validates but does not copy.
+    bodies) or :meth:`from_reads` (list-of-arrays adapter; both handle
+    paired-end interleaving); the raw constructor takes pre-built
+    arrays, which it validates but does not copy.
     """
 
     buffer: np.ndarray
@@ -174,38 +174,6 @@ class PackedReads:
         )
 
     @classmethod
-    def from_arrays(
-        cls,
-        buffer: np.ndarray,
-        offsets: np.ndarray,
-        read_ids: np.ndarray | None = None,
-        *,
-        n_reads: int | None = None,
-        paired: bool = False,
-    ) -> "PackedReads":
-        """Wrap pre-built arrays (validates, never copies the buffer).
-
-        ``read_ids`` defaults to one logical read per segment;
-        ``n_reads`` defaults to the number of distinct ids implied by
-        the (non-decreasing) ``read_ids``.
-        """
-        offsets = np.asarray(offsets, dtype=np.int64)
-        n_segments = offsets.size - 1
-        if read_ids is None:
-            read_ids = np.arange(n_segments, dtype=np.int64)
-        else:
-            read_ids = np.asarray(read_ids, dtype=np.int64)
-        if n_reads is None:
-            n_reads = int(read_ids[-1]) + 1 if read_ids.size else 0
-        return cls(
-            buffer=buffer,
-            offsets=offsets,
-            read_ids=read_ids,
-            n_reads=n_reads,
-            paired=paired,
-        )
-
-    @classmethod
     def concatenate(cls, parts: Sequence["PackedReads"]) -> "PackedReads":
         """The batches of ``parts`` (at least one) as one batch, in order.
 
@@ -280,14 +248,6 @@ class PackedReads:
         return self._read_lengths
 
     # ------------------------------------------------------------ adapters
-
-    def segment(self, i: int) -> np.ndarray:
-        """Zero-copy view of segment ``i``."""
-        return self.buffer[self.offsets[i] : self.offsets[i + 1]]
-
-    def segments(self) -> list[np.ndarray]:
-        """Zero-copy views of every segment, in order."""
-        return [self.segment(i) for i in range(self.n_segments)]
 
     def slice_reads(self, start: int, stop: int) -> "PackedReads":
         """A packed sub-batch of logical reads ``[start, stop)``.

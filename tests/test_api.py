@@ -263,6 +263,14 @@ class TestSessionReuse:
         mapping = mc.session().map(named)
         assert mapping.target.size == len(named)
 
+    def test_session_map_mate_count_mismatch(self, world):
+        """``map`` refuses a short mate batch as ``classify`` does."""
+        _, _, _, mc, named = world
+        session = mc.session()
+        for call in (session.map, session.classify):
+            with pytest.raises(InvalidReadError, match="has 2 reads, expected 3"):
+                call(named[:3], named[:2])
+
 
 # -------------------------------------------------------------- streaming
 

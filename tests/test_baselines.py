@@ -1,15 +1,17 @@
 """Tests for the Kraken2-like and MetaCache-CPU baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.baselines.kraken2 import (
+from paper.baselines.kraken2 import (
     Kraken2Classifier,
     Kraken2Params,
     MinimizerLcaTable,
     extract_minimizers,
 )
-from repro.baselines.metacache_cpu import MetaCacheCpu
+from paper.baselines.metacache_cpu import MetaCacheCpu
 from repro.core.classify import UNCLASSIFIED, classify_reads
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database
@@ -18,6 +20,7 @@ from repro.core.stats import evaluate_accuracy
 from repro.genomics.alphabet import encode_sequence
 from repro.genomics.reads import HISEQ, ReadProfile, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ranks import Rank
 
@@ -206,12 +209,12 @@ class TestMetaCacheCpu:
         genomes, taxonomy, taxa, refs = world
         cpu = MetaCacheCpu(taxonomy, PARAMS).build(refs)
         gpu_db = Database.build(refs, taxonomy, params=PARAMS, n_partitions=1)
-        reads = ReadSimulator(genomes, seed=6).simulate(HISEQ, 80)
+        reads = ReadSimulator(genomes, seed=6).simulate(HISEQ, 200)
         c_cpu = cpu.classify(reads.sequences)
-        c_gpu = classify_reads(
-            gpu_db, query_database(gpu_db, reads.sequences).candidates
-        )
-        assert np.array_equal(c_cpu.taxon, c_gpu.taxon)
+        packed = PackedReads.from_reads(reads.sequences)
+        c_gpu = classify_reads(gpu_db, query_database(gpu_db, packed).candidates)
+        for f in dataclasses.fields(c_gpu):
+            assert np.array_equal(getattr(c_cpu, f.name), getattr(c_gpu, f.name)), f.name
 
     def test_cap_loses_locations_vs_partitioned(self, world):
         """The 254-cap effect: partitioned DBs retain more locations."""
@@ -220,7 +223,7 @@ class TestMetaCacheCpu:
         cpu = MetaCacheCpu(taxonomy, tight).build(refs)
         gpu_db = Database.build(refs, taxonomy, params=tight, n_partitions=3)
         # GPU partitions each keep up to 2 locations per feature
-        assert sum(p.condensed.locations.size for p in gpu_db.partitions) >= (
+        assert sum(p.condensed.pointers.n_locations for p in gpu_db.partitions) >= (
             cpu.table.stored
         )
         assert cpu.table.dropped > 0

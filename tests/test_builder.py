@@ -297,7 +297,7 @@ class TestBuildStats:
     def test_from_database_carries_accounting(self, world):
         _, _, taxonomy, _, _, _, refs, _ = world
         first = Database.build(refs[:2], taxonomy, params=PARAMS)
-        inserted = sum(p.condensed.locations.size for p in first.partitions)
+        inserted = sum(p.condensed.pointers.n_locations for p in first.partitions)
         builder = DatabaseBuilder.from_database(first)
         assert builder.stats.n_targets == 2
         assert builder.stats.features_inserted == inserted
@@ -319,7 +319,7 @@ class TestBuilderLifecycle:
         db = DatabaseBuilder(taxonomy, PARAMS, n_partitions=3).finalize()
         assert db.n_targets == 0
         assert db.n_partitions == 3
-        assert all(p.condensed.locations.size == 0 for p in db.partitions)
+        assert all(p.condensed.pointers.n_locations == 0 for p in db.partitions)
 
     def test_constructor_validation(self, world):
         _, _, taxonomy, _, _, _, _, _ = world

@@ -11,6 +11,7 @@ from repro.genomics.fasta import write_fasta
 from repro.genomics.fastq import FastqRecord, write_fastq
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ncbi import write_ncbi_dump
 
@@ -236,7 +237,7 @@ class TestCliMerge:
                 params=db.params, taxonomy=taxonomy,
                 partitions=[part], targets=db.targets,
             )
-            res = query_database(solo, reads.sequences)
+            res = query_database(solo, PackedReads.from_reads(reads.sequences))
             p = tmp_path / f"run{pid}.npz"
             save_candidates(res.candidates, p)
             paths.append(str(p))

@@ -14,6 +14,7 @@ from repro.core.query import query_database
 from repro.genomics.fasta import write_fasta
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 
 PARAMS = MetaCacheParams.small()
@@ -63,12 +64,9 @@ class TestBuildFromFasta:
         ]
         db_mem = Database.build(refs, taxonomy, params=PARAMS)
         reads = ReadSimulator(genomes, seed=1).simulate(HISEQ, 60)
-        c_files = classify_reads(
-            db_files, query_database(db_files, reads.sequences).candidates
-        )
-        c_mem = classify_reads(
-            db_mem, query_database(db_mem, reads.sequences).candidates
-        )
+        packed = PackedReads.from_reads(reads.sequences)
+        c_files = classify_reads(db_files, query_database(db_files, packed).candidates)
+        c_mem = classify_reads(db_mem, query_database(db_mem, packed).candidates)
         assert np.array_equal(c_files.taxon, c_mem.taxon)
 
     def test_deterministic_across_runs(self, world):

@@ -17,6 +17,7 @@ from repro.core import (
 from repro.core.mapping import refine_mapping
 from repro.genomics.reads import HISEQ, ReadProfile, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 
 PARAMS = MetaCacheParams.small()
@@ -48,7 +49,7 @@ class TestReadMapping:
             reads.append(g[pos : pos + 60].copy())
             true_pos.append(pos)
             true_target.append(t)
-        mapping = map_reads(db, reads, min_hits=2)
+        mapping = map_reads(db, PackedReads.from_reads(reads), min_hits=2)
         assert mapping.n_mapped > 40
         correct_region = 0
         for i in range(50):
@@ -65,7 +66,7 @@ class TestReadMapping:
     def test_region_within_target_bounds(self, world):
         genomes, _, _, db = world
         reads = ReadSimulator(genomes, seed=1).simulate(HISEQ, 60)
-        mapping = map_reads(db, reads.sequences)
+        mapping = map_reads(db, PackedReads.from_reads(reads.sequences))
         lengths = np.array([t.length for t in db.targets])
         for i in np.flatnonzero(mapping.mapped_mask):
             assert 0 <= mapping.ref_begin[i] < mapping.ref_end[i]
@@ -73,7 +74,7 @@ class TestReadMapping:
 
     def test_unmappable_reads(self, world):
         _, _, _, db = world
-        mapping = map_reads(db, [np.zeros(3, dtype=np.uint8)])
+        mapping = map_reads(db, PackedReads.from_reads([np.zeros(3, dtype=np.uint8)]))
         assert mapping.n_mapped == 0
         assert mapping.target[0] == -1
 
@@ -99,7 +100,7 @@ class TestMergePartitionRuns:
         """Independent per-partition runs + merge == joint query."""
         genomes, taxonomy, taxa, db = world
         reads = ReadSimulator(genomes, seed=2).simulate(HISEQ, 50)
-        joint = query_database(db, reads.sequences)
+        joint = query_database(db, PackedReads.from_reads(reads.sequences))
 
         # simulate the low-memory workflow: query each partition alone
         paths = []
@@ -110,7 +111,7 @@ class TestMergePartitionRuns:
                 partitions=[part],
                 targets=db.targets,
             )
-            res = query_database(solo, reads.sequences)
+            res = query_database(solo, PackedReads.from_reads(reads.sequences))
             path = tmp_path / f"run{pid}.npz"
             save_candidates(res.candidates, path)
             paths.append(path)
@@ -126,7 +127,7 @@ class TestMergePartitionRuns:
     def test_roundtrip_serialization(self, world, tmp_path):
         genomes, _, _, db = world
         reads = ReadSimulator(genomes, seed=3).simulate(HISEQ, 10)
-        res = query_database(db, reads.sequences)
+        res = query_database(db, PackedReads.from_reads(reads.sequences))
         path = tmp_path / "c.npz"
         save_candidates(res.candidates, path)
         back = load_candidates(path)
@@ -135,11 +136,11 @@ class TestMergePartitionRuns:
 
     def test_mismatched_read_counts_rejected(self, world, tmp_path):
         genomes, _, _, db = world
-        r1 = query_database(
-            db, ReadSimulator(genomes, seed=4).simulate(HISEQ, 5).sequences
-        )
-        r2 = query_database(
-            db, ReadSimulator(genomes, seed=4).simulate(HISEQ, 6).sequences
+        r1, r2 = (
+            query_database(db, PackedReads.from_reads(
+                ReadSimulator(genomes, seed=4).simulate(HISEQ, n).sequences
+            ))
+            for n in (5, 6)
         )
         with pytest.raises(ValueError):
             merge_partition_runs([r1.candidates, r2.candidates])
@@ -151,6 +152,6 @@ class TestMergePartitionRuns:
     def test_top_m_truncation(self, world):
         genomes, _, _, db = world
         reads = ReadSimulator(genomes, seed=5).simulate(HISEQ, 10)
-        res = query_database(db, reads.sequences)
+        res = query_database(db, PackedReads.from_reads(reads.sequences))
         merged = merge_partition_runs([res.candidates, res.candidates], m=2)
         assert merged.m == 2

@@ -41,7 +41,7 @@ class TestQueryPipeline:
         reads = ReadSimulator(genomes, seed=1).simulate(
             ReadProfile("exact", 60, 60, 60, error_rate=0.0), 150
         )
-        res = query_database(db, reads.sequences)
+        res = query_database(db, PackedReads.from_reads(reads.sequences))
         cls = classify_reads(db, res.candidates)
         assert cls.n_classified > 140
         true_sp = np.array([taxa.species_taxon[t] for t in reads.true_target])
@@ -61,8 +61,8 @@ class TestQueryPipeline:
         ]
         db1 = Database.build(refs, taxonomy, params=PARAMS, n_partitions=1)
         reads = ReadSimulator(genomes, seed=2).simulate(HISEQ, 80)
-        r1 = query_database(db1, reads.sequences)
-        r2 = query_database(db, reads.sequences)
+        r1 = query_database(db1, PackedReads.from_reads(reads.sequences))
+        r2 = query_database(db, PackedReads.from_reads(reads.sequences))
         c1 = classify_reads(db1, r1.candidates)
         c2 = classify_reads(db, r2.candidates)
         assert np.array_equal(c1.taxon, c2.taxon)
@@ -72,7 +72,7 @@ class TestQueryPipeline:
         reads = ReadSimulator(genomes, seed=3).simulate(HISEQ, 60)
         node = MultiGpuNode.dgx1(db.n_partitions)
         r_ring, trace = ring_query(node, db, PackedReads.from_reads(reads.sequences))
-        r_seq = query_database(db, reads.sequences)
+        r_seq = query_database(db, PackedReads.from_reads(reads.sequences))
         assert np.array_equal(r_ring.candidates.score, r_seq.candidates.score)
         assert np.array_equal(r_ring.candidates.target, r_seq.candidates.target)
         assert r_ring.total_locations == r_seq.total_locations
@@ -84,7 +84,7 @@ class TestQueryPipeline:
     def test_paired_end_classification(self, world):
         genomes, _, taxa, db = world
         reads = ReadSimulator(genomes, seed=4).simulate(KAL_D, 40)
-        res = query_database(db, reads.sequences, mates=reads.mates)
+        res = query_database(db, PackedReads.from_reads(reads.sequences, reads.mates))
         cls = classify_reads(db, res.candidates)
         assert res.n_reads == 40
         assert cls.n_classified > 35
@@ -93,8 +93,10 @@ class TestQueryPipeline:
         """Both mates contribute hits to the pair's candidate."""
         genomes, _, _, db = world
         reads = ReadSimulator(genomes, seed=5).simulate(KAL_D, 30)
-        r_pair = query_database(db, reads.sequences, mates=reads.mates)
-        r_single = query_database(db, reads.sequences)
+        r_pair = query_database(
+            db, PackedReads.from_reads(reads.sequences, reads.mates)
+        )
+        r_single = query_database(db, PackedReads.from_reads(reads.sequences))
         ok = r_pair.candidates.valid[:, 0] & r_single.candidates.valid[:, 0]
         assert (
             r_pair.candidates.score[ok, 0] >= r_single.candidates.score[ok, 0]
@@ -106,7 +108,7 @@ class TestQueryPipeline:
     def test_short_reads_unclassified(self, world):
         _, _, _, db = world
         tiny = [np.zeros(3, dtype=np.uint8)]  # shorter than k
-        res = query_database(db, tiny)
+        res = query_database(db, PackedReads.from_reads(tiny))
         cls = classify_reads(db, res.candidates)
         assert cls.taxon[0] == UNCLASSIFIED
 
@@ -115,25 +117,22 @@ class TestQueryPipeline:
         _, _, _, db = world
         foreign = GenomeSimulator(seed=999).simulate_collection(1, 1, 3000)
         reads = ReadSimulator(foreign, seed=6).simulate(HISEQ, 60)
-        res = query_database(db, reads.sequences)
+        res = query_database(db, PackedReads.from_reads(reads.sequences))
         cls = classify_reads(db, res.candidates)
         assert cls.n_classified < 10
 
     def test_stage_timers_populated(self, world):
         genomes, _, _, db = world
         reads = ReadSimulator(genomes, seed=7).simulate(HISEQ, 20)
-        res = query_database(db, reads.sequences)
+        res = query_database(db, PackedReads.from_reads(reads.sequences))
         for stage in ("sketch", "query", "compact", "segmented_sort",
                       "window_count_top", "merge"):
             assert stage in res.stages.stages
         assert res.stages.total > 0
 
     def test_mates_length_mismatch_raises(self, world):
-        _, _, _, db = world
-        with pytest.raises(ValueError):
-            query_database(
-                db, [np.zeros(30, dtype=np.uint8)], mates=[]
-            )
+        with pytest.raises(ValueError, match="mates list must match"):
+            PackedReads.from_reads([np.zeros(30, dtype=np.uint8)], [])
 
 
 class TestClassificationRule:
@@ -151,7 +150,7 @@ class TestClassificationRule:
         monkeypatch.setattr(
             Taxonomy, "index_of", lambda self, t: calls.append(t) or real(self, t)
         )
-        result = query_database(db, reads)
+        result = query_database(db, PackedReads.from_reads(reads))
         assert calls == []
         again = classify_reads(db, result.candidates)
         assert calls == []
@@ -160,7 +159,7 @@ class TestClassificationRule:
     def test_min_hits_threshold(self, world):
         genomes, _, _, db = world
         reads = ReadSimulator(genomes, seed=8).simulate(HISEQ, 50)
-        res = query_database(db, reads.sequences)
+        res = query_database(db, PackedReads.from_reads(reads.sequences))
         strict = ClassificationParams(min_hits=10**6)
         cls = classify_reads(db, res.candidates, strict)
         assert cls.n_classified == 0
@@ -176,7 +175,7 @@ class TestClassificationRule:
         reads = ReadSimulator(genomes[:2], seed=9).simulate(
             ReadProfile("exact", 80, 80, 80, error_rate=0.0), 200
         )
-        res = query_database(db, reads.sequences)
+        res = query_database(db, PackedReads.from_reads(reads.sequences))
         cls = classify_reads(db, res.candidates, lax)
         # at least some reads must have been resolved via LCA to a
         # non-sequence rank (species or genus internal node)
@@ -192,7 +191,7 @@ class TestClassificationRule:
             ReadProfile("exact", 80, 80, 80, error_rate=0.0), 50
         )
         cls = classify_reads(
-            db, query_database(db, reads.sequences).candidates
+            db, query_database(db, PackedReads.from_reads(reads.sequences)).candidates
         )
         seq_level = sum(
             db.lineages.rank_resolved(int(t)) == Rank.SEQUENCE
@@ -265,7 +264,7 @@ class TestAbundance:
             strain_divergence=0.0,
         )
         reads = com.simulate_reads(HISEQ, 600)
-        res = query_database(db, reads.sequences)
+        res = query_database(db, PackedReads.from_reads(reads.sequences))
         cls = classify_reads(db, res.candidates)
         est = estimate_abundances(taxonomy, cls, Rank.SPECIES)
         truth = {

@@ -46,7 +46,7 @@ def world(tmp_path_factory):
 class TestCore:
     def test_query_database_zero_reads(self, world):
         mc, _, _ = world
-        result = query_database(mc.database, [])
+        result = query_database(mc.database, PackedReads.from_reads([]))
         assert result.n_reads == 0
         assert result.read_lengths.shape == (0,)
         assert result.candidates.target.shape[0] == 0
@@ -58,7 +58,9 @@ class TestCore:
 
     def test_query_database_zero_length_read(self, world):
         mc, _, _ = world
-        result = query_database(mc.database, [encode_sequence("")])
+        result = query_database(
+            mc.database, PackedReads.from_reads([encode_sequence("")])
+        )
         assert result.n_reads == 1
         cls = classify_reads(
             mc.database, result.candidates, PARAMS.classification
@@ -69,10 +71,10 @@ class TestCore:
         mc, _, _ = world
         real = encode_sequence("ACGT" * 30)
         mixed = query_database(
-            mc.database, [real, encode_sequence(""), real]
+            mc.database, PackedReads.from_reads([real, encode_sequence(""), real])
         )
         assert mixed.n_reads == 3
-        alone = query_database(mc.database, [real])
+        alone = query_database(mc.database, PackedReads.from_reads([real]))
         # the empty read must not perturb its neighbours' candidates
         assert np.array_equal(
             mixed.candidates.score[0], alone.candidates.score[0]

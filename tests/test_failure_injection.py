@@ -13,6 +13,7 @@ import pytest
 from repro.core import Database, MetaCacheParams, load_database, save_database
 from repro.core.legacy import convert_database
 from repro.genomics.simulate import GenomeSimulator
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ncbi import load_ncbi_dump
 from repro.taxonomy.ranks import Rank
@@ -177,7 +178,7 @@ class TestDegenerateInputs:
         assert db.n_targets == 0
         from repro.core import classify_reads, query_database
 
-        res = query_database(db, [np.zeros(50, dtype=np.uint8)])
+        res = query_database(db, PackedReads.from_reads([np.zeros(50, dtype=np.uint8)]))
         cls = classify_reads(db, res.candidates)
         assert cls.n_classified == 0
 
@@ -187,4 +188,4 @@ class TestDegenerateInputs:
         refs = [("all-N", np.full(500, 255, dtype=np.uint8), taxa.target_taxon[0])]
         db = Database.build(refs, taxonomy, params=PARAMS)
         # windows exist, but no feature was inserted
-        assert db.partitions[0].condensed.locations.size == 0
+        assert db.partitions[0].condensed.pointers.n_locations == 0

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import repro.genomics.fasta as fasta_mod
 from reference import fasta_per_line as oracle
+from reference import segments
 from repro.api import MetaCache, MetaCacheParams
 from repro.api.sinks import TsvSink
 from repro.errors import BuildError, InvalidReadError
@@ -176,7 +177,7 @@ class TestParserAgainstOracle:
         assert [
             (header, decode_sequence(codes))
             for item in items
-            for header, codes in zip(item.headers, item.packed.segments())
+            for header, codes in zip(item.headers, segments(item.packed))
         ] == [(header, decode_sequence(encode_sequence(seq))) for header, seq in expected]
 
     def test_header_only_records_and_gt_inside_headers(self, tmp_path):

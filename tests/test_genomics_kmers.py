@@ -15,8 +15,7 @@ from repro.genomics.alphabet import (
 )
 from repro.genomics.kmers import (
     canonical_kmers,
-    kmer_validity,
-    pack_kmers,
+    pack_canonical_kmers,
     valid_canonical_kmers,
 )
 
@@ -82,63 +81,73 @@ class TestAlphabet:
         assert reverse_complement_str(reverse_complement_str(seq)) == seq
 
 
+def _packed(seq: str, k: int) -> list[int]:
+    """Scalar 2-bit packing of every k-mer of an ACGT string."""
+    out = []
+    for i in range(max(0, len(seq) - k + 1)):
+        v = 0
+        for ch in seq[i : i + k]:
+            v = (v << 2) | "ACGT".index(ch)
+        out.append(v)
+    return out
+
+
 class TestPackKmers:
+    """``pack_canonical_kmers``' values against scalar packing."""
+
     def test_short_sequence_empty(self):
-        assert pack_kmers(encode_sequence("ACG"), 4).size == 0
+        assert pack_canonical_kmers(encode_sequence("ACG"), 4)[0].size == 0
 
     def test_known_packing(self):
-        # ACGT as 4-mer: 0b00_01_10_11 = 27
-        out = pack_kmers(encode_sequence("ACGT"), 4)
-        assert out.size == 1 and out[0] == 27
+        # ACGT is its own reverse complement: 0b00_01_10_11 = 27
+        out, invalid = pack_canonical_kmers(encode_sequence("ACGT"), 4)
+        assert out.tolist() == [27] and invalid is None
 
     def test_sliding(self):
-        out = pack_kmers(encode_sequence("AACGT"), 4)
-        assert out.size == 2
-        # AACG = 0b00_00_01_10 = 6 ; ACGT = 27
-        assert list(out) == [6, 27]
+        out, _ = pack_canonical_kmers(encode_sequence("AACGT"), 4)
+        # AACG = 0b00_00_01_10 = 6 (below CGTT); ACGT = 27
+        assert out.tolist() == [6, 27]
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            pack_kmers(encode_sequence("ACGT"), 0)
+            pack_canonical_kmers(encode_sequence("ACGT"), 0)
         with pytest.raises(ValueError):
-            pack_kmers(encode_sequence("ACGT"), 33)
+            pack_canonical_kmers(encode_sequence("ACGT"), 33)
 
     @given(dna, st.integers(1, 8))
     @settings(max_examples=50)
     def test_matches_scalar_packing(self, seq, k):
-        codes = encode_sequence(seq)
-        out = pack_kmers(codes, k)
-        expected = []
-        for i in range(max(0, len(seq) - k + 1)):
-            v = 0
-            for ch in seq[i : i + k]:
-                v = (v << 2) | "ACGT".index(ch)
-            expected.append(v)
-        assert list(out) == expected
+        out, _ = pack_canonical_kmers(encode_sequence(seq), k)
+        forward = _packed(seq, k)
+        reverse = _packed(reverse_complement_str(seq), k)[::-1]
+        assert out.tolist() == [min(f, r) for f, r in zip(forward, reverse)]
 
 
 class TestValidity:
+    """``pack_canonical_kmers``' mask of k-mers covering an ambiguous base."""
+
     def test_all_valid(self):
-        assert kmer_validity(encode_sequence("ACGTACGT"), 4).all()
+        assert pack_canonical_kmers(encode_sequence("ACGTACGT"), 4)[1] is None
 
     def test_n_invalidates_covering_kmers(self):
-        valid = kmer_validity(encode_sequence("ACGNACGT"), 4)
+        _, invalid = pack_canonical_kmers(encode_sequence("ACGNACGT"), 4)
         # positions 0..3 cover the N at index 3; position 4 onward valid
-        assert list(valid) == [False, False, False, False, True]
+        assert invalid.tolist() == [True, True, True, True, False]
 
     @given(dna_with_n, st.integers(1, 8))
     @settings(max_examples=50)
     def test_matches_scalar(self, seq, k):
-        codes = encode_sequence(seq)
-        valid = kmer_validity(codes, k)
-        expected = ["N" not in seq[i : i + k] for i in range(max(0, len(seq) - k + 1))]
-        assert list(valid) == expected
+        canonical, invalid = pack_canonical_kmers(encode_sequence(seq), k)
+        if invalid is None:
+            invalid = np.zeros(canonical.size, dtype=bool)
+        expected = ["N" in seq[i : i + k] for i in range(max(0, len(seq) - k + 1))]
+        assert invalid.tolist() == expected
 
 
 class TestCanonical:
     def test_canonical_is_min(self):
-        kmers = pack_kmers(encode_sequence("AAAA"), 4)  # AAAA=0, revcomp TTTT=255
-        assert canonical_kmers(kmers, 4)[0] == 0
+        kmers = np.array([0, 255], dtype=np.uint64)  # AAAA and TTTT
+        assert canonical_kmers(kmers, 4).tolist() == [0, 0]
 
     @given(dna.filter(lambda s: len(s) >= 8))
     @settings(max_examples=50)

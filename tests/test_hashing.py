@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.genomics.alphabet import encode_sequence
-from repro.genomics.kmers import canonical_kmers, pack_kmers
 from repro.hashing.hashes import fmix32, fmix64, hash_kmers_h1
 from repro.hashing.minhash import (
     SKETCH_PAD,
@@ -21,6 +20,8 @@ from repro.hashing.sketch import (
     sketch_sequence,
 )
 from repro.pipeline.packed import PackedReads
+
+from reference.sketch_windowed import canonical_kmers, pack_kmers
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=300)
 

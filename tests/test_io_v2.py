@@ -41,6 +41,7 @@ from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fastq import FastqRecord, write_fastq
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
+from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.warpcore.single_value import SingleValueHashTable
 
@@ -85,7 +86,7 @@ def v1_converted(world, tmp_path_factory):
 
 
 def _taxa(db, seqs):
-    result = query_database(db, seqs)
+    result = query_database(db, PackedReads.from_reads(seqs))
     return classify_reads(db, result.candidates).taxon
 
 

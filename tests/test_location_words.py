@@ -240,7 +240,7 @@ class TestLegacyU64Directory:
         convert_database(root / "u64", tmp_path / "converted")
         db = load_database(tmp_path / "converted", mmap=True)
         assert db.mmap_path == tmp_path / "converted"
-        assert db.partitions[0].condensed.locations.dtype == np.uint32
+        assert db.partitions[0].condensed.content()[2].dtype == np.uint32
         db.close()
 
     def test_convert_rewrites_uint32_words(self, legacy, tmp_path):
@@ -303,10 +303,11 @@ class TestTargetMap:
         )
         assert database_mod.pack_locations(locations)[2] == index.window_bits
         targets, words = self._oracle(locations)
-        assert index.targets.dtype == np.uint32 and index.locations.dtype == np.uint32
+        stored = index.content()[2]
+        assert index.targets.dtype == np.uint32 and stored.dtype == np.uint32
         assert np.array_equal(index.targets, targets)
-        assert np.array_equal(index.locations, words)
-        assert np.array_equal(index.expand(index.locations), locations)
+        assert np.array_equal(stored, words)
+        assert np.array_equal(index.expand(stored), locations)
 
     def test_targets_cut_whole_at_the_cap(self):
         """A target whose every feature is some earlier target's keeps no
@@ -321,11 +322,12 @@ class TestTargetMap:
         for ref in [refs[0], refs[0], refs[1], refs[0]]:
             builder.add_reference(*ref)
         index = builder.finalize().partitions[0].condensed
-        locations = index.expand(index.locations)
+        stored = index.content()[2]
+        locations = index.expand(stored)
         assert 1 not in index.targets and 3 not in index.targets
         targets, words = self._oracle(locations)
         assert np.array_equal(index.targets, targets)
-        assert np.array_equal(index.locations, words)
+        assert np.array_equal(stored, words)
 
 
 class TestWordCapacity:

@@ -31,6 +31,7 @@ from repro.core.query import partition_candidates, query_database
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
 from repro.hashing.minhash import SKETCH_PAD
+from repro.pipeline.packed import PackedReads
 from repro.sort import LocationKeyLayout
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.util.bitops import pack_pairs
@@ -294,10 +295,11 @@ class TestQueryDatabase:
         reads = [*ends[0], *reads[:20], *ends[0], *[reads[3]] * 30, *reads[20:], *ends[1]]
         mates = [*ends[1], *mates[:20], *ends[1], *[mates[3]] * 30, *mates[20:], *ends[0]]
         mates = mates if paired else None
-        got = query_database(built, reads, mates=mates, partition_ids=pids)
+        packed = PackedReads.from_reads(reads, mates)
+        got = query_database(built, packed, partition_ids=pids)
         with monkeypatch.context() as patch:
             patch.setattr(query_mod, "partition_candidates", oracle.partition_candidates)
-            want = query_database(built, reads, mates=mates, partition_ids=pids)
+            want = query_database(built, packed, partition_ids=pids)
         assert got.total_locations == want.total_locations > 0
         for f in dataclasses.fields(want.candidates):
             a, b = getattr(got.candidates, f.name), getattr(want.candidates, f.name)

@@ -52,6 +52,7 @@ from reference.legacy import (
     query_database_legacy,
     sketch_reads_loop,
 )
+from reference import segments
 from reference.pack_lines import from_lines
 
 PARAMS = MetaCacheParams.small()  # k=8, s=4, w=24
@@ -138,7 +139,7 @@ class TestSketchStage:
         sizes = np.array([size for _, size in segments], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         n_reads = (int(read_ids[-1]) + 1 if read_ids.size else 0) + trailing
-        packed = PackedReads.from_arrays(
+        packed = PackedReads(
             np.zeros(int(offsets[-1]), dtype=np.uint8),
             offsets,
             read_ids,
@@ -212,7 +213,7 @@ class TestPackedReads:
         assert p.total_bases == sum(r.size for r in reads)
         assert p.segment_lengths.tolist() == [r.size for r in reads]
         assert not p.paired
-        assert all(np.array_equal(a, b) for a, b in zip(p.segments(), reads))
+        assert all(np.array_equal(a, b) for a, b in zip(segments(p), reads))
 
     @given(
         lengths=_LENGTHS,
@@ -226,7 +227,7 @@ class TestPackedReads:
         p = PackedReads.from_reads(reads, mates)
         start, stop = min(cut), max(cut)
         sub = p.slice_reads(start, stop)
-        segs = sub.segments()
+        segs = segments(sub)
         s, m = segs[0::2], segs[1::2]
         assert all(np.array_equal(a, b) for a, b in zip(s, reads[start:stop]))
         assert all(np.array_equal(a, b) for a, b in zip(m, mates[start:stop]))
@@ -428,10 +429,8 @@ class TestQueryEquivalence:
         mc, genomes = world
         reads = _mixed_reads(genomes, seed, 60)
         legacy = query_database_legacy(mc.database, reads)
-        packed = query_database(mc.database, reads)
-        prebuilt = query_database(mc.database, PackedReads.from_reads(reads))
+        packed = query_database(mc.database, PackedReads.from_reads(reads))
         _assert_query_results_equal(legacy, packed)
-        _assert_query_results_equal(legacy, prebuilt)
         # classifications (and therefore records/TSV lines) match too
         ct_a = classify_reads(mc.database, legacy.candidates)
         ct_b = classify_reads(mc.database, packed.candidates)
@@ -443,17 +442,13 @@ class TestQueryEquivalence:
         reads = _mixed_reads(genomes, seed, 40)
         mates = _mixed_reads(genomes, seed + 100, 40)[: len(reads)]
         legacy = query_database_legacy(mc.database, reads, mates=mates)
-        packed = query_database(mc.database, reads, mates=mates)
-        prebuilt = query_database(
-            mc.database, PackedReads.from_reads(reads, mates)
-        )
+        packed = query_database(mc.database, PackedReads.from_reads(reads, mates))
         _assert_query_results_equal(legacy, packed)
-        _assert_query_results_equal(legacy, prebuilt)
 
     def test_empty_batch(self, world):
         mc, _ = world
         legacy = query_database_legacy(mc.database, [])
-        packed = query_database(mc.database, [])
+        packed = query_database(mc.database, PackedReads.empty())
         _assert_query_results_equal(legacy, packed)
         assert packed.n_reads == 0
 
@@ -480,11 +475,10 @@ class TestQueryEquivalence:
         mc, _ = world
         # no kernel fork is left to select: the oracle lives in tests/
         with pytest.raises(TypeError, match="kernels"):
-            query_database(mc.database, [], kernels="legacy")
-        with pytest.raises(ValueError, match="mates must be None"):
-            query_database(
-                mc.database, PackedReads.empty(), mates=[]
-            )
+            query_database(mc.database, PackedReads.empty(), kernels="legacy")
+        # nor a mates list: pairs are interleaved inside the batch
+        with pytest.raises(TypeError, match="mates"):
+            query_database(mc.database, PackedReads.empty(), mates=[])
 
 
 # ------------------------------------------- workers x storage: TSV matrix

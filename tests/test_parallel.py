@@ -80,7 +80,7 @@ def world():
 @pytest.fixture(scope="module")
 def serial_taxa(world):
     mc, _, seqs = world
-    result = query_database(mc.database, seqs)
+    result = query_database(mc.database, PackedReads.from_reads(seqs))
     return classify_reads(mc.database, result.candidates).taxon
 
 

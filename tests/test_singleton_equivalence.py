@@ -138,7 +138,7 @@ class TestSingletonEquivalence:
             p = index.pointers
             assert p.single_features.size == int(np.count_nonzero(lengths == 1))
             assert len(p) == features.size and p.n_locations == int(lengths.sum())
-            assert np.array_equal(index.locations, oracle.locations)
+            assert np.array_equal(index.content()[2], oracle.locations)
             assert np.array_equal(
                 p.retrieve(needles)[1], oracle.pointers.retrieve(needles)[1]
             )

