@@ -17,7 +17,7 @@ Package map (details in README.md / DESIGN.md):
 - :mod:`repro.genomics`  -- sequences, k-mers, IO, simulators
 - :mod:`repro.taxonomy`  -- tree, lineages, O(1) LCA, NCBI dumps
 - :mod:`repro.sort`      -- single-key segmented sort, compaction
-- :mod:`repro.pipeline`  -- producer/consumer host threading
+- :mod:`repro.pipeline`  -- packed batches and the prefetching producer thread
 - :mod:`repro.cli`       -- ``metacache-repro build|query|info|merge``
   (a thin client of :mod:`repro.api`; also ``python -m repro``)
 

@@ -11,8 +11,8 @@ shapes:
 - :meth:`classify_iter` -- a lazy generator over an iterable of
   batches: only one batch of reads is ever materialized, so millions
   of reads stream through bounded memory;
-- :meth:`classify_files` -- FASTA/FASTQ file(s) pushed through the
-  :mod:`repro.pipeline` producer/consumer machinery into a
+- :meth:`classify_files` -- FASTA/FASTQ file(s) parsed ahead on a
+  :mod:`repro.pipeline` producer thread and classified into a
   :class:`~repro.api.sinks.Sink`.  The in-process consumer splits
   every batch into contiguous read slices, two per available core, and
   classifies them on threads sharing the one database, one thread
@@ -42,7 +42,6 @@ import ctypes
 import functools
 import itertools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import fields
 from typing import Any, Iterable, Iterator, Mapping
@@ -66,9 +65,7 @@ from repro.errors import (
 from repro.genomics.alphabet import encode_sequence
 from repro.parallel.engine import ParallelClassifier
 from repro.pipeline.packed import PackedReads
-from repro.pipeline.producer import read_file_producer
-from repro.pipeline.queues import ClosableQueue
-from repro.pipeline.scheduler import run_producer_consumer
+from repro.pipeline.producer import READ_DEPTH, prefetched, read_batches
 from repro.shard.router import ShardRouter
 from repro.util.timer import StageTimer
 
@@ -121,6 +118,11 @@ def _coerce_read(read: Any, index: int) -> tuple[str | None, np.ndarray]:
     )
 
 
+def _coerce_sequences(reads: Iterable[Any]) -> list[np.ndarray]:
+    """The encoded sequences of a batch, for callers that need no headers."""
+    return [_coerce_read(read, i)[1] for i, read in enumerate(reads)]
+
+
 def _coerce_batch(
     reads: Iterable[Any], id_offset: int
 ) -> tuple[list[str], list[np.ndarray]]:
@@ -134,19 +136,17 @@ def _coerce_batch(
     return headers, seqs
 
 
-def _pack_batch(
-    reads: Any, mates: Any, id_offset: int
-) -> tuple[list[str], PackedReads]:
-    """Coerce one batch (+ optional mates) to the seam's input shape."""
-    headers, seqs = _coerce_batch(reads, id_offset)
+def _pack(seqs: list[np.ndarray], mates: Any) -> PackedReads:
+    """Encoded sequences (+ optional mates, coerced here) as the seam's
+    packed input."""
     mate_seqs = None
     if mates is not None:
-        _, mate_seqs = _coerce_batch(mates, id_offset)
+        mate_seqs = _coerce_sequences(mates)
         if len(mate_seqs) != len(seqs):
             raise InvalidReadError(
                 f"mate batch has {len(mate_seqs)} reads, expected {len(seqs)}"
             )
-    return headers, PackedReads.from_reads(seqs, mate_seqs)
+    return PackedReads.from_reads(seqs, mate_seqs)
 
 
 #: slices per thread: a pool thread's heap arena keeps free memory up
@@ -440,8 +440,8 @@ class QuerySession:
         only; sketching parameters always come from the database (they
         are baked into the index).
         """
-        headers, packed = _pack_batch(reads, mates, _id_offset)
-        return self._run_batch(headers, packed, params or self.params)
+        headers, seqs = _coerce_batch(reads, _id_offset)
+        return self._run_batch(headers, _pack(seqs, mates), params or self.params)
 
     def classify_batch(
         self,
@@ -510,16 +510,17 @@ class QuerySession:
         sink: Sink | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         params: ClassificationParams | None = None,
-        queue_depth: int = 4,
     ) -> RunReport:
         """Classify FASTA/FASTQ file(s) (plain or gzip'd) into a sink.
 
         Runs the paper's producer/consumer scheme
         (:mod:`repro.pipeline`): a producer thread parses, encodes and
         packs the file -- or both files of a pair, read in lock step
-        (pairing is positional) -- into bounded batches while the
-        consumer end classifies and writes, overlapping I/O with
-        compute exactly like the original's query pipeline.
+        (pairing is positional) -- into a bounded queue of batches
+        while the consumer end classifies and writes on this thread,
+        overlapping I/O with compute exactly like the original's query
+        pipeline.  A failure on either side stops the producer, which
+        is joined before the call returns.
 
         The session's ``workers`` selects the consumer end: ``1``
         classifies in this process, each batch split into contiguous
@@ -554,42 +555,18 @@ class QuerySession:
             in_process = engine is None and self.router is None
             k = _available_cores() if in_process else 1
             cp = params or self.params
-            # When the consumer dies mid-stream (BrokenPipeError on a
-            # closed stdout, disk-full in the sink, a worker crash ...)
-            # the producer must not stay blocked on a full queue
-            # forever: the consumer sets `cancelled` and drains the
-            # queue so the producer's pending put() returns, sees the
-            # flag, and closes -- letting the scheduler join both
-            # threads and re-raise the consumer's error.
-            cancelled = threading.Event()
-
-            def produce(q: ClosableQueue) -> None:
-                read_file_producer(
-                    reads_path, q, batch_size, mates_path, cancelled=cancelled
-                )
-
-            def consume(q: ClosableQueue) -> RunReport:
-                total = RunReport()
-                # pinned from the consumer thread, so the producer
-                # thread keeps its own placement
-                threads = _slice_threads(k) if k > 1 else contextlib.nullcontext()
-                try:
-                    with threads as pool:
-                        for run in self._runs(q, cp, engine, pool, k):
-                            if sink is not None:
-                                write_records(sink, run.records)
-                            total.merge(run.report)
-                except BaseException:
-                    cancelled.set()
-                    for _ in q:  # unblock the producer, eat to end-of-stream
-                        pass
-                    raise
-                return total
-
-            results = run_producer_consumer(
-                producers=[produce], consumers=[consume], queue_size=queue_depth
-            )
-            return results[0]
+            parse = read_batches(reads_path, batch_size, mates_path)
+            threads = _slice_threads(k) if k > 1 else contextlib.nullcontext()
+            total = RunReport()
+            # entered in this order: the producer thread starts before
+            # the slice threads pin this one to a core, so it keeps the
+            # process's placement
+            with prefetched(parse, READ_DEPTH) as batches, threads as pool:
+                for run in self._runs(batches, cp, engine, pool, k):
+                    if sink is not None:
+                        write_records(sink, run.records)
+                    total.merge(run.report)
+            return total
         except BrokenPipeError:
             raise  # the CLI's SIGPIPE contract: die quietly, exit 141
         except PipelineError as exc:
@@ -680,7 +657,7 @@ class QuerySession:
         min_hits: int | None = None,
     ) -> ReadMapping:
         """Map one batch to candidate reference regions (Section 6.2)."""
-        _, packed = _pack_batch(reads, mates, 0)
+        packed = _pack(_coerce_sequences(reads), mates)
         # pinned like every classify path, so a reload landing mid-call
         # defers the old index's close until the mapping is done
         db = self.database.retain()

@@ -292,11 +292,12 @@ class DatabaseBuilder:
         this thread -- the consumer -- sketches each block with one
         kernel call and ingests its targets in order, so at no point
         does more than a queue's worth of encoded sequences exist in
-        memory.  Headers resolve to taxa through ``accession_to_taxon``
-        (the role NCBI's ``accession2taxid`` files play); the full
-        header becomes the target name.  Each target is ingested as
-        :meth:`add_reference` ingests one: same checks, same order,
-        same bytes.
+        memory; a failure on either side stops the producer after the
+        block it is making.  Headers resolve to taxa through
+        ``accession_to_taxon`` (the role NCBI's ``accession2taxid``
+        files play); the full header becomes the target name.  Each
+        target is ingested as :meth:`add_reference` ingests one: same
+        checks, same order, same bytes.
 
         Raises
         ------
@@ -312,30 +313,18 @@ class DatabaseBuilder:
         RuntimeError
             when the builder was already finalized.
         """
-        from repro.pipeline.producer import fasta_producer
-        from repro.pipeline.queues import ClosableQueue
-        from repro.pipeline.scheduler import run_producer_consumer
+        from repro.pipeline.producer import (
+            REFERENCE_DEPTH,
+            prefetched,
+            reference_blocks,
+        )
 
         self._check_open()
-        paths = list(paths)
-
-        def consume(q: ClosableQueue):
-            failure: BaseException | None = None
-            for block in q:
-                if failure is not None:
-                    continue  # drain so the bounded-queue producer can exit
-                try:
-                    self._add_block(block, accession_to_taxon)
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    failure = exc
-            if failure is not None:
-                raise failure
-
         # one producer thread walking the files in order: arrival order
         # is file order then in-file order, as in the one-shot path
-        run_producer_consumer(
-            producers=[lambda q: fasta_producer(paths, q)], consumers=[consume]
-        )
+        with prefetched(reference_blocks(list(paths)), REFERENCE_DEPTH) as blocks:
+            for block in blocks:
+                self._add_block(block, accession_to_taxon)
 
     def _add_block(
         self, block: "ReferenceBlock", accession_to_taxon: Mapping[str, int]

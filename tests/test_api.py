@@ -409,10 +409,10 @@ class TestStreaming:
     def test_sink_failure_mid_stream_propagates(self, world, tmp_path):
         """A dying sink must not deadlock the producer/consumer pair.
 
-        The read file is much larger than the queue can hold
-        ((queue_depth+1) * batch_size), so the producer is guaranteed
-        to be blocked on a full queue when the sink raises -- the
-        exception must still propagate promptly.
+        The read file holds 300 batches of 8 reads, far more than the
+        producer's queue (``READ_DEPTH`` of them), so the producer is
+        guaranteed to be blocked on a full queue when the sink raises
+        -- the exception must still propagate promptly.
         """
         _, _, _, mc, named = world
         path = tmp_path / "big.fasta"
@@ -428,7 +428,7 @@ class TestStreaming:
                 super().write(record)
 
         # single-end and paired: both travel through the producer
-        # thread and its cancel path
+        # thread and its stop path
         for mates_path in (None, path):
             with pytest.raises(RuntimeError, match="sink exploded"):
                 mc.session().classify_files(
@@ -436,7 +436,6 @@ class TestStreaming:
                     mates_path,
                     sink=FailingSink(),
                     batch_size=8,
-                    queue_depth=2,
                 )
 
     def test_paired_length_mismatch(self, world, tmp_path):

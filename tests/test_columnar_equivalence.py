@@ -50,8 +50,7 @@ from repro.genomics.io import (
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
 from repro.pipeline.packed import PackedReads
-from repro.pipeline.producer import read_file_producer
-from repro.pipeline.queues import ClosableQueue
+from repro.pipeline.producer import read_batches
 from repro.server import MicroBatcher
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 
@@ -148,11 +147,8 @@ def _flat(blocks):
 
 
 def _batches(path, batch_size, mates=None):
-    """What the producer puts on the queue for ``path``."""
-    queue = ClosableQueue(maxsize=0)
-    queue.register_producer()
-    read_file_producer(path, queue, batch_size, mates)
-    return list(queue)
+    """What the producer hands the consumer for ``path``."""
+    return list(read_batches(path, batch_size, mates))
 
 
 def _same_error(got: str, expected: str) -> bool:

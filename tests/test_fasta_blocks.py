@@ -40,8 +40,7 @@ from repro.genomics.io import (
 )
 from repro.genomics.reads import HISEQ, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
-from repro.pipeline.producer import fasta_producer
-from repro.pipeline.queues import ClosableQueue
+from repro.pipeline.producer import reference_blocks
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 
 _BASES = "ACGTNacgtnURYKMSWBDHVryk-*."
@@ -165,15 +164,13 @@ class TestParserAgainstOracle:
         path = tmp_path_factory.mktemp("fa") / "refs.fa"
         path.write_bytes(data)
         kind, expected = _oracle_outcome(path)
-        queue = ClosableQueue(maxsize=0)
-        queue.register_producer()
         with mock.patch.object(fasta_mod, "CHUNK_BYTES", chunk):
-            got = _outcome(lambda: fasta_producer([path], queue))
-        items = list(queue)
+            got = _outcome(lambda: list(reference_blocks([path])))
         if kind == "error":
             assert got == ("error", InvalidReadError)
             return
-        assert got == ("ok", len(expected))
+        items = got[1]
+        assert got[0] == "ok" and sum(map(len, items)) == len(expected)
         assert [
             (header, decode_sequence(codes))
             for item in items

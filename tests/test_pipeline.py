@@ -1,73 +1,126 @@
-"""Tests for the producer/consumer pipeline."""
+"""Tests for the producer pipeline: the prefetching thread and its sources."""
 
 import gzip
+import itertools
+import os
+import sys
 import threading
 
 import pytest
 
-from repro.errors import InvalidReadError
+from repro.api import MetaCache, MetaCacheParams
+from repro.core.builder import DatabaseBuilder
+from repro.errors import BuildError, InvalidReadError, PipelineError
 from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fasta import write_fasta
 from repro.genomics.fastq import FastqRecord, write_fastq
+from repro.genomics.reads import HISEQ, ReadSimulator
+from repro.genomics.simulate import GenomeSimulator
+from repro.pipeline.packed import PackedReads
 import repro.pipeline.producer as producer_mod
-from repro.pipeline.producer import fasta_producer, read_file_producer
-from repro.pipeline.queues import ClosableQueue
-from repro.pipeline.scheduler import run_producer_consumer
+from repro.pipeline.producer import prefetched, read_batches, reference_blocks
+from repro.taxonomy.builder import build_taxonomy_for_genomes
 
 from reference import segments
 
+PARAMS = MetaCacheParams.small()
 
-class TestClosableQueue:
-    def test_single_producer_consumer(self):
-        q = ClosableQueue()
-        q.register_producer()
-        q.put(1)
-        q.put(2)
-        q.close_producer()
-        assert list(q) == [1, 2]
+try:
+    AFFINITY = os.sched_getaffinity(0)
+except AttributeError:  # no affinity API on this platform
+    AFFINITY = set()
 
-    def test_multiple_producers(self):
-        q = ClosableQueue()
-        q.register_producer()
-        q.register_producer()
-        q.put("a")
-        q.close_producer()
-        q.put("b")
-        q.close_producer()
-        assert sorted(list(q)) == ["a", "b"]
 
-    def test_multiple_consumers_share(self):
-        q = ClosableQueue(maxsize=100)
-        q.register_producer()
-        for i in range(50):
-            q.put(i)
-        q.close_producer()
-        seen: list[int] = []
-        lock = threading.Lock()
+def _counted(n, made, closed_on=None):
+    """0 .. n-1, appending each to ``made`` as it is produced; records
+    the thread it is closed on in ``closed_on``."""
+    try:
+        for i in range(n):
+            made.append(i)
+            yield i
+    finally:
+        if closed_on is not None:
+            closed_on.append(threading.current_thread())
 
-        def consume():
-            for item in q:
-                with lock:
-                    seen.append(item)
 
-        threads = [threading.Thread(target=consume) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sorted(seen) == list(range(50))
+class TestPrefetched:
+    def test_roundtrip_in_order_then_ends(self):
+        threads = threading.active_count()
+        made, closed_on = [], []
+        with prefetched(_counted(50, made, closed_on), 3) as items:
+            assert list(items) == list(range(50))
+            assert list(items) == []  # ended: nothing more, no hang
+        assert made == list(range(50))
+        assert closed_on and closed_on[0] is not threading.current_thread()
+        assert threading.active_count() == threads
 
-    def test_unbalanced_close_raises(self):
-        q = ClosableQueue()
-        with pytest.raises(RuntimeError):
-            q.close_producer()
+    def test_reference_files_roundtrip(self, tmp_path):
+        # parsed on the producer thread, consumed here: every reference
+        # of every file arrives once, files in their given order
+        paths = []
+        for i in range(3):
+            p = tmp_path / f"f{i}.fasta"
+            write_fasta([(f"g{i}_{j}", "ACGTACGT") for j in range(4)], p)
+            paths.append(p)
+        with prefetched(reference_blocks(paths), 2) as blocks:
+            got = [(block.path, h) for block in blocks for h in block.headers]
+        assert got == [
+            (str(p), f"g{i}_{j}") for i, p in enumerate(paths) for j in range(4)
+        ]
 
-    def test_register_after_close_raises(self):
-        q = ClosableQueue()
-        q.register_producer()
-        q.close_producer()
-        with pytest.raises(RuntimeError):
-            q.register_producer()
+    def test_empty_source(self):
+        with prefetched(iter(()), 1) as items:
+            assert list(items) == []
+
+    def test_producer_error_raised_at_its_position(self):
+        def failing():
+            yield 1
+            yield 2
+            raise ValueError("parse failed")
+
+        got = []
+        with pytest.raises(ValueError, match="parse failed"):
+            with prefetched(failing(), 8) as items:
+                for item in items:
+                    got.append(item)
+        assert got == [1, 2]
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_consumer_error_stops_the_producer(self, depth):
+        threads = threading.active_count()
+        made, closed_on = [], []
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            with prefetched(_counted(10_000, made, closed_on), depth) as items:
+                next(items)
+                raise RuntimeError("consumer failed")
+        # the queue's depth, the item in the consumer's hands and the
+        # one being put when the stop came
+        assert len(made) <= depth + 2
+        assert closed_on and closed_on[0] is not threading.current_thread()
+        assert threading.active_count() == threads
+
+    def test_leaving_early_stops_the_producer(self):
+        made = []
+        with prefetched(_counted(10_000, made), 2) as items:
+            for item in items:
+                if item == 3:
+                    break
+        # four taken, two queued, one being put when the stop came
+        assert len(made) <= 4 + 2 + 1
+
+    def test_stop_under_frequent_thread_switches(self):
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for taken in range(40):
+                made = []
+                with prefetched(_counted(1000, made), 1) as items:
+                    assert list(itertools.islice(items, taken)) == list(range(taken))
+                assert len(made) <= taken + 1 + 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
 
 
 class TestProducers:
@@ -83,10 +136,7 @@ class TestProducers:
             (producer_mod.BLOCK_BASES, [["g1", "g2", "g3"]]),
         ):
             monkeypatch.setattr(producer_mod, "BLOCK_BASES", block_bases)
-            q = ClosableQueue()
-            q.register_producer()
-            assert fasta_producer([path], q) == 3
-            items = list(q)
+            items = list(reference_blocks([path]))
             assert [item.headers for item in items] == blocks
             assert {item.path for item in items} == {str(path)}
             packed = [s for item in items for s in segments(item.packed)]
@@ -98,10 +148,7 @@ class TestProducers:
         write_fasta([("a1", "ACGT")], paths[0])
         with gzip.open(paths[1], "wt") as handle:
             write_fasta([("b1", "GG"), ("b2", "TT")], handle)
-        q = ClosableQueue()
-        q.register_producer()
-        assert fasta_producer(paths, q) == 3
-        assert [(item.path, item.headers) for item in q] == [
+        assert [(item.path, item.headers) for item in reference_blocks(paths)] == [
             (str(paths[0]), ["a1"]), (str(paths[1]), ["b1", "b2"])
         ]
 
@@ -114,11 +161,7 @@ class TestProducers:
         mates = tmp_path / "mates.fasta"
         write_fasta([(f"m{i}", "GG") for i in range(5)], mates)
         for mates_path, bases_per_read in ((None, 4), (mates, 6)):
-            q = ClosableQueue()
-            q.register_producer()
-            n = read_file_producer(path, q, 2, mates_path)
-            assert n == 5
-            items = list(q)
+            items = list(read_batches(path, 2, mates_path))
             assert [len(packed) for _, packed in items] == [2, 2, 1]
             assert [h for headers, _ in items for h in headers] == [
                 f"r{i}" for i in range(5)
@@ -137,55 +180,101 @@ class TestProducers:
         write_fasta([(f"r{i}", "ACGT") for i in range(4)], path)
         mates = tmp_path / "mates.fasta"
         write_fasta([(f"m{i}", "ACGT") for i in range(n_mates)], mates)
-        q = ClosableQueue()
-        q.register_producer()
         if n_mates == 4:
-            assert read_file_producer(path, q, 2, mates) == 4
+            assert sum(len(h) for h, _ in read_batches(path, 2, mates)) == 4
         else:
             with pytest.raises(InvalidReadError, match="differ in length"):
-                read_file_producer(path, q, 2, mates)
-        list(q)  # closed either way: iteration terminates
+                list(read_batches(path, 2, mates))
 
     def test_producer_closes_on_error(self, tmp_path):
-        q = ClosableQueue()
-        q.register_producer()
+        threads = threading.active_count()
         with pytest.raises(FileNotFoundError):
-            fasta_producer([tmp_path / "missing.fasta"], q)
-        # queue must be closed: iteration terminates
-        assert list(q) == []
+            with prefetched(reference_blocks([tmp_path / "missing.fasta"]), 8) as blocks:
+                list(blocks)
+        assert threading.active_count() == threads
 
 
-class TestScheduler:
-    def test_producer_consumer_roundtrip(self, tmp_path):
-        paths = []
-        for i in range(3):
-            p = tmp_path / f"f{i}.fasta"
-            write_fasta([(f"g{i}_{j}", "ACGTACGT") for j in range(4)], p)
-            paths.append(p)
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    """A taxonomy, a reference file of many one-reference blocks, its
+    mapping, a database and a reads file."""
+    root = tmp_path_factory.mktemp("pipeline")
+    genomes = GenomeSimulator(seed=23).simulate_collection(3, 2, 4000)
+    taxonomy, taxa = build_taxonomy_for_genomes(genomes)
+    acc2tax = {g.accession: taxa.target_taxon[i] for i, g in enumerate(genomes)}
+    refs = root / "refs.fasta"
+    write_fasta(
+        [r for _ in range(10) for g in genomes for r in g.to_fasta_records()], refs
+    )
+    mc = MetaCache.ephemeral(
+        [(g.name, g.scaffolds[0], taxa.target_taxon[i]) for i, g in enumerate(genomes)],
+        taxonomy,
+        params=PARAMS,
+    )
+    reads = ReadSimulator(genomes, seed=3).simulate(HISEQ, 400)
+    reads_path = root / "reads.fasta"
+    write_fasta(
+        [(f"r{i}", decode_sequence(s)) for i, s in enumerate(reads.sequences)],
+        reads_path,
+    )
+    return genomes, taxonomy, acc2tax, refs, mc, reads_path
 
-        def consumer(q):
-            total = 0
-            for batch in q:
-                total += len(batch)
-            return total
 
-        results = run_producer_consumer(
-            producers=[lambda q, p=p: fasta_producer([p], q) for p in paths],
-            consumers=[consumer, consumer],
-        )
-        assert sum(results) == 12
+class _FailingSink:
+    def write(self, record):
+        raise RuntimeError("sink exploded")
 
-    def test_consumer_error_propagates(self):
-        def bad_consumer(q):
-            for _ in q:
-                raise RuntimeError("boom")
 
-        with pytest.raises(RuntimeError, match="boom"):
-            run_producer_consumer(
-                producers=[lambda q: (q.put("item"), q.close_producer())],
-                consumers=[bad_consumer],
-            )
+class TestStopsOnFailure:
+    def test_failing_build_stops_parsing(self, world, monkeypatch):
+        genomes, taxonomy, acc2tax, refs, _, _ = world
+        monkeypatch.setattr(producer_mod, "BLOCK_BASES", 1)  # a block per reference
+        made = []
+        pack = PackedReads.from_ascii.__func__
 
-    def test_no_producers_rejected(self):
-        with pytest.raises(ValueError):
-            run_producer_consumer(producers=[], consumers=[lambda q: None])
+        def counted(cls, sequences, mates=None):
+            made.append(len(sequences))
+            return pack(cls, sequences, mates)
+
+        monkeypatch.setattr(PackedReads, "from_ascii", classmethod(counted))
+        unmapped = dict(acc2tax)
+        del unmapped[genomes[0].accession]  # the file's first reference
+        threads = threading.active_count()
+        with pytest.raises(BuildError):
+            DatabaseBuilder(taxonomy, PARAMS).add_fasta([refs], unmapped)
+        assert 10 * len(genomes) > producer_mod.REFERENCE_DEPTH + 2
+        assert len(made) <= producer_mod.REFERENCE_DEPTH + 2
+        assert threading.active_count() == threads
+
+    def test_failing_sink_leaves_no_thread(self, world):
+        *_, mc, reads_path = world
+        threads = threading.active_count()
+        for mates_path in (None, reads_path):
+            with pytest.raises(PipelineError, match="sink exploded"):
+                mc.session().classify_files(
+                    reads_path, mates_path, sink=_FailingSink(), batch_size=8
+                )
+            assert threading.active_count() == threads
+        if AFFINITY:
+            assert os.sched_getaffinity(0) == AFFINITY
+
+
+@pytest.mark.skipif(len(AFFINITY) < 2, reason="needs an affinity API and two cores")
+def test_producer_thread_keeps_the_process_affinity(world, monkeypatch):
+    """The producer starts before the slice threads pin the caller to
+    one core, so it runs on every core the process may use."""
+    *_, mc, reads_path = world
+    seen = []
+    parse = producer_mod.iter_sequence_blocks
+
+    def recorded(path, batch_size):
+        seen.append((threading.current_thread(), os.sched_getaffinity(0)))
+        return parse(path, batch_size)
+
+    monkeypatch.setattr(producer_mod, "iter_sequence_blocks", recorded)
+    report = mc.session().classify_files(reads_path, batch_size=64)
+    assert report.n_reads == 400
+    assert seen
+    thread, affinity = seen[0]
+    assert thread is not threading.current_thread()
+    assert affinity == AFFINITY

@@ -230,7 +230,7 @@ class TestSplitFailureAndLifetime:
         with mock.patch.object(QuerySession, "_compute", flaky):
             with mock.patch(CORES, return_value=3):
                 with pytest.raises(PipelineError, match="slice exploded") as info:
-                    session.classify_files(reads_path, batch_size=8, queue_depth=1)
+                    session.classify_files(reads_path, batch_size=8)
         assert str(reads_path) in str(info.value)
         # every pool slice of the one failed batch ran under its one pin
         assert pins_at_end and set(pins_at_end) == {1}
