@@ -149,10 +149,12 @@ def _pack(seqs: list[np.ndarray], mates: Any) -> PackedReads:
     return PackedReads.from_reads(seqs, mate_seqs)
 
 
-#: slices per thread: a pool thread's heap arena keeps free memory up
-#: to its largest recent allocation, so peak RSS grows with the slice
-#: size; with two half-size slices per thread it stays at the unsplit
-#: batch's on the dense workload
+#: slices per thread: a thread's heap arena keeps free memory up to its
+#: largest recent allocation, so peak RSS grows with the slice size
+#: (the query tail's temporaries scale with a slice's locations); on
+#: the dense workload two half-size slices per thread hold it ~20 MiB
+#: below one slice per thread and just under the unsplit batch's
+#: (docs/architecture.md)
 _PIECES = 2
 
 #: glibc's ``mallopt``: a session pins the heap thresholds glibc would

@@ -19,7 +19,7 @@ window id.  The query pipeline hands :func:`top_candidates` those sorted
 keys themselves; :func:`generate_top_candidates` takes sorted location
 lists and only has to number them with their reads.  Every step is a
 linear pass or one single-key operation on the non-decreasing keys.
-Why each is exact:
+Why each is exact, and (last) what the steps hold in memory:
 
 - **Field widths.**  ``T`` and ``W`` hold every id of the batch and
   the read field takes the rest of the word, so keys compare exactly
@@ -42,7 +42,10 @@ Why each is exact:
   is the largest key the run can hold, and all its remaining entries
   are inside the true span anyway because no window id exceeds
   ``2^W - 1 < window_i + sws``.  One ``searchsorted(side="right")``
-  therefore returns every span end, already inside its run.
+  therefore returns every span end, already inside its run.  The
+  limit clips the same per-read ``sws`` however it arrives: one value
+  when every read of the group shares it, one per entry gathered by
+  read otherwise.
 - **Reversed-index maximum = first-occurrence argmax.**  Per run the
   winner is the highest score, the *first* such entry on ties.  With
   ``b`` the bit length of the last entry index,
@@ -61,6 +64,18 @@ Why each is exact:
   column, and the first ``m`` of each block are the top list.  Within
   a read runs ascend by target: equal scores keep ascending-target
   order, the tie-break ``Candidates.merged_with`` continues.
+- **Memory per location.**  ``n`` locations make ``u <= n`` entries
+  (about ``0.3 n`` on dense reads) and fewer runs.  At the gather
+  (:func:`repro.util.segmented.gather_segments`) the distinct lists'
+  keys, the 8-byte index and the 8-byte gathered keys are alive; at
+  the segmented sort the keys and one 8-byte read-number array; here
+  the keys, a 1-byte first-occurrence mask, then at most four 8-byte
+  arrays per entry at once: the entries' keys and three of the
+  entry bounds, the span limits (built in the buffer that found the
+  runs), the span ends, the scores (ranked in place) and their
+  reversed index, each released after its last reader.  The kept
+  entries' windows are read back from the entries' keys; no window
+  column is built.
 
 The lexsort formulation this replaced is the oracle
 (``tests/reference/query_tail.py``); ``tests/test_query_tail_equivalence.py``
@@ -216,7 +231,11 @@ def top_candidates(
     for first, last in groups:
         a, b = read_offsets[first], read_offsets[last]
         if a < b:
-            _group_top(out, first, layout, keys[a:b], reach[first:last], m)
+            group_reach = reach[first:last]
+            if group_reach.min() == group_reach.max():
+                # one reach for the group: no per-entry gather
+                group_reach = group_reach[0]
+            _group_top(out, first, layout, keys[a:b], group_reach, m)
     return out
 
 
@@ -225,50 +244,65 @@ def _group_top(
     first_row: int,
     layout: LocationKeyLayout,
     keys: np.ndarray,
-    reach: np.ndarray,
+    reach: np.ndarray | np.uint64,
     m: int,
 ) -> None:
     """Fill ``out`` rows ``first_row ..`` from one bit-budget group.
 
     ``keys`` are the group's sorted keys, non-empty; read ``i`` of the
     group may extend its spans ``reach[i] = sws - 1`` windows past
-    their first.  See the module docstring for why each step is exact.
+    their first, or ``reach`` windows when it is one value for the
+    whole group.  See the module docstring for why each step is exact
+    and what each step holds per location.
     """
     u64 = np.uint64
 
     # -- window count statistic: collapse equal (read, location) keys;
     # an entry's count is the distance to the next entry's start
     starts = np.flatnonzero(first_occurrence_mask(keys))
-    u_key = keys[starts]
     bounds = np.append(starts, keys.size)
+    starts = bounds[:-1]  # one buffer for both
     n_unique = starts.size
+    u_key = keys.take(starts)
+
+    # -- (read, target) runs; the buffer then becomes the span limits
+    limit = layout.runs(u_key)
+    run_starts = np.flatnonzero(first_occurrence_mask(limit))
+    run_read = limit.take(run_starts) >> u64(layout.target_bits)
 
     # -- sliding-window span of every entry: up to and including the
     # last key <= key + reach, with reach clipped to the room left in
     # the window field so the limit stays inside the (read, target) run
-    u_window = layout.windows(u_key)
-    limit = layout.window_top - u_window
-    np.minimum(limit, reach[layout.reads(u_key)], out=limit)
+    np.bitwise_and(u_key, layout.window_top, out=limit)
+    np.subtract(layout.window_top, limit, out=limit)
+    if isinstance(reach, np.ndarray):
+        reach = reach.take(layout.reads(u_key))
+    np.minimum(limit, reach, out=limit)
+    del reach
     limit += u_key
     span_end = np.searchsorted(u_key, limit, side="right")
-    scores = (bounds[span_end] - starts).astype(u64)
+    del limit
+    scores = bounds.take(span_end)
+    scores -= starts
+    del bounds, starts
 
     # -- best entry per (read, target) run: the maximum of
     # (score | reversed index) is the highest score at its first index
-    run_starts = np.flatnonzero(first_occurrence_mask(layout.runs(u_key)))
     last_index = u64(n_unique - 1)
     index_bits = u64(int(last_index).bit_length())
-    ranked = scores << index_bits
+    ranked = scores.view(u64)
+    ranked <<= index_bits
     ranked |= np.arange(n_unique - 1, -1, -1, dtype=u64)
     best = np.maximum.reduceat(ranked, run_starts)
+    del ranked, scores
     best_score = best >> index_bits
-    best_entry = last_index - (best & ((u64(1) << index_bits) - u64(1)))
+    best &= (u64(1) << index_bits) - u64(1)
+    best_entry = np.subtract(last_index, best, out=best)
 
     # -- top-m runs per read and their column order, one sort over
     # (read | max_score - score | run): descending score, ties by
     # ascending run = ascending target
     n_runs = run_starts.size
-    run_read = layout.reads(u_key[run_starts])
     run_bits = u64((n_runs - 1).bit_length())
     deficit = best_score.max() - best_score
     deficit_bits = u64(int(deficit.max()).bit_length())
@@ -283,9 +317,10 @@ def _group_top(
     row = run_read[keep] + u64(first_row)
     col = col[keep]
 
+    # the kept entries' windows, read back from their keys
     entry = best_entry[run]
     out.target[row, col] = layout.targets(u_key[entry])
-    out.window_first[row, col] = u_window[entry]
-    out.window_last[row, col] = u_window[span_end[entry] - 1]
+    out.window_first[row, col] = layout.windows(u_key[entry])
+    out.window_last[row, col] = layout.windows(u_key[span_end[entry] - 1])
     out.score[row, col] = best_score[run]
     out.valid[row, col] = True

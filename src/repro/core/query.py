@@ -118,9 +118,12 @@ def partition_candidates(
         # one walk per distinct feature; occurrence i reads the list of
         # distinct feature feature_of[i]
         sorted_features, order = sort_by_key(flat_features.take(occurrence))
+        del occurrence
         distinct, repeats = run_length_encode(sorted_features)
-        feature_of = np.empty(occurrence.size, dtype=np.int64)
+        del sorted_features
+        feature_of = np.empty(order.size, dtype=np.int64)
         feature_of[order] = np.repeat(np.arange(distinct.size), repeats)
+        del order, repeats
 
     per_partition: list[Candidates] = []
     total_locations = 0
@@ -136,11 +139,14 @@ def partition_candidates(
             # distinct lists, and each read's run of occurrences
             starts = feature_starts.take(feature_of)
             lengths = feature_lengths.take(feature_of)
+            del feature_starts, feature_lengths
             read_offsets = read_segment_offsets(occurrence_reads, lengths, n_reads)
         with timer.stage("segmented_sort"):
             # gather every occurrence's keys, number the reads and sort
-            # each bit-budget group
+            # each bit-budget group; the gather is the last reader of
+            # the distinct lists and the pointers
             keys = gather_segments(feature_keys, starts, lengths)
+            del feature_keys, starts, lengths
             groups = candidate_groups(layout, n_reads, keys.size)
             layout.sort_segments(keys, read_offsets, groups)
         total_locations += keys.size
@@ -148,6 +154,7 @@ def partition_candidates(
             cands = top_candidates(
                 keys, read_offsets, layout, sliding_window_sizes, max_candidates
             )
+        del keys  # not alive through the next partition's lookup and gather
         per_partition.append(cands)
     return per_partition, total_locations
 

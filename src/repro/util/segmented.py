@@ -97,21 +97,32 @@ def segment_ramp(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(seg_starts, lengths)
 
 
+#: positions added to a gather index per step: the one temporary a
+#: gather holds besides its index and output (256 KiB)
+_RAMP_BLOCK = 1 << 15
+
+
 def gather_segments(
     values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
     """Concatenate the slices ``values[s : s + l]`` of every ``(s, l)``.
 
     Output element ``i`` of segment ``j`` reads ``values[i + starts[j]
-    - out_starts[j]]``: one ``repeat`` of the per-segment shift plus one
-    ``arange`` build the whole index, and one ``take`` gathers it.
-    Zero-length segments contribute nothing.
+    - out_starts[j]]``: one ``repeat`` of the per-segment shift is the
+    index, the output positions ``i`` are added to it in place, one
+    block of :data:`_RAMP_BLOCK` at a time (an ``arange`` of the whole
+    index would double the gather's temporaries), and one ``take``
+    gathers it.  Zero-length segments contribute nothing.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     shift = np.asarray(starts, dtype=np.int64) + lengths
     shift -= np.cumsum(lengths)
     index = np.repeat(shift, lengths)
-    index += np.arange(index.size)
+    del shift
+    ramp = np.arange(min(index.size, _RAMP_BLOCK), dtype=np.int64)
+    for block in range(0, index.size, _RAMP_BLOCK):
+        index[block : block + _RAMP_BLOCK] += ramp[: index.size - block]
+        ramp += _RAMP_BLOCK
     return np.asarray(values).take(index)
 
 

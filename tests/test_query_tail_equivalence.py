@@ -16,11 +16,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import pair_granular_query as pair_granular
 from reference import query_tail as oracle
+from repro.core import candidates as candidates_mod
 from repro.core import query as query_mod
 from repro.core.candidates import generate_top_candidates
 from repro.core.classify import classify_reads
@@ -138,6 +139,54 @@ class TestAgainstOracle:
         offsets = np.concatenate([[0], np.cumsum(lengths[hole])])
         got = assert_tail_identical(np.tile(full, 2), offsets, np.array([2, 1, 3, 2]), 3)
         assert got.valid[:, 0].tolist() == [n > 0 for n in lengths[hole]]
+
+
+_SIZES = [1, 2, 3, 5, 17, 2**31, 2**33]
+
+
+class TestReachBranches:
+    """One sliding-window size per read, all equal or all but one.
+
+    ``top_candidates`` hands a bit-budget group one ``reach`` when every
+    read of the group has the same size, and gathers one per entry
+    otherwise; both must return the oracle's bytes.
+    """
+
+    @given(batch=batches(), size=st.sampled_from(_SIZES), m=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_sizes_match_the_oracle(self, batch, size, m):
+        locations, offsets = batch
+        sws = np.full(offsets.size - 1, size, dtype=np.int64)
+        assert_tail_identical(locations, offsets, sws, m)
+
+    @given(batch=batches(), data=st.data(), m=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_one_differing_size_matches_the_oracle(self, batch, data, m):
+        locations, offsets = batch
+        n_reads = offsets.size - 1
+        assume(n_reads > 0)
+        size = data.draw(st.sampled_from(_SIZES))
+        other = data.draw(st.sampled_from([v for v in _SIZES if v != size]))
+        sws = np.full(n_reads, size, dtype=np.int64)
+        sws[data.draw(st.integers(0, n_reads - 1))] = other
+        assert_tail_identical(locations, offsets, sws, m)
+
+    @pytest.mark.parametrize(
+        "sws, gathered",
+        [(np.array([3, 3, 3]), False), (np.array([3, 4, 3]), True), (3, False)],
+    )
+    def test_branch_taken(self, monkeypatch, sws, gathered):
+        reaches = []
+        group_top = candidates_mod._group_top
+
+        def spy(out, first_row, layout, keys, reach, m):
+            reaches.append(reach)
+            group_top(out, first_row, layout, keys, reach, m)
+
+        monkeypatch.setattr(candidates_mod, "_group_top", spy)
+        locations = pack_pairs(np.array([2, 2, 5, 2, 5, 5]), np.array([7, 9, 1, 8, 1, 4]))
+        assert_tail_identical(locations, np.array([0, 2, 4, 6]), sws, 2)
+        assert [isinstance(r, np.ndarray) for r in reaches] == [gathered]
 
 
 class TestBitBudgetGroups:

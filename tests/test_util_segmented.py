@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference.query_tail import segmented_top_k_mask
+from repro.util import segmented
 from repro.util.scan import exclusive_prefix_sum
 from repro.util.segmented import (
     first_occurrence_mask,
@@ -106,6 +107,65 @@ class TestGatherSegments:
         got = gather_segments(values, starts, lengths)
         want = [v for s, l in segments for v in values[s : s + l]]
         assert got.dtype == np.uint64 and got.tolist() == [int(v) for v in want]
+
+    @staticmethod
+    def slices(values, starts, lengths):
+        return [int(v) for s, l in zip(starts, lengths) for v in values[s : s + l]]
+
+    @pytest.mark.parametrize(
+        "starts, lengths",
+        [
+            ([6, 2, 0], [3, 4, 1]),  # each segment jumps backwards
+            ([1, 3, 2, 0], [4, 4, 3, 6]),  # overlapping segments
+            ([4, 4, 4], [3, 3, 3]),  # a repeated feature reads one start
+            ([5, 5, 0, 5], [2, 2, 1, 2]),  # a repeat after a jump back
+        ],
+    )
+    def test_backwards_and_overlapping_segments(self, starts, lengths):
+        values = np.arange(100, 110, dtype=np.uint32)
+        got = gather_segments(values, np.array(starts), np.array(lengths))
+        assert got.dtype == np.uint32
+        assert got.tolist() == self.slices(values, starts, lengths)
+
+    @pytest.mark.parametrize(
+        "starts, lengths",
+        [
+            ([3, 0, 5], [0, 2, 1]),  # zero-length first
+            ([3, 0, 5], [2, 1, 0]),  # zero-length last
+            ([3, 9, 0, 9, 5], [0, 0, 2, 0, 0]),  # one non-empty in the middle
+            ([7, 1, 9], [0, 0, 0]),  # every segment empty
+            ([], []),  # no segment at all
+        ],
+    )
+    def test_zero_length_segments(self, starts, lengths):
+        values = np.arange(10, dtype=np.int64) * 3
+        got = gather_segments(
+            values, np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64)
+        )
+        assert got.dtype == values.dtype
+        assert got.tolist() == self.slices(values, starts, lengths)
+
+    def test_starts_near_the_end_of_a_large_source(self):
+        values = np.arange(3_000_000, dtype=np.uint64) << np.uint64(20)
+        n = values.size
+        starts = np.array([n - 1, n - 5, 0, n - 3, n - 2_000_000])
+        lengths = np.array([1, 5, 2, 3, 7])
+        got = gather_segments(values, starts, lengths)
+        assert got.tolist() == self.slices(values, starts, lengths)
+        assert int(got[0]) == (n - 1) << 20
+
+    @pytest.mark.parametrize("block", [1, 3, 4, 64])
+    @pytest.mark.parametrize("total", [0, 3, 4, 8, 9, 150])
+    def test_segments_straddle_ramp_blocks(self, monkeypatch, block, total):
+        # the output positions are added one block at a time: segments
+        # that cross a block edge, totals on and off a multiple of it
+        monkeypatch.setattr(segmented, "_RAMP_BLOCK", block)
+        rng = np.random.default_rng([block, total])
+        values = np.arange(200, dtype=np.uint64) * np.uint64(7)
+        lengths = rng.multinomial(total, np.full(12, 1 / 12))
+        starts = rng.integers(0, 40, lengths.size)
+        got = gather_segments(values, starts, lengths)
+        assert got.tolist() == self.slices(values, starts, lengths)
 
     def test_memmap_source_gives_a_plain_array(self, tmp_path):
         np.save(tmp_path / "v.npy", np.arange(10, dtype=np.uint64))
