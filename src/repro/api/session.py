@@ -150,10 +150,11 @@ def _pack(seqs: list[np.ndarray], mates: Any) -> PackedReads:
 
 
 #: slices per thread: a thread's heap arena keeps free memory up to its
-#: largest recent allocation, so peak RSS grows with the slice size
-#: (the query tail's temporaries scale with a slice's locations); on
-#: the dense workload two half-size slices per thread hold it ~20 MiB
-#: below one slice per thread and just under the unsplit batch's
+#: largest recent allocation, so peak RSS grows with the slice size.
+#: The query tail is bounded per read chunk, but a slice's sketches,
+#: occurrence pointers and looked-up lists still scale with its reads;
+#: on the dense workload two half-size slices per thread hold it ~17 MiB
+#: below one slice per thread and ~9-13 MiB below the unsplit batch's
 #: (docs/architecture.md)
 _PIECES = 2
 

@@ -8,27 +8,28 @@ reference windows aggregates counts into contiguous-region scores,
 and the best region per target competes for the read's top-``m``
 candidate list.
 
-Everything here is batch-vectorized over *all* reads at once, on the
-key the segmented sort already ordered the batch by
+Everything here is vectorized over all reads of a chunk at once, on
+the key the segmented sort already ordered the chunk by
 (:class:`repro.sort.segmented.LocationKeyLayout`):
 
     key = read << (T + W) | target << W | window
 
 with ``T`` / ``W`` the bit lengths of the batch's largest target and
-window id.  The query pipeline hands :func:`top_candidates` those sorted
-keys themselves; :func:`generate_top_candidates` takes sorted location
-lists and only has to number them with their reads.  Every step is a
-linear pass or one single-key operation on the non-decreasing keys.
-Why each is exact, and (last) what the steps hold in memory:
+window id.  Both callers run the tail one read chunk at a time
+(:func:`read_chunks`) and fill one :class:`Candidates` per batch: the
+query pipeline hands :func:`chunk_top` the sorted keys of a chunk
+itself, and :func:`generate_top_candidates` takes sorted location lists
+and only has to number each chunk's reads.  Every step is a linear
+pass or one single-key operation on the non-decreasing keys.  Why each
+is exact, and (last) what the steps hold in memory:
 
 - **Field widths.**  ``T`` and ``W`` hold every id of the batch and
   the read field takes the rest of the word, so keys compare exactly
   as (read, target, window) triples.  When ``T + W`` -- or the room the
   two selection keys below need -- leaves too few read bits for the
-  batch, the same code runs over contiguous groups of reads numbered
-  from zero (``LocationKeyLayout.groups``), down to one read per group
-  where the key is the compressed location alone; rows of different
-  groups never interact.
+  batch, a chunk holds fewer reads (``LocationKeyLayout.read_span``),
+  numbered from zero, down to one read per chunk where the key is the
+  compressed location alone; rows of different chunks never interact.
 - **Window count.**  Equal (read, location) pairs are equal adjacent
   keys, so run-length encoding is one neighbour compare, and an
   entry's count is the distance to the next entry's start -- the
@@ -44,7 +45,7 @@ Why each is exact, and (last) what the steps hold in memory:
   ``2^W - 1 < window_i + sws``.  One ``searchsorted(side="right")``
   therefore returns every span end, already inside its run.  The
   limit clips the same per-read ``sws`` however it arrives: one value
-  when every read of the group shares it, one per entry gathered by
+  when every read of the chunk shares it, one per entry gathered by
   read otherwise.
 - **Reversed-index maximum = first-occurrence argmax.**  Per run the
   winner is the highest score, the *first* such entry on ties.  With
@@ -52,8 +53,10 @@ Why each is exact, and (last) what the steps hold in memory:
   ``score << b | (last - index)`` orders by score and then by
   descending index, so ``np.maximum.reduceat`` over the runs returns
   score and first index in one word.  Scores and indices are both at
-  most the location count ``n``; the group planner reserves
-  ``2 * bit_length(n)`` bits, which needs ``n < 2^32`` per call.
+  most the chunk's location count ``n``; the chunk planner reserves
+  ``2 * bit_length(CHUNK_LOCATIONS)`` bits beside the read field, and
+  a chunk with more locations is one read (no read field), which
+  needs ``n < 2^32`` per read.
 - **One sort for both tie-breaks.**  A read keeps its ``m`` best runs
   by (score descending, run index ascending), and its columns are
   ranked by (score descending, entry index ascending).  Best entries
@@ -64,22 +67,28 @@ Why each is exact, and (last) what the steps hold in memory:
   column, and the first ``m`` of each block are the top list.  Within
   a read runs ascend by target: equal scores keep ascending-target
   order, the tie-break ``Candidates.merged_with`` continues.
-- **Memory per location.**  ``n`` locations make ``u <= n`` entries
-  (about ``0.3 n`` on dense reads) and fewer runs.  At the gather
-  (:func:`repro.util.segmented.gather_segments`) the distinct lists'
-  keys, the 8-byte index and the 8-byte gathered keys are alive; at
-  the segmented sort the keys and one 8-byte read-number array; here
-  the keys, a 1-byte first-occurrence mask, then at most four 8-byte
-  arrays per entry at once: the entries' keys and three of the
-  entry bounds, the span limits (built in the buffer that found the
-  runs), the span ends, the scores (ranked in place) and their
-  reversed index, each released after its last reader.  The kept
-  entries' windows are read back from the entries' keys; no window
-  column is built.
+- **Memory per chunk.**  The per-location arrays exist for one chunk
+  at a time, at most :data:`CHUNK_LOCATIONS` locations (or one longer
+  read): ``n`` locations make ``u <= n`` entries (about ``0.3 n`` on
+  dense reads) and fewer runs.  At the gather
+  (:func:`repro.util.segmented.gather_segments`) the chunk's 8-byte
+  index and 8-byte keys are alive; at the segmented sort the keys and
+  one 8-byte read-number array; here the keys, a 1-byte
+  first-occurrence mask, then at most four 8-byte arrays per entry at
+  once: the entries' keys and three of the entry bounds, the span
+  limits (built in the buffer that found the runs), the span ends, the
+  scores (ranked in place) and their reversed index, each released
+  after its last reader.  The kept entries' windows are read back from
+  the entries' keys; no window column is built.  What still grows with
+  a batch is per occurrence or per distinct list, outside the tail:
+  the sketches, the occurrence pointers and the distinct lists' keys.
 
 The lexsort formulation this replaced is the oracle
 (``tests/reference/query_tail.py``); ``tests/test_query_tail_equivalence.py``
-holds all five output arrays byte-identical to it.
+holds all five output arrays byte-identical to it.  The whole-batch
+tail the chunks replaced is the oracle of
+``tests/test_chunked_tail_equivalence.py``
+(``tests/reference/whole_slice_query.py``).
 """
 
 from __future__ import annotations
@@ -91,7 +100,22 @@ import numpy as np
 from repro.sort.segmented import LocationKeyLayout
 from repro.util.segmented import first_occurrence_mask, segmented_cumcount
 
-__all__ = ["Candidates", "candidate_groups", "generate_top_candidates", "top_candidates"]
+__all__ = [
+    "CHUNK_LOCATIONS",
+    "Candidates",
+    "chunk_top",
+    "generate_top_candidates",
+    "read_chunks",
+    "window_reach",
+]
+
+#: locations the query tail holds at once: gather, numbering, sort and
+#: top-m run over contiguous read chunks of at most this many (a read
+#: with more is a chunk of its own), so the tail's working memory stops
+#: growing with a batch's locations.  2^16 held the same peak RSS on the
+#: dense workload, but its twice as many chunks cost top-m ~15 % more
+#: time with two slices running at once (docs/architecture.md)
+CHUNK_LOCATIONS = 1 << 17
 
 
 @dataclass
@@ -108,6 +132,19 @@ class Candidates:
     window_last: np.ndarray  # uint32: end (inclusive) of the range
     score: np.ndarray  # int64 aggregated hit counts
     valid: np.ndarray  # bool
+
+    @classmethod
+    def empty(cls, n_reads: int, m: int) -> "Candidates":
+        """``n_reads`` rows of ``m`` invalid candidates, filled by chunks."""
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        return cls(
+            target=np.zeros((n_reads, m), dtype=np.uint32),
+            window_first=np.zeros((n_reads, m), dtype=np.uint32),
+            window_last=np.zeros((n_reads, m), dtype=np.uint32),
+            score=np.zeros((n_reads, m), dtype=np.int64),
+            valid=np.zeros((n_reads, m), dtype=bool),
+        )
 
     @property
     def n_reads(self) -> int:
@@ -174,69 +211,85 @@ def generate_top_candidates(
     m:
         top-list length.
 
-    The standalone form of :func:`top_candidates`: sorted segments
-    need only their read numbers to become sorted keys.
+    The standalone form of the query tail: sorted segments need only
+    their read numbers to become sorted keys, one chunk of
+    :func:`read_chunks` at a time.
     """
     read_offsets = np.asarray(read_offsets, dtype=np.int64)
     locations = np.asarray(locations, dtype=np.uint64)
-    layout = LocationKeyLayout.of(locations)
-    groups = candidate_groups(layout, read_offsets.size - 1, locations.size)
-    keys = layout.number(layout.squeeze(locations), read_offsets, groups)
-    return top_candidates(keys, read_offsets, layout, sws, m)
-
-
-def candidate_groups(
-    layout: LocationKeyLayout, n_reads: int, n_locations: int
-) -> list[tuple[int, int]]:
-    """The bit-budget groups :func:`top_candidates` reads its keys in.
-
-    The (score | index) and (read | score | run) keys of each group
-    hold two counts of at most ``n_locations`` each.
-    """
-    return layout.groups(n_reads, 2 * int(n_locations).bit_length())
-
-
-def top_candidates(
-    keys: np.ndarray,
-    read_offsets: np.ndarray,
-    layout: LocationKeyLayout,
-    sws: np.ndarray | int,
-    m: int,
-) -> Candidates:
-    """Top-m candidates per read from the batch's sorted keys.
-
-    ``keys`` are ``layout``'s ``(read | target | window)`` keys of every
-    location, read segments as ``read_offsets`` lays them out, numbered
-    and ascending within each group of :func:`candidate_groups` -- what
-    :meth:`LocationKeyLayout.sort_segments` leaves.  ``sws`` and ``m``
-    as in :func:`generate_top_candidates`.
-    """
     n_reads = read_offsets.size - 1
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    out = Candidates(
-        target=np.zeros((n_reads, m), dtype=np.uint32),
-        window_first=np.zeros((n_reads, m), dtype=np.uint32),
-        window_last=np.zeros((n_reads, m), dtype=np.uint32),
-        score=np.zeros((n_reads, m), dtype=np.int64),
-        valid=np.zeros((n_reads, m), dtype=bool),
-    )
-    if keys.size == 0 or n_reads == 0:
+    out = Candidates.empty(n_reads, m)
+    if locations.size == 0 or n_reads == 0:
         return out
-    sws_arr = np.broadcast_to(np.asarray(sws, dtype=np.int64), (n_reads,))
-    if sws_arr.min() < 1:
-        raise ValueError("sliding-window sizes must be >= 1")
-    reach = (sws_arr - 1).astype(np.uint64)
-    groups = candidate_groups(layout, n_reads, keys.size)
-    for first, last in groups:
+    reach = window_reach(sws, n_reads)
+    layout = LocationKeyLayout.of(locations)
+    chunks = read_chunks(layout, read_offsets)
+    for first, last in chunks:
         a, b = read_offsets[first], read_offsets[last]
         if a < b:
-            group_reach = reach[first:last]
-            if group_reach.min() == group_reach.max():
-                # one reach for the group: no per-entry gather
-                group_reach = group_reach[0]
-            _group_top(out, first, layout, keys[a:b], group_reach, m)
+            offsets = read_offsets[first : last + 1] - a
+            keys = layout.squeeze(locations[a:b])
+            layout.number(keys, offsets, [(0, last - first)])
+            chunk_top(out, first, layout, keys, reach[first:last], m)
     return out
+
+
+def window_reach(sws: np.ndarray | int, n_reads: int) -> np.ndarray:
+    """``sws - 1`` of every read as uint64: how many windows past its
+    first a span may reach.  ``ValueError`` for a size below one."""
+    sws_arr = np.broadcast_to(np.asarray(sws, dtype=np.int64), (n_reads,))
+    if n_reads and sws_arr.min() < 1:
+        raise ValueError("sliding-window sizes must be >= 1")
+    return (sws_arr - 1).astype(np.uint64)
+
+
+def read_chunks(
+    layout: LocationKeyLayout, read_offsets: np.ndarray
+) -> list[tuple[int, int]]:
+    """The contiguous ``[first, last)`` read ranges the tail runs one by one.
+
+    A chunk holds at most :data:`CHUNK_LOCATIONS` locations, or one
+    read that has more (reads never split), and at most the reads one
+    bit-budget group of ``layout`` numbers with room for the selection
+    keys' two counts of up to :data:`CHUNK_LOCATIONS` each: inside a
+    chunk the sort and top-m see a single group.  Reads without
+    locations join whichever chunk they fall in.
+    """
+    span = layout.read_span(2 * CHUNK_LOCATIONS.bit_length())
+    # the furthest read end within the budget of each read's start
+    ends = np.searchsorted(
+        read_offsets, read_offsets[:-1] + CHUNK_LOCATIONS, side="right"
+    )
+    ends -= 1
+    chunks = []
+    first = 0
+    while first < ends.size:
+        last = min(max(int(ends[first]), first + 1), first + span)
+        chunks.append((first, last))
+        first = last
+    return chunks
+
+
+def chunk_top(
+    out: Candidates,
+    first_row: int,
+    layout: LocationKeyLayout,
+    keys: np.ndarray,
+    reach: np.ndarray,
+    m: int,
+) -> None:
+    """Fill ``out`` rows ``first_row ..`` from one chunk's sorted keys.
+
+    ``keys`` are ``layout``'s ``(read | target | window)`` keys of a
+    :func:`read_chunks` chunk, non-empty, numbered from zero and
+    ascending -- what :meth:`LocationKeyLayout.sort_segments` leaves;
+    ``reach`` is :func:`window_reach` of the chunk's reads.
+    """
+    if reach.min() == reach.max():
+        # one reach for the chunk: no per-entry gather
+        _group_top(out, first_row, layout, keys, reach[0], m)
+    else:
+        _group_top(out, first_row, layout, keys, reach, m)
 
 
 def _group_top(
@@ -247,13 +300,12 @@ def _group_top(
     reach: np.ndarray | np.uint64,
     m: int,
 ) -> None:
-    """Fill ``out`` rows ``first_row ..`` from one bit-budget group.
+    """Fill ``out`` rows ``first_row ..`` from one chunk's sorted keys.
 
-    ``keys`` are the group's sorted keys, non-empty; read ``i`` of the
-    group may extend its spans ``reach[i] = sws - 1`` windows past
-    their first, or ``reach`` windows when it is one value for the
-    whole group.  See the module docstring for why each step is exact
-    and what each step holds per location.
+    ``keys`` are non-empty; read ``i`` of the chunk may extend its
+    spans ``reach[i] = sws - 1`` windows past their first, or ``reach``
+    windows when it is one value for the whole chunk.  See the module
+    docstring for why each step is exact and what each step holds.
     """
     u64 = np.uint64
 

@@ -11,12 +11,16 @@ Per batch of reads:
 5.   compact: expand each feature occurrence's ``(start, length)``
      pointer into the distinct lists, and each read's run of
      occurrences into its segment offsets (a running sum -- read ids
-     never decrease);
-6.   segmented sort: every occurrence's slice of keys is gathered,
-     numbered with its read and sorted in place (one ``np.sort`` per
-     bit-budget group);
+     never decrease); cut the reads into chunks of at most
+     ``CHUNK_LOCATIONS`` locations, each inside one bit-budget group
+     (:func:`~repro.core.candidates.read_chunks`), as the device runs
+     each step over bounded per-batch buffers (Section 5);
+6.   segmented sort, per chunk: its occurrences' slices of keys are
+     gathered, numbered with their reads and sorted in place (one
+     ``np.sort``);
 7-8. window-count statistic + sliding-window top-m candidates, read
-     straight off those sorted keys.
+     straight off the chunk's sorted keys into its rows of the
+     partition's :class:`~repro.core.candidates.Candidates`.
 
 Reads enter as a :class:`~repro.pipeline.packed.PackedReads` batch
 (one contiguous uint8 buffer + int64 offset/read-id arrays, the host
@@ -39,12 +43,13 @@ in Fig. 1.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.candidates import Candidates, candidate_groups, top_candidates
+from repro.core.candidates import Candidates, chunk_top, read_chunks, window_reach
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database
 from repro.hashing.minhash import SKETCH_PAD
@@ -90,7 +95,12 @@ def partition_candidates(
 
     ``partition_ids`` restricts the run to a strictly ascending subset
     of the database's partitions (default: all of them); see
-    :func:`query_database`.
+    :func:`query_database`.  ``ValueError`` for a sliding-window size
+    below one.
+
+    Steps 6-8 run one read chunk at a time, so the per-location arrays
+    hold at most ``CHUNK_LOCATIONS`` locations (or one longer read)
+    whatever the batch's size.
     """
     if partition_ids is None:
         pids: Sequence[int] = range(db.n_partitions)
@@ -125,6 +135,7 @@ def partition_candidates(
         feature_of[order] = np.repeat(np.arange(distinct.size), repeats)
         del order, repeats
 
+    reach = window_reach(sliding_window_sizes, n_reads)
     per_partition: list[Candidates] = []
     total_locations = 0
     for pid in pids:
@@ -141,20 +152,33 @@ def partition_candidates(
             lengths = feature_lengths.take(feature_of)
             del feature_starts, feature_lengths
             read_offsets = read_segment_offsets(occurrence_reads, lengths, n_reads)
-        with timer.stage("segmented_sort"):
-            # gather every occurrence's keys, number the reads and sort
-            # each bit-budget group; the gather is the last reader of
-            # the distinct lists and the pointers
-            keys = gather_segments(feature_keys, starts, lengths)
-            del feature_keys, starts, lengths
-            groups = candidate_groups(layout, n_reads, keys.size)
-            layout.sort_segments(keys, read_offsets, groups)
-        total_locations += keys.size
-        with timer.stage("window_count_top"):
-            cands = top_candidates(
-                keys, read_offsets, layout, sliding_window_sizes, max_candidates
+            chunks = read_chunks(layout, read_offsets)
+            # a chunk's occurrences are one slice, as occurrence reads
+            # never decrease
+            cuts = np.searchsorted(
+                occurrence_reads, [first for first, _ in chunks] + [n_reads]
             )
-        del keys  # not alive through the next partition's lookup and gather
+        cands = Candidates.empty(n_reads, max_candidates)
+        sort_s = top_s = 0.0
+        for (first, last), a, b in zip(chunks, cuts, cuts[1:]):
+            offsets = read_offsets[first : last + 1] - read_offsets[first]
+            if offsets[-1] == 0:
+                continue
+            t0 = time.perf_counter()
+            # gather the chunk's keys, number its reads and sort them:
+            # one bit-budget group
+            keys = gather_segments(feature_keys, starts[a:b], lengths[a:b])
+            layout.sort_segments(keys, offsets, [(0, last - first)])
+            t1 = time.perf_counter()
+            chunk_top(cands, first, layout, keys, reach[first:last], max_candidates)
+            top_s += time.perf_counter() - t1
+            sort_s += t1 - t0
+            del keys  # not alive through the next chunk's gather
+        # not alive through the next partition's lookup
+        del feature_keys, starts, lengths
+        timer.add("segmented_sort", sort_s)
+        timer.add("window_count_top", top_s)
+        total_locations += int(read_offsets[-1])
         per_partition.append(cands)
     return per_partition, total_locations
 

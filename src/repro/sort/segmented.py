@@ -93,14 +93,19 @@ class LocationKeyLayout:
         # 32-bit target, so the product cannot wrap
         return np.uint64((1 << 32) - (1 << self.window_bits))
 
+    def read_span(self, reserve_bits: int = 0) -> int:
+        """Most segments one key numbers: ``2 ** read_bits``, where
+        ``read_bits`` is what ``max(payload_bits, reserve_bits)`` leaves
+        of the word."""
+        return 1 << max(0, _KEY_BITS - max(self.payload_bits, reserve_bits))
+
     def groups(self, n_segments: int, reserve_bits: int = 0) -> list[tuple[int, int]]:
         """Contiguous ``[first, last)`` segment ranges whose keys fit 64 bits.
 
-        Each range holds at most ``2 ** read_bits`` segments, where
-        ``read_bits`` is what ``max(payload_bits, reserve_bits)`` leaves
-        of the word -- normally every segment of the batch at once.
+        Each range holds at most :meth:`read_span` segments -- normally
+        every segment of the batch at once.
         """
-        span = 1 << max(0, _KEY_BITS - max(self.payload_bits, reserve_bits))
+        span = self.read_span(reserve_bits)
         return [
             (first, min(first + span, n_segments))
             for first in range(0, n_segments, span)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from reference import pair_granular_query as oracle
 from repro.core import query as query_mod
 from repro.core.builder import DatabaseBuilder
-from repro.core.candidates import candidate_groups
+from repro.core.candidates import CHUNK_LOCATIONS
 from repro.core.config import MetaCacheParams
 from repro.core.database import CondensedIndex, Database, DatabasePartition
 from repro.core.io import load_database, save_database
@@ -166,7 +166,8 @@ def _assert_several_groups(db):
     assert_same_lookup(db, sketches, ids, n, 2, 3)
     locations = db.query_features(np.array(STORED, dtype=np.uint64), 0)[0]
     layout = LocationKeyLayout.of(locations)
-    assert len(candidate_groups(layout, n, locations.size)) >= 2
+    # fewer reads per group than the batch has: 2+ chunks of read_chunks
+    assert layout.read_span(2 * CHUNK_LOCATIONS.bit_length()) < n
 
 
 feature_st = st.one_of(

@@ -26,8 +26,9 @@ KERNEL_SCOPES = (
     "src/repro/hashing/",
     "src/repro/pipeline/packed.py",
     "src/repro/core/query.py",
-    # the query tail: its only loops walk bit-budget groups of reads
-    # (normally one group per batch), never the reads themselves
+    # the query tail: its only loops walk read chunks of up to
+    # CHUNK_LOCATIONS locations each (and bit-budget groups), never
+    # the reads themselves
     "src/repro/sort/",
     "src/repro/core/candidates.py",
     # the sketch kernel's substrate: the k-mer packer's only loop walks
